@@ -464,3 +464,79 @@ func BenchmarkProxyWriteFanout(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProxyWriteFanoutWide is BenchmarkProxyWriteFanout with more than
+// one invalidation per proxy round. objects=16: one leaf caches 16 objects
+// and the origin writes all 16 without waiting in between, so the proxy has
+// 16 invalidations for one connection in flight together. leaves=16: 16
+// leaves cache one object and a single origin write fans out to all of
+// them. ns/op is one whole iteration (the re-reads plus the writes).
+func BenchmarkProxyWriteFanoutWide(b *testing.B) {
+	for _, shape := range []struct {
+		name            string
+		objects, leaves int
+	}{{"objects=16", 16, 1}, {"leaves=16", 1, 16}} {
+		b.Run(shape.name, func(b *testing.B) { benchProxyWriteFanoutWide(b, shape.objects, shape.leaves) })
+	}
+}
+
+func benchProxyWriteFanoutWide(b *testing.B, objects, leaves int) {
+	net := transport.NewMemory()
+	origin, err := server.New(server.Config{
+		Name: "origin", Addr: "origin:1", Net: net,
+		Table: core.Config{ObjectLease: time.Hour, VolumeLease: time.Hour, Mode: core.ModeEager},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer origin.Close()
+	if err := origin.AddVolume("v"); err != nil {
+		b.Fatal(err)
+	}
+	oids := make([]core.ObjectID, objects)
+	for i := range oids {
+		oids[i] = core.ObjectID(fmt.Sprintf("o%d", i))
+		if err := origin.AddObject("v", oids[i], []byte("x")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	px, err := proxy.New(proxy.Config{
+		ID: "px", Addr: "px:1", Net: net, Upstream: "origin:1", Volume: "v",
+		SubObjectLease: time.Hour, SubVolumeLease: time.Hour,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer px.Close()
+	cls := make([]*client.Client, leaves)
+	for i := range cls {
+		cls[i], err = client.Dial(net, "px:1", client.Config{ID: core.ClientID(fmt.Sprintf("leaf%d", i))})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cls[i].Close()
+	}
+	payload := make([]byte, 1024)
+	errs := make(chan error, objects)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cl := range cls {
+			for _, oid := range oids {
+				if _, err := cl.Read("v", oid); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for _, oid := range oids {
+			go func(oid core.ObjectID) {
+				_, _, err := origin.Write(oid, payload)
+				errs <- err
+			}(oid)
+		}
+		for range oids {
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -367,13 +367,23 @@ func (c *Client) heldObjects(vid core.VolumeID) []core.HeldObject {
 // expiry time. ok is false when no copy is cached. Hierarchical caches use
 // it to bound the sub-leases they grant downstream.
 func (c *Client) LeaseInfo(oid core.ObjectID) (version core.Version, expire time.Time, ok bool) {
+	_, version, expire, ok = c.Cached(oid)
+	return version, expire, ok
+}
+
+// Cached reports the cached copy of an object together with the version and
+// lease expiry it was granted under, all read at one instant — a
+// hierarchical cache installs the copy downstream and must not pair one
+// version's data with another's number. ok is false when no copy is cached.
+// The returned slice is the cache's own: callers must not modify it.
+func (c *Client) Cached(oid core.ObjectID) (data []byte, version core.Version, expire time.Time, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	o, found := c.objs[oid]
 	if !found || !o.hasData {
-		return 0, time.Time{}, false
+		return nil, 0, time.Time{}, false
 	}
-	return o.version, o.expire, true
+	return o.data, o.version, o.expire, true
 }
 
 // VolumeLeaseInfo reports the client's lease on a volume: expiry and epoch.

@@ -6,8 +6,9 @@ import (
 	"strings"
 )
 
-// LockOrder enforces the PR 3 shard-locking discipline in the server and
-// proxy:
+// LockOrder enforces the PR 3 shard-locking discipline in the server (the
+// proxy owns no table mutex: it is a server.Server whose Origin methods run
+// under that server's shard mutex):
 //
 //  1. Multi-shard operations must take shard mutexes in sorted volume
 //     order. The only sanctioned way to do that is ranging over the

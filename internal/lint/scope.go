@@ -11,8 +11,10 @@ import "strings"
 //     the transport is checked too since the batcher landed, with its few
 //     legitimate wall-clock sites (codec timing, socket deadlines, injected
 //     wire latency) annotated //lint:allow.
-//   - lockorder: the shard/table locking discipline lives in the server and
-//     the proxy (the two lease-granting roles).
+//   - lockorder: the shard locking discipline lives in the server. The
+//     proxy is a server.Server plus an Origin whose methods run under that
+//     server's shard mutex; it stays in scope so a mutex added there is
+//     held to the same rules.
 //   - wiresym: encode/decode symmetry is a property of internal/wire.
 //   - metricreg: metric naming and nil-guard hygiene apply repo-wide.
 //   - ctxclean: shutdown wiring applies to every package that spawns
@@ -21,9 +23,10 @@ import "strings"
 //     transport batcher; findings land where the allocation is, so both
 //     layers are in scope.
 //   - lockflow: like lockorder, the shard-mutex discipline is a property of
-//     the two lease-granting roles, but violations can be *reached* through
-//     helpers anywhere; findings are reported at the call site under the
-//     lock, which is in server or proxy.
+//     the lease-granting layer, but violations can be *reached* through
+//     helpers anywhere — including a proxy's Origin methods, which the
+//     server calls with the shard mutex held; findings are reported at the
+//     call site under the lock.
 //   - spawnjoin: same blast radius as ctxclean — every goroutine-spawning
 //     layer of the live stack.
 //   - snapshotcopy: the snapshot roots are core.Table.Snapshot and the

@@ -18,10 +18,21 @@
 // becomes unreachable, every lease on the path expires within min(t, t_v)
 // and the origin's write proceeds.
 //
-// When the origin invalidates an object, the proxy invalidates its own
-// downstream holders and collects their acknowledgments BEFORE
-// acknowledging upstream (the client.Config.OnInvalidate hook), so the
-// origin's write completes only after the entire subtree dropped the data.
+// A Proxy is composed, not re-implemented: downstream it is a
+// server.Server — the same connection layer, lease conversations and
+// invalidation round that leased runs — and upstream it is a client.Client.
+// What joins them is the server's Origin seam, implemented here: before a
+// grant the proxy's copy must be backed by a live upstream lease (fetched or
+// renewed off the connection's reader when it is not), every expiry that
+// leaves the node is capped at the upstream expiry minus Skew, and
+// downstream writes are forwarded upstream.
+//
+// When the origin invalidates an object, the proxy runs the server's
+// invalidation round against its own downstream holders and collects their
+// acknowledgments BEFORE acknowledging upstream (the
+// client.Config.OnInvalidate hook), so the origin's write completes only
+// after the entire subtree dropped the data. The round ends by dropping the
+// proxy's copy instead of installing new data: the next request refetches.
 //
 // The proxy's object versions mirror the origin's exactly
 // (core.InstallVersion), so version comparisons remain meaningful across
@@ -40,6 +51,8 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/server"
+	"repro/internal/state"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -98,29 +111,18 @@ func (c *Config) fillDefaults() {
 
 // Proxy is a running hierarchical cache node.
 type Proxy struct {
-	cfg      Config
-	up       *client.Client
-	listener transport.Listener
-	fence    time.Time // no upstream acks before this
+	cfg   Config
+	srv   *server.Server // the downstream half
+	up    *client.Client // the upstream half
+	fence time.Time      // no upstream acks before this
 
-	mu    sync.Mutex
-	table *core.Table
-	// known marks objects whose local copy currently mirrors upstream.
+	// known marks objects whose copy in the server's table currently
+	// mirrors the upstream client's cache. Guarded by the server's shard
+	// mutex: it is touched only from the Origin methods called with it held.
 	known map[core.ObjectID]bool
-	conns map[core.ClientID]*pconn
-	acks  map[ackKey]chan struct{}
-
-	// om holds pre-resolved observability metrics; nil when not wired.
-	om *pxMetrics
 
 	closed  chan struct{}
 	closeMu sync.Once
-	wg      sync.WaitGroup
-}
-
-type ackKey struct {
-	client core.ClientID
-	object core.ObjectID
 }
 
 // New connects to the origin and starts serving downstream.
@@ -138,35 +140,13 @@ func New(cfg Config) (*Proxy, error) {
 	case cfg.SubObjectLease <= 0 || cfg.SubVolumeLease <= 0:
 		return nil, errors.New("proxy: sub-lease durations must be positive")
 	}
-
-	table, err := core.NewTable(core.Config{
-		ObjectLease: cfg.SubObjectLease,
-		VolumeLease: cfg.SubVolumeLease,
-		Mode:        core.ModeEager,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// A boot-unique epoch forces clients of any previous incarnation
-	// through the reconnection protocol.
-	bootEpoch := core.Epoch(cfg.Clock.Now().Unix())
-	if err := table.CreateVolumeAt(cfg.Volume, bootEpoch); err != nil {
-		return nil, err
-	}
-
 	p := &Proxy{
 		cfg:    cfg,
-		table:  table,
 		known:  make(map[core.ObjectID]bool),
-		conns:  make(map[core.ClientID]*pconn),
-		acks:   make(map[ackKey]chan struct{}),
 		closed: make(chan struct{}),
 		fence:  cfg.Clock.Now().Add(cfg.StartupFence),
 	}
-
-	p.initObs()
-
-	upCfg := client.Config{
+	up, err := client.Dial(cfg.Net, cfg.Upstream, client.Config{
 		ID:           cfg.ID,
 		Clock:        cfg.Clock,
 		Skew:         cfg.Skew,
@@ -174,41 +154,46 @@ func New(cfg Config) (*Proxy, error) {
 		OnInvalidate: p.onUpstreamInvalidate,
 		Obs:          cfg.Obs,
 		Logf:         cfg.Logf,
-	}
-	up, err := client.Dial(cfg.Net, cfg.Upstream, upCfg)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("proxy: dial upstream: %w", err)
 	}
 	p.up = up
-
-	l, err := cfg.Net.Listen(cfg.Addr)
+	// A boot-unique epoch forces clients of any previous incarnation
+	// through the reconnection protocol.
+	bootEpoch := core.Epoch(cfg.Clock.Now().Unix())
+	_, err = server.NewCache(server.Config{
+		Name:  string(cfg.ID),
+		Addr:  cfg.Addr,
+		Net:   cfg.Net,
+		Clock: cfg.Clock,
+		Table: core.Config{
+			ObjectLease: cfg.SubObjectLease,
+			VolumeLease: cfg.SubVolumeLease,
+			Mode:        core.ModeEager,
+		},
+		MsgTimeout: cfg.MsgTimeout,
+		Obs:        cfg.Obs,
+		Logf:       cfg.Logf,
+	}, cfg.Volume, bootEpoch, func(s *server.Server) server.Origin {
+		p.srv = s
+		return (*upstream)(p)
+	})
 	if err != nil {
 		up.Close()
 		return nil, err
 	}
-	p.listener = l
-	p.wg.Add(1)
-	go p.acceptLoop()
 	return p, nil
 }
 
 // Addr reports the downstream listen address.
-func (p *Proxy) Addr() string { return p.listener.Addr() }
+func (p *Proxy) Addr() string { return p.srv.Addr() }
 
 // Close stops the proxy.
 func (p *Proxy) Close() error {
-	p.closeMu.Do(func() {
-		close(p.closed)
-		p.listener.Close()
-		p.mu.Lock()
-		for _, pc := range p.conns {
-			pc.conn.Close()
-		}
-		p.mu.Unlock()
-		p.up.Close()
-	})
-	p.wg.Wait()
-	return nil
+	p.closeMu.Do(func() { close(p.closed) })
+	p.srv.Close()
+	return p.up.Close()
 }
 
 func (p *Proxy) logf(format string, args ...any) {
@@ -218,19 +203,40 @@ func (p *Proxy) logf(format string, args ...any) {
 }
 
 // Stats snapshots the downstream consistency state.
-func (p *Proxy) Stats() core.Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.table.Stats(p.cfg.Clock.Now())
+func (p *Proxy) Stats() core.Stats { return p.srv.Stats() }
+
+// StateSnapshot captures the proxy's two-faced lease state: the Server
+// section is the downstream sub-lease table (this node as lease server),
+// the Clients section is its upstream-facing cache (this node as lease
+// client), snapshotted separately on the same clock.
+func (p *Proxy) StateSnapshot() state.Dump {
+	d := p.srv.StateSnapshot()
+	d.Role = state.RoleProxy
+	up := p.up.StateSnapshot()
+	up.Server = p.cfg.Upstream
+	d.Clients = []state.ClientSnapshot{up}
+	return d
+}
+
+// StateSource returns a nil-safe snapshot source for wiring into
+// /debug/leases and the lease_state_* gauges.
+func (p *Proxy) StateSource() *state.Source {
+	return state.NewSource(p.StateSnapshot)
 }
 
 // onUpstreamInvalidate is the heart of the hierarchy: the origin is about
 // to complete a write and our acknowledgment is the subtree's promise that
-// nobody below can read the old data. Invalidate every downstream holder,
-// wait for their acks (bounded by their sub-lease expiries, which are in
-// turn bounded by our own upstream leases), and only then return — the
-// client library sends the upstream ack after this hook.
+// nobody below can read the old data. Run the server's invalidation round
+// for every object named — together, so they share each downstream
+// connection's Invalidate frame and one slow leaf is waited out once — and
+// only then return: the client library sends the upstream ack after this
+// hook. tc is the originating write's trace context; each round's spans
+// join it and the downstream invalidations carry it onward, re-parented on
+// this node's fan-out span.
 func (p *Proxy) onUpstreamInvalidate(objects []core.ObjectID, tc wire.TraceContext) {
+	if len(objects) == 0 {
+		return
+	}
 	// Startup fence: a fresh incarnation cannot vouch for sub-leases its
 	// predecessor granted until they have provably expired.
 	if wait := p.fence.Sub(p.cfg.Clock.Now()); wait > 0 {
@@ -241,127 +247,116 @@ func (p *Proxy) onUpstreamInvalidate(objects []core.ObjectID, tc wire.TraceConte
 			return
 		}
 	}
-	for _, oid := range objects {
-		p.invalidateDownstream(oid, tc)
+	var wg sync.WaitGroup
+	for _, oid := range objects[1:] {
+		wg.Add(1)
+		go func(oid core.ObjectID) {
+			defer wg.Done()
+			p.round(oid, tc)
+		}(oid)
+	}
+	p.round(objects[0], tc)
+	wg.Wait()
+}
+
+// round runs the downstream invalidation round for one object. The round
+// moves non-responders to the Unreachable set itself; an error means there
+// was nothing to invalidate (a copy fetched but never installed) or the
+// proxy is closing.
+func (p *Proxy) round(oid core.ObjectID, tc wire.TraceContext) {
+	if _, _, err := p.srv.WriteTraced(oid, nil, tc); err != nil {
+		p.logf("downstream invalidation of %s: %v", oid, err)
 	}
 }
 
-// invalidateDownstream runs the server-side write-invalidation round for
-// one object against the proxy's own clients, then marks the proxy copy
-// stale so the next downstream request refetches from upstream. tc is the
-// originating write's trace context: the downstream invalidations carry it
-// onward (re-parented on this proxy's fan-out span when sampled), and the
-// proxy records one SpanFanout per object covering its whole downstream
-// round — the subtree's contribution to the origin write's latency.
-func (p *Proxy) invalidateDownstream(oid core.ObjectID, tc wire.TraceContext) {
-	sr := p.cfg.Obs.SpanRec()
-	var spanID uint64
-	downTC := tc
-	if sr == nil || tc.TraceID == 0 || !sr.Sampled(tc.TraceID) {
-		sr = nil
-	} else {
-		spanID = sr.NewID()
-		downTC = wire.TraceContext{TraceID: tc.TraceID, SpanID: spanID}
+// upstream is the Proxy seen as its server's Origin: objects and lease
+// bounds come from the upstream client.
+type upstream Proxy
+
+// ObjectBound vouches for the proxy's copy of oid only while it mirrors an
+// upstream copy held under a live lease, and bounds the sub-lease by that
+// lease.
+func (u *upstream) ObjectBound(oid core.ObjectID) (time.Time, bool) {
+	if !u.known[oid] {
+		return time.Time{}, false
 	}
-	now := p.cfg.Clock.Now()
-	began := now
-	p.mu.Lock()
-	if !p.known[oid] {
-		p.mu.Unlock()
-		return
+	_, expire, ok := u.up.LeaseInfo(oid)
+	return u.live(expire, ok)
+}
+
+// VolumeBound bounds a volume sub-lease by the upstream volume lease.
+func (u *upstream) VolumeBound(vid core.VolumeID) (time.Time, bool) {
+	expire, _, ok := u.up.VolumeLeaseInfo(vid)
+	return u.live(expire, ok)
+}
+
+// live turns an upstream expiry into a sub-lease bound: Skew earlier, and
+// usable only while still ahead.
+func (u *upstream) live(expire time.Time, held bool) (time.Time, bool) {
+	bound := expire.Add(-u.cfg.Skew)
+	return bound, held && bound.After(u.cfg.Clock.Now())
+}
+
+// Fetch reads oid through the upstream client, acquiring or renewing the
+// upstream leases.
+func (u *upstream) Fetch(oid core.ObjectID) (core.VolumeID, error) {
+	if _, err := u.up.Read(u.cfg.Volume, oid); err != nil {
+		return "", fmt.Errorf("proxy: upstream fetch: %w", err)
 	}
-	plan, err := p.table.BeginWrite(now, oid)
+	return u.cfg.Volume, nil
+}
+
+// Install mirrors the upstream client's copy of oid, version number
+// included (so version comparisons stay meaningful across proxy restarts),
+// into the downstream table.
+func (u *upstream) Install(t *core.Table, oid core.ObjectID) error {
+	data, version, _, ok := u.up.Cached(oid)
+	if !ok {
+		return errors.New("proxy: upstream lease missing after read")
+	}
+	cur, _, err := t.Read(oid)
+	switch {
+	case err != nil:
+		// First sighting.
+		err = t.CreateObjectAt(u.cfg.Volume, oid, data, version)
+	case version > cur:
+		err = t.InstallVersion(u.cfg.Clock.Now(), oid, data, version, nil)
+	case version == cur:
+		// Same version: restore the data Finish dropped (a benign re-fetch
+		// race).
+		err = t.RestoreData(oid, data)
+	default:
+		err = fmt.Errorf("proxy: upstream version %d behind local %d for %q", version, cur, oid)
+	}
+	if err == nil {
+		u.known[oid] = true
+	}
+	return err
+}
+
+func (u *upstream) RenewVolume(vid core.VolumeID) error {
+	if err := u.up.RenewVolume(vid); err != nil {
+		return fmt.Errorf("proxy: upstream unavailable: %w", err)
+	}
+	return nil
+}
+
+// Write forwards a downstream write to the origin. The origin's
+// invalidation round trips back through onUpstreamInvalidate before the
+// write completes, so by the time the reply arrives the whole subtree is
+// consistent.
+func (u *upstream) Write(oid core.ObjectID, data []byte, tc wire.TraceContext) (core.Version, time.Duration, error) {
+	version, waited, err := u.up.WriteTraced(oid, data, tc)
 	if err != nil {
-		p.mu.Unlock()
-		p.logf("downstream invalidation of %s: %v", oid, err)
-		return
+		return 0, 0, fmt.Errorf("proxy: upstream write: %w", err)
 	}
-	type waiter struct {
-		client core.ClientID
-		ch     chan struct{}
-		bound  time.Time
-	}
-	waiters := make([]waiter, 0, len(plan.Notify))
-	targets := make([]*pconn, 0, len(plan.Notify))
-	for _, inv := range plan.Notify {
-		key := ackKey{client: inv.Client, object: oid}
-		ch := make(chan struct{})
-		p.acks[key] = ch
-		waiters = append(waiters, waiter{client: inv.Client, ch: ch, bound: inv.LeaseExpire})
-		targets = append(targets, p.conns[inv.Client])
-	}
-	p.mu.Unlock()
+	return version, waited, nil
+}
 
-	if p.om != nil {
-		p.om.invalRounds.Inc()
-	}
-	for i, pc := range targets {
-		if pc == nil {
-			p.logf("invalidate %s: client %s not connected; waiting out its sub-lease", oid, waiters[i].client)
-			continue
-		}
-		pc.sendInvalidate(oid, downTC)
-		if p.om != nil {
-			p.om.invalSent.Inc()
-		}
-		p.emit(obs.Event{Type: obs.EvInvalSent, Client: pc.id, Object: oid})
-	}
-
-	deadline := now.Add(p.cfg.MsgTimeout)
-	for _, w := range waiters {
-		if w.bound.After(deadline) {
-			deadline = w.bound
-		}
-	}
-	var timeout <-chan time.Time
-	if len(waiters) > 0 {
-		timeout = p.cfg.Clock.After(deadline.Sub(now))
-	}
-	expired := false
-	for _, w := range waiters {
-		if expired {
-			break
-		}
-		select {
-		case <-w.ch:
-		case <-timeout:
-			expired = true
-		case <-p.closed:
-			expired = true
-		}
-	}
-
-	var unacked []core.ClientID
-	now = p.cfg.Clock.Now()
-	p.mu.Lock()
-	for _, w := range waiters {
-		key := ackKey{client: w.client, object: oid}
-		if ch, pending := p.acks[key]; pending {
-			close(ch) // unblock any volume-grant guard on this client
-			delete(p.acks, key)
-			unacked = append(unacked, w.client)
-		}
-	}
-	// Drop our copy (the version is updated from upstream on the next
-	// fetch) and remember clients that provably missed the invalidation.
-	p.known[oid] = false
-	if err := p.table.MarkStale(now, oid, unacked); err != nil {
-		p.logf("mark stale %s: %v", oid, err)
-	}
-	for _, c := range unacked {
-		p.logf("invalidate %s: downstream %s unreachable", oid, c)
-		p.emit(obs.Event{Type: obs.EvUnreachable, Client: c, Object: oid, Volume: plan.Volume, At: now})
-	}
-	p.mu.Unlock()
-	if p.om != nil {
-		p.om.unreached.Add(int64(len(unacked)))
-	}
-	if sr != nil {
-		sr.Record(obs.Span{Trace: tc.TraceID, ID: spanID, Parent: tc.SpanID,
-			Kind: obs.SpanFanout, Node: string(p.cfg.ID), Object: oid,
-			Volume: plan.Volume, Start: began, Dur: now.Sub(began), N: len(waiters)})
-	}
-	if len(waiters) > 0 {
-		p.emit(obs.Event{Type: obs.EvWriteUnblocked, Object: oid, N: len(unacked), Dur: now.Sub(began), At: now})
-	}
+// Finish drops the proxy's copy (the version is learned from upstream on
+// the next fetch) and remembers clients that provably missed the
+// invalidation.
+func (u *upstream) Finish(t *core.Table, now time.Time, plan core.WritePlan, _ []byte, unacked []core.ClientID) (core.Version, error) {
+	u.known[plan.Object] = false
+	return 0, t.MarkStale(now, plan.Object, unacked)
 }

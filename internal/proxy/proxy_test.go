@@ -1,6 +1,7 @@
 package proxy_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/server"
+	"repro/internal/state"
 	"repro/internal/transport"
 )
 
@@ -32,6 +34,13 @@ type hierarchy struct {
 }
 
 func buildHierarchy(t *testing.T, mutate func(*proxy.Config)) *hierarchy {
+	t.Helper()
+	return buildHierarchyOn(t, func(net *transport.Memory) transport.Network { return net }, mutate)
+}
+
+// buildHierarchyOn is buildHierarchy with the origin listening on a wrapped
+// view of the shared in-memory network.
+func buildHierarchyOn(t *testing.T, originNet func(*transport.Memory) transport.Network, mutate func(*proxy.Config)) *hierarchy {
 	t.Helper()
 	net := transport.NewMemory()
 	rec := metrics.NewRecorder()
@@ -63,7 +72,7 @@ func buildHierarchy(t *testing.T, mutate func(*proxy.Config)) *hierarchy {
 	origin, err := server.New(server.Config{
 		Name: "origin",
 		Addr: "origin:1",
-		Net:  net,
+		Net:  originNet(net),
 		Table: core.Config{
 			ObjectLease: time.Hour,
 			VolumeLease: 2 * time.Second,
@@ -238,7 +247,30 @@ func TestProxyPartitionedLeafBoundsOriginWrite(t *testing.T) {
 	// sub-lease (≤1s) — and certainly not the 30-minute object sub-lease.
 	h.net.Partition("leaf", "proxy")
 	start := time.Now()
-	if _, _, err := h.origin.Write("a", []byte("a v2")); err != nil {
+	writeErr := make(chan error, 1)
+	go func() {
+		_, _, err := h.origin.Write("a", []byte("a v2"))
+		writeErr <- err
+	}()
+	// While the proxy's round waits, its state dump names the outstanding
+	// ack and the lease bound the wait ends at, so the same dump evaluated
+	// past that bound classifies the ack as overdue.
+	dump := waitingDump(t, h.px)
+	ack := dump.Server.Volumes[0].PendingAcks[0]
+	if ack.Client != "leaf" || ack.Object != "a" || ack.Deadline.IsZero() {
+		t.Errorf("pending ack = %+v, want leaf/a with a deadline", ack)
+	}
+	dump.Server.TakenAt = ack.Deadline.Add(time.Second)
+	overdue := 0
+	for _, d := range state.Diff(dump, nil, state.Options{}).Divergences {
+		if d.Kind == state.KindAckOverdue {
+			overdue++
+		}
+	}
+	if overdue != 1 {
+		t.Errorf("state.Diff past the deadline reported %d ack-overdue divergences, want 1", overdue)
+	}
+	if err := <-writeErr; err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	elapsed := time.Since(start)
@@ -340,28 +372,34 @@ func TestProxyRestartForcesLeafResync(t *testing.T) {
 }
 
 func TestProxyChainTwoLevels(t *testing.T) {
-	// origin <- proxy1 <- proxy2 <- leaf: the protocol composes because a
-	// proxy speaks exactly the server protocol downstream.
+	// origin <- proxy <- proxy2 <- proxy3 <- leaf: the protocol composes
+	// because a proxy is a server downstream and a client upstream, so a
+	// deeper tree is more of the same. Every node reports to the auditor.
 	h := buildHierarchy(t, nil)
-	px2, err := proxy.New(proxy.Config{
-		ID:             "regional-proxy",
-		Addr:           "proxy2:1",
-		Net:            h.net,
-		Upstream:       "proxy:1",
-		Volume:         "vol",
-		SubObjectLease: 10 * time.Minute,
-		SubVolumeLease: 800 * time.Millisecond,
-		Skew:           5 * time.Millisecond,
-		MsgTimeout:     50 * time.Millisecond,
-		Obs:            h.obs,
-	})
-	if err != nil {
-		t.Fatal(err)
+	upstream := "proxy:1"
+	for i, subVolLease := range []time.Duration{800 * time.Millisecond, 600 * time.Millisecond} {
+		addr := fmt.Sprintf("proxy%d:1", i+2)
+		px, err := proxy.New(proxy.Config{
+			ID:             core.ClientID(fmt.Sprintf("proxy-level-%d", i+2)),
+			Addr:           addr,
+			Net:            h.net,
+			Upstream:       upstream,
+			Volume:         "vol",
+			SubObjectLease: 10 * time.Minute,
+			SubVolumeLease: subVolLease,
+			Skew:           5 * time.Millisecond,
+			MsgTimeout:     50 * time.Millisecond,
+			Obs:            h.obs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer px.Close()
+		upstream = addr
 	}
-	defer px2.Close()
 
-	leaf, err := client.Dial(h.net, "proxy2:1", client.Config{
-		ID: "deep-leaf", Skew: 5 * time.Millisecond, Timeout: 5 * time.Second,
+	leaf, err := client.Dial(h.net, upstream, client.Config{
+		ID: "deep-leaf", Skew: 5 * time.Millisecond, Timeout: 5 * time.Second, Obs: h.obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +414,7 @@ func TestProxyChainTwoLevels(t *testing.T) {
 		t.Errorf("deep read = %q", data)
 	}
 
-	// A write at the origin flows down both levels before completing.
+	// A write at the origin flows down all three levels before completing.
 	if _, _, err := h.origin.Write("a", []byte("a v2")); err != nil {
 		t.Fatalf("Write: %v", err)
 	}

@@ -262,28 +262,27 @@ func (s *Server) dispatch(cc *clientConn, m wire.Message) error {
 }
 
 // handleReqObjLease grants or renews an object lease, piggybacking data when
-// the client is stale (Figure 3). If the object has a write in flight, the
-// grant waits for it on a separate goroutine so the connection's reader
-// stays free to process acknowledgments.
+// the client is stale (Figure 3). It runs on the connection's reader unless
+// it has to wait — for a write in flight on the object, or for the origin —
+// in which case it is parked so the reader stays free for acknowledgments.
 func (s *Server) handleReqObjLease(cc *clientConn, req wire.ReqObjLease) error {
 	sh, err := s.shardOfObject(req.Object)
 	if err != nil {
-		return s.sendErr(cc, req.Seq, err)
+		return s.park(cc, req, func() error { return s.consult(req.Object) })
 	}
 	sh.mu.Lock()
 	if guard, busy := sh.writing[req.Object]; busy {
 		sh.mu.Unlock()
-		go func() {
-			select {
-			case <-guard:
-				_ = s.handleReqObjLease(cc, req)
-			case <-s.closed:
-			}
-		}()
-		return nil
+		return s.park(cc, req, func() error { return s.closedOr(guard) })
+	}
+	bound, ok := s.origin.ObjectBound(req.Object)
+	if !ok {
+		sh.mu.Unlock()
+		return s.park(cc, req, func() error { return s.consult(req.Object) })
 	}
 	g, err := sh.table.GrantObjectLease(s.cfg.Clock.Now(), cc.id, req.Object, req.Version)
 	if err == nil {
+		g.Expire = capAt(g.Expire, bound)
 		// Emitted under the shard mutex so the audit model sees the grant
 		// strictly before any write that includes this client in its plan.
 		s.emit(obs.Event{Type: obs.EvObjLeaseGrant, Client: cc.id, Object: g.Object,
@@ -331,17 +330,19 @@ func (s *Server) handleReqVolLease(cc *clientConn, req wire.ReqVolLease) error {
 	sh.mu.Lock()
 	if chans := sh.pendingAcksLocked(cc.id); len(chans) > 0 {
 		sh.mu.Unlock()
-		go func() {
+		return s.park(cc, req, func() error {
 			for _, ch := range chans {
-				select {
-				case <-ch:
-				case <-s.closed:
-					return
+				if err := s.closedOr(ch); err != nil {
+					return err
 				}
 			}
-			_ = s.handleReqVolLease(cc, req)
-		}()
-		return nil
+			return nil
+		})
+	}
+	bound, ok := s.origin.VolumeBound(req.Volume)
+	if !ok {
+		sh.mu.Unlock()
+		return s.park(cc, req, func() error { return s.origin.RenewVolume(req.Volume) })
 	}
 	g, err := sh.table.RequestVolumeLease(s.cfg.Clock.Now(), cc.id, req.Volume, req.Epoch)
 	if err == nil {
@@ -350,6 +351,7 @@ func (s *Server) handleReqVolLease(cc *clientConn, req wire.ReqVolLease) error {
 		// commits and acks.
 		switch g.Status {
 		case core.VolumeGranted:
+			g.Expire = capAt(g.Expire, bound)
 			s.emit(obs.Event{Type: obs.EvVolLeaseGrant, Client: cc.id, Volume: g.Volume,
 				Epoch: g.Epoch, Expire: g.Expire})
 		case core.VolumeNeedsRenewAll:
@@ -400,19 +402,35 @@ func (s *Server) handleRenewObjLeases(cc *clientConn, req wire.RenewObjLeases) e
 		return s.sendErr(cc, req.Seq, fmt.Errorf("%w: %q", core.ErrNoSuchVolume, req.Volume))
 	}
 	sh.mu.Lock()
-	// Renewing a lease on an object with a write in flight would hand out a
-	// lease at the old version; wait the write(s) out asynchronously.
+	// Every reported object is compared against this node's copy, so each
+	// copy must be settled first: renewing a lease on an object with a write
+	// in flight would hand out a lease at the old version, and a copy the
+	// origin no longer backs has no version to compare against.
+	var bounds map[core.ObjectID]time.Time
 	for _, h := range req.Held {
 		if guard, busy := sh.writing[h.Object]; busy {
 			sh.mu.Unlock()
-			go func() {
-				select {
-				case <-guard:
-					_ = s.handleRenewObjLeases(cc, req)
-				case <-s.closed:
+			return s.park(cc, req, func() error { return s.closedOr(guard) })
+		}
+		bound, ok := s.origin.ObjectBound(h.Object)
+		if !ok {
+			sh.mu.Unlock()
+			oid := h.Object
+			return s.park(cc, req, func() error {
+				err := s.consult(oid)
+				if err != nil {
+					// Without the origin's word on every copy, none of them
+					// can be vouched for: abandon the conversation.
+					cc.takeRenewal(req.Seq, true)
 				}
-			}()
-			return nil
+				return err
+			})
+		}
+		if !bound.IsZero() {
+			if bounds == nil {
+				bounds = make(map[core.ObjectID]time.Time, len(req.Held))
+			}
+			bounds[h.Object] = bound
 		}
 	}
 	res, err := sh.table.HandleRenewObjLeases(s.cfg.Clock.Now(), cc.id, req.Volume, req.Held)
@@ -420,7 +438,9 @@ func (s *Server) handleRenewObjLeases(cc *clientConn, req wire.RenewObjLeases) e
 		// Renewed leases are fresh grants as far as the audit model is
 		// concerned: without these events it would judge post-reconnection
 		// cache reads against the pre-disconnect expiries.
-		for _, g := range res.Renew {
+		for i := range res.Renew {
+			g := &res.Renew[i]
+			g.Expire = capAt(g.Expire, bounds[g.Object])
 			s.emit(obs.Event{Type: obs.EvObjLeaseGrant, Client: cc.id, Object: g.Object,
 				Volume: req.Volume, Version: g.Version, Expire: g.Expire})
 		}
@@ -445,12 +465,13 @@ func (s *Server) handleAckInvalidate(cc *clientConn, ack wire.AckInvalidate) err
 		s.completeWriteAcks(cc.id, ack.Objects)
 		return nil
 	}
-	r, ok := cc.takeRenewal(ack.Seq, true)
+	r, ok := cc.takeRenewal(ack.Seq, false)
 	if !ok {
 		return nil // stale ack after an error; harmless
 	}
 	sh := s.shardOf(r.volume)
 	if sh == nil {
+		cc.takeRenewal(ack.Seq, true)
 		return s.sendErr(cc, ack.Seq, fmt.Errorf("%w: %q", core.ErrNoSuchVolume, r.volume))
 	}
 	now := s.cfg.Clock.Now()
@@ -459,6 +480,18 @@ func (s *Server) handleAckInvalidate(cc *clientConn, ack wire.AckInvalidate) err
 		err error
 	)
 	sh.mu.Lock()
+	bound, ok := s.origin.VolumeBound(r.volume)
+	if !ok {
+		sh.mu.Unlock()
+		return s.park(cc, ack, func() error {
+			err := s.origin.RenewVolume(r.volume)
+			if err != nil {
+				cc.takeRenewal(ack.Seq, true)
+			}
+			return err
+		})
+	}
+	cc.takeRenewal(ack.Seq, true)
 	switch r.stage {
 	case stageAwaitPendingAck:
 		g, err = sh.table.ConfirmPendingDelivered(now, cc.id, r.volume)
@@ -483,6 +516,7 @@ func (s *Server) handleAckInvalidate(cc *clientConn, ack wire.AckInvalidate) err
 		err = fmt.Errorf("server: ack in unexpected stage %d", r.stage)
 	}
 	if err == nil {
+		g.Expire = capAt(g.Expire, bound)
 		s.emit(obs.Event{Type: obs.EvVolLeaseGrant, Client: cc.id, Volume: g.Volume,
 			Epoch: g.Epoch, Expire: g.Expire, At: now})
 	}
@@ -526,11 +560,11 @@ func (s *Server) completeWriteAcks(client core.ClientID, objects []core.ObjectID
 	}
 }
 
-// handleWriteReq performs a client-requested write and replies, threading
-// the request's trace context through the write and echoing it in the
-// reply.
+// handleWriteReq hands a client-requested write to the origin and replies,
+// threading the request's trace context through the write and echoing it in
+// the reply.
 func (s *Server) handleWriteReq(cc *clientConn, req wire.WriteReq) {
-	version, waited, err := s.WriteTraced(req.Object, req.Data, req.Trace)
+	version, waited, err := s.origin.Write(req.Object, req.Data, req.Trace)
 	if err != nil {
 		_ = s.sendErr(cc, req.Seq, err)
 		return

@@ -26,48 +26,78 @@ type srvMetrics struct {
 	ackWait    *metrics.LatencyHistogram
 }
 
+// role selects which of METRICS.md's two catalogues a Server exports under:
+// the same machine is listed as lease_server_* / {server="…"} when it owns
+// its objects and as lease_proxy_* / {proxy="…"} when it caches an
+// upstream's. The proxy catalogue is the shorter one; a metric it does not
+// list is still counted, just not exported.
+type role int
+
+const (
+	roleServer role = iota
+	roleProxy
+)
+
 // initObs resolves counters and registers scrape-time gauges for the live
-// consistency-table state. Called once from New, before any connection is
-// admitted.
-func (s *Server) initObs() {
+// consistency-table state under the role's series names (server name first,
+// proxy name second in every pair below). Called once from build, before
+// any connection is admitted.
+func (s *Server) initObs(r role) {
 	reg := s.cfg.Obs.Reg()
 	if reg == nil {
 		return
 	}
-	n := s.cfg.Name
-	name := func(base string) string { return fmt.Sprintf("%s{server=%q}", base, n) }
+	label := [...]string{"server", "proxy"}[r]
+	name := func(server, proxy string) string {
+		base := [...]string{server, proxy}[r]
+		if base == "" {
+			return ""
+		}
+		return fmt.Sprintf("%s{%s=%q}", base, label, s.cfg.Name)
+	}
+	counter := func(server, proxy string) *obs.Counter {
+		if n := name(server, proxy); n != "" {
+			return reg.Counter(n)
+		}
+		return new(obs.Counter)
+	}
 	s.om = &srvMetrics{
-		objGrants:  reg.Counter(name("lease_obj_grants_total")),
-		volGrants:  reg.Counter(name("lease_vol_grants_total")),
-		invalSent:  reg.Counter(name("lease_invalidations_sent_total")),
-		invalAcked: reg.Counter(name("lease_invalidation_acks_total")),
-		writes:     reg.Counter(name("lease_server_writes_total")),
-		slowWrites: reg.Counter(name("lease_slow_writes_total")),
-		reconnects: reg.Counter(name("lease_reconnects_total")),
-		unreached:  reg.Counter(name("lease_unreachable_transitions_total")),
-		expired:    reg.Counter(name("lease_swept_leases_total")),
-		epochBumps: reg.Counter(name("lease_epoch_bumps_total")),
-		conns:      reg.Gauge(name("lease_server_connections")),
-		ackWait:    reg.Histogram(name("lease_write_ack_wait_seconds")),
+		objGrants:  counter("lease_obj_grants_total", ""),
+		volGrants:  counter("lease_vol_grants_total", ""),
+		invalSent:  counter("lease_invalidations_sent_total", "lease_proxy_invalidations_sent_total"),
+		invalAcked: counter("lease_invalidation_acks_total", ""),
+		writes:     counter("lease_server_writes_total", "lease_proxy_invalidation_rounds_total"),
+		slowWrites: counter("lease_slow_writes_total", ""),
+		reconnects: counter("lease_reconnects_total", ""),
+		unreached:  counter("lease_unreachable_transitions_total", "lease_proxy_unreachable_transitions_total"),
+		expired:    counter("lease_swept_leases_total", ""),
+		epochBumps: counter("lease_epoch_bumps_total", ""),
+		conns:      reg.Gauge(name("lease_server_connections", "lease_proxy_connections")),
+		ackWait:    metrics.NewLatencyHistogram(),
+	}
+	if n := name("lease_write_ack_wait_seconds", ""); n != "" {
+		reg.RegisterHistogram(n, s.om.ackWait)
 	}
 	// Live table state, sampled at scrape time. One Stats() snapshot per
 	// gauge keeps the callbacks independent; the table lock makes each
 	// snapshot consistent.
-	stat := func(f func(core.Stats) float64) func() float64 {
-		return func() float64 { return f(s.Stats()) }
+	stat := func(n string, f func(core.Stats) float64) {
+		if n != "" {
+			reg.GaugeFunc(n, func() float64 { return f(s.Stats()) })
+		}
 	}
-	reg.GaugeFunc(name("lease_server_object_leases"),
-		stat(func(st core.Stats) float64 { return float64(st.ObjectLeases) }))
-	reg.GaugeFunc(name("lease_server_volume_leases"),
-		stat(func(st core.Stats) float64 { return float64(st.VolumeLeases) }))
-	reg.GaugeFunc(name("lease_server_pending_invalidations"),
-		stat(func(st core.Stats) float64 { return float64(st.PendingInvalidation) }))
-	reg.GaugeFunc(name("lease_server_inactive_clients"),
-		stat(func(st core.Stats) float64 { return float64(st.InactiveClients) }))
-	reg.GaugeFunc(name("lease_server_unreachable_clients"),
-		stat(func(st core.Stats) float64 { return float64(st.UnreachableClients) }))
-	reg.GaugeFunc(name("lease_server_state_bytes"),
-		stat(func(st core.Stats) float64 { return float64(st.StateBytes) }))
+	stat(name("lease_server_object_leases", "lease_proxy_object_leases"),
+		func(st core.Stats) float64 { return float64(st.ObjectLeases) })
+	stat(name("lease_server_volume_leases", "lease_proxy_volume_leases"),
+		func(st core.Stats) float64 { return float64(st.VolumeLeases) })
+	stat(name("lease_server_pending_invalidations", ""),
+		func(st core.Stats) float64 { return float64(st.PendingInvalidation) })
+	stat(name("lease_server_inactive_clients", ""),
+		func(st core.Stats) float64 { return float64(st.InactiveClients) })
+	stat(name("lease_server_unreachable_clients", "lease_proxy_unreachable_clients"),
+		func(st core.Stats) float64 { return float64(st.UnreachableClients) })
+	stat(name("lease_server_state_bytes", "lease_proxy_state_bytes"),
+		func(st core.Stats) float64 { return float64(st.StateBytes) })
 }
 
 // registerVolumeObs exposes one volume's lease and pending-queue depths.

@@ -214,9 +214,11 @@ func TestProtocolWriteFencedErrorCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.srv.Recover()
-	// Recover killed our connection; reconnect.
+	// Recover killed our connection; reconnect. A fresh identity: the first
+	// Hello may still be unprocessed, and registering it later under the
+	// same name would replace (and close) this connection.
 	conn2 := rawConn(t, env)
-	if err := conn2.Send(wire.Hello{Client: "raw"}); err != nil {
+	if err := conn2.Send(wire.Hello{Client: "raw-2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn2.Send(wire.WriteReq{Seq: 1, Object: "a", Data: []byte("x")}); err != nil {
@@ -275,9 +277,12 @@ func TestProtocolNoVolumeGrantDuringPendingInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reply := recvOrTimeout(t, conn)
+	// The reply is released at the write's commit point, a few instructions
+	// before Write returns on its own goroutine; a premature answer would
+	// beat it by most of the ~400ms bound.
 	select {
 	case <-writeDone:
-	default:
+	case <-time.After(100 * time.Millisecond):
 		t.Errorf("volume renewal answered (%T) while the write was still pending", reply)
 	}
 	if _, ok := reply.(wire.MustRenewAll); !ok {

@@ -5,6 +5,20 @@
 // reconnection protocol for unreachable clients, and epoch-based crash
 // recovery.
 //
+// # One machine, two origins
+//
+// The same Server runs at every level of a lease hierarchy. What a level
+// does not share with the others — where an object's data and version come
+// from, how far a lease may extend, what a client's write or a finished
+// invalidation round means — is behind the Origin interface (origin.go).
+// New builds the top of a hierarchy: the local store is the origin, leases
+// run their full table terms and a write installs data here. NewCache
+// builds an inner level (internal/proxy): the origin is an upstream lease
+// client, every lease granted is capped by the lease this node itself holds
+// upstream, and a write is the upstream's invalidation passing through.
+// Everything below — connections, renewal conversations, the invalidation
+// round — is written once against that interface.
+//
 // # Concurrency model
 //
 // The consistency state is sharded per volume: each volume owns a shard with
@@ -28,11 +42,16 @@
 // wire.Invalidate. A burst of writes touching one client's cache costs one
 // message, not one per write.
 //
-// One goroutine per client connection reads requests; the immutable
-// volume→shard and object→shard indexes are read lock-free and rebuilt
-// copy-on-write under topoMu by AddVolume/AddObject. Lock order:
-// shard.mu → connMu (never the reverse); multi-shard operations (Recover,
-// Stats) take shard mutexes in sorted volume order.
+// One goroutine per client connection reads requests and answers them
+// inline unless a request has to wait — for a write in flight on its
+// object, for an acknowledgment the client still owes, or for the origin —
+// in which case it is parked on a side goroutine and dispatched again when
+// the wait is over (park, origin.go), so the reader stays free for
+// acknowledgments. The immutable volume→shard and object→shard indexes are
+// read lock-free and rebuilt copy-on-write under topoMu by
+// AddVolume/AddObject. Lock order: shard.mu → connMu (never the reverse);
+// multi-shard operations (Recover, Stats) take shard mutexes in sorted
+// volume order.
 package server
 
 import (
@@ -134,6 +153,9 @@ func (c *Config) fillDefaults() {
 type Server struct {
 	cfg      Config
 	listener transport.Listener
+	// origin is where objects and lease bounds come from: the local store
+	// (New) or an upstream lease client (NewCache).
+	origin Origin
 
 	// vols is the immutable volume→shard index, swapped copy-on-write
 	// under topoMu; hot paths resolve a shard with one atomic load.
@@ -173,8 +195,41 @@ type ackKey struct {
 // errClosed is returned by writes interrupted by server shutdown.
 var errClosed = errors.New("server: closed")
 
-// New builds and starts a server listening on cfg.Addr.
+// New builds and starts a server that owns its objects, listening on
+// cfg.Addr.
 func New(cfg Config) (*Server, error) {
+	s, err := build(cfg, roleServer)
+	if err != nil {
+		return nil, err
+	}
+	s.origin = local{s}
+	s.run()
+	return s, nil
+}
+
+// NewCache builds and starts a single-volume server whose objects come from
+// an upstream origin: one level of a lease hierarchy (internal/proxy). The
+// volume starts at the given epoch. origin is called once the server exists
+// — an upstream origin needs it to run invalidation rounds (WriteTraced) —
+// and before the first connection is accepted.
+func NewCache(cfg Config, vid core.VolumeID, epoch core.Epoch, origin func(*Server) Origin) (*Server, error) {
+	s, err := build(cfg, roleProxy)
+	if err != nil {
+		return nil, err
+	}
+	sh, err := newShard(s.cfg.Table, vid, epoch, time.Time{})
+	if err != nil {
+		s.listener.Close()
+		return nil, err
+	}
+	s.vols.Store(&map[core.VolumeID]*shard{vid: sh})
+	s.origin = origin(s)
+	s.run()
+	return s, nil
+}
+
+// build validates cfg and binds the listener; nothing is accepted until run.
+func build(cfg Config, r role) (*Server, error) {
 	cfg.fillDefaults()
 	// Validate the table configuration up front, exactly as a monolithic
 	// table would; per-volume shard tables share the validated config.
@@ -203,11 +258,15 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.initObs()
+	s.initObs(r)
+	return s, nil
+}
+
+// run starts admitting connections and sweeping expired leases.
+func (s *Server) run() {
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.sweepLoop()
-	return s, nil
 }
 
 // Addr reports the bound listen address.

@@ -11,8 +11,11 @@ import (
 // Write modifies an object, running Figure 3's "Server writes object o":
 // invalidate every client the plan names, collect acknowledgments until each
 // client acks or its lease bound passes (floored at MsgTimeout), move
-// non-responders to the Unreachable set, then install the new data and bump
-// the version. It returns the new version and how long the write waited.
+// non-responders to the Unreachable set, then let the origin finish — the
+// local store installs the new data and bumps the version; a cache, for
+// which the write is its upstream's invalidation passing through, drops its
+// copy (data is ignored and the version reported is 0). It returns the new
+// version and how long the write waited.
 //
 // Writes are serialized per object, not globally: two writes to one object
 // run back to back (the second waits for the first's guard channel), while
@@ -78,10 +81,8 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 			break // sh.mu stays held
 		}
 		sh.mu.Unlock()
-		select {
-		case <-prev:
-		case <-s.closed:
-			return 0, 0, errClosed
+		if err := s.closedOr(prev); err != nil {
+			return 0, 0, err
 		}
 	}
 	start = s.cfg.Clock.Now()
@@ -210,19 +211,15 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 			unacked = append(unacked, w.client)
 		}
 	}
-	version, err := sh.table.FinishWrite(now, oid, data, unacked)
+	// Unreachable transitions precede the origin's commit event so the audit
+	// model never judges a dropped client against the new version.
+	for _, c := range unacked {
+		s.emit(obs.Event{Type: obs.EvUnreachable, Client: c, Object: oid,
+			Volume: plan.Volume, At: now})
+	}
+	version, err := s.origin.Finish(sh.table, now, plan, data, unacked)
 	delete(sh.writing, oid)
 	close(guard)
-	if err == nil {
-		// Unreachable transitions precede the commit event so the audit
-		// model never judges a dropped client against the new version.
-		for _, c := range unacked {
-			s.emit(obs.Event{Type: obs.EvUnreachable, Client: c, Object: oid,
-				Volume: plan.Volume, At: now})
-		}
-		s.emit(obs.Event{Type: obs.EvWriteApplied, Object: oid, Volume: plan.Volume,
-			Version: version, N: len(unacked), At: now})
-	}
 	sh.mu.Unlock()
 	if err != nil {
 		return 0, 0, err

@@ -36,8 +36,7 @@ const (
 // PendingAck is one outstanding write-invalidation acknowledgment: the
 // server (or proxy) has sent Invalidate to Client for Object and is still
 // waiting. Deadline is the lease bound after which the server stops
-// waiting and declares the client unreachable; zero when the component
-// does not track per-ack deadlines.
+// waiting and declares the client unreachable.
 type PendingAck struct {
 	Client   core.ClientID `json:"client"`
 	Object   core.ObjectID `json:"object"`
