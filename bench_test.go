@@ -159,7 +159,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf, err := wire.Encode(m)
+		buf, err := wire.AppendEncode(nil, m)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -118,20 +118,29 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// lease is a lease as the holder sees it. The zero value is no lease.
+type lease struct {
+	expire time.Time // as granted
+	until  time.Time // expire less Config.Skew: trusted strictly before this
+}
+
 // objState is one cached object.
 type objState struct {
-	volume  core.VolumeID
+	volume core.VolumeID
+	// vol is c.vols[volume], so a hit finds both leases with one lookup. A
+	// volState is updated in place on renewal and never leaves the map.
+	vol     *volState
 	data    []byte
 	version core.Version
-	expire  time.Time // object lease expiry; zero if no lease
+	lease
 	hasData bool
 }
 
 // volState is one volume lease.
 type volState struct {
-	expire time.Time
-	epoch  core.Epoch
-	known  bool // epoch learned at least once
+	lease
+	epoch core.Epoch
+	known bool // epoch learned at least once
 }
 
 // Client is a connected volume-lease cache.
@@ -242,7 +251,9 @@ func (c *Client) initObs() {
 }
 
 // emit sends a protocol event when tracing is live, stamping Node and At
-// after the enabled check so the disabled path never reads the clock.
+// after the enabled check so the disabled path never reads the clock. The
+// per-read and per-invalidation call sites check Tracing themselves first,
+// so without an observer they do not even build the event.
 func (c *Client) emit(e obs.Event) {
 	if !c.cfg.Obs.Tracing() {
 		return
@@ -439,8 +450,10 @@ func (c *Client) send(m wire.Message) error {
 // trace context is handed to the hook and echoed in the ack, so the
 // originating write's trace spans the whole round trip.
 func (c *Client) handleInvalidate(inv wire.Invalidate) {
-	for _, oid := range inv.Objects {
-		c.emit(obs.Event{Type: obs.EvInvalRecv, Object: oid})
+	if c.cfg.Obs.Tracing() {
+		for _, oid := range inv.Objects {
+			c.emit(obs.Event{Type: obs.EvInvalRecv, Object: oid})
+		}
 	}
 	c.dropObjects(inv.Objects)
 	if c.cfg.OnInvalidate != nil {
@@ -462,7 +475,7 @@ func (c *Client) dropObjects(objects []core.ObjectID) {
 		if o, ok := c.objs[oid]; ok {
 			o.data = nil
 			o.hasData = false
-			o.expire = time.Time{}
+			o.lease = lease{}
 		}
 		c.invalsSeen++
 	}
@@ -509,13 +522,11 @@ func (c *Client) await(seq uint64) (wire.Message, error) {
 		}
 		return m, nil
 	case <-c.cfg.Clock.After(c.cfg.Timeout):
-		return nil, fmt.Errorf("%w after %v (%s)", ErrTimeout, c.cfg.Timeout, req2str(seq))
+		return nil, fmt.Errorf("%w after %v (seq %d)", ErrTimeout, c.cfg.Timeout, seq)
 	case <-c.done:
 		return nil, ErrClosed
 	}
 }
-
-func req2str(seq uint64) string { return fmt.Sprintf("seq %d", seq) }
 
 // open registers a new conversation and returns its sequence number.
 func (c *Client) open() (uint64, error) {

@@ -25,6 +25,11 @@ type Pool struct {
 	net transport.Network
 	cfg Config
 
+	// dialMu admits one dial at a time. A server keeps one connection per
+	// client ID and drops the older one when a second Hello arrives, so two
+	// racing dials to one address would leave the pool holding the dead one.
+	dialMu sync.Mutex
+
 	mu      sync.Mutex
 	routes  map[core.VolumeID]string // volume -> server address
 	clients map[string]*Client       // address -> connected client
@@ -85,7 +90,15 @@ func (p *Pool) clientFor(vid core.VolumeID) (*Client, error) {
 	}
 	p.mu.Unlock()
 
-	// Dial outside the lock; racing dials are reconciled below.
+	// Dial outside p.mu, so reads through established clients go on.
+	p.dialMu.Lock()
+	defer p.dialMu.Unlock()
+	p.mu.Lock()
+	c, ok := p.clients[addr] // whoever held dialMu before may have dialed addr
+	p.mu.Unlock()
+	if ok {
+		return c, nil
+	}
 	c, err := Dial(p.net, addr, p.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s for volume %q: %w", addr, vid, err)
@@ -96,16 +109,12 @@ func (p *Pool) clientFor(vid core.VolumeID) (*Client, error) {
 		c.Close()
 		return nil, ErrClosed
 	}
-	if existing, ok := p.clients[addr]; ok {
-		c.Close()
-		return existing, nil
-	}
 	p.clients[addr] = c
 	return c, nil
 }
 
 // Read performs a strongly consistent read of vid/oid through the volume's
-// server.
+// server. The returned slice is shared; callers must not modify it.
 func (p *Pool) Read(vid core.VolumeID, oid core.ObjectID) ([]byte, error) {
 	c, err := p.clientFor(vid)
 	if err != nil {
@@ -132,7 +141,8 @@ func (p *Pool) Write(vid core.VolumeID, oid core.ObjectID, data []byte) (core.Ve
 }
 
 // Peek returns the locally cached copy of oid at whichever server client
-// caches it, without consistency guarantees.
+// caches it, without consistency guarantees. The returned slice is shared;
+// callers must not modify it.
 func (p *Pool) Peek(vid core.VolumeID, oid core.ObjectID) ([]byte, bool) {
 	p.mu.Lock()
 	addr, ok := p.routes[vid]

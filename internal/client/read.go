@@ -11,7 +11,10 @@ import (
 
 // Read returns the object's data with strong consistency, following Figure
 // 4's client read path: serve from cache iff both the volume lease and the
-// object lease are valid, renewing whichever is missing first.
+// object lease are valid, renewing whichever is missing first. The returned
+// slice is shared; callers must not modify it. It is the cache's own copy of
+// that version, so a hit copies and allocates nothing; a later version
+// replaces the cache's slice and leaves this one as it was.
 func (c *Client) Read(vid core.VolumeID, oid core.ObjectID) ([]byte, error) {
 	// A renewal can race with an invalidation or an expiry, so retry the
 	// validity check a few times before giving up.
@@ -23,21 +26,28 @@ func (c *Client) Read(vid core.VolumeID, oid core.ObjectID) ([]byte, error) {
 			c.mu.Unlock()
 			return nil, ErrClosed
 		}
-		volOK := c.volValidLocked(vid, now)
-		o := c.objs[oid]
-		objOK := o != nil && o.hasData && c.fresh(o.expire, now)
+		o := c.cachedLocked(oid)
+		objOK := o != nil && o.until.After(now)
+		var volOK bool
+		if o != nil && o.volume == vid {
+			volOK = o.vol.until.After(now) // the hit: no second map lookup
+		} else {
+			volOK = c.volValidLocked(vid, now)
+		}
 		if volOK && objOK {
-			data := append([]byte(nil), o.data...)
+			data := o.data
 			if contacted {
 				c.serverReads++
 			} else {
 				c.localReads++
 			}
-			// Emitted under c.mu so the audit model observes this read
-			// strictly before any invalidation the client acknowledges next
-			// (the ack is what releases a pending write).
-			c.emit(obs.Event{Type: obs.EvCacheRead, Object: oid, Volume: vid,
-				Version: o.version, At: now})
+			if c.cfg.Obs.Tracing() {
+				// Emitted under c.mu so the audit model observes this read
+				// strictly before any invalidation the client acknowledges
+				// next (the ack is what releases a pending write).
+				c.emit(obs.Event{Type: obs.EvCacheRead, Object: oid, Volume: vid,
+					Version: o.version, At: now})
+			}
 			c.mu.Unlock()
 			return data, nil
 		}
@@ -59,12 +69,22 @@ func (c *Client) Read(vid core.VolumeID, oid core.ObjectID) ([]byte, error) {
 	return nil, fmt.Errorf("client: could not hold both leases long enough to read %s/%s (leases shorter than renewal latency?)", vid, oid)
 }
 
+// cachedLocked returns oid's cache entry when it holds a copy, nil
+// otherwise: the one lookup behind Read, Peek, Cached and Version. The
+// caller holds c.mu.
+func (c *Client) cachedLocked(oid core.ObjectID) *objState {
+	if o := c.objs[oid]; o != nil && o.hasData {
+		return o
+	}
+	return nil
+}
+
 // Version reports the cached version of an object, if any.
 func (c *Client) Version(oid core.ObjectID) (core.Version, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	o, ok := c.objs[oid]
-	if !ok || !o.hasData {
+	o := c.cachedLocked(oid)
+	if o == nil {
 		return 0, false
 	}
 	return o.version, true
@@ -73,15 +93,11 @@ func (c *Client) Version(oid core.ObjectID) (core.Version, bool) {
 // Peek returns the cached copy WITHOUT any consistency check — the
 // "application-specific action" the paper mentions for clients that prefer
 // possibly-stale data over failing when the server is unreachable. The
-// boolean reports whether a copy exists at all.
+// boolean reports whether a copy exists at all. The returned slice is
+// shared; callers must not modify it.
 func (c *Client) Peek(oid core.ObjectID) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	o, ok := c.objs[oid]
-	if !ok || !o.hasData {
-		return nil, false
-	}
-	return append([]byte(nil), o.data...), true
+	data, _, _, ok := c.Cached(oid)
+	return data, ok
 }
 
 // Write asks the server to modify an object. It blocks for the server's
@@ -157,16 +173,27 @@ func (c *Client) startSpan() (sr *obs.SpanRecorder, traceID, spanID uint64, star
 	return sr, traceID, sr.NewID(), c.cfg.Clock.Now()
 }
 
-// fresh reports whether a lease expiry is still trustworthy after the skew
-// margin.
-func (c *Client) fresh(expire time.Time, now time.Time) bool {
-	return expire.Add(-c.cfg.Skew).After(now)
+// granted is the lease to install for a grant expiring at expire. The skew
+// margin is taken off here, once, so a validity check is one comparison.
+func (c *Client) granted(expire time.Time) lease {
+	return lease{expire: expire, until: expire.Add(-c.cfg.Skew)}
 }
 
 // volValidLocked checks the volume lease under c.mu.
 func (c *Client) volValidLocked(vid core.VolumeID, now time.Time) bool {
 	v, ok := c.vols[vid]
-	return ok && c.fresh(v.expire, now)
+	return ok && v.until.After(now)
+}
+
+// volLocked returns vid's volume state, creating it (no lease, epoch
+// unknown) on first mention. The caller holds c.mu.
+func (c *Client) volLocked(vid core.VolumeID) *volState {
+	v := c.vols[vid]
+	if v == nil {
+		v = &volState{}
+		c.vols[vid] = v
+	}
+	return v
 }
 
 // HasVolumeLease reports whether the client currently holds a valid lease
@@ -183,7 +210,7 @@ func (c *Client) HasVolumeLease(vid core.VolumeID) bool {
 func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) error {
 	c.mu.Lock()
 	ver := core.NoVersion
-	if o, ok := c.objs[oid]; ok && o.hasData {
+	if o := c.cachedLocked(oid); o != nil {
 		ver = o.version
 	}
 	gen := c.invalGen[oid]
@@ -205,7 +232,7 @@ func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) error {
 	if err != nil {
 		return err
 	}
-	lease, ok := m.(wire.ObjLease)
+	reply, ok := m.(wire.ObjLease)
 	if !ok {
 		return fmt.Errorf("client: unexpected %s reply to object lease request", m.Kind())
 	}
@@ -222,19 +249,19 @@ func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) error {
 	}
 	o, ok := c.objs[oid]
 	if !ok {
-		o = &objState{volume: vid}
+		o = &objState{}
 		c.objs[oid] = o
 	}
-	o.volume = vid
-	o.expire = lease.Expire
-	o.version = lease.Version
-	if lease.HasData {
-		o.data = lease.Data
+	o.volume, o.vol = vid, c.volLocked(vid)
+	o.lease = c.granted(reply.Expire)
+	o.version = reply.Version
+	if reply.HasData {
+		o.data = reply.Data
 		o.hasData = true
 	} else if !o.hasData {
 		// Server said our copy is current but we have none: treat as a
 		// protocol anomaly and drop the lease so the next read refetches.
-		o.expire = time.Time{}
+		o.lease = lease{}
 		return fmt.Errorf("client: server granted lease on %s without data for an empty cache", oid)
 	}
 	return nil
@@ -288,7 +315,8 @@ func (c *Client) RenewVolume(vid core.VolumeID) error {
 		switch v := m.(type) {
 		case wire.VolLease:
 			c.mu.Lock()
-			c.vols[vid] = &volState{expire: v.Expire, epoch: v.Epoch, known: true}
+			vs := c.volLocked(vid)
+			vs.lease, vs.epoch, vs.known = c.granted(v.Expire), v.Epoch, true
 			c.mu.Unlock()
 			return nil
 
@@ -320,8 +348,10 @@ func (c *Client) RenewVolume(vid core.VolumeID) error {
 // applyInvalRenew drops invalidated copies (propagating to the
 // OnInvalidate hook) and installs renewed leases.
 func (c *Client) applyInvalRenew(v wire.InvalRenew) {
-	for _, oid := range v.Invalidate {
-		c.emit(obs.Event{Type: obs.EvInvalRecv, Object: oid, Volume: v.Volume})
+	if c.cfg.Obs.Tracing() {
+		for _, oid := range v.Invalidate {
+			c.emit(obs.Event{Type: obs.EvInvalRecv, Object: oid, Volume: v.Volume})
+		}
 	}
 	c.dropObjects(v.Invalidate)
 	if c.cfg.OnInvalidate != nil && len(v.Invalidate) > 0 {
@@ -339,11 +369,11 @@ func (c *Client) applyInvalRenew(v wire.InvalRenew) {
 			if ok {
 				o.data = nil
 				o.hasData = false
-				o.expire = time.Time{}
+				o.lease = lease{}
 			}
 			continue
 		}
-		o.expire = r.Expire
+		o.lease = c.granted(r.Expire)
 	}
 }
 
@@ -375,12 +405,12 @@ func (c *Client) LeaseInfo(oid core.ObjectID) (version core.Version, expire time
 // lease expiry it was granted under, all read at one instant — a
 // hierarchical cache installs the copy downstream and must not pair one
 // version's data with another's number. ok is false when no copy is cached.
-// The returned slice is the cache's own: callers must not modify it.
+// The returned slice is shared; callers must not modify it.
 func (c *Client) Cached(oid core.ObjectID) (data []byte, version core.Version, expire time.Time, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	o, found := c.objs[oid]
-	if !found || !o.hasData {
+	o := c.cachedLocked(oid)
+	if o == nil {
 		return nil, 0, time.Time{}, false
 	}
 	return o.data, o.version, o.expire, true

@@ -141,7 +141,13 @@ type lease struct {
 
 // object mirrors Figure 2's Object.
 type object struct {
-	id      ObjectID
+	id ObjectID
+	// data holds the current version's bytes. They are copied in once, when
+	// the version is created, and never modified afterwards: a new version
+	// replaces the slice, it never overwrites it. That is what lets
+	// GrantObjectLease and Read hand out the slice itself, and lets the
+	// server encode a data-carrying grant after it has dropped the shard
+	// lock, while a concurrent write installs the next version.
 	data    []byte
 	version Version
 	at      map[ClientID]lease

@@ -540,26 +540,67 @@ func TestRecoverBumpsEpochAndFencesWrites(t *testing.T) {
 	}
 }
 
+// TestDataIsolation pins the payload ownership rule. Copy-in: the table
+// never keeps a caller's buffer, at any ingress. Replace, never overwrite: a
+// slice handed out by Read or GrantObjectLease is the table's own, and still
+// holds its version's bytes after later versions are installed, including
+// shorter ones that would have fitted in its backing array.
 func TestDataIsolation(t *testing.T) {
-	// Mutating the caller's slice after CreateObject/FinishWrite must not
-	// affect the stored data, and Read must return a copy.
 	tb, _ := NewTable(eagerCfg())
 	if err := tb.CreateVolume("v"); err != nil {
 		t.Fatal(err)
 	}
+	stored := func(want string) []byte {
+		t.Helper()
+		_, data, err := tb.Read("o")
+		if err != nil || string(data) != want {
+			t.Fatalf("Read = %q, %v; want %q", data, err, want)
+		}
+		return data
+	}
+
 	buf := []byte("hello")
 	if err := tb.CreateObject("v", "o", buf); err != nil {
 		t.Fatal(err)
 	}
 	buf[0] = 'X'
-	_, data, _ := tb.Read("o")
-	if string(data) != "hello" {
-		t.Errorf("stored data aliased caller buffer: %q", data)
+	v1 := stored("hello")
+	g, err := tb.GrantObjectLease(at(0), "c1", "o", NoVersion)
+	if err != nil || &g.Data[0] != &v1[0] {
+		t.Fatalf("grant = %q, %v; want the slice Read returns", g.Data, err)
 	}
-	data[0] = 'Y'
-	_, data2, _ := tb.Read("o")
-	if string(data2) != "hello" {
-		t.Errorf("Read returned aliased buffer: %q", data2)
+
+	buf = []byte("bye")
+	if _, err := tb.FinishWrite(at(1), "o", buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 'X'
+	v2 := stored("bye")
+
+	buf = []byte("ciao")
+	if err := tb.InstallVersion(at(2), "o", buf, 7, nil); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 'X'
+	v7 := stored("ciao")
+
+	if err := tb.MarkStale(at(3), "o", nil); err != nil {
+		t.Fatal(err)
+	}
+	buf = []byte("ciao")
+	if err := tb.RestoreData("o", buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 'X'
+	stored("ciao")
+
+	for _, held := range []struct {
+		got  []byte
+		want string
+	}{{v1, "hello"}, {g.Data, "hello"}, {v2, "bye"}, {v7, "ciao"}} {
+		if string(held.got) != held.want {
+			t.Errorf("slice handed out for %q now reads %q: a later version overwrote it", held.want, held.got)
+		}
 	}
 }
 

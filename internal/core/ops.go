@@ -23,7 +23,10 @@ type ObjectGrant struct {
 	Object  ObjectID
 	Version Version
 	Expire  time.Time
-	Data    []byte // nil when the client already holds the current version
+	// Data is nil when the client already holds the current version.
+	// Otherwise it is the table's own slice for that version: the returned
+	// slice is shared; callers must not modify it.
+	Data []byte
 }
 
 // GrantObjectLease handles REQ_OBJ_LEASE: grant (or renew) the client's
@@ -37,7 +40,7 @@ func (t *Table) GrantObjectLease(now time.Time, client ClientID, oid ObjectID, c
 	o.at[client] = lease{granted: now, expire: expire}
 	g := ObjectGrant{Object: oid, Version: o.version, Expire: expire}
 	if clientVersion != o.version {
-		g.Data = append([]byte(nil), o.data...)
+		g.Data = o.data
 	}
 	return g, nil
 }
@@ -329,17 +332,18 @@ func (t *Table) FinishWrite(now time.Time, oid ObjectID, data []byte, unacked []
 		delete(v.at, client)
 	}
 	o.version++
-	o.data = append(o.data[:0], data...)
+	o.data = append([]byte(nil), data...)
 	return o.version, nil
 }
 
 // Read returns the object's current version and data (a server-local read).
+// The returned slice is shared; callers must not modify it.
 func (t *Table) Read(oid ObjectID) (Version, []byte, error) {
 	o, err := t.lookup(oid)
 	if err != nil {
 		return 0, nil, err
 	}
-	return o.version, append([]byte(nil), o.data...), nil
+	return o.version, o.data, nil
 }
 
 // VolumeEpoch reports the volume's epoch.
@@ -611,7 +615,7 @@ func (t *Table) InstallVersion(now time.Time, oid ObjectID, data []byte, version
 		delete(v.at, client)
 	}
 	o.version = version
-	o.data = append(o.data[:0], data...)
+	o.data = append([]byte(nil), data...)
 	return nil
 }
 

@@ -7,10 +7,10 @@ import "fmt"
 
 type ID string
 
-// Encode is the hot root; everything it reaches is checked.
+// AppendEncode is the hot root; everything it reaches is checked.
 //
 //lint:hotpath
-func Encode(dst []byte, id ID) []byte {
+func AppendEncode(dst []byte, id ID) []byte {
 	dst = append(dst, byte(len(id))) // self-append: reuses capacity, clean
 	dst = appendID(dst, id)
 	extra := make([]byte, 8)       // want `make\(.*\) allocates`

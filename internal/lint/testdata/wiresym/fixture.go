@@ -1,7 +1,7 @@
 package fixture
 
 // A miniature codec in the shape of internal/wire: message structs, an
-// Encode type switch, and a Decode switch over KindX constants.
+// AppendEncode type switch, and a Decode switch over KindX constants.
 
 type Kind uint8
 
@@ -51,8 +51,8 @@ func (d *decoder) bytes() []byte { return nil }
 func (d *decoder) bool() bool    { return false }
 func (d *decoder) finish() error { return nil }
 
-func Encode(m Message) ([]byte, error) {
-	var e encoder
+func AppendEncode(dst []byte, m Message) ([]byte, error) {
+	e := encoder{buf: dst}
 	e.u8(uint8(m.Kind()))
 	switch v := m.(type) {
 	case Ping:

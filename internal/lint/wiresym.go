@@ -8,10 +8,10 @@ import (
 )
 
 // WireSym checks encode/decode symmetry in the wire package. Every message
-// struct that appears as a case in Encode's type switch must have a
+// struct that appears as a case in AppendEncode's type switch must have a
 // matching KindX case in Decode's kind switch (and vice versa), and every
 // field of the struct must be referenced on both paths. A field written by
-// Encode but never read by Decode (or the reverse) silently corrupts the
+// AppendEncode but never read by Decode (or the reverse) silently corrupts the
 // frame for every message that follows it — the classic
 // added-a-field-to-the-struct-but-not-the-codec bug that round-trip tests
 // only catch for the messages they happen to construct with that field set.
@@ -28,16 +28,11 @@ var WireSym = &Analyzer{
 func runWireSym(pass *Pass) {
 	structs := packageStructs(pass.Files)
 
-	// The encode-side type switch lives in AppendEncode since the pooled
-	// wire path landed (Encode is a thin wrapper over it); older codec
-	// shapes keep the switch in Encode itself, so accept either.
 	encCases := codecCases(pass.Files, "AppendEncode", false)
-	if encCases == nil {
-		encCases = codecCases(pass.Files, "Encode", false)
-	}
 	decCases := codecCases(pass.Files, "Decode", true)
 	if encCases == nil || decCases == nil {
-		// Not the codec package (no Encode/Decode switch); nothing to check.
+		// Not the codec package (no AppendEncode/Decode switch): nothing to
+		// check.
 		return
 	}
 
@@ -119,7 +114,7 @@ type codecCase struct {
 }
 
 // codecCases extracts the per-message cases of the named codec function.
-// For Encode (kindSwitch=false) it reads the type switch: `case Hello:`.
+// For AppendEncode (kindSwitch=false) it reads the type switch: `case Hello:`.
 // For Decode (kindSwitch=true) it reads the value switch on kind:
 // `case KindHello:`, mapping back to the struct name by stripping the
 // "Kind" prefix.

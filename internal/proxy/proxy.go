@@ -308,7 +308,8 @@ func (u *upstream) Fetch(oid core.ObjectID) (core.VolumeID, error) {
 
 // Install mirrors the upstream client's copy of oid, version number
 // included (so version comparisons stay meaningful across proxy restarts),
-// into the downstream table.
+// into the downstream table. Cached and Table.Read both hand back shared
+// slices, so the table's copy-in is the only copy made here.
 func (u *upstream) Install(t *core.Table, oid core.ObjectID) error {
 	data, version, _, ok := u.up.Cached(oid)
 	if !ok {

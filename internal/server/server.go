@@ -423,7 +423,9 @@ func (s *Server) Recover() {
 }
 
 // Read returns an object's current version and data directly from the
-// server (a local, always-consistent read).
+// server (a local, always-consistent read). The returned slice is shared;
+// callers must not modify it. A later write replaces the server's slice and
+// leaves this one as it was.
 func (s *Server) Read(oid core.ObjectID) (core.Version, []byte, error) {
 	sh, err := s.shardOfObject(oid)
 	if err != nil {
@@ -487,9 +489,9 @@ func (s *Server) sweepLoop() {
 	}
 }
 
-// record notes a protocol message for metrics. wire.Size mirrors Encode
-// byte for byte without serializing, so accounting stays off the send
-// path's allocation budget.
+// record notes a protocol message for metrics. wire.Size mirrors
+// AppendEncode byte for byte without serializing, so accounting stays off
+// the send path's allocation budget.
 func (s *Server) record(class metrics.MsgClass, m wire.Message) {
 	if s.cfg.Recorder == nil {
 		return

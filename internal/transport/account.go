@@ -18,28 +18,19 @@ type FrameAccountant interface {
 	Frame(sent bool, m wire.Message, size int, codec time.Duration)
 }
 
-// FrameSender is implemented by connections that can transmit a
-// pre-encoded frame body (tcpConn). The accounting layer uses it to time
-// wire.Encode separately from the kernel write.
-type FrameSender interface {
-	SendFrame(body []byte) error
-}
-
-// FrameReceiver is implemented by connections that can hand over a raw
-// frame body without decoding it (tcpConn). The accounting layer uses it
-// to time wire.Decode separately from the blocking read.
-type FrameReceiver interface {
-	RecvFrame() ([]byte, error)
-}
-
-// FrameBufSender is the pooled form of FrameSender: the connection takes
-// ownership of the Buf and releases it once the bytes are written (or the
-// send fails), so a steady-state accounted send allocates nothing.
+// FrameBufSender is implemented by connections that can transmit a
+// pre-encoded frame body held in a pooled Buf (tcpConn). The accounting
+// layer uses it to time wire.AppendEncode separately from the kernel write.
+// The connection takes ownership of the Buf and releases it once the bytes
+// are written (or the send fails), so a steady-state accounted send
+// allocates nothing.
 type FrameBufSender interface {
 	SendFrameBuf(buf *wire.Buf) error
 }
 
-// FrameBufReceiver is the pooled form of FrameReceiver: the caller owns
+// FrameBufReceiver is implemented by connections that can hand over a raw
+// frame body without decoding it (tcpConn). The accounting layer uses it
+// to time wire.Decode separately from the blocking read. The caller owns
 // the returned Buf and must Release it after decoding.
 type FrameBufReceiver interface {
 	RecvFrameBuf() (*wire.Buf, error)
@@ -57,8 +48,8 @@ type ConnAccounter interface {
 // the protocol packages knowing; a nil a returns n unchanged.
 //
 // Wrap order matters: AccountNetwork must wrap the raw network directly
-// (innermost) so its connections still expose FrameSender/FrameReceiver;
-// apply ObserveNetwork and other wrappers outside it.
+// (innermost) so its connections still expose FrameBufSender and
+// FrameBufReceiver; apply ObserveNetwork and other wrappers outside it.
 //
 // The transport is the stack's legitimate wall-clock layer, so the codec
 // durations handed to Frame are real elapsed time even under a simulated
@@ -129,18 +120,14 @@ func accountConn(c Conn, a ConnAccounter) Conn {
 	ac := &accountedConn{Conn: c, fa: fa}
 	ac.fbs, _ = c.(FrameBufSender)
 	ac.fbr, _ = c.(FrameBufReceiver)
-	ac.fs, _ = c.(FrameSender)
-	ac.fr, _ = c.(FrameReceiver)
 	return ac
 }
 
 type accountedConn struct {
 	Conn
 	fa  FrameAccountant
-	fbs FrameBufSender   // preferred: pooled send, zero-alloc steady state
-	fbr FrameBufReceiver // preferred: pooled receive
-	fs  FrameSender      // fallback for conns without the pooled form
-	fr  FrameReceiver    // fallback for conns without the pooled form
+	fbs FrameBufSender   // nil on transports that never serialize
+	fbr FrameBufReceiver // nil on transports that never serialize
 }
 
 func (c *accountedConn) Send(m wire.Message) error {
@@ -161,21 +148,6 @@ func (c *accountedConn) Send(m wire.Message) error {
 			return err
 		}
 		c.fa.Frame(true, m, size, encode)
-		return nil
-	}
-	if c.fs != nil {
-		//lint:allow clockcheck — codec timing is real elapsed time by design
-		t0 := time.Now()
-		body, err := wire.Encode(m)
-		//lint:allow clockcheck — codec timing is real elapsed time by design
-		encode := time.Since(t0)
-		if err != nil {
-			return err
-		}
-		if err := c.fs.SendFrame(body); err != nil {
-			return err
-		}
-		c.fa.Frame(true, m, len(body), encode)
 		return nil
 	}
 	// No serialization happens on this transport; charge the sized length
@@ -204,22 +176,6 @@ func (c *accountedConn) Recv() (wire.Message, error) {
 			return nil, err
 		}
 		c.fa.Frame(false, m, size, decode)
-		return m, nil
-	}
-	if c.fr != nil {
-		body, err := c.fr.RecvFrame()
-		if err != nil {
-			return nil, err
-		}
-		//lint:allow clockcheck — codec timing is real elapsed time by design
-		t0 := time.Now()
-		m, err := wire.Decode(body)
-		//lint:allow clockcheck — codec timing is real elapsed time by design
-		decode := time.Since(t0)
-		if err != nil {
-			return nil, err
-		}
-		c.fa.Frame(false, m, len(body), decode)
 		return m, nil
 	}
 	m, err := c.Conn.Recv()

@@ -155,7 +155,7 @@ func TestAccountTCPTimesCodec(t *testing.T) {
 		t.Fatalf("received %v, want WriteReq", got.Kind())
 	}
 
-	enc, _ := wire.Encode(m)
+	enc, _ := wire.AppendEncode(nil, m)
 	sentEv, recvEv := rec.byDir(true), rec.byDir(false)
 	if len(sentEv) != 1 || len(recvEv) != 1 {
 		t.Fatalf("got %d sent / %d recv events, want 1 each", len(sentEv), len(recvEv))

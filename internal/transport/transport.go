@@ -253,15 +253,6 @@ func (t *tcpConn) Send(m wire.Message) error {
 	return t.SendFrameBuf(buf)
 }
 
-// SendFrame writes a pre-encoded frame body (see FrameSender). The body is
-// copied into a pooled buffer; callers that can hand over ownership should
-// use SendFrameBuf instead.
-func (t *tcpConn) SendFrame(body []byte) error {
-	buf := t.getBuf()
-	buf.B = append(buf.B[:0], body...)
-	return t.SendFrameBuf(buf)
-}
-
 // SendFrameBuf queues a pre-encoded frame body for transmission, taking
 // ownership of buf: the connection releases it once the bytes reach the
 // buffered writer (or the send fails). In batched mode this only enqueues
@@ -414,11 +405,6 @@ func (t *tcpConn) Recv() (wire.Message, error) {
 	buf.Release()
 	return m, err
 }
-
-// RecvFrame returns the next raw frame body without decoding it (see
-// FrameReceiver). The body is freshly allocated; hot paths use
-// RecvFrameBuf.
-func (t *tcpConn) RecvFrame() ([]byte, error) { return wire.ReadFrameBytes(t.br) }
 
 // RecvFrameBuf returns the next raw frame body in a pooled buffer (see
 // FrameBufReceiver). The caller owns the Buf and must Release it.

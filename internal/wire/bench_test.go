@@ -47,7 +47,7 @@ func BenchmarkWirePath(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(Size(m)))
 			for i := 0; i < b.N; i++ {
-				if _, err := Encode(m); err != nil {
+				if _, err := AppendEncode(nil, m); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -66,7 +66,7 @@ func BenchmarkWirePath(b *testing.B) {
 				dst = enc[:0]
 			}
 		})
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func BenchmarkWirePath(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(buf)))
 			for i := 0; i < b.N; i++ {
-				enc, err := Encode(m)
+				enc, err := AppendEncode(nil, m)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -96,7 +96,7 @@ func BenchmarkWirePath(b *testing.B) {
 }
 
 // BenchmarkWireSize pins the sizing pass itself: it must stay far cheaper
-// than Encode (no allocation) or per-frame accounting would tax the hot
+// than AppendEncode (no allocation) or per-frame accounting would tax the hot
 // path it is supposed to measure.
 func BenchmarkWireSize(b *testing.B) {
 	msgs := benchMessages()

@@ -26,11 +26,6 @@ var (
 	ErrUnknownKind = errors.New("wire: unknown message kind")
 )
 
-// Encode serializes m as kind byte + body (no frame header). It is
-// AppendEncode into a fresh buffer; hot paths that can reuse a buffer
-// should call AppendEncode directly.
-func Encode(m Message) ([]byte, error) { return AppendEncode(nil, m) }
-
 // AppendEncode appends m's encoding (kind byte + body, no frame header) to
 // dst and returns the extended slice. When dst has enough capacity the call
 // does not allocate, which is what keeps the batched send path at zero
@@ -123,7 +118,7 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	return e.buf, nil
 }
 
-// Decode parses a message previously produced by Encode.
+// Decode parses a message previously produced by AppendEncode.
 func Decode(buf []byte) (Message, error) {
 	d := decoder{buf: buf}
 	kind := Kind(d.u8())
@@ -204,7 +199,7 @@ func Decode(buf []byte) (Message, error) {
 
 // WriteFrame writes m to w with a 4-byte big-endian length prefix.
 func WriteFrame(w io.Writer, m Message) error {
-	body, err := Encode(m)
+	body, err := AppendEncode(nil, m)
 	if err != nil {
 		return err
 	}
@@ -238,21 +233,6 @@ func ReadFrame(r io.Reader) (Message, error) {
 	m, err := Decode(buf.B)
 	buf.Release()
 	return m, err
-}
-
-// ReadFrameBytes reads one length-prefixed frame body from r without
-// decoding it, so callers can separate blocking-read time from decode time.
-// The returned slice is freshly allocated and owned by the caller; hot
-// paths that can release the body promptly should use ReadFrameBuf.
-func ReadFrameBytes(r io.Reader) ([]byte, error) {
-	buf, err := ReadFrameBuf(r)
-	if err != nil {
-		return nil, err
-	}
-	body := make([]byte, len(buf.B))
-	copy(body, buf.B)
-	buf.Release()
-	return body, nil
 }
 
 // ReadFrameBuf reads one length-prefixed frame body from r into a pooled
@@ -471,6 +451,10 @@ func (d *decoder) str() string {
 	return s
 }
 
+// bytes is the ownership hand-over for payloads on the receive side: the
+// one place their bytes are allocated, copied out of the pooled frame. The
+// decoded message owns the slice; whoever installs it (a client's cache, a
+// server's table copy-in) treats it as immutable from then on.
 func (d *decoder) bytes() []byte {
 	n := d.uv()
 	if d.err != nil || n > uint64(len(d.buf)) {

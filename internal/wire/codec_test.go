@@ -18,9 +18,9 @@ func ts(sec int64) time.Time { return time.Unix(sec, 500).UTC() }
 // roundTrip encodes and decodes m, failing on error.
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
-	buf, err := Encode(m)
+	buf, err := AppendEncode(nil, m)
 	if err != nil {
-		t.Fatalf("Encode(%+v): %v", m, err)
+		t.Fatalf("AppendEncode(nil, %+v): %v", m, err)
 	}
 	got, err := Decode(buf)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestDecodeTruncatedNeverPanics(t *testing.T) {
 		WriteReq{Seq: 7, Object: "obj", Data: []byte("xyz")},
 	}
 	for _, m := range msgs {
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestDecodeTruncatedNeverPanics(t *testing.T) {
 }
 
 func TestDecodeTrailingBytes(t *testing.T) {
-	buf, _ := Encode(Hello{Client: "c"})
+	buf, _ := AppendEncode(nil, Hello{Client: "c"})
 	buf = append(buf, 0xFF)
 	if _, err := Decode(buf); err == nil {
 		t.Error("trailing bytes accepted")
@@ -186,7 +186,7 @@ func TestQuickObjLeaseRoundTrip(t *testing.T) {
 		}
 		m := ObjLease{Seq: seq, Object: core.ObjectID(obj), Version: core.Version(ver),
 			Expire: time.Unix(0, nanos), HasData: true, Data: data}
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
 			return false
 		}
@@ -209,7 +209,7 @@ func TestQuickInvalidateRoundTrip(t *testing.T) {
 		for _, n := range names {
 			m.Objects = append(m.Objects, core.ObjectID(n))
 		}
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
 			return false
 		}
@@ -236,7 +236,7 @@ func TestQuickInvalidateRoundTrip(t *testing.T) {
 func TestQuickWriteReqRoundTrip(t *testing.T) {
 	f := func(seq uint64, obj string, data []byte) bool {
 		m := WriteReq{Seq: seq, Object: core.ObjectID(obj), Data: data}
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
 			return false
 		}
@@ -284,7 +284,7 @@ func TestTraceAbsentCompat(t *testing.T) {
 	e.bytes([]byte("data"))
 	oldFrame := e.buf
 
-	newFrame, err := Encode(WriteReq{Seq: 7, Object: "obj", Data: []byte("data")})
+	newFrame, err := AppendEncode(nil, WriteReq{Seq: 7, Object: "obj", Data: []byte("data")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestTraceAbsentCompat(t *testing.T) {
 // section does not survive a re-encode (it would encode as absent), so the
 // decoder rejects it to keep accepted messages canonical.
 func TestTraceNonCanonicalRejected(t *testing.T) {
-	buf, err := Encode(WriteReq{Seq: 1, Object: "o", Data: []byte("d")})
+	buf, err := AppendEncode(nil, WriteReq{Seq: 1, Object: "o", Data: []byte("d")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +335,11 @@ func TestTraceNonCanonicalRejected(t *testing.T) {
 // Cutting exactly at the base/trace boundary is legal by design — it is an
 // old-format frame — so those cuts are skipped.
 func TestTraceTruncatedRejected(t *testing.T) {
-	base, err := Encode(WriteReq{Seq: 9, Object: "obj", Data: []byte("d")})
+	base, err := AppendEncode(nil, WriteReq{Seq: 9, Object: "obj", Data: []byte("d")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Encode(WriteReq{Seq: 9, Object: "obj", Data: []byte("d"),
+	traced, err := AppendEncode(nil, WriteReq{Seq: 9, Object: "obj", Data: []byte("d"),
 		Trace: TraceContext{TraceID: 1 << 40, SpanID: 1 << 40}})
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +395,7 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 }
 
 func TestEncodeRejectsUnknownType(t *testing.T) {
-	if _, err := Encode(fakeMsg{}); err == nil {
+	if _, err := AppendEncode(nil, fakeMsg{}); err == nil {
 		t.Error("unknown message type encoded")
 	}
 }

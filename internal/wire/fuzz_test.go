@@ -46,7 +46,7 @@ func FuzzDecode(f *testing.F) {
 			Renew: []LeaseMeta{{Object: "b", Version: 1, Expire: epochTime(0)}}},
 	}
 	for _, m := range seeds {
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func FuzzDecode(f *testing.F) {
 		// Normalization property: anything the decoder accepts re-encodes
 		// to a stable canonical form (one decode/encode pass is a fixed
 		// point; inputs may use non-minimal varints).
-		out1, err := Encode(m)
+		out1, err := AppendEncode(nil, m)
 		if err != nil {
 			t.Fatalf("decoded %T but cannot re-encode: %v", m, err)
 		}
@@ -68,7 +68,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form does not decode: %v", err)
 		}
-		out2, err := Encode(m2)
+		out2, err := AppendEncode(nil, m2)
 		if err != nil {
 			t.Fatalf("second re-encode failed: %v", err)
 		}

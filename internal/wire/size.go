@@ -8,12 +8,14 @@ import (
 )
 
 // Size returns the exact encoded length of m in bytes (kind byte + body,
-// excluding the 4-byte frame header), without allocating. It mirrors Encode
-// field for field so accounting layers can charge byte costs on transports
-// that never serialize (the in-memory network passes Message values through
-// channels). Unknown message types — which Encode rejects — size to 0.
+// excluding the 4-byte frame header), without allocating. It mirrors
+// AppendEncode field for field so accounting layers can charge byte costs on
+// transports that never serialize (the in-memory network passes Message
+// values through channels). Unknown message types — which AppendEncode
+// rejects — size to 0.
 //
-// TestSizeMatchesEncode pins Size(m) == len(Encode(m)) for every kind.
+// TestSizeMatchesEncode pins Size(m) == len(AppendEncode(nil, m)) for every
+// kind.
 func Size(m Message) int {
 	n := 1 // kind byte
 	switch v := m.(type) {

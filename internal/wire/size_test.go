@@ -46,9 +46,9 @@ func sizeSamples() []Message {
 
 func TestSizeMatchesEncode(t *testing.T) {
 	for _, m := range sizeSamples() {
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
-			t.Fatalf("Encode(%#v): %v", m, err)
+			t.Fatalf("AppendEncode(nil, %#v): %v", m, err)
 		}
 		if got := Size(m); got != len(buf) {
 			t.Errorf("Size(%#v) = %d, want %d (encoded length)", m, got, len(buf))
@@ -95,9 +95,9 @@ func TestSizeMatchesEncodeRandom(t *testing.T) {
 			v.Data = nil
 			m = v
 		}
-		buf, err := Encode(m)
+		buf, err := AppendEncode(nil, m)
 		if err != nil {
-			t.Fatalf("Encode(%#v): %v", m, err)
+			t.Fatalf("AppendEncode(nil, %#v): %v", m, err)
 		}
 		if got := Size(m); got != len(buf) {
 			t.Fatalf("Size(%#v) = %d, want %d", m, got, len(buf))
