@@ -117,18 +117,25 @@ bench-e2e-compare:
 # `make lint`'s hotalloc analyzer checks every function reachable from the
 # //lint:hotpath roots, including paths the benchmark inputs don't drive
 # (DESIGN.md §13.3).
+# Each package gets its own invocation with an anchored name per `/` level
+# (`-bench` splits its pattern on `/`), so the serial BenchmarkBatchedSend is
+# selected and BenchmarkBatchedSendParallel — whose pool traffic reports
+# 1 B/op about one run in six — is not.
 bench-wirepath:
 	@echo "bench-wirepath: dynamic half of the zero-alloc gate (static half: hotalloc in 'make lint')"
-	$(GO) test -run '^$$' -bench 'BenchmarkWirePath/append|BenchmarkBatchedSend/|BenchmarkReadHit' -benchmem -benchtime=0.2s ./internal/wire ./internal/transport ./internal/client | tee /dev/stderr | \
-		awk '/Benchmark(WirePath\/append|BatchedSend|ReadHit)/ && ($$(NF-1) != 0 || $$(NF-3) != 0) { bad = 1 } END { exit bad }'
+	{ $(GO) test -run '^$$' -bench '^BenchmarkWirePath$$/^append$$' -benchmem -benchtime=0.2s ./internal/wire && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkBatchedSend$$' -benchmem -benchtime=0.2s ./internal/transport && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkReadHit$$' -benchmem -benchtime=0.2s ./internal/client; } | tee /dev/stderr | \
+		awk '/^Benchmark(WirePath\/append|BatchedSend\/|ReadHit)/ { n++; if ($$(NF-1) != 0 || $$(NF-3) != 0) bad = 1 } END { exit bad || n < 3 }'
 
 # Gate: the instrumented hot paths must stay allocation-free when tracing
 # is disabled (BenchmarkEmitDisabled / BenchmarkSpanDisabled /
 # BenchmarkFlightDisabled / BenchmarkCostDisabled / BenchmarkStateDisabled
-# report 0 B/op).
+# report 0 B/op), and so must a connection with no tap attached
+# (BenchmarkTapDisabled).
 bench-disabled:
-	$(GO) test -run '^$$' -bench 'Benchmark(Emit|Span|Flight|Cost|State)Disabled' -benchmem ./internal/obs ./internal/health ./internal/cost ./internal/state | tee /dev/stderr | \
-		awk '/Disabled/ && ($$(NF-1) != 0 || $$(NF-3) != 0) { bad = 1 } END { exit bad }'
+	$(GO) test -run '^$$' -bench '^Benchmark(Emit|Span|Flight|Cost|State|Tap)Disabled$$' -benchmem ./internal/obs ./internal/health ./internal/cost ./internal/state ./internal/transport | tee /dev/stderr | \
+		awk '/^Benchmark.*Disabled/ { n++; if ($$(NF-1) != 0 || $$(NF-3) != 0) bad = 1 } END { exit bad || n < 6 }'
 
 # Smoke test for the flight recorder: run the chaos scenario (partition a
 # client mid-write) and leave its dump in $(FLIGHTDUMP_DIR) for inspection,

@@ -212,8 +212,8 @@ func BenchmarkServerCachedRead(b *testing.B) {
 func BenchmarkServerCachedReadObserved(b *testing.B) {
 	reg := obs.NewRegistry()
 	observer := &obs.Observer{Metrics: reg, Tracer: obs.NewTracer(obs.NewCountSink())}
-	net := transport.ObserveNetwork(transport.NewMemory(),
-		obs.WireObserver(observer, "srv", time.Now))
+	net := transport.NewMemory()
+	net.Taps = []transport.Tap{obs.WireTap(observer, "srv", time.Now)}
 	srv, err := server.New(server.Config{
 		Name: "srv", Addr: "srv:1", Net: net, Obs: observer,
 		Table: core.Config{ObjectLease: time.Hour, VolumeLease: time.Hour, Mode: core.ModeEager},

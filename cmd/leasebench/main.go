@@ -52,9 +52,7 @@ type options struct {
 	objLease    time.Duration
 	volLease    time.Duration
 	useTCP      bool
-	tcpBatch    bool
 	dialTimeout time.Duration
-	wireBench   time.Duration
 	debugAddr   string
 	audit       bool
 	trace       bool
@@ -76,10 +74,7 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.objLease, "object-lease", time.Minute, "object lease (self-contained mode)")
 	fs.DurationVar(&o.volLease, "volume-lease", 5*time.Second, "volume lease (self-contained mode)")
 	fs.BoolVar(&o.useTCP, "tcp", false, "self-contained mode: use loopback TCP instead of the in-memory transport")
-	fs.BoolVar(&o.tcpBatch, "tcp-batch", true, "with TCP: batch outbound frames per connection (one kernel flush per burst)")
 	fs.DurationVar(&o.dialTimeout, "dial-timeout", 10*time.Second, "TCP dial timeout")
-	fs.DurationVar(&o.wireBench, "wire-bench", 0,
-		"instead of the RPC workload, measure raw per-connection wire throughput on loopback TCP for this long per mode, batched vs flush-per-send")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof during the run (empty = off)")
 	fs.BoolVar(&o.audit, "audit", false, "self-contained mode: run the online consistency auditor and fail on any invariant violation")
 	fs.BoolVar(&o.trace, "trace", false, "record causal write-path spans and the per-second load timeline (summarized after the run; served at /debug/spans and /debug/load with -debug-addr)")
@@ -110,9 +105,6 @@ func run(out *os.File, args []string) error {
 	if err != nil {
 		return err
 	}
-	if o.wireBench > 0 {
-		return runWireBench(out, o.wireBench)
-	}
 	res, err := execute(o)
 	if err != nil {
 		return err
@@ -123,8 +115,7 @@ func run(out *os.File, args []string) error {
 // result aggregates the measurement.
 type result struct {
 	reads, writes, errors atomic.Int64
-	readLat               *metrics.LatencyHistogram
-	writeLat              *metrics.LatencyHistogram
+	readLat, writeLat     metrics.Histogram
 	elapsed               time.Duration
 	serverStats           *core.Stats // nil when targeting an external server
 	localReads            int64
@@ -268,32 +259,27 @@ func execute(o options) (*result, error) {
 		}
 	}
 
+	// Every frame yields one event; cost accounting and the wire tap (which
+	// feeds the load timeline) are its sinks. In self-contained mode server
+	// and clients share the process and the taps, so each message is seen
+	// twice: once sent, once received (KindStat.Messages() takes the max).
+	taps := []transport.Tap{acct, obs.WireTap(observer, "bench", time.Now)}
 	var batch *transport.BatchStats
-	tcp := func() transport.TCP {
+	if addr != "" || o.useTCP {
 		batch = &transport.BatchStats{}
-		return transport.TCP{DialTimeout: o.dialTimeout, Immediate: !o.tcpBatch, Stats: batch}
+		net = transport.TCP{DialTimeout: o.dialTimeout, Stats: batch, Taps: taps}
+	} else {
+		mem := transport.NewMemory()
+		mem.Taps = taps
+		net = mem
 	}
 
 	var srv *server.Server
 	if addr == "" {
 		// Self-contained: build the server here.
+		addr = "bench-origin:1"
 		if o.useTCP {
-			net = tcp()
 			addr = "127.0.0.1:0"
-		} else {
-			mem := transport.NewMemory()
-			net = mem
-			addr = "bench-origin:1"
-		}
-		// Cost accounting wraps the raw network innermost; server and clients
-		// share the process, so each message is accounted twice: once sent,
-		// once received (KindStat.Messages() takes the max of the two).
-		net = acct.Network(net)
-		if observer != nil {
-			// Tap the wire so the load timeline sees every message. Server
-			// and clients share the process (and the observer), so each
-			// message is counted twice: once sent, once received.
-			net = transport.ObserveNetwork(net, obs.WireObserver(observer, "bench", time.Now))
 		}
 		var err error
 		srv, err = server.New(server.Config{
@@ -324,17 +310,9 @@ func execute(o options) (*result, error) {
 				return nil, err
 			}
 		}
-	} else {
-		net = acct.Network(tcp())
-		if observer != nil {
-			net = transport.ObserveNetwork(net, obs.WireObserver(observer, "bench", time.Now))
-		}
 	}
 
-	res := &result{
-		readLat:  metrics.NewLatencyHistogram(),
-		writeLat: metrics.NewLatencyHistogram(),
-	}
+	res := &result{}
 
 	clients := make([]*client.Client, o.clients)
 	for i := range clients {

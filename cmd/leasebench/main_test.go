@@ -10,7 +10,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/health"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -231,11 +230,9 @@ func TestAuditViolationLeavesFlightDump(t *testing.T) {
 	}
 
 	res := &result{
-		readLat:  metrics.NewLatencyHistogram(),
-		writeLat: metrics.NewLatencyHistogram(),
-		elapsed:  time.Second,
-		aud:      aud,
-		health:   engine,
+		elapsed: time.Second,
+		aud:     aud,
+		health:  engine,
 	}
 	tmp, err := os.CreateTemp(t.TempDir(), "report")
 	if err != nil {

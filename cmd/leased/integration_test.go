@@ -205,26 +205,39 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 	base := "http://" + in.debug.Addr()
 
 	// /debug/spans returns JSON lines; the write must appear as a root
-	// "write" span with serialize/fanout/ack-wait children.
-	body := httpGet(t, base+"/debug/spans")
+	// "write" span with serialize/fanout/ack-wait children. The fanout span
+	// is recorded by the connection's flusher after Write has returned, so
+	// poll for the four kinds instead of reading once.
+	want := []string{"write", "serialize-wait", "fanout", "ack-wait"}
 	kinds := map[string]int{}
-	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
-		if line == "" {
-			continue
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		clear(kinds)
+		body := httpGet(t, base+"/debug/spans")
+		for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+			if line == "" {
+				continue
+			}
+			var span struct {
+				Kind   string `json:"kind"`
+				Trace  uint64 `json:"trace"`
+				Parent uint64 `json:"parent,omitempty"`
+			}
+			if err := json.Unmarshal([]byte(line), &span); err != nil {
+				t.Fatalf("bad span line %q: %v", line, err)
+			}
+			kinds[span.Kind]++
 		}
-		var span struct {
-			Kind   string `json:"kind"`
-			Trace  uint64 `json:"trace"`
-			Parent uint64 `json:"parent,omitempty"`
+		missing := ""
+		for _, k := range want {
+			if kinds[k] == 0 {
+				missing = k
+			}
 		}
-		if err := json.Unmarshal([]byte(line), &span); err != nil {
-			t.Fatalf("bad span line %q: %v", line, err)
+		if missing == "" {
+			break
 		}
-		kinds[span.Kind]++
-	}
-	for _, k := range []string{"write", "serialize-wait", "fanout", "ack-wait"} {
-		if kinds[k] == 0 {
-			t.Errorf("/debug/spans missing %q span (got %v)", k, kinds)
+		if time.Now().After(deadline) {
+			t.Fatalf("/debug/spans still missing %q span after 5s (got %v)", missing, kinds)
 		}
 	}
 	// The ?type= filter narrows to one kind.

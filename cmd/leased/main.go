@@ -92,11 +92,7 @@ type options struct {
 	profEvery   time.Duration
 	profRing    int
 	profCPU     time.Duration
-	tcpBatch    bool
 	dialTimeout time.Duration
-
-	// net overrides the transport (tests); nil means TCP.
-	net transport.Network
 }
 
 // instance is a started daemon: the lease server plus its observability
@@ -145,17 +141,6 @@ func start(opts options) (*instance, error) {
 		tableCfg.Mode = core.ModeDelayed
 	default:
 		return nil, fmt.Errorf("unknown mode %q", opts.mode)
-	}
-
-	var batch *transport.BatchStats
-	netw := opts.net
-	if netw == nil {
-		batch = &transport.BatchStats{}
-		netw = transport.TCP{
-			DialTimeout: opts.dialTimeout,
-			Immediate:   !opts.tcpBatch,
-			Stats:       batch,
-		}
 	}
 
 	in := &instance{
@@ -268,10 +253,14 @@ func start(opts options) (*instance, error) {
 		// Anomaly dumps freeze the profile ring alongside events and spans.
 		in.flight.AttachProfiles(in.prof)
 	}
-	// Cost accounting wraps the raw network INNERMOST so TCP conns still
-	// expose their frame-level capabilities (timed encode/decode); the wire
-	// observer counts messages from the outside.
-	netw = transport.ObserveNetwork(in.cost.Network(netw), obs.WireObserver(observer, opts.volume, time.Now))
+	// Every frame yields one event; cost accounting and the per-kind
+	// transport counters are the two sinks of it.
+	batch := &transport.BatchStats{}
+	netw := transport.TCP{
+		DialTimeout: opts.dialTimeout,
+		Stats:       batch,
+		Taps:        []transport.Tap{in.cost, obs.WireTap(observer, opts.volume, time.Now)},
+	}
 	obs.RegisterBatchStats(in.reg, opts.volume, batch)
 
 	cfg := server.Config{
@@ -376,7 +365,6 @@ func run() error {
 	flag.DurationVar(&opts.profEvery, "profile-interval", 0, "capture heap/goroutine profiles into the profile ring this often (0 = off)")
 	flag.IntVar(&opts.profRing, "profile-ring", 24, "profile captures retained for /debug/profile/ring")
 	flag.DurationVar(&opts.profCPU, "profile-cpu-window", 0, "also capture a CPU profile of this length each cycle (0 = off)")
-	flag.BoolVar(&opts.tcpBatch, "tcp-batch", true, "batch outbound TCP frames per connection (one kernel flush per burst; exports lease_batch_*)")
 	flag.DurationVar(&opts.dialTimeout, "dial-timeout", 10*time.Second, "TCP dial timeout")
 	flag.Parse()
 

@@ -61,7 +61,6 @@ func run() error {
 	profEvery := flag.Duration("profile-interval", 0, "capture heap/goroutine profiles into the profile ring this often (0 = off)")
 	profRing := flag.Int("profile-ring", 24, "profile captures retained for /debug/profile/ring")
 	profCPU := flag.Duration("profile-cpu-window", 0, "also capture a CPU profile of this length each cycle (0 = off)")
-	tcpBatch := flag.Bool("tcp-batch", true, "batch outbound TCP frames per connection (one kernel flush per burst; exports lease_batch_*)")
 	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "TCP dial timeout")
 	flag.Parse()
 
@@ -123,12 +122,15 @@ func run() error {
 		})
 		flightRec.AttachProfiles(prof)
 	}
-	// Cost accounting wraps the raw network INNERMOST (frame-level timing on
-	// TCP conns); the wire observer counts messages from the outside. Both
-	// directions are charged here: upstream renewals and downstream grants.
+	// Every frame yields one event; cost accounting and the per-kind
+	// transport counters are the two sinks of it. Both directions are charged
+	// here: upstream renewals and downstream grants.
 	batch := &transport.BatchStats{}
-	tcp := transport.TCP{DialTimeout: *dialTimeout, Immediate: !*tcpBatch, Stats: batch}
-	netw := transport.ObserveNetwork(acct.Network(tcp), obs.WireObserver(observer, *id, time.Now))
+	netw := transport.TCP{
+		DialTimeout: *dialTimeout,
+		Stats:       batch,
+		Taps:        []transport.Tap{acct, obs.WireTap(observer, *id, time.Now)},
+	}
 	obs.RegisterBatchStats(reg, *id, batch)
 
 	cfg := proxy.Config{

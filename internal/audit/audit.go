@@ -235,7 +235,7 @@ type Auditor struct {
 	events     atomic.Int64
 	totalViol  atomic.Int64
 	staleReads atomic.Int64
-	stale      *metrics.LatencyHistogram
+	stale      *metrics.Histogram
 }
 
 // New builds an auditor for the given protocol profile.
@@ -250,7 +250,7 @@ func New(cfg Config) *Auditor {
 		objects: make(map[core.ObjectID]*objState),
 		epochs:  make(map[epochKey]core.Epoch),
 		byRule:  make(map[string]int64),
-		stale:   metrics.NewLatencyHistogram(),
+		stale:   new(metrics.Histogram),
 	}
 }
 

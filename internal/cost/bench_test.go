@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -48,13 +49,13 @@ func BenchmarkCostRecordVolume(b *testing.B) {
 }
 
 // BenchmarkCostConnFrame measures the full transport-boundary path: the
-// per-connection accountant charging itself plus the parent tables.
+// per-connection sink charging itself plus the parent tables.
 func BenchmarkCostConnFrame(b *testing.B) {
 	a := New("srv", nil)
-	fa := a.AccountConn("srv:1", "client-1:0")
-	var m wire.Message = wire.Invalidate{Seq: 0, Objects: nil}
+	sink := a.TapConn("srv:1", "client-1:0")
+	f := transport.Frame{Msg: wire.Invalidate{Seq: 0, Objects: nil}, Size: 12, Codec: 250 * time.Nanosecond}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		fa.Frame(false, m, 12, 250*time.Nanosecond)
+		sink.Observe(f)
 	}
 }

@@ -1,14 +1,12 @@
 package cost_test
 
 // The accounting conservation test (run under -race by `make race` and CI):
-// a real server and concurrent clients over the in-memory transport, with
-// the consistency auditor attached, cost accounting wrapped innermost and
-// the obs wire observer outside it. After the run, the books must balance:
-// the per-kind frame/byte tallies sum exactly to the transport totals, the
-// per-connection tallies sum to the same totals, the per-volume tallies
-// never exceed them, and the cost layer's per-kind counts agree with the
-// independently recorded lease_transport_messages_total counters — two
-// separate instrumentation paths over the same connections.
+// a real server and concurrent clients over the in-memory transport and
+// over batched TCP, with the consistency auditor attached and cost
+// accounting tapping every connection. After the run, the books must
+// balance: the per-kind frame/byte tallies sum exactly to the transport
+// totals, the per-connection tallies sum to the same totals, the per-volume
+// tallies never exceed them, and on TCP the batcher's own frame count agrees.
 
 import (
 	"fmt"
@@ -28,8 +26,10 @@ import (
 
 func TestAccountingConservation(t *testing.T) {
 	t.Run("memory", func(t *testing.T) {
-		runConservation(t, func() (transport.Network, string, *transport.BatchStats) {
-			return transport.NewMemory(), "srv:1", nil
+		runConservation(t, func(taps []transport.Tap) (transport.Network, string, *transport.BatchStats) {
+			mem := transport.NewMemory()
+			mem.Taps = taps
+			return mem, "srv:1", nil
 		})
 	})
 	// The same books must balance when every frame crosses the batched TCP
@@ -39,13 +39,13 @@ func TestAccountingConservation(t *testing.T) {
 	// layer's sent-frame total.
 	t.Run("tcp-batched", func(t *testing.T) {
 		stats := &transport.BatchStats{}
-		runConservation(t, func() (transport.Network, string, *transport.BatchStats) {
-			return transport.TCP{Stats: stats}, "127.0.0.1:0", stats
+		runConservation(t, func(taps []transport.Tap) (transport.Network, string, *transport.BatchStats) {
+			return transport.TCP{Stats: stats, Taps: taps}, "127.0.0.1:0", stats
 		})
 	})
 }
 
-func runConservation(t *testing.T, newNet func() (transport.Network, string, *transport.BatchStats)) {
+func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Network, string, *transport.BatchStats)) {
 	const (
 		nClients = 6
 		nOps     = 120
@@ -63,10 +63,7 @@ func runConservation(t *testing.T, newNet func() (transport.Network, string, *tr
 	acct := cost.New("srv", time.Now)
 	acct.Register(reg)
 
-	// Cost accounting wraps the raw network innermost; the obs observer
-	// counts the same traffic from the outside.
-	raw, listenAddr, batch := newNet()
-	netw := transport.ObserveNetwork(acct.Network(raw), obs.WireObserver(observer, "srv", time.Now))
+	netw, listenAddr, batch := newNet([]transport.Tap{acct, obs.WireTap(observer, "srv", time.Now)})
 
 	srv, err := server.New(server.Config{
 		Name:       "srv",
@@ -222,21 +219,7 @@ func runConservation(t *testing.T, newNet func() (transport.Network, string, *tr
 		t.Error("no volume-attributed traffic despite volume-lease conversations")
 	}
 
-	// (4) Cross-check against the independent obs instrumentation: both
-	// wrappers saw the identical Send/Recv successes on the same conns.
-	for _, k := range d.Kinds {
-		for _, dir := range []struct {
-			name   string
-			frames int64
-		}{{"sent", k.FramesSent}, {"recv", k.FramesRecv}} {
-			name := fmt.Sprintf("lease_transport_messages_total{node=%q,kind=%q,dir=%q}", "srv", k.Kind, dir.name)
-			if got := reg.Counter(name).Value(); got != dir.frames {
-				t.Errorf("%s %s: cost=%d obs=%d", k.Kind, dir.name, dir.frames, got)
-			}
-		}
-	}
-
-	// (5) Byte tallies are consistent with per-kind frame counts: every
+	// (4) Byte tallies are consistent with per-kind frame counts: every
 	// frame carried at least the 1-byte kind.
 	for _, k := range d.Kinds {
 		if k.BytesSent < k.FramesSent || k.BytesRecv < k.FramesRecv {
@@ -244,8 +227,8 @@ func runConservation(t *testing.T, newNet func() (transport.Network, string, *tr
 		}
 	}
 
-	// (6) On the batched TCP path the batcher's own accounting must agree
-	// with the cost layer: every frame the cost wrapper saw leave was
+	// (5) On the batched TCP path the batcher's own accounting must agree
+	// with the cost layer: every frame the cost sink saw leave was
 	// drained in some flush (frames conserve across coalescing), and the
 	// size histogram covers every flush.
 	if batch != nil {
@@ -276,8 +259,7 @@ func runConservation(t *testing.T, newNet func() (transport.Network, string, *tr
 // simulator's MsgClass mapping in `figures -cost` depends on it.
 func TestConservationKindsAreProtocolKinds(t *testing.T) {
 	acct := cost.New("n", time.Now)
-	fa := acct.AccountConn("a", "b")
-	fa.Frame(true, wire.Hello{Client: "c"}, 8, 0)
+	acct.TapConn("a", "b").Observe(transport.Frame{Sent: true, Msg: wire.Hello{Client: "c"}, Size: 8})
 	for _, k := range acct.Snapshot().Kinds {
 		found := false
 		for i := 1; i < wire.NumKinds; i++ {

@@ -15,7 +15,7 @@
 // Like the rest of the observability layer, everything is pay-for-what-
 // you-use: a nil *Accounting is a valid, disabled accountant whose Record
 // is a single nil check and zero allocations (see BenchmarkCostDisabled),
-// and an unwrapped network pays nothing at all.
+// and an untapped network pays nothing at all.
 package cost
 
 import (
@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -49,8 +50,8 @@ type dirCounts struct {
 type kindCost struct {
 	sent   dirCounts
 	recv   dirCounts
-	encode nsHist
-	decode nsHist
+	encode metrics.Histogram
+	decode metrics.Histogram
 }
 
 // volCost is the per-volume tally (message kinds that carry a VolumeID).
@@ -59,9 +60,9 @@ type volCost struct {
 	recv dirCounts
 }
 
-// connCost is the per-peer tally; it is the transport.FrameAccountant
-// minted for each connection, charging both its own counters and the
-// parent per-kind/per-volume tables.
+// connCost is the per-peer tally; it is the transport.Sink minted for each
+// connection, charging both its own counters and the parent
+// per-kind/per-volume tables.
 type connCost struct {
 	a      *Accounting
 	remote string
@@ -69,15 +70,15 @@ type connCost struct {
 	recv   dirCounts
 }
 
-// Frame implements transport.FrameAccountant.
-func (c *connCost) Frame(sent bool, m wire.Message, size int, codec time.Duration) {
-	c.a.record(sent, m, size, codec)
+// Observe implements transport.Sink.
+func (c *connCost) Observe(f transport.Frame) {
+	c.a.record(f.Sent, f.Msg, f.Size, f.Codec)
 	dc := &c.recv
-	if sent {
+	if f.Sent {
 		dc = &c.sent
 	}
 	dc.frames.Add(1)
-	dc.bytes.Add(int64(size))
+	dc.bytes.Add(int64(f.Size))
 }
 
 // Accounting tallies wire-path costs for one node. All recording methods
@@ -99,7 +100,7 @@ type Accounting struct {
 	conns  map[string]*connCost // keyed by remote address, redials aggregate
 }
 
-var _ transport.ConnAccounter = (*Accounting)(nil)
+var _ transport.Tap = (*Accounting)(nil)
 
 // New returns an accountant for node. now supplies timestamps for dump
 // metadata only (never the hot path); daemons pass time.Now, tests a
@@ -116,20 +117,10 @@ func New(node string, now func() time.Time) *Accounting {
 	}
 }
 
-// Network wraps n so all its connections charge into a. Safe on a nil
-// receiver: the network is returned unwrapped and the wire path pays
-// nothing (transport.AccountNetwork must wrap the raw network innermost —
-// see its doc).
-func (a *Accounting) Network(n transport.Network) transport.Network {
-	if a == nil {
-		return n
-	}
-	return transport.AccountNetwork(n, a)
-}
-
-// AccountConn implements transport.ConnAccounter, minting (or reusing —
-// redials to the same peer aggregate) the per-connection accountant.
-func (a *Accounting) AccountConn(local, remote string) transport.FrameAccountant {
+// TapConn implements transport.Tap, minting (or reusing — redials to the
+// same peer aggregate) the per-connection tally. Safe on a nil receiver,
+// which leaves the connection unobserved.
+func (a *Accounting) TapConn(local, remote string) transport.Sink {
 	if a == nil {
 		return nil
 	}
@@ -150,8 +141,8 @@ func (a *Accounting) AccountConn(local, remote string) transport.FrameAccountant
 }
 
 // Record charges one message directly (sent direction, encoded size, codec
-// time — zero when no serialization happened). The transport wrapper calls
-// it via per-connection accountants; harnesses without connections may call
+// time — zero when no serialization happened). Tapped connections reach it
+// through their per-connection sinks; harnesses without connections may call
 // it straight. Safe on a nil *Accounting: the nil check lives in this
 // inlinable wrapper so disabled call sites stay allocation-free
 // (BenchmarkCostDisabled gates this).
@@ -180,7 +171,7 @@ func (a *Accounting) record(sent bool, m wire.Message, size int, codec time.Dura
 	// codec == 0 means "no serialization happened" (in-memory transport);
 	// recording it would drown the histogram in zeros.
 	if codec > 0 {
-		h.observe(codec)
+		h.Observe(codec)
 	}
 	if vol := volumeOf(m); vol != "" {
 		vc := a.volume(vol)
@@ -308,15 +299,15 @@ func (a *Accounting) codecQuantile(encode bool, q float64) int64 {
 	if a == nil {
 		return 0
 	}
-	var merged nsHist
+	var merged metrics.Histogram
 	for i := range a.kinds {
 		if encode {
-			merged.merge(&a.kinds[i].encode)
+			merged.Merge(&a.kinds[i].encode)
 		} else {
-			merged.merge(&a.kinds[i].decode)
+			merged.Merge(&a.kinds[i].decode)
 		}
 	}
-	return merged.quantile(q)
+	return int64(merged.Quantile(q))
 }
 
 // Dump is the /debug/cost JSON shape — also what leasebench writes with
@@ -340,6 +331,29 @@ type KindStat struct {
 	BytesRecv  int64        `json:"bytes_recv"`
 	Encode     *HistSummary `json:"encode,omitempty"`
 	Decode     *HistSummary `json:"decode,omitempty"`
+}
+
+// HistSummary is the JSON form of a codec-time histogram for /debug/cost.
+type HistSummary struct {
+	Count  int64 `json:"count"`
+	MeanNs int64 `json:"mean_ns,omitempty"`
+	P50Ns  int64 `json:"p50_ns,omitempty"`
+	P99Ns  int64 `json:"p99_ns,omitempty"`
+	MaxNs  int64 `json:"max_ns,omitempty"`
+}
+
+// summarize snapshots h; nil when it is empty, so the field is omitted.
+func summarize(h *metrics.Histogram) *HistSummary {
+	if h.Count() == 0 {
+		return nil
+	}
+	return &HistSummary{
+		Count:  h.Count(),
+		MeanNs: int64(h.Mean()),
+		P50Ns:  int64(h.Quantile(0.50)),
+		P99Ns:  int64(h.Quantile(0.99)),
+		MaxNs:  int64(h.Max()),
+	}
 }
 
 // Messages is the kind's message count from a single node's vantage: each
@@ -398,12 +412,8 @@ func (a *Accounting) Snapshot() Dump {
 		if ks.FramesSent == 0 && ks.FramesRecv == 0 {
 			continue
 		}
-		if s := kc.encode.summary(); s.Count > 0 {
-			ks.Encode = &s
-		}
-		if s := kc.decode.summary(); s.Count > 0 {
-			ks.Decode = &s
-		}
+		ks.Encode = summarize(&kc.encode)
+		ks.Decode = summarize(&kc.decode)
 		d.Kinds = append(d.Kinds, ks)
 	}
 	a.vols.Range(func(key, val any) bool {

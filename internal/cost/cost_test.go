@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -29,13 +31,10 @@ func TestNilAccountingSafe(t *testing.T) {
 	if d := a.Snapshot(); d.Node != "" || len(d.Kinds) != 0 {
 		t.Errorf("nil Snapshot = %+v", d)
 	}
-	if fa := a.AccountConn("l", "r"); fa != nil {
-		t.Error("nil AccountConn minted an accountant")
+	if s := a.TapConn("l", "r"); s != nil {
+		t.Error("nil accounting minted a sink")
 	}
 	a.Register(obs.NewRegistry()) // must not panic
-	if n := a.Network(nil); n != nil {
-		t.Error("nil Network wrapped something")
-	}
 }
 
 func TestRecordPerKindAndTotals(t *testing.T) {
@@ -110,13 +109,13 @@ func TestVolumeAccounting(t *testing.T) {
 
 func TestConnAggregatesRedials(t *testing.T) {
 	a := New("srv", testNow())
-	fa1 := a.AccountConn("srv:1", "client-1:0")
-	fa2 := a.AccountConn("srv:1", "client-1:0") // redial, same peer
-	if fa1 != fa2 {
-		t.Error("redial minted a fresh accountant")
+	s1 := a.TapConn("srv:1", "client-1:0")
+	s2 := a.TapConn("srv:1", "client-1:0") // redial, same peer
+	if s1 != s2 {
+		t.Error("redial minted a fresh sink")
 	}
-	fa1.Frame(false, wire.Hello{Client: "c"}, 10, 0)
-	fa2.Frame(false, wire.ReqObjLease{Seq: 1, Object: "o"}, 20, 0)
+	s1.Observe(transport.Frame{Msg: wire.Hello{Client: "c"}, Size: 10})
+	s2.Observe(transport.Frame{Msg: wire.ReqObjLease{Seq: 1, Object: "o"}, Size: 20})
 	d := a.Snapshot()
 	if len(d.Conns) != 1 || d.Conns[0].Remote != "client-1:0" || d.Conns[0].FramesRecv != 2 || d.Conns[0].BytesRecv != 30 {
 		t.Errorf("conns = %+v", d.Conns)
@@ -126,8 +125,7 @@ func TestConnAggregatesRedials(t *testing.T) {
 func TestConnOverflowBounded(t *testing.T) {
 	a := New("srv", testNow())
 	for i := 0; i < maxTrackedConns+50; i++ {
-		fa := a.AccountConn("srv:1", fmt.Sprintf("client-%d:0", i))
-		fa.Frame(false, wire.Hello{Client: "c"}, 1, 0)
+		a.TapConn("srv:1", fmt.Sprintf("client-%d:0", i)).Observe(transport.Frame{Msg: wire.Hello{Client: "c"}, Size: 1})
 	}
 	a.connMu.Lock()
 	n := len(a.conns)
@@ -217,21 +215,22 @@ func TestHandlerFilters(t *testing.T) {
 	}
 }
 
+// TestHistQuantiles pins the /debug/cost summary of a codec histogram: ns
+// fields, quantiles at the shared histogram's resolution.
 func TestHistQuantiles(t *testing.T) {
-	var h nsHist
+	var h metrics.Histogram
 	for i := 0; i < 99; i++ {
-		h.observe(100 * time.Nanosecond)
+		h.Observe(100 * time.Nanosecond)
 	}
-	h.observe(100 * time.Microsecond)
-	s := h.summary()
+	h.Observe(100 * time.Microsecond)
+	s := summarize(&h)
 	if s.Count != 100 {
 		t.Fatalf("count = %d", s.Count)
 	}
-	// Power-of-two resolution: p50 within [100, 200]ns.
-	if s.P50Ns < 100 || s.P50Ns > 256 {
+	if s.P50Ns < 100 || s.P50Ns > 102 {
 		t.Errorf("p50 = %dns", s.P50Ns)
 	}
-	if s.P99Ns < 100 || s.P99Ns > 256 {
+	if s.P99Ns < 100 || s.P99Ns > 102 {
 		t.Errorf("p99 = %dns (99 of 100 observations are 100ns)", s.P99Ns)
 	}
 	if s.MaxNs != 100000 {
@@ -243,12 +242,12 @@ func TestHistQuantiles(t *testing.T) {
 }
 
 func TestHistEmptyAndNegative(t *testing.T) {
-	var h nsHist
-	if s := h.summary(); s.Count != 0 || s.P99Ns != 0 {
-		t.Errorf("empty summary = %+v", s)
+	var h metrics.Histogram
+	if s := summarize(&h); s != nil {
+		t.Errorf("empty summary = %+v, want it omitted", s)
 	}
-	h.observe(-time.Second) // clamped, must not panic or corrupt
-	if s := h.summary(); s.Count != 1 || s.MaxNs != 0 {
+	h.Observe(-time.Second) // clamped, must not panic or corrupt
+	if s := summarize(&h); s == nil || s.Count != 1 || s.MaxNs != 0 {
 		t.Errorf("negative observation summary = %+v", s)
 	}
 }

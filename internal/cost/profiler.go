@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/health"
+	"repro/internal/obs"
 )
 
 // ProfilerOptions configures the continuous profiler.
@@ -44,10 +45,9 @@ type ProfilerOptions struct {
 type Profiler struct {
 	opts ProfilerOptions
 
-	mu   sync.Mutex
-	ring []health.ProfileCapture
-	next int
-	seq  int64
+	ring *obs.Ring[health.ProfileCapture]
+
+	mu sync.Mutex
 	// Previous capture's cumulative allocator counters, for delta-heap:
 	// how much was allocated (bytes, objects) between consecutive heap
 	// captures — the growth signal a point-in-time profile hides.
@@ -76,7 +76,7 @@ func NewProfiler(opts ProfilerOptions) *Profiler {
 	}
 	return &Profiler{
 		opts: opts,
-		ring: make([]health.ProfileCapture, 0, opts.Ring),
+		ring: obs.NewRing[health.ProfileCapture](opts.Ring),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -182,17 +182,13 @@ func (p *Profiler) CaptureNow() {
 	}
 }
 
+// retain numbers c and adds it to the ring. IDs are issued under mu so they
+// ascend in ring order even when the handler's ?capture races the sampler.
 func (p *Profiler) retain(c health.ProfileCapture) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.seq++
-	c.ID = p.seq
-	if len(p.ring) < cap(p.ring) {
-		p.ring = append(p.ring, c)
-		return
-	}
-	p.ring[p.next] = c
-	p.next = (p.next + 1) % cap(p.ring)
+	c.ID = int64(p.ring.Total()) + 1
+	p.ring.Add(c)
 }
 
 // SnapshotProfiles implements health.ProfileSource: the retained captures,
@@ -201,12 +197,7 @@ func (p *Profiler) SnapshotProfiles() []health.ProfileCapture {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]health.ProfileCapture, 0, len(p.ring))
-	out = append(out, p.ring[p.next:]...)
-	out = append(out, p.ring[:p.next]...)
-	return out
+	return p.ring.Snapshot()
 }
 
 // Capture returns the retained capture with the given ID, if still in the
@@ -215,9 +206,7 @@ func (p *Profiler) Capture(id int64) (health.ProfileCapture, bool) {
 	if p == nil {
 		return health.ProfileCapture{}, false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.ring {
+	for _, c := range p.ring.Snapshot() {
 		if c.ID == id {
 			return c, true
 		}

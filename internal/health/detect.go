@@ -2,10 +2,10 @@ package health
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -123,10 +123,7 @@ type AckWaitP99 struct {
 	threshold  time.Duration
 	window     time.Duration
 	minSamples int
-
-	mu      sync.Mutex
-	samples []waitSample
-	next    int
+	samples    *obs.Ring[waitSample]
 }
 
 type waitSample struct {
@@ -147,7 +144,7 @@ func NewAckWaitP99(threshold, window time.Duration, minSamples int) *AckWaitP99 
 		threshold:  threshold,
 		window:     window,
 		minSamples: minSamples,
-		samples:    make([]waitSample, 0, 1024),
+		samples:    obs.NewRing[waitSample](1024),
 	}
 }
 
@@ -160,38 +157,20 @@ func (d *AckWaitP99) Observe(e obs.Event) {
 	if e.Type != obs.EvWriteUnblocked || e.At.IsZero() {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s := waitSample{at: e.At, dur: e.Dur}
-	if len(d.samples) < cap(d.samples) {
-		d.samples = append(d.samples, s)
-		return
-	}
-	d.samples[d.next] = s
-	d.next = (d.next + 1) % cap(d.samples)
+	d.samples.Add(waitSample{at: e.At, dur: e.Dur})
 }
 
 // Tick implements Detector.
 func (d *AckWaitP99) Tick(now time.Time) (Trigger, bool) {
 	cutoff := now.Add(-d.window)
-	var durs []time.Duration
-	d.mu.Lock()
-	for _, s := range d.samples {
+	var waits metrics.Histogram
+	for _, s := range d.samples.Snapshot() {
 		if !s.at.Before(cutoff) {
-			durs = append(durs, s.dur)
+			waits.Observe(s.dur)
 		}
 	}
-	d.mu.Unlock()
-	if len(durs) < d.minSamples {
-		return Trigger{}, false
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	idx := (len(durs)*99 + 99) / 100
-	if idx > len(durs) {
-		idx = len(durs)
-	}
-	p99 := durs[idx-1]
-	if p99 < d.threshold {
+	p99 := waits.Quantile(0.99)
+	if waits.Count() < int64(d.minSamples) || p99 < d.threshold {
 		return Trigger{}, false
 	}
 	return Trigger{
@@ -199,7 +178,7 @@ func (d *AckWaitP99) Tick(now time.Time) (Trigger, bool) {
 		At:        now,
 		Threshold: d.threshold.Seconds(),
 		Observed:  p99.Seconds(),
-		Detail:    fmt.Sprintf("p99 ack wait %v over %d writes in %v window", p99, len(durs), d.window),
+		Detail:    fmt.Sprintf("p99 ack wait %v over %d writes in %v window", p99, waits.Count(), d.window),
 	}, true
 }
 

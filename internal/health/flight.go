@@ -27,8 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/loadtl"
@@ -66,12 +64,11 @@ type MetricSample struct {
 	Values map[string]float64 `json:"values"`
 }
 
-// FlightRecorder continuously retains the most recent protocol events in a
-// fixed-size lock-free ring (the same slot-of-atomic-pointers shape as
-// obs.SpanRecorder: one allocation plus two atomic ops per recorded event,
-// no mutex on the record path), plus per-second metric samples and
-// references to the span recorder and load timeline whose own rings are
-// snapshotted at freeze time.
+// FlightRecorder continuously retains the most recent protocol events in an
+// obs.Ring (one allocation plus two atomic ops per recorded event, no mutex
+// on the record path), plus per-second metric samples and references to the
+// span recorder and load timeline whose own rings are snapshotted at freeze
+// time.
 //
 // A nil *FlightRecorder is a valid, disabled recorder: Observe is a nil
 // check and the event never escapes, which is the zero-allocation fast
@@ -79,21 +76,15 @@ type MetricSample struct {
 type FlightRecorder struct {
 	node   string
 	window time.Duration
-	slots  []atomic.Pointer[obs.Event]
-	next   atomic.Uint64
-	total  atomic.Uint64
+	events *obs.Ring[obs.Event]
+	// Per-second metric samples, written by the engine tick, covering window.
+	samples *obs.Ring[MetricSample]
 
 	// Attached sources, set before traffic starts; all optional.
 	spans    *obs.SpanRecorder
 	tl       *loadtl.Timeline
 	profiles ProfileSource
 	state    *state.Source
-
-	// Per-second metric samples, written by the engine tick (1/s), read at
-	// freeze time: low rate, so a mutex-guarded ring is fine.
-	mu         sync.Mutex
-	samples    []MetricSample
-	sampleNext int
 }
 
 var _ obs.Sink = (*FlightRecorder)(nil)
@@ -103,17 +94,14 @@ var _ obs.Sink = (*FlightRecorder)(nil)
 // freeze includes; size must be provisioned for the expected event rate ×
 // window). A zero window defaults to 60s.
 func NewFlightRecorder(node string, size int, window time.Duration) *FlightRecorder {
-	if size < 1 {
-		size = 1
-	}
 	if window <= 0 {
 		window = 60 * time.Second
 	}
 	return &FlightRecorder{
 		node:    node,
 		window:  window,
-		slots:   make([]atomic.Pointer[obs.Event], size),
-		samples: make([]MetricSample, 0, int(window/time.Second)+1),
+		events:  obs.NewRing[obs.Event](size),
+		samples: obs.NewRing[MetricSample](int(window/time.Second) + 1),
 	}
 }
 
@@ -191,20 +179,14 @@ func (f *FlightRecorder) Window() time.Duration {
 
 // Observe implements obs.Sink, retaining the event in the ring. Safe on a
 // nil recorder and from any number of goroutines. The nil check lives in
-// this inlinable wrapper so the disabled path never reaches record, whose
-// parameter escapes (the ring stores &e) — keeping disabled call sites
+// this inlinable wrapper so the disabled path never reaches Add, whose
+// parameter escapes into the ring — keeping disabled call sites
 // allocation-free.
 func (f *FlightRecorder) Observe(e obs.Event) {
 	if f == nil {
 		return
 	}
-	f.record(e)
-}
-
-func (f *FlightRecorder) record(e obs.Event) {
-	idx := f.next.Add(1) - 1
-	f.slots[idx%uint64(len(f.slots))].Store(&e)
-	f.total.Add(1)
+	f.events.Add(e)
 }
 
 // Total reports how many events were ever recorded (including overwritten).
@@ -212,7 +194,7 @@ func (f *FlightRecorder) Total() uint64 {
 	if f == nil {
 		return 0
 	}
-	return f.total.Load()
+	return f.events.Total()
 }
 
 // Sample retains one per-second metric snapshot, overwriting the oldest
@@ -221,31 +203,21 @@ func (f *FlightRecorder) Sample(s MetricSample) {
 	if f == nil {
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.samples) < cap(f.samples) {
-		f.samples = append(f.samples, s)
-		return
-	}
-	f.samples[f.sampleNext] = s
-	f.sampleNext = (f.sampleNext + 1) % cap(f.samples)
+	f.samples.Add(s)
 }
 
 // Events returns the retained events with At in [now-window, now], oldest
-// first. Concurrent records may land mid-snapshot; each slot is read
-// atomically so every returned event is internally consistent.
+// first.
 func (f *FlightRecorder) Events(now time.Time) []obs.Event {
 	if f == nil {
 		return nil
 	}
 	cutoff := now.Add(-f.window)
-	out := make([]obs.Event, 0, len(f.slots))
-	for i := range f.slots {
-		p := f.slots[i].Load()
-		if p == nil || p.At.Before(cutoff) {
-			continue
+	var out []obs.Event
+	for _, e := range f.events.Snapshot() {
+		if !e.At.Before(cutoff) {
+			out = append(out, e)
 		}
-		out = append(out, *p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
 	return out
@@ -264,7 +236,7 @@ func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 	d.WindowSeconds = int(f.window / time.Second)
 	d.Trigger = tr
 	for _, e := range f.Events(now) {
-		d.Events = append(d.Events, dumpEvent(e))
+		d.Events = append(d.Events, e.JSON())
 	}
 	if f.spans != nil {
 		cutoff := now.Add(-f.window)
@@ -272,15 +244,13 @@ func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 			if s.End().Before(cutoff) {
 				continue
 			}
-			d.Spans = append(d.Spans, dumpSpan(s))
+			d.Spans = append(d.Spans, s.JSON())
 		}
 	}
 	if f.tl != nil {
 		d.Seconds = f.tl.Snapshot()
 	}
-	f.mu.Lock()
-	d.Samples = append(d.Samples, f.samples...)
-	f.mu.Unlock()
+	d.Samples = f.samples.Snapshot()
 	sort.Slice(d.Samples, func(i, j int) bool { return d.Samples[i].Unix < d.Samples[j].Unix })
 	if f.profiles != nil {
 		d.Profiles = f.profiles.SnapshotProfiles()
@@ -300,73 +270,14 @@ type Dump struct {
 	WrittenAt     time.Time        `json:"written_at"`
 	WindowSeconds int              `json:"window_seconds"`
 	Trigger       *Trigger         `json:"trigger,omitempty"`
-	Events        []DumpEvent      `json:"events"`
-	Spans         []DumpSpan       `json:"spans,omitempty"`
+	Events        []obs.EventJSON  `json:"events"`
+	Spans         []obs.SpanJSON   `json:"spans,omitempty"`
 	Seconds       []loadtl.Second  `json:"seconds,omitempty"`
 	Samples       []MetricSample   `json:"samples,omitempty"`
 	Profiles      []ProfileCapture `json:"profiles,omitempty"`
 	// LeaseState is the node's frozen lease-table snapshot (who held what
 	// until when at freeze time), attached via AttachState.
 	LeaseState *state.Dump `json:"lease_state,omitempty"`
-}
-
-// DumpEvent is one protocol event in dump form (string-typed, zero fields
-// omitted — the same shape as /debug/events).
-type DumpEvent struct {
-	Type    string     `json:"type"`
-	At      time.Time  `json:"at"`
-	Node    string     `json:"node,omitempty"`
-	Client  string     `json:"client,omitempty"`
-	Object  string     `json:"object,omitempty"`
-	Volume  string     `json:"volume,omitempty"`
-	Epoch   int64      `json:"epoch,omitempty"`
-	Msg     string     `json:"msg,omitempty"`
-	N       int        `json:"n,omitempty"`
-	DurNS   int64      `json:"dur_ns,omitempty"`
-	Version int64      `json:"version,omitempty"`
-	Expire  *time.Time `json:"expire,omitempty"`
-}
-
-// DumpSpan is one causal span in dump form (the same shape as /debug/spans).
-type DumpSpan struct {
-	Trace  uint64    `json:"trace"`
-	ID     uint64    `json:"id"`
-	Parent uint64    `json:"parent,omitempty"`
-	Kind   string    `json:"kind"`
-	Node   string    `json:"node,omitempty"`
-	Client string    `json:"client,omitempty"`
-	Object string    `json:"object,omitempty"`
-	Volume string    `json:"volume,omitempty"`
-	Start  time.Time `json:"start"`
-	DurNS  int64     `json:"dur_ns"`
-	N      int       `json:"n,omitempty"`
-}
-
-func dumpEvent(e obs.Event) DumpEvent {
-	de := DumpEvent{
-		Type: e.Type.String(), At: e.At, Node: e.Node,
-		Client: string(e.Client), Object: string(e.Object),
-		Volume: string(e.Volume), Epoch: int64(e.Epoch),
-		N: e.N, DurNS: int64(e.Dur), Version: int64(e.Version),
-	}
-	if e.Msg != 0 {
-		de.Msg = e.Msg.String()
-	}
-	if !e.Expire.IsZero() {
-		expire := e.Expire
-		de.Expire = &expire
-	}
-	return de
-}
-
-func dumpSpan(s obs.Span) DumpSpan {
-	return DumpSpan{
-		Trace: s.Trace, ID: s.ID, Parent: s.Parent,
-		Kind: s.Kind.String(), Node: s.Node,
-		Client: string(s.Client), Object: string(s.Object),
-		Volume: string(s.Volume), Start: s.Start,
-		DurNS: int64(s.Dur), N: s.N,
-	}
 }
 
 // PreTriggerSpan reports how much event history before the trigger the dump

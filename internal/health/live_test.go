@@ -55,10 +55,11 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 	engine.Start()
 	defer engine.Close()
 
+	net.Taps = []transport.Tap{obs.WireTap(observer, "srv", time.Now)}
 	srv, err := server.New(server.Config{
 		Name:       "srv",
 		Addr:       "srv:1",
-		Net:        transport.ObserveNetwork(net, obs.WireObserver(observer, "srv", time.Now)),
+		Net:        net,
 		Table:      core.Config{Mode: core.ModeEager, ObjectLease: 10 * time.Second, VolumeLease: 400 * time.Millisecond},
 		MsgTimeout: 50 * time.Millisecond,
 		Obs:        observer,

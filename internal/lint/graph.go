@@ -94,7 +94,7 @@ type Edge struct {
 type FuncNode struct {
 	Pkg  *Package
 	File *ast.File
-	// Name is the display name: "AppendEncode", "(*tcpConn).SendFrameBuf",
+	// Name is the display name: "AppendEncode", "(*tcpConn).enqueue",
 	// "flushLoop.func1" for literals.
 	Name string
 	// RecvType is the local name of the receiver's named type for methods.

@@ -7,7 +7,7 @@ import (
 
 // HotAlloc statically pins the zero-alloc wire path: no allocating construct
 // may appear in any function reachable from a //lint:hotpath-annotated root
-// (wire.AppendEncode, the transport's SendFrameBuf/RecvFrameBuf, the flusher
+// (wire.AppendEncode and ReadFrameBuf, the transport's enqueue, the flusher
 // loop). `make bench-wirepath` gates the same property dynamically — 0
 // allocs/op on BenchmarkWirePath/append and BenchmarkBatchedSend — but a
 // benchmark only samples the paths it drives; the reachability closure

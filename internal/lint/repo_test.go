@@ -28,7 +28,7 @@ func TestRepoIsClean(t *testing.T) {
 // the static closure rooted at the //lint:hotpath annotations contains every
 // function on the BenchmarkWirePath/append call path (AppendEncode and all
 // encoder methods) and the batched transport path it feeds
-// (SendFrameBuf → writeFrame, RecvFrameBuf → ReadFrameBuf). `make
+// (enqueue, flushLoop → writeFrame, ReadFrameBuf). `make
 // bench-wirepath` samples these paths dynamically; this test pins that the
 // analyzer watches all of them, including ones a benchmark input set might
 // not drive.
@@ -44,10 +44,9 @@ func TestHotAllocCoversWirePath(t *testing.T) {
 	}
 	for _, name := range []string{
 		"repro/internal/wire.AppendEncode",
-		"repro/internal/transport.(*tcpConn).SendFrameBuf",
+		"repro/internal/transport.(*tcpConn).enqueue",
 		"repro/internal/transport.(*tcpConn).writeFrame",
 		"repro/internal/transport.(*tcpConn).flushLoop",
-		"repro/internal/transport.(*tcpConn).RecvFrameBuf",
 		"repro/internal/wire.ReadFrameBuf",
 	} {
 		if !hot[name] {

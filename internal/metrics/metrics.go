@@ -96,7 +96,9 @@ func (ctr *Counter) Merge(other Counter) {
 // LoadHistogram counts protocol messages sent or received by one server in
 // each 1-second period, as needed for the cumulative load histograms of
 // Figures 8 and 9. Periods are identified by the integral second since the
-// trace epoch; seconds with zero messages are not stored.
+// trace epoch; seconds with zero messages are not stored. It is the paper's
+// per-second message count, not a distribution of durations — latencies go
+// in Histogram.
 type LoadHistogram struct {
 	buckets map[int64]int
 }

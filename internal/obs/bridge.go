@@ -9,43 +9,56 @@ import (
 	"repro/internal/wire"
 )
 
-// WireObserver builds a transport.MsgObserver that feeds the observability
-// layer: per-kind/per-direction message counters in the registry
-// (pre-resolved, so the per-message cost is one atomic add) and, when
-// tracing is live, EvMsgSent/EvMsgRecv events stamped by now. node names
-// the endpoint in event and series labels.
-func WireObserver(o *Observer, node string, now func() time.Time) transport.MsgObserver {
+// wireTap is the observability layer's sink of the transport's frame
+// events; every connection of a node shares the one sink.
+type wireTap struct {
+	o        *Observer
+	node     string
+	now      func() time.Time
+	counters [wire.NumKinds][2]*Counter // [kind][0 recv, 1 sent]; nil without a registry
+}
+
+// WireTap builds the transport.Tap that feeds the observability layer:
+// per-kind/per-direction message counters in the registry (pre-resolved, so
+// the per-message cost is one atomic add) and, when tracing is live,
+// EvMsgSent/EvMsgRecv events stamped by now. node names the endpoint in
+// event and series labels. The tap is nil — nothing to attach — when o has
+// neither a registry nor a live tracer.
+func WireTap(o *Observer, node string, now func() time.Time) transport.Tap {
 	if o == nil || (o.Metrics == nil && !o.Tracing()) {
 		return nil
 	}
-	var counters [wire.NumKinds][2]*Counter
+	w := &wireTap{o: o, node: node, now: now}
 	if reg := o.Reg(); reg != nil {
 		for k := 1; k < wire.NumKinds; k++ {
 			kind := wire.Kind(k)
-			counters[k][0] = reg.Counter(fmt.Sprintf(
+			w.counters[k][0] = reg.Counter(fmt.Sprintf(
 				"lease_transport_messages_total{node=%q,kind=%q,dir=\"recv\"}", node, kind))
-			counters[k][1] = reg.Counter(fmt.Sprintf(
+			w.counters[k][1] = reg.Counter(fmt.Sprintf(
 				"lease_transport_messages_total{node=%q,kind=%q,dir=\"sent\"}", node, kind))
 		}
 	}
-	return func(sent bool, k wire.Kind) {
-		if int(k) >= wire.NumKinds || k == 0 {
-			return
-		}
-		dir := 0
-		if sent {
-			dir = 1
-		}
-		if c := counters[k][dir]; c != nil {
-			c.Inc()
-		}
-		if o.Tracing() {
-			ty := EvMsgRecv
-			if sent {
-				ty = EvMsgSent
-			}
-			o.Emit(Event{Type: ty, At: now(), Node: node, Msg: k})
-		}
+	return w
+}
+
+// TapConn implements transport.Tap.
+func (w *wireTap) TapConn(local, remote string) transport.Sink { return w }
+
+// Observe implements transport.Sink.
+func (w *wireTap) Observe(f transport.Frame) {
+	k := f.Msg.Kind()
+	if int(k) >= wire.NumKinds || k == 0 {
+		return
+	}
+	dir, ty := 0, EvMsgRecv
+	if f.Sent {
+		dir, ty = 1, EvMsgSent
+	}
+	if c := w.counters[k][dir]; c != nil {
+		c.Inc()
+	}
+	if w.o.Tracing() {
+		w.o.Emit(Event{Type: ty, At: w.now(), Node: w.node, Msg: k})
 	}
 }
 

@@ -48,7 +48,7 @@ const (
 	// EvRedial: a client transparently re-established its connection.
 	EvRedial
 	// EvMsgSent / EvMsgRecv: one wire message crossed an observed
-	// transport (Msg = kind). Emitted by transport.ObserveNetwork.
+	// transport (Msg = kind). Emitted by the WireTap sink.
 	EvMsgSent
 	EvMsgRecv
 	// EvCacheRead: a client served a read from its cache (Version = the

@@ -119,6 +119,41 @@ func varsHandler(r *Registry) http.HandlerFunc {
 	}
 }
 
+// EventJSON is the JSON form of an Event — string-typed, zero fields omitted
+// — as served by /debug/events and embedded in flight-recorder dumps.
+type EventJSON struct {
+	Type    string     `json:"type"`
+	At      time.Time  `json:"at"`
+	Node    string     `json:"node,omitempty"`
+	Client  string     `json:"client,omitempty"`
+	Object  string     `json:"object,omitempty"`
+	Volume  string     `json:"volume,omitempty"`
+	Epoch   int64      `json:"epoch,omitempty"`
+	Msg     string     `json:"msg,omitempty"`
+	N       int        `json:"n,omitempty"`
+	DurNS   int64      `json:"dur_ns,omitempty"`
+	Version int64      `json:"version,omitempty"`
+	Expire  *time.Time `json:"expire,omitempty"`
+}
+
+// JSON renders the event in its JSON form.
+func (e Event) JSON() EventJSON {
+	je := EventJSON{
+		Type: e.Type.String(), At: e.At, Node: e.Node,
+		Client: string(e.Client), Object: string(e.Object),
+		Volume: string(e.Volume), Epoch: int64(e.Epoch),
+		N: e.N, DurNS: int64(e.Dur), Version: int64(e.Version),
+	}
+	if e.Msg != 0 {
+		je.Msg = e.Msg.String()
+	}
+	if !e.Expire.IsZero() {
+		expire := e.Expire
+		je.Expire = &expire
+	}
+	return je
+}
+
 // eventsHandler dumps a ring sink's retained events as JSON lines. Two
 // query parameters narrow long traces:
 //
@@ -129,20 +164,6 @@ func varsHandler(r *Registry) http.HandlerFunc {
 // clk supplies "now" for relative ?since= windows, so a stack running on a
 // simulated clock filters against the timeline its events were stamped on.
 func eventsHandler(ring *RingSink, clk clock.Clock) http.HandlerFunc {
-	type jsonEvent struct {
-		Type    string     `json:"type"`
-		At      time.Time  `json:"at"`
-		Node    string     `json:"node,omitempty"`
-		Client  string     `json:"client,omitempty"`
-		Object  string     `json:"object,omitempty"`
-		Volume  string     `json:"volume,omitempty"`
-		Epoch   int64      `json:"epoch,omitempty"`
-		Msg     string     `json:"msg,omitempty"`
-		N       int        `json:"n,omitempty"`
-		DurNS   int64      `json:"dur_ns,omitempty"`
-		Version int64      `json:"version,omitempty"`
-		Expire  *time.Time `json:"expire,omitempty"`
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		types := make(map[string]bool)
@@ -169,21 +190,7 @@ func eventsHandler(ring *RingSink, clk clock.Clock) http.HandlerFunc {
 			if !since.IsZero() && e.At.Before(since) {
 				continue
 			}
-			je := jsonEvent{
-				Type: e.Type.String(), At: e.At, Node: e.Node,
-				Client: string(e.Client), Object: string(e.Object),
-				Volume: string(e.Volume), Epoch: int64(e.Epoch),
-				N: e.N, DurNS: int64(e.Dur),
-				Version: int64(e.Version),
-			}
-			if !e.Expire.IsZero() {
-				expire := e.Expire
-				je.Expire = &expire
-			}
-			if e.Msg != 0 {
-				je.Msg = e.Msg.String()
-			}
-			if err := enc.Encode(je); err != nil {
+			if err := enc.Encode(e.JSON()); err != nil {
 				return
 			}
 		}

@@ -328,10 +328,17 @@ func TestSummaryQuantileLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	hist := vars["lease_ack_wait_seconds"].(map[string]any)
-	for _, k := range []string{"p50", "p90", "p95", "p99"} {
+	keys := []string{"count", "sum_seconds", "mean", "p50", "p90", "p95", "p99", "max"}
+	for _, k := range keys {
 		if _, ok := hist[k].(float64); !ok {
 			t.Errorf("JSON histogram missing %s: %v", k, hist)
 		}
+	}
+	if len(hist) != len(keys) {
+		t.Errorf("JSON histogram has %d fields, want exactly %v: %v", len(hist), keys, hist)
+	}
+	if hist["count"].(float64) != 100 || hist["max"].(float64) != 0.1 || hist["sum_seconds"].(float64) != 5.05 {
+		t.Errorf("JSON histogram count/max/sum_seconds = %v/%v/%v, want 100/0.1/5.05", hist["count"], hist["max"], hist["sum_seconds"])
 	}
 	p90 := hist["p90"].(float64)
 	p95 := hist["p95"].(float64)

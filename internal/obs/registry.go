@@ -50,7 +50,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	funcs    map[string]func() float64
-	hists    map[string]*metrics.LatencyHistogram
+	hists    map[string]*metrics.Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -59,7 +59,7 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		funcs:    make(map[string]func() float64),
-		hists:    make(map[string]*metrics.LatencyHistogram),
+		hists:    make(map[string]*metrics.Histogram),
 	}
 }
 
@@ -99,12 +99,12 @@ func (r *Registry) GaugeFunc(name string, f func() float64) {
 
 // Histogram returns the named latency histogram, creating it on first use.
 // Exported as a Prometheus summary in seconds.
-func (r *Registry) Histogram(name string) *metrics.LatencyHistogram {
+func (r *Registry) Histogram(name string) *metrics.Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = metrics.NewLatencyHistogram()
+		h = new(metrics.Histogram)
 		r.hists[name] = h
 	}
 	return h
@@ -114,7 +114,7 @@ func (r *Registry) Histogram(name string) *metrics.LatencyHistogram {
 // name, replacing any previous registration. Components that maintain their
 // own histogram (e.g. the audit staleness distribution) use this instead of
 // Histogram so a single instance backs both the check and the export.
-func (r *Registry) RegisterHistogram(name string, h *metrics.LatencyHistogram) {
+func (r *Registry) RegisterHistogram(name string, h *metrics.Histogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.hists[name] = h
@@ -134,7 +134,7 @@ type series struct {
 	name string
 	kind seriesKind
 	val  float64
-	hist *metrics.LatencyHistogram
+	hist *metrics.Histogram
 }
 
 // snapshot collects every series sorted by name. Gauge funcs are sampled

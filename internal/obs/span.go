@@ -88,19 +88,15 @@ type Span struct {
 // End returns the span's completion time.
 func (s Span) End() time.Time { return s.Start.Add(s.Dur) }
 
-// SpanRecorder retains the most recent completed spans in a fixed-size
-// lock-free ring. Each slot is an atomic pointer and the cursor is an
-// atomic counter, so concurrent protocol goroutines record without ever
-// contending on a mutex; a recorded span costs one allocation plus two
-// atomic operations, and that cost is only paid for sampled traces.
+// SpanRecorder retains the most recent completed spans in a Ring, so
+// concurrent protocol goroutines record without ever contending on a mutex;
+// the ring's one allocation per span is only paid for sampled traces.
 //
 // A nil *SpanRecorder is a valid, disabled recorder: every method is a nil
 // check, which is the zero-overhead fast path the instrumented write path
 // relies on (see BenchmarkSpanDisabled).
 type SpanRecorder struct {
-	slots  []atomic.Pointer[Span]
-	next   atomic.Uint64
-	total  atomic.Uint64
+	ring   *Ring[Span]
 	ids    atomic.Uint64
 	sample uint64
 
@@ -112,13 +108,10 @@ type SpanRecorder struct {
 // NewSpanRecorder returns a ring retaining up to size spans (min 1),
 // recording one in every sample traces (sample <= 1 records all).
 func NewSpanRecorder(size, sample int) *SpanRecorder {
-	if size < 1 {
-		size = 1
-	}
 	if sample < 1 {
 		sample = 1
 	}
-	return &SpanRecorder{slots: make([]atomic.Pointer[Span], size), sample: uint64(sample)}
+	return &SpanRecorder{ring: NewRing[Span](size), sample: uint64(sample)}
 }
 
 // SlowOp arranges for every SpanWrite whose duration meets threshold to be
@@ -150,8 +143,8 @@ func (r *SpanRecorder) Sampled(trace uint64) bool {
 
 // Record stores a completed span. Safe on a nil recorder and from any
 // number of goroutines. The nil check lives in this inlinable wrapper so
-// the disabled path never reaches record, whose parameter escapes (the
-// ring stores &s) — keeping untraced call sites allocation-free.
+// the disabled path never reaches record, whose parameter escapes into the
+// ring — keeping untraced call sites allocation-free.
 func (r *SpanRecorder) Record(s Span) {
 	if r == nil {
 		return
@@ -160,9 +153,7 @@ func (r *SpanRecorder) Record(s Span) {
 }
 
 func (r *SpanRecorder) record(s Span) {
-	idx := r.next.Add(1) - 1
-	r.slots[idx%uint64(len(r.slots))].Store(&s)
-	r.total.Add(1)
+	r.ring.Add(s)
 	if r.slowT != nil && s.Kind == SpanWrite && r.slow > 0 && s.Dur >= r.slow {
 		r.slowT.Emit(Event{
 			Type:   EvSlowOp,
@@ -179,22 +170,16 @@ func (r *SpanRecorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.total.Load()
+	return r.ring.Total()
 }
 
 // Snapshot returns the retained spans ordered by start time (ties broken by
-// id). Concurrent Records may land mid-snapshot; each slot is read
-// atomically so every returned span is internally consistent.
+// id).
 func (r *SpanRecorder) Snapshot() []Span {
 	if r == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(r.slots))
-	for i := range r.slots {
-		if p := r.slots[i].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
+	out := r.ring.Snapshot()
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Start.Equal(out[j].Start) {
 			return out[i].Start.Before(out[j].Start)
@@ -204,8 +189,9 @@ func (r *SpanRecorder) Snapshot() []Span {
 	return out
 }
 
-// jsonSpan is the /debug/spans wire shape.
-type jsonSpan struct {
+// SpanJSON is the JSON form of a Span, as served by /debug/spans and
+// embedded in flight-recorder dumps.
+type SpanJSON struct {
 	Trace  uint64    `json:"trace"`
 	ID     uint64    `json:"id"`
 	Parent uint64    `json:"parent,omitempty"`
@@ -217,6 +203,17 @@ type jsonSpan struct {
 	Start  time.Time `json:"start"`
 	DurNS  int64     `json:"dur_ns"`
 	N      int       `json:"n,omitempty"`
+}
+
+// JSON renders the span in its JSON form.
+func (s Span) JSON() SpanJSON {
+	return SpanJSON{
+		Trace: s.Trace, ID: s.ID, Parent: s.Parent,
+		Kind: s.Kind.String(), Node: s.Node,
+		Client: string(s.Client), Object: string(s.Object),
+		Volume: string(s.Volume), Start: s.Start,
+		DurNS: int64(s.Dur), N: s.N,
+	}
 }
 
 // SpansHandler serves a span recorder's retained spans as JSON lines,
@@ -261,14 +258,7 @@ func SpansHandler(rec *SpanRecorder) http.HandlerFunc {
 			if trace != 0 && s.Trace != trace {
 				continue
 			}
-			js := jsonSpan{
-				Trace: s.Trace, ID: s.ID, Parent: s.Parent,
-				Kind: s.Kind.String(), Node: s.Node,
-				Client: string(s.Client), Object: string(s.Object),
-				Volume: string(s.Volume), Start: s.Start,
-				DurNS: int64(s.Dur), N: s.N,
-			}
-			if err := enc.Encode(js); err != nil {
+			if err := enc.Encode(s.JSON()); err != nil {
 				return
 			}
 		}

@@ -205,7 +205,7 @@ func TestSpanSlowOpLog(t *testing.T) {
 }
 
 // spansFromHandler queries a SpansHandler and decodes the JSON lines.
-func spansFromHandler(t *testing.T, rec *SpanRecorder, query string) []jsonSpan {
+func spansFromHandler(t *testing.T, rec *SpanRecorder, query string) []SpanJSON {
 	t.Helper()
 	req := httptest.NewRequest("GET", "/debug/spans"+query, nil)
 	w := httptest.NewRecorder()
@@ -213,10 +213,10 @@ func spansFromHandler(t *testing.T, rec *SpanRecorder, query string) []jsonSpan 
 	if w.Code != 200 {
 		t.Fatalf("GET /debug/spans%s = %d: %s", query, w.Code, w.Body.String())
 	}
-	var out []jsonSpan
+	var out []SpanJSON
 	sc := bufio.NewScanner(strings.NewReader(w.Body.String()))
 	for sc.Scan() {
-		var js jsonSpan
+		var js SpanJSON
 		if err := json.Unmarshal(sc.Bytes(), &js); err != nil {
 			t.Fatalf("bad span line %q: %v", sc.Text(), err)
 		}

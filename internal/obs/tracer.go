@@ -12,7 +12,6 @@ package obs
 import (
 	"context"
 	"log/slog"
-	"sync"
 	"sync/atomic"
 )
 
@@ -102,57 +101,19 @@ func (o *Observer) SpanRec() *SpanRecorder {
 
 // --- Sinks ---
 
-// RingSink retains the most recent N events in a fixed ring. Tests and the
+// RingSink retains the most recent N events in a Ring. Tests and the
 // /debug/events endpoint use it to inspect recent protocol history without
-// unbounded growth.
+// unbounded growth; Snapshot is oldest first, Total counts every event ever
+// observed.
 type RingSink struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	total uint64
+	*Ring[Event]
 }
 
 // NewRingSink returns a ring retaining up to n events (n >= 1).
-func NewRingSink(n int) *RingSink {
-	if n < 1 {
-		n = 1
-	}
-	return &RingSink{buf: make([]Event, 0, n)}
-}
+func NewRingSink(n int) *RingSink { return &RingSink{NewRing[Event](n)} }
 
 // Observe implements Sink.
-func (r *RingSink) Observe(e Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-	} else {
-		r.buf[r.next] = e
-		r.next = (r.next + 1) % cap(r.buf)
-	}
-	r.total++
-}
-
-// Snapshot returns the retained events, oldest first.
-func (r *RingSink) Snapshot() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) == cap(r.buf) {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
-	}
-	return out
-}
-
-// Total reports how many events were ever observed (including overwritten).
-func (r *RingSink) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
+func (r *RingSink) Observe(e Event) { r.Add(e) }
 
 // CountSink counts events per type with atomics; tests assert on it
 // without retaining event payloads.

@@ -23,7 +23,7 @@ type srvMetrics struct {
 	expired    *obs.Counter
 	epochBumps *obs.Counter
 	conns      *obs.Gauge
-	ackWait    *metrics.LatencyHistogram
+	ackWait    *metrics.Histogram
 }
 
 // role selects which of METRICS.md's two catalogues a Server exports under:
@@ -73,7 +73,7 @@ func (s *Server) initObs(r role) {
 		expired:    counter("lease_swept_leases_total", ""),
 		epochBumps: counter("lease_epoch_bumps_total", ""),
 		conns:      reg.Gauge(name("lease_server_connections", "lease_proxy_connections")),
-		ackWait:    metrics.NewLatencyHistogram(),
+		ackWait:    new(metrics.Histogram),
 	}
 	if n := name("lease_write_ack_wait_seconds", ""); n != "" {
 		reg.RegisterHistogram(n, s.om.ackWait)

@@ -10,14 +10,6 @@ import (
 	"repro/internal/wire"
 )
 
-// TestTCPImmediate runs the shared connection suite with batching disabled,
-// pinning that the flush-per-send fallback stays a full Conn.
-func TestTCPImmediate(t *testing.T) {
-	runConnSuite(t, func(t *testing.T) (Network, string) {
-		return TCP{Immediate: true}, "127.0.0.1:0"
-	})
-}
-
 // TestTCPCloseFlushesQueued is the flush-then-close regression test: every
 // frame accepted by Send before Close must reach the peer, even when Close
 // fires before the flusher has woken up. The old implementation discarded

@@ -58,23 +58,15 @@ func benchSendMessages() []struct {
 	}
 }
 
-// runSendBench pushes b.N frames of m through a fresh connection pair and
-// waits for the receiver to drain them all, so ns/op measures delivered
-// throughput (not just enqueue cost) and allocs/op covers both endpoints.
-// The receiver drains raw pooled frames without decoding — the number
-// under test is the transport's own overhead.
-func runSendBench(b *testing.B, n Network, m wire.Message) {
-	cli, srv, cleanup := benchPair(b, n)
-	defer cleanup()
-	fr, ok := srv.(FrameBufReceiver)
-	if !ok {
-		b.Fatalf("%T does not expose RecvFrameBuf", srv)
-	}
-	count := b.N
+// drainRaw reads count raw pooled frames off srv without decoding them —
+// the number under test is the transport's own overhead — and reports on
+// the returned channel.
+func drainRaw(srv Conn, count int) <-chan error {
+	br := srv.(*tcpConn).br
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < count; i++ {
-			buf, err := fr.RecvFrameBuf()
+			buf, err := wire.ReadFrameBuf(br)
 			if err != nil {
 				done <- err
 				return
@@ -83,6 +75,17 @@ func runSendBench(b *testing.B, n Network, m wire.Message) {
 		}
 		done <- nil
 	}()
+	return done
+}
+
+// runSendBench pushes b.N frames of m through a fresh connection pair and
+// waits for the receiver to drain them all, so ns/op measures delivered
+// throughput (not just enqueue cost) and allocs/op covers both endpoints.
+func runSendBench(b *testing.B, n Network, m wire.Message) {
+	cli, srv, cleanup := benchPair(b, n)
+	defer cleanup()
+	count := b.N
+	done := drainRaw(srv, count)
 	b.ReportAllocs()
 	b.SetBytes(int64(wire.Size(m)) + 4) // body + frame header
 	b.ResetTimer()
@@ -98,28 +101,12 @@ func runSendBench(b *testing.B, n Network, m wire.Message) {
 
 // runSendBenchParallel is runSendBench with GOMAXPROCS sender goroutines
 // sharing the one connection — the shape of a loaded lease server fanning
-// invalidations and grants to a proxy. Immediate mode serializes a kernel
-// flush per frame behind sendMu; the batcher coalesces across senders.
+// invalidations and grants to a proxy; the batcher coalesces across
+// senders.
 func runSendBenchParallel(b *testing.B, n Network, m wire.Message) {
 	cli, srv, cleanup := benchPair(b, n)
 	defer cleanup()
-	fr, ok := srv.(FrameBufReceiver)
-	if !ok {
-		b.Fatalf("%T does not expose RecvFrameBuf", srv)
-	}
-	count := b.N
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < count; i++ {
-			buf, err := fr.RecvFrameBuf()
-			if err != nil {
-				done <- err
-				return
-			}
-			buf.Release()
-		}
-		done <- nil
-	}()
+	done := drainRaw(srv, b.N)
 	b.ReportAllocs()
 	b.SetBytes(int64(wire.Size(m)) + 4)
 	b.ResetTimer()
@@ -147,20 +134,8 @@ func BenchmarkBatchedSend(b *testing.B) {
 	}
 }
 
-// BenchmarkImmediateSend is the same workload with batching disabled (one
-// kernel flush per frame, the pre-batcher behavior). The ratio of its ns/op
-// to BenchmarkBatchedSend's is the per-connection message-throughput win
-// from coalescing.
-func BenchmarkImmediateSend(b *testing.B) {
-	for _, c := range benchSendMessages() {
-		c := c
-		b.Run(c.name, func(b *testing.B) { runSendBench(b, TCP{Immediate: true}, c.m) })
-	}
-}
-
-// BenchmarkBatchedSendParallel / BenchmarkImmediateSendParallel measure the
-// same pair under concurrent senders — the per-connection throughput ratio
-// the issue's ≥5× acceptance bar refers to.
+// BenchmarkBatchedSendParallel measures the same path under concurrent
+// senders.
 func BenchmarkBatchedSendParallel(b *testing.B) {
 	for _, c := range benchSendMessages() {
 		c := c
@@ -168,9 +143,36 @@ func BenchmarkBatchedSendParallel(b *testing.B) {
 	}
 }
 
-func BenchmarkImmediateSendParallel(b *testing.B) {
-	for _, c := range benchSendMessages() {
-		c := c
-		b.Run(c.name, func(b *testing.B) { runSendBenchParallel(b, TCP{Immediate: true}, c.m) })
+// BenchmarkTapDisabled gates the tap's disabled path (`make
+// bench-disabled`): with no tap attached, what Send adds to encode-and-queue
+// and Recv to read-and-decode is one nil check — 0 B/op, 0 allocs/op. Memory
+// is the transport under test because its Send and Recv do nothing else that
+// could allocate.
+func BenchmarkTapDisabled(b *testing.B) {
+	n := NewMemory()
+	l, err := n.Listen("srv:1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	cli, err := n.Dial("srv:1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+	srv, err := l.Accept()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var m wire.Message = wire.VolLease{Seq: 43, Volume: "vol-3", Epoch: 5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cli.Send(m); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.Recv(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

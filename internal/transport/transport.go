@@ -61,7 +61,7 @@ type Network interface {
 }
 
 // FromDialer is implemented by networks that can dial with an explicit
-// local identity (Memory, and wrappers that preserve the capability).
+// local identity (Memory).
 type FromDialer interface {
 	DialFrom(localHost, addr string) (Conn, error)
 }
@@ -74,15 +74,14 @@ type FromDialer interface {
 type TCP struct {
 	// DialTimeout bounds Dial; zero means 10 seconds.
 	DialTimeout time.Duration
-	// Immediate disables outbound batching: every Send encodes, writes, and
-	// flushes inline, one syscall per frame — the pre-batching behavior.
-	// Benchmarks use it to quantify the batching win; production leaves it
-	// false.
-	Immediate bool
 	// Stats, when non-nil, accumulates batch accounting (flushes, coalesced
 	// frames, batch-size histogram) across every connection this network
 	// creates or accepts.
 	Stats *BatchStats
+	// Taps observe every connection this network creates or accepts: each
+	// message crossing one yields exactly one Frame, with the encode or
+	// decode timed apart from the socket. Empty means unobserved.
+	Taps []Tap
 }
 
 var _ Network = TCP{}
@@ -130,10 +129,9 @@ func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 const closeFlushTimeout = 5 * time.Second
 
 // maxQueuedFrames bounds the outbound batch queue. A sender that outruns
-// the flusher blocks here (classic backpressure, like the pre-batcher
-// flush-per-send path) instead of growing the queue without limit — which
-// would both unbound memory and starve the buffer pool, since every queued
-// frame pins a pooled Buf.
+// the flusher blocks here (classic backpressure) instead of growing the
+// queue without limit — which would both unbound memory and starve the
+// buffer pool, since every queued frame pins a pooled Buf.
 const maxQueuedFrames = 1024
 
 // connBufSize sizes the per-connection buffered reader and writer. The
@@ -151,12 +149,10 @@ const connBufSize = 64 << 10
 // pays one syscall and a burst pays one flush for the whole batch. The cost
 // is one flusher-goroutine wakeup in the latency path of an isolated frame
 // — microseconds, visible in loopback ping-pong microbenchmarks, noise
-// against real network round trips (Immediate restores inline flushing
-// where that trade is wrong).
+// against real network round trips.
 //
 // The queue is bounded at maxQueuedFrames: a sender that outruns the
-// flusher blocks on qRoom until a drain frees room, restoring the blocking
-// semantics of the pre-batcher flush-per-send path and keeping pooled Bufs
+// flusher blocks on qRoom until a drain frees room, keeping pooled Bufs
 // from piling up. The protocol layers above bound outstanding traffic
 // anyway (ack-gated invalidation, one RPC per client sequence), so queues
 // stay shallow in practice; see DESIGN.md §11.
@@ -164,13 +160,13 @@ type tcpConn struct {
 	c  net.Conn
 	br *bufio.Reader
 
-	// sendMu serializes the buffered writer: the flusher's drain in batched
-	// mode, every Send in immediate mode, and the final flush in Close.
+	// sendMu serializes the buffered writer (the flusher's drains) and
+	// guards the header scratch.
 	sendMu sync.Mutex
 	bw     *bufio.Writer
 
-	immediate bool
-	stats     *BatchStats
+	stats *BatchStats
+	tap   *connTap // nil when no tap observes this connection
 
 	// err is the sticky write error: after the first failed write or flush
 	// every subsequent Send fails fast without touching the socket.
@@ -195,21 +191,17 @@ type tcpConn struct {
 
 func newTCPConn(c net.Conn, opts TCP) *tcpConn {
 	t := &tcpConn{
-		c:         c,
-		br:        bufio.NewReaderSize(c, connBufSize),
-		bw:        bufio.NewWriterSize(c, connBufSize),
-		immediate: opts.Immediate,
-		stats:     opts.Stats,
-		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
-		flushed:   make(chan struct{}),
+		c:       c,
+		br:      bufio.NewReaderSize(c, connBufSize),
+		bw:      bufio.NewWriterSize(c, connBufSize),
+		stats:   opts.Stats,
+		tap:     newConnTap(opts.Taps, c.LocalAddr().String(), c.RemoteAddr().String()),
+		kick:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		flushed: make(chan struct{}),
 	}
 	t.qRoom.L = &t.qMu
-	if t.immediate {
-		close(t.flushed) // no flusher to wait for
-	} else {
-		go t.flushLoop()
-	}
+	go t.flushLoop()
 	return t
 }
 
@@ -223,58 +215,67 @@ func (t *tcpConn) sendErr() error {
 //lint:allow hotalloc — sticky-error install; the CAS succeeds at most once per connection lifetime, so the &err box is a cold one-time cost
 func (t *tcpConn) setErr(err error) { t.err.CompareAndSwap(nil, &err) }
 
-// getBuf hands out an encode buffer: in batched mode the flusher recycles
-// drained Bufs into a per-connection freelist, which keeps the hot path off
-// the global sync.Pool (whose cross-goroutine handoff — Send allocates,
-// flusher releases — is measurably slower than a mutex-guarded stack).
-func (t *tcpConn) getBuf() *wire.Buf {
-	if !t.immediate {
-		t.qMu.Lock()
-		if n := len(t.free); n > 0 {
-			b := t.free[n-1]
-			t.free[n-1] = nil
-			t.free = t.free[:n-1]
-			t.qMu.Unlock()
-			return b
-		}
-		t.qMu.Unlock()
+// encode renders m into a pooled buffer. The flusher recycles drained Bufs
+// into a per-connection freelist, which keeps the hot path off the global
+// sync.Pool (whose cross-goroutine handoff — Send allocates, flusher
+// releases — is measurably slower than a mutex-guarded stack).
+func (t *tcpConn) encode(m wire.Message) (*wire.Buf, error) {
+	var buf *wire.Buf
+	t.qMu.Lock()
+	if n := len(t.free); n > 0 {
+		buf = t.free[n-1]
+		t.free[n-1] = nil
+		t.free = t.free[:n-1]
 	}
-	return wire.GetBuf()
-}
-
-func (t *tcpConn) Send(m wire.Message) error {
-	buf := t.getBuf()
+	t.qMu.Unlock()
+	if buf == nil {
+		buf = wire.GetBuf()
+	}
 	b, err := wire.AppendEncode(buf.B[:0], m)
 	if err != nil {
 		buf.Release()
-		return err
+		return nil, err
 	}
 	buf.B = b
-	return t.SendFrameBuf(buf)
+	return buf, nil
 }
 
-// SendFrameBuf queues a pre-encoded frame body for transmission, taking
-// ownership of buf: the connection releases it once the bytes reach the
-// buffered writer (or the send fails). In batched mode this only enqueues
-// and kicks the flusher; in immediate mode it writes and flushes inline.
-//
-//lint:hotpath
-func (t *tcpConn) SendFrameBuf(buf *wire.Buf) error {
-	if t.immediate {
-		t.sendMu.Lock()
-		err := t.sendErr()
-		if err == nil {
-			if err = t.writeFrame(buf.B); err == nil {
-				err = t.bw.Flush()
-			}
-			if err != nil {
-				t.setErr(err)
-			}
-		}
-		t.sendMu.Unlock()
-		buf.Release()
+func (t *tcpConn) Send(m wire.Message) error {
+	if t.tap != nil {
+		return t.sendTapped(m)
+	}
+	buf, err := t.encode(m)
+	if err != nil {
 		return err
 	}
+	return t.enqueue(buf)
+}
+
+// sendTapped is Send with the encode timed apart from the queue, which can
+// block on backpressure.
+func (t *tcpConn) sendTapped(m wire.Message) error {
+	//lint:allow clockcheck — codec timing is real elapsed time by design
+	t0 := time.Now()
+	buf, err := t.encode(m)
+	//lint:allow clockcheck — codec timing is real elapsed time by design
+	codec := time.Since(t0)
+	if err != nil {
+		return err
+	}
+	size := len(buf.B) // read before enqueue takes ownership
+	if err := t.enqueue(buf); err != nil {
+		return err
+	}
+	t.tap.emit(true, m, size, codec)
+	return nil
+}
+
+// enqueue queues an encoded frame body for the flusher, taking ownership of
+// buf: the connection releases it once the bytes reach the buffered writer
+// (or the send fails).
+//
+//lint:hotpath
+func (t *tcpConn) enqueue(buf *wire.Buf) error {
 	t.qMu.Lock()
 	for !t.closed && len(t.q) >= maxQueuedFrames && t.sendErr() == nil {
 		t.qRoom.Wait() // backpressure: the flusher signals after each drain
@@ -355,7 +356,7 @@ func (t *tcpConn) drain() {
 		t.sendMu.Unlock()
 		t.stats.record(len(batch))
 
-		// Recycle the drained Bufs into the freelist for getBuf, and hand the
+		// Recycle the drained Bufs into the freelist for encode, and hand the
 		// backing array back as spare. Both must happen before senders can
 		// append over the array, so everything runs under one qMu hold;
 		// Release (freelist full, or an oversized one-off frame) is the rare
@@ -401,16 +402,29 @@ func (t *tcpConn) Recv() (wire.Message, error) {
 	if err != nil {
 		return nil, err
 	}
+	if t.tap != nil {
+		return t.decodeTapped(buf)
+	}
 	m, err := wire.Decode(buf.B)
 	buf.Release()
 	return m, err
 }
 
-// RecvFrameBuf returns the next raw frame body in a pooled buffer (see
-// FrameBufReceiver). The caller owns the Buf and must Release it.
-//
-//lint:hotpath
-func (t *tcpConn) RecvFrameBuf() (*wire.Buf, error) { return wire.ReadFrameBuf(t.br) }
+// decodeTapped is Recv's decode with the clock around it.
+func (t *tcpConn) decodeTapped(buf *wire.Buf) (wire.Message, error) {
+	//lint:allow clockcheck — codec timing is real elapsed time by design
+	t0 := time.Now()
+	m, err := wire.Decode(buf.B)
+	//lint:allow clockcheck — codec timing is real elapsed time by design
+	codec := time.Since(t0)
+	size := len(buf.B)
+	buf.Release()
+	if err != nil {
+		return nil, err
+	}
+	t.tap.emit(false, m, size, codec)
+	return m, nil
+}
 
 // Close flushes queued frames, then tears the connection down: frames
 // accepted by Send are on the wire before the socket closes. A write
@@ -419,22 +433,13 @@ func (t *tcpConn) RecvFrameBuf() (*wire.Buf, error) { return wire.ReadFrameBuf(t
 func (t *tcpConn) Close() error {
 	t.closeOnce.Do(func() {
 		t.qMu.Lock()
-		t.closed = true     // no frames enqueue after this; see SendFrameBuf
+		t.closed = true     // no frames enqueue after this; see enqueue
 		t.qRoom.Broadcast() // senders blocked on backpressure fail with ErrClosed
 		t.qMu.Unlock()
 		//lint:allow clockcheck — socket I/O deadline for the close-flush, not lease time
 		t.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
 		close(t.done)
-		<-t.flushed // batched mode: the flusher's final drain has completed
-		if t.immediate {
-			t.sendMu.Lock()
-			if t.sendErr() == nil {
-				if err := t.bw.Flush(); err != nil {
-					t.setErr(err)
-				}
-			}
-			t.sendMu.Unlock()
-		}
+		<-t.flushed // the flusher's final drain has completed
 		t.closeErr = t.c.Close()
 		t.qMu.Lock()
 		for i, b := range t.free { // return recycled Bufs to the shared pool
@@ -459,6 +464,11 @@ func (t *tcpConn) RemoteAddr() string { return t.c.RemoteAddr().String() }
 // partitioned link are silently dropped, modeling the paper's unreachable
 // clients (the sender cannot tell a drop from a slow peer).
 type Memory struct {
+	// Taps observe both ends of every connection, as TCP.Taps does; sizes
+	// are wire.Size and codec time is zero, since nothing is serialized. Set
+	// before the first Dial.
+	Taps []Tap
+
 	mu         sync.Mutex
 	listeners  map[string]*memListener
 	partitions map[[2]string]struct{}
@@ -556,10 +566,12 @@ func (n *Memory) DialFrom(localHost, addr string) (Conn, error) {
 		net: n, local: localHost + ":0", remote: addr,
 		in: make(chan wire.Message, 1024), done: make(chan struct{}),
 	}
+	clientSide.tap = newConnTap(n.Taps, clientSide.local, clientSide.remote)
 	serverSide := &memConn{
 		net: n, local: addr, remote: localHost + ":0",
 		in: make(chan wire.Message, 1024), done: make(chan struct{}),
 	}
+	serverSide.tap = newConnTap(n.Taps, serverSide.local, serverSide.remote)
 	clientSide.peer, serverSide.peer = serverSide, clientSide
 
 	select {
@@ -596,10 +608,11 @@ func (l *memListener) Accept() (Conn, error) {
 
 func (l *memListener) Close() error {
 	l.closeOnce.Do(func() {
-		close(l.done())
+		// Unbind before waking Accept: whoever sees ErrClosed can rebind.
 		l.net.mu.Lock()
 		delete(l.net.listeners, l.addr)
 		l.net.mu.Unlock()
+		close(l.done())
 	})
 	return nil
 }
@@ -612,6 +625,7 @@ type memConn struct {
 	remote string
 	peer   *memConn
 	in     chan wire.Message
+	tap    *connTap // nil when no tap observes this connection
 
 	// Delayed delivery (SetLatency) runs through a single per-connection
 	// goroutine draining delayQ in FIFO order. One goroutine per direction
@@ -640,6 +654,9 @@ func (c *memConn) Send(m wire.Message) error {
 	case <-c.done:
 		return ErrClosed
 	default:
+	}
+	if c.tap != nil {
+		c.tap.emit(true, m, wire.Size(m), 0)
 	}
 	if c.net.Partitioned(Host(c.local), Host(c.remote)) {
 		return nil // dropped in flight: the sender cannot tell
@@ -730,18 +747,21 @@ func (c *memConn) deliverLoop() {
 }
 
 func (c *memConn) Recv() (wire.Message, error) {
+	var m wire.Message
 	select {
-	case m := <-c.in:
-		return m, nil
+	case m = <-c.in:
 	case <-c.done:
 		// Drain anything already delivered before the close.
 		select {
-		case m := <-c.in:
-			return m, nil
+		case m = <-c.in:
 		default:
 			return nil, ErrClosed
 		}
 	}
+	if c.tap != nil {
+		c.tap.emit(false, m, wire.Size(m), 0)
+	}
+	return m, nil
 }
 
 func (c *memConn) Close() error {

@@ -239,6 +239,8 @@ func ReadFrame(r io.Reader) (Message, error) {
 // buffer. The caller owns the returned Buf and must Release it once the
 // body has been decoded (Decode copies every variable-length field, so the
 // decoded message never aliases the buffer).
+//
+//lint:hotpath
 func ReadFrameBuf(r io.Reader) (*Buf, error) {
 	// The header is read into the pooled buffer rather than a local array:
 	// a stack [4]byte would escape through the io.Reader interface call and
