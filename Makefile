@@ -58,7 +58,7 @@ bench:
 # BenchmarkConcurrentWrites, whose writes/s metric across 1/4/16 volumes is
 # the sharded write path's scaling curve. Parameterized so CI can run a
 # short preset: `make bench-json BENCH_PKGS=./internal/obs BENCH_FLAGS=...`.
-BENCH_OUT   ?= BENCH_PR16.json
+BENCH_OUT   ?= BENCH_PR18.json
 BENCH_PKGS  ?= ./...
 BENCH_FLAGS ?= -bench=. -benchmem
 bench-json:
@@ -74,20 +74,22 @@ bench-json:
 # loopback socket pair, so their ns/op carries scheduler and kernel noise —
 # they get wide ns slack and rely on the exact alloc gate (and the
 # bench-wirepath zero-alloc check) instead.
-# BENCH_PR13.json and BENCH_PR16.json were taken on a different host from
+# BENCH_PR13.json and BENCH_PR18.json were taken on a different host from
 # BENCH_PR8.json: the wire codec, untouched since PR 8, measures ~30% slower
 # on its payload-copying rows at the PR 12 commit there too, so its ns/op gets
 # the slack CI already gives it (allocs stay exact). On that host single
 # 1-second rows of untouched code swing past these limits from run to run, at
-# the PR 16 parent commit too, so BENCH_PR16.json keeps each row's fastest of
+# the PR 16 parent commit too, so the snapshot keeps each row's fastest of
 # three `GOMAXPROCS=1 make bench-json` runs (allocs/op agree across the runs).
+# BENCH_PR18.json is that PR 16 snapshot renamed, with BenchmarkReadHit
+# re-measured the same way and BenchmarkClockNow/BenchmarkClockMono added.
 # BenchmarkProxyWriteFanout's proxy hop has run the server's own invalidation
 # round since PR 13 — per-object write guard, per-connection flusher queue,
 # requests parked instead of spawned — which is five more small allocations
 # per read-then-write iteration than the proxy's old private round (44 -> 49;
 # 46 since PR 16 stopped copying payloads out of the table and the cache).
 BENCH_BASE ?= BENCH_PR8.json
-BENCH_CAND ?= BENCH_PR16.json
+BENCH_CAND ?= BENCH_PR18.json
 bench-diff:
 	$(GO) run ./cmd/benchdiff \
 		-rule 'repro Benchmark=alloc:0.01' \

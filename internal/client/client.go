@@ -8,8 +8,11 @@
 // A Client owns one connection to one server. Reads are strongly
 // consistent: a read never returns data that the server had overwritten
 // (and committed) before the read began, as long as clocks advance at the
-// same rate (lease expiry needs no absolute synchronization, only bounded
-// drift, which the Skew margin absorbs).
+// same rate. A lease is anchored on the client's monotonic clock the moment
+// it is installed and checked against that clock alone afterwards, so a step
+// of the client's wall clock neither extends nor shortens a lease it holds;
+// the wall clocks of client and server have to agree (within Skew) only at
+// the instant of install, because the wire still carries an absolute expiry.
 package client
 
 import (
@@ -52,7 +55,8 @@ func (e *ServerError) Error() string {
 type Config struct {
 	// ID identifies this client to the server.
 	ID core.ClientID
-	// Clock drives lease validity checks; defaults to the wall clock.
+	// Clock drives lease validity checks (its Mono reading) and stamps
+	// events and snapshots (its Now); defaults to the system clock.
 	Clock clock.Clock
 	// Skew is the safety margin subtracted from lease expiries before
 	// trusting them, absorbing clock drift and message latency. Defaults
@@ -120,8 +124,13 @@ func (c *Config) fillDefaults() {
 
 // lease is a lease as the holder sees it. The zero value is no lease.
 type lease struct {
-	expire time.Time // as granted
-	until  time.Time // expire less Config.Skew: trusted strictly before this
+	// expire is the grant's expiry as the server stamped it: what snapshots
+	// show and what a proxy caps its sub-leases at. No validity check reads
+	// it.
+	expire time.Time
+	// until is the instant on this client's Clock.Mono timeline strictly
+	// before which the lease is trusted; set only by granted.
+	until time.Duration
 }
 
 // objState is one cached object.

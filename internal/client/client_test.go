@@ -459,22 +459,25 @@ func TestLeaseInfoAccessors(t *testing.T) {
 	fs := newFakeServer(t)
 	fs.scriptedGrants("payload")
 	c := dialClient(t, fs, nil)
-	if _, _, ok := c.LeaseInfo("obj"); ok {
+	if _, _, _, ok := c.LeaseInfo("obj"); ok {
 		t.Error("LeaseInfo before read reported a lease")
 	}
-	if _, _, ok := c.VolumeLeaseInfo("vol"); ok {
+	if _, _, _, ok := c.VolumeLeaseInfo("vol"); ok {
 		t.Error("VolumeLeaseInfo before read reported a lease")
 	}
+	before := time.Now()
 	if _, err := c.Read("vol", "obj"); err != nil {
 		t.Fatal(err)
 	}
-	v, expire, ok := c.LeaseInfo("obj")
-	if !ok || v != 1 || !expire.After(time.Now()) {
-		t.Errorf("LeaseInfo = %d %v %v", v, expire, ok)
+	// trusted is what is left of the term once Skew is off, so it is
+	// positive and short of the whole term as it stood before the grant.
+	v, expire, trusted, ok := c.LeaseInfo("obj")
+	if !ok || v != 1 || !expire.After(time.Now()) || trusted <= 0 || trusted >= expire.Sub(before) {
+		t.Errorf("LeaseInfo = %d %v %v %v", v, expire, trusted, ok)
 	}
-	vexp, epoch, ok := c.VolumeLeaseInfo("vol")
-	if !ok || epoch != 0 || !vexp.After(time.Now()) {
-		t.Errorf("VolumeLeaseInfo = %v %d %v", vexp, epoch, ok)
+	vexp, epoch, trusted, ok := c.VolumeLeaseInfo("vol")
+	if !ok || epoch != 0 || !vexp.After(time.Now()) || trusted <= 0 || trusted >= vexp.Sub(before) {
+		t.Errorf("VolumeLeaseInfo = %v %d %v %v", vexp, epoch, trusted, ok)
 	}
 }
 
@@ -534,7 +537,7 @@ func TestApplyInvalRenewRenewsMatchingVersion(t *testing.T) {
 	if err := c.RenewVolume("vol2"); err != nil {
 		t.Fatal(err)
 	}
-	_, expire, ok := c.LeaseInfo("obj")
+	_, expire, _, ok := c.LeaseInfo("obj")
 	if !ok {
 		t.Fatal("lease lost after renew vector")
 	}

@@ -20,17 +20,19 @@ func (c *Client) Read(vid core.VolumeID, oid core.ObjectID) ([]byte, error) {
 	// validity check a few times before giving up.
 	contacted := false
 	for attempt := 0; attempt < 4; attempt++ {
-		now := c.cfg.Clock.Now()
+		// The one clock reading of a hit, and a fresh one on every attempt: a
+		// deadline is safe only against the time it is now.
+		now := c.cfg.Clock.Mono()
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return nil, ErrClosed
 		}
 		o := c.cachedLocked(oid)
-		objOK := o != nil && o.until.After(now)
+		objOK := o != nil && o.until > now
 		var volOK bool
 		if o != nil && o.volume == vid {
-			volOK = o.vol.until.After(now) // the hit: no second map lookup
+			volOK = o.vol.until > now // the hit: no second map lookup
 		} else {
 			volOK = c.volValidLocked(vid, now)
 		}
@@ -44,9 +46,10 @@ func (c *Client) Read(vid core.VolumeID, oid core.ObjectID) ([]byte, error) {
 			if c.cfg.Obs.Tracing() {
 				// Emitted under c.mu so the audit model observes this read
 				// strictly before any invalidation the client acknowledges
-				// next (the ack is what releases a pending write).
+				// next (the ack is what releases a pending write). emit
+				// stamps it: only a traced hit reads the wall clock.
 				c.emit(obs.Event{Type: obs.EvCacheRead, Object: oid, Volume: vid,
-					Version: o.version, At: now})
+					Version: o.version})
 			}
 			c.mu.Unlock()
 			return data, nil
@@ -173,16 +176,36 @@ func (c *Client) startSpan() (sr *obs.SpanRecorder, traceID, spanID uint64, star
 	return sr, traceID, sr.NewID(), c.cfg.Clock.Now()
 }
 
-// granted is the lease to install for a grant expiring at expire. The skew
-// margin is taken off here, once, so a validity check is one comparison.
-func (c *Client) granted(expire time.Time) lease {
-	return lease{expire: expire, until: expire.Add(-c.cfg.Skew)}
+// anchor is one reading of the client's two clocks, taken when a reply that
+// grants leases arrives: where its expiries are moved from the wall timeline
+// onto the monotonic one.
+type anchor struct {
+	mono time.Duration
+	wall time.Time
 }
 
-// volValidLocked checks the volume lease under c.mu.
-func (c *Client) volValidLocked(vid core.VolumeID, now time.Time) bool {
+// anchorNow samples the clocks, once per received message however many
+// leases it carries. The monotonic reading is taken first, so a preemption
+// between the two makes the remaining term look shorter, never longer.
+func (c *Client) anchorNow() anchor {
+	mono := c.cfg.Clock.Mono()
+	return anchor{mono: mono, wall: c.cfg.Clock.Now()}
+}
+
+// granted is the lease to install for a grant expiring at expire, received
+// at a: the term still ahead on the wall clock (the one place the client's
+// wall clock is assumed to agree with the server's), less the skew margin,
+// laid off from a on the monotonic clock. Every later validity check is one
+// comparison against Clock.Mono and never looks at the wall clock again.
+func (c *Client) granted(a anchor, expire time.Time) lease {
+	return lease{expire: expire, until: a.mono + expire.Sub(a.wall) - c.cfg.Skew}
+}
+
+// volValidLocked checks the volume lease under c.mu against a Clock.Mono
+// reading.
+func (c *Client) volValidLocked(vid core.VolumeID, now time.Duration) bool {
 	v, ok := c.vols[vid]
-	return ok && v.until.After(now)
+	return ok && v.until > now
 }
 
 // volLocked returns vid's volume state, creating it (no lease, epoch
@@ -201,7 +224,7 @@ func (c *Client) volLocked(vid core.VolumeID) *volState {
 func (c *Client) HasVolumeLease(vid core.VolumeID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.volValidLocked(vid, c.cfg.Clock.Now())
+	return c.volValidLocked(vid, c.cfg.Clock.Mono())
 }
 
 // renewObject runs the REQ_OBJ_LEASE round (Figure 4, "Client requests
@@ -237,6 +260,7 @@ func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) error {
 		return fmt.Errorf("client: unexpected %s reply to object lease request", m.Kind())
 	}
 
+	at := c.anchorNow()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.invalGen[oid] != gen {
@@ -253,7 +277,7 @@ func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) error {
 		c.objs[oid] = o
 	}
 	o.volume, o.vol = vid, c.volLocked(vid)
-	o.lease = c.granted(reply.Expire)
+	o.lease = c.granted(at, reply.Expire)
 	o.version = reply.Version
 	if reply.HasData {
 		o.data = reply.Data
@@ -314,9 +338,10 @@ func (c *Client) RenewVolume(vid core.VolumeID) error {
 	for round := 0; round < 8; round++ {
 		switch v := m.(type) {
 		case wire.VolLease:
+			at := c.anchorNow()
 			c.mu.Lock()
 			vs := c.volLocked(vid)
-			vs.lease, vs.epoch, vs.known = c.granted(v.Expire), v.Epoch, true
+			vs.lease, vs.epoch, vs.known = c.granted(at, v.Expire), v.Epoch, true
 			c.mu.Unlock()
 			return nil
 
@@ -359,6 +384,7 @@ func (c *Client) applyInvalRenew(v wire.InvalRenew) {
 		// client-initiated), so the hook sees a zero one.
 		c.cfg.OnInvalidate(v.Invalidate, wire.TraceContext{})
 	}
+	at := c.anchorNow()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range v.Renew {
@@ -373,7 +399,7 @@ func (c *Client) applyInvalRenew(v wire.InvalRenew) {
 			}
 			continue
 		}
-		o.lease = c.granted(r.Expire)
+		o.lease = c.granted(at, r.Expire)
 	}
 }
 
@@ -393,12 +419,20 @@ func (c *Client) heldObjects(vid core.VolumeID) []core.HeldObject {
 	return held
 }
 
-// LeaseInfo reports the client's lease on an object: its cached version and
-// expiry time. ok is false when no copy is cached. Hierarchical caches use
-// it to bound the sub-leases they grant downstream.
-func (c *Client) LeaseInfo(oid core.ObjectID) (version core.Version, expire time.Time, ok bool) {
-	_, version, expire, ok = c.Cached(oid)
-	return version, expire, ok
+// LeaseInfo reports the client's lease on an object: its cached version, the
+// expiry as the server granted it, and trusted, how much longer this client
+// will itself serve reads under it — its own monotonic-clock verdict, the skew
+// margin already off; zero or negative once the lease has lapsed. ok is false
+// when no copy is cached. Hierarchical caches grant a sub-lease only while
+// trusted is positive and cap it at expire.
+func (c *Client) LeaseInfo(oid core.ObjectID) (version core.Version, expire time.Time, trusted time.Duration, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	o := c.cachedLocked(oid)
+	if o == nil {
+		return 0, time.Time{}, 0, false
+	}
+	return o.version, o.expire, o.until - c.cfg.Clock.Mono(), true
 }
 
 // Cached reports the cached copy of an object together with the version and
@@ -416,14 +450,15 @@ func (c *Client) Cached(oid core.ObjectID) (data []byte, version core.Version, e
 	return o.data, o.version, o.expire, true
 }
 
-// VolumeLeaseInfo reports the client's lease on a volume: expiry and epoch.
-// ok is false when the client never obtained one.
-func (c *Client) VolumeLeaseInfo(vid core.VolumeID) (expire time.Time, epoch core.Epoch, ok bool) {
+// VolumeLeaseInfo reports the client's lease on a volume: expiry as granted,
+// epoch, and trusted as in LeaseInfo. ok is false when the client never
+// obtained one.
+func (c *Client) VolumeLeaseInfo(vid core.VolumeID) (expire time.Time, epoch core.Epoch, trusted time.Duration, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, found := c.vols[vid]
 	if !found || !v.known {
-		return time.Time{}, 0, false
+		return time.Time{}, 0, 0, false
 	}
-	return v.expire, v.epoch, true
+	return v.expire, v.epoch, v.until - c.cfg.Clock.Mono(), true
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/client"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -27,9 +28,16 @@ var readLeases = core.Config{ObjectLease: 10 * time.Minute, VolumeLease: 10 * ti
 // in-place overwrite on either side would show on the other.
 func readEnv(tb testing.TB, o *obs.Observer, objects int) (*server.Server, *client.Client) {
 	tb.Helper()
+	return readEnvOn(tb, o, objects, readLeases, nil, nil)
+}
+
+// readEnvOn is readEnv with the lease terms and each end's clock chosen (nil:
+// the system clock).
+func readEnvOn(tb testing.TB, o *obs.Observer, objects int, leases core.Config, srvClock, cliClock clock.Clock) (*server.Server, *client.Client) {
+	tb.Helper()
 	net := transport.NewMemory()
 	srv, err := server.New(server.Config{
-		Name: "srv", Addr: "srv:1", Net: net, Obs: o, Table: readLeases,
+		Name: "srv", Addr: "srv:1", Net: net, Obs: o, Table: leases, Clock: srvClock,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -43,7 +51,7 @@ func readEnv(tb testing.TB, o *obs.Observer, objects int) (*server.Server, *clie
 			tb.Fatal(err)
 		}
 	}
-	c, err := client.Dial(net, "srv:1", client.Config{ID: "reader", Skew: 5 * time.Millisecond, Obs: o})
+	c, err := client.Dial(net, "srv:1", client.Config{ID: "reader", Skew: 5 * time.Millisecond, Obs: o, Clock: cliClock})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -116,6 +124,117 @@ func TestReadHitZeroAlloc(t *testing.T) {
 	}
 	if local, viaServer, _ := c.Stats(); viaServer != 1 || local != 1002 {
 		t.Errorf("Stats = %d local, %d via server; want 1002, 1", local, viaServer)
+	}
+}
+
+// countingClock counts the calls a client makes on its clock.
+type countingClock struct {
+	clock.Clock
+	now, mono, timers atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time      { c.now.Add(1); return c.Clock.Now() }
+func (c *countingClock) Mono() time.Duration { c.mono.Add(1); return c.Clock.Mono() }
+func (c *countingClock) Sleep(d time.Duration) {
+	c.timers.Add(1)
+	c.Clock.Sleep(d)
+}
+func (c *countingClock) After(d time.Duration) <-chan time.Time {
+	c.timers.Add(1)
+	return c.Clock.After(d)
+}
+
+// TestReadHitReadsClockOnce pins the hit path's cost as a count: a
+// valid-lease read takes one monotonic reading and nothing else from the
+// clock; an attached tracer adds the one wall reading that stamps the
+// cache-read event.
+func TestReadHitReadsClockOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		o       *obs.Observer
+		wantNow int64
+	}{
+		{"untraced", nil, 0},
+		{"traced", &obs.Observer{Tracer: obs.NewTracer(obs.NewRingSink(16))}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := &countingClock{Clock: clock.Real{}}
+			_, c := readEnvOn(t, tc.o, 1, readLeases, nil, clk)
+			if _, err := c.Read("vol", "o0"); err != nil {
+				t.Fatal(err)
+			}
+			now, mono, timers := clk.now.Load(), clk.mono.Load(), clk.timers.Load()
+			if _, err := c.Read("vol", "o0"); err != nil {
+				t.Fatal(err)
+			}
+			if local, _, _ := c.Stats(); local != 1 {
+				t.Fatalf("second read was not a hit: %d local reads", local)
+			}
+			now, mono, timers = clk.now.Load()-now, clk.mono.Load()-mono, clk.timers.Load()-timers
+			if mono != 1 || now != tc.wantNow || timers != 0 {
+				t.Errorf("a hit made %d Mono, %d Now, %d After/Sleep calls; want 1, %d, 0", mono, now, timers, tc.wantNow)
+			}
+		})
+	}
+}
+
+// steppedEnv is a server granting one-second object leases (the volume lease
+// is long) and a client on the same simulated timeline whose wall clock the
+// test can step.
+func steppedEnv(t *testing.T) (*clock.Simulated, *clock.Offset, *client.Client) {
+	t.Helper()
+	sim := clock.NewSimulated(clock.Epoch)
+	wall := &clock.Offset{Clock: sim}
+	leases := core.Config{ObjectLease: time.Second, VolumeLease: 10 * time.Minute, Mode: core.ModeEager}
+	_, c := readEnvOn(t, nil, 1, leases, sim, wall)
+	if _, err := c.Read("vol", "o0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Read("vol", "o0"); err != nil {
+		t.Fatal(err)
+	}
+	if local, viaServer, _ := c.Stats(); local != 1 || viaServer != 1 {
+		t.Fatalf("warm-up: %d local, %d via server; want 1, 1", local, viaServer)
+	}
+	return sim, wall, c
+}
+
+// TestLeaseNotExtendedByWallStepBack: a lease is a term on the holder's
+// monotonic clock, so setting the holder's wall clock back after the grant
+// must not keep it alive. Compared on the wall clock (expire − Skew against
+// Now), the stepped clock reads an hour before the expiry and the stale copy
+// is served locally.
+func TestLeaseNotExtendedByWallStepBack(t *testing.T) {
+	sim, wall, c := steppedEnv(t)
+	wall.Step(-time.Hour)
+	sim.Advance(2 * time.Second) // the one-second lease is over
+	if _, err := c.Read("vol", "o0"); err != nil {
+		t.Fatal(err)
+	}
+	if local, viaServer, _ := c.Stats(); local != 1 || viaServer != 2 {
+		t.Errorf("read after the lease lapsed: %d local, %d via server; want 1, 2 (it must go to the server)", local, viaServer)
+	}
+}
+
+// TestLeaseNotCutShortByWallStepForward is the twin: a forward step takes
+// nothing off a lease already held, and adds nothing either.
+func TestLeaseNotCutShortByWallStepForward(t *testing.T) {
+	sim, wall, c := steppedEnv(t)
+	wall.Step(time.Hour)
+	sim.Advance(500 * time.Millisecond) // half the term
+	if _, err := c.Read("vol", "o0"); err != nil {
+		t.Fatal(err)
+	}
+	if local, viaServer, _ := c.Stats(); local != 2 || viaServer != 1 {
+		t.Errorf("read half-way through the term: %d local, %d via server; want 2, 1 (still a hit)", local, viaServer)
+	}
+	sim.Advance(time.Second)
+	// Whether the renewal then succeeds is the server's and the client's wall
+	// clocks agreeing at install, which they no longer do; either way the
+	// lapsed lease serves nothing.
+	_, _ = c.Read("vol", "o0")
+	if local, _, _ := c.Stats(); local != 2 {
+		t.Errorf("read after the term: %d local reads, want 2 (not a hit)", local)
 	}
 }
 

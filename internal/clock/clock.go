@@ -10,6 +10,7 @@ package clock
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,6 +19,12 @@ import (
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
+	// Mono returns the time elapsed since a fixed origin of this clock's
+	// choosing: never negative, never decreasing, and untouched by steps of
+	// the wall clock. It is the reading a lease holder checks a deadline
+	// against — a single clock read where Now samples two — and it is
+	// comparable only with other Mono readings of the same clock.
+	Mono() time.Duration
 	// After returns a channel that delivers the then-current time once d has
 	// elapsed. For simulated clocks the channel fires when the simulated time
 	// passes Now()+d.
@@ -31,14 +38,37 @@ type Real struct{}
 
 var _ Clock = Real{}
 
+// realOrigin is the origin of Real.Mono. It carries a monotonic reading, so
+// time.Since(realOrigin) never consults the wall clock.
+var realOrigin = time.Now()
+
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
+
+// Mono implements Clock.
+func (Real) Mono() time.Duration { return time.Since(realOrigin) }
 
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
+
+// Offset is a Clock whose wall reading is displaced from its parent's: one
+// node's wall clock, set wrong or stepped by an operator, over a timeline the
+// node otherwise shares. Only Now is shifted; After, Sleep and Mono are the
+// parent's, as a wall-clock step leaves a host's timers and monotonic clock
+// alone.
+type Offset struct {
+	Clock
+	by atomic.Int64 // time.Duration added to the parent's Now
+}
+
+// Step moves the wall reading by d from where it stands; negative is back.
+func (o *Offset) Step(d time.Duration) { o.by.Add(int64(d)) }
+
+// Now implements Clock.
+func (o *Offset) Now() time.Time { return o.Clock.Now().Add(time.Duration(o.by.Load())) }
 
 // Epoch is the zero point used by simulated clocks. Trace timestamps are
 // interpreted as seconds since Epoch. The specific date is arbitrary but
@@ -62,6 +92,7 @@ func Seconds(t time.Time) float64 {
 type Simulated struct {
 	mu      sync.Mutex
 	now     time.Time
+	origin  time.Time // where the clock started: Mono's zero
 	waiters []*waiter
 }
 
@@ -78,17 +109,32 @@ func NewSimulated(start time.Time) *Simulated {
 	if start.IsZero() {
 		start = Epoch
 	}
-	return &Simulated{now: start}
+	return &Simulated{now: start, origin: start}
+}
+
+// begin positions a zero-value clock at Epoch. It must be called with mu
+// held, before now is read.
+func (s *Simulated) begin() {
+	if s.now.IsZero() {
+		s.now, s.origin = Epoch, Epoch
+	}
 }
 
 // Now implements Clock.
 func (s *Simulated) Now() time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.now.IsZero() {
-		s.now = Epoch
-	}
+	s.begin()
 	return s.now
+}
+
+// Mono implements Clock: the simulated time elapsed since the clock's start.
+// The clock only moves forward, so this is Now on a different origin.
+func (s *Simulated) Mono() time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.begin()
+	return s.now.Sub(s.origin)
 }
 
 // After implements Clock. The returned channel has capacity one, so the
@@ -96,9 +142,7 @@ func (s *Simulated) Now() time.Time {
 func (s *Simulated) After(d time.Duration) <-chan time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.now.IsZero() {
-		s.now = Epoch
-	}
+	s.begin()
 	ch := make(chan time.Time, 1)
 	deadline := s.now.Add(d)
 	if d <= 0 {
@@ -121,9 +165,7 @@ func (s *Simulated) Sleep(d time.Duration) {
 // has been reached.
 func (s *Simulated) Advance(d time.Duration) {
 	s.mu.Lock()
-	if s.now.IsZero() {
-		s.now = Epoch
-	}
+	s.begin()
 	s.set(s.now.Add(d))
 	s.mu.Unlock()
 }
@@ -132,6 +174,7 @@ func (s *Simulated) Advance(d time.Duration) {
 // fires any timers whose deadline has been reached.
 func (s *Simulated) AdvanceTo(t time.Time) {
 	s.mu.Lock()
+	s.begin()
 	s.set(t)
 	s.mu.Unlock()
 }

@@ -197,3 +197,91 @@ func TestSimulatedConcurrentAdvanceAndAfter(t *testing.T) {
 		t.Fatal("stale waiters survived a large advance")
 	}
 }
+
+func TestSimulatedMonoFollowsAdvance(t *testing.T) {
+	// Started well before Epoch: Mono counts from the clock's own start, so
+	// it is never negative.
+	s := NewSimulated(time.Unix(1000, 0))
+	if got := s.Mono(); got != 0 {
+		t.Fatalf("Mono() at start = %v, want 0", got)
+	}
+	s.Advance(3 * time.Second)
+	s.AdvanceTo(time.Unix(1010, 0))
+	s.AdvanceTo(time.Unix(1005, 0)) // backwards: no-op
+	if got := s.Mono(); got != 10*time.Second {
+		t.Fatalf("Mono() = %v after advancing 10s, want 10s", got)
+	}
+
+	var z Simulated
+	if got := z.Mono(); got != 0 {
+		t.Fatalf("zero Simulated.Mono() = %v, want 0", got)
+	}
+	z.AdvanceTo(Epoch.Add(time.Minute))
+	if got := z.Mono(); got != time.Minute {
+		t.Fatalf("zero Simulated.Mono() after AdvanceTo(Epoch+1m) = %v, want 1m", got)
+	}
+}
+
+func TestRealMonoNeverDecreases(t *testing.T) {
+	var c Clock = Real{}
+	last := c.Mono()
+	if last < 0 {
+		t.Fatalf("Real.Mono() = %v, want >= 0", last)
+	}
+	for i := 0; i < 1e5; i++ {
+		m := c.Mono()
+		if m < last {
+			t.Fatalf("Real.Mono went backwards: %v then %v", last, m)
+		}
+		last = m
+	}
+	time.Sleep(2 * time.Millisecond)
+	if m := c.Mono(); m-last < 2*time.Millisecond {
+		t.Fatalf("Real.Mono advanced %v across a 2ms sleep", m-last)
+	}
+}
+
+func TestOffsetShiftsOnlyNow(t *testing.T) {
+	s := NewSimulated(Epoch)
+	o := &Offset{Clock: s}
+	o.Step(-time.Hour)
+	o.Step(10 * time.Minute)
+	if want := Epoch.Add(-50 * time.Minute); !o.Now().Equal(want) {
+		t.Fatalf("Offset.Now() = %v, want %v", o.Now(), want)
+	}
+	ch := o.After(5 * time.Second)
+	s.Advance(5 * time.Second)
+	select {
+	case <-ch:
+	default:
+		t.Fatal("Offset.After did not fire with the parent's timeline")
+	}
+	if got := o.Mono(); got != 5*time.Second {
+		t.Fatalf("Offset.Mono() = %v, want the parent's 5s", got)
+	}
+	if want := Epoch.Add(-50*time.Minute + 5*time.Second); !o.Now().Equal(want) {
+		t.Fatalf("Offset.Now() = %v after Advance, want %v", o.Now(), want)
+	}
+}
+
+var (
+	sinkTime time.Time
+	sinkMono time.Duration
+)
+
+// BenchmarkClockNow and BenchmarkClockMono record what a lease holder saves
+// by checking deadlines against Mono: Real.Now samples the wall and the
+// monotonic clock, Real.Mono the monotonic clock alone — about 2 : 1.
+func BenchmarkClockNow(b *testing.B) {
+	var c Clock = Real{}
+	for i := 0; i < b.N; i++ {
+		sinkTime = c.Now()
+	}
+}
+
+func BenchmarkClockMono(b *testing.B) {
+	var c Clock = Real{}
+	for i := 0; i < b.N; i++ {
+		sinkMono = c.Mono()
+	}
+}

@@ -332,7 +332,15 @@ func WriteDump(dir string, d Dump) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("health: encode dump: %w", err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	// Written beside its final name and renamed into place, so a dump file
+	// that exists is complete: whoever watches the directory never reads a
+	// half-written one.
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return "", fmt.Errorf("health: write dump: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return "", fmt.Errorf("health: write dump: %w", err)
 	}
 	return path, nil

@@ -71,6 +71,7 @@ func TestScoped(t *testing.T) {
 	}{
 		{"clockcheck", "repro/internal/server", true},
 		{"clockcheck", "repro/internal/core", true},
+		{"clockcheck", "repro/internal/client", true},    // a holder's deadline check is Clock.Mono, never time.Since/Until
 		{"clockcheck", "repro/internal/clock", false},    // the one legitimate wall-clock layer
 		{"clockcheck", "repro/internal/transport", true}, // batcher code is checked; raw-socket sites use //lint:allow
 		{"clockcheck", "repro/cmd/leased", false},        // daemons stamp process lifetimes

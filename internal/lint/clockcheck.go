@@ -5,7 +5,7 @@ import (
 )
 
 // forbiddenTimeFuncs are the package-time entry points that read or wait on
-// the wall clock. Type and constant uses (time.Time, time.Second,
+// the system clock. Type and constant uses (time.Time, time.Second,
 // time.ParseDuration) are fine — only sampling the clock diverges the live
 // timeline from a simulated one.
 var forbiddenTimeFuncs = map[string]bool{
@@ -20,15 +20,18 @@ var forbiddenTimeFuncs = map[string]bool{
 	"NewTicker": true,
 }
 
-// ClockCheck forbids direct wall-clock reads (time.Now, time.Sleep,
-// time.After, time.Since, ...) in the lease stack. All lease mathematics
-// must flow through the injected clock.Clock, or the paper's min(t, t_v)
-// staleness bound only holds on the wall-clock timeline and cannot be
-// exercised under simulated time. Legitimate wall-clock sites (benchmark
+// ClockCheck forbids direct clock reads from package time (time.Now,
+// time.Sleep, time.After, time.Since, time.Until, ...) in the lease stack.
+// All lease mathematics must flow through the injected clock.Clock, or the
+// paper's min(t, t_v) staleness bound only holds on the system's timeline and
+// cannot be exercised under simulated time. The sanctioned single read for a
+// deadline check is Clock.Mono — one monotonic reading, what time.Since does
+// underneath — so a holder that wants time.Since's price asks the injected
+// clock for it; Clock.Now is for stamps. Legitimate direct sites (benchmark
 // timing, process-lifetime stamps) opt out with //lint:allow clockcheck.
 var ClockCheck = &Analyzer{
 	Name: "clockcheck",
-	Doc:  "forbids time.Now/Sleep/After/Since in lease code; use the injected clock.Clock",
+	Doc:  "forbids time.Now/Sleep/After/Since/Until in lease code; use the injected clock.Clock (Mono for deadlines, Now for stamps)",
 	Run:  runClockCheck,
 }
 
@@ -53,7 +56,7 @@ func runClockCheck(pass *Pass) {
 			}
 			if forbiddenTimeFuncs[sel.Sel.Name] {
 				pass.Reportf(call.Pos(),
-					"time.%s reads the wall clock; use the injected clock.Clock so simulated and live timelines agree",
+					"time.%s reads the system clock; use the injected clock.Clock (Clock.Mono for a deadline check, Clock.Now for a stamp) so simulated and live timelines agree",
 					sel.Sel.Name)
 			}
 			return true

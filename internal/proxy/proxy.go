@@ -23,9 +23,10 @@
 // invalidation round that leased runs — and upstream it is a client.Client.
 // What joins them is the server's Origin seam, implemented here: before a
 // grant the proxy's copy must be backed by a live upstream lease (fetched or
-// renewed off the connection's reader when it is not), every expiry that
-// leaves the node is capped at the upstream expiry minus Skew, and
-// downstream writes are forwarded upstream.
+// renewed off the connection's reader when it is not; "live" is the upstream
+// client's verdict on its own monotonic clock), every expiry that leaves the
+// node is capped at the upstream expiry minus Skew, and downstream writes are
+// forwarded upstream.
 //
 // When the origin invalidates an object, the proxy runs the server's
 // invalidation round against its own downstream holders and collects their
@@ -280,21 +281,23 @@ func (u *upstream) ObjectBound(oid core.ObjectID) (time.Time, bool) {
 	if !u.known[oid] {
 		return time.Time{}, false
 	}
-	_, expire, ok := u.up.LeaseInfo(oid)
-	return u.live(expire, ok)
+	_, expire, trusted, ok := u.up.LeaseInfo(oid)
+	return u.live(expire, trusted, ok)
 }
 
 // VolumeBound bounds a volume sub-lease by the upstream volume lease.
 func (u *upstream) VolumeBound(vid core.VolumeID) (time.Time, bool) {
-	expire, _, ok := u.up.VolumeLeaseInfo(vid)
-	return u.live(expire, ok)
+	expire, _, trusted, ok := u.up.VolumeLeaseInfo(vid)
+	return u.live(expire, trusted, ok)
 }
 
-// live turns an upstream expiry into a sub-lease bound: Skew earlier, and
-// usable only while still ahead.
-func (u *upstream) live(expire time.Time, held bool) (time.Time, bool) {
-	bound := expire.Add(-u.cfg.Skew)
-	return bound, held && bound.After(u.cfg.Clock.Now())
+// live turns an upstream lease into a sub-lease bound. Whether it is usable
+// is the upstream client's own verdict — trusted time left on its monotonic
+// clock, the same Skew already taken off — so the proxy grants against a
+// lease exactly as long as it would itself read under it. The bound is the
+// wall expiry, Skew earlier: what goes on the wire is still an instant.
+func (u *upstream) live(expire time.Time, trusted time.Duration, held bool) (time.Time, bool) {
+	return expire.Add(-u.cfg.Skew), held && trusted > 0
 }
 
 // Fetch reads oid through the upstream client, acquiring or renewing the

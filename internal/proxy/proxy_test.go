@@ -217,7 +217,7 @@ func TestProxySubLeaseNeverOutlivesUpstream(t *testing.T) {
 	// The leaf's volume sub-lease must expire within the proxy's upstream
 	// volume lease (2s), even though the proxy would nominally grant 1s —
 	// and never beyond 2s from now.
-	expire, _, ok := c.VolumeLeaseInfo("vol")
+	expire, _, _, ok := c.VolumeLeaseInfo("vol")
 	if !ok {
 		t.Fatal("leaf has no volume lease")
 	}
@@ -227,7 +227,7 @@ func TestProxySubLeaseNeverOutlivesUpstream(t *testing.T) {
 	// Object sub-lease: nominal 30m, but capped by the origin's 1h object
 	// lease — so up to 30m is fine; it must exist and be well in the
 	// future.
-	_, objExpire, ok := c.LeaseInfo("a")
+	_, objExpire, _, ok := c.LeaseInfo("a")
 	if !ok {
 		t.Fatal("leaf has no object lease")
 	}
