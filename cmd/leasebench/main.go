@@ -21,12 +21,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/health"
-	"repro/internal/loadtl"
+	"repro/internal/daemon"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -53,13 +50,11 @@ type options struct {
 	volLease    time.Duration
 	useTCP      bool
 	dialTimeout time.Duration
-	debugAddr   string
 	audit       bool
 	trace       bool
-	spanSample  int
-	flightDir   string
-	cost        bool
 	costOut     string
+	// obs carries -debug-addr and -flight-dir; execute fills in the rest.
+	obs daemon.Options
 }
 
 func parseFlags(args []string) (options, error) {
@@ -75,13 +70,9 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&o.volLease, "volume-lease", 5*time.Second, "volume lease (self-contained mode)")
 	fs.BoolVar(&o.useTCP, "tcp", false, "self-contained mode: use loopback TCP instead of the in-memory transport")
 	fs.DurationVar(&o.dialTimeout, "dial-timeout", 10*time.Second, "TCP dial timeout")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof during the run (empty = off)")
+	o.obs.Flags(fs, "debug-addr", "flight-dir")
 	fs.BoolVar(&o.audit, "audit", false, "self-contained mode: run the online consistency auditor and fail on any invariant violation")
 	fs.BoolVar(&o.trace, "trace", false, "record causal write-path spans and the per-second load timeline (summarized after the run; served at /debug/spans and /debug/load with -debug-addr)")
-	fs.IntVar(&o.spanSample, "span-sample", 1, "with -trace, record 1 in N traces")
-	fs.StringVar(&o.flightDir, "flight-dir", "flight-dumps",
-		"with -audit, write a flight recorder dump here when a violation is recorded ($FLIGHT_DUMP_DIR overrides)")
-	fs.BoolVar(&o.cost, "cost", true, "account per-message-kind wire-path cost and report it after the run")
 	fs.StringVar(&o.costOut, "cost-out", "", "write the final cost dump (the /debug/cost JSON) to this file; `figures -cost` renders it")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -121,160 +112,50 @@ type result struct {
 	localReads            int64
 	serverReads           int64
 	invalidations         int64
-	aud                   *audit.Auditor        // nil unless -audit
-	spans                 *obs.SpanRecorder     // nil unless -trace
-	load                  *loadtl.Timeline      // nil unless -trace
-	health                *health.Engine        // nil unless -audit
-	cost                  *cost.Accounting      // nil unless -cost
-	batch                 *transport.BatchStats // nil unless TCP
+	// obs is the run's observability stack: cost accounting always, spans
+	// and the load timeline with -trace, the auditor and its flight
+	// recorder with -audit.
+	obs *daemon.Stack
 }
 
 // execute runs the load.
 func execute(o options) (*result, error) {
-	var (
-		net  transport.Network
-		addr = o.addr
-	)
-
-	// Optional live observability: a registry scraped over HTTP while the
-	// benchmark runs, fed by the self-contained server (when present) and by
-	// the clients' cache counters. With -audit the consistency auditor taps
-	// the same event stream and the run fails on any invariant violation.
-	var (
-		observer *obs.Observer
-		rec      *metrics.Recorder
-		aud      *audit.Auditor
-		spanRec  *obs.SpanRecorder
-		load     *loadtl.Timeline
-		engine   *health.Engine
-	)
-	// Lease-state introspection: the debug server starts before the
-	// self-contained server and the client fleet exist, so /debug/leases and
-	// the lease_state_* gauges read them through a mutex-guarded box filled
-	// once they are built (empty dump until then).
-	stateBox := &struct {
-		sync.Mutex
-		addr    string
-		srv     *server.Server
-		clients []*client.Client
-	}{}
-	stateSrc := state.NewSource(func() state.Dump {
-		stateBox.Lock()
-		srv, cls, srvAddr := stateBox.srv, stateBox.clients, stateBox.addr
-		stateBox.Unlock()
-		d := state.Dump{Role: state.RoleClient, Node: "bench"}
-		if srv != nil {
-			sd := srv.StateSnapshot()
-			d.Role, d.Server, d.TakenAt = state.RoleServer, sd.Server, sd.TakenAt
-		}
-		for _, cl := range cls {
-			cs := cl.StateSnapshot()
-			cs.Server = srvAddr
-			if cs.TakenAt.After(d.TakenAt) {
-				d.TakenAt = cs.TakenAt
-			}
-			d.Clients = append(d.Clients, cs)
-		}
-		if d.TakenAt.IsZero() {
-			d.TakenAt = time.Now()
-		}
-		return d
-	})
-
-	if o.debugAddr != "" || o.audit || o.trace {
-		reg := obs.NewRegistry()
-		observer = &obs.Observer{Metrics: reg}
-		rec = metrics.NewRecorder()
-		obs.RegisterRecorder(reg, rec)
-		state.Register(reg, "bench", stateSrc, o.volLease)
-		routes := []obs.Route{{Path: "/debug/leases", Handler: state.Handler(stateSrc)}}
-		var sinks []obs.Sink
-		if o.audit {
-			aud = audit.New(audit.LiveConfig(core.Config{
-				ObjectLease: o.objLease,
-				VolumeLease: o.volLease,
-				Mode:        core.ModeEager,
-			}, false))
-			aud.Register(reg)
-			sinks = append(sinks, aud)
-			routes = append(routes, obs.Route{Path: "/debug/audit", Handler: aud})
-		}
-		if o.trace {
-			spanRec = obs.NewSpanRecorder(8192, o.spanSample)
-			observer.Spans = spanRec
-			load = loadtl.New(o.volume, 300, time.Now)
-			load.Register(reg)
-			sinks = append(sinks, load)
-			routes = append(routes,
-				obs.Route{Path: "/debug/spans", Handler: obs.SpansHandler(spanRec)},
-				obs.Route{Path: "/debug/load", Handler: load.Handler()})
-		}
-		if o.audit {
-			// Black box for the run: on any audit violation the engine
-			// freezes the trailing event window into a dump file, so a
-			// failing benchmark leaves its evidence behind.
-			flightRec := health.NewFlightRecorder("bench", 16384, o.duration+30*time.Second)
-			flightRec.AttachSpans(spanRec)
-			flightRec.AttachTimeline(load)
-			flightRec.AttachState(stateSrc)
-			sinks = append(sinks, flightRec)
-			engine = health.NewEngine(health.Options{
-				Node:    "bench",
-				Flight:  flightRec,
-				DumpDir: health.DumpDir(o.flightDir),
-				Tick:    200 * time.Millisecond,
-				Tail:    200 * time.Millisecond,
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, "leasebench: "+format+"\n", args...)
-				},
-			}, health.DefaultDetectors(health.DetectorConfig{
-				AuditViolations: func() float64 { return float64(len(aud.Violations())) },
-			})...)
-			engine.Register(reg)
-			sinks = append(sinks, engine)
-			engine.Start()
-			defer engine.Close()
-			routes = append(routes,
-				obs.Route{Path: "/debug/health", Handler: health.Handler(engine)},
-				obs.Route{Path: "/debug/flightrecorder", Handler: health.FlightHandler(engine)})
-		}
-		if len(sinks) > 0 {
-			observer.Tracer = obs.NewTracer(sinks...)
-		}
-		if o.debugAddr != "" {
-			dbg, err := obs.Serve(o.debugAddr, reg, nil, routes...)
-			if err != nil {
-				return nil, err
-			}
-			defer dbg.Close()
-			fmt.Fprintf(os.Stderr, "leasebench: debug server on http://%s\n", dbg.Addr())
-		}
+	// The run's observability, scraped over HTTP while the benchmark runs
+	// with -debug-addr. In self-contained mode server and clients share the
+	// process, the observer and the taps, so each message is seen twice: once
+	// sent, once received (KindStat.Messages() takes the max). With -audit the
+	// consistency auditor reads the same event stream, the run fails on any
+	// invariant violation, and the flight recorder is the run's black box: a
+	// violation freezes the trailing events into a dump file, so a failing
+	// benchmark leaves its evidence behind.
+	so := o.obs
+	so.Node = "bench"
+	so.Logf = func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "leasebench: "+format+"\n", args...)
 	}
-
-	var acct *cost.Accounting
-	if o.cost {
-		acct = cost.New("bench", time.Now)
-		if observer != nil {
-			acct.Register(observer.Metrics)
-		}
+	so.Table = core.Config{ObjectLease: o.objLease, VolumeLease: o.volLease, Mode: core.ModeEager}
+	so.Audit = o.audit
+	if o.trace {
+		so.Spans, so.LoadWindow = 8192, 300
 	}
+	if o.audit {
+		so.Flight, so.FlightWindow, so.Tick = 16384, o.duration+30*time.Second, 200*time.Millisecond
+	}
+	stack := daemon.New(so)
+	defer stack.Close()
 
-	// Every frame yields one event; cost accounting and the wire tap (which
-	// feeds the load timeline) are its sinks. In self-contained mode server
-	// and clients share the process and the taps, so each message is seen
-	// twice: once sent, once received (KindStat.Messages() takes the max).
-	taps := []transport.Tap{acct, obs.WireTap(observer, "bench", time.Now)}
-	var batch *transport.BatchStats
+	var net transport.Network
+	addr := o.addr
 	if addr != "" || o.useTCP {
-		batch = &transport.BatchStats{}
-		net = transport.TCP{DialTimeout: o.dialTimeout, Stats: batch, Taps: taps}
+		net = transport.TCP{DialTimeout: o.dialTimeout, Stats: stack.Batch, Taps: stack.Taps}
 	} else {
 		mem := transport.NewMemory()
-		mem.Taps = taps
+		mem.Taps = stack.Taps
 		net = mem
 	}
 
 	var srv *server.Server
+	var stats func() core.Stats
 	if addr == "" {
 		// Self-contained: build the server here.
 		addr = "bench-origin:1"
@@ -283,23 +164,18 @@ func execute(o options) (*result, error) {
 		}
 		var err error
 		srv, err = server.New(server.Config{
-			Name: "bench-origin",
-			Addr: addr,
-			Net:  net,
-			Table: core.Config{
-				ObjectLease: o.objLease,
-				VolumeLease: o.volLease,
-				Mode:        core.ModeEager,
-			},
+			Name:       "bench-origin",
+			Addr:       addr,
+			Net:        net,
+			Table:      so.Table,
 			MsgTimeout: 100 * time.Millisecond,
-			Recorder:   rec,
-			Obs:        observer,
+			Obs:        stack.Obs,
 		})
 		if err != nil {
 			return nil, err
 		}
 		defer srv.Close()
-		addr = srv.Addr()
+		addr, stats = srv.Addr(), srv.Stats
 		if err := srv.AddVolume(core.VolumeID(o.volume)); err != nil {
 			return nil, err
 		}
@@ -320,7 +196,7 @@ func execute(o options) (*result, error) {
 			ID:      core.ClientID(fmt.Sprintf("bench-%d", i)),
 			Timeout: 10 * time.Second,
 			Redial:  true,
-			Obs:     observer,
+			Obs:     stack.Obs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("dial client %d: %w", i, err)
@@ -328,9 +204,30 @@ func execute(o options) (*result, error) {
 		defer cl.Close()
 		clients[i] = cl
 	}
-	stateBox.Lock()
-	stateBox.addr, stateBox.srv, stateBox.clients = addr, srv, clients
-	stateBox.Unlock()
+	// Lease-state introspection covers the whole process: the self-contained
+	// server's table (when there is one) and every client's view.
+	stateSrc := state.NewSource(func() state.Dump {
+		d := state.Dump{Role: state.RoleClient, Node: "bench"}
+		if srv != nil {
+			sd := srv.StateSnapshot()
+			d.Role, d.Server, d.TakenAt = state.RoleServer, sd.Server, sd.TakenAt
+		}
+		for _, cl := range clients {
+			cs := cl.StateSnapshot()
+			cs.Server = addr
+			if cs.TakenAt.After(d.TakenAt) {
+				d.TakenAt = cs.TakenAt
+			}
+			d.Clients = append(d.Clients, cs)
+		}
+		if d.TakenAt.IsZero() {
+			d.TakenAt = time.Now()
+		}
+		return d
+	})
+	if err := stack.Start(stateSrc, stats); err != nil {
+		return nil, err
+	}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -382,12 +279,7 @@ func execute(o options) (*result, error) {
 		st := srv.Stats()
 		res.serverStats = &st
 	}
-	res.aud = aud
-	res.spans = spanRec
-	res.load = load
-	res.health = engine
-	res.cost = acct
-	res.batch = batch
+	res.obs = stack
 	return res, nil
 }
 
@@ -415,8 +307,8 @@ func (r *result) report(out *os.File, o options) error {
 		fmt.Fprintf(out, "server state: %d object leases, %d volume leases (%d bytes)\n",
 			r.serverStats.ObjectLeases, r.serverStats.VolumeLeases, r.serverStats.StateBytes)
 	}
-	if r.spans != nil {
-		spans := r.spans.Snapshot()
+	if rec := r.obs.Obs.SpanRec(); rec != nil {
+		spans := rec.Snapshot()
 		roots, slowest := 0, -1
 		for i, s := range spans {
 			if s.Kind != obs.SpanWrite {
@@ -428,7 +320,7 @@ func (r *result) report(out *os.File, o options) error {
 			}
 		}
 		fmt.Fprintf(out, "trace: %d spans retained (%d total recorded), %d server write roots\n",
-			len(spans), r.spans.Total(), roots)
+			len(spans), rec.Total(), roots)
 		if roots > 0 {
 			root := spans[slowest]
 			var children time.Duration
@@ -443,64 +335,53 @@ func (r *result) report(out *os.File, o options) error {
 				root.Object, root.Dur, children)
 		}
 	}
-	if r.load != nil {
-		b := r.load.BurstWindow(0)
+	if r.obs.Load != nil {
+		b := r.obs.Load.BurstWindow(0)
 		fmt.Fprintf(out, "load: peak %d msg/s, mean %.1f msg/s, burst ratio %.1f (%d busy / %d idle seconds)\n",
 			b.Peak, b.Mean, b.Ratio, b.BusySeconds, b.IdleSeconds)
 	}
-	if r.cost != nil {
-		d := r.cost.Snapshot()
-		msgs := int64(0)
-		for _, k := range d.Kinds {
-			msgs += k.Messages()
-		}
-		fmt.Fprintf(out, "cost: %d messages, %d bytes sent, %d bytes received\n",
-			msgs, d.Totals.BytesSent, d.Totals.BytesRecv)
-		for _, k := range d.Kinds {
-			line := fmt.Sprintf("cost: %-16s %8d msgs %10d bytes", k.Kind, k.Messages(), k.BytesSent+k.BytesRecv)
-			if k.Encode != nil {
-				line += fmt.Sprintf("  encode p99 %vns", k.Encode.P99Ns)
-			}
-			if k.Decode != nil {
-				line += fmt.Sprintf("  decode p99 %vns", k.Decode.P99Ns)
-			}
-			fmt.Fprintln(out, line)
-		}
-		if o.costOut != "" {
-			raw, err := json.MarshalIndent(d, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(o.costOut, append(raw, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "cost: dump written to %s\n", o.costOut)
-		}
+	d := r.obs.Cost.Snapshot()
+	msgs := int64(0)
+	for _, k := range d.Kinds {
+		msgs += k.Messages()
 	}
-	if r.batch != nil {
-		if b := r.batch.Snapshot(); b.Flushes > 0 {
-			fmt.Fprintf(out, "batch: %d frames in %d kernel flushes (%.2f frames/flush, %d coalesced)\n",
-				b.Frames, b.Flushes, float64(b.Frames)/float64(b.Flushes), b.Coalesced)
+	fmt.Fprintf(out, "cost: %d messages, %d bytes sent, %d bytes received\n",
+		msgs, d.Totals.BytesSent, d.Totals.BytesRecv)
+	for _, k := range d.Kinds {
+		line := fmt.Sprintf("cost: %-16s %8d msgs %10d bytes", k.Kind, k.Messages(), k.BytesSent+k.BytesRecv)
+		if k.Encode != nil {
+			line += fmt.Sprintf("  encode p99 %vns", k.Encode.P99Ns)
 		}
+		if k.Decode != nil {
+			line += fmt.Sprintf("  decode p99 %vns", k.Decode.P99Ns)
+		}
+		fmt.Fprintln(out, line)
 	}
-	if r.aud != nil {
-		s := r.aud.Snapshot()
+	if o.costOut != "" {
+		raw, err := json.MarshalIndent(d, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(o.costOut, append(raw, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "cost: dump written to %s\n", o.costOut)
+	}
+	if b := r.obs.Batch.Snapshot(); b.Flushes > 0 {
+		fmt.Fprintf(out, "batch: %d frames in %d kernel flushes (%.2f frames/flush, %d coalesced)\n",
+			b.Frames, b.Flushes, float64(b.Frames)/float64(b.Flushes), b.Coalesced)
+	}
+	if aud := r.obs.Audit; aud != nil {
+		s := aud.Snapshot()
 		fmt.Fprintf(out, "audit: %d events, %d stale reads, max staleness %v (bound %v)\n",
 			s.Events, s.StaleReads, s.MaxStaleness, s.StalenessBound)
-		if err := r.aud.Err(); err != nil {
-			// Exit non-zero, but leave the flight recording behind first:
-			// the engine's audit-violation rule usually dumped mid-run; if
-			// the run ended before a tick saw the violation, freeze now.
-			if rep := r.health.Snapshot(); r.health != nil {
-				if rep.DumpsWritten == 0 {
-					if path, derr := r.health.ForceDump("audit violations at end of run"); derr == nil {
-						rep.DumpFiles = append(rep.DumpFiles, path)
-					}
-				}
-				for _, f := range rep.DumpFiles {
-					fmt.Fprintf(out, "audit: flight dump %s\n", f)
-				}
-			}
+		// Exit non-zero on a violation, but leave the flight recording behind
+		// first.
+		dumps, err := r.obs.AuditErr("audit violations at end of run")
+		for _, f := range dumps {
+			fmt.Fprintf(out, "audit: flight dump %s\n", f)
+		}
+		if err != nil {
 			return err
 		}
 		fmt.Fprintln(out, "audit: all invariants held")

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/health"
 	"repro/internal/obs"
 )
@@ -105,14 +105,14 @@ func TestExecuteTraced(t *testing.T) {
 	if res.writes.Load() == 0 {
 		t.Fatal("no writes completed")
 	}
-	if res.spans == nil || res.load == nil {
+	if res.obs.Obs.SpanRec() == nil || res.obs.Load == nil {
 		t.Fatal("-trace did not wire the span recorder / load timeline")
 	}
 
 	// Every traced write yields a causal chain: a client-write span
 	// parenting a server root whose sequential children (serialize, ack
 	// wait) fit inside the root's duration.
-	spans := res.spans.Snapshot()
+	spans := res.obs.Obs.SpanRec().Snapshot()
 	byID := map[uint64]obs.Span{}
 	for _, s := range spans {
 		byID[s.ID] = s
@@ -150,7 +150,7 @@ func TestExecuteTraced(t *testing.T) {
 
 	// The run itself is the burst: the timeline must show busy seconds and
 	// committed writes.
-	b := res.load.BurstWindow(0)
+	b := res.obs.Load.BurstWindow(0)
 	if b.Peak == 0 || b.BusySeconds == 0 {
 		t.Errorf("load burst = %+v", b)
 	}
@@ -191,10 +191,10 @@ func TestExecuteAuditedWiresHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.health == nil {
+	if res.obs.Health == nil {
 		t.Fatal("-audit did not wire the health engine")
 	}
-	rep := res.health.Snapshot()
+	rep := res.obs.Health.Snapshot()
 	if rep.Status != "ok" || rep.DumpsWritten != 0 {
 		t.Errorf("clean run health = %+v", rep)
 	}
@@ -214,26 +214,23 @@ func TestExecuteAuditedWiresHealth(t *testing.T) {
 // dump behind.
 func TestAuditViolationLeavesFlightDump(t *testing.T) {
 	dir := t.TempDir()
-	aud := audit.New(audit.LiveConfig(core.Config{
-		ObjectLease: time.Minute, VolumeLease: 5 * time.Second, Mode: core.ModeEager,
-	}, false))
-	flight := health.NewFlightRecorder("bench", 64, time.Minute)
-	engine := health.NewEngine(health.Options{Node: "bench", Flight: flight, DumpDir: dir})
+	t.Setenv("FLIGHT_DUMP_DIR", "") // the dump must land in dir
+	stack := daemon.New(daemon.Options{
+		Node:      "bench",
+		Table:     core.Config{ObjectLease: time.Minute, VolumeLease: 5 * time.Second, Mode: core.ModeEager},
+		Audit:     true,
+		Flight:    64,
+		FlightDir: dir,
+	})
 	now := time.Now()
 	for _, epoch := range []core.Epoch{5, 3} { // 5 then 3: epoch monotonicity breach
-		ev := obs.Event{Type: obs.EvVolLeaseGrant, At: now, Node: "srv", Client: "c", Volume: "v", Epoch: epoch}
-		aud.Observe(ev)
-		flight.Observe(ev)
+		stack.Obs.Emit(obs.Event{Type: obs.EvVolLeaseGrant, At: now, Node: "srv", Client: "c", Volume: "v", Epoch: epoch})
 	}
-	if len(aud.Violations()) == 0 {
+	if len(stack.Audit.Violations()) == 0 {
 		t.Fatal("crafted event stream recorded no violation")
 	}
 
-	res := &result{
-		elapsed: time.Second,
-		aud:     aud,
-		health:  engine,
-	}
+	res := &result{elapsed: time.Second, obs: stack}
 	tmp, err := os.CreateTemp(t.TempDir(), "report")
 	if err != nil {
 		t.Fatal(err)

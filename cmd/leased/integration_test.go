@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/transport"
 )
 
@@ -18,7 +21,7 @@ import (
 // server + debug HTTP server), drives it with a scripted client workload,
 // and asserts that the scraped /metrics and /debug/vars reflect the
 // protocol activity: lease grants, invalidations, write-ack waits, and the
-// wire accounting of the metrics.Recorder.
+// tap's one count of the wire traffic.
 func TestDebugEndpointsUnderWorkload(t *testing.T) {
 	in, err := start(options{
 		addr:       "127.0.0.1:0",
@@ -28,9 +31,8 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 		volLease:   10 * time.Second,
 		mode:       "eager",
 		msgTimeout: 200 * time.Millisecond,
-		debugAddr:  "127.0.0.1:0",
-		traceLen:   128,
 		slowWrite:  time.Nanosecond, // every blocking write counts as slow
+		obs:        daemon.Options{DebugAddr: "127.0.0.1:0", Trace: 128},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +70,7 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 		t.Fatalf("post-write read: %v", err)
 	}
 
-	base := "http://" + in.debug.Addr()
+	base := "http://" + in.obs.DebugAddr()
 
 	prom := httpGet(t, base+"/metrics")
 	wantSeries := []string{
@@ -78,8 +80,8 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 		`lease_invalidation_acks_total{server="itest"}`,
 		`lease_server_writes_total{server="itest"}`,
 		`lease_write_ack_wait_seconds_count{server="itest"`,
-		`lease_wire_messages_total`,
-		`lease_transport_messages_total`,
+		`lease_cost_messages_total{node="itest",dir="sent"}`,
+		`lease_cost_frames_total{node="itest",kind="Invalidate",dir="sent"}`,
 	}
 	for _, s := range wantSeries {
 		if !strings.Contains(prom, s) {
@@ -113,14 +115,14 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 	atLeast(`lease_slow_writes_total{server="itest"}`, 1)
 	atLeast(`lease_server_connections{server="itest"}`, 3)
 
-	// The registry's view of the Recorder must agree with the Recorder
-	// itself (no drift between the two accounting paths).
-	totals := in.rec.Totals()
-	if got := vars["lease_wire_messages_total"].(float64); got != float64(totals.Messages) {
-		t.Errorf("lease_wire_messages_total = %v, Recorder says %d", got, totals.Messages)
+	// The exported totals are the cost accounting's own, and inbound frames
+	// are charged their bytes.
+	totals := in.obs.Cost.Totals()
+	if got := vars[`lease_cost_messages_total{node="itest",dir="recv"}`].(float64); got != float64(totals.MessagesRecv) {
+		t.Errorf("lease_cost_messages_total recv = %v, accounting says %d", got, totals.MessagesRecv)
 	}
-	if totals.Messages == 0 {
-		t.Error("Recorder observed no messages")
+	if totals.MessagesRecv == 0 || totals.BytesRecv == 0 {
+		t.Errorf("inbound traffic not counted: %+v", totals)
 	}
 
 	// Ack-wait histogram recorded the write's wait.
@@ -177,11 +179,7 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 		volLease:   10 * time.Second,
 		mode:       "eager",
 		msgTimeout: 200 * time.Millisecond,
-		debugAddr:  "127.0.0.1:0",
-		traceLen:   128,
-		spans:      256,
-		spanSample: 1,
-		loadWindow: 60,
+		obs:        daemon.Options{DebugAddr: "127.0.0.1:0", Trace: 128, Spans: 256, LoadWindow: 60},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +200,7 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := "http://" + in.debug.Addr()
+	base := "http://" + in.obs.DebugAddr()
 
 	// /debug/spans returns JSON lines; the write must appear as a root
 	// "write" span with serialize/fanout/ack-wait children. The fanout span
@@ -281,5 +279,39 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 	}
 	if v, ok := vars[`lease_load_peak_mps{node="ttest"}`].(float64); !ok || v < 1 {
 		t.Errorf(`lease_load_peak_mps{node="ttest"} = %v`, vars[`lease_load_peak_mps{node="ttest"}`])
+	}
+}
+
+// TestStartBindFailureLeavesNothingRunning: when the debug listener cannot
+// bind, start returns the error and the health engine and profiler it had
+// built are not left ticking behind it.
+func TestStartBindFailureLeavesNothingRunning(t *testing.T) {
+	occupied, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer occupied.Close()
+	in, err := start(options{
+		addr:     "127.0.0.1:0",
+		volume:   "bindtest",
+		nObjects: 1,
+		objLease: time.Minute,
+		volLease: 10 * time.Second,
+		mode:     "eager",
+		obs: daemon.Options{
+			DebugAddr: occupied.Addr().String(), Flight: 64, FlightDir: t.TempDir(),
+			ProfileInterval: time.Hour,
+		},
+	})
+	if err == nil {
+		in.Close()
+		t.Fatal("start succeeded on an occupied debug address")
+	}
+	stacks := make([]byte, 1<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	for _, loop := range []string{"health.(*Engine).loop", "cost.(*Profiler).loop"} {
+		if strings.Contains(string(stacks), loop) {
+			t.Errorf("start failed with %q but left %s running", err, loop)
+		}
 	}
 }

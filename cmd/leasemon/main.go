@@ -108,7 +108,6 @@ type row struct {
 	endpoint  string
 	report    health.Report
 	series    int     // lease_* series on /metrics
-	msgs      float64 // lease_net_msgs_total summed over directions, if exported
 	hasCost   bool    // node exports lease_cost_* (cost accounting enabled)
 	msgsRate  float64 // wire messages/s over the rate window, both directions
 	bytesRate float64 // wire bytes/s over the rate window, both directions
@@ -197,12 +196,9 @@ func scrape(cl *http.Client, ep string, rateWin time.Duration) row {
 		return r
 	}
 	series := parseProm(body)
-	for name, v := range series {
+	for name := range series {
 		if strings.HasPrefix(name, "lease_") {
 			r.series++
-		}
-		if strings.HasPrefix(name, "lease_net_msgs_total") {
-			r.msgs += v
 		}
 	}
 	obj, haveObj := sumPrefix(series, "lease_state_object_leases")
@@ -550,7 +546,7 @@ func printDump(out io.Writer, name string, d health.Dump, tail int) {
 		for _, e := range evs {
 			detail := ""
 			for _, part := range []struct{ k, v string }{
-				{"client", e.Client}, {"object", e.Object}, {"volume", e.Volume}, {"msg", e.Msg},
+				{"client", e.Client}, {"object", e.Object}, {"volume", e.Volume},
 			} {
 				if part.v != "" {
 					detail += " " + part.k + "=" + part.v

@@ -24,7 +24,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/cost"
 	"repro/internal/proxy"
 	"repro/internal/server"
 	"repro/internal/transport"
@@ -37,8 +37,11 @@ func main() {
 }
 
 func run() error {
+	// The network is tapped: cost accounting tallies every connection's
+	// frames, among them the proxy's one connection to the origin.
 	net := transport.NewMemory()
-	rec := metrics.NewRecorder()
+	acct := cost.New("tree", time.Now)
+	net.Taps = []transport.Tap{acct}
 
 	origin, err := server.New(server.Config{
 		Name: "origin",
@@ -50,7 +53,6 @@ func run() error {
 			Mode:        core.ModeEager,
 		},
 		MsgTimeout: 50 * time.Millisecond,
-		Recorder:   rec,
 	})
 	if err != nil {
 		return err
@@ -90,15 +92,21 @@ func run() error {
 	}
 
 	// Both leaves read; the origin transfers the object exactly once.
+	var fromOrigin [2]int64
 	for i, leaf := range leaves {
 		data, err := leaf.Read("site", "/front-page")
 		if err != nil {
 			return err
 		}
 		fmt.Printf("leaf-%d reads: %s\n", i, data)
+		for _, c := range acct.Snapshot().Conns {
+			if c.Remote == "origin:1" { // the proxy's end of its upstream connection
+				fromOrigin[i] = c.BytesRecv
+			}
+		}
 	}
-	fmt.Printf("origin data transfers so far: %d (proxy absorbed the second fetch)\n\n",
-		rec.Totals().ByClass[metrics.MsgData])
+	fmt.Printf("origin had sent %d bytes after the first read, %d after the second (proxy absorbed the second fetch)\n\n",
+		fromOrigin[0], fromOrigin[1])
 
 	// A write at the origin: it completes only after the proxy has
 	// invalidated both leaves and relayed their acknowledgments.

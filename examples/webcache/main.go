@@ -16,7 +16,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/cost"
 	"repro/internal/server"
 	"repro/internal/transport"
 )
@@ -35,17 +35,18 @@ func main() {
 }
 
 func run() error {
-	rec := metrics.NewRecorder()
+	// The origin's network is tapped: cost accounting is the count of its
+	// wire traffic.
+	acct := cost.New("origin", time.Now)
 	srv, err := server.New(server.Config{
 		Name: "origin",
 		Addr: "127.0.0.1:0",
-		Net:  transport.TCP{},
+		Net:  transport.TCP{Taps: []transport.Tap{acct}},
 		Table: core.Config{
 			ObjectLease: 5 * time.Minute,  // long object leases
 			VolumeLease: 3 * time.Second,  // short volume leases
 			Mode:        core.ModeDelayed, // queue invalidations for idle edges
 		},
-		Recorder: rec,
 	})
 	if err != nil {
 		return err
@@ -67,9 +68,12 @@ func run() error {
 	}
 	fmt.Printf("origin serving %d objects on %s\n", len(objects), srv.Addr())
 
-	// A writer occasionally updates objects, like a CMS.
+	// A writer occasionally updates objects, like a CMS, and keeps the ack
+	// waits its writes report.
 	stopWriter := make(chan struct{})
 	var writerWG sync.WaitGroup
+	var writes int
+	var totalWait, maxWait time.Duration
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
@@ -81,9 +85,14 @@ func run() error {
 			case <-time.After(150 * time.Millisecond):
 			}
 			oid := objects[rng.Intn(len(objects))]
-			if _, _, err := srv.Write(oid, []byte(fmt.Sprintf("content of %s v%d", oid, i+2))); err != nil {
+			_, waited, err := srv.Write(oid, []byte(fmt.Sprintf("content of %s v%d", oid, i+2)))
+			if err != nil {
 				log.Printf("writer: %v", err)
+				continue
 			}
+			writes++
+			totalWait += waited
+			maxWait = max(maxWait, waited)
 		}
 	}()
 
@@ -129,12 +138,12 @@ func run() error {
 	close(stopWriter)
 	writerWG.Wait()
 
-	tot := rec.Totals()
-	writes, meanDelay, maxDelay := rec.WriteStats()
+	tot := acct.Totals()
 	st := srv.Stats()
 	fmt.Printf("\norigin: %d protocol messages for %d reads across %d edges\n",
-		tot.Messages, edges*pageViews*perPage, edges)
-	fmt.Printf("origin: %d writes, mean ack wait %v, max %v\n", writes, meanDelay, maxDelay)
+		tot.MessagesSent+tot.MessagesRecv, edges*pageViews*perPage, edges)
+	fmt.Printf("origin: %d writes, mean ack wait %v, max %v\n",
+		writes, totalWait/time.Duration(max(writes, 1)), maxWait)
 	fmt.Printf("origin state: %d object leases, %d volume leases, %d pending invalidations (%d bytes)\n",
 		st.ObjectLeases, st.VolumeLeases, st.PendingInvalidation, st.StateBytes)
 	return nil

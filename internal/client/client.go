@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -94,9 +93,6 @@ type Config struct {
 	// redials, reconnection rounds) and exposes the cache counters as
 	// scrape-time gauges. A nil Obs costs the hot paths a single nil check.
 	Obs *obs.Observer
-	// Recorder, when non-nil, receives write ack-wait accounting for writes
-	// issued through a Pool (see Pool.Write).
-	Recorder *metrics.Recorder
 	// Logf, when non-nil, receives debug logging.
 	Logf func(format string, args ...any)
 }

@@ -126,18 +126,13 @@ func (p *Pool) Read(vid core.VolumeID, oid core.ObjectID) ([]byte, error) {
 // Write modifies vid/oid through the volume's server. The returned duration
 // is how long the server blocked the write collecting invalidation
 // acknowledgments (the paper's min(t, t_v) wait) — pool-level callers use it
-// to spot writes stalled on slow or unreachable lease holders. When
-// Config.Recorder is set, the wait is also recorded there.
+// to spot writes stalled on slow or unreachable lease holders.
 func (p *Pool) Write(vid core.VolumeID, oid core.ObjectID, data []byte) (core.Version, time.Duration, error) {
 	c, err := p.clientFor(vid)
 	if err != nil {
 		return 0, 0, err
 	}
-	version, waited, err := c.Write(oid, data)
-	if err == nil && p.cfg.Recorder != nil {
-		p.cfg.Recorder.Write(waited)
-	}
-	return version, waited, err
+	return c.Write(oid, data)
 }
 
 // Peek returns the locally cached copy of oid at whichever server client

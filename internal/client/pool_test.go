@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/transport"
@@ -138,13 +137,29 @@ func TestPoolWriteAndInvalidate(t *testing.T) {
 	}
 }
 
-// TestPoolWriteRecordsAckWait covers the ack-wait plumbing: the duration the
-// server blocked the write must reach the caller and the configured
-// Recorder instead of being discarded at the pool layer.
-func TestPoolWriteRecordsAckWait(t *testing.T) {
-	net, _ := poolEnv(t, 1)
-	rec := metrics.NewRecorder()
-	p, err := client.NewPool(net, client.Config{ID: "writer", Skew: 5 * time.Millisecond, Recorder: rec})
+// TestPoolWriteReturnsAckWait covers the ack-wait plumbing: the duration the
+// server blocked the write must reach the pool's caller instead of being
+// discarded at the pool layer, and it is the very wait the server's
+// lease_write_ack_wait_seconds histogram recorded.
+func TestPoolWriteReturnsAckWait(t *testing.T) {
+	net := transport.NewMemory()
+	reg := obs.NewRegistry()
+	srv, err := server.New(server.Config{
+		Name: "s0", Addr: "s0:1", Net: net,
+		Table: core.Config{ObjectLease: time.Minute, VolumeLease: 5 * time.Second, Mode: core.ModeEager},
+		Obs:   &obs.Observer{Metrics: reg},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if err := srv.AddVolume("vol-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddObject("vol-0", "obj", []byte("data-0")); err != nil {
+		t.Fatal(err)
+	}
+	p, err := client.NewPool(net, client.Config{ID: "writer", Skew: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +180,10 @@ func TestPoolWriteRecordsAckWait(t *testing.T) {
 	if waited <= 0 {
 		t.Errorf("waited = %v, want > 0 (a lease holder had to ack)", waited)
 	}
-	writes, mean, max := rec.WriteStats()
-	if writes != 1 {
-		t.Fatalf("recorder writes = %d, want 1", writes)
-	}
-	if mean <= 0 || max < waited {
-		t.Errorf("recorder stats mean=%v max=%v, want mean > 0 and max >= waited %v", mean, max, waited)
+	h := reg.Histogram(`lease_write_ack_wait_seconds{server="s0"}`)
+	if h.Count() != 1 || h.Max() != waited {
+		t.Errorf("server ack-wait histogram count=%d max=%v, want the one wait %v the pool returned",
+			h.Count(), h.Max(), waited)
 	}
 }
 

@@ -7,10 +7,17 @@ package cost_test
 // balance: the per-kind frame/byte tallies sum exactly to the transport
 // totals, the per-connection tallies sum to the same totals, the per-volume
 // tallies never exceed them, and on TCP the batcher's own frame count agrees.
+// The load timeline is the tap's other sink, so its books are checked against
+// the same traffic: every frame the network carried is in the exported
+// lease_cost_messages_total and in exactly one of the timeline's seconds.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +25,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/loadtl"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/transport"
@@ -62,8 +70,10 @@ func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Netwo
 
 	acct := cost.New("srv", time.Now)
 	acct.Register(reg)
+	tl := loadtl.New("srv", 600, time.Now)
+	carried := &frameCount{}
 
-	netw, listenAddr, batch := newNet([]transport.Tap{acct, obs.WireTap(observer, "srv", time.Now)})
+	netw, listenAddr, batch := newNet([]transport.Tap{acct, tl, carried})
 
 	srv, err := server.New(server.Config{
 		Name:       "srv",
@@ -172,6 +182,20 @@ func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Netwo
 		cl.Close()
 	}
 	srv.Close()
+	// A sender counts its frame after handing it to the connection, so the
+	// last acknowledgments of the run can still be between the two when the
+	// connections close. The books are settled once every received frame has
+	// been counted as sent, every frame the batcher drained has, and the last
+	// sink in the tap's list has seen what the first has.
+	settled := func() bool {
+		tot := acct.Totals()
+		return tot.MessagesSent >= tot.MessagesRecv &&
+			(batch == nil || batch.Snapshot().Frames == tot.MessagesSent) &&
+			carried.n.Load() == tot.MessagesSent+tot.MessagesRecv
+	}
+	for deadline := time.Now().Add(2 * time.Second); !settled() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 
 	d := acct.Snapshot()
 	if d.Totals.MessagesSent == 0 || d.Totals.MessagesRecv == 0 {
@@ -248,11 +272,45 @@ func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Netwo
 		}
 	}
 
+	// (6) One count per frame: what the network carried is what the cost
+	// series export and what the timeline's seconds add up to, and received
+	// frames are charged their bytes like sent ones.
+	var vars map[string]any
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &vars); err != nil {
+		t.Fatal(err)
+	}
+	var exported, perSecond int64
+	for name, v := range vars {
+		if strings.HasPrefix(name, "lease_cost_messages_total{") {
+			exported += int64(v.(float64))
+		}
+	}
+	for _, sec := range tl.Snapshot() {
+		perSecond += sec.Msgs
+	}
+	if n := carried.n.Load(); n == 0 || exported != n || perSecond != n {
+		t.Errorf("network carried %d frames, lease_cost_messages_total sums to %d, timeline seconds to %d",
+			n, exported, perSecond)
+	}
+	if d.Totals.BytesRecv == 0 {
+		t.Error("received frames were charged no bytes")
+	}
+
 	// The auditor saw the run and found nothing.
 	if n := aud.Violations(); len(n) != 0 {
 		t.Errorf("audit violations: %v", n)
 	}
 }
+
+// frameCount is the reference sink: it only counts what the tap delivers.
+type frameCount struct{ n atomic.Int64 }
+
+func (c *frameCount) TapConn(local, remote string) transport.Sink { return c }
+func (c *frameCount) Observe(transport.Frame)                     { c.n.Add(1) }
 
 // TestConservationKindsAreProtocolKinds pins that the dump only ever
 // reports real wire kinds — the bridge between live accounting and the

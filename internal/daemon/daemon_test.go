@@ -1,0 +1,248 @@
+package daemon
+
+import (
+	"fmt"
+	"go/parser"
+	"go/token"
+	"io"
+	"net/http"
+	"os"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/client"
+	"repro/internal/clock"
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/proxy"
+	"repro/internal/server"
+	"repro/internal/transport"
+)
+
+var table = core.Config{ObjectLease: time.Minute, VolumeLease: 10 * time.Second, Mode: core.ModeEager}
+
+// node is a stack with everything on around a server-role or proxy-role node,
+// on the in-memory network and the simulated clock, after one miss, one hit
+// and one write against a lease holder.
+type node struct {
+	stack  *Stack
+	holder *client.Client
+	logMu  sync.Mutex
+	log    []string
+}
+
+func driven(t *testing.T, role string, opts Options) *node {
+	t.Helper()
+	n := &node{}
+	clk := clock.NewSimulated(clock.Epoch)
+	opts.Clock = clk
+	opts.Table = table
+	opts.Logf = func(format string, args ...any) {
+		n.logMu.Lock()
+		defer n.logMu.Unlock()
+		n.log = append(n.log, fmt.Sprintf(format, args...))
+	}
+	n.stack = New(opts)
+	t.Cleanup(n.stack.Close)
+	net := transport.NewMemory()
+	net.Taps = n.stack.Taps
+
+	origin := server.Config{
+		Name: "origin", Addr: "origin:1", Net: net, Clock: clk, Table: table,
+		MsgTimeout: 50 * time.Millisecond, SlowWriteThreshold: opts.SlowWrite,
+	}
+	target := origin.Addr
+	if role == "server" {
+		origin.Obs = n.stack.Obs
+	}
+	srv, err := server.New(origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if err := srv.AddVolume("vol"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddObject("vol", "a", []byte("a v1")); err != nil {
+		t.Fatal(err)
+	}
+	src, stats := srv.StateSource(), srv.Stats
+	if role == "proxy" {
+		px, err := proxy.New(proxy.Config{
+			ID: "edge", Addr: "edge:1", Net: net, Clock: clk, Upstream: origin.Addr, Volume: "vol",
+			SubObjectLease: table.ObjectLease, SubVolumeLease: table.VolumeLease,
+			MsgTimeout: 50 * time.Millisecond, Obs: n.stack.Obs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { px.Close() })
+		target, src, stats = px.Addr(), px.StateSource(), px.Stats
+	}
+	if err := n.stack.Start(src, stats); err != nil {
+		t.Fatal(err)
+	}
+
+	dial := func(id core.ClientID) *client.Client {
+		c, err := client.Dial(net, target, client.Config{ID: id, Clock: clk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	holder, writer := dial("holder"), dial("writer")
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		if _, err := holder.Read("vol", "a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := writer.Write("a", []byte("a v2")); err != nil {
+		t.Fatal(err)
+	}
+	n.holder = holder
+	return n
+}
+
+func get(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v", url, resp.StatusCode, err)
+	}
+	return string(body)
+}
+
+// TestSeriesSurface pins what a daemon exports, per role: the metric families
+// on /metrics are the golden list (the PR 18 daemons' families, scraped from
+// the built binaries, minus the nine per-frame duplicate families this
+// package's introduction retired), every one of them is documented in
+// METRICS.md, and the index at / is the mounted route list the startup line
+// printed.
+func TestSeriesSurface(t *testing.T) {
+	metricsMD, err := os.ReadFile("../../METRICS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, role := range []string{"server", "proxy"} {
+		t.Run(role, func(t *testing.T) {
+			n := driven(t, role, Options{
+				Node: role, DebugAddr: "127.0.0.1:0", Trace: 64, Spans: 64, LoadWindow: 60,
+				Flight: 256, FlightDir: t.TempDir(), ProfileInterval: time.Hour,
+				Audit: role == "server", SlowWrite: time.Nanosecond, // leaseproxy has no -audit
+			})
+			base := "http://" + n.stack.DebugAddr()
+
+			seen := map[string]bool{}
+			for _, line := range strings.Split(get(t, base+"/metrics"), "\n") {
+				if line != "" && !strings.HasPrefix(line, "#") {
+					seen[line[:strings.IndexAny(line, "{ ")]] = true
+				}
+			}
+			var got []string
+			for fam := range seen {
+				got = append(got, fam)
+			}
+			slices.Sort(got)
+			golden, err := os.ReadFile("testdata/families_" + role + ".txt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := strings.Fields(string(golden))
+			if !slices.Equal(got, want) {
+				for _, fam := range got {
+					if !slices.Contains(want, fam) {
+						t.Errorf("exported but not in the golden list: %s", fam)
+					}
+				}
+				for _, fam := range want {
+					if !seen[fam] {
+						t.Errorf("in the golden list but not exported: %s", fam)
+					}
+				}
+			}
+			for _, fam := range got {
+				// A summary's _sum and _count ride on its documented name.
+				name := strings.TrimSuffix(strings.TrimSuffix(fam, "_sum"), "_count")
+				if !strings.Contains(string(metricsMD), "`"+name) {
+					t.Errorf("%s is exported but METRICS.md does not name it", fam)
+				}
+			}
+
+			// With everything on, the index is the full route list for the
+			// role, every entry answers, and the startup line printed it.
+			index := strings.Fields(strings.TrimPrefix(get(t, base+"/"), "lease debug server"))
+			mounted := []string{"/metrics", "/debug/vars", "/debug/pprof/", "/debug/events", "/debug/leases",
+				"/debug/audit", "/debug/cost", "/debug/load", "/debug/health", "/debug/flightrecorder",
+				"/debug/spans", "/debug/profile/ring"}
+			if role == "proxy" {
+				mounted = slices.DeleteFunc(mounted, func(p string) bool { return p == "/debug/audit" })
+			}
+			if !slices.Equal(index, mounted) {
+				t.Errorf("index lists %v, want %v", index, mounted)
+			}
+			for _, path := range index {
+				get(t, base+path)
+			}
+			startup := "debug server on " + base + " (" + strings.Join(index, " ") + ")"
+			n.logMu.Lock()
+			defer n.logMu.Unlock()
+			if !slices.Contains(n.log, startup) {
+				t.Errorf("startup log %q does not hold %q", n.log, startup)
+			}
+		})
+	}
+}
+
+// TestEventsRingHoldsProtocolEventsOnly: frames are counted by the tap's
+// sinks, not replayed into the event stream, so wire traffic that changes no
+// lease state — here 100 reads that miss the cache and are refused — cannot
+// push the connects and grants an operator asked /debug/events for out of a
+// small ring.
+func TestEventsRingHoldsProtocolEventsOnly(t *testing.T) {
+	n := driven(t, "server", Options{Node: "srv", Trace: 16, LoadWindow: 60})
+	frames := n.stack.Cost.Totals().MessagesRecv
+	for i := 0; i < 100; i++ {
+		if _, err := n.holder.Read("vol", "no-such-object"); err == nil {
+			t.Fatal("read of a missing object succeeded")
+		}
+	}
+	if got := n.stack.Cost.Totals().MessagesRecv - frames; got < 200 {
+		t.Fatalf("100 refused reads crossed the tap as %d received frames, want a request and a reply each", got)
+	}
+	kinds := map[obs.EventType]int{}
+	for _, e := range n.stack.ring.Snapshot() {
+		kinds[e.Type]++
+	}
+	for _, want := range []obs.EventType{obs.EvConnect, obs.EvVolLeaseGrant, obs.EvObjLeaseGrant} {
+		if kinds[want] == 0 {
+			t.Errorf("%s evicted from the 16-slot ring, which holds %v", want, kinds)
+		}
+	}
+}
+
+// TestDaemonsBuildNoObserver keeps the fork from regrowing: the two daemons
+// reach the observer packages only through this one.
+func TestDaemonsBuildNoObserver(t *testing.T) {
+	for _, file := range []string{"../../cmd/leased/main.go", "../../cmd/leaseproxy/main.go"} {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			switch strings.Trim(imp.Path.Value, `"`) {
+			case "repro/internal/audit", "repro/internal/cost", "repro/internal/health",
+				"repro/internal/loadtl", "repro/internal/state":
+				t.Errorf("%s imports %s; observers are assembled in internal/daemon", file, imp.Path.Value)
+			}
+		}
+	}
+}

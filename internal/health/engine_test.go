@@ -40,8 +40,8 @@ func TestEngineTriggerWritesDumpWithPreContext(t *testing.T) {
 	// 5 seconds of background traffic: the pre-trigger context.
 	for i := 0; i < 5; i++ {
 		at := sim.Now()
-		f.Observe(evAt(at, obs.EvMsgRecv))
-		e.Observe(evAt(at, obs.EvMsgRecv))
+		f.Observe(evAt(at, obs.EvCacheRead))
+		e.Observe(evAt(at, obs.EvCacheRead))
 		sim.Advance(time.Second)
 		e.tickOnce(sim.Now())
 	}

@@ -12,6 +12,8 @@ import (
 	"repro/internal/loadtl"
 	"repro/internal/obs"
 	"repro/internal/state"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func evAt(at time.Time, typ obs.EventType) obs.Event {
@@ -93,7 +95,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				f.Observe(evAt(base.Add(time.Duration(i)*time.Millisecond), obs.EvMsgSent))
+				f.Observe(evAt(base.Add(time.Duration(i)*time.Millisecond), obs.EvCacheRead))
 			}
 		}(g)
 	}
@@ -141,7 +143,7 @@ func TestSnapshotIncludesSpansAndTimeline(t *testing.T) {
 	spans.Record(obs.Span{Trace: 1, ID: 1, Kind: obs.SpanWrite, Start: base.Add(9 * time.Second), Dur: time.Second})
 	// An ancient span outside the window must be dropped.
 	spans.Record(obs.Span{Trace: 2, ID: 2, Kind: obs.SpanWrite, Start: base.Add(-time.Hour), Dur: time.Second})
-	tl.Observe(obs.Event{Type: obs.EvMsgSent, At: base.Add(9 * time.Second), Msg: 1})
+	tl.TapConn("n:1", "c:0").Observe(transport.Frame{Sent: true, Msg: wire.Hello{}}) // stamped sim.Now: second 10
 	f.Observe(evAt(base.Add(9*time.Second), obs.EvWriteApplied))
 
 	d := f.Snapshot(sim.Now(), &Trigger{Detector: DetEpochBump, At: sim.Now(), Threshold: 1, Observed: 2})
@@ -163,7 +165,7 @@ func TestDumpRoundTripAndPreTriggerSpan(t *testing.T) {
 	base := clock.Epoch
 	f := NewFlightRecorder("srv one", 64, 30*time.Second)
 	for i := 0; i < 5; i++ {
-		f.Observe(evAt(base.Add(time.Duration(i)*time.Second), obs.EvMsgRecv))
+		f.Observe(evAt(base.Add(time.Duration(i)*time.Second), obs.EvCacheRead))
 	}
 	tr := Trigger{Detector: DetUnreachable, At: base.Add(4 * time.Second), Threshold: 3, Observed: 5, Detail: "test"}
 	d := f.Snapshot(base.Add(6*time.Second), &tr)
@@ -228,7 +230,7 @@ func BenchmarkFlightRecord(b *testing.B) {
 func TestDumpFreezesAttachedLeaseState(t *testing.T) {
 	base := clock.Epoch
 	f := NewFlightRecorder("srv", 16, 30*time.Second)
-	f.Observe(evAt(base, obs.EvMsgRecv))
+	f.Observe(evAt(base, obs.EvCacheRead))
 
 	// Without an attached source, dumps carry no lease state.
 	if d := f.Snapshot(base.Add(time.Second), nil); d.LeaseState != nil {

@@ -55,7 +55,7 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 	engine.Start()
 	defer engine.Close()
 
-	net.Taps = []transport.Tap{obs.WireTap(observer, "srv", time.Now)}
+	net.Taps = []transport.Tap{tl}
 	srv, err := server.New(server.Config{
 		Name:       "srv",
 		Addr:       "srv:1",

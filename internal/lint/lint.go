@@ -229,7 +229,7 @@ func importName(f *ast.File, path string) string {
 	return ""
 }
 
-// exprString renders a selector/ident chain compactly ("s.cfg.Recorder").
+// exprString renders a selector/ident chain compactly ("s.cfg.Obs").
 // Non-chain expressions render their last component best-effort.
 func exprString(e ast.Expr) string {
 	switch v := e.(type) {

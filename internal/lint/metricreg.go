@@ -6,8 +6,7 @@ import (
 	"strings"
 )
 
-// MetricReg enforces the metric registration and recording hygiene of the
-// obs layer:
+// MetricReg enforces the metric registration hygiene of the obs layer:
 //
 //  1. Every metric family registered against the obs registry carries the
 //     `lease_` prefix, so one scrape namespace holds the whole stack and
@@ -16,10 +15,7 @@ import (
 //     under the same name (unlike Counter/Gauge/Histogram, which
 //     get-or-create), so registering the same literal name twice in one
 //     package silently drops the first callback — always a bug.
-//  3. *metrics.Recorder methods are NOT nil-safe (the recorder is optional
-//     configuration); every call through a `.Recorder` field must be
-//     guarded by a `!= nil` check or a `== nil` early return.
-//  4. Observer internals (Tracer, Metrics, Spans fields) must be reached
+//  3. Observer internals (Tracer, Metrics, Spans fields) must be reached
 //     through the nil-safe wrappers (Emit, Reg, SpanRec, Tracing), never by
 //     direct field access through a config's Obs — a nil *Observer is the
 //     documented "observability off" state and direct access panics on it.
@@ -30,7 +26,7 @@ import (
 // skipped.
 var MetricReg = &Analyzer{
 	Name: "metricreg",
-	Doc:  "enforces lease_ metric naming, unique GaugeFunc registration, and nil-guarded Recorder/Observer access",
+	Doc:  "enforces lease_ metric naming, unique GaugeFunc registration, and nil-safe Observer access",
 	Run:  runMetricReg,
 }
 
@@ -43,22 +39,6 @@ var registrationMethods = map[string]bool{
 	"Histogram":         false,
 	"GaugeFunc":         true,
 	"RegisterHistogram": true,
-}
-
-// recorderMethods are the *metrics.Recorder methods; the receiver is not
-// nil-safe.
-var recorderMethods = map[string]bool{
-	"Message":     true,
-	"SetState":    true,
-	"AdjustState": true,
-	"Read":        true,
-	"Write":       true,
-	"Totals":      true,
-	"Server":      true,
-	"Servers":     true,
-	"ReadStats":   true,
-	"StaleRate":   true,
-	"WriteStats":  true,
 }
 
 // observerFields are the raw Observer fields that have nil-safe accessors.
@@ -84,9 +64,6 @@ func runMetricReg(pass *Pass) {
 	}
 	for _, f := range pass.Files {
 		checkObserverFieldAccess(pass, f)
-		for _, fn := range funcBodies(f) {
-			checkRecorderGuards(pass, fn.body.List, map[string]bool{})
-		}
 	}
 }
 
@@ -160,173 +137,4 @@ func checkObserverFieldAccess(pass *Pass, f *ast.File) {
 		}
 		return true
 	})
-}
-
-// checkRecorderGuards walks a statement list tracking which `.Recorder`
-// chains are known non-nil, and reports unguarded Recorder method calls.
-func checkRecorderGuards(pass *Pass, list []ast.Stmt, nonNil map[string]bool) {
-	for _, stmt := range list {
-		switch s := stmt.(type) {
-		case *ast.IfStmt:
-			bodyNonNil := copyStringSet(nonNil)
-			for _, e := range nonNilConjuncts(s.Cond) {
-				bodyNonNil[e] = true
-			}
-			checkRecorderGuards(pass, s.Body.List, bodyNonNil)
-			if s.Else != nil {
-				elseNonNil := copyStringSet(nonNil)
-				for _, e := range nilConjuncts(s.Cond) {
-					elseNonNil[e] = true
-				}
-				if blk, ok := s.Else.(*ast.BlockStmt); ok {
-					checkRecorderGuards(pass, blk.List, elseNonNil)
-				} else {
-					checkRecorderGuards(pass, []ast.Stmt{s.Else}, elseNonNil)
-				}
-			}
-			// `if X == nil { return }` guards the remainder of this block.
-			if terminates(s.Body) && s.Else == nil {
-				for _, e := range nilConjuncts(s.Cond) {
-					nonNil[e] = true
-				}
-			}
-			// The condition itself may contain calls (rare); check it with
-			// the outer facts.
-			checkRecorderCallsExpr(pass, s.Cond, nonNil)
-		case *ast.BlockStmt:
-			checkRecorderGuards(pass, s.List, copyStringSet(nonNil))
-		case *ast.ForStmt:
-			checkRecorderGuards(pass, s.Body.List, copyStringSet(nonNil))
-		case *ast.RangeStmt:
-			checkRecorderGuards(pass, s.Body.List, copyStringSet(nonNil))
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					checkRecorderGuards(pass, cc.Body, copyStringSet(nonNil))
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					checkRecorderGuards(pass, cc.Body, copyStringSet(nonNil))
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					checkRecorderGuards(pass, cc.Body, copyStringSet(nonNil))
-				}
-			}
-		default:
-			checkRecorderCallsStmt(pass, stmt, nonNil)
-		}
-	}
-}
-
-// nonNilConjuncts returns the `.Recorder` chains asserted non-nil by cond
-// (X != nil, possibly among && conjuncts).
-func nonNilConjuncts(cond ast.Expr) []string {
-	return recorderNilTests(cond, "!=")
-}
-
-// nilConjuncts returns the `.Recorder` chains tested nil by cond (X == nil).
-func nilConjuncts(cond ast.Expr) []string {
-	return recorderNilTests(cond, "==")
-}
-
-func recorderNilTests(cond ast.Expr, op string) []string {
-	var out []string
-	switch v := cond.(type) {
-	case *ast.BinaryExpr:
-		if v.Op.String() == "&&" || v.Op.String() == "||" {
-			out = append(out, recorderNilTests(v.X, op)...)
-			out = append(out, recorderNilTests(v.Y, op)...)
-			return out
-		}
-		if v.Op.String() != op {
-			return nil
-		}
-		for _, side := range []ast.Expr{v.X, v.Y} {
-			if id, ok := side.(*ast.Ident); ok && id.Name == "nil" {
-				continue
-			}
-			if isRecorderChain(side) {
-				out = append(out, exprString(side))
-			}
-		}
-	case *ast.ParenExpr:
-		return recorderNilTests(v.X, op)
-	}
-	return out
-}
-
-// isRecorderChain reports whether e is a selector chain ending in a
-// Recorder field.
-func isRecorderChain(e ast.Expr) bool {
-	return lastSelector(e) == "Recorder"
-}
-
-// terminates reports whether the block's last statement unconditionally
-// leaves the enclosing function or loop iteration.
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func checkRecorderCallsStmt(pass *Pass, stmt ast.Stmt, nonNil map[string]bool) {
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // analyzed as its own body by funcBodies
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			reportUnguardedRecorder(pass, call, nonNil)
-		}
-		return true
-	})
-}
-
-func checkRecorderCallsExpr(pass *Pass, e ast.Expr, nonNil map[string]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			reportUnguardedRecorder(pass, call, nonNil)
-		}
-		return true
-	})
-}
-
-func reportUnguardedRecorder(pass *Pass, call *ast.CallExpr, nonNil map[string]bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !recorderMethods[sel.Sel.Name] || !isRecorderChain(sel.X) {
-		return
-	}
-	recv := exprString(sel.X)
-	if nonNil[recv] {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"%s.%s without a nil guard; *metrics.Recorder is optional configuration and its methods are not nil-safe",
-		recv, sel.Sel.Name)
-}
-
-func copyStringSet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -16,7 +16,7 @@ import "strings"
 //     server's shard mutex; it stays in scope so a mutex added there is
 //     held to the same rules.
 //   - wiresym: encode/decode symmetry is a property of internal/wire.
-//   - metricreg: metric naming and nil-guard hygiene apply repo-wide.
+//   - metricreg: metric naming and nil-safe observer access apply repo-wide.
 //   - ctxclean: shutdown wiring applies to every package that spawns
 //     long-lived goroutines in the live stack.
 //   - hotalloc: the //lint:hotpath roots live in the wire codec and the
@@ -54,7 +54,7 @@ func Scoped(analyzer, pkgPath string) bool {
 	}
 	switch analyzer {
 	case "clockcheck":
-		return in("core", "server", "client", "proxy", "sim", "audit", "loadtl", "obs", "metrics", "health", "cost", "transport", "state")
+		return in("core", "server", "client", "proxy", "sim", "audit", "loadtl", "obs", "metrics", "health", "cost", "transport", "state", "daemon")
 	case "lockorder":
 		return in("server", "proxy")
 	case "wiresym":

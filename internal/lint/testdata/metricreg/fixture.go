@@ -7,11 +7,6 @@ func (registry) Gauge(name string) *int                       { return nil }
 func (registry) GaugeFunc(name string, f func() float64)      {}
 func (registry) RegisterHistogram(name string, h interface{}) {}
 
-type recorder struct{}
-
-func (recorder) Write(v int)     {}
-func (recorder) Read(stale bool) {}
-
 type observer struct {
 	Tracer  *int
 	Metrics *int
@@ -23,8 +18,7 @@ func (o *observer) Emit(e int)    {}
 func (o *observer) SpanRec() *int { return nil }
 
 type config struct {
-	Recorder *recorder
-	Obs      *observer
+	Obs *observer
 }
 
 func register(reg registry, labels string, f func() float64) {
@@ -37,26 +31,6 @@ func register(reg registry, labels string, f func() float64) {
 	reg.GaugeFunc("lease_labeled_gauge"+labels, f)
 	reg.GaugeFunc("lease_labeled_gauge"+labels, f)
 	reg.GaugeFunc("proxy_labeled_gauge"+labels, f) // want `lacks the lease_ prefix`
-}
-
-func guarded(cfg config) {
-	if cfg.Recorder != nil {
-		cfg.Recorder.Write(1)
-	}
-	if true && cfg.Recorder != nil {
-		cfg.Recorder.Write(2)
-	}
-}
-
-func earlyReturn(cfg config) {
-	if cfg.Recorder == nil {
-		return
-	}
-	cfg.Recorder.Read(true)
-}
-
-func unguarded(cfg config) {
-	cfg.Recorder.Write(1) // want `without a nil guard`
 }
 
 func observerAccess(cfg config, e int) {

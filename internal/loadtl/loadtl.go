@@ -2,13 +2,14 @@
 // the runtime counterpart of the simulator's metrics.LoadHistogram. The
 // paper's headline evaluation (Figures 7–9) is about time-correlated server
 // load: the cost of server-driven consistency shows up as per-second
-// message bursts after writes, not as averages. A Timeline attaches to the
-// observability layer as an event sink, buckets protocol activity into a
-// ring of 1-second slots, and exposes the result three ways: the
-// /debug/load JSON dump, scrape-time lease_load_* gauges (peak, mean,
-// burst ratio over a sliding window), and a cumulative histogram in the
-// exact shape of the simulator's Figure 8/9 series so live and simulated
-// load curves are directly comparable.
+// message bursts after writes, not as averages. A Timeline is a sink of both
+// of a node's streams — the transport's frames (transport.Tap: the message
+// counts) and the protocol's events (obs.Sink: writes, grants, ack waits) —
+// buckets them into a ring of 1-second slots, and exposes the result three
+// ways: the /debug/load JSON dump, scrape-time lease_load_* gauges (peak,
+// mean, burst ratio over a sliding window), and a cumulative histogram in
+// the exact shape of the simulator's Figure 8/9 series so live and
+// simulated load curves are directly comparable.
 package loadtl
 
 import (
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -75,17 +77,21 @@ type slot struct {
 	ackWait int64
 }
 
-// Timeline buckets protocol events into a ring of per-second slots. It
-// implements obs.Sink; attach it to the tracer feeding the node. All
-// methods are safe for concurrent use — each slot has its own lock, so
-// concurrent events only contend when they land on the same second.
+// Timeline buckets frames and protocol events into a ring of per-second
+// slots. It implements obs.Sink and transport.Tap; attach it to the tracer
+// feeding the node and to the node's network. All methods are safe for
+// concurrent use — each slot has its own lock, so concurrent observations
+// only contend when they land on the same second.
 type Timeline struct {
 	node  string
 	now   func() time.Time
 	slots []*slot
 }
 
-var _ obs.Sink = (*Timeline)(nil)
+var (
+	_ obs.Sink      = (*Timeline)(nil)
+	_ transport.Tap = (*Timeline)(nil)
+)
 
 // New builds a timeline for node retaining window seconds of history
 // (minimum 2: the current and the previous second). now supplies the clock
@@ -107,22 +113,40 @@ func New(node string, window int, now func() time.Time) *Timeline {
 // Window reports the retained history in seconds.
 func (t *Timeline) Window() int { return len(t.slots) }
 
+// TapConn implements transport.Tap: every connection's frames land in the one
+// timeline, stamped with the timeline's clock. A nil *Timeline taps nothing.
+func (t *Timeline) TapConn(local, remote string) transport.Sink {
+	if t == nil {
+		return nil
+	}
+	return frameSink{t}
+}
+
+// frameSink is the Timeline's transport.Sink face; Observe is taken by obs.Sink.
+type frameSink struct{ t *Timeline }
+
+func (s frameSink) Observe(f transport.Frame) {
+	s.t.add(s.t.now(), delta{msgs: 1, kind: f.Msg.Kind()})
+}
+
+// delta is what one observation adds to its second.
+type delta struct {
+	msgs, writes, grants, ackWait int64
+	kind                          wire.Kind
+}
+
 // Observe implements obs.Sink, classifying the events the protocol layers
 // already emit. It is called inline on protocol goroutines, so it does a
 // bounded amount of work under a per-slot lock.
 func (t *Timeline) Observe(e obs.Event) {
-	var dMsgs, dWrites, dGrants int64
-	var dAck int64
-	var kind wire.Kind
+	var d delta
 	switch e.Type {
-	case obs.EvMsgSent, obs.EvMsgRecv:
-		dMsgs, kind = 1, e.Msg
 	case obs.EvWriteApplied:
-		dWrites = 1
+		d.writes = 1
 	case obs.EvObjLeaseGrant, obs.EvVolLeaseGrant:
-		dGrants = 1
+		d.grants = 1
 	case obs.EvWriteUnblocked:
-		dAck = int64(e.Dur)
+		d.ackWait = int64(e.Dur)
 	default:
 		return
 	}
@@ -130,24 +154,28 @@ func (t *Timeline) Observe(e obs.Event) {
 	if at.IsZero() {
 		at = t.now()
 	}
+	t.add(at, d)
+}
+
+func (t *Timeline) add(at time.Time, d delta) {
 	sec := at.Unix()
 	s := t.slots[int(uint64(sec)%uint64(len(t.slots)))]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sec != sec {
 		if sec < s.sec {
-			return // stale event older than the slot's tenant; drop
+			return // older than the slot's tenant; drop
 		}
 		s.sec = sec
 		s.byKind = [wire.NumKinds]int64{}
 		s.msgs, s.writes, s.grants, s.ackWait = 0, 0, 0, 0
 	}
-	s.msgs += dMsgs
-	s.writes += dWrites
-	s.grants += dGrants
-	s.ackWait += dAck
-	if kind > 0 && int(kind) < len(s.byKind) {
-		s.byKind[kind]++
+	s.msgs += d.msgs
+	s.writes += d.writes
+	s.grants += d.grants
+	s.ackWait += d.ackWait
+	if d.kind > 0 && int(d.kind) < len(s.byKind) {
+		s.byKind[d.kind]++
 	}
 }
 

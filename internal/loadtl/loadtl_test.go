@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -31,21 +32,30 @@ func (c *fakeClock) Set(t time.Time) {
 
 func at(sec int64) time.Time { return time.Unix(sec, 500) }
 
+// frames moves the clock to sec and delivers n frames of m through the
+// timeline's tap: a frame carries no timestamp, the timeline's clock stamps it.
+func frames(tl *Timeline, clk *fakeClock, sec int64, m wire.Message, n int) {
+	clk.Set(at(sec))
+	sink := tl.TapConn("a:1", "b:2")
+	for i := 0; i < n; i++ {
+		sink.Observe(transport.Frame{Sent: i%2 == 0, Msg: m, Size: wire.Size(m)})
+	}
+}
+
 func TestTimelineBuckets(t *testing.T) {
-	clk := &fakeClock{t: at(1009)}
+	clk := &fakeClock{}
 	tl := New("srv", 60, clk.Now)
 	// Second 1000: a write burst — 3 invalidates out, 3 acks in, 1 write.
-	for i := 0; i < 3; i++ {
-		tl.Observe(obs.Event{Type: obs.EvMsgSent, At: at(1000), Msg: wire.KindInvalidate})
-		tl.Observe(obs.Event{Type: obs.EvMsgRecv, At: at(1000), Msg: wire.KindAckInvalidate})
-	}
+	frames(tl, clk, 1000, wire.Invalidate{}, 3)
+	frames(tl, clk, 1000, wire.AckInvalidate{}, 3)
 	tl.Observe(obs.Event{Type: obs.EvWriteApplied, At: at(1000)})
 	tl.Observe(obs.Event{Type: obs.EvWriteUnblocked, At: at(1000), Dur: 40 * time.Millisecond})
 	// Second 1005: quiet renewals.
-	tl.Observe(obs.Event{Type: obs.EvMsgRecv, At: at(1005), Msg: wire.KindReqVolLease})
+	frames(tl, clk, 1005, wire.ReqVolLease{}, 1)
 	tl.Observe(obs.Event{Type: obs.EvVolLeaseGrant, At: at(1005)})
 	// Untracked event types are ignored.
 	tl.Observe(obs.Event{Type: obs.EvConnect, At: at(1005)})
+	clk.Set(at(1009))
 
 	secs := tl.Snapshot()
 	if len(secs) != 2 {
@@ -68,13 +78,11 @@ func TestTimelineBuckets(t *testing.T) {
 }
 
 func TestTimelineBurstStats(t *testing.T) {
-	clk := &fakeClock{t: at(1009)}
+	clk := &fakeClock{}
 	tl := New("srv", 10, clk.Now)
-	for i := 0; i < 8; i++ {
-		tl.Observe(obs.Event{Type: obs.EvMsgSent, At: at(1000), Msg: wire.KindInvalidate})
-	}
-	tl.Observe(obs.Event{Type: obs.EvMsgSent, At: at(1004), Msg: wire.KindObjLease})
-	tl.Observe(obs.Event{Type: obs.EvMsgSent, At: at(1004), Msg: wire.KindObjLease})
+	frames(tl, clk, 1000, wire.Invalidate{}, 8)
+	frames(tl, clk, 1004, wire.ObjLease{}, 2)
+	clk.Set(at(1009))
 
 	b := tl.BurstWindow(0)
 	if b.WindowSeconds != 10 || b.Peak != 8 || b.PeakUnix != 1000 {
@@ -96,24 +104,24 @@ func TestTimelineBurstStats(t *testing.T) {
 }
 
 func TestTimelineWindowEviction(t *testing.T) {
-	clk := &fakeClock{t: at(1000)}
+	clk := &fakeClock{}
 	tl := New("srv", 5, clk.Now)
-	tl.Observe(obs.Event{Type: obs.EvMsgSent, At: at(1000), Msg: wire.KindHello})
+	frames(tl, clk, 1000, wire.Hello{}, 1)
 	// Time moves past the window: the old second must disappear even though
 	// its slot was never overwritten.
 	clk.Set(at(1010))
 	if got := tl.Snapshot(); len(got) != 0 {
 		t.Errorf("expired seconds still visible: %+v", got)
 	}
-	// A new event reusing the same ring slot resets it.
-	tl.Observe(obs.Event{Type: obs.EvMsgSent, At: at(1010), Msg: wire.KindHello})
+	// A new frame reusing the same ring slot resets it.
+	frames(tl, clk, 1010, wire.Hello{}, 1)
 	got := tl.Snapshot()
 	if len(got) != 1 || got[0].Unix != 1010 || got[0].Msgs != 1 {
 		t.Errorf("slot reuse = %+v", got)
 	}
 	// Stale events older than the slot's tenant are dropped, not misfiled.
-	tl.Observe(obs.Event{Type: obs.EvMsgSent, At: at(1005), Msg: wire.KindHello})
-	if got := tl.Snapshot(); len(got) != 1 || got[0].Msgs != 1 {
+	tl.Observe(obs.Event{Type: obs.EvWriteApplied, At: at(1005)})
+	if got := tl.Snapshot(); len(got) != 1 || got[0].Msgs != 1 || got[0].Writes != 0 {
 		t.Errorf("stale event misfiled: %+v", got)
 	}
 }
@@ -121,9 +129,9 @@ func TestTimelineWindowEviction(t *testing.T) {
 func TestTimelineZeroTimeUsesClock(t *testing.T) {
 	clk := &fakeClock{t: at(2000)}
 	tl := New("srv", 5, clk.Now)
-	tl.Observe(obs.Event{Type: obs.EvMsgSent, Msg: wire.KindHello}) // zero At
+	tl.Observe(obs.Event{Type: obs.EvWriteApplied}) // zero At
 	got := tl.Snapshot()
-	if len(got) != 1 || got[0].Unix != 2000 {
+	if len(got) != 1 || got[0].Unix != 2000 || got[0].Writes != 1 {
 		t.Errorf("zero-At event = %+v", got)
 	}
 }
@@ -151,13 +159,12 @@ func TestDumpCumulative(t *testing.T) {
 }
 
 func TestTimelineHandlerAndRegister(t *testing.T) {
-	clk := &fakeClock{t: at(3005)}
+	clk := &fakeClock{}
 	tl := New("srv-1", 30, clk.Now)
-	for i := 0; i < 5; i++ {
-		tl.Observe(obs.Event{Type: obs.EvMsgSent, At: at(3000), Msg: wire.KindInvalidate})
-	}
+	frames(tl, clk, 3000, wire.Invalidate{}, 5)
 	tl.Observe(obs.Event{Type: obs.EvWriteApplied, At: at(3000)})
-	tl.Observe(obs.Event{Type: obs.EvMsgSent, At: at(3004), Msg: wire.KindObjLease})
+	frames(tl, clk, 3004, wire.ObjLease{}, 1)
+	clk.Set(at(3005))
 
 	req := httptest.NewRequest("GET", "/debug/load", nil)
 	w := httptest.NewRecorder()
@@ -224,17 +231,17 @@ func TestTimelineHandlerAndRegister(t *testing.T) {
 func TestTimelineConcurrent(t *testing.T) {
 	clk := &fakeClock{t: at(5003)} // covers every second the writers touch
 	tl := New("srv", 8, clk.Now)
+	msgs := []wire.Message{wire.Hello{}, wire.ReqObjLease{}, wire.ObjLease{}, wire.Invalidate{}, wire.AckInvalidate{}}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			sink := tl.TapConn("a:1", "b:2")
 			for i := 0; i < 2000; i++ {
-				tl.Observe(obs.Event{
-					Type: obs.EvMsgSent,
-					At:   at(5000 + int64(i%4)),
-					Msg:  wire.Kind(1 + i%int(wire.NumKinds-1)),
-				})
+				// Frames land on the clock's second, events on their own.
+				sink.Observe(transport.Frame{Sent: true, Msg: msgs[i%len(msgs)]})
+				tl.Observe(obs.Event{Type: obs.EvObjLeaseGrant, At: at(5000 + int64(i%4))})
 			}
 		}(w)
 	}
@@ -248,11 +255,12 @@ func TestTimelineConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	var total int64
+	var total, grants int64
 	for _, s := range tl.Snapshot() {
 		total += s.Msgs
+		grants += s.Grants
 	}
-	if total != 8*2000 {
-		t.Errorf("total msgs = %d, want %d", total, 8*2000)
+	if total != 8*2000 || grants != 8*2000 {
+		t.Errorf("total msgs = %d, grants = %d, want %d each", total, grants, 8*2000)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/wire"
 )
 
 // EventType discriminates protocol events. The taxonomy covers every
@@ -47,10 +46,6 @@ const (
 	EvDisconnect
 	// EvRedial: a client transparently re-established its connection.
 	EvRedial
-	// EvMsgSent / EvMsgRecv: one wire message crossed an observed
-	// transport (Msg = kind). Emitted by the WireTap sink.
-	EvMsgSent
-	EvMsgRecv
 	// EvCacheRead: a client served a read from its cache (Version = the
 	// version it returned). The read-validity invariant applies.
 	EvCacheRead
@@ -82,8 +77,6 @@ var eventNames = [...]string{
 	EvConnect:          "connect",
 	EvDisconnect:       "disconnect",
 	EvRedial:           "redial",
-	EvMsgSent:          "msg-sent",
-	EvMsgRecv:          "msg-recv",
 	EvCacheRead:        "cache-read",
 	EvWriteApplied:     "write-applied",
 	EvInvalQueued:      "inval-queued",
@@ -111,8 +104,6 @@ type Event struct {
 	Object core.ObjectID
 	Volume core.VolumeID
 	Epoch  core.Epoch
-	// Msg is the wire kind for EvMsgSent/EvMsgRecv.
-	Msg wire.Kind
 	// N carries a count payload (waiters, expired leases, unacked clients).
 	N int
 	// Dur carries a duration payload (ack wait, slow-op latency).
@@ -135,9 +126,6 @@ func (e Event) String() string {
 	}
 	if e.Volume != "" {
 		s += " vol=" + string(e.Volume)
-	}
-	if e.Msg != 0 {
-		s += " msg=" + e.Msg.String()
 	}
 	if e.N != 0 {
 		s += fmt.Sprintf(" n=%d", e.N)

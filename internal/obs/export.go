@@ -129,7 +129,6 @@ type EventJSON struct {
 	Object  string     `json:"object,omitempty"`
 	Volume  string     `json:"volume,omitempty"`
 	Epoch   int64      `json:"epoch,omitempty"`
-	Msg     string     `json:"msg,omitempty"`
 	N       int        `json:"n,omitempty"`
 	DurNS   int64      `json:"dur_ns,omitempty"`
 	Version int64      `json:"version,omitempty"`
@@ -143,9 +142,6 @@ func (e Event) JSON() EventJSON {
 		Client: string(e.Client), Object: string(e.Object),
 		Volume: string(e.Volume), Epoch: int64(e.Epoch),
 		N: e.N, DurNS: int64(e.Dur), Version: int64(e.Version),
-	}
-	if e.Msg != 0 {
-		je.Msg = e.Msg.String()
 	}
 	if !e.Expire.IsZero() {
 		expire := e.Expire

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/clock"
@@ -24,9 +25,9 @@ type Route struct {
 //	/debug/pprof/  — the standard runtime profiles
 //	/debug/events  — recent protocol events (only when ring != nil)
 //
-// plus any extra routes. The pprof handlers are wired explicitly so the
-// daemon does not depend on http.DefaultServeMux (which blank-importing
-// net/http/pprof would mutate).
+// plus any extra routes, and an index at / listing exactly what was mounted.
+// The pprof handlers are wired explicitly so the daemon does not depend on
+// http.DefaultServeMux (which blank-importing net/http/pprof would mutate).
 //
 // Handler resolves relative ?since= windows on /debug/events against the
 // real clock; a stack running on simulated time should use HandlerClock so
@@ -38,6 +39,13 @@ func Handler(reg *Registry, ring *RingSink, extra ...Route) http.Handler {
 // HandlerClock is Handler with an injected clock for time-relative query
 // handling.
 func HandlerClock(clk clock.Clock, reg *Registry, ring *RingSink, extra ...Route) http.Handler {
+	mux, _ := newMux(clk, reg, ring, extra)
+	return mux
+}
+
+// newMux builds the debug mux and the list of paths mounted on it; the index
+// page and DebugServer.Routes are both that list.
+func newMux(clk clock.Clock, reg *Registry, ring *RingSink, extra []Route) (*http.ServeMux, []string) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", metricsHandler(reg))
 	mux.HandleFunc("/debug/vars", varsHandler(reg))
@@ -46,15 +54,16 @@ func HandlerClock(clk clock.Clock, reg *Registry, ring *RingSink, extra ...Route
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	index := "lease debug server\n\n/metrics\n/debug/vars\n/debug/pprof/"
+	routes := []string{"/metrics", "/debug/vars", "/debug/pprof/"}
 	if ring != nil {
 		mux.HandleFunc("/debug/events", eventsHandler(ring, clk))
-		index += "\n/debug/events"
+		routes = append(routes, "/debug/events")
 	}
 	for _, rt := range extra {
 		mux.Handle(rt.Path, rt.Handler)
-		index += "\n" + rt.Path
+		routes = append(routes, rt.Path)
 	}
+	index := "lease debug server\n\n" + strings.Join(routes, "\n")
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -62,13 +71,14 @@ func HandlerClock(clk clock.Clock, reg *Registry, ring *RingSink, extra ...Route
 		}
 		fmt.Fprintln(w, index)
 	})
-	return mux
+	return mux, routes
 }
 
 // DebugServer is a running debug HTTP endpoint.
 type DebugServer struct {
-	ln  net.Listener
-	srv *http.Server
+	ln     net.Listener
+	srv    *http.Server
+	routes []string
 }
 
 // Serve binds addr (":0" picks a free port) and serves the debug mux in the
@@ -85,9 +95,11 @@ func ServeClock(clk clock.Clock, addr string, reg *Registry, ring *RingSink, ext
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
+	mux, routes := newMux(clk, reg, ring, extra)
 	d := &DebugServer{
-		ln:  ln,
-		srv: &http.Server{Handler: HandlerClock(clk, reg, ring, extra...), ReadHeaderTimeout: 5 * time.Second},
+		ln:     ln,
+		srv:    &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
+		routes: routes,
 	}
 	go func() { _ = d.srv.Serve(ln) }()
 	return d, nil
@@ -95,6 +107,9 @@ func ServeClock(clk clock.Clock, addr string, reg *Registry, ring *RingSink, ext
 
 // Addr reports the bound address.
 func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
+
+// Routes lists the mounted paths, in mount order — what the index at / shows.
+func (d *DebugServer) Routes() []string { return d.routes }
 
 // Close stops the server.
 func (d *DebugServer) Close() error { return d.srv.Close() }

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 func TestNilTracerAndObserverAreSafe(t *testing.T) {
@@ -53,7 +51,7 @@ func TestCountSink(t *testing.T) {
 func TestRingSinkWrapsAndOrders(t *testing.T) {
 	ring := NewRingSink(4)
 	for i := 1; i <= 6; i++ {
-		ring.Observe(Event{Type: EvMsgSent, N: i})
+		ring.Observe(Event{Type: EvCacheRead, N: i})
 	}
 	got := ring.Snapshot()
 	if len(got) != 4 {
@@ -77,7 +75,7 @@ func TestRingSinkConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				ring.Observe(Event{Type: EvMsgRecv, N: i})
+				ring.Observe(Event{Type: EvCacheRead, N: i})
 				_ = ring.Snapshot()
 			}
 		}()
@@ -211,31 +209,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("c").Value(); got != 800 {
 		t.Errorf("counter = %d, want 800", got)
-	}
-}
-
-func TestRegisterRecorder(t *testing.T) {
-	r := NewRegistry()
-	rec := metrics.NewRecorder()
-	RegisterRecorder(r, rec)
-	rec.Message("s", metrics.MsgInvalidate, 40, time.Now())
-	rec.Message("s", metrics.MsgInvalidate, 40, time.Now())
-	rec.Write(25 * time.Millisecond)
-
-	var prom bytes.Buffer
-	if err := r.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	text := prom.String()
-	for _, want := range []string{
-		"lease_wire_messages_total 2",
-		"lease_wire_bytes_total 80",
-		`lease_wire_class_messages_total{class="invalidate"} 2`,
-		"lease_writes_total 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("recorder bridge missing %q:\n%s", want, text)
-		}
 	}
 }
 

@@ -185,9 +185,6 @@ func (s *SlogSink) Observe(e Event) {
 	if e.Epoch != 0 {
 		attrs = append(attrs, slog.Int64("epoch", int64(e.Epoch)))
 	}
-	if e.Msg != 0 {
-		attrs = append(attrs, slog.String("msg", e.Msg.String()))
-	}
 	if e.N != 0 {
 		attrs = append(attrs, slog.Int("n", e.N))
 	}

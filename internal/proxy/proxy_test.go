@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,26 +12,46 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/health"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/server"
 	"repro/internal/state"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
-// hierarchy builds origin <- proxy and returns both plus the network and
-// the origin's recorder. Origin, proxy, and every leaf dialed through
+// hierarchy builds origin <- proxy and returns both plus the network and a
+// count of the data-bearing grants the origin sent. Origin, proxy, and every leaf dialed through
 // dial() share one observer feeding the consistency auditor, so the whole
 // hierarchy is invariant-checked; any violation fails the test at cleanup.
 type hierarchy struct {
 	net    *transport.Memory
 	origin *server.Server
 	px     *proxy.Proxy
-	rec    *metrics.Recorder
+	sent   *dataTap
 	obs    *obs.Observer
 	aud    *audit.Auditor
 	flight *health.FlightRecorder
+}
+
+// dataTap counts the grants carrying object data that the listener at addr
+// sent: a sink on its accepted connections only.
+type dataTap struct {
+	addr string
+	n    atomic.Int64
+}
+
+func (d *dataTap) TapConn(local, remote string) transport.Sink {
+	if local != d.addr {
+		return nil
+	}
+	return d
+}
+
+func (d *dataTap) Observe(f transport.Frame) {
+	if g, ok := f.Msg.(wire.ObjLease); ok && f.Sent && g.HasData {
+		d.n.Add(1)
+	}
 }
 
 func buildHierarchy(t *testing.T, mutate func(*proxy.Config)) *hierarchy {
@@ -43,7 +64,8 @@ func buildHierarchy(t *testing.T, mutate func(*proxy.Config)) *hierarchy {
 func buildHierarchyOn(t *testing.T, originNet func(*transport.Memory) transport.Network, mutate func(*proxy.Config)) *hierarchy {
 	t.Helper()
 	net := transport.NewMemory()
-	rec := metrics.NewRecorder()
+	sent := &dataTap{addr: "origin:1"}
+	net.Taps = []transport.Tap{sent}
 	// The leaf-level staleness bound is min over the whole chain, which the
 	// proxy's sub-lease terms already are (they are capped upstream).
 	aud := audit.New(audit.LiveConfig(core.Config{
@@ -79,7 +101,6 @@ func buildHierarchyOn(t *testing.T, originNet func(*transport.Memory) transport.
 			Mode:        core.ModeEager,
 		},
 		MsgTimeout: 50 * time.Millisecond,
-		Recorder:   rec,
 		Obs:        observer,
 	})
 	if err != nil {
@@ -115,7 +136,7 @@ func buildHierarchyOn(t *testing.T, originNet func(*transport.Memory) transport.
 		t.Fatalf("proxy: %v", err)
 	}
 	t.Cleanup(func() { px.Close() })
-	return &hierarchy{net: net, origin: origin, px: px, rec: rec, obs: observer, aud: aud, flight: flight}
+	return &hierarchy{net: net, origin: origin, px: px, sent: sent, obs: observer, aud: aud, flight: flight}
 }
 
 func (h *hierarchy) dial(t *testing.T, id string) *client.Client {
@@ -161,13 +182,13 @@ func TestProxyAbsorbsDownstreamFetches(t *testing.T) {
 	if _, err := c1.Read("vol", "a"); err != nil {
 		t.Fatal(err)
 	}
-	upstreamData := h.rec.Totals().ByClass[metrics.MsgData]
+	upstreamData := h.sent.n.Load()
 	// The second leaf's fetch is served from the proxy's copy: the origin
 	// sees no additional data transfer.
 	if _, err := c2.Read("vol", "a"); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.rec.Totals().ByClass[metrics.MsgData]; got != upstreamData {
+	if got := h.sent.n.Load(); upstreamData != 1 || got != upstreamData {
 		t.Errorf("origin data messages grew %d -> %d; proxy should absorb the fetch", upstreamData, got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -113,7 +112,7 @@ func (s *Server) invalFlusher(cc *clientConn) {
 					tc = wire.TraceContext{TraceID: trace, SpanID: parent}
 				}
 			}
-			if err := s.send(cc, metrics.MsgInvalidate, wire.Invalidate{Objects: objs, Trace: tc}); err != nil {
+			if err := cc.conn.Send(wire.Invalidate{Objects: objs, Trace: tc}); err != nil {
 				// The write's ack wait times the client out and marks it
 				// unreachable; nothing more to do here.
 				s.logf("invalidate %v to %s failed: %v", objs, cc.id, err)
@@ -228,9 +227,6 @@ func (s *Server) serveConn(conn transport.Conn) {
 		if err != nil {
 			return
 		}
-		if s.cfg.Recorder != nil {
-			s.cfg.Recorder.Message(s.cfg.Name, classOf(m), 0, s.cfg.Clock.Now())
-		}
 		if err := s.dispatch(cc, m); err != nil {
 			s.logf("client %s: %v", cc.id, err)
 			return
@@ -304,9 +300,8 @@ func (s *Server) handleReqObjLease(cc *clientConn, req wire.ReqObjLease) error {
 	if g.Data != nil {
 		reply.HasData = true
 		reply.Data = g.Data
-		return s.send(cc, metrics.MsgData, reply)
 	}
-	return s.send(cc, metrics.MsgObjLease, reply)
+	return cc.conn.Send(reply)
 }
 
 // handleReqVolLease starts a volume-renewal conversation (Figure 3's
@@ -367,13 +362,13 @@ func (s *Server) handleReqVolLease(cc *clientConn, req wire.ReqVolLease) error {
 		if s.om != nil {
 			s.om.volGrants.Inc()
 		}
-		return s.send(cc, metrics.MsgVolLease, wire.VolLease{
+		return cc.conn.Send(wire.VolLease{
 			Seq: req.Seq, Volume: g.Volume, Expire: g.Expire, Epoch: g.Epoch,
 		})
 	case core.VolumePendingInvalidations:
 		cc.setRenewal(req.Seq, &renewal{volume: req.Volume, stage: stageAwaitPendingAck})
 		s.emit(obs.Event{Type: obs.EvInvalSent, Client: cc.id, Volume: req.Volume, N: len(g.Invalidate)})
-		return s.send(cc, metrics.MsgInvalRenew, wire.InvalRenew{
+		return cc.conn.Send(wire.InvalRenew{
 			Seq: req.Seq, Volume: req.Volume, Invalidate: g.Invalidate,
 		})
 	case core.VolumeNeedsRenewAll:
@@ -381,7 +376,7 @@ func (s *Server) handleReqVolLease(cc *clientConn, req wire.ReqVolLease) error {
 		if s.om != nil {
 			s.om.reconnects.Inc()
 		}
-		return s.send(cc, metrics.MsgMustRenewAll, wire.MustRenewAll{
+		return cc.conn.Send(wire.MustRenewAll{
 			Seq: req.Seq, Volume: req.Volume, Epoch: g.Epoch,
 		})
 	default:
@@ -455,7 +450,7 @@ func (s *Server) handleRenewObjLeases(cc *clientConn, req wire.RenewObjLeases) e
 	for _, g := range res.Renew {
 		out.Renew = append(out.Renew, wire.LeaseMeta{Object: g.Object, Version: g.Version, Expire: g.Expire})
 	}
-	return s.send(cc, metrics.MsgInvalRenew, out)
+	return cc.conn.Send(out)
 }
 
 // handleAckInvalidate routes acknowledgment messages: Seq 0 acks belong to
@@ -527,7 +522,7 @@ func (s *Server) handleAckInvalidate(cc *clientConn, ack wire.AckInvalidate) err
 	if s.om != nil {
 		s.om.volGrants.Inc()
 	}
-	return s.send(cc, metrics.MsgVolLease, wire.VolLease{
+	return cc.conn.Send(wire.VolLease{
 		Seq: ack.Seq, Volume: g.Volume, Expire: g.Expire, Epoch: g.Epoch,
 	})
 }
@@ -569,7 +564,7 @@ func (s *Server) handleWriteReq(cc *clientConn, req wire.WriteReq) {
 		_ = s.sendErr(cc, req.Seq, err)
 		return
 	}
-	_ = s.send(cc, metrics.MsgData, wire.WriteReply{
+	_ = cc.conn.Send(wire.WriteReply{
 		Seq: req.Seq, Object: req.Object, Version: version, Waited: waited,
 		Trace: req.Trace,
 	})
@@ -586,5 +581,5 @@ func (s *Server) sendErr(cc *clientConn, seq uint64, err error) error {
 	case errors.Is(err, core.ErrWriteFenced):
 		code = wire.ErrCodeWriteFenced
 	}
-	return s.send(cc, metrics.MsgData, wire.Error{Seq: seq, Code: code, Msg: err.Error()})
+	return cc.conn.Send(wire.Error{Seq: seq, Code: code, Msg: err.Error()})
 }

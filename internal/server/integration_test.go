@@ -13,8 +13,8 @@ import (
 	"repro/internal/audit"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/health"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/transport"
@@ -28,7 +28,6 @@ import (
 type testEnv struct {
 	net    *transport.Memory
 	srv    *server.Server
-	rec    *metrics.Recorder
 	obs    *obs.Observer
 	aud    *audit.Auditor
 	flight *health.FlightRecorder
@@ -48,14 +47,12 @@ func tableCfg() core.Config {
 func startServer(t *testing.T, table core.Config, mutate func(*server.Config)) *testEnv {
 	t.Helper()
 	net := transport.NewMemory()
-	rec := metrics.NewRecorder()
 	cfg := server.Config{
 		Name:       "srv",
 		Addr:       "srv:1",
 		Net:        net,
 		Table:      table,
 		MsgTimeout: 100 * time.Millisecond,
-		Recorder:   rec,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -117,7 +114,7 @@ func startServer(t *testing.T, table core.Config, mutate func(*server.Config)) *
 			t.Fatal(err)
 		}
 	}
-	return &testEnv{net: net, srv: srv, rec: rec, obs: observer, aud: aud, flight: flight}
+	return &testEnv{net: net, srv: srv, obs: observer, aud: aud, flight: flight}
 }
 
 // dial connects a client.
@@ -541,16 +538,27 @@ func TestServerStatsTrackLeases(t *testing.T) {
 	}
 }
 
-func TestRecorderCountsMessages(t *testing.T) {
-	env := startServer(t, tableCfg(), nil)
+// TestTapCountsMessages: the frames of a read are visible to a sink on the
+// network's tap — the one place wire traffic is counted.
+func TestTapCountsMessages(t *testing.T) {
+	acct := cost.New("srv", time.Now)
+	env := startServer(t, tableCfg(), func(cfg *server.Config) {
+		cfg.Net.(*transport.Memory).Taps = []transport.Tap{acct}
+	})
 	c := env.dial(t, "c1")
 	mustRead(t, c, "a")
-	tot := env.rec.Totals()
-	if tot.Messages == 0 {
-		t.Error("recorder saw no messages")
+	d := acct.Snapshot()
+	if d.Totals.MessagesSent == 0 || d.Totals.BytesRecv == 0 {
+		t.Errorf("tap saw no traffic: %+v", d.Totals)
 	}
-	if tot.ByClass[metrics.MsgVolLeaseReq] == 0 {
-		t.Error("no volume lease request recorded")
+	volReqs := int64(0)
+	for _, k := range d.Kinds {
+		if k.Kind == wire.KindReqVolLease.String() {
+			volReqs = k.FramesRecv
+		}
+	}
+	if volReqs == 0 {
+		t.Error("no volume lease request counted")
 	}
 }
 

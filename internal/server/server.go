@@ -63,10 +63,8 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // WriteMode selects how long a write waits for invalidation acknowledgments.
@@ -115,8 +113,6 @@ type Config struct {
 	// a restarted server resumes each volume at epoch+1 and fences writes
 	// for one previous volume-lease duration.
 	StateDir string
-	// Recorder, when non-nil, receives message accounting.
-	Recorder *metrics.Recorder
 	// Obs, when non-nil, receives protocol events and live metrics (see
 	// internal/obs). A nil Obs costs the hot paths a single nil check.
 	Obs *obs.Observer
@@ -486,40 +482,6 @@ func (s *Server) sweepLoop() {
 				s.emit(obs.Event{Type: obs.EvLeaseExpire, N: total})
 			}
 		}
-	}
-}
-
-// record notes a protocol message for metrics. wire.Size mirrors
-// AppendEncode byte for byte without serializing, so accounting stays off
-// the send path's allocation budget.
-func (s *Server) record(class metrics.MsgClass, m wire.Message) {
-	if s.cfg.Recorder == nil {
-		return
-	}
-	s.cfg.Recorder.Message(s.cfg.Name, class, int64(wire.Size(m)), s.cfg.Clock.Now())
-}
-
-// send transmits m on cc, recording it.
-func (s *Server) send(cc *clientConn, class metrics.MsgClass, m wire.Message) error {
-	s.record(class, m)
-	return cc.conn.Send(m)
-}
-
-// classOf maps inbound kinds to metric classes.
-func classOf(m wire.Message) metrics.MsgClass {
-	switch m.(type) {
-	case wire.ReqObjLease:
-		return metrics.MsgObjLeaseReq
-	case wire.ReqVolLease:
-		return metrics.MsgVolLeaseReq
-	case wire.AckInvalidate:
-		return metrics.MsgAckInvalidate
-	case wire.RenewObjLeases:
-		return metrics.MsgRenewObjLeases
-	case wire.WriteReq, wire.Hello:
-		return metrics.MsgData
-	default:
-		return metrics.MsgData
 	}
 }
 

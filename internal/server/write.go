@@ -233,9 +233,6 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 			Kind: obs.SpanWrite, Node: s.cfg.Name, Object: oid, Volume: plan.Volume,
 			Start: spanStart, Dur: s.cfg.Clock.Now().Sub(spanStart), N: len(waiters)})
 	}
-	if s.cfg.Recorder != nil {
-		s.cfg.Recorder.Write(waited)
-	}
 	if s.om != nil {
 		s.om.ackWait.Observe(waited)
 		s.om.unreached.Add(int64(len(unacked)))
