@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint staticcheck test race check cover bench bench-json bench-disabled bench-diff bench-wirepath bench-e2e bench-e2e-compare flightdump statedump figures fuzz examples loadtest clean
+.PHONY: all build vet lint staticcheck test race check cover bench bench-disabled bench-wirepath bench-e2e bench-e2e-compare flightdump statedump figures fuzz examples loadtest clean
 
 all: check
 
@@ -53,56 +53,11 @@ figures:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark snapshot: ns/op and allocs/op for every
-# benchmark, as JSON (format documented in EXPERIMENTS.md). Includes
-# BenchmarkConcurrentWrites, whose writes/s metric across 1/4/16 volumes is
-# the sharded write path's scaling curve. Parameterized so CI can run a
-# short preset: `make bench-json BENCH_PKGS=./internal/obs BENCH_FLAGS=...`.
-BENCH_OUT   ?= BENCH_PR18.json
-BENCH_PKGS  ?= ./...
-BENCH_FLAGS ?= -bench=. -benchmem
-bench-json:
-	$(GO) test -run '^$$' $(BENCH_FLAGS) $(BENCH_PKGS) | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
-
-# Perf-regression gate: compare two bench-json snapshots with cmd/benchdiff
-# (exit 2 on regression). Only benchmarks present in BOTH snapshots are
-# compared, so an old baseline keeps gating the benchmarks it knows about.
-# The root-package simulator benchmarks allocate millions of objects per op
-# and their allocs/op average jitters by ~0.001% with the iteration count,
-# so they get a hair of alloc slack; hot-path benchmarks stay exact (+0%).
-# The transport send benchmarks measure delivered throughput across a real
-# loopback socket pair, so their ns/op carries scheduler and kernel noise —
-# they get wide ns slack and rely on the exact alloc gate (and the
-# bench-wirepath zero-alloc check) instead.
-# BENCH_PR13.json and BENCH_PR18.json were taken on a different host from
-# BENCH_PR8.json: the wire codec, untouched since PR 8, measures ~30% slower
-# on its payload-copying rows at the PR 12 commit there too, so its ns/op gets
-# the slack CI already gives it (allocs stay exact). On that host single
-# 1-second rows of untouched code swing past these limits from run to run, at
-# the PR 16 parent commit too, so the snapshot keeps each row's fastest of
-# three `GOMAXPROCS=1 make bench-json` runs (allocs/op agree across the runs).
-# BENCH_PR18.json is that PR 16 snapshot renamed, with BenchmarkReadHit
-# re-measured the same way and BenchmarkClockNow/BenchmarkClockMono added.
-# BenchmarkProxyWriteFanout's proxy hop has run the server's own invalidation
-# round since PR 13 — per-object write guard, per-connection flusher queue,
-# requests parked instead of spawned — which is five more small allocations
-# per read-then-write iteration than the proxy's old private round (44 -> 49;
-# 46 since PR 16 stopped copying payloads out of the table and the cache).
-BENCH_BASE ?= BENCH_PR8.json
-BENCH_CAND ?= BENCH_PR18.json
-bench-diff:
-	$(GO) run ./cmd/benchdiff \
-		-rule 'repro Benchmark=alloc:0.01' \
-		-rule 'repro BenchmarkProxyWriteFanout=alloc:12' \
-		-rule 'transport Benchmark=ns:75' \
-		-rule 'internal/wire Benchmark=ns:50' \
-		-rule 'core BenchmarkTableSnapshot=ns:50,alloc:0.01' \
-		$(BENCH_BASE) $(BENCH_CAND)
-
 # The end-to-end benchmark (benchmark/README.md): real server, proxy and
 # clients over loopback TCP, four workloads, untraced then traced.
 # bench-e2e-compare gates a run against the committed baseline with the
-# bounds in BENCHMARK.json (exit 2 beyond a bound).
+# bounds in BENCHMARK.json (exit 2 beyond a bound); it is the repo's only
+# timing gate.
 E2E_OUT ?= benchmark/out/e2e.json
 bench-e2e:
 	$(GO) run ./benchmark -seed 1 -out $(E2E_OUT)
@@ -111,24 +66,34 @@ bench-e2e-compare:
 	$(GO) run ./benchmark -compare benchmark/results/baseline.json $(E2E_OUT)
 
 # Gate: the batched wire path must stay allocation-free end to end — the
-# pooled append-encoders (BenchmarkWirePath/append) and the full
-# send-to-delivery loop for grant/renew/invalidate (BenchmarkBatchedSend)
-# all report 0 B/op, 0 allocs/op — and so must the read that never reaches
-# it: a valid-lease hit on a real client (BenchmarkReadHit) returns the
-# cache's own slice. The wire-path half is also pinned statically:
-# `make lint`'s hotalloc analyzer checks every function reachable from the
-# //lint:hotpath roots, including paths the benchmark inputs don't drive
-# (DESIGN.md §13.3).
+# pooled append-encoders (BenchmarkWirePath/append), the full
+# send-to-delivery loop for grant/renew/invalidate from one sender and from
+# GOMAXPROCS senders (BenchmarkBatchedSend, BenchmarkBatchedSendParallel) and
+# the enabled cost-accounting charge every frame pays at the tap
+# (BenchmarkCostRecord, BenchmarkCostRecordVolume, BenchmarkCostConnFrame) all
+# report 0 B/op, 0 allocs/op — and so must the read that never reaches it: a
+# valid-lease hit on a real client (BenchmarkReadHit) returns the cache's own
+# slice. The parallel rows are held on allocs/op only: their pool traffic
+# reports 1 B/op about one run in six. The wire-path half is also pinned
+# statically: `make lint`'s hotalloc analyzer checks every function reachable
+# from the //lint:hotpath roots, including paths the benchmark inputs don't
+# drive (DESIGN.md §13.3).
 # Each package gets its own invocation with an anchored name per `/` level
-# (`-bench` splits its pattern on `/`), so the serial BenchmarkBatchedSend is
-# selected and BenchmarkBatchedSendParallel — whose pool traffic reports
-# 1 B/op about one run in six — is not.
+# (`-bench` splits its pattern on `/`). The gate fails unless all seven named
+# groups printed at least one row, so a renamed benchmark or a pattern that
+# matches nothing cannot pass it.
 bench-wirepath:
 	@echo "bench-wirepath: dynamic half of the zero-alloc gate (static half: hotalloc in 'make lint')"
 	{ $(GO) test -run '^$$' -bench '^BenchmarkWirePath$$/^append$$' -benchmem -benchtime=0.2s ./internal/wire && \
-	  $(GO) test -run '^$$' -bench '^BenchmarkBatchedSend$$' -benchmem -benchtime=0.2s ./internal/transport && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkBatchedSend(Parallel)?$$' -benchmem -benchtime=0.2s ./internal/transport && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkCost(Record|RecordVolume|ConnFrame)$$' -benchmem -benchtime=0.2s ./internal/cost && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkReadHit$$' -benchmem -benchtime=0.2s ./internal/client; } | tee /dev/stderr | \
-		awk '/^Benchmark(WirePath\/append|BatchedSend\/|ReadHit)/ { n++; if ($$(NF-1) != 0 || $$(NF-3) != 0) bad = 1 } END { exit bad || n < 3 }'
+		awk 'match($$1, /^Benchmark(WirePath\/append|BatchedSend(Parallel)?|Cost(Record(Volume)?|ConnFrame)|ReadHit)/) { \
+				seen[substr($$1, RSTART, RLENGTH)] = 1; \
+				if ($$(NF-1) != 0 || ($$(NF-3) != 0 && $$1 !~ /Parallel/)) bad = 1 } \
+			END { for (k in seen) n++; \
+				if (n != 7) print "bench-wirepath: " n + 0 " of 7 benchmark groups printed a row" > "/dev/stderr"; \
+				exit bad || n != 7 }'
 
 # Gate: the instrumented hot paths must stay allocation-free when tracing
 # is disabled (BenchmarkEmitDisabled / BenchmarkSpanDisabled /
@@ -167,5 +132,8 @@ examples:
 loadtest:
 	$(GO) run ./cmd/leasebench -clients 32 -duration 5s
 
+# Removes what building, testing and benchmarking leave behind; results/ is
+# tracked (the paper's figures) and stays.
 clean:
-	rm -rf results test_output.txt bench_output.txt
+	rm -rf benchmark/out flight-dumps test_output.txt bench_output.txt
+	find . -path ./.git -prune -o \( -name '*.test' -o -name '*.pprof' \) -type f -exec rm -f {} +

@@ -150,26 +150,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkWireRoundTrip measures codec throughput for a typical grant
-// carrying an 8 KiB payload.
-func BenchmarkWireRoundTrip(b *testing.B) {
-	m := wire.ObjLease{
-		Seq: 42, Object: "volume/object/17", Version: 9,
-		Expire: time.Now().Add(time.Minute), HasData: true,
-		Data: make([]byte, 8192),
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf, err := wire.AppendEncode(nil, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := wire.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkServerCachedRead measures end-to-end read latency of the
 // networked stack over the in-memory transport when the cache is warm (the
 // common case: both leases valid, zero server messages).

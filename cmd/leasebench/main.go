@@ -4,6 +4,10 @@
 // and writes, and reports throughput plus latency quantiles per operation
 // class — the live-system counterpart of the trace-driven simulator.
 //
+// It is a load generator for a running stack, not a measuring instrument: the
+// closed-loop random mix makes its ops/s incomparable across commits, and
+// measurements come from `go run ./benchmark`.
+//
 // Usage:
 //
 //	leasebench                                    # self-contained, defaults

@@ -133,7 +133,7 @@ func clientsOf(ls []LeaseSnapshot) []ClientID {
 
 // BenchmarkTableSnapshot measures the cost of one full-table scan-and-copy:
 // the price a /debug/leases scrape or flight-dump freeze pays while holding
-// a shard mutex. Gated by a bench-diff rule so it cannot silently regress.
+// a shard mutex.
 func BenchmarkTableSnapshot(b *testing.B) {
 	cfg := Config{ObjectLease: time.Hour, VolumeLease: time.Minute, Mode: ModeEager}
 	tbl, err := NewTable(cfg)

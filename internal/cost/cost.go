@@ -8,9 +8,7 @@
 // state against message counts per algorithm — and this package makes the
 // live stack answer the same question the simulator does: how many
 // messages (and bytes, and codec nanoseconds) did each protocol step cost,
-// per kind, per volume, per connection? ROADMAP item 1 (batched framing,
-// buffer pooling, zero-copy) is judged against these numbers via
-// BenchmarkWirePath and cmd/benchdiff.
+// per kind, per volume, per connection?
 //
 // Like the rest of the observability layer, everything is pay-for-what-
 // you-use: a nil *Accounting is a valid, disabled accountant whose Record

@@ -125,8 +125,7 @@ func runSendBenchParallel(b *testing.B, n Network, m wire.Message) {
 
 // BenchmarkBatchedSend is the batcher's hot-path gate: grant, renew, and
 // invalidate frames through one batched TCP connection must show 0
-// allocs/op at steady state. The sub-benchmark names are stable —
-// cmd/benchdiff matches on them — so add kinds, don't rename.
+// allocs/op at steady state (`make bench-wirepath`).
 func BenchmarkBatchedSend(b *testing.B) {
 	for _, c := range benchSendMessages() {
 		c := c

@@ -378,9 +378,9 @@ func (t *tcpConn) drain() {
 }
 
 // writeFrame writes one length-prefixed frame into the buffered writer.
-// Callers hold sendMu (which also guards the header scratch). This is
-// wire.WriteFrameBytes inlined against the concrete *bufio.Writer so the
-// header bytes never escape.
+// Callers hold sendMu (which also guards the header scratch). It writes to
+// the concrete *bufio.Writer, not an io.Writer, so the header bytes never
+// escape.
 func (t *tcpConn) writeFrame(body []byte) error {
 	if len(body) > wire.MaxFrame {
 		return wire.ErrFrameTooLarge

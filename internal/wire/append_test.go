@@ -128,14 +128,13 @@ func TestTimeRoundTripProperty(t *testing.T) {
 // array to the next read.
 func TestReadFrameBufRoundTrip(t *testing.T) {
 	m := Invalidate{Seq: 7, Objects: []core.ObjectID{"a", "b"}}
-	var wireBytes bytes.Buffer
+	var framed []byte
 	for i := 0; i < 3; i++ {
-		if err := WriteFrame(&wireBytes, m); err != nil {
-			t.Fatal(err)
-		}
+		framed = appendFrame(t, framed, m)
 	}
+	r := bytes.NewReader(framed)
 	for i := 0; i < 3; i++ {
-		buf, err := ReadFrameBuf(&wireBytes)
+		buf, err := ReadFrameBuf(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}

@@ -197,44 +197,6 @@ func Decode(buf []byte) (Message, error) {
 	}
 }
 
-// WriteFrame writes m to w with a 4-byte big-endian length prefix.
-func WriteFrame(w io.Writer, m Message) error {
-	body, err := AppendEncode(nil, m)
-	if err != nil {
-		return err
-	}
-	return WriteFrameBytes(w, body)
-}
-
-// WriteFrameBytes writes an already-encoded frame body with its 4-byte
-// big-endian length prefix. Callers that need to time or account the encode
-// step separately (the cost layer) encode first and hand the bytes here.
-func WriteFrameBytes(w io.Writer, body []byte) error {
-	if len(body) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("wire: write body: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one length-prefixed message from r.
-func ReadFrame(r io.Reader) (Message, error) {
-	buf, err := ReadFrameBuf(r)
-	if err != nil {
-		return nil, err
-	}
-	m, err := Decode(buf.B)
-	buf.Release()
-	return m, err
-}
-
 // ReadFrameBuf reads one length-prefixed frame body from r into a pooled
 // buffer. The caller owns the returned Buf and must Release it once the
 // body has been decoded (Decode copies every variable-length field, so the

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -354,42 +355,96 @@ func TestTraceTruncatedRejected(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocs pins what Decode allocates for each kind in
+// benchMessages(): the boxed Message plus one copy per string, payload and ID
+// slice the frame carries. The counts are exact, not a ceiling: a Decode that
+// stops copying a field lowers its row here in the same change. They are the
+// same under -race, so the test does not skip there.
+func TestDecodeAllocs(t *testing.T) {
+	want := map[Kind]float64{
+		KindHello:          2,
+		KindReqObjLease:    2,
+		KindObjLease:       3,
+		KindReqVolLease:    2,
+		KindVolLease:       2,
+		KindInvalidate:     4,
+		KindAckInvalidate:  5,
+		KindMustRenewAll:   2,
+		KindRenewObjLeases: 6,
+		KindInvalRenew:     7,
+		KindWriteReq:       3,
+		KindWriteReply:     2,
+		KindError:          2,
+	}
+	for _, m := range benchMessages() {
+		buf, err := AppendEncode(nil, m)
+		if err != nil {
+			t.Fatalf("AppendEncode(nil, %+v): %v", m, err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := Decode(buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want[m.Kind()] {
+			t.Errorf("Decode(%v): %v allocs/op, want %v", m.Kind(), got, want[m.Kind()])
+		}
+		delete(want, m.Kind())
+	}
+	for k := range want {
+		t.Errorf("Decode(%v): no message of this kind in benchMessages()", k)
+	}
+}
+
+// appendFrame appends m to dst framed as the transport frames it: a 4-byte
+// big-endian length, then AppendEncode's bytes.
+func appendFrame(t *testing.T, dst []byte, m Message) []byte {
+	t.Helper()
+	body, err := AppendEncode(nil, m)
+	if err != nil {
+		t.Fatalf("AppendEncode(nil, %+v): %v", m, err)
+	}
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(body))), body...)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	msgs := []Message{
 		Hello{Client: "c"},
 		ReqVolLease{Seq: 1, Volume: "v", Epoch: 0},
 		WriteReq{Seq: 2, Object: "o", Data: []byte("hello")},
 	}
+	var framed []byte
 	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
+		framed = appendFrame(t, framed, m)
 	}
+	r := bytes.NewReader(framed)
 	for _, want := range msgs {
-		got, err := ReadFrame(&buf)
+		buf, err := ReadFrameBuf(r)
 		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+			t.Fatalf("ReadFrameBuf: %v", err)
+		}
+		got, err := Decode(buf.B)
+		buf.Release()
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
 		}
 		assertEqual(t, got, want)
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := ReadFrameBuf(r); err != io.EOF {
 		t.Errorf("draining read = %v, want io.EOF", err)
 	}
 }
 
 func TestReadFrameRejectsHugeLength(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	r := bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	if _, err := ReadFrameBuf(r); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestReadFrameTruncatedBody(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 10, 1, 2}) // claims 10 bytes, has 2
-	if _, err := ReadFrame(&buf); err == nil {
+	r := bytes.NewReader([]byte{0, 0, 0, 10, 1, 2}) // claims 10 bytes, has 2
+	if _, err := ReadFrameBuf(r); err == nil {
 		t.Error("truncated body accepted")
 	}
 }
