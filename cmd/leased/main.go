@@ -117,7 +117,6 @@ func start(opts options) (*instance, error) {
 	o.Table = tableCfg
 	o.Audit = opts.audit
 	o.BestEffort = opts.bestEffort
-	o.SlowWrite = opts.slowWrite
 	stack := daemon.New(o)
 
 	cfg := server.Config{

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	leasevet [-list] [-only analyzer[,analyzer]] [-json] [-graph]
-//	         [-timing] [-fix-allows] [packages]
+//	         [-timing] [packages]
 //
 // Packages default to ./... relative to the current directory. Findings
 // print as file:line:col: message (analyzer); -json prints them as a JSON
@@ -17,10 +17,10 @@
 //
 // When the full suite runs (no -only), suppressions that no longer suppress
 // anything are themselves reported under the staleallow name, so the escape
-// hatch cannot rot; -fix-allows lists just those comments, for removal.
-// -graph dumps the interprocedural call graph (one "caller -> callee
-// [kind]" line per edge) for debugging the reachability analyzers, and
-// -timing reports per-analyzer wall time and finding counts.
+// hatch cannot rot. -graph dumps the interprocedural call graph (one "caller
+// -> callee [kind]" line per edge) for debugging the reachability analyzers,
+// and -timing reports the load's (go list + type-check) and each analyzer's
+// wall time and finding counts.
 package main
 
 import (
@@ -30,9 +30,14 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/lint"
 )
+
+// load is lint.Load; the tests memoize the one load of the repository that
+// several of them would otherwise repeat.
+var load = lint.Load
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -55,8 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("dir", ".", "directory to resolve package patterns from")
 	asJSON := fs.Bool("json", false, "print findings as a JSON array")
 	graph := fs.Bool("graph", false, "dump the interprocedural call graph and exit")
-	timing := fs.Bool("timing", false, "report per-analyzer wall time and finding counts")
-	fixAllows := fs.Bool("fix-allows", false, "list stale //lint:allow comments (suppressing nothing) and exit")
+	timing := fs.Bool("timing", false, "report the load's and each analyzer's wall time and finding counts")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -92,11 +96,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := lint.Load(*dir, patterns)
+	start := time.Now()
+	pkgs, err := load(*dir, patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+	loadTime := time.Since(start)
 
 	// Stale-allow detection needs the full suite: under -only, an allow for
 	// a deselected analyzer legitimately suppresses nothing this run.
@@ -113,23 +119,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *timing {
+		fmt.Fprintf(stderr, "leasevet: %-12s %8.2fms %4d package(s)\n",
+			"load", float64(loadTime.Microseconds())/1000, len(pkgs))
 		for _, t := range res.Timings {
 			fmt.Fprintf(stderr, "leasevet: %-12s %8.2fms %4d finding(s)\n",
 				t.Name, float64(t.Duration.Microseconds())/1000, t.Findings)
 		}
-	}
-	if *fixAllows {
-		n := 0
-		for _, d := range res.Diagnostics {
-			if d.Analyzer == "staleallow" {
-				fmt.Fprintln(stdout, d)
-				n++
-			}
-		}
-		if n == 0 {
-			fmt.Fprintln(stdout, "no stale //lint:allow comments")
-		}
-		return 0
 	}
 
 	diags := res.Diagnostics

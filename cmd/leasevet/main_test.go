@@ -6,8 +6,25 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/lint"
 )
+
+// Three tests run the whole repository through leasevet; they share one load
+// of it (packages are read-only once loaded).
+func init() {
+	repo := sync.OnceValues(func() ([]*lint.Package, error) {
+		return lint.Load("../..", []string{"./..."})
+	})
+	load = func(dir string, patterns []string) ([]*lint.Package, error) {
+		if dir == "../.." && len(patterns) == 1 && patterns[0] == "./..." {
+			return repo()
+		}
+		return lint.Load(dir, patterns)
+	}
+}
 
 // TestRepoIsClean is the smoke test `make lint` relies on: the committed
 // repository must produce zero findings.
@@ -160,9 +177,10 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-// TestFixAllows lists stale //lint:allow comments and exits 0 (it is a
-// report, not a gate); a repo with no stale allows says so.
-func TestFixAllows(t *testing.T) {
+// TestStaleAllowFailsDefaultRun: a //lint:allow that suppresses nothing is a
+// finding of the default run (analyzer staleallow, exit 1) — the report the
+// removed -fix-allows flag used to filter out of this same output.
+func TestStaleAllowFailsDefaultRun(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module repro/internal/server\n\ngo 1.22\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -176,20 +194,11 @@ func Quiet() {}
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-dir", dir, "-fix-allows", "."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	if code := run([]string{"-dir", dir, "."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "suppresses nothing") {
-		t.Errorf("stale allow not listed:\n%s", stdout.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-dir", "../..", "-fix-allows"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("clean repo exit = %d, want 0", code)
-	}
-	if !strings.Contains(stdout.String(), "no stale //lint:allow comments") {
-		t.Errorf("clean repo should report no stale allows:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "suppresses nothing") || !strings.Contains(stdout.String(), "(staleallow)") {
+		t.Errorf("stale allow not reported:\n%s", stdout.String())
 	}
 }
 
@@ -206,14 +215,14 @@ func TestGraphFlag(t *testing.T) {
 	}
 }
 
-// TestTimingFlag reports per-analyzer wall time on stderr without touching
-// the findings contract on stdout.
+// TestTimingFlag reports the load's and each analyzer's wall time on stderr
+// without touching the findings contract on stdout.
 func TestTimingFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-dir", "../..", "-timing"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"hotalloc", "lockflow", "spawnjoin", "snapshotcopy"} {
+	for _, name := range []string{"load", "hotalloc", "lockflow", "spawnjoin", "snapshotcopy"} {
 		if !strings.Contains(stderr.String(), name) {
 			t.Errorf("-timing output missing %s:\n%s", name, stderr.String())
 		}

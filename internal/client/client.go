@@ -395,12 +395,8 @@ func (c *Client) redial() bool {
 	)
 	if sr != nil {
 		traceID = sr.NewID()
-		if !sr.Sampled(traceID) {
-			sr = nil
-		} else {
-			spanID = sr.NewID()
-			spanStart = c.cfg.Clock.Now()
-		}
+		spanID = sr.NewID()
+		spanStart = c.cfg.Clock.Now()
 	}
 	attempts := 0
 	for {

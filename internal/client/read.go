@@ -133,16 +133,10 @@ func (c *Client) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 		if trace == 0 {
 			trace = sr.NewID()
 		}
-		if !sr.Sampled(trace) {
-			sr = nil
-			// Still forward an inherited context so downstream nodes that DO
-			// sample this trace parent correctly.
-		} else {
-			parentID = tc.SpanID
-			spanID = sr.NewID()
-			spanStart = c.cfg.Clock.Now()
-			tc = wire.TraceContext{TraceID: trace, SpanID: spanID}
-		}
+		parentID = tc.SpanID
+		spanID = sr.NewID()
+		spanStart = c.cfg.Clock.Now()
+		tc = wire.TraceContext{TraceID: trace, SpanID: spanID}
 	}
 
 	m, err := c.rpc(seq, wire.WriteReq{Seq: seq, Object: oid, Data: data, Trace: tc})
@@ -161,19 +155,15 @@ func (c *Client) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 	return rep.Version, rep.Waited, nil
 }
 
-// startSpan begins a fresh sampled trace for a client-initiated operation.
-// It returns a nil recorder — the callers' signal to skip recording — when
-// tracing is disabled or the new trace falls outside the sample.
+// startSpan begins a fresh trace for a client-initiated operation. It
+// returns a nil recorder — the callers' signal to skip recording — when
+// tracing is disabled.
 func (c *Client) startSpan() (sr *obs.SpanRecorder, traceID, spanID uint64, start time.Time) {
 	sr = c.cfg.Obs.SpanRec()
 	if sr == nil {
 		return nil, 0, 0, time.Time{}
 	}
-	traceID = sr.NewID()
-	if !sr.Sampled(traceID) {
-		return nil, 0, 0, time.Time{}
-	}
-	return sr, traceID, sr.NewID(), c.cfg.Clock.Now()
+	return sr, sr.NewID(), sr.NewID(), c.cfg.Clock.Now()
 }
 
 // anchor is one reading of the client's two clocks, taken when a reply that

@@ -35,10 +35,7 @@ import (
 )
 
 // These were flags until every caller turned out to pass the default.
-const (
-	profileRing = 24 // profile captures retained for /debug/profile/ring
-	spanSample  = 1  // record every trace
-)
+const profileRing = 24 // profile captures retained for /debug/profile/ring
 
 // Options says which observers a node has. The zero value is a registry,
 // cost accounting and nothing else.
@@ -75,9 +72,6 @@ type Options struct {
 	// node's writes do not wait out unacknowledged leases.
 	Audit      bool
 	BestEffort bool
-	// SlowWrite, when positive and spans are recorded, mirrors every root
-	// write span at or past it into the event stream as a slow-op.
-	SlowWrite time.Duration
 }
 
 // Flags registers the shared observability flags on fs, bound to o. With
@@ -186,10 +180,7 @@ func New(o Options) *Stack {
 		observer.Tracer = obs.NewTracer(sinks...)
 	}
 	if o.Spans > 0 {
-		spans := obs.NewSpanRecorder(o.Spans, spanSample)
-		if o.SlowWrite > 0 {
-			spans.SlowOp(o.SlowWrite, observer.Tracer)
-		}
+		spans := obs.NewSpanRecorder(o.Spans)
 		observer.Spans = spans
 		s.flight.AttachSpans(spans)
 		s.mount("/debug/spans", obs.SpansHandler(spans))

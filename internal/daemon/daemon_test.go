@@ -25,8 +25,8 @@ import (
 var table = core.Config{ObjectLease: time.Minute, VolumeLease: 10 * time.Second, Mode: core.ModeEager}
 
 // node is a stack with everything on around a server-role or proxy-role node,
-// on the in-memory network and the simulated clock, after one miss, one hit
-// and one write against a lease holder.
+// on the in-memory network and (unless opts brings a clock) the simulated
+// clock, after one miss, one hit and one write against a lease holder.
 type node struct {
 	stack  *Stack
 	holder *client.Client
@@ -34,10 +34,13 @@ type node struct {
 	log    []string
 }
 
-func driven(t *testing.T, role string, opts Options) *node {
+func driven(t *testing.T, role string, opts Options, slowWrite time.Duration) *node {
 	t.Helper()
 	n := &node{}
-	clk := clock.NewSimulated(clock.Epoch)
+	clk := opts.Clock
+	if clk == nil {
+		clk = clock.NewSimulated(clock.Epoch)
+	}
 	opts.Clock = clk
 	opts.Table = table
 	opts.Logf = func(format string, args ...any) {
@@ -52,7 +55,7 @@ func driven(t *testing.T, role string, opts Options) *node {
 
 	origin := server.Config{
 		Name: "origin", Addr: "origin:1", Net: net, Clock: clk, Table: table,
-		MsgTimeout: 50 * time.Millisecond, SlowWriteThreshold: opts.SlowWrite,
+		MsgTimeout: 50 * time.Millisecond, SlowWriteThreshold: slowWrite,
 	}
 	target := origin.Addr
 	if role == "server" {
@@ -137,8 +140,8 @@ func TestSeriesSurface(t *testing.T) {
 			n := driven(t, role, Options{
 				Node: role, DebugAddr: "127.0.0.1:0", Trace: 64, Spans: 64, LoadWindow: 60,
 				Flight: 256, FlightDir: t.TempDir(), ProfileInterval: time.Hour,
-				Audit: role == "server", SlowWrite: time.Nanosecond, // leaseproxy has no -audit
-			})
+				Audit: role == "server", // leaseproxy has no -audit
+			}, time.Nanosecond)
 			base := "http://" + n.stack.DebugAddr()
 
 			seen := map[string]bool{}
@@ -208,7 +211,7 @@ func TestSeriesSurface(t *testing.T) {
 // push the connects and grants an operator asked /debug/events for out of a
 // small ring.
 func TestEventsRingHoldsProtocolEventsOnly(t *testing.T) {
-	n := driven(t, "server", Options{Node: "srv", Trace: 16, LoadWindow: 60})
+	n := driven(t, "server", Options{Node: "srv", Trace: 16, LoadWindow: 60}, 0)
 	frames := n.stack.Cost.Totals().MessagesRecv
 	for i := 0; i < 100; i++ {
 		if _, err := n.holder.Read("vol", "no-such-object"); err == nil {
@@ -226,6 +229,28 @@ func TestEventsRingHoldsProtocolEventsOnly(t *testing.T) {
 		if kinds[want] == 0 {
 			t.Errorf("%s evicted from the 16-slot ring, which holds %v", want, kinds)
 		}
+	}
+}
+
+// TestSlowWriteEmitsOneEvent: `leased -slow-write D -spans N` is one
+// threshold, so a write past it is one slow-op in the event stream — the
+// server's, which also counts it and needs no span recorder. The recorder used
+// to mirror its root write span into the stream under the same threshold, and
+// every slow write showed up twice.
+func TestSlowWriteEmitsOneEvent(t *testing.T) {
+	// On the wall clock: the simulated one stands still across the ack wait.
+	n := driven(t, "server", Options{Node: "srv", Clock: clock.Real{}, Trace: 64, Spans: 64}, time.Nanosecond)
+	slow := 0
+	for _, e := range n.stack.ring.Snapshot() {
+		if e.Type == obs.EvSlowOp {
+			slow++
+		}
+	}
+	if slow != 1 {
+		t.Errorf("one write to a held lease past the threshold emitted %d slow-op events, want 1", slow)
+	}
+	if n.stack.Obs.SpanRec().Total() == 0 {
+		t.Error("no spans recorded; the write was not traced")
 	}
 }
 

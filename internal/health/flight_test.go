@@ -135,7 +135,7 @@ func TestSnapshotIncludesSpansAndTimeline(t *testing.T) {
 	base := clock.Epoch
 	sim := clock.NewSimulated(base.Add(10 * time.Second))
 	f := NewFlightRecorder("n", 64, 30*time.Second)
-	spans := obs.NewSpanRecorder(16, 1)
+	spans := obs.NewSpanRecorder(16)
 	f.AttachSpans(spans)
 	tl := loadtl.New("n", 30, sim.Now)
 	f.AttachTimeline(tl)

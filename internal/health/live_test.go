@@ -31,7 +31,7 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 
 	net := transport.NewMemory()
 	observer := &obs.Observer{Metrics: obs.NewRegistry()}
-	spans := obs.NewSpanRecorder(4096, 1)
+	spans := obs.NewSpanRecorder(4096)
 	observer.Spans = spans
 
 	flight := health.NewFlightRecorder("srv", 16384, 30*time.Second)

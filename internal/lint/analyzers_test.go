@@ -1,6 +1,9 @@
 package lint
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestClockCheckFixture(t *testing.T) { runFixture(t, ClockCheck, "clockcheck") }
 
@@ -23,32 +26,34 @@ func TestSnapshotCopyFixture(t *testing.T) { runFixture(t, SnapshotCopy, "snapsh
 // TestClockCheckRenamedImport verifies the analyzer follows a renamed time
 // import and ignores unrelated packages that happen to be called "time".
 func TestClockCheckRenamedImport(t *testing.T) {
-	pkg := mustParsePackage(t, "fixture/renamed", `package p
+	pkgs := loadModule(t, "fixture", map[string]string{
+		"renamed/p.go": `package p
 
 import stdtime "time"
 
 func f() { _ = stdtime.Now() }
-`)
-	diags := RunAnalyzer(ClockCheck, pkg)
-	if len(diags) != 1 {
-		t.Fatalf("diagnostics = %d, want 1: %v", len(diags), diags)
-	}
+`,
+		"other/time/time.go": `package time
 
-	clean := mustParsePackage(t, "fixture/other", `package p
+func Now() int { return 0 }
+`,
+		"other/p.go": `package p
 
-import "example.com/other/time"
+import "fixture/other/time"
 
 func f() { _ = time.Now() }
-`)
-	if diags := RunAnalyzer(ClockCheck, clean); len(diags) != 0 {
-		t.Fatalf("flagged a non-stdlib time package: %v", diags)
+`,
+	})
+	diags := RunSuite(pkgs, []*Analyzer{ClockCheck}, SuiteOptions{}).Diagnostics
+	if len(diags) != 1 || !strings.HasSuffix(diags[0].Pos.Filename, "renamed/p.go") {
+		t.Fatalf("diagnostics = %v, want exactly the renamed stdlib import's call", diags)
 	}
 }
 
 // TestAllowRequiresMatchingAnalyzer verifies //lint:allow only suppresses
 // the named analyzer.
 func TestAllowRequiresMatchingAnalyzer(t *testing.T) {
-	pkg := mustParsePackage(t, "fixture/allow", `package p
+	pkg := loadSource(t, "fixture/allow", `package p
 
 import "time"
 
@@ -57,7 +62,7 @@ func f() {
 	time.Sleep(time.Second)
 }
 `)
-	if diags := RunAnalyzer(ClockCheck, pkg); len(diags) != 1 {
+	if diags := RunSuite([]*Package{pkg}, []*Analyzer{ClockCheck}, SuiteOptions{}).Diagnostics; len(diags) != 1 {
 		t.Fatalf("diagnostics = %d, want 1 (allow for another analyzer must not apply): %v", len(diags), diags)
 	}
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // forbiddenTimeFuncs are the package-time entry points that read or wait on
@@ -37,10 +38,6 @@ var ClockCheck = &Analyzer{
 
 func runClockCheck(pass *Pass) {
 	for _, f := range pass.Files {
-		timeName := importName(f, "time")
-		if timeName == "" {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -51,10 +48,13 @@ func runClockCheck(pass *Pass) {
 				return true
 			}
 			base, ok := sel.X.(*ast.Ident)
-			if !ok || base.Name != timeName {
+			if !ok {
 				return true
 			}
-			if forbiddenTimeFuncs[sel.Sel.Name] {
+			// Whatever the file calls its import, and not a package that
+			// merely shares the name.
+			pn, ok := pass.Info.Uses[base].(*types.PkgName)
+			if ok && pn.Imported().Path() == "time" && forbiddenTimeFuncs[sel.Sel.Name] {
 				pass.Reportf(call.Pos(),
 					"time.%s reads the system clock; use the injected clock.Clock (Clock.Mono for a deadline check, Clock.Now for a stamp) so simulated and live timelines agree",
 					sel.Sel.Name)

@@ -7,7 +7,16 @@ import (
 
 func buildTestGraph(t *testing.T, src string) *Graph {
 	t.Helper()
-	return BuildGraph([]*Package{mustParsePackage(t, "fixture/graph", src)})
+	return BuildGraph([]*Package{loadSource(t, "fixture/graph", src)})
+}
+
+// onlyCallee returns the single in-module callee of n, failing otherwise.
+func onlyCallee(t *testing.T, n *FuncNode) string {
+	t.Helper()
+	if len(n.Edges) != 1 || n.Edges[0].Callee == nil || n.Edges[0].OverApprox {
+		t.Fatalf("%s: edges = %+v, want one precise in-module edge", n, n.Edges)
+	}
+	return n.Edges[0].Callee.String()
 }
 
 func graphNode(t *testing.T, g *Graph, name string) *FuncNode {
@@ -60,9 +69,9 @@ func use() {
 	}
 }
 
-// TestGraphMethodValues verifies a method value bound to a variable still
-// links the binder to the method — the closure may be invoked later, so the
-// reference must appear in the graph for reachability to follow.
+// TestGraphMethodValues verifies a method value (or a plain function) bound
+// to a variable still links the binder to it — the closure may be invoked
+// later, so the reference must appear in the graph for reachability to follow.
 func TestGraphMethodValues(t *testing.T) {
 	g := buildTestGraph(t, `package p
 
@@ -70,14 +79,20 @@ type T struct{}
 
 func (t *T) M() {}
 
+func helper() {}
+
 func bind(t *T) {
-	f := t.M
+	f, h := t.M, helper
 	f()
+	h()
 }
 `)
 	bind := graphNode(t, g, "fixture/graph.bind")
 	if _, ok := edgeTo(bind, "fixture/graph.(*T).M"); !ok {
 		t.Errorf("bind has no edge to (*T).M; method value reference lost: %+v", bind.Edges)
+	}
+	if e, ok := edgeTo(bind, "fixture/graph.helper"); !ok || e.Kind != EdgeRef {
+		t.Errorf("bind -> helper: edge = %+v, ok = %v; want EdgeRef (a function used as a value)", e, ok)
 	}
 	reach := g.Reachable([]*FuncNode{bind}, ReachOpts{Call: true, Ref: true, OverApprox: true})
 	if _, ok := reach[graphNode(t, g, "fixture/graph.(*T).M")]; !ok {
@@ -179,5 +194,55 @@ func spawn() {
 	reach := g.Reachable([]*FuncNode{spawn}, ReachOpts{Call: true, Go: true})
 	if _, ok := reach[work]; !ok {
 		t.Errorf("work not reachable with Go edges enabled")
+	}
+}
+
+// TestGraphDeepPromotion pins that promotion has no depth limit: the method
+// is five embeddings down (the hand-written resolver gave up past three).
+func TestGraphDeepPromotion(t *testing.T) {
+	g := buildTestGraph(t, `package p
+
+type l5 struct{}
+
+func (l5) M() {}
+
+type l4 struct{ l5 }
+type l3 struct{ l4 }
+type l2 struct{ l3 }
+type l1 struct{ l2 }
+type l0 struct{ l1 }
+
+func use(v l0) { v.M() }
+`)
+	if got := onlyCallee(t, graphNode(t, g, "fixture/graph.use")); got != "fixture/graph.(*l5).M" {
+		t.Errorf("use -> %s, want (*l5).M through five levels of embedding", got)
+	}
+}
+
+// TestGraphShallowestPromotionWins pins Go's selector rule: when two embedded
+// fields provide M at different depths, the shallower one is called — not the
+// first one a depth-first search of the fields comes across.
+func TestGraphShallowestPromotionWins(t *testing.T) {
+	g := buildTestGraph(t, `package p
+
+type deep struct{}
+
+func (deep) M() {}
+
+type mid struct{ deep }
+
+type shallow struct{}
+
+func (shallow) M() {}
+
+type T struct {
+	mid // listed first: M is two levels down this field
+	shallow
+}
+
+func use(v T) { v.M() }
+`)
+	if got := onlyCallee(t, graphNode(t, g, "fixture/graph.use")); got != "fixture/graph.(*shallow).M" {
+		t.Errorf("use -> %s, want (*shallow).M (depth 1 beats depth 2)", got)
 	}
 }

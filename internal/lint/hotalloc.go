@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // HotAlloc statically pins the zero-alloc wire path: no allocating construct
@@ -130,7 +131,7 @@ func checkHotNode(p *GraphPass, parents map[*FuncNode]Edge, n *FuncNode) {
 				report(v.Pos(), "&%s takes the address of a local (heap escape)", operand.Name)
 			}
 		case *ast.CompositeLit:
-			checkHotCompositeLit(p, report, n, v)
+			checkHotCompositeLit(report, n, v)
 		case *ast.CallExpr:
 			checkHotCall(p, report, n, v, selfAppend)
 		}
@@ -139,56 +140,44 @@ func checkHotNode(p *GraphPass, parents map[*FuncNode]Edge, n *FuncNode) {
 
 // checkHotCompositeLit flags reference-kinded literals; value struct
 // literals are stack-built and free.
-func checkHotCompositeLit(p *GraphPass, report func(token.Pos, string, ...any), n *FuncNode, lit *ast.CompositeLit) {
+func checkHotCompositeLit(report func(token.Pos, string, ...any), n *FuncNode, lit *ast.CompositeLit) {
 	if lit.Type == nil {
 		return // nested literal; the outer one is judged
 	}
-	g := p.Graph
-	pi := g.byPath[n.Pkg.Path]
-	t := g.resolveTypeExpr(pi, n.File, lit.Type)
-	switch g.underlying(t).Kind {
-	case refSlice, refMap:
+	switch n.Pkg.Info.TypeOf(lit).Underlying().(type) {
+	case *types.Slice, *types.Map:
 		report(lit.Pos(), "%s literal allocates", exprString(lit.Type))
 	}
 }
 
 func checkHotCall(p *GraphPass, report func(token.Pos, string, ...any), n *FuncNode, call *ast.CallExpr, selfAppend map[*ast.CallExpr]bool) {
-	g := p.Graph
-	fun := call.Fun
-	if pe, ok := fun.(*ast.ParenExpr); ok {
-		fun = pe.X
-	}
-	if id, ok := fun.(*ast.Ident); ok {
+	g, info := p.Graph, n.Pkg.Info
+	fun := ast.Unparen(call.Fun)
+	if id, ok := fun.(*ast.Ident); ok && info.Types[fun].IsBuiltin() {
 		switch id.Name {
 		case "make":
 			report(call.Pos(), "make(%s, ...) allocates", exprString(callTypeArg(call)))
-			return
 		case "new":
 			report(call.Pos(), "new(%s) allocates", exprString(callTypeArg(call)))
-			return
 		case "append":
 			if !selfAppend[call] {
 				report(call.Pos(), "append into a different slice may grow a new backing array; only self-appends (x = append(x, ...)) reuse capacity")
 			}
-			return
-		case "string":
-			// string(namedStringType) is free; only string([]byte) /
-			// string([]rune) copy.
-			if convOperandIsSlice(g, n, call) {
-				report(call.Pos(), "string(...) of a byte/rune slice copies and allocates")
-			}
-			return
 		}
+		return
 	}
-	// []byte(...) conversion: allocates when converting from a string;
-	// []byte(alreadyASlice) is a free type identity conversion.
-	if at, ok := fun.(*ast.ArrayType); ok && at.Len == nil {
-		if id, ok := at.Elt.(*ast.Ident); ok && id.Name == "byte" {
-			if convOperandIsString(g, n, call) {
-				report(call.Pos(), "[]byte(...) conversion of a string copies and allocates")
-			}
-			return
+	if info.Types[fun].IsType() && len(call.Args) == 1 {
+		// A conversion between string and byte/rune slice copies; every
+		// other one (string(namedStringType), []byte(alreadyASlice)) is a
+		// free change of type.
+		to, from := info.TypeOf(call).Underlying(), info.TypeOf(call.Args[0]).Underlying()
+		if _, ok := from.(*types.Slice); ok && isString(to) {
+			report(call.Pos(), "string(...) of a byte/rune slice copies and allocates")
 		}
+		if _, ok := to.(*types.Slice); ok && isString(from) {
+			report(call.Pos(), "[]byte(...) conversion of a string copies and allocates")
+		}
+		return
 	}
 	// Known-allocating external calls, resolved from the graph's edges.
 	for _, e := range g.EdgesAt(call) {
@@ -199,78 +188,36 @@ func checkHotCall(p *GraphPass, report func(token.Pos, string, ...any), n *FuncN
 	}
 	// Literal arguments boxed into interface parameters of in-module
 	// callees. Pointer-shaped values ride in the interface word for free;
-	// literals need a heap box. (Identifier args are skipped — without full
-	// type checking their concrete-ness is unknown; err toward silence.)
+	// literals need a heap box. (Identifier args are skipped — whether one
+	// escapes into a box is the compiler's escape analysis to decide, not
+	// the type's; err toward silence.)
 	for _, e := range g.EdgesAt(call) {
 		if e.Callee == nil || e.OverApprox {
 			continue
 		}
-		sig := g.signature(e.Callee)
-		params := sig.params
 		// Method call through a selector: the receiver is not in params.
+		params := e.Callee.Signature().Params()
 		for i, arg := range call.Args {
-			if i >= len(params) {
+			if i >= params.Len() {
 				break
 			}
-			pt := g.underlying(params[i].typ)
-			if pt.Kind != refIface {
+			if !types.IsInterface(params.At(i).Type()) {
 				continue
 			}
 			switch a := arg.(type) {
 			case *ast.BasicLit:
-				report(a.Pos(), "literal boxed into interface parameter %q of %s allocates", params[i].name, e.Target)
+				report(a.Pos(), "literal boxed into interface parameter %q of %s allocates", params.At(i).Name(), e.Target)
 			case *ast.CompositeLit:
-				report(a.Pos(), "composite literal boxed into interface parameter %q of %s allocates", params[i].name, e.Target)
+				report(a.Pos(), "composite literal boxed into interface parameter %q of %s allocates", params.At(i).Name(), e.Target)
 			}
 		}
 		break
 	}
 }
 
-// convOperandIsSlice reports whether a conversion's single operand is
-// provably a slice. Without full type checking the resolution is structural:
-// a slice expression always yields a slice, and identifiers are looked up in
-// the enclosing function's signature. Everything else (selectors on
-// type-switch variables, call results) resolves to "unknown", which the two
-// conversion checks treat in the direction that errs toward silence — the
-// dynamic bench-wirepath gate backstops what this misses.
-func convOperandIsSlice(g *Graph, n *FuncNode, call *ast.CallExpr) bool {
-	if len(call.Args) != 1 {
-		return false
-	}
-	switch a := call.Args[0].(type) {
-	case *ast.SliceExpr:
-		return true
-	case *ast.Ident:
-		for _, p := range g.signature(n).params {
-			if p.name == a.Name {
-				return g.underlying(p.typ).Kind == refSlice
-			}
-		}
-	}
-	return false
-}
-
-// convOperandIsString reports whether a conversion's single operand is
-// provably string-kinded: a string literal, or an identifier whose signature
-// type has string underlying. Same err-toward-silence stance as
-// convOperandIsSlice.
-func convOperandIsString(g *Graph, n *FuncNode, call *ast.CallExpr) bool {
-	if len(call.Args) != 1 {
-		return false
-	}
-	switch a := call.Args[0].(type) {
-	case *ast.BasicLit:
-		return a.Kind == token.STRING
-	case *ast.Ident:
-		for _, p := range g.signature(n).params {
-			if p.name == a.Name {
-				u := g.underlying(p.typ)
-				return u.Kind == refBasic && u.Name == "string"
-			}
-		}
-	}
-	return false
+func isString(t types.Type) bool {
+	b, ok := t.(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 // callTypeArg returns make/new's type argument for diagnostics.

@@ -5,13 +5,13 @@
 // The invariants themselves are argued in DESIGN.md; each analyzer turns
 // one of those arguments into a build-time check (`make lint`).
 //
-// The suite is deliberately self-contained: it is built on go/ast and
-// go/parser only (no golang.org/x/tools dependency), mirroring the shape
-// of a go/analysis pass — an Analyzer with a Run func over a Pass — so it
-// can run in hermetic build environments. Analysis is syntactic; the
-// analyzers encode project idioms (field names like `mu`, helpers like
-// `allShards`), which is exactly what makes them precise here and useless
-// anywhere else.
+// The suite is deliberately self-contained: it is built on the standard
+// library's go/ast, go/parser and go/types only (no golang.org/x/tools
+// dependency), mirroring the shape of a go/analysis pass — an Analyzer with
+// a Run func over a Pass — so it can run in hermetic build environments.
+// Types come from go/types (load.go); what the analyzers look for is
+// project idiom (field names like `mu`, helpers like `allShards`), which is
+// exactly what makes them precise here and useless anywhere else.
 //
 // A finding can be suppressed by annotating the offending line (or the
 // line above it) with
@@ -27,9 +27,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding, with its position already resolved so callers
@@ -51,6 +51,7 @@ type Pass struct {
 	Fset     *token.FileSet
 	PkgPath  string
 	Files    []*ast.File
+	Info     *types.Info
 
 	diags []Diagnostic
 }
@@ -86,7 +87,7 @@ type GraphPass struct {
 }
 
 // ReportNodef records a finding at pos, resolved against the file set of the
-// package owning n (graph nodes span packages with distinct FileSets).
+// package owning n.
 func (p *GraphPass) ReportNodef(n *FuncNode, pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
@@ -111,43 +112,14 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Package is one loaded (parsed, not type-checked) package.
+// Package is one loaded package: parsed and type-checked. Every package of
+// one Load shares its FileSet.
 type Package struct {
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
-}
-
-// RunAnalyzer applies one analyzer to one package and returns its findings
-// with //lint:allow suppressions already filtered out. Interprocedural
-// analyzers see a graph built from just this package — the form fixture
-// tests use; cmd/leasevet runs them via RunSuite over the whole module.
-func RunAnalyzer(a *Analyzer, pkg *Package) []Diagnostic {
-	var diags []Diagnostic
-	if a.RunGraph != nil {
-		gp := &GraphPass{Analyzer: a, Graph: BuildGraph([]*Package{pkg})}
-		a.RunGraph(gp)
-		diags = gp.diags
-	} else {
-		pass := &Pass{Analyzer: a, Fset: pkg.Fset, PkgPath: pkg.Path, Files: pkg.Files}
-		a.Run(pass)
-		diags = pass.diags
-	}
-	allowed := allowLines(pkg, a.Name)
-	out := diags[:0]
-	for _, d := range diags {
-		if !allowed[fileLine{d.Pos.Filename, d.Pos.Line}] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Run applies every analyzer to every package. With scoped set, each
-// analyzer only sees the packages named by Scoped — the policy used by
-// cmd/leasevet; tests run analyzers unscoped over fixture packages.
-func Run(pkgs []*Package, analyzers []*Analyzer, scoped bool) []Diagnostic {
-	return RunSuite(pkgs, analyzers, SuiteOptions{Scoped: scoped}).Diagnostics
+	Types *types.Package
+	Info  *types.Info
 }
 
 func sortDiagnostics(out []Diagnostic) {
@@ -173,61 +145,7 @@ type fileLine struct {
 
 var allowRe = regexp.MustCompile(`^//lint:allow\s+([A-Za-z0-9_,-]+)`)
 
-// allowLines collects the lines on which findings of the named analyzer are
-// suppressed: the line of each matching //lint:allow comment and the line
-// after it (covering both trailing and standalone comment placement).
-func allowLines(pkg *Package, analyzer string) map[fileLine]bool {
-	out := make(map[fileLine]bool)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				names := strings.Split(m[1], ",")
-				match := false
-				for _, n := range names {
-					if strings.TrimSpace(n) == analyzer {
-						match = true
-					}
-				}
-				if !match {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				out[fileLine{pos.Filename, pos.Line}] = true
-				out[fileLine{pos.Filename, pos.Line + 1}] = true
-			}
-		}
-	}
-	return out
-}
-
 // --- shared syntactic helpers ---
-
-// importName reports the file-local name under which path is imported, or
-// "" when it is not imported. The default name is the last path element;
-// blank and dot imports return "" (callers treat them as not addressable).
-func importName(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if p != path {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return ""
-			}
-			return imp.Name.Name
-		}
-		if i := strings.LastIndex(p, "/"); i >= 0 {
-			return p[i+1:]
-		}
-		return p
-	}
-	return ""
-}
 
 // exprString renders a selector/ident chain compactly ("s.cfg.Obs").
 // Non-chain expressions render their last component best-effort.

@@ -160,7 +160,7 @@ func (lf *lockFlow) checkCalls(n *FuncNode, node ast.Node, held map[string]bool)
 			return true
 		}
 		for _, e := range lf.p.Graph.EdgesAt(call) {
-			if e.Callee == nil || e.Kind != EdgeCall || e.Weak {
+			if e.Callee == nil || e.Kind != EdgeCall {
 				continue
 			}
 			b := lf.summary(e.Callee)
@@ -255,12 +255,6 @@ func (lf *lockFlow) findBlocker(fn *FuncNode) *blocker {
 				}
 				resolved := false
 				for _, e := range lf.p.Graph.EdgesAt(v) {
-					if e.Weak {
-						// Name-only dispatch guesses would pin blocking on
-						// unrelated same-name methods (time.Time.After vs
-						// clock's After); skip them in blocking summaries.
-						continue
-					}
 					if e.Callee != nil {
 						resolved = true
 						if e.Kind != EdgeCall && e.Kind != EdgeDefer {

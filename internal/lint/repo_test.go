@@ -1,15 +1,21 @@
 package lint
 
 import (
+	"sync"
 	"testing"
 )
+
+// loadRepo loads the real repository once per test binary.
+var loadRepo = sync.OnceValues(func() ([]*Package, error) {
+	return Load("../..", []string{"./..."})
+})
 
 // TestRepoIsClean runs the full scoped suite over the real repository — the
 // same check `make lint` performs. The repo must stay clean: a finding here
 // either reveals a real violation (fix it) or an analyzer false positive
 // (fix the analyzer, or annotate the site with //lint:allow and a reason).
 func TestRepoIsClean(t *testing.T) {
-	pkgs, err := Load("../..", []string{"./..."})
+	pkgs, err := loadRepo()
 	if err != nil {
 		t.Fatalf("load repo: %v", err)
 	}
@@ -33,7 +39,7 @@ func TestRepoIsClean(t *testing.T) {
 // analyzer watches all of them, including ones a benchmark input set might
 // not drive.
 func TestHotAllocCoversWirePath(t *testing.T) {
-	pkgs, err := Load("../..", []string{"./..."})
+	pkgs, err := loadRepo()
 	if err != nil {
 		t.Fatalf("load repo: %v", err)
 	}

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // SnapshotCopy makes PR 9's share-no-memory discipline a compile-time fact:
@@ -10,9 +11,10 @@ import (
 // //lint:snapshotroot-annotated function — must not return memory that
 // aliases the live structures it was called on. The analysis taints the
 // root's receiver and reference-kinded parameters, propagates taint through
-// assignments, field selections, indexing, range loops, and (via memoized
-// per-function summaries) through calls to other in-module functions, and
-// reports wherever a tainted value reaches a return statement.
+// assignments, field selections, indexing, range loops, (via memoized
+// per-function summaries) calls to other in-module functions, and methods of
+// external containers (atomic.Pointer[T].Load), and reports wherever a
+// tainted value reaches a return statement.
 //
 // Taint only flows through "refish" types — types that can alias memory:
 // pointers, slices, maps, chans, funcs, and structs (transitively)
@@ -21,24 +23,14 @@ import (
 // taint; that is exactly the deep-copy idiom the discipline requires, so
 // the analyzer is silent on correct code by construction.
 //
-// Known blind spots, documented in DESIGN.md §13: externally-typed
-// containers are opaque (a slice threaded through atomic.Pointer.Load comes
-// back clean), so the project idiom helpers that hand out live shards
-// (allShards) are hard-listed as live sources; closure captures are not
+// Known blind spots, documented in DESIGN.md §13: a value laundered through
+// an interface comes back clean (sync.Map.Load returns `any`, and interfaces
+// are not refish — most are errors and clocks); closure captures are not
 // tracked.
 var SnapshotCopy = &Analyzer{
 	Name:     "snapshotcopy",
 	Doc:      "snapshot roots must not return references to live maps/slices (share-no-memory)",
 	RunGraph: runSnapshotCopy,
-}
-
-// snapLiveSources names in-module helpers whose results point into live
-// state even though structural dataflow cannot see it (they read through
-// externally-typed atomics).
-var snapLiveSources = map[string]bool{
-	"allShards":     true,
-	"shardOf":       true,
-	"shardOfObject": true,
 }
 
 // isSnapshotRoot identifies the functions whose return values must share no
@@ -59,11 +51,10 @@ func isSnapshotRoot(n *FuncNode) bool {
 
 func runSnapshotCopy(p *GraphPass) {
 	sc := &snapCopy{
-		p:          p,
 		g:          p.Graph,
 		summaries:  make(map[*FuncNode]*snapSummary),
 		visiting:   make(map[*FuncNode]bool),
-		refishMemo: make(map[string]bool),
+		refishMemo: make(map[*types.Named]bool),
 	}
 	for _, n := range sc.g.Nodes {
 		if !isSnapshotRoot(n) {
@@ -73,17 +64,16 @@ func runSnapshotCopy(p *GraphPass) {
 		for idx, leak := range sum.leaks {
 			p.ReportNodef(n, leak.pos,
 				"snapshot root %s returns memory aliasing live %s (%s); deep-copy it — snapshots must share no memory with live state",
-				n.Name, sc.paramName(n, idx), leak.src)
+				n.Name, paramName(n, idx), leak.src)
 		}
 	}
 }
 
 type snapCopy struct {
-	p          *GraphPass
 	g          *Graph
 	summaries  map[*FuncNode]*snapSummary
 	visiting   map[*FuncNode]bool
-	refishMemo map[string]bool
+	refishMemo map[*types.Named]bool
 }
 
 // taintMask bit i set = may alias parameter i (0 = receiver for methods).
@@ -101,66 +91,63 @@ type snapSummary struct {
 }
 
 // paramName renders the leaked parameter for diagnostics.
-func (sc *snapCopy) paramName(n *FuncNode, idx int) string {
-	if n.Decl != nil && n.Decl.Recv != nil {
+func paramName(n *FuncNode, idx int) string {
+	sig := n.Signature()
+	if recv := sig.Recv(); recv != nil {
 		if idx == 0 {
-			r := n.Decl.Recv.List[0]
-			if len(r.Names) == 1 {
-				return "receiver " + r.Names[0].Name
+			if recv.Name() != "" {
+				return "receiver " + recv.Name()
 			}
 			return "receiver"
 		}
 		idx--
 	}
-	sig := sc.g.signature(n)
-	if idx < len(sig.params) && sig.params[idx].name != "" {
-		return "parameter " + sig.params[idx].name
+	if idx < sig.Params().Len() && sig.Params().At(idx).Name() != "" {
+		return "parameter " + sig.Params().At(idx).Name()
 	}
 	return "a parameter"
 }
 
 // refish reports whether a type can alias memory.
-func (sc *snapCopy) refish(t typeRef) bool {
-	switch t.Kind {
-	case refPointer, refSlice, refMap, refChan, refFunc:
-		return true
-	case refArray:
-		return t.Elem != nil && sc.refish(*t.Elem)
-	case refNamed, refStruct:
-		if t.Name == "" {
-			return false
-		}
-		key := t.Pkg + "." + t.Name
-		if v, ok := sc.refishMemo[key]; ok {
-			return v
-		}
-		sc.refishMemo[key] = false // cycle guard: recursive types resolve below
-		res := false
-		u := t
-		if t.Kind == refNamed {
-			u = sc.g.underlying(t)
-		}
-		if u.Kind == refStruct {
-			if pi, st := sc.g.structOf(u); st != nil {
-				td := pi.types[u.Name]
-				for _, field := range st.Fields.List {
-					if sc.refish(sc.g.resolveTypeExpr(pi, td.file, field.Type)) {
-						res = true
-						break
-					}
-				}
-			}
-		} else if u.Kind != refNamed && u.Kind != refStruct {
-			res = sc.refish(u)
-		}
-		sc.refishMemo[key] = res
-		return res
-	default:
-		// Basic, interface, external, unknown: err toward silence. External
-		// types (time.Time) are overwhelmingly value-copied here; treating
-		// them as aliasing would flag the cleanest code in the repo.
+func (sc *snapCopy) refish(t types.Type) bool {
+	if t == nil {
 		return false
 	}
+	if named, ok := types.Unalias(t).(*types.Named); ok {
+		if v, ok := sc.refishMemo[named]; ok {
+			return v
+		}
+		sc.refishMemo[named] = false // cycle guard: recursive types resolve below
+		res := false
+		if sc.g.InModule(named) {
+			res = sc.refish(named.Underlying())
+		} else {
+			// A type from outside the module is a value (time.Time is
+			// overwhelmingly value-copied here; treating its zone pointer as
+			// aliasing would flag the cleanest code in the repo) — unless it
+			// is a generic container, which aliases what it was instantiated
+			// over: atomic.Pointer[map[K]*shard] holds the live map.
+			for i := 0; i < named.TypeArgs().Len() && !res; i++ {
+				res = sc.refish(named.TypeArgs().At(i))
+			}
+		}
+		sc.refishMemo[named] = res
+		return res
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature:
+		return true
+	case *types.Array:
+		return sc.refish(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if sc.refish(u.Field(i).Type()) {
+				return true
+			}
+		}
+	}
+	// Basic, interface: err toward silence.
+	return false
 }
 
 // summarize computes (and memoizes) a function's leak summary.
@@ -174,10 +161,9 @@ func (sc *snapCopy) summarize(fn *FuncNode) *snapSummary {
 	sc.visiting[fn] = true
 	tw := &taintWalker{
 		sc:   sc,
-		g:    sc.g,
-		pi:   sc.g.byPath[fn.Pkg.Path],
-		node: fn,
-		env:  map[string]taintVal{},
+		info: fn.Pkg.Info,
+		sig:  fn.Signature(),
+		env:  map[types.Object]taintVal{},
 		sum:  &snapSummary{leaks: map[int]*snapLeak{}},
 	}
 	tw.seed()
@@ -194,68 +180,51 @@ func (sc *snapCopy) summarize(fn *FuncNode) *snapSummary {
 
 // --- the taint walker ---
 
+// taintVal is what a value may alias, and through which expression.
 type taintVal struct {
-	t   typeRef
 	m   taintMask
 	src string
 }
 
 type taintWalker struct {
-	sc          *snapCopy
-	g           *Graph
-	pi          *pkgIndex
-	node        *FuncNode
-	env         map[string]taintVal
-	resultNames []string
-	sum         *snapSummary
+	sc   *snapCopy
+	info *types.Info
+	sig  *types.Signature
+	env  map[types.Object]taintVal
+	sum  *snapSummary
 }
 
-// seed binds the receiver and parameters, tainting the refish ones.
+// seed taints the receiver and the parameters of refish type.
 func (tw *taintWalker) seed() {
 	idx := 0
-	if tw.node.Decl != nil && tw.node.Decl.Recv != nil && len(tw.node.Decl.Recv.List) == 1 {
-		r := tw.node.Decl.Recv.List[0]
-		t := tw.g.resolveTypeExpr(tw.pi, tw.node.File, r.Type)
-		if len(r.Names) == 1 {
-			v := taintVal{t: t, src: r.Names[0].Name}
-			if tw.sc.refish(t) {
-				v.m = 1 << 0
-			}
-			tw.env[r.Names[0].Name] = v
+	bind := func(v *types.Var) {
+		if tw.sc.refish(v.Type()) && idx < 64 {
+			tw.env[v] = taintVal{m: 1 << idx, src: v.Name()}
 		}
-		idx = 1
+		idx++
 	}
-	var ft *ast.FuncType
-	if tw.node.Decl != nil {
-		ft = tw.node.Decl.Type
-	} else {
-		ft = tw.node.Lit.Type
+	if recv := tw.sig.Recv(); recv != nil {
+		bind(recv)
 	}
-	if ft.Params != nil {
-		for _, field := range ft.Params.List {
-			t := tw.g.resolveTypeExpr(tw.pi, tw.node.File, field.Type)
-			for _, name := range field.Names {
-				v := taintVal{t: t, src: name.Name}
-				if tw.sc.refish(t) && idx < 64 {
-					v.m = 1 << idx
-				}
-				tw.env[name.Name] = v
-				idx++
-			}
-			if len(field.Names) == 0 {
-				idx++
-			}
-		}
+	for i := 0; i < tw.sig.Params().Len(); i++ {
+		bind(tw.sig.Params().At(i))
 	}
-	if ft.Results != nil {
-		for _, field := range ft.Results.List {
-			t := tw.g.resolveTypeExpr(tw.pi, tw.node.File, field.Type)
-			for _, name := range field.Names {
-				tw.env[name.Name] = taintVal{t: t}
-				tw.resultNames = append(tw.resultNames, name.Name)
-			}
-		}
+}
+
+// bind records what the variable behind an identifier now holds.
+func (tw *taintWalker) bind(id *ast.Ident, val taintVal) {
+	if obj := tw.info.ObjectOf(id); obj != nil { // nil for the blank identifier
+		tw.env[obj] = val
 	}
+}
+
+// through passes val's taint on to an expression derived from it (a field,
+// an element, a conversion) if that expression's type can alias memory.
+func (tw *taintWalker) through(val taintVal, derived ast.Expr) taintVal {
+	if val.m == 0 || !tw.sc.refish(tw.info.TypeOf(derived)) {
+		val.m = 0
+	}
+	return val
 }
 
 func (tw *taintWalker) stmts(list []ast.Stmt) {
@@ -276,28 +245,19 @@ func (tw *taintWalker) stmt(s ast.Stmt) {
 				if !ok {
 					continue
 				}
-				var declared typeRef
-				if vs.Type != nil {
-					declared = tw.g.resolveTypeExpr(tw.pi, tw.node.File, vs.Type)
-				}
 				for i, name := range vs.Names {
-					val := taintVal{t: declared}
+					var val taintVal
 					if i < len(vs.Values) {
 						val = tw.exprTaint(vs.Values[i])
-						if vs.Type != nil {
-							val.t = declared
-						}
 					}
-					if name.Name != "_" {
-						tw.env[name.Name] = val
-					}
+					tw.bind(name, val)
 				}
 			}
 		}
 	case *ast.ReturnStmt:
 		if len(v.Results) == 0 {
-			for _, name := range tw.resultNames {
-				if val, ok := tw.env[name]; ok && val.m != 0 {
+			for i := 0; i < tw.sig.Results().Len(); i++ {
+				if val := tw.env[tw.sig.Results().At(i)]; val.m != 0 {
 					tw.leak(val.m, v.Pos(), val.src)
 				}
 			}
@@ -320,30 +280,10 @@ func (tw *taintWalker) stmt(s ast.Stmt) {
 		tw.stmt(v.Body)
 	case *ast.RangeStmt:
 		cont := tw.exprTaint(v.X)
-		ct := tw.g.underlying(cont.t.deref())
-		bind := func(e ast.Expr, t typeRef) {
-			id, ok := e.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				return
+		for _, e := range []ast.Expr{v.Key, v.Value} {
+			if id, ok := e.(*ast.Ident); ok {
+				tw.bind(id, tw.through(cont, id))
 			}
-			val := taintVal{t: t, src: cont.src}
-			if cont.m != 0 && tw.sc.refish(t) {
-				val.m = cont.m
-			}
-			tw.env[id.Name] = val
-		}
-		if v.Key != nil {
-			switch ct.Kind {
-			case refMap:
-				if ct.Key != nil {
-					bind(v.Key, *ct.Key)
-				}
-			case refSlice, refArray:
-				bind(v.Key, typeRef{Kind: refBasic, Name: "int"})
-			}
-		}
-		if v.Value != nil && ct.Elem != nil {
-			bind(v.Value, *ct.Elem)
 		}
 		tw.stmt(v.Body)
 	case *ast.SwitchStmt:
@@ -394,52 +334,44 @@ func (tw *taintWalker) assign(as *ast.AssignStmt) {
 			vals = append(vals, tw.exprTaint(r))
 		}
 	} else if len(as.Rhs) == 1 {
-		// Multi-value form: taint flows only from resolved call summaries;
-		// comma-ok forms give (value, clean bool).
-		v := tw.exprTaint(as.Rhs[0])
-		vals = append(vals, v)
-		for i := 1; i < len(as.Lhs); i++ {
-			vals = append(vals, taintVal{t: typeRef{Kind: refBasic, Name: "bool"}})
-		}
+		// Multi-value form: taint flows to the first value only (a resolved
+		// call's summary, or the value of a comma-ok form; the rest are
+		// clean bools and errors).
+		vals = make([]taintVal, len(as.Lhs))
+		vals[0] = tw.exprTaint(as.Rhs[0])
 	}
 	for i, lhs := range as.Lhs {
 		if i >= len(vals) {
 			break
 		}
-		switch l := lhs.(type) {
-		case *ast.Ident:
-			if l.Name == "_" {
-				continue
-			}
-			tw.env[l.Name] = vals[i]
-		default:
-			// Store into a field/element: taint the local variable the chain
-			// is rooted at (building a result: out.Objects = t.live taints
-			// out). Stores rooted at a parameter mutate live state — not a
-			// snapshot-leak, ignored here.
-			if vals[i].m == 0 {
-				continue
-			}
-			if root := rootIdent(lhs); root != "" {
-				if cur, ok := tw.env[root]; ok {
-					cur.m |= vals[i].m
-					if cur.src == "" || cur.src == root {
-						cur.src = vals[i].src
-					}
-					tw.env[root] = cur
-				}
-			}
+		if id, ok := lhs.(*ast.Ident); ok {
+			tw.bind(id, vals[i])
+			continue
+		}
+		// Store into a field/element: taint the local variable the chain is
+		// rooted at (building a result: out.Objects = t.live taints out).
+		// Stores rooted at a parameter mutate live state — not a
+		// snapshot-leak, ignored here.
+		if vals[i].m != 0 {
+			tw.taintRoot(lhs, vals[i])
 		}
 	}
 }
 
-// rootIdent finds the base identifier of an lvalue chain (out.Objects[i] ->
-// "out").
-func rootIdent(e ast.Expr) string {
+// taintRoot adds val's taint to the variable an lvalue chain is rooted at
+// (out.Objects[i] -> out).
+func (tw *taintWalker) taintRoot(e ast.Expr, val taintVal) {
 	for {
 		switch v := e.(type) {
 		case *ast.Ident:
-			return v.Name
+			obj := tw.info.ObjectOf(v)
+			cur := tw.env[obj]
+			cur.m |= val.m
+			if cur.src == "" || cur.src == v.Name {
+				cur.src = val.src
+			}
+			tw.env[obj] = cur
+			return
 		case *ast.SelectorExpr:
 			e = v.X
 		case *ast.IndexExpr:
@@ -449,228 +381,120 @@ func rootIdent(e ast.Expr) string {
 		case *ast.ParenExpr:
 			e = v.X
 		default:
-			return ""
+			return
 		}
 	}
 }
 
-// exprTaint computes an expression's type and taint.
+// exprTaint computes what an expression's value may alias.
 func (tw *taintWalker) exprTaint(e ast.Expr) taintVal {
 	switch v := e.(type) {
 	case *ast.Ident:
-		if val, ok := tw.env[v.Name]; ok {
-			return val
-		}
-		return taintVal{t: unknownRef}
+		return tw.env[tw.info.ObjectOf(v)] // clean unless a tracked local
 	case *ast.SelectorExpr:
-		if base, ok := v.X.(*ast.Ident); ok {
-			if _, shadowed := tw.env[base.Name]; !shadowed {
-				if importPathByName(tw.node.File, base.Name) != "" {
-					return taintVal{t: unknownRef} // package-level reference
-				}
-			}
+		if tw.info.Selections[v] == nil {
+			return taintVal{} // package-level reference
 		}
-		bv := tw.exprTaint(v.X)
-		ft, ok := tw.g.fieldType(bv.t, v.Sel.Name)
-		if !ok {
-			return taintVal{t: unknownRef}
-		}
-		out := taintVal{t: ft, src: bv.src + "." + v.Sel.Name}
-		if bv.m != 0 && tw.sc.refish(ft) {
-			out.m = bv.m
-		}
+		out := tw.through(tw.exprTaint(v.X), v)
+		out.src += "." + v.Sel.Name
 		return out
 	case *ast.CallExpr:
 		return tw.callTaint(v)
 	case *ast.UnaryExpr:
-		switch v.Op {
-		case token.AND:
-			inner := tw.exprTaint(v.X)
-			t := inner.t
-			return taintVal{t: typeRef{Kind: refPointer, Elem: &t}, m: inner.m, src: inner.src}
-		case token.ARROW:
-			inner := tw.exprTaint(v.X)
-			ct := tw.g.underlying(inner.t.deref())
-			out := taintVal{t: unknownRef, src: inner.src}
-			if ct.Kind == refChan && ct.Elem != nil {
-				out.t = *ct.Elem
-				if inner.m != 0 && tw.sc.refish(out.t) {
-					out.m = inner.m
-				}
-			}
-			return out
+		if v.Op == token.ARROW {
+			return tw.through(tw.exprTaint(v.X), v)
 		}
-		return tw.exprTaint(v.X)
+		return tw.exprTaint(v.X) // &x aliases x
 	case *ast.StarExpr:
-		inner := tw.exprTaint(v.X)
-		out := taintVal{t: unknownRef, m: inner.m, src: inner.src}
-		if inner.t.Kind == refPointer && inner.t.Elem != nil {
-			out.t = *inner.t.Elem
-		}
-		return out
+		return tw.exprTaint(v.X)
 	case *ast.IndexExpr:
-		base := tw.exprTaint(v.X)
-		ct := tw.g.underlying(base.t.deref())
-		out := taintVal{t: unknownRef, src: base.src}
-		if (ct.Kind == refMap || ct.Kind == refSlice || ct.Kind == refArray) && ct.Elem != nil {
-			out.t = *ct.Elem
-			if base.m != 0 && tw.sc.refish(out.t) {
-				out.m = base.m
-			}
-		}
-		return out
+		return tw.through(tw.exprTaint(v.X), v)
 	case *ast.SliceExpr:
 		return tw.exprTaint(v.X) // a reslice aliases its operand
 	case *ast.CompositeLit:
-		out := taintVal{t: unknownRef}
-		if v.Type != nil {
-			out.t = tw.g.resolveTypeExpr(tw.pi, tw.node.File, v.Type)
-		}
+		var out taintVal
 		for _, el := range v.Elts {
-			val := el
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				val = kv.Value
+				el = kv.Value
 			}
-			ev := tw.exprTaint(val)
-			if ev.m != 0 {
-				out.m |= ev.m
-				if out.src == "" {
-					out.src = ev.src
-				}
-			}
+			out = out.join(tw.exprTaint(el))
 		}
 		return out
 	case *ast.TypeAssertExpr:
-		inner := tw.exprTaint(v.X)
-		out := taintVal{t: unknownRef, m: inner.m, src: inner.src}
-		if v.Type != nil {
-			out.t = tw.g.resolveTypeExpr(tw.pi, tw.node.File, v.Type)
-		}
-		return out
+		return tw.exprTaint(v.X)
 	case *ast.ParenExpr:
 		return tw.exprTaint(v.X)
-	case *ast.BinaryExpr:
-		return taintVal{t: typeRef{Kind: refBasic}}
-	case *ast.FuncLit:
-		return taintVal{t: typeRef{Kind: refFunc}} // closure captures untracked
-	case *ast.BasicLit:
-		return taintVal{t: typeRef{Kind: refBasic}}
 	}
-	return taintVal{t: unknownRef}
+	// Literals, binary expressions, closures (captures untracked): clean.
+	return taintVal{}
 }
 
-// callTaint propagates taint through builtins, conversions, and resolved
-// in-module call summaries.
-func (tw *taintWalker) callTaint(call *ast.CallExpr) taintVal {
-	fun := call.Fun
-	if pe, ok := fun.(*ast.ParenExpr); ok {
-		fun = pe.X
+// join merges another value's taint into v, keeping the first source named.
+func (v taintVal) join(o taintVal) taintVal {
+	if o.m != 0 {
+		v.m |= o.m
+		if v.src == "" {
+			v.src = o.src
+		}
 	}
-	if id, ok := fun.(*ast.Ident); ok {
+	return v
+}
+
+// callTaint propagates taint through builtins, conversions, resolved
+// in-module call summaries, and methods of external containers.
+func (tw *taintWalker) callTaint(call *ast.CallExpr) taintVal {
+	fun := ast.Unparen(call.Fun)
+	if id, ok := fun.(*ast.Ident); ok && tw.info.Types[fun].IsBuiltin() {
 		switch id.Name {
-		case "make", "new", "len", "cap", "min", "max", "delete", "close", "recover":
-			t := unknownRef
-			if id.Name == "make" && len(call.Args) > 0 {
-				t = tw.g.resolveTypeExpr(tw.pi, tw.node.File, call.Args[0])
-			}
-			if id.Name == "len" || id.Name == "cap" {
-				t = typeRef{Kind: refBasic, Name: "int"}
-			}
-			return taintVal{t: t}
 		case "append":
-			out := taintVal{t: unknownRef}
-			for i, a := range call.Args {
-				av := tw.exprTaint(a)
-				if i == 0 {
-					out.t = av.t
-				}
-				if av.m != 0 {
-					out.m |= av.m
-					if out.src == "" {
-						out.src = av.src
-					}
-				}
+			var out taintVal
+			for _, a := range call.Args {
+				out = out.join(tw.exprTaint(a))
 			}
 			return out
 		case "copy":
 			// copy(dst, src) aliases element memory when elements are refish.
-			if len(call.Args) == 2 {
-				src := tw.exprTaint(call.Args[1])
-				dt := tw.g.underlying(tw.exprTaint(call.Args[0]).t.deref())
-				if src.m != 0 && dt.Kind == refSlice && dt.Elem != nil && tw.sc.refish(*dt.Elem) {
-					if root := rootIdent(call.Args[0]); root != "" {
-						if cur, ok := tw.env[root]; ok {
-							cur.m |= src.m
-							if cur.src == "" {
-								cur.src = src.src
-							}
-							tw.env[root] = cur
-						}
-					}
+			if src := tw.exprTaint(call.Args[1]); src.m != 0 {
+				if dt, ok := tw.info.TypeOf(call.Args[0]).Underlying().(*types.Slice); ok && tw.sc.refish(dt.Elem()) {
+					tw.taintRoot(call.Args[0], src)
 				}
 			}
-			return taintVal{t: typeRef{Kind: refBasic, Name: "int"}}
 		}
-		// Conversion to a known type keeps aliasing for refish targets.
-		if t := tw.g.resolveTypeExpr(tw.pi, tw.node.File, id); t.Kind != refUnknown {
-			inner := taintVal{t: t}
-			if len(call.Args) == 1 {
-				av := tw.exprTaint(call.Args[0])
-				if av.m != 0 && tw.sc.refish(t) {
-					inner.m = av.m
-					inner.src = av.src
-				}
-			}
-			return inner
-		}
+		return taintVal{} // make, new, len, ...: fresh or not memory at all
 	}
-	// []byte(...) / named-type conversions via non-ident type exprs.
-	switch fun.(type) {
-	case *ast.ArrayType, *ast.MapType, *ast.StarExpr, *ast.ChanType:
-		t := tw.g.resolveTypeExpr(tw.pi, tw.node.File, fun.(ast.Expr))
-		out := taintVal{t: t}
-		if len(call.Args) == 1 {
-			av := tw.exprTaint(call.Args[0])
-			if av.m != 0 && tw.sc.refish(t) {
-				out.m = av.m
-				out.src = av.src
-			}
+	// A conversion keeps aliasing when the target type can alias.
+	if tw.info.Types[fun].IsType() {
+		if len(call.Args) != 1 {
+			return taintVal{}
 		}
-		return out
+		return tw.through(tw.exprTaint(call.Args[0]), call)
+	}
+	recvTaint := func() taintVal {
+		if sel, ok := fun.(*ast.SelectorExpr); ok && tw.info.Selections[sel] != nil {
+			return tw.exprTaint(sel.X)
+		}
+		return taintVal{}
 	}
 
 	// Resolved in-module callees: apply leak summaries.
-	for _, edge := range tw.g.EdgesAt(call) {
+	for _, edge := range tw.sc.g.EdgesAt(call) {
 		if edge.Callee == nil || edge.OverApprox || edge.Kind != EdgeCall {
 			continue
 		}
 		callee := edge.Callee
-		sum := tw.sc.summarize(callee)
-		results := tw.g.signature(callee).results
-		rt := unknownRef
-		if len(results) > 0 {
-			rt = results[0]
-		}
-		out := taintVal{t: rt}
-
+		isMethod := callee.Signature().Recv() != nil
+		var out taintVal
 		// Map callee parameter indices to argument taints.
-		argTaint := func(idx int) taintVal {
-			if callee.RecvType != "" {
-				if idx == 0 {
-					if sel, ok := fun.(*ast.SelectorExpr); ok {
-						return tw.exprTaint(sel.X)
-					}
-					return taintVal{t: unknownRef}
-				}
+		for idx := range tw.sc.summarize(callee).leaks {
+			var av taintVal
+			if isMethod {
 				idx--
 			}
-			if idx < len(call.Args) {
-				return tw.exprTaint(call.Args[idx])
+			if idx < 0 {
+				av = recvTaint()
+			} else if idx < len(call.Args) {
+				av = tw.exprTaint(call.Args[idx])
 			}
-			return taintVal{t: unknownRef}
-		}
-		for idx := range sum.leaks {
-			av := argTaint(idx)
 			if av.m != 0 {
 				out.m |= av.m
 				if out.src == "" {
@@ -678,27 +502,16 @@ func (tw *taintWalker) callTaint(call *ast.CallExpr) taintVal {
 				}
 			}
 		}
-		// Project idiom: live-source helpers return pointers into live
-		// state regardless of what structural dataflow sees.
-		if callee.Decl != nil && snapLiveSources[callee.Decl.Name.Name] {
-			av := argTaint(0)
-			if av.m != 0 {
-				out.m |= av.m
-				out.src = "result of " + callee.Name + " (live-source helper)"
-			}
-		}
 		return out
 	}
 
-	// Unresolved or external call: clean result (documented blind spot),
-	// but still a live source if it matches the idiom list by name.
-	if snapLiveSources[lastSelector(fun)] {
-		if sel, ok := fun.(*ast.SelectorExpr); ok {
-			av := tw.exprTaint(sel.X)
-			if av.m != 0 {
-				return taintVal{t: unknownRef, m: av.m, src: "result of " + lastSelector(fun) + " (live-source helper)"}
-			}
-		}
+	// A method of a type outside the module (or a func-typed field), called
+	// on a live receiver, hands out what the receiver holds if its result
+	// can alias memory at all (atomic.Pointer[T].Load — the server's s.vols
+	// idiom). Any other external or dynamic call returns a clean result.
+	out := tw.through(recvTaint(), call)
+	if out.m != 0 {
+		out.src = "result of " + exprString(fun) + "()"
 	}
-	return taintVal{t: unknownRef}
+	return out
 }

@@ -78,7 +78,7 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer, opts SuiteOptions) *SuiteR
 				if opts.Scoped && !Scoped(a.Name, pkg.Path) {
 					continue
 				}
-				pass := &Pass{Analyzer: a, Fset: pkg.Fset, PkgPath: pkg.Path, Files: pkg.Files}
+				pass := &Pass{Analyzer: a, Fset: pkg.Fset, PkgPath: pkg.Path, Files: pkg.Files, Info: pkg.Info}
 				a.Run(pass)
 				diags = append(diags, pass.diags...)
 			}

@@ -10,7 +10,7 @@ import (
 // reported under the staleallow name, and an allow naming an analyzer the
 // suite doesn't have is called out too.
 func TestStaleAllowDetection(t *testing.T) {
-	pkg := mustParsePackage(t, "fixture/stale", `package p
+	pkg := loadSource(t, "fixture/stale", `package p
 
 import "time"
 
@@ -51,7 +51,7 @@ func unknown() {}
 // detection disabled, an allow for a deselected analyzer must not be
 // reported even though it suppressed nothing this run.
 func TestStaleAllowsOffUnderSubset(t *testing.T) {
-	pkg := mustParsePackage(t, "fixture/stale", `package p
+	pkg := loadSource(t, "fixture/stale", `package p
 
 //lint:allow clockcheck — legitimately idle when only wiresym runs
 func f() {}
@@ -66,7 +66,7 @@ func f() {}
 // pre-filter finding counts survive allow suppression (the timing shows the
 // work done, the diagnostics show what escaped).
 func TestSuiteTimings(t *testing.T) {
-	pkg := mustParsePackage(t, "fixture/timing", `package p
+	pkg := loadSource(t, "fixture/timing", `package p
 
 import "time"
 
@@ -94,7 +94,7 @@ func f() time.Time {
 // TestSuiteBuildsGraphOnlyWhenNeeded pins the cost model: single-function
 // subsets skip graph construction, interprocedural runs share one graph.
 func TestSuiteBuildsGraphOnlyWhenNeeded(t *testing.T) {
-	pkg := mustParsePackage(t, "fixture/graphneed", `package p
+	pkg := loadSource(t, "fixture/graphneed", `package p
 
 func f() {}
 `)

@@ -4,6 +4,7 @@
 package fixture
 
 import "sync"
+import "sync/atomic"
 
 type shard struct {
 	mu sync.Mutex
@@ -50,4 +51,22 @@ func (s *shard) tryNotify() {
 // business (it may still be ctxclean/lockorder's).
 func (s *shard) Unlocked() {
 	s.notify()
+}
+
+// sink blocks in push; holder reaches it through atomic.Pointer[T].Load() —
+// the server's own s.vols idiom. The callee is only known because go/types
+// types the external generic's result.
+type sink struct{ ch chan int }
+
+func (k *sink) push() { k.ch <- 1 }
+
+type holder struct {
+	mu  sync.Mutex
+	cur atomic.Pointer[sink]
+}
+
+func (h *holder) Publish() {
+	h.mu.Lock()
+	h.cur.Load().push() // want `call to .*push while h\.mu is held reaches blocking channel send`
+	h.mu.Unlock()
 }

@@ -4,6 +4,8 @@
 // construction: selecting a basic field out of a tainted struct drops taint.
 package fixture
 
+import "sync/atomic"
+
 type entry struct {
 	version int
 }
@@ -45,4 +47,40 @@ func (t *Table) Copy() map[string]entry {
 func (t *Table) Exposed() map[string]*entry {
 	//lint:allow snapshotcopy — fixture: documented read-only view
 	return t.live
+}
+
+// Registry publishes its map through an atomic.Pointer, as the server does
+// its shard map: what Load returns is the live map.
+type Registry struct {
+	cur atomic.Pointer[map[string]*entry]
+}
+
+//lint:snapshotroot
+func (r *Registry) Live() map[string]*entry {
+	return *r.cur.Load() // want `snapshot root .*Live returns memory aliasing live receiver r`
+}
+
+// all is the allShards shape: a fresh slice of live pointers. No list of
+// helper names is needed to see through it.
+func (r *Registry) all() []*entry {
+	m := *r.cur.Load()
+	out := make([]*entry, 0, len(m))
+	for _, e := range m {
+		out = append(out, e)
+	}
+	return out
+}
+
+//lint:snapshotroot
+func (r *Registry) Entries() []*entry {
+	return r.all() // want `snapshot root .*Entries returns memory aliasing live receiver r`
+}
+
+//lint:snapshotroot
+func (r *Registry) Versions() []int {
+	var out []int
+	for _, e := range r.all() {
+		out = append(out, e.version)
+	}
+	return out
 }

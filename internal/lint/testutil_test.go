@@ -1,46 +1,30 @@
 package lint
 
 import (
-	"fmt"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 )
 
-// runFixture parses testdata/<name> as one package, runs the analyzer over
-// it (with //lint:allow filtering, so fixtures can exercise the escape
-// hatch), and matches the findings against `// want "regexp"` comments:
-// every diagnostic must match a want on its line, and every want must be
-// matched. Multiple expectations on one line are written as
-// `// want "re1" "re2"`.
+// runFixture loads testdata/<name> the way leasevet loads any package, runs
+// the analyzer over it through RunSuite (so fixtures exercise production's
+// //lint:allow filter), and matches the findings against
+// `// want "regexp"` comments: every diagnostic must match a want on its
+// line, and every want must be matched. Multiple expectations on one line
+// are written as `// want "re1" "re2"`.
 func runFixture(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
-	dir := filepath.Join("testdata", name)
-	entries, err := os.ReadDir(dir)
+	pkgs, err := Load(filepath.Join("testdata", name), []string{"."})
 	if err != nil {
-		t.Fatalf("read fixture dir: %v", err)
+		t.Fatalf("load fixture: %v", err)
 	}
-	pkg := &Package{Path: "fixture/" + name, Fset: token.NewFileSet()}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(pkg.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse fixture %s: %v", e.Name(), err)
-		}
-		pkg.Files = append(pkg.Files, f)
-	}
-	if len(pkg.Files) == 0 {
-		t.Fatalf("fixture %s has no Go files", name)
+	if len(pkgs) != 1 || len(pkgs[0].Files) == 0 {
+		t.Fatalf("fixture %s: loaded %d packages, want 1 with Go files", name, len(pkgs))
 	}
 
-	wants := collectWants(t, pkg)
-	for _, d := range RunAnalyzer(a, pkg) {
+	wants := collectWants(t, pkgs[0])
+	for _, d := range RunSuite(pkgs, []*Analyzer{a}, SuiteOptions{}).Diagnostics {
 		key := fileLine{d.Pos.Filename, d.Pos.Line}
 		matched := false
 		for _, w := range wants[key] {
@@ -104,17 +88,31 @@ func collectWants(t *testing.T, pkg *Package) map[fileLine][]*want {
 	return out
 }
 
-// mustParsePackage builds an in-memory package from source snippets, for
-// tests that don't warrant a testdata file.
-func mustParsePackage(t *testing.T, path string, sources ...string) *Package {
+// loadModule writes a throwaway module (file name -> source, names may
+// carry a directory) and loads all of it, for tests that don't warrant a
+// testdata directory.
+func loadModule(t *testing.T, modPath string, files map[string]string) []*Package {
 	t.Helper()
-	pkg := &Package{Path: path, Fset: token.NewFileSet()}
-	for i, src := range sources {
-		f, err := parser.ParseFile(pkg.Fset, fmt.Sprintf("src%d.go", i), src, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parse: %v", err)
+	dir := t.TempDir()
+	files["go.mod"] = "module " + modPath + "\n\ngo 1.23\n"
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		pkg.Files = append(pkg.Files, f)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return pkg
+	pkgs, err := Load(dir, []string{"./..."})
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return pkgs
+}
+
+// loadSource loads one source file as the package modPath.
+func loadSource(t *testing.T, modPath, src string) *Package {
+	t.Helper()
+	return loadModule(t, modPath, map[string]string{"src.go": src})[0]
 }

@@ -90,38 +90,21 @@ func (s Span) End() time.Time { return s.Start.Add(s.Dur) }
 
 // SpanRecorder retains the most recent completed spans in a Ring, so
 // concurrent protocol goroutines record without ever contending on a mutex;
-// the ring's one allocation per span is only paid for sampled traces.
+// the ring's one allocation per span is only paid when a recorder is
+// attached.
 //
 // A nil *SpanRecorder is a valid, disabled recorder: every method is a nil
 // check, which is the zero-overhead fast path the instrumented write path
 // relies on (see BenchmarkSpanDisabled).
 type SpanRecorder struct {
-	ring   *Ring[Span]
-	ids    atomic.Uint64
-	sample uint64
-
-	// Slow-op log, configured once via SlowOp before traffic starts.
-	slow  time.Duration
-	slowT *Tracer
+	ring *Ring[Span]
+	ids  atomic.Uint64
 }
 
-// NewSpanRecorder returns a ring retaining up to size spans (min 1),
-// recording one in every sample traces (sample <= 1 records all).
-func NewSpanRecorder(size, sample int) *SpanRecorder {
-	if sample < 1 {
-		sample = 1
-	}
-	return &SpanRecorder{ring: NewRing[Span](size), sample: uint64(sample)}
-}
-
-// SlowOp arranges for every SpanWrite whose duration meets threshold to be
-// emitted to t as an EvSlowOp event. Call before the recorder sees traffic.
-func (r *SpanRecorder) SlowOp(threshold time.Duration, t *Tracer) {
-	if r == nil {
-		return
-	}
-	r.slow = threshold
-	r.slowT = t
+// NewSpanRecorder returns a ring retaining up to size spans (min 1). Every
+// trace is recorded.
+func NewSpanRecorder(size int) *SpanRecorder {
+	return &SpanRecorder{ring: NewRing[Span](size)}
 }
 
 // NewID returns a fresh nonzero trace/span id (0 on a nil recorder). Ids
@@ -132,13 +115,6 @@ func (r *SpanRecorder) NewID() uint64 {
 		return 0
 	}
 	return r.ids.Add(1)
-}
-
-// Sampled reports whether spans of the given trace should be recorded.
-// Keying the decision on the trace id keeps a trace's spans all-or-nothing:
-// every node records the same subset of traces.
-func (r *SpanRecorder) Sampled(trace uint64) bool {
-	return r != nil && (r.sample <= 1 || trace%r.sample == 0)
 }
 
 // Record stores a completed span. Safe on a nil recorder and from any
@@ -152,18 +128,7 @@ func (r *SpanRecorder) Record(s Span) {
 	r.record(s)
 }
 
-func (r *SpanRecorder) record(s Span) {
-	r.ring.Add(s)
-	if r.slowT != nil && s.Kind == SpanWrite && r.slow > 0 && s.Dur >= r.slow {
-		r.slowT.Emit(Event{
-			Type:   EvSlowOp,
-			At:     s.End(),
-			Node:   s.Node,
-			Object: s.Object,
-			Dur:    s.Dur,
-		})
-	}
-}
+func (r *SpanRecorder) record(s Span) { r.ring.Add(s) }
 
 // Total reports how many spans were ever recorded (including overwritten).
 func (r *SpanRecorder) Total() uint64 {

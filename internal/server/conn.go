@@ -100,7 +100,7 @@ func (s *Server) invalFlusher(cc *clientConn) {
 				spanID    uint64
 				spanStart time.Time
 			)
-			if sr != nil && trace != 0 && sr.Sampled(trace) {
+			if sr != nil && trace != 0 {
 				spanID = sr.NewID()
 				spanStart = s.cfg.Clock.Now()
 				tc = wire.TraceContext{TraceID: trace, SpanID: spanID}

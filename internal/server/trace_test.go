@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/wire"
 )
 
 // spanOfKind returns the spans of one kind, in recording order.
@@ -27,7 +26,7 @@ func spansOfKind(spans []obs.Span, k obs.SpanKind) []obs.Span {
 // (serialization wait, one fan-out per connection, ack wait) all carry the
 // same trace, parent the root, and fit inside the root's duration.
 func TestWriteTraceSpans(t *testing.T) {
-	rec := obs.NewSpanRecorder(1024, 1)
+	rec := obs.NewSpanRecorder(1024)
 	env := startServer(t, tableCfg(), func(cfg *server.Config) {
 		cfg.Obs = &obs.Observer{Spans: rec}
 	})
@@ -128,26 +127,5 @@ func TestWriteUntracedRecordsNothing(t *testing.T) {
 	// the server and the dialed client.
 	if env.obs.SpanRec() != nil {
 		t.Fatal("observer unexpectedly has a span recorder")
-	}
-}
-
-// TestWriteTracedUnsampled checks that an unsampled trace records nothing
-// but the write still succeeds and the context still rides the wire.
-func TestWriteTracedUnsampled(t *testing.T) {
-	rec := obs.NewSpanRecorder(64, 1_000_000)
-	env := startServer(t, tableCfg(), func(cfg *server.Config) {
-		cfg.Obs = &obs.Observer{Spans: rec}
-	})
-	holder := env.dial(t, "h")
-	if _, err := holder.Read("vol", "a"); err != nil {
-		t.Fatal(err)
-	}
-	// Pick a trace ID that misses the 1-in-a-million sample.
-	tc := wire.TraceContext{TraceID: 7, SpanID: 3}
-	if _, _, err := env.srv.WriteTraced("a", []byte("quiet"), tc); err != nil {
-		t.Fatal(err)
-	}
-	if n := rec.Total(); n != 0 {
-		t.Errorf("unsampled write recorded %d spans", n)
 	}
 }

@@ -27,9 +27,8 @@ func (s *Server) Write(oid core.ObjectID, data []byte) (core.Version, time.Durat
 }
 
 // WriteTraced is Write carrying a causal trace context. When the server's
-// observer has a span recorder and the trace is sampled, the write records
-// a root span (a child of tc's span when the write came over the wire)
-// plus child spans for the three places its latency can go: the
+// observer has a span recorder, the write records a root span (a child of
+// tc's span when the write came over the wire) plus child spans for the three places its latency can go: the
 // per-object serialization wait, each connection's invalidation fan-out
 // (recorded by the flusher), and the ack-collection wait. A zero tc starts
 // a fresh trace at this server.
@@ -40,7 +39,7 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 	}
 
 	// Resolve the span recorder once: sr stays nil — the zero-cost path —
-	// unless tracing is wired up AND this trace is sampled.
+	// unless tracing is wired up.
 	sr := s.cfg.Obs.SpanRec()
 	var (
 		traceID, rootID, parentID uint64
@@ -51,11 +50,6 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 		if traceID == 0 {
 			traceID = sr.NewID()
 		}
-		if !sr.Sampled(traceID) {
-			sr = nil
-		}
-	}
-	if sr != nil {
 		rootID = sr.NewID()
 		spanStart = s.cfg.Clock.Now()
 	}
