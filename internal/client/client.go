@@ -118,36 +118,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// lease is a lease as the holder sees it. The zero value is no lease.
-type lease struct {
-	// expire is the grant's expiry as the server stamped it: what snapshots
-	// show and what a proxy caps its sub-leases at. No validity check reads
-	// it.
-	expire time.Time
-	// until is the instant on this client's Clock.Mono timeline strictly
-	// before which the lease is trusted; set only by granted.
-	until time.Duration
-}
-
-// objState is one cached object.
-type objState struct {
-	volume core.VolumeID
-	// vol is c.vols[volume], so a hit finds both leases with one lookup. A
-	// volState is updated in place on renewal and never leaves the map.
-	vol     *volState
-	data    []byte
-	version core.Version
-	lease
-	hasData bool
-}
-
-// volState is one volume lease.
-type volState struct {
-	lease
-	epoch core.Epoch
-	known bool // epoch learned at least once
-}
-
 // Client is a connected volume-lease cache.
 type Client struct {
 	cfg Config
@@ -157,18 +127,11 @@ type Client struct {
 
 	mu     sync.Mutex
 	conn   transport.Conn
-	vols   map[core.VolumeID]*volState
-	objs   map[core.ObjectID]*objState
+	h      *core.Holder // every lease and copy, and the rules of Figure 4 over them
 	rpcs   map[uint64]chan wire.Message
 	seq    uint64
 	err    error // sticky transport error
 	closed bool
-	// invalGen counts invalidations per object. An object-lease reply is
-	// installed only if the count is unchanged since the request was sent:
-	// an invalidation can overtake the grant reply in flight, and
-	// installing the grant afterwards would resurrect overwritten data
-	// under a seemingly valid lease.
-	invalGen map[core.ObjectID]uint64
 
 	// renewMu serializes volume renewals and invalidation handling so the
 	// multi-round conversations of Figure 4 do not interleave.
@@ -215,13 +178,11 @@ func NewOnConn(conn transport.Conn, cfg Config) (*Client, error) {
 		return nil, errors.New("client: Config.ID is required")
 	}
 	c := &Client{
-		cfg:      cfg,
-		conn:     conn,
-		vols:     make(map[core.VolumeID]*volState),
-		objs:     make(map[core.ObjectID]*objState),
-		rpcs:     make(map[uint64]chan wire.Message),
-		invalGen: make(map[core.ObjectID]uint64),
-		done:     make(chan struct{}),
+		cfg:  cfg,
+		conn: conn,
+		h:    core.NewHolder(cfg.Skew),
+		rpcs: make(map[uint64]chan wire.Message),
+		done: make(chan struct{}),
 	}
 	if err := conn.Send(wire.Hello{Client: cfg.ID}); err != nil {
 		conn.Close()
@@ -445,40 +406,34 @@ func (c *Client) send(m wire.Message) error {
 	return conn.Send(m)
 }
 
-// handleInvalidate processes a server-initiated INVALIDATE: drop the data
-// and lease, propagate to the OnInvalidate hook, then acknowledge (Figure
-// 4, "Client receives object invalidation message"). The invalidation's
-// trace context is handed to the hook and echoed in the ack, so the
-// originating write's trace spans the whole round trip.
+// handleInvalidate processes a server-initiated INVALIDATE, then
+// acknowledges it. The invalidation's trace context is handed to the hook
+// and echoed in the ack, so the originating write's trace spans the whole
+// round trip.
 func (c *Client) handleInvalidate(inv wire.Invalidate) {
-	if c.cfg.Obs.Tracing() {
-		for _, oid := range inv.Objects {
-			c.emit(obs.Event{Type: obs.EvInvalRecv, Object: oid})
-		}
-	}
-	c.dropObjects(inv.Objects)
-	if c.cfg.OnInvalidate != nil {
-		c.cfg.OnInvalidate(inv.Objects, inv.Trace)
-	}
+	c.invalidate(inv.Objects, "", inv.Trace)
 	if err := c.send(wire.AckInvalidate{Objects: inv.Objects, Trace: inv.Trace}); err != nil {
 		c.logf("ack failed: %v", err)
 	}
 }
 
-// dropObjects clears cached data and leases for the given objects. The
-// invalidation generation is bumped even for objects not cached yet, so an
-// in-flight lease request for one of them discards its (stale) reply.
-func (c *Client) dropObjects(objects []core.ObjectID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, oid := range objects {
-		c.invalGen[oid]++
-		if o, ok := c.objs[oid]; ok {
-			o.data = nil
-			o.hasData = false
-			o.lease = lease{}
+// invalidate drops the copies of and leases on objects, which makes an
+// in-flight lease request for one of them discard its reply, then
+// propagates them to the OnInvalidate hook (Figure 4, "Client receives
+// object invalidation message"). vid is the volume the events name, when
+// the message carried one.
+func (c *Client) invalidate(objects []core.ObjectID, vid core.VolumeID, tc wire.TraceContext) {
+	if c.cfg.Obs.Tracing() {
+		for _, oid := range objects {
+			c.emit(obs.Event{Type: obs.EvInvalRecv, Object: oid, Volume: vid})
 		}
-		c.invalsSeen++
+	}
+	c.mu.Lock()
+	c.h.Invalidate(objects)
+	c.invalsSeen += int64(len(objects))
+	c.mu.Unlock()
+	if c.cfg.OnInvalidate != nil && len(objects) > 0 {
+		c.cfg.OnInvalidate(objects, tc)
 	}
 }
 

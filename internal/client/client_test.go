@@ -248,8 +248,38 @@ func TestInvalidatePushDropsCopyAndAcks(t *testing.T) {
 	if _, ok := c.Peek("obj"); ok {
 		t.Error("copy survived invalidation")
 	}
-	if _, ok := c.Version("obj"); ok {
+	if _, _, _, _, ok := c.Cached("obj"); ok {
 		t.Error("version survived invalidation")
+	}
+}
+
+// TestReadDiscardsOvertakenGrant: the server answers the first object-lease
+// request with an invalidation of the object and then the grant, as happens
+// when a write's invalidation overtakes a grant in flight. The reader
+// goroutine handles the push before it routes the reply, so the grant must be
+// dropped and the read served from a second request.
+func TestReadDiscardsOvertakenGrant(t *testing.T) {
+	fs := newFakeServer(t)
+	fs.scriptedGrants("") // for the volume lease; object grants are scripted here
+	requests := 0         // touched by the fake server's one goroutine only
+	fs.on(wire.KindReqObjLease, func(m wire.Message) []wire.Message {
+		req := m.(wire.ReqObjLease)
+		requests++
+		grant := wire.ObjLease{Seq: req.Seq, Object: req.Object, Version: core.Version(requests),
+			Expire: time.Now().Add(time.Minute), HasData: true, Data: []byte("fresh")}
+		if requests > 1 {
+			return []wire.Message{grant}
+		}
+		grant.Data = []byte("stale")
+		return []wire.Message{wire.Invalidate{Objects: []core.ObjectID{req.Object}}, grant}
+	})
+	c := dialClient(t, fs, nil)
+	data, err := c.Read("vol", "obj")
+	if err != nil || string(data) != "fresh" {
+		t.Fatalf("Read = %q, %v; want \"fresh\"", data, err)
+	}
+	if n := len(fs.seen(wire.KindReqObjLease)); n != 2 {
+		t.Errorf("%d object-lease requests, want 2 (the overtaken grant dropped, then one more)", n)
 	}
 }
 
@@ -287,10 +317,6 @@ func TestRenewVolumeHandlesPendingInvalidations(t *testing.T) {
 			Expire: time.Now().Add(10 * time.Second), Epoch: 0,
 		}}
 	})
-	if err := c.RenewVolume("vol"); err == nil {
-		// Volume lease still valid from the first read; force expiry path
-		// by renewing against a fresh volume name instead.
-	}
 	if err := c.RenewVolume("vol2"); err != nil {
 		t.Fatalf("RenewVolume: %v", err)
 	}
@@ -392,9 +418,9 @@ func TestPeekAndVersion(t *testing.T) {
 	if !ok || string(data) != "hello" {
 		t.Errorf("Peek = %q %v", data, ok)
 	}
-	v, ok := c.Version("obj")
+	_, v, _, _, ok := c.Cached("obj")
 	if !ok || v != 1 {
-		t.Errorf("Version = %d %v", v, ok)
+		t.Errorf("Cached version = %d %v", v, ok)
 	}
 	if c.ID() != "c1" {
 		t.Errorf("ID = %q", c.ID())
@@ -459,8 +485,8 @@ func TestLeaseInfoAccessors(t *testing.T) {
 	fs := newFakeServer(t)
 	fs.scriptedGrants("payload")
 	c := dialClient(t, fs, nil)
-	if _, _, _, ok := c.LeaseInfo("obj"); ok {
-		t.Error("LeaseInfo before read reported a lease")
+	if _, _, _, _, ok := c.Cached("obj"); ok {
+		t.Error("Cached before read reported a lease")
 	}
 	if _, _, _, ok := c.VolumeLeaseInfo("vol"); ok {
 		t.Error("VolumeLeaseInfo before read reported a lease")
@@ -471,9 +497,9 @@ func TestLeaseInfoAccessors(t *testing.T) {
 	}
 	// trusted is what is left of the term once Skew is off, so it is
 	// positive and short of the whole term as it stood before the grant.
-	v, expire, trusted, ok := c.LeaseInfo("obj")
+	_, v, expire, trusted, ok := c.Cached("obj")
 	if !ok || v != 1 || !expire.After(time.Now()) || trusted <= 0 || trusted >= expire.Sub(before) {
-		t.Errorf("LeaseInfo = %d %v %v %v", v, expire, trusted, ok)
+		t.Errorf("Cached = %d %v %v %v", v, expire, trusted, ok)
 	}
 	vexp, epoch, trusted, ok := c.VolumeLeaseInfo("vol")
 	if !ok || epoch != 0 || !vexp.After(time.Now()) || trusted <= 0 || trusted >= vexp.Sub(before) {
@@ -537,7 +563,7 @@ func TestApplyInvalRenewRenewsMatchingVersion(t *testing.T) {
 	if err := c.RenewVolume("vol2"); err != nil {
 		t.Fatal(err)
 	}
-	_, expire, _, ok := c.LeaseInfo("obj")
+	_, _, expire, _, ok := c.Cached("obj")
 	if !ok {
 		t.Fatal("lease lost after renew vector")
 	}

@@ -14,34 +14,9 @@ import (
 func (c *Client) StateSnapshot() state.ClientSnapshot {
 	now := c.cfg.Clock.Now()
 	c.mu.Lock()
-	cs := state.ClientSnapshot{
-		Client:  c.cfg.ID,
-		TakenAt: now,
-		Skew:    c.cfg.Skew,
-		Volumes: make([]state.ClientVolumeLease, 0, len(c.vols)),
-		Objects: make([]state.ClientObjectLease, 0, len(c.objs)),
-	}
-	for vid, vs := range c.vols {
-		if vs.expire.IsZero() {
-			continue
-		}
-		cs.Volumes = append(cs.Volumes, state.ClientVolumeLease{
-			Volume: vid, Epoch: vs.epoch, Expire: vs.expire,
-		})
-	}
-	for oid, os := range c.objs {
-		if os.expire.IsZero() {
-			continue
-		}
-		cs.Objects = append(cs.Objects, state.ClientObjectLease{
-			Object: oid, Volume: os.volume, Version: os.version,
-			Expire: os.expire, HasData: os.hasData,
-		})
-	}
+	vols, objs := c.h.Snapshot()
 	c.mu.Unlock()
-	sort.Slice(cs.Volumes, func(i, j int) bool { return cs.Volumes[i].Volume < cs.Volumes[j].Volume })
-	sort.Slice(cs.Objects, func(i, j int) bool { return cs.Objects[i].Object < cs.Objects[j].Object })
-	return cs
+	return state.ClientSnapshot{Client: c.cfg.ID, TakenAt: now, Skew: c.cfg.Skew, Volumes: vols, Objects: objs}
 }
 
 // StateSnapshot captures the pool's cached-lease view across every

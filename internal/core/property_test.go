@@ -10,12 +10,11 @@ import (
 	"repro/internal/clock"
 )
 
-// TestPropertyReadsNeverStale drives a Table with a random operation
-// sequence and checks the protocol's central invariant: a client that holds
-// valid object AND volume leases always holds the current version. The
-// client-side lease validity is modeled exactly as the protocol defines it
-// (granted expiry vs. current time), and server writes follow the full
-// BeginWrite / ack-or-timeout / FinishWrite path.
+// TestPropertyReadsNeverStale drives a Table and one Holder per client with
+// a random operation sequence and checks the protocol's central invariant: a
+// holder whose Check finds valid object AND volume leases holds the current
+// version. Both halves of the protocol are the shipped code, and server
+// writes follow the full BeginWrite / ack-or-timeout / FinishWrite path.
 func TestPropertyReadsNeverStale(t *testing.T) {
 	f := func(seed int64) bool {
 		return !runRandomProtocol(t, seed, false)
@@ -36,19 +35,12 @@ func TestPropertyReadsNeverStaleDelayed(t *testing.T) {
 	}
 }
 
-// clientModel is the client-side view one simulated client maintains.
-type clientModel struct {
-	volExpire time.Time
-	epoch     Epoch
-	hasEpoch  bool
-	objs      map[ObjectID]*clientObj
-}
+// start is the origin of the holders' monotonic timeline in the property
+// test; with no skew, a holder trusts a lease exactly until its expiry.
+var start = clock.At(0)
 
-type clientObj struct {
-	version Version
-	expire  time.Time
-	hasData bool
-}
+// anchor is the Anchor a holder takes at now.
+func anchor(now time.Time) Anchor { return Anchor{Mono: now.Sub(start), Wall: now} }
 
 // runRandomProtocol returns true if a consistency violation was found.
 func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
@@ -79,90 +71,84 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		}
 	}
 
-	clients := map[ClientID]*clientModel{}
+	holders := map[ClientID]*Holder{}
 	for i := 0; i < 3; i++ {
-		clients[ClientID(fmt.Sprintf("c%d", i))] = &clientModel{objs: map[ObjectID]*clientObj{}}
+		holders[ClientID(fmt.Sprintf("c%d", i))] = NewHolder(0)
 	}
 	// reachable[c] == false models a partitioned client that cannot be
 	// invalidated and does not ack.
 	reachable := map[ClientID]bool{"c0": true, "c1": true, "c2": true}
 
-	now := clock.At(0)
+	now := start
+	// write runs a server write of oid to completion: a reachable holder
+	// processes the invalidation and acks; for an unreachable one the server
+	// waits out min(vol, obj), so time moves past that bound.
+	write := func(oid ObjectID, step int) {
+		plan, err := tb.BeginWrite(now, oid)
+		if err != nil {
+			return // write fence, etc.
+		}
+		var unacked []ClientID
+		for _, inv := range plan.Notify {
+			if reachable[inv.Client] {
+				holders[inv.Client].Invalidate([]ObjectID{oid})
+				if err := tb.AckWriteInvalidate(now, inv.Client, oid); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if inv.LeaseExpire.After(now) {
+				now = inv.LeaseExpire.Add(time.Millisecond)
+			}
+			unacked = append(unacked, inv.Client)
+		}
+		if _, err := tb.FinishWrite(now, oid, []byte(fmt.Sprintf("w%d", step)), unacked); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	for step := 0; step < 300; step++ {
 		now = now.Add(time.Duration(rng.Intn(8000)) * time.Millisecond)
 		cid := ClientID(fmt.Sprintf("c%d", rng.Intn(3)))
-		cm := clients[cid]
+		h := holders[cid]
 		oid := objects[rng.Intn(len(objects))]
 
-		switch op := rng.Intn(10); {
-		case op < 4: // client read
+		switch op := rng.Intn(11); {
+		case op < 5: // client read; op 4: its grant is overtaken by a write
 			if !reachable[cid] {
 				// A partitioned client can only read from cache, and only
 				// under both valid leases — the invariant check below.
-				checkInvariant(t, tb, cid, cm, oid, now)
+				checkInvariant(t, tb, cid, h, oid, now)
 				continue
 			}
-			// Renew volume if needed.
-			if !cm.volExpire.After(now) {
-				if !renewVolume(t, tb, cid, cm, now) {
-					continue
-				}
+			_, _, volOK, objOK := h.Check("v", oid, anchor(now).Mono)
+			if !volOK && !renewVolume(t, tb, cid, h, now) {
+				continue
 			}
-			// Renew object lease if needed.
-			co := cm.objs[oid]
-			if co == nil || !co.expire.After(now) || !co.hasData {
-				ver := Version(NoVersion)
-				if co != nil && co.hasData {
-					ver = co.version
-				}
+			if !objOK || op == 4 {
+				ver, token := h.Begin(oid)
 				g, err := tb.GrantObjectLease(now, cid, oid, ver)
 				if err != nil {
 					t.Fatalf("GrantObjectLease: %v", err)
 				}
-				if co == nil {
-					co = &clientObj{}
-					cm.objs[oid] = co
+				if op == 4 {
+					// The write's invalidation reaches the holder before
+					// the grant does, which must then be dropped.
+					write(oid, step)
 				}
-				co.expire = g.Expire
-				co.version = g.Version
-				co.hasData = true
-			}
-			checkInvariant(t, tb, cid, cm, oid, now)
-
-		case op < 7: // server write
-			plan, err := tb.BeginWrite(now, oid)
-			if err != nil {
-				continue // write fence, etc.
-			}
-			var unacked []ClientID
-			for _, inv := range plan.Notify {
-				target := clients[inv.Client]
-				if reachable[inv.Client] {
-					// Client processes INVALIDATE: drop data and lease.
-					if co := target.objs[oid]; co != nil {
-						co.hasData = false
-						co.expire = time.Time{}
-					}
-					if err := tb.AckWriteInvalidate(now, inv.Client, oid); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					// The server waits out min(vol,obj) — advance time past
-					// the bound, then treats the client as unreachable.
-					if inv.LeaseExpire.After(now) {
-						now = inv.LeaseExpire.Add(time.Millisecond)
-					}
-					unacked = append(unacked, inv.Client)
+				if err := h.GrantObject(token, "v", g, g.Data != nil, anchor(now)); err != nil {
+					t.Fatalf("GrantObject: %v", err)
 				}
 			}
-			if _, err := tb.FinishWrite(now, oid, []byte(fmt.Sprintf("w%d", step)), unacked); err != nil {
-				t.Fatal(err)
-			}
+			checkInvariant(t, tb, cid, h, oid, now)
 
-		case op < 8: // partition / heal a client
+		case op < 8: // server write
+			write(oid, step)
+
+		case op < 9: // partition / heal a client
 			reachable[cid] = !reachable[cid]
 
-		case op < 9: // sweep
+		case op < 10: // sweep
 			tb.Sweep(now)
 
 		default: // server crash-reboot (rare)
@@ -174,52 +160,30 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 	return false // invariant violations fail the test directly
 }
 
-// renewVolume walks the client through whatever the server demands,
+// renewVolume walks the holder through whatever the server demands,
 // returning false if the renewal cannot complete.
-func renewVolume(t *testing.T, tb *Table, cid ClientID, cm *clientModel, now time.Time) bool {
+func renewVolume(t *testing.T, tb *Table, cid ClientID, h *Holder, now time.Time) bool {
 	t.Helper()
-	epoch := NoEpoch
-	if cm.hasEpoch {
-		epoch = cm.epoch
-	}
-	g, err := tb.RequestVolumeLease(now, cid, "v", epoch)
+	g, err := tb.RequestVolumeLease(now, cid, "v", h.Epoch("v"))
 	if err != nil {
 		t.Fatalf("RequestVolumeLease: %v", err)
 	}
 	switch g.Status {
 	case VolumeGranted:
 	case VolumePendingInvalidations:
-		for _, oid := range g.Invalidate {
-			if co := cm.objs[oid]; co != nil {
-				co.hasData = false
-				co.expire = time.Time{}
-			}
-		}
+		h.Invalidate(g.Invalidate)
 		g, err = tb.ConfirmPendingDelivered(now, cid, "v")
 		if err != nil {
 			t.Fatal(err)
 		}
 	case VolumeNeedsRenewAll:
-		var held []HeldObject
-		for oid, co := range cm.objs {
-			if co.hasData {
-				held = append(held, HeldObject{Object: oid, Version: co.version})
-			}
-		}
-		res, err := tb.HandleRenewObjLeases(now, cid, "v", held)
+		res, err := tb.HandleRenewObjLeases(now, cid, "v", h.Held("v"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, oid := range res.Invalidate {
-			if co := cm.objs[oid]; co != nil {
-				co.hasData = false
-				co.expire = time.Time{}
-			}
-		}
+		h.Invalidate(res.Invalidate)
 		for _, r := range res.Renew {
-			if co := cm.objs[r.Object]; co != nil && co.hasData && co.version == r.Version {
-				co.expire = r.Expire
-			}
+			h.RenewObject(r.Object, r.Version, r.Expire, anchor(now))
 		}
 		g, err = tb.ConfirmReconnect(now, cid, "v")
 		if err != nil {
@@ -229,29 +193,26 @@ func renewVolume(t *testing.T, tb *Table, cid ClientID, cm *clientModel, now tim
 	if g.Status != VolumeGranted {
 		return false
 	}
-	cm.volExpire = g.Expire
-	cm.epoch = g.Epoch
-	cm.hasEpoch = true
+	h.GrantVolume("v", g.Epoch, g.Expire, anchor(now))
 	return true
 }
 
-// checkInvariant asserts: both leases valid && data cached => the cached
-// version is the server's current version.
-func checkInvariant(t *testing.T, tb *Table, cid ClientID, cm *clientModel, oid ObjectID, now time.Time) {
+// checkInvariant asserts: both leases valid (and so data cached) => the
+// cached version is the server's current version.
+func checkInvariant(t *testing.T, tb *Table, cid ClientID, h *Holder, oid ObjectID, now time.Time) {
 	t.Helper()
-	co := cm.objs[oid]
-	if co == nil || !co.hasData {
-		return
-	}
-	if !cm.volExpire.After(now) || !co.expire.After(now) {
+	_, ver, volOK, objOK := h.Check("v", oid, anchor(now).Mono)
+	if !volOK || !objOK {
 		return // protocol forbids the read; nothing to check
 	}
 	serverVer, _, err := tb.Read(oid)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if co.version != serverVer {
+	if ver != serverVer {
+		volExpire, _, _, _ := h.Volume("v")
+		_, _, objExpire, _, _ := h.Object(oid)
 		t.Fatalf("STALE READ: client %s reads %s version %d under valid leases; server at %d (now=%v vol=%v obj=%v)",
-			cid, oid, co.version, serverVer, now, cm.volExpire, co.expire)
+			cid, oid, ver, serverVer, now, volExpire, objExpire)
 	}
 }

@@ -281,7 +281,7 @@ func (u *upstream) ObjectBound(oid core.ObjectID) (time.Time, bool) {
 	if !u.known[oid] {
 		return time.Time{}, false
 	}
-	_, expire, trusted, ok := u.up.LeaseInfo(oid)
+	_, _, expire, trusted, ok := u.up.Cached(oid)
 	return u.live(expire, trusted, ok)
 }
 
@@ -314,7 +314,7 @@ func (u *upstream) Fetch(oid core.ObjectID) (core.VolumeID, error) {
 // into the downstream table. Cached and Table.Read both hand back shared
 // slices, so the table's copy-in is the only copy made here.
 func (u *upstream) Install(t *core.Table, oid core.ObjectID) error {
-	data, version, _, ok := u.up.Cached(oid)
+	data, version, _, _, ok := u.up.Cached(oid)
 	if !ok {
 		return errors.New("proxy: upstream lease missing after read")
 	}

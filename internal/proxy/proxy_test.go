@@ -248,7 +248,7 @@ func TestProxySubLeaseNeverOutlivesUpstream(t *testing.T) {
 	// Object sub-lease: nominal 30m, but capped by the origin's 1h object
 	// lease — so up to 30m is fine; it must exist and be well in the
 	// future.
-	_, objExpire, _, ok := c.LeaseInfo("a")
+	_, _, objExpire, _, ok := c.Cached("a")
 	if !ok {
 		t.Fatal("leaf has no object lease")
 	}

@@ -95,7 +95,7 @@ func (f Filter) Apply(d Dump) Dump {
 				edge = cs.TakenAt.Add(f.Expiring)
 			}
 			if vols != nil || !edge.IsZero() {
-				kv := make([]ClientVolumeLease, 0, len(cs.Volumes))
+				kv := make([]core.ClientVolumeLease, 0, len(cs.Volumes))
 				for _, vl := range cs.Volumes {
 					if vols != nil && !vols[string(vl.Volume)] {
 						continue
@@ -106,7 +106,7 @@ func (f Filter) Apply(d Dump) Dump {
 					kv = append(kv, vl)
 				}
 				cs.Volumes = kv
-				ko := make([]ClientObjectLease, 0, len(cs.Objects))
+				ko := make([]core.ClientObjectLease, 0, len(cs.Objects))
 				for _, ol := range cs.Objects {
 					if vols != nil && !vols[string(ol.Volume)] {
 						continue

@@ -59,32 +59,16 @@ type ServerSnapshot struct {
 	Volumes   []VolumeState   `json:"volumes,omitempty"`
 }
 
-// ClientVolumeLease is one volume lease as cached by a client.
-type ClientVolumeLease struct {
-	Volume core.VolumeID `json:"volume"`
-	Epoch  core.Epoch    `json:"epoch"`
-	Expire time.Time     `json:"expire"`
-}
-
-// ClientObjectLease is one object lease as cached by a client.
-type ClientObjectLease struct {
-	Object  core.ObjectID `json:"object"`
-	Volume  core.VolumeID `json:"volume"`
-	Version core.Version  `json:"version"`
-	Expire  time.Time     `json:"expire"`
-	HasData bool          `json:"has_data"`
-}
-
 // ClientSnapshot is what one client believes it holds at TakenAt on its
 // own clock. Skew is the client's configured ε: it treats a lease as
 // usable only while expire − ε is still in the future.
 type ClientSnapshot struct {
-	Client  core.ClientID       `json:"client"`
-	Server  string              `json:"server,omitempty"`
-	TakenAt time.Time           `json:"taken_at"`
-	Skew    time.Duration       `json:"skew_ns"`
-	Volumes []ClientVolumeLease `json:"volumes,omitempty"`
-	Objects []ClientObjectLease `json:"objects,omitempty"`
+	Client  core.ClientID            `json:"client"`
+	Server  string                   `json:"server,omitempty"`
+	TakenAt time.Time                `json:"taken_at"`
+	Skew    time.Duration            `json:"skew_ns"`
+	Volumes []core.ClientVolumeLease `json:"volumes,omitempty"`
+	Objects []core.ClientObjectLease `json:"objects,omitempty"`
 }
 
 // Dump is one node's complete lease-state view: the Server section for

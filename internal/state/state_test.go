@@ -45,8 +45,8 @@ func fixture() (Dump, []Dump) {
 			Role: RoleClient, Node: string(id), TakenAt: base,
 			Clients: []ClientSnapshot{{
 				Client: id, Server: "srv", TakenAt: base, Skew: 50 * time.Millisecond,
-				Volumes: []ClientVolumeLease{{Volume: "v", Epoch: 3, Expire: volExp}},
-				Objects: []ClientObjectLease{{Object: oid, Volume: "v", Version: ver, Expire: objExp, HasData: true}},
+				Volumes: []core.ClientVolumeLease{{Volume: "v", Epoch: 3, Expire: volExp}},
+				Objects: []core.ClientObjectLease{{Object: oid, Volume: "v", Version: ver, Expire: objExp, HasData: true}},
 			}},
 		}
 	}
