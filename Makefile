@@ -12,10 +12,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific analyzers: the five single-function checks (clock
-# injection, shard lock order, wire encode/decode symmetry, metric hygiene,
-# goroutine shutdown wiring) plus the four interprocedural ones built on the
-# whole-module call graph (hotalloc, lockflow, spawnjoin, snapshotcopy).
+# Project-specific analyzers: two single-function checks (clock injection,
+# goroutine shutdown wiring) plus two interprocedural ones built on the
+# whole-module call graph (hotalloc; lockflow, the shard lock order with
+# nothing blocking under a shard mutex).
 # Stale //lint:allow comments are findings too. See DESIGN.md §8/§13;
 # suppress a finding with `//lint:allow <analyzer> — reason`.
 lint:

@@ -95,6 +95,11 @@ type Config struct {
 	Obs *obs.Observer
 	// Logf, when non-nil, receives debug logging.
 	Logf func(format string, args ...any)
+
+	// pooled marks one of a Pool's per-server clients. They share the pool's
+	// ID, so their counters would collide under one series name; the pool's
+	// lease_pool_* series export their sum instead.
+	pooled bool
 }
 
 func (c *Config) fillDefaults() {
@@ -133,8 +138,9 @@ type Client struct {
 	err    error // sticky transport error
 	closed bool
 
-	// renewMu serializes volume renewals and invalidation handling so the
-	// multi-round conversations of Figure 4 do not interleave.
+	// renewMu serializes volume renewals (RenewVolume), so their multi-round
+	// conversations of Figure 4 do not interleave. Invalidations do not take
+	// it; their holder update runs under mu.
 	renewMu sync.Mutex
 
 	done chan struct{}
@@ -198,7 +204,7 @@ func NewOnConn(conn transport.Conn, cfg Config) (*Client, error) {
 // by client ID.
 func (c *Client) initObs() {
 	reg := c.cfg.Obs.Reg()
-	if reg == nil {
+	if reg == nil || c.cfg.pooled {
 		return
 	}
 	labels := fmt.Sprintf("{client=%q}", string(c.cfg.ID))

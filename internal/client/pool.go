@@ -37,12 +37,14 @@ type Pool struct {
 }
 
 // NewPool builds an empty pool. cfg applies to every per-server client
-// (same identity everywhere, like a browser talking to many sites).
+// (same identity everywhere, like a browser talking to many sites), except
+// that they export no lease_client_* series: Register exports their sum.
 func NewPool(net transport.Network, cfg Config) (*Pool, error) {
 	cfg.fillDefaults()
 	if cfg.ID == "" {
 		return nil, errors.New("client: Config.ID is required")
 	}
+	cfg.pooled = true
 	return &Pool{
 		net:     net,
 		cfg:     cfg,

@@ -306,3 +306,55 @@ func TestPoolRegisterExportsSeries(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolScrapeMatchesStats: every series a scrape shows under the pool's
+// identity counts the whole pool, as Stats does. The per-server clients
+// share that identity, so series of their own would each claim to be the
+// client "browser", and whichever registered last would stand for all.
+func TestPoolScrapeMatchesStats(t *testing.T) {
+	net, _ := poolEnv(t, 2)
+	reg := obs.NewRegistry()
+	p, err := client.NewPool(net, client.Config{ID: "browser", Skew: 5 * time.Millisecond, Obs: &obs.Observer{Metrics: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	p.AddRoute("vol-0", "s0:1")
+	p.AddRoute("vol-1", "s1:1")
+	p.Register(reg)
+	for _, vid := range []core.VolumeID{"vol-0", "vol-1", "vol-0"} {
+		if _, err := p.Read(vid, "obj"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	local, server, invals := p.Stats()
+	if local != 1 || server != 2 {
+		t.Fatalf("Stats = local %d, server %d; want 1, 2", local, server)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{"_local_reads": local, "_server_reads": server, "_invalidations": invals}
+	poolSeries := 0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		name, val, _ := strings.Cut(line, " ")
+		if strings.HasPrefix(line, "#") || !strings.Contains(name, `client="browser"`) {
+			continue
+		}
+		for counter, want := range counts {
+			if !strings.Contains(name, counter) {
+				continue
+			}
+			if val != fmt.Sprint(want) {
+				t.Errorf("%s = %s, want %d as Pool.Stats says", name, val, want)
+			}
+			if strings.HasPrefix(name, "lease_pool_") {
+				poolSeries++
+			}
+		}
+	}
+	if poolSeries != len(counts) {
+		t.Errorf("found %d of the %d lease_pool_* counters:\n%s", poolSeries, len(counts), sb.String())
+	}
+}

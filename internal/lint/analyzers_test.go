@@ -7,21 +7,16 @@ import (
 
 func TestClockCheckFixture(t *testing.T) { runFixture(t, ClockCheck, "clockcheck") }
 
-func TestLockOrderFixture(t *testing.T) { runFixture(t, LockOrder, "lockorder") }
-
-func TestWireSymFixture(t *testing.T) { runFixture(t, WireSym, "wiresym") }
-
-func TestMetricRegFixture(t *testing.T) { runFixture(t, MetricReg, "metricreg") }
-
 func TestCtxCleanFixture(t *testing.T) { runFixture(t, CtxClean, "ctxclean") }
 
 func TestHotAllocFixture(t *testing.T) { runFixture(t, HotAlloc, "hotalloc") }
 
 func TestLockFlowFixture(t *testing.T) { runFixture(t, LockFlow, "lockflow") }
 
-func TestSpawnJoinFixture(t *testing.T) { runFixture(t, SpawnJoin, "spawnjoin") }
-
-func TestSnapshotCopyFixture(t *testing.T) { runFixture(t, SnapshotCopy, "snapshotcopy") }
+// TestLockOrderFixture runs lockflow over the lock-order cases: two shard
+// mutexes at once, ranges that lock shards outside allShards(), and blocking
+// sends, receives and transport calls inside a locked section.
+func TestLockOrderFixture(t *testing.T) { runFixture(t, LockFlow, "lockflow/order") }
 
 // TestClockCheckRenamedImport verifies the analyzer follows a renamed time
 // import and ignores unrelated packages that happen to be called "time".
@@ -58,7 +53,7 @@ func TestAllowRequiresMatchingAnalyzer(t *testing.T) {
 import "time"
 
 func f() {
-	//lint:allow lockorder — wrong analyzer, must not suppress
+	//lint:allow lockflow — wrong analyzer, must not suppress
 	time.Sleep(time.Second)
 }
 `)
@@ -82,14 +77,6 @@ func TestScoped(t *testing.T) {
 		{"clockcheck", "repro/cmd/leased", false},        // daemons stamp process lifetimes
 		{"clockcheck", "repro/internal/health", true},    // flight timestamps must replay under sim clocks
 		{"clockcheck", "repro/internal/cost", true},      // the profiler samples on the injected clock
-		{"lockorder", "repro/internal/server", true},
-		{"lockorder", "repro/internal/proxy", true},
-		{"lockorder", "repro/internal/client", false},
-		{"wiresym", "repro/internal/wire", true},
-		{"wiresym", "repro/internal/server", false},
-		{"metricreg", "repro/internal/obs", true},
-		{"metricreg", "repro/cmd/leased", true},
-		{"metricreg", "other/module", false},
 		{"ctxclean", "repro/internal/server", true},
 		{"ctxclean", "repro/internal/sim", false},      // simulation steps synchronously
 		{"ctxclean", "repro/internal/health", true},    // the engine's tick goroutine must stop cleanly
@@ -100,12 +87,9 @@ func TestScoped(t *testing.T) {
 		{"hotalloc", "repro/internal/server", false},   // grant logic is allowed to allocate
 		{"lockflow", "repro/internal/server", true},
 		{"lockflow", "repro/internal/proxy", true},
-		{"lockflow", "repro/internal/wire", false}, // no shard mutexes in the codec
-		{"spawnjoin", "repro/internal/transport", true},
-		{"spawnjoin", "repro/internal/sim", false}, // simulation steps synchronously
-		{"snapshotcopy", "repro/internal/core", true},
-		{"snapshotcopy", "repro/internal/state", true}, // the snapshot types live here
-		{"snapshotcopy", "repro/internal/wire", false},
+		{"lockflow", "repro/internal/client", false}, // c.mu guards one client's cache, not a shard
+		{"lockflow", "repro/internal/wire", false},   // no shard mutexes in the codec
+		{"lockflow", "other/module", false},
 		{"nosuch", "repro/internal/server", false},
 	}
 	for _, c := range cases {

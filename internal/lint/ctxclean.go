@@ -10,9 +10,9 @@ import (
 // operations without ever consulting a shutdown signal. Every long-lived
 // goroutine in the live stack (accept loops, sweepers, invalidation
 // flushers, read pumps) must observe its component's done/closed channel
-// (or a context's Done()), or Close hangs waiting for it — the
-// leaked-goroutine-on-shutdown class of bug that only shows up as a test
-// timeout.
+// (or a context's Done()), or Close hangs waiting for it or leaks it. The
+// dynamic twin is internal/proxy's TestNoGoroutineOutlivesClose, which sees
+// a leak wherever the loop sits but only on the paths it drives.
 //
 // Detection is syntactic: for each `go` statement, resolve the spawned body
 // (a function literal or a same-package method/function), find `for {}`
@@ -119,13 +119,7 @@ func loopHasBlockingChanOp(body *ast.BlockStmt) bool {
 				blocking = true
 			}
 		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range v.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
+			if !hasDefault(v) {
 				blocking = true
 			}
 			return false // don't double-count the comm clauses

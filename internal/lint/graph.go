@@ -1,12 +1,10 @@
 package lint
 
 // This file is the interprocedural layer under leasevet: a whole-module call
-// graph over go/types. PR 5's analyzers are single-function; the invariants
-// that actually broke in later PRs — blocking calls reached through helpers
-// while a shard mutex is held, allocations buried two calls deep in the wire
-// path, snapshot code aliasing live table memory — are properties of call
-// *chains*, so the graph analyzers (hotalloc, lockflow, spawnjoin,
-// snapshotcopy) need to know who calls whom across package boundaries.
+// graph over go/types. Two invariants are properties of call *chains* —
+// blocking calls reached through helpers while a shard mutex is held, and
+// allocations buried calls deep in the wire path — so the graph analyzers
+// (lockflow, hotalloc) need to know who calls whom across package boundaries.
 //
 // The type checker has already decided what every call site names
 // (Info.Uses, Info.Selections — embedding, promotion, shadowing and generic
@@ -100,10 +98,8 @@ type FuncNode struct {
 	Lit      *ast.FuncLit
 	Parent   *FuncNode // enclosing function for literals
 	Edges    []Edge
-	// HotPath and SnapshotRoot record //lint:hotpath and //lint:snapshotroot
-	// annotations on the declaration.
-	HotPath      bool
-	SnapshotRoot bool
+	// HotPath records a //lint:hotpath annotation on the declaration.
+	HotPath bool
 }
 
 // Body returns the function's block, whichever form it is.
@@ -145,7 +141,6 @@ type Graph struct {
 	Nodes []*FuncNode
 
 	byFunc map[*types.Func]*FuncNode
-	module map[*types.Package]bool
 	// concrete lists the module's package-level non-interface named types in
 	// source order: the candidate receivers of interface dispatch.
 	concrete []*types.Named
@@ -163,10 +158,6 @@ func (g *Graph) PackageOf(filename string) *Package { return g.fileToPkg[filenam
 // EdgesAt returns the edges resolved for one call expression.
 func (g *Graph) EdgesAt(call *ast.CallExpr) []Edge { return g.edgesBySite[call] }
 
-// InModule reports whether a named type is declared in one of the graph's
-// packages (as opposed to the standard library).
-func (g *Graph) InModule(t *types.Named) bool { return g.module[t.Obj().Pkg()] }
-
 // --- graph construction ---
 
 // BuildGraph indexes every loaded package's declarations and resolves a call
@@ -175,13 +166,11 @@ func BuildGraph(pkgs []*Package) *Graph {
 	g := &Graph{
 		Pkgs:        pkgs,
 		byFunc:      make(map[*types.Func]*FuncNode),
-		module:      make(map[*types.Package]bool),
 		edgesBySite: make(map[*ast.CallExpr][]Edge),
 		fileToPkg:   make(map[string]*Package),
 	}
 	// Pass 1: a node per declared body, and the dispatch candidates.
 	for _, pkg := range pkgs {
-		g.module[pkg.Types] = true
 		for _, f := range pkg.Files {
 			g.fileToPkg[pkg.Fset.Position(f.Pos()).Filename] = pkg
 			for _, decl := range f.Decls {
@@ -199,11 +188,7 @@ func BuildGraph(pkgs []*Package) *Graph {
 					if d.Body == nil {
 						continue
 					}
-					node := &FuncNode{Pkg: pkg, File: f, Decl: d, Name: d.Name.Name}
-					if ann := declAnnotations(f, d); ann != nil {
-						node.HotPath = ann["hotpath"]
-						node.SnapshotRoot = ann["snapshotroot"]
-					}
+					node := &FuncNode{Pkg: pkg, File: f, Decl: d, Name: d.Name.Name, HotPath: hotPath(d)}
 					if recv := node.Signature().Recv(); recv != nil {
 						if named := namedOf(recv.Type()); named != nil {
 							node.RecvType = named.Obj().Name()
@@ -225,28 +210,18 @@ func BuildGraph(pkgs []*Package) *Graph {
 	return g
 }
 
-// declAnnotations scans a declaration's doc comment (and the comment group
-// directly attached above it) for //lint:<name> marker lines.
-func declAnnotations(f *ast.File, d *ast.FuncDecl) map[string]bool {
+// hotPath reports whether a declaration's doc comment has a //lint:hotpath
+// marker line.
+func hotPath(d *ast.FuncDecl) bool {
 	if d.Doc == nil {
-		return nil
+		return false
 	}
-	var out map[string]bool
 	for _, c := range d.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if !strings.HasPrefix(text, "//lint:") {
-			continue
+		if f := strings.Fields(c.Text); len(f) > 0 && f[0] == "//lint:hotpath" {
+			return true
 		}
-		name := strings.TrimPrefix(text, "//lint:")
-		if i := strings.IndexAny(name, " \t"); i >= 0 {
-			name = name[:i]
-		}
-		if out == nil {
-			out = make(map[string]bool)
-		}
-		out[name] = true
 	}
-	return out
+	return false
 }
 
 // namedOf unwraps pointers and aliases down to a named type, or nil.

@@ -51,39 +51,33 @@ var allocExternal = map[string]bool{
 }
 
 func runHotAlloc(p *GraphPass) {
-	g := p.Graph
+	parents := hotClosure(p.Graph)
+	for n := range parents {
+		checkHotNode(p, parents, n)
+	}
+}
+
+// hotClosure is everything reachable from the //lint:hotpath roots. A
+// goroutine spawned from a hot function is not itself on the hot path
+// (EdgeGo excluded) — but the spawn is flagged by checkHotNode. Closure
+// references are included: a closure created on the hot path may be invoked
+// there.
+func hotClosure(g *Graph) map[*FuncNode]Edge {
 	var roots []*FuncNode
 	for _, n := range g.Nodes {
 		if n.HotPath {
 			roots = append(roots, n)
 		}
 	}
-	if len(roots) == 0 {
-		return
-	}
-	// A goroutine spawned from a hot function is not itself on the hot
-	// path (EdgeGo excluded) — but the spawn is flagged below. Closure
-	// references are included: a closure created on the hot path may be
-	// invoked there.
-	parents := g.Reachable(roots, ReachOpts{Call: true, Defer: true, Ref: true, OverApprox: true})
-	for n := range parents {
-		checkHotNode(p, parents, n)
-	}
+	return g.Reachable(roots, ReachOpts{Call: true, Defer: true, Ref: true, OverApprox: true})
 }
 
 // HotSet exposes the hotalloc reachability closure (node display names,
 // "pkgpath.name") for the coverage test that proves the BenchmarkWirePath
 // call path is inside it.
 func HotSet(g *Graph) map[string]bool {
-	var roots []*FuncNode
-	for _, n := range g.Nodes {
-		if n.HotPath {
-			roots = append(roots, n)
-		}
-	}
-	parents := g.Reachable(roots, ReachOpts{Call: true, Defer: true, Ref: true, OverApprox: true})
-	out := make(map[string]bool, len(parents))
-	for n := range parents {
+	out := make(map[string]bool)
+	for n := range hotClosure(g) {
 		out[n.String()] = true
 	}
 	return out

@@ -1,7 +1,8 @@
 // Package lint implements leasevet: a suite of project-specific static
 // analyzers that mechanically enforce the lease stack's hand-written
-// disciplines — clock injection, shard lock order, wire encode/decode
-// symmetry, metric registration hygiene, and goroutine shutdown wiring.
+// disciplines — clock injection, goroutine shutdown wiring, the zero-alloc
+// wire path, and the shard-locking order with nothing blocking under a shard
+// mutex.
 // The invariants themselves are argued in DESIGN.md; each analyzer turns
 // one of those arguments into a build-time check (`make lint`).
 //
@@ -96,19 +97,14 @@ func (p *GraphPass) ReportNodef(n *FuncNode, pos token.Pos, format string, args 
 	})
 }
 
-// Analyzers returns the full leasevet suite: the five single-function
-// analyzers from PR 5 plus the four interprocedural ones.
+// Analyzers returns the full leasevet suite: two single-function analyzers
+// and two interprocedural ones.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		ClockCheck,
-		LockOrder,
-		WireSym,
-		MetricReg,
 		CtxClean,
 		HotAlloc,
 		LockFlow,
-		SpawnJoin,
-		SnapshotCopy,
 	}
 }
 
@@ -185,29 +181,4 @@ func lastSelector(e ast.Expr) string {
 	default:
 		return ""
 	}
-}
-
-// funcBodies yields every function-shaped body in the file: declarations
-// and function literals, each paired with a display name.
-func funcBodies(f *ast.File) []namedBody {
-	var out []namedBody
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		out = append(out, namedBody{fd.Name.Name, fd.Body})
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				out = append(out, namedBody{fd.Name.Name + ".func", lit.Body})
-			}
-			return true
-		})
-	}
-	return out
-}
-
-type namedBody struct {
-	name string
-	body *ast.BlockStmt
 }

@@ -53,10 +53,10 @@ func unknown() {}
 func TestStaleAllowsOffUnderSubset(t *testing.T) {
 	pkg := loadSource(t, "fixture/stale", `package p
 
-//lint:allow clockcheck — legitimately idle when only wiresym runs
+//lint:allow clockcheck — legitimately idle when only ctxclean runs
 func f() {}
 `)
-	res := RunSuite([]*Package{pkg}, []*Analyzer{WireSym}, SuiteOptions{})
+	res := RunSuite([]*Package{pkg}, []*Analyzer{CtxClean}, SuiteOptions{})
 	for _, d := range res.Diagnostics {
 		t.Errorf("unexpected diagnostic under subset run: %s", d)
 	}
@@ -98,7 +98,7 @@ func TestSuiteBuildsGraphOnlyWhenNeeded(t *testing.T) {
 
 func f() {}
 `)
-	if res := RunSuite([]*Package{pkg}, []*Analyzer{ClockCheck, WireSym}, SuiteOptions{}); res.Graph != nil {
+	if res := RunSuite([]*Package{pkg}, []*Analyzer{ClockCheck, CtxClean}, SuiteOptions{}); res.Graph != nil {
 		t.Errorf("graph built for a single-function-only run")
 	}
 	if res := RunSuite([]*Package{pkg}, []*Analyzer{HotAlloc}, SuiteOptions{}); res.Graph == nil {

@@ -1,6 +1,8 @@
 // Package fixture exercises lockflow: a blocking operation reachable through
 // any call depth while a shard mutex is held is reported at the call site
 // under the lock. Non-blocking variants and allow-annotated sites are not.
+// order.go holds the locking-order rules and the blocking steps written in
+// the locked section itself.
 package fixture
 
 import "sync"
@@ -48,7 +50,7 @@ func (s *shard) tryNotify() {
 }
 
 // Unlocked calls the blocking helper with no lock held: not lockflow's
-// business (it may still be ctxclean/lockorder's).
+// business.
 func (s *shard) Unlocked() {
 	s.notify()
 }

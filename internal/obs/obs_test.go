@@ -126,6 +126,30 @@ func TestEventStringNames(t *testing.T) {
 	}
 }
 
+// TestRegistryRejectsDuplicateRegistration: the registrations that take a
+// callback or an outside histogram panic on a name already taken, where they
+// used to replace the first registration silently.
+func TestRegistryRejectsDuplicateRegistration(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc(`lease_x{node="a"}`, func() float64 { return 1 })
+	r.RegisterHistogram("lease_y_seconds", r.Histogram("lease_z_seconds"))
+	r.Histogram("lease_h")
+	for name, register := range map[string]func(){
+		"GaugeFunc":                         func() { r.GaugeFunc(`lease_x{node="a"}`, func() float64 { return 2 }) },
+		"RegisterHistogram":                 func() { r.RegisterHistogram("lease_y_seconds", r.Histogram("lease_h")) },
+		"RegisterHistogram after Histogram": func() { r.RegisterHistogram("lease_h", r.Histogram("lease_z_seconds")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a duplicate name did not panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+}
+
 func TestRegistryExportFormats(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`lease_grants_total{kind="object"}`).Add(5)

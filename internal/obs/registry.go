@@ -88,12 +88,16 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // GaugeFunc registers a callback sampled at scrape time — the natural fit
-// for values the system already tracks (active leases, queue depths).
-// Re-registering a name replaces the callback. f must be safe to call from
-// scrape goroutines.
+// for values the system already tracks (active leases, queue depths). f must
+// be safe to call from scrape goroutines. Like expvar.Publish, it panics if
+// name is already registered: two components exporting one series would
+// otherwise silently drop the first one's callback.
 func (r *Registry) GaugeFunc(name string, f func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, dup := r.funcs[name]; dup {
+		panic("obs: duplicate GaugeFunc " + name)
+	}
 	r.funcs[name] = f
 }
 
@@ -111,12 +115,16 @@ func (r *Registry) Histogram(name string) *metrics.Histogram {
 }
 
 // RegisterHistogram exports an externally owned latency histogram under
-// name, replacing any previous registration. Components that maintain their
-// own histogram (e.g. the audit staleness distribution) use this instead of
-// Histogram so a single instance backs both the check and the export.
+// name. Components that maintain their own histogram (e.g. the audit
+// staleness distribution) use this instead of Histogram so a single instance
+// backs both the check and the export. It panics if name is already
+// registered, as GaugeFunc does.
 func (r *Registry) RegisterHistogram(name string, h *metrics.Histogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, dup := r.hists[name]; dup {
+		panic("obs: duplicate histogram " + name)
+	}
 	r.hists[name] = h
 }
 
