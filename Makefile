@@ -129,11 +129,29 @@ examples:
 	$(GO) run ./examples/hierarchy
 	$(GO) run ./examples/webcache
 
+# Live smoke test: leasebench drives an audited leased over loopback TCP for
+# five seconds, then leased is stopped with SIGINT. leased exits non-zero at
+# shutdown if the auditor recorded a violation (leaving its flight dump in
+# $(LOADTEST_DIR)/flight-dumps), so the target fails on a violation as well as
+# on a leasebench error. leased picks a free port and logs it.
+LOADTEST_DIR ?= loadtest-out
 loadtest:
-	$(GO) run ./cmd/leasebench -clients 32 -duration 5s
+	@mkdir -p $(LOADTEST_DIR)
+	$(GO) build -o $(LOADTEST_DIR)/ ./cmd/leased ./cmd/leasebench
+	@dir=$(LOADTEST_DIR); log=$$dir/leased.log; \
+	$$dir/leased -addr 127.0.0.1:0 -audit -volume bench -objects 64 -stats 0 \
+		-flight-dir $$dir/flight-dumps 2>$$log & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null' EXIT; \
+	addr=; n=0; while [ -z "$$addr" ] && [ $$n -lt 100 ] && kill -0 $$pid 2>/dev/null; do \
+		sleep 0.1; n=$$((n+1)); addr=$$(sed -n 's/.*leased: serving volume .* on //p' $$log); done; \
+	if [ -z "$$addr" ]; then cat $$log >&2; echo "loadtest: leased did not start" >&2; exit 1; fi; \
+	$$dir/leasebench -addr $$addr -clients 32 -duration 5s -write-ratio 0.05; bench=$$?; \
+	kill -INT $$pid; wait $$pid; leased=$$?; cat $$log; \
+	echo "loadtest: leasebench exit $$bench, leased exit $$leased"; \
+	[ $$bench -eq 0 ] && [ $$leased -eq 0 ]
 
 # Removes what building, testing and benchmarking leave behind; results/ is
 # tracked (the paper's figures) and stays.
 clean:
-	rm -rf benchmark/out flight-dumps test_output.txt bench_output.txt
+	rm -rf benchmark/out flight-dumps loadtest-out test_output.txt bench_output.txt
 	find . -path ./.git -prune -o \( -name '*.test' -o -name '*.pprof' \) -type f -exec rm -f {} +

@@ -20,8 +20,8 @@
 //	figures -live dump.json
 //
 // -cost does the same for the wire-path cost accounting: it reads a
-// /debug/cost dump (URL, or a file saved from one — e.g. `leasebench
-// -cost-out`) and emits figcost.tsv, per-kind live message counts labelled
+// /debug/cost dump (URL, or a file saved from one — e.g. leased's after a
+// leasebench run) and emits figcost.tsv, per-kind live message counts labelled
 // with the simulator's message-class names so the live protocol mix lines
 // up against the Figure 5-7 message accounting:
 //
@@ -228,7 +228,7 @@ func kindClass(kind string) string {
 }
 
 // fetchCostDump loads a cost dump from a /debug/cost URL or a file holding
-// one (e.g. written by `leasebench -cost-out`).
+// one (e.g. leased's /debug/cost saved after a leasebench run).
 func fetchCostDump(src string) (cost.Dump, error) {
 	var (
 		raw []byte

@@ -12,7 +12,7 @@
 // -mode delayed (delayed invalidations, with -discard for the paper's d).
 //
 // Observability is one stack, assembled by internal/daemon and shared with
-// leaseproxy and leasebench. With -debug-addr set, a debug HTTP server
+// leaseproxy. With -debug-addr set, a debug HTTP server
 // exposes /metrics (Prometheus text), /debug/vars (JSON), /debug/pprof/
 // (runtime profiles), /debug/leases (the live lease-table snapshot: who holds
 // what until when, with ?volume=/?client=/?expiring= filters; the

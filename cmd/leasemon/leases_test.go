@@ -75,8 +75,8 @@ func leaseEndpoint(t *testing.T, src *state.Source) string {
 	return dbg.Addr()
 }
 
-// clientSource wraps one client the way leasebench does: a single-client
-// Dump whose Server field names the upstream address.
+// clientSource wraps one client as a client-role dump: a single-client Dump
+// whose Server field names the upstream address.
 func clientSource(c *client.Client, node string) *state.Source {
 	return state.NewSource(func() state.Dump {
 		cs := c.StateSnapshot()

@@ -308,8 +308,8 @@ func (a *Accounting) codecQuantile(encode bool, q float64) int64 {
 	return int64(merged.Quantile(q))
 }
 
-// Dump is the /debug/cost JSON shape — also what leasebench writes with
-// -cost-out and what `figures -cost` renders into the Figure 5–7 TSV.
+// Dump is the /debug/cost JSON shape (leased serves the one a load run
+// leaves behind) and what `figures -cost` renders into the Figure 5–7 TSV.
 type Dump struct {
 	Node       string       `json:"node"`
 	StartedAt  time.Time    `json:"started_at,omitempty"`

@@ -1,6 +1,6 @@
 // Package daemon is the one place a live node's observers are chosen and
-// plugged together. leased, leaseproxy and leasebench each describe what they
-// want in an Options value and get back a Stack: the *obs.Observer and the
+// plugged together. leased and leaseproxy each describe what they want in an
+// Options value and get back a Stack: the *obs.Observer and the
 // transport taps their node takes, and — once the node exists — the debug
 // HTTP server, the health engine and the profiler around it.
 //
@@ -19,7 +19,6 @@ package daemon
 import (
 	"flag"
 	"net/http"
-	"slices"
 	"strings"
 	"time"
 
@@ -58,12 +57,6 @@ type Options struct {
 	ProfileInterval  time.Duration
 	ProfileCPUWindow time.Duration
 
-	// FlightWindow is the trailing window a flight dump covers; 0 is a minute.
-	FlightWindow time.Duration
-	// Tick is how often the health engine evaluates and how long it waits
-	// after a trigger before freezing the dump; 0 keeps its defaults (1s, 2s).
-	// A run that lasts seconds needs both shorter.
-	Tick time.Duration
 	// Table is the node's lease configuration: VolumeLease is the lookahead of
 	// the lease_state_expiring gauge and, with Audit, the table is the protocol
 	// variant under audit.
@@ -74,42 +67,16 @@ type Options struct {
 	BestEffort bool
 }
 
-// Flags registers the shared observability flags on fs, bound to o. With
-// names given only those are registered (leasebench has its own -trace).
-func (o *Options) Flags(fs *flag.FlagSet, only ...string) {
-	for _, f := range []struct {
-		name string
-		reg  func(name string)
-	}{
-		{"debug-addr", func(n string) {
-			fs.StringVar(&o.DebugAddr, n, "", "serve /metrics, /debug/vars, /debug/pprof and a /debug/ endpoint per enabled observer on this address (empty = off)")
-		}},
-		{"trace", func(n string) {
-			fs.IntVar(&o.Trace, n, 256, "protocol events kept for /debug/events (0 = off)")
-		}},
-		{"spans", func(n string) {
-			fs.IntVar(&o.Spans, n, 0, "causal write-path spans kept for /debug/spans (0 = span tracing off)")
-		}},
-		{"load-window", func(n string) {
-			fs.IntVar(&o.LoadWindow, n, 300, "seconds of per-second load history for /debug/load and lease_load_* (0 = off)")
-		}},
-		{"flight", func(n string) {
-			fs.IntVar(&o.Flight, n, 8192, "protocol events retained by the flight recorder (0 = flight recorder and health detectors off)")
-		}},
-		{"flight-dir", func(n string) {
-			fs.StringVar(&o.FlightDir, n, "flight-dumps", "directory for flight recorder dump files ($FLIGHT_DUMP_DIR overrides)")
-		}},
-		{"profile-interval", func(n string) {
-			fs.DurationVar(&o.ProfileInterval, n, 0, "capture heap/goroutine profiles into the profile ring this often (0 = off)")
-		}},
-		{"profile-cpu-window", func(n string) {
-			fs.DurationVar(&o.ProfileCPUWindow, n, 0, "also capture a CPU profile of this length each cycle (0 = off)")
-		}},
-	} {
-		if len(only) == 0 || slices.Contains(only, f.name) {
-			f.reg(f.name)
-		}
-	}
+// Flags registers the shared observability flags on fs, bound to o.
+func (o *Options) Flags(fs *flag.FlagSet) {
+	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and a /debug/ endpoint per enabled observer on this address (empty = off)")
+	fs.IntVar(&o.Trace, "trace", 256, "protocol events kept for /debug/events (0 = off)")
+	fs.IntVar(&o.Spans, "spans", 0, "causal write-path spans kept for /debug/spans (0 = span tracing off)")
+	fs.IntVar(&o.LoadWindow, "load-window", 300, "seconds of per-second load history for /debug/load and lease_load_* (0 = off)")
+	fs.IntVar(&o.Flight, "flight", 8192, "protocol events retained by the flight recorder (0 = flight recorder and health detectors off)")
+	fs.StringVar(&o.FlightDir, "flight-dir", "flight-dumps", "directory for flight recorder dump files ($FLIGHT_DUMP_DIR overrides)")
+	fs.DurationVar(&o.ProfileInterval, "profile-interval", 0, "capture heap/goroutine profiles into the profile ring this often (0 = off)")
+	fs.DurationVar(&o.ProfileCPUWindow, "profile-cpu-window", 0, "also capture a CPU profile of this length each cycle (0 = off)")
 }
 
 // Stack is one node's assembled observers. Obs, Taps and Batch go into the
@@ -168,7 +135,7 @@ func New(o Options) *Stack {
 	// Every frame goes to exactly these two: totals per kind, counts per second.
 	s.Taps = []transport.Tap{s.Cost, s.Load}
 	if o.Flight > 0 {
-		s.flight = health.NewFlightRecorder(o.Node, o.Flight, o.FlightWindow)
+		s.flight = health.NewFlightRecorder(o.Node, o.Flight, 0) // 0: the default one-minute window
 		s.flight.AttachTimeline(s.Load)
 		s.Health = s.newEngine()
 		s.Health.Register(s.reg)
@@ -218,8 +185,6 @@ func (s *Stack) newEngine() *health.Engine {
 		Clock:   o.Clock,
 		Flight:  s.flight,
 		DumpDir: health.DumpDir(o.FlightDir),
-		Tick:    o.Tick,
-		Tail:    o.Tick,
 		Logf:    o.Logf,
 		Sample: func() map[string]float64 {
 			st := s.stats()
@@ -243,15 +208,11 @@ func (s *Stack) newEngine() *health.Engine {
 }
 
 // Start takes what only exists once the node does — its lease-state source
-// and its table statistics (nil for a node with no table, a client fleet:
-// it reports an empty one) — then binds the debug server when one was asked
+// and its table statistics — then binds the debug server when one was asked
 // for and starts the health engine and the profiler. State is attached
 // before the engine runs, so no freeze can race the attach; the listener is
 // bound before anything is started, so a failed Start leaves nothing running.
 func (s *Stack) Start(src *state.Source, stats func() core.Stats) error {
-	if stats == nil {
-		stats = func() core.Stats { return core.Stats{} }
-	}
 	s.stats = stats
 	state.Register(s.reg, s.opts.Node, src, s.opts.Table.VolumeLease)
 	s.flight.AttachState(src)

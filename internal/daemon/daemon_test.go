@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/server"
@@ -251,6 +253,61 @@ func TestSlowWriteEmitsOneEvent(t *testing.T) {
 	}
 	if n.stack.Obs.SpanRec().Total() == 0 {
 		t.Error("no spans recorded; the write was not traced")
+	}
+}
+
+// audited is an audited stack with a flight recorder dumping into dir, fed a
+// volume lease grant per epoch.
+func audited(t *testing.T, dir string, epochs ...core.Epoch) *Stack {
+	t.Helper()
+	t.Setenv("FLIGHT_DUMP_DIR", "") // the dump must land in dir
+	stack := New(Options{Node: "srv", Table: table, Audit: true, Flight: 64, FlightDir: dir})
+	t.Cleanup(stack.Close)
+	now := time.Now()
+	for _, epoch := range epochs {
+		stack.Obs.Emit(obs.Event{Type: obs.EvVolLeaseGrant, At: now, Node: "srv", Client: "c", Volume: "v", Epoch: epoch})
+	}
+	return stack
+}
+
+// TestAuditViolationLeavesFlightDump crafts an invariant violation (an epoch
+// moving backwards) and asserts AuditErr — leased's exit status at shutdown —
+// returns an error and leaves one parseable flight dump behind, whose path it
+// returns.
+func TestAuditViolationLeavesFlightDump(t *testing.T) {
+	dir := t.TempDir()
+	stack := audited(t, dir, 5, 3) // 5 then 3: epoch monotonicity breach
+	if len(stack.Audit.Violations()) == 0 {
+		t.Fatal("crafted event stream recorded no violation")
+	}
+	dumps, err := stack.AuditErr("audit violations at shutdown")
+	if err == nil {
+		t.Fatal("violating run reported success")
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "flight-srv-*.json"))
+	if len(files) != 1 || !slices.Equal(dumps, files) {
+		t.Fatalf("AuditErr returned dumps %v; %v on disk, want exactly one, the same", dumps, files)
+	}
+	d, err := health.ReadDump(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Events) != 2 || d.Trigger == nil {
+		t.Fatalf("dump = %d events, trigger %+v", len(d.Events), d.Trigger)
+	}
+}
+
+// TestAuditCleanLeavesNoDump: when every invariant held, AuditErr is nil and
+// freezes nothing.
+func TestAuditCleanLeavesNoDump(t *testing.T) {
+	dir := t.TempDir()
+	stack := audited(t, dir, 3, 5)
+	dumps, err := stack.AuditErr("audit violations at shutdown")
+	if err != nil || len(dumps) != 0 {
+		t.Fatalf("clean run: AuditErr = %v, %v; want nil, no dumps", dumps, err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
+		t.Errorf("clean run left %v", files)
 	}
 }
 

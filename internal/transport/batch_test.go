@@ -156,6 +156,33 @@ func TestBatcherTortureTCP(t *testing.T) {
 	}
 }
 
+// TestBatchStatsSkipFailedDrain: a drain whose write or flush failed released
+// its frames unwritten, so it is neither a kernel flush nor frames on the
+// wire. The sender's socket deadline lies in the past, so the flusher's one
+// pass fails at Flush.
+func TestBatchStatsSkipFailedDrain(t *testing.T) {
+	stats := &BatchStats{}
+	cli, _, cleanup := pair(t, TCP{Stats: stats}, "127.0.0.1:0")
+	defer cleanup()
+	tc := cli.(*tcpConn)
+	if err := tc.c.SetWriteDeadline(time.Now().Add(-time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Send(wire.Hello{Client: "c"}); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); tc.sendErr() == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed flush never set the sticky error")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cli.Close() // waits for the flusher, so nothing is recorded after this
+	if snap := stats.Snapshot(); snap.Flushes != 0 || snap.Frames != 0 {
+		t.Errorf("failed drain counted as %d flushes, %d frames; want 0 and 0", snap.Flushes, snap.Frames)
+	}
+}
+
 // TestMemoryTortureUnderPartitionChurn drives concurrent senders through a
 // Memory link with latency while the partition flips open and closed.
 // Frames may be dropped (that is the model) but whatever arrives must stay

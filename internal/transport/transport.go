@@ -354,7 +354,9 @@ func (t *tcpConn) drain() {
 			t.setErr(err)
 		}
 		t.sendMu.Unlock()
-		t.stats.record(len(batch))
+		if err == nil { // a failed pass released its frames unwritten
+			t.stats.record(len(batch))
+		}
 
 		// Recycle the drained Bufs into the freelist for encode, and hand the
 		// backing array back as spare. Both must happen before senders can
