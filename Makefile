@@ -129,26 +129,38 @@ examples:
 	$(GO) run ./examples/hierarchy
 	$(GO) run ./examples/webcache
 
-# Live smoke test: leasebench drives an audited leased over loopback TCP for
-# five seconds, then leased is stopped with SIGINT. leased exits non-zero at
-# shutdown if the auditor recorded a violation (leaving its flight dump in
-# $(LOADTEST_DIR)/flight-dumps), so the target fails on a violation as well as
-# on a leasebench error. leased picks a free port and logs it.
+# Live smoke test in two legs against one audited leased over loopback TCP:
+# leasebench drives leased directly for five seconds, then drives a
+# leaseproxy in front of it for five more (-startup-fence 0s: the default
+# fence would hold every upstream ack for the whole leg). Between the legs
+# the first leg's volume leases (-volume-lease 2s) lapse, so the proxy's
+# first writes do not wait out clients that are gone. Both daemons are
+# stopped with SIGINT. leased exits non-zero at shutdown if the auditor
+# recorded a violation (leaving its flight dump in $(LOADTEST_DIR)/flight-dumps),
+# so the target fails on a violation as well as on a leasebench or daemon
+# error. Each daemon picks a free port and logs it.
 LOADTEST_DIR ?= loadtest-out
 loadtest:
 	@mkdir -p $(LOADTEST_DIR)
-	$(GO) build -o $(LOADTEST_DIR)/ ./cmd/leased ./cmd/leasebench
-	@dir=$(LOADTEST_DIR); log=$$dir/leased.log; \
-	$$dir/leased -addr 127.0.0.1:0 -audit -volume bench -objects 64 -stats 0 \
+	$(GO) build -o $(LOADTEST_DIR)/ ./cmd/leased ./cmd/leaseproxy ./cmd/leasebench
+	@dir=$(LOADTEST_DIR); log=$$dir/leased.log; plog=$$dir/leaseproxy.log; ppid=; \
+	$$dir/leased -addr 127.0.0.1:0 -audit -volume bench -objects 64 -volume-lease 2s -stats 0 \
 		-flight-dir $$dir/flight-dumps 2>$$log & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null' EXIT; \
+	trap 'kill $$pid $$ppid 2>/dev/null' EXIT; \
 	addr=; n=0; while [ -z "$$addr" ] && [ $$n -lt 100 ] && kill -0 $$pid 2>/dev/null; do \
 		sleep 0.1; n=$$((n+1)); addr=$$(sed -n 's/.*leased: serving volume .* on //p' $$log); done; \
 	if [ -z "$$addr" ]; then cat $$log >&2; echo "loadtest: leased did not start" >&2; exit 1; fi; \
-	$$dir/leasebench -addr $$addr -clients 32 -duration 5s -write-ratio 0.05; bench=$$?; \
+	$$dir/leasebench -addr $$addr -clients 32 -duration 5s -write-ratio 0.05; bench=$$?; sleep 2; \
+	$$dir/leaseproxy -addr 127.0.0.1:0 -upstream $$addr -volume bench -startup-fence 0s -stats 0 \
+		-flight-dir $$dir/flight-dumps 2>$$plog & ppid=$$!; \
+	paddr=; n=0; while [ -z "$$paddr" ] && [ $$n -lt 100 ] && kill -0 $$ppid 2>/dev/null; do \
+		sleep 0.1; n=$$((n+1)); paddr=$$(sed -n 's/.*leaseproxy: serving volume .* on \([^ ]*\) (upstream.*/\1/p' $$plog); done; \
+	if [ -z "$$paddr" ]; then cat $$plog >&2; echo "loadtest: leaseproxy did not start" >&2; exit 1; fi; \
+	$$dir/leasebench -addr $$paddr -clients 16 -duration 5s -write-ratio 0.05; pbench=$$?; \
+	kill -INT $$ppid; wait $$ppid; proxy=$$?; cat $$plog; \
 	kill -INT $$pid; wait $$pid; leased=$$?; cat $$log; \
-	echo "loadtest: leasebench exit $$bench, leased exit $$leased"; \
-	[ $$bench -eq 0 ] && [ $$leased -eq 0 ]
+	echo "loadtest: leasebench exit $$bench, proxied leasebench exit $$pbench, leaseproxy exit $$proxy, leased exit $$leased"; \
+	[ $$bench -eq 0 ] && [ $$pbench -eq 0 ] && [ $$proxy -eq 0 ] && [ $$leased -eq 0 ]
 
 # Removes what building, testing and benchmarking leave behind; results/ is
 # tracked (the paper's figures) and stays.

@@ -11,21 +11,16 @@
 //	figures -table1                 # Table 1's analytic cost model
 //	figures -callouts               # Section 5.1's headline percentages
 //
-// -live renders a RUNNING node's load timeline instead of the simulator: it
-// reads a /debug/load dump (URL or file saved from one) and emits the same
+// -live and -cost render a RUNNING node instead of the simulator, from its
+// /debug/cost dump (the URL, or a file saved from one — e.g. leased's after
+// a leasebench run). -live emits the dump's per-second load as the same
 // cumulative 1s-period load histogram the simulator produces for Figures
-// 8/9, so live and simulated burst curves are directly comparable:
+// 8/9, so live and simulated burst curves are directly comparable; -cost
+// emits figcost.tsv, per-kind live message counts labelled with the
+// simulator's message-class names so the live protocol mix lines up against
+// the Figure 5-7 message accounting:
 //
-//	figures -live http://127.0.0.1:7401/debug/load -out results/
-//	figures -live dump.json
-//
-// -cost does the same for the wire-path cost accounting: it reads a
-// /debug/cost dump (URL, or a file saved from one — e.g. leased's after a
-// leasebench run) and emits figcost.tsv, per-kind live message counts labelled
-// with the simulator's message-class names so the live protocol mix lines
-// up against the Figure 5-7 message accounting:
-//
-//	figures -cost http://127.0.0.1:7401/debug/cost
+//	figures -live http://127.0.0.1:7401/debug/cost -out results/
 //	figures -cost cost.json -out results/
 package main
 
@@ -37,11 +32,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/cost"
-	"repro/internal/loadtl"
 	"repro/internal/metrics"
 )
 
@@ -60,7 +55,7 @@ func run() error {
 	ablations := flag.Bool("ablations", false, "run the DESIGN.md ablation sweeps (d, t_v, locality)")
 	outDir := flag.String("out", ".", "directory for TSV output")
 	scaleName := flag.String("scale", "small", "workload scale: small or full")
-	live := flag.String("live", "", "render a live /debug/load dump (URL or file) as a cumulative load histogram instead of simulating")
+	live := flag.String("live", "", "render a live /debug/cost dump's per-second load (URL or file) as a cumulative load histogram instead of simulating")
 	costSrc := flag.String("cost", "", "render a live /debug/cost dump (URL or file) as per-kind message counts in the Figure 5-7 TSV shape")
 	flag.Parse()
 
@@ -118,46 +113,16 @@ func run() error {
 	return nil
 }
 
-// fetchDump loads a loadtl dump from a /debug/load URL or a file holding
-// one.
-func fetchDump(src string) (loadtl.Dump, error) {
-	var (
-		raw []byte
-		err error
-	)
-	if strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://") {
-		resp, herr := http.Get(src)
-		if herr != nil {
-			return loadtl.Dump{}, herr
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return loadtl.Dump{}, fmt.Errorf("GET %s: %s", src, resp.Status)
-		}
-		raw, err = io.ReadAll(resp.Body)
-	} else {
-		raw, err = os.ReadFile(src)
-	}
-	if err != nil {
-		return loadtl.Dump{}, err
-	}
-	var d loadtl.Dump
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return loadtl.Dump{}, fmt.Errorf("decode %s: %w (expected a /debug/load dump)", src, err)
-	}
-	return d, nil
-}
-
-// emitLive turns a live load-timeline dump into figlive.tsv, the same
-// cumulative 1s-period histogram shape as the simulated Figures 8/9.
+// emitLive turns a live cost dump's per-second load into figlive.tsv, the
+// same cumulative 1s-period histogram shape as the simulated Figures 8/9.
 func emitLive(src, outDir string) error {
-	d, err := fetchDump(src)
+	d, err := fetchCostDump(src)
 	if err != nil {
 		return err
 	}
-	loads, periods := d.Cumulative()
+	loads, periods := cumulative(d.Seconds)
 	if len(loads) == 0 {
-		return fmt.Errorf("%s: timeline has no busy seconds (drive some traffic first)", src)
+		return fmt.Errorf("%s: dump has no busy seconds (drive some traffic first)", src)
 	}
 	label := "live"
 	if d.Node != "" {
@@ -187,6 +152,27 @@ func emitLive(src, outDir string) error {
 		fmt.Printf("   load>=%-6d %d period(s)\n", loads[i], periods[i])
 	}
 	return nil
+}
+
+// cumulative turns per-second loads into a cumulative histogram: for each
+// distinct load x (ascending), the number of 1-second periods with load >= x.
+// This is the shape of the simulator's metrics.LoadHistogram.Cumulative, i.e.
+// one Figure 8/9 curve.
+func cumulative(secs []cost.Second) (loads []int64, periods []int) {
+	counts := make([]int64, 0, len(secs))
+	for _, s := range secs {
+		if s.Msgs > 0 {
+			counts = append(counts, s.Msgs)
+		}
+	}
+	sort.Slice(counts, func(i, j int) bool { return counts[i] < counts[j] })
+	for i, n := range counts {
+		if i == 0 || n != counts[i-1] {
+			loads = append(loads, n)
+			periods = append(periods, len(counts)-i)
+		}
+	}
+	return loads, periods
 }
 
 // kindClass maps a wire kind name from a cost dump onto the simulator's
@@ -228,7 +214,7 @@ func kindClass(kind string) string {
 }
 
 // fetchCostDump loads a cost dump from a /debug/cost URL or a file holding
-// one (e.g. leased's /debug/cost saved after a leasebench run).
+// one.
 func fetchCostDump(src string) (cost.Dump, error) {
 	var (
 		raw []byte

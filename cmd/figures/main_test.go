@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cost"
-	"repro/internal/loadtl"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
@@ -53,14 +53,14 @@ func TestPrintTable1(t *testing.T) {
 
 func TestEmitLive(t *testing.T) {
 	dir := t.TempDir()
-	dump := loadtl.Dump{
+	dump := cost.Dump{
 		Node:          "srv-live",
 		WindowSeconds: 60,
-		Seconds: []loadtl.Second{
+		Seconds: []cost.Second{
 			{Unix: 100, Msgs: 9}, {Unix: 101, Msgs: 2},
 			{Unix: 102, Msgs: 9}, {Unix: 103, Msgs: 1},
 		},
-		Burst: loadtl.Burst{WindowSeconds: 60, Peak: 9, Mean: 0.35, BusySeconds: 4, IdleSeconds: 56, Ratio: 25.7},
+		Burst: cost.Burst{WindowSeconds: 60, Peak: 9, Mean: 0.35, BusySeconds: 4, IdleSeconds: 56, Ratio: 25.7},
 	}
 	raw, err := json.Marshal(dump)
 	if err != nil {
@@ -91,6 +91,19 @@ func TestEmitLive(t *testing.T) {
 		if lines[i] != want[i] {
 			t.Errorf("row %d = %q, want %q", i, lines[i], want[i])
 		}
+	}
+}
+
+func TestDumpCumulative(t *testing.T) {
+	loads, periods := cumulative([]cost.Second{
+		{Unix: 1, Msgs: 3}, {Unix: 2, Msgs: 1}, {Unix: 3, Msgs: 3},
+		{Unix: 4, Msgs: 7}, {Unix: 5}, // zero-load second excluded
+	})
+	if !reflect.DeepEqual(loads, []int64{1, 3, 7}) || !reflect.DeepEqual(periods, []int{4, 3, 1}) {
+		t.Errorf("cumulative = %v %v, want [1 3 7] [4 3 1]", loads, periods)
+	}
+	if l, p := cumulative(nil); l != nil || p != nil {
+		t.Errorf("empty cumulative = %v %v", l, p)
 	}
 }
 

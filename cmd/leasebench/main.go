@@ -1,10 +1,10 @@
 // Command leasebench is a load driver for a running leased or leaseproxy: it
 // dials -addr with concurrent clients mixing cached reads, lease renewals and
-// writes, and reports throughput, per-operation latency quantiles, errors and
-// the clients' cache counters. The target serves what it saw (cost, spans,
-// load, audit) on its own -debug-addr. Measurements come from
-// `go run ./benchmark`: a closed-loop random mix is not comparable across
-// commits.
+// writes, and reports throughput, per-operation latency quantiles, errors
+// (the first few with their operation, object and cause) and the clients'
+// cache counters. The target serves what it saw (cost, load, spans, audit)
+// on its own -debug-addr. Measurements come from `go run ./benchmark`: a
+// closed-loop random mix is not comparable across commits.
 //
 // Usage:
 //
@@ -80,12 +80,37 @@ func run(out io.Writer, args []string) error {
 	return res.report(out, o)
 }
 
+// keptFailures bounds how many failed operations a result keeps to report.
+const keptFailures = 8
+
+// failure is one failed operation.
+type failure struct {
+	op  string // "read" or "write"
+	oid core.ObjectID
+	err error
+}
+
+func (f failure) String() string { return fmt.Sprintf("%s %s: %v", f.op, f.oid, f.err) }
+
 // result aggregates the measurement.
 type result struct {
 	reads, writes, errors                  atomic.Int64
 	readLat, writeLat                      metrics.Histogram
 	elapsed                                time.Duration
 	localReads, serverReads, invalidations int64
+
+	failMu   sync.Mutex
+	failures []failure // the first keptFailures errors, in the order they happened
+}
+
+// fail counts a failed operation and keeps the first few.
+func (r *result) fail(op string, oid core.ObjectID, err error) {
+	if r.errors.Add(1) > keptFailures {
+		return
+	}
+	r.failMu.Lock()
+	r.failures = append(r.failures, failure{op, oid, err})
+	r.failMu.Unlock()
 }
 
 // execute runs the load against o.addr.
@@ -119,15 +144,15 @@ func execute(o options) (*result, error) {
 				oid := core.ObjectID(fmt.Sprintf("obj-%d", rng.Intn(o.objects)))
 				t0 := time.Now()
 				var err error
-				lat, n := &res.readLat, &res.reads
+				op, lat, n := "read", &res.readLat, &res.reads
 				if rng.Float64() < o.writeRatio {
 					_, _, err = cl.Write(oid, payload)
-					lat, n = &res.writeLat, &res.writes
+					op, lat, n = "write", &res.writeLat, &res.writes
 				} else {
 					_, err = cl.Read(core.VolumeID(o.volume), oid)
 				}
 				if err != nil {
-					res.errors.Add(1)
+					res.fail(op, oid, err)
 					continue
 				}
 				lat.Observe(time.Since(t0))
@@ -156,6 +181,9 @@ func (r *result) report(out io.Writer, o options) error {
 		o.clients, o.objects, o.writeRatio*100, o.duration, o.addr)
 	fmt.Fprintf(out, "throughput: %.0f ops/s (%d reads, %d writes, %d errors)\n",
 		float64(total)/r.elapsed.Seconds(), r.reads.Load(), r.writes.Load(), r.errors.Load())
+	for _, f := range r.failures {
+		fmt.Fprintf(out, "error: %s\n", f)
+	}
 	err := r.readLat.WriteSummary(out, "read")
 	if err == nil && r.writeLat.Count() > 0 {
 		err = r.writeLat.WriteSummary(out, "write")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -91,7 +92,7 @@ func TestExecuteSelfContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.errors.Load() != 0 {
-		t.Errorf("%d errors during load", res.errors.Load())
+		t.Errorf("%d errors during load; the first: %v", res.errors.Load(), res.failures)
 	}
 	if res.reads.Load() == 0 || res.writes.Load() == 0 {
 		t.Errorf("reads=%d writes=%d, want both non-zero", res.reads.Load(), res.writes.Load())
@@ -135,9 +136,29 @@ func TestExecuteSelfContainedTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.reads.Load() == 0 || res.errors.Load() != 0 {
-		t.Errorf("reads=%d errors=%d", res.reads.Load(), res.errors.Load())
+		t.Errorf("reads=%d errors=%d %v", res.reads.Load(), res.errors.Load(), res.failures)
 	}
 	if res.writes.Load() != 0 || res.invalidations != 0 {
 		t.Errorf("writes=%d invalidations=%d in a read-only run", res.writes.Load(), res.invalidations)
+	}
+}
+
+// TestReportNamesFailures: every failed operation is counted, and the first
+// few are reported with their operation, object and error.
+func TestReportNamesFailures(t *testing.T) {
+	var res result
+	res.elapsed = time.Second
+	for i := 0; i < keptFailures+3; i++ {
+		res.fail("read", core.ObjectID(fmt.Sprintf("obj-%d", i)), errors.New("could not hold both leases"))
+	}
+	var out strings.Builder
+	if err := res.report(&out, options{}); err != nil {
+		t.Fatal(err)
+	}
+	if res.errors.Load() != keptFailures+3 || strings.Count(out.String(), "error: read obj-") != keptFailures {
+		t.Errorf("%d errors counted, report:\n%s", res.errors.Load(), &out)
+	}
+	if !strings.Contains(out.String(), "error: read obj-0: could not hold both leases\n") {
+		t.Errorf("report does not name the first failure:\n%s", &out)
 	}
 }

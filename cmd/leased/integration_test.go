@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +20,7 @@ import (
 
 // TestDebugEndpointsUnderWorkload starts a fully wired daemon (TCP lease
 // server + debug HTTP server), drives it with a scripted client workload,
-// and asserts that the scraped /metrics and /debug/vars reflect the
-// protocol activity: lease grants, invalidations, write-ack waits, and the
+// and asserts that the scraped /metrics reflects the protocol activity: lease grants, invalidations, write-ack waits, and the
 // tap's one count of the wire traffic.
 func TestDebugEndpointsUnderWorkload(t *testing.T) {
 	in, err := start(options{
@@ -89,15 +89,12 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 		}
 	}
 
-	vars := map[string]any{}
-	if err := json.Unmarshal([]byte(httpGet(t, base+"/debug/vars")), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
+	vars := parseProm(prom)
 	atLeast := func(name string, min float64) {
 		t.Helper()
-		v, ok := vars[name].(float64)
+		v, ok := vars[name]
 		if !ok {
-			t.Errorf("/debug/vars missing %q", name)
+			t.Errorf("/metrics missing %q", name)
 			return
 		}
 		if v < min {
@@ -106,7 +103,8 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 	}
 	// Two readers fetched obj-1 plus one post-write refetch: >= 3 object
 	// grants. Each reader took a volume lease; the writer's invalidation
-	// round reached both readers and both acked.
+	// round reached both readers and both acked; the ack-wait summary
+	// recorded the write's wait.
 	atLeast(`lease_obj_grants_total{server="itest"}`, 3)
 	atLeast(`lease_vol_grants_total{server="itest"}`, 2)
 	atLeast(`lease_invalidations_sent_total{server="itest"}`, 2)
@@ -114,24 +112,16 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 	atLeast(`lease_server_writes_total{server="itest"}`, 1)
 	atLeast(`lease_slow_writes_total{server="itest"}`, 1)
 	atLeast(`lease_server_connections{server="itest"}`, 3)
+	atLeast(`lease_write_ack_wait_seconds_count{server="itest"}`, 1)
 
 	// The exported totals are the cost accounting's own, and inbound frames
 	// are charged their bytes.
 	totals := in.obs.Cost.Totals()
-	if got := vars[`lease_cost_messages_total{node="itest",dir="recv"}`].(float64); got != float64(totals.MessagesRecv) {
+	if got := vars[`lease_cost_messages_total{node="itest",dir="recv"}`]; got != float64(totals.MessagesRecv) {
 		t.Errorf("lease_cost_messages_total recv = %v, accounting says %d", got, totals.MessagesRecv)
 	}
 	if totals.MessagesRecv == 0 || totals.BytesRecv == 0 {
 		t.Errorf("inbound traffic not counted: %+v", totals)
-	}
-
-	// Ack-wait histogram recorded the write's wait.
-	hist, ok := vars[`lease_write_ack_wait_seconds{server="itest"}`].(map[string]any)
-	if !ok {
-		t.Fatalf("missing ack-wait histogram in /debug/vars")
-	}
-	if c := hist["count"].(float64); c < 1 {
-		t.Errorf("ack-wait histogram count = %v, want >= 1", c)
 	}
 
 	// Protocol events made it to the ring.
@@ -146,6 +136,19 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 	if body := httpGet(t, base+"/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Error("/debug/pprof/ index looks wrong")
 	}
+}
+
+// parseProm reads Prometheus text exposition into full series name -> value.
+func parseProm(body string) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+				out[line[:i]] = v
+			}
+		}
+	}
+	return out
 }
 
 func httpGet(t *testing.T, url string) string {
@@ -165,11 +168,11 @@ func httpGet(t *testing.T, url string) string {
 	return string(body)
 }
 
-// TestTraceEndpointsUnderWorkload enables span tracing and the load
-// timeline, drives a traced write over TCP, and checks the two new debug
-// endpoints: /debug/spans must return the write's causal chain (client
-// span -> server root -> serialize/fanout/ack-wait children), /debug/load
-// the post-write message burst.
+// TestTraceEndpointsUnderWorkload enables span tracing, drives a traced
+// write over TCP, and checks two debug endpoints: /debug/spans must return
+// the write's causal chain (client span -> server root ->
+// serialize/fanout/ack-wait children), /debug/cost the post-write message
+// burst, second by second.
 func TestTraceEndpointsUnderWorkload(t *testing.T) {
 	in, err := start(options{
 		addr:       "127.0.0.1:0",
@@ -179,7 +182,7 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 		volLease:   10 * time.Second,
 		mode:       "eager",
 		msgTimeout: 200 * time.Millisecond,
-		obs:        daemon.Options{DebugAddr: "127.0.0.1:0", Trace: 128, Spans: 256, LoadWindow: 60},
+		obs:        daemon.Options{DebugAddr: "127.0.0.1:0", Trace: 128, Spans: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,44 +249,40 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 		}
 	}
 
-	// /debug/load shows the burst: at least one busy second, messages of
-	// several wire kinds, and the committed write.
+	// /debug/cost shows the burst: at least one busy second, carrying the
+	// write's invalidation.
 	var dump struct {
 		Node    string `json:"node"`
 		Seconds []struct {
-			Msgs   int64 `json:"msgs"`
-			Writes int64 `json:"writes"`
+			Msgs   int64            `json:"msgs"`
+			ByKind map[string]int64 `json:"by_kind"`
 		} `json:"seconds"`
 		Burst struct {
 			Peak int64 `json:"peak_mps"`
 		} `json:"burst"`
 	}
-	if err := json.Unmarshal([]byte(httpGet(t, base+"/debug/load")), &dump); err != nil {
-		t.Fatalf("/debug/load is not JSON: %v", err)
+	if err := json.Unmarshal([]byte(httpGet(t, base+"/debug/cost")), &dump); err != nil {
+		t.Fatalf("/debug/cost is not JSON: %v", err)
 	}
 	if dump.Node != "ttest" || len(dump.Seconds) == 0 || dump.Burst.Peak == 0 {
-		t.Errorf("/debug/load dump = %+v", dump)
+		t.Errorf("/debug/cost dump = %+v", dump)
 	}
-	var writes int64
+	var invalidates int64
 	for _, s := range dump.Seconds {
-		writes += s.Writes
+		invalidates += s.ByKind["Invalidate"]
 	}
-	if writes < 1 {
-		t.Errorf("load timeline recorded %d writes, want >= 1", writes)
+	if invalidates < 1 {
+		t.Errorf("per-second load holds %d Invalidate frames, want >= 1", invalidates)
 	}
 
-	// The lease_load_* gauges ride the normal metrics endpoints.
-	vars := map[string]any{}
-	if err := json.Unmarshal([]byte(httpGet(t, base+"/debug/vars")), &vars); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := vars[`lease_load_peak_mps{node="ttest"}`].(float64); !ok || v < 1 {
-		t.Errorf(`lease_load_peak_mps{node="ttest"} = %v`, vars[`lease_load_peak_mps{node="ttest"}`])
+	// The lease_load_* gauges ride the normal metrics endpoint.
+	if v := parseProm(httpGet(t, base+"/metrics"))[`lease_load_peak_mps{node="ttest"}`]; v < 1 {
+		t.Errorf(`lease_load_peak_mps{node="ttest"} = %v`, v)
 	}
 }
 
 // TestStartBindFailureLeavesNothingRunning: when the debug listener cannot
-// bind, start returns the error and the health engine and profiler it had
+// bind, start returns the error and the health engine and load sampler it had
 // built are not left ticking behind it.
 func TestStartBindFailureLeavesNothingRunning(t *testing.T) {
 	occupied, err := net.Listen("tcp", "127.0.0.1:0")
@@ -300,7 +299,6 @@ func TestStartBindFailureLeavesNothingRunning(t *testing.T) {
 		mode:     "eager",
 		obs: daemon.Options{
 			DebugAddr: occupied.Addr().String(), Flight: 64, FlightDir: t.TempDir(),
-			ProfileInterval: time.Hour,
 		},
 	})
 	if err == nil {
@@ -309,7 +307,7 @@ func TestStartBindFailureLeavesNothingRunning(t *testing.T) {
 	}
 	stacks := make([]byte, 1<<20)
 	stacks = stacks[:runtime.Stack(stacks, true)]
-	for _, loop := range []string{"health.(*Engine).loop", "cost.(*Profiler).loop"} {
+	for _, loop := range []string{"health.(*Engine).loop", "cost.(*Accounting).Run"} {
 		if strings.Contains(string(stacks), loop) {
 			t.Errorf("start failed with %q but left %s running", err, loop)
 		}

@@ -13,19 +13,18 @@
 //
 // Observability is one stack, assembled by internal/daemon and shared with
 // leaseproxy. With -debug-addr set, a debug HTTP server
-// exposes /metrics (Prometheus text), /debug/vars (JSON), /debug/pprof/
-// (runtime profiles), /debug/leases (the live lease-table snapshot: who holds
-// what until when, with ?volume=/?client=/?expiring= filters; the
-// lease_state_* gauges summarize it and flight dumps freeze it) and
-// /debug/cost (per-message-kind frames, bytes and encode/decode time at the
-// transport boundary, also the lease_cost_* metrics — the one count of wire
-// traffic), plus one endpoint per enabled observer: /debug/events (the last
-// -trace protocol events, filterable with ?type= and ?since=), /debug/spans
-// (-spans: causal write-path tracing), /debug/load (-load-window: the
-// per-second load timeline behind the lease_load_* gauges), /debug/health and
-// /debug/flightrecorder (-flight: anomaly detectors and their dumps) and
-// /debug/profile/ring (-profile-interval: heap/goroutine, optionally CPU,
-// profiles). The index at / and the startup log list exactly what is mounted.
+// exposes /metrics (Prometheus text), /debug/pprof/ (runtime profiles),
+// /debug/leases (the live lease-table snapshot: who holds what until when,
+// with ?volume=/?client=/?expiring= filters; the lease_state_* gauges
+// summarize it and flight dumps freeze it) and /debug/cost (per-message-kind
+// frames, bytes and encode/decode time at the transport boundary — the one
+// count of wire traffic — and the per-second load sampled from it, also the
+// lease_cost_* and lease_load_* metrics), plus one endpoint per enabled
+// observer: /debug/events (the last -trace protocol events, filterable with
+// ?type= and ?since=), /debug/spans (-spans: causal write-path tracing) and
+// /debug/health and /debug/flightrecorder (-flight: anomaly detectors and
+// their dumps). The index at / and the startup log list exactly what is
+// mounted.
 //
 // -audit attaches the online consistency auditor (internal/audit): every
 // protocol event also feeds a shadow model of the lease state, violations

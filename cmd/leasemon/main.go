@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/health"
+	"repro/internal/obs"
 	"repro/internal/state"
 )
 
@@ -523,15 +524,39 @@ func printDump(out io.Writer, name string, d health.Dump, tail int) {
 	}
 
 	if len(d.Seconds) > 0 {
+		// Messages per second are the node's frame counts; writes and grants
+		// per second are the dump's own events.
+		writes, grants := map[int64]int{}, map[int64]int{}
+		for _, e := range d.Events {
+			switch e.Type {
+			case obs.EvWriteApplied.String():
+				writes[e.At.Unix()]++
+			case obs.EvObjLeaseGrant.String(), obs.EvVolLeaseGrant.String():
+				grants[e.At.Unix()]++
+			}
+		}
 		fmt.Fprintln(out, "\n  per-second load (last 10):")
 		secs := d.Seconds
 		if len(secs) > 10 {
 			secs = secs[len(secs)-10:]
 		}
 		for _, s := range secs {
-			fmt.Fprintf(out, "    %s  msgs=%-6d writes=%-5d grants=%-5d ack-wait=%v\n",
-				time.Unix(s.Unix, 0).UTC().Format("15:04:05"), s.Msgs, s.Writes, s.Grants,
-				time.Duration(s.AckWaitNS))
+			kinds := make([]string, 0, len(s.ByKind))
+			for k := range s.ByKind {
+				kinds = append(kinds, k)
+			}
+			sort.Slice(kinds, func(i, j int) bool {
+				if s.ByKind[kinds[i]] != s.ByKind[kinds[j]] {
+					return s.ByKind[kinds[i]] > s.ByKind[kinds[j]]
+				}
+				return kinds[i] < kinds[j]
+			})
+			busiest := ""
+			for _, k := range kinds[:min(3, len(kinds))] {
+				busiest += fmt.Sprintf(" %s=%d", k, s.ByKind[k])
+			}
+			fmt.Fprintf(out, "    %s  msgs=%-6d writes=%-5d grants=%-5d%s\n",
+				time.Unix(s.Unix, 0).UTC().Format("15:04:05"), s.Msgs, writes[s.Unix], grants[s.Unix], busiest)
 		}
 	}
 

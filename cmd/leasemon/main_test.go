@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/health"
 	"repro/internal/obs"
 )
@@ -197,6 +198,45 @@ func TestFetchAndPrettyPrintDump(t *testing.T) {
 	}
 	if d.Node != "gamma" || d.Trigger == nil {
 		t.Fatalf("raw dump = %+v", d)
+	}
+}
+
+// TestPrintDumpPerSecondLoad: the dump view prints each second's messages
+// and busiest kinds from the node's frame counts, and its writes and grants
+// from the dump's own events.
+func TestPrintDumpPerSecondLoad(t *testing.T) {
+	at := time.Unix(1000, 0)
+	d := health.Dump{
+		Node: "srv",
+		Events: []obs.EventJSON{
+			{Type: "write-applied", At: at},
+			{Type: "obj-lease-grant", At: at.Add(100 * time.Millisecond)},
+			{Type: "vol-lease-grant", At: at.Add(200 * time.Millisecond)},
+			{Type: "inval-sent", At: at.Add(300 * time.Millisecond)},
+			{Type: "obj-lease-grant", At: at.Add(time.Second)},
+		},
+		Seconds: []cost.Second{
+			{Unix: 1000, Msgs: 10, ByKind: map[string]int64{"Invalidate": 4, "AckInvalidate": 4, "ObjLease": 1, "VolLease": 1}},
+			{Unix: 1001, Msgs: 2, ByKind: map[string]int64{"ReqObjLease": 1, "ObjLease": 1}},
+		},
+	}
+	var out bytes.Buffer
+	printDump(&out, "flight-srv-manual-1.json", d, 0)
+	want := map[string]string{
+		"00:16:40": "msgs=10 writes=1 grants=2 AckInvalidate=4 Invalidate=4 ObjLease=1",
+		"00:16:41": "msgs=2 writes=0 grants=1 ObjLease=1 ReqObjLease=1",
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) > 0 && want[fields[0]] != "" {
+			if got := strings.Join(fields[1:], " "); got != want[fields[0]] {
+				t.Errorf("second %s: %q, want %q", fields[0], got, want[fields[0]])
+			}
+			delete(want, fields[0])
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("per-second rows missing for %v:\n%s", want, &out)
 	}
 }
 

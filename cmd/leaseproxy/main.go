@@ -8,6 +8,11 @@
 //	leased -addr :7400 -volume site &
 //	leaseproxy -addr :7401 -upstream 127.0.0.1:7400 -volume site
 //	leaseproxy -addr :7402 -upstream 127.0.0.1:7401 -volume site   # chainable
+//
+// Observability is leased's stack (internal/daemon), with the same shared
+// flags and, under -debug-addr, the same routes except /debug/audit.
+// -startup-fence holds every upstream acknowledgment for that long after
+// boot; pass -startup-fence 0s to drive a freshly started proxy with writes.
 package main
 
 import (

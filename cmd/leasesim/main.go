@@ -9,18 +9,18 @@
 // With no -trace/-bu, the built-in default synthetic workload is used.
 // Algorithms are written in the paper's notation: pollEachRead, poll(t),
 // callback, lease(t), volume(tv,t), delay(tv,t[,d]) with d omitted or
-// "inf" for ∞.
+// "inf" for ∞. It is a batch run: it prints its results and serves nothing.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -29,59 +29,6 @@ type algoList []string
 
 func (a *algoList) String() string     { return strings.Join(*a, ",") }
 func (a *algoList) Set(v string) error { *a = append(*a, v); return nil }
-
-// simObs is the simulator's optional debug surface: with -debug-addr set,
-// a debug HTTP server (/metrics, /debug/vars, /debug/pprof) runs for the
-// duration of the simulation — long BU-trace replays can be profiled and
-// watched from leasemon like the live daemons — exporting progress as
-// lease_sim_algorithms_total and lease_sim_events_total.
-type simObs struct {
-	dbg    *obs.DebugServer
-	algos  *obs.Counter
-	events *obs.Counter
-}
-
-// newSimObs builds (and serves) the debug surface; a nil *simObs, returned
-// for an empty addr, is a valid disabled surface.
-func newSimObs(addr string) (*simObs, error) {
-	if addr == "" {
-		return nil, nil
-	}
-	reg := obs.NewRegistry()
-	s := &simObs{
-		algos:  reg.Counter("lease_sim_algorithms_total"),
-		events: reg.Counter("lease_sim_events_total"),
-	}
-	var err error
-	s.dbg, err = obs.Serve(addr, reg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// ran records one completed algorithm over a trace of n events.
-func (s *simObs) ran(n int) {
-	if s == nil {
-		return
-	}
-	s.algos.Inc()
-	s.events.Add(int64(n))
-}
-
-// Addr reports the bound debug address ("" when disabled).
-func (s *simObs) Addr() string {
-	if s == nil {
-		return ""
-	}
-	return s.dbg.Addr()
-}
-
-func (s *simObs) Close() {
-	if s != nil {
-		s.dbg.Close()
-	}
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -97,17 +44,7 @@ func run() error {
 	buFile := flag.String("bu", "", "Boston University Mosaic trace file (reads only; writes are synthesized)")
 	topServers := flag.Int("top", 3, "how many busiest servers to detail")
 	classes := flag.Bool("classes", false, "print the per-message-class breakdown")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof during the run (empty = off)")
 	flag.Parse()
-
-	so, err := newSimObs(*debugAddr)
-	if err != nil {
-		return err
-	}
-	defer so.Close()
-	if so != nil {
-		fmt.Fprintf(os.Stderr, "leasesim: debug server on http://%s\n", so.Addr())
-	}
 
 	if len(algos) == 0 {
 		algos = algoList{
@@ -124,7 +61,14 @@ func run() error {
 	fmt.Printf("workload: %d events (%d reads, %d writes), %d clients, %d servers, %d objects, span %v\n\n",
 		st.Events, st.Reads, st.Writes, st.Clients, st.Servers, st.Objects, st.Duration)
 
-	fmt.Printf("%-28s %12s %14s %10s %12s %10s\n",
+	return report(os.Stdout, w, algos, *topServers, *classes)
+}
+
+// report runs each algorithm over w and prints its row as soon as it
+// finishes — the run's only progress signal — followed by its busiest
+// servers and, with classes, its per-message-class breakdown.
+func report(out io.Writer, w bench.Workload, algos []string, topServers int, classes bool) error {
+	fmt.Fprintf(out, "%-28s %12s %14s %10s %12s %10s\n",
 		"algorithm", "messages", "bytes", "stale", "stale-rate", "peak/s")
 	for _, spec := range algos {
 		s, err := bench.ParseSpec(spec)
@@ -132,7 +76,6 @@ func run() error {
 			return err
 		}
 		rec, res := bench.Run(w, s)
-		so.ran(len(w.Trace))
 		tot := rec.Totals()
 		reads, stale := rec.ReadStats()
 		_ = reads
@@ -141,25 +84,25 @@ func run() error {
 			ss, _ := rec.Server(names[0])
 			peak = ss.Load.Peak()
 		}
-		fmt.Printf("%-28s %12d %14d %10d %11.3f%% %10d\n",
+		fmt.Fprintf(out, "%-28s %12d %14d %10d %11.3f%% %10d\n",
 			res.Algorithm, tot.Messages, tot.Bytes, stale, rec.StaleRate()*100, peak)
 
-		if *classes {
+		if classes {
 			for class := metrics.MsgReadValidate; class <= metrics.MsgData; class++ {
 				if n := tot.ByClass[class]; n > 0 {
-					fmt.Printf("    class %-18s %d\n", class, n)
+					fmt.Fprintf(out, "    class %-18s %d\n", class, n)
 				}
 			}
 		}
 		names := rec.Servers()
-		if *topServers > 0 {
-			n := *topServers
+		if topServers > 0 {
+			n := topServers
 			if n > len(names) {
 				n = len(names)
 			}
 			for i := 0; i < n; i++ {
 				ss, _ := rec.Server(names[i])
-				fmt.Printf("    server %-24s msgs=%-10d avg-state=%-10.0f peak-load=%d/s\n",
+				fmt.Fprintf(out, "    server %-24s msgs=%-10d avg-state=%-10.0f peak-load=%d/s\n",
 					names[i], ss.Counter.Messages, ss.State.Average(res.End), ss.Load.Peak())
 			}
 		}

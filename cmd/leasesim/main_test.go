@@ -1,8 +1,6 @@
 package main
 
 import (
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,43 +78,6 @@ func TestLoadWorkloadBadContent(t *testing.T) {
 	}
 }
 
-func TestSimObsServesCounters(t *testing.T) {
-	so, err := newSimObs("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("newSimObs: %v", err)
-	}
-	defer so.Close()
-	so.ran(7)
-	so.ran(3)
-	resp, err := http.Get("http://" + so.Addr() + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"lease_sim_algorithms_total 2", "lease_sim_events_total 10"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("metrics missing %q:\n%s", want, body)
-		}
-	}
-}
-
-func TestSimObsDisabled(t *testing.T) {
-	so, err := newSimObs("")
-	if err != nil {
-		t.Fatalf("newSimObs: %v", err)
-	}
-	// All methods must be nil-safe when -debug-addr is unset.
-	so.ran(5)
-	if so.Addr() != "" {
-		t.Errorf("Addr = %q, want empty", so.Addr())
-	}
-	so.Close()
-}
-
 func TestAlgoListFlag(t *testing.T) {
 	var a algoList
 	if err := a.Set("lease(10)"); err != nil {
@@ -127,5 +88,31 @@ func TestAlgoListFlag(t *testing.T) {
 	}
 	if a.String() != "lease(10),volume(10,100)" {
 		t.Errorf("String = %q", a.String())
+	}
+}
+
+// TestReportPrintsARowPerAlgorithm: each algorithm's totals are printed as it
+// finishes, which is how a long replay shows its progress.
+func TestReportPrintsARowPerAlgorithm(t *testing.T) {
+	w, err := loadWorkload(writeFile(t, "w.trace",
+		"R 1.0 c1 s1 /a 100\nW 2.0 s1 /a 100\nR 3.0 c1 s1 /a 100\n"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := report(&out, w, []string{"lease(10)", "volume(10,100)"}, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+		if !strings.HasPrefix(line, " ") {
+			rows = append(rows, strings.Fields(line)[0])
+		}
+	}
+	if len(rows) != 2 {
+		t.Errorf("rows for %v, want one per algorithm:\n%s", rows, &out)
+	}
+	if err := report(&out, w, []string{"nosuch(1)"}, 0, false); err == nil {
+		t.Error("unknown algorithm accepted")
 	}
 }

@@ -80,14 +80,18 @@ type Config struct {
 	// RedialBackoffCap bounds the nominal redial delay (the jitter may
 	// exceed it by up to 50%). Defaults to 1s.
 	RedialBackoffCap time.Duration
-	// OnInvalidate, when non-nil, is called synchronously with every batch
-	// of objects the server invalidates, BEFORE the acknowledgment is sent
-	// back. Hierarchical caches (internal/proxy) use it to invalidate their
-	// own downstream clients first, preserving end-to-end consistency: the
-	// origin's write completes only after the whole subtree has dropped the
-	// object. tc is the causal trace context the invalidation carried (zero
-	// when the write was untraced), so the hook's own fan-out can join the
-	// originating write's trace.
+	// OnInvalidate, when non-nil, is called with every batch of objects the
+	// server invalidates, after the client has dropped them and BEFORE the
+	// acknowledgment is sent back. Hierarchical caches (internal/proxy) use it
+	// to invalidate their own downstream clients first, preserving end-to-end
+	// consistency: the origin's write completes only after the whole subtree
+	// has dropped the object. For an Invalidate push the hook and the ack run
+	// off the connection's reader, so a hook that blocks delays that ack only,
+	// not other frames; hooks for separate pushes may run concurrently, and
+	// Close waits for those in flight. Objects invalidated inside a volume
+	// renewal reach the hook on the renewing goroutine. tc is the causal trace
+	// context the invalidation carried (zero when the write was untraced), so
+	// the hook's own fan-out can join the originating write's trace.
 	OnInvalidate func(objects []core.ObjectID, tc wire.TraceContext)
 	// Obs, when non-nil, receives protocol events (invalidations received,
 	// redials, reconnection rounds) and exposes the cache counters as
@@ -412,23 +416,43 @@ func (c *Client) send(m wire.Message) error {
 	return conn.Send(m)
 }
 
-// handleInvalidate processes a server-initiated INVALIDATE, then
-// acknowledges it. The invalidation's trace context is handed to the hook
-// and echoed in the ack, so the originating write's trace spans the whole
-// round trip.
+// handleInvalidate processes a server-initiated INVALIDATE on the reader
+// goroutine and acknowledges it. The holder drops the objects before the next
+// frame is read, so a grant queued behind this Invalidate on the connection
+// sees the bumped generation. Without an OnInvalidate hook the ack goes out
+// here; with one, the hook and then the ack run on their own goroutine, so a
+// hook that waits out a downstream round holds up no later frame on the
+// connection. Those goroutines are bounded by the objects held: the server
+// sends an object's next Invalidate only after this ack, or once the lease
+// it waits on has ended. The invalidation's trace context is handed to the
+// hook and echoed in the ack, so the originating write's trace spans the
+// whole round trip.
 func (c *Client) handleInvalidate(inv wire.Invalidate) {
-	c.invalidate(inv.Objects, "", inv.Trace)
+	c.drop(inv.Objects, "")
+	if c.cfg.OnInvalidate == nil {
+		c.ack(inv)
+		return
+	}
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		c.relay(inv.Objects, inv.Trace)
+		c.ack(inv)
+	}()
+}
+
+// ack acknowledges inv, echoing its trace context.
+func (c *Client) ack(inv wire.Invalidate) {
 	if err := c.send(wire.AckInvalidate{Objects: inv.Objects, Trace: inv.Trace}); err != nil {
 		c.logf("ack failed: %v", err)
 	}
 }
 
-// invalidate drops the copies of and leases on objects, which makes an
-// in-flight lease request for one of them discard its reply, then
-// propagates them to the OnInvalidate hook (Figure 4, "Client receives
-// object invalidation message"). vid is the volume the events name, when
-// the message carried one.
-func (c *Client) invalidate(objects []core.ObjectID, vid core.VolumeID, tc wire.TraceContext) {
+// drop drops the copies of and leases on objects, which makes an in-flight
+// lease request for one of them discard its reply (Figure 4, "Client
+// receives object invalidation message"). vid is the volume the events name,
+// when the message carried one.
+func (c *Client) drop(objects []core.ObjectID, vid core.VolumeID) {
 	if c.cfg.Obs.Tracing() {
 		for _, oid := range objects {
 			c.emit(obs.Event{Type: obs.EvInvalRecv, Object: oid, Volume: vid})
@@ -438,6 +462,10 @@ func (c *Client) invalidate(objects []core.ObjectID, vid core.VolumeID, tc wire.
 	c.h.Invalidate(objects)
 	c.invalsSeen += int64(len(objects))
 	c.mu.Unlock()
+}
+
+// relay hands dropped objects to the OnInvalidate hook, if there is one.
+func (c *Client) relay(objects []core.ObjectID, tc wire.TraceContext) {
 	if c.cfg.OnInvalidate != nil && len(objects) > 0 {
 		c.cfg.OnInvalidate(objects, tc)
 	}

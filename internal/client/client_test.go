@@ -535,6 +535,52 @@ func TestOnInvalidateHookRunsBeforeAck(t *testing.T) {
 	fs.waitFor(wire.KindAckInvalidate, 1)
 }
 
+// TestBlockedHookDoesNotStallReplies: while the OnInvalidate hook blocks (a
+// proxy waiting out its downstream round), the connection's reader keeps
+// delivering — a read's reply arrives — and the ack still waits for the hook.
+func TestBlockedHookDoesNotStallReplies(t *testing.T) {
+	fs := newFakeServer(t)
+	fs.scriptedGrants("v1")
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	c := dialClient(t, fs, func(cfg *Config) {
+		cfg.OnInvalidate = func([]core.ObjectID, wire.TraceContext) {
+			entered <- struct{}{}
+			<-release
+		}
+	})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(free) // before Close, which waits for the hook
+	if _, err := c.Read("vol", "obj"); err != nil {
+		t.Fatal(err)
+	}
+	fs.push(wire.Invalidate{Objects: []core.ObjectID{"obj"}})
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("hook never ran")
+	}
+
+	read := make(chan error, 1)
+	go func() {
+		_, err := c.Read("vol", "other")
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatalf("read while the hook blocks: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a read's reply waited behind the blocked hook")
+	}
+	if n := len(fs.seen(wire.KindAckInvalidate)); n != 0 {
+		t.Fatalf("%d acks sent while the hook still blocks", n)
+	}
+	free()
+	fs.waitFor(wire.KindAckInvalidate, 1)
+}
+
 func TestApplyInvalRenewRenewsMatchingVersion(t *testing.T) {
 	fs := newFakeServer(t)
 	fs.scriptedGrants("v1")

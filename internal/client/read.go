@@ -270,7 +270,8 @@ func (c *Client) RenewVolume(vid core.VolumeID) error {
 func (c *Client) applyInvalRenew(v wire.InvalRenew) {
 	// InvalRenew carries no trace context (the renewal conversation is
 	// client-initiated), so the hook sees a zero one.
-	c.invalidate(v.Invalidate, v.Volume, wire.TraceContext{})
+	c.drop(v.Invalidate, v.Volume)
+	c.relay(v.Invalidate, wire.TraceContext{})
 	at := c.anchorNow()
 	c.mu.Lock()
 	defer c.mu.Unlock()

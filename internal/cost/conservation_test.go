@@ -7,13 +7,10 @@ package cost_test
 // balance: the per-kind frame/byte tallies sum exactly to the transport
 // totals, the per-connection tallies sum to the same totals, the per-volume
 // tallies never exceed them, and on TCP the batcher's own frame count agrees.
-// The load timeline is the tap's other sink, so its books are checked against
-// the same traffic: every frame the network carried is in the exported
-// lease_cost_messages_total and in exactly one of the timeline's seconds.
+// A reference sink beside it on the tap checks the one count: every frame
+// the network carried is in the exported lease_cost_messages_total.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -25,7 +22,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/loadtl"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/transport"
@@ -70,10 +66,9 @@ func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Netwo
 
 	acct := cost.New("srv", time.Now)
 	acct.Register(reg)
-	tl := loadtl.New("srv", 600, time.Now)
 	carried := &frameCount{}
 
-	netw, listenAddr, batch := newNet([]transport.Tap{acct, tl, carried})
+	netw, listenAddr, batch := newNet([]transport.Tap{acct, carried})
 
 	srv, err := server.New(server.Config{
 		Name:       "srv",
@@ -273,28 +268,22 @@ func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Netwo
 	}
 
 	// (6) One count per frame: what the network carried is what the cost
-	// series export and what the timeline's seconds add up to, and received
-	// frames are charged their bytes like sent ones.
-	var vars map[string]any
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
+	// series export, and received frames are charged their bytes like sent
+	// ones.
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), &vars); err != nil {
-		t.Fatal(err)
-	}
-	var exported, perSecond int64
-	for name, v := range vars {
-		if strings.HasPrefix(name, "lease_cost_messages_total{") {
-			exported += int64(v.(float64))
+	var exported int64
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if strings.HasPrefix(line, "lease_cost_messages_total{") {
+			var n int64
+			fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n)
+			exported += n
 		}
 	}
-	for _, sec := range tl.Snapshot() {
-		perSecond += sec.Msgs
-	}
-	if n := carried.n.Load(); n == 0 || exported != n || perSecond != n {
-		t.Errorf("network carried %d frames, lease_cost_messages_total sums to %d, timeline seconds to %d",
-			n, exported, perSecond)
+	if n := carried.n.Load(); n == 0 || exported != n {
+		t.Errorf("network carried %d frames, lease_cost_messages_total sums to %d", n, exported)
 	}
 	if d.Totals.BytesRecv == 0 {
 		t.Error("received frames were charged no bytes")

@@ -1,8 +1,8 @@
 // Package cost is the wire-path cost-accounting layer of the live lease
-// stack: per-message-kind frame/byte counters and encode/decode-nanosecond
-// histograms, per-volume and per-connection message accounting, a
-// continuous profiler capturing CPU/heap/goroutine profiles into a
-// flight-recorder-style ring, and /debug handlers exposing both.
+// stack and the one count of its frames: per-message-kind frame/byte
+// counters and encode/decode-nanosecond histograms, per-volume and
+// per-connection message accounting, a per-second load timeline sampled from
+// those counters, and the /debug/cost handler exposing all of it.
 //
 // The paper's evaluation currency is messages — Figures 5–7 trade server
 // state against message counts per algorithm — and this package makes the
@@ -96,13 +96,19 @@ type Accounting struct {
 
 	connMu sync.Mutex
 	conns  map[string]*connCost // keyed by remote address, redials aggregate
+
+	// The per-second timeline (load.go): a ring of per-kind frame counts
+	// indexed by unix second, and the cumulative counts at the last sample.
+	loadMu  sync.Mutex
+	slots   [Window]slot
+	sampled [wire.NumKinds]int64
 }
 
 var _ transport.Tap = (*Accounting)(nil)
 
-// New returns an accountant for node. now supplies timestamps for dump
-// metadata only (never the hot path); daemons pass time.Now, tests a
-// simulated clock's Now. A nil now yields zero timestamps.
+// New returns an accountant for node. now stamps dumps and places the
+// timeline's window, never the frame path; daemons pass their clock's Now,
+// tests a simulated clock's. A nil now yields zero timestamps.
 func New(node string, now func() time.Time) *Accounting {
 	if now == nil {
 		now = func() time.Time { return time.Time{} }
@@ -239,9 +245,9 @@ func (a *Accounting) Totals() Totals {
 // Register exports the accounting as lease_cost_* series: per-kind frame
 // and byte counters (bounded cardinality — the protocol has 13 kinds), the
 // cross-kind totals leasemon turns into msgs/s and bytes/s, and aggregate
-// codec quantiles. Per-volume and per-connection tallies are served by the
-// /debug/cost handler instead of /metrics so workload-sized cardinality
-// never lands in the scrape path.
+// codec quantiles; and the timeline as lease_load_* gauges. Per-volume and
+// per-connection tallies are served by the /debug/cost handler instead of
+// /metrics so workload-sized cardinality never lands in the scrape path.
 func (a *Accounting) Register(reg *obs.Registry) {
 	if a == nil || reg == nil {
 		return
@@ -260,35 +266,24 @@ func (a *Accounting) Register(reg *obs.Registry) {
 				func() float64 { return float64(dc.bytes.Load()) })
 		}
 	}
-	for _, dir := range []string{"sent", "recv"} {
-		dir := dir
-		reg.GaugeFunc(fmt.Sprintf("lease_cost_messages_total{node=%q,dir=%q}", a.node, dir),
-			func() float64 {
-				t := a.Totals()
-				if dir == "sent" {
-					return float64(t.MessagesSent)
-				}
-				return float64(t.MessagesRecv)
-			})
-		reg.GaugeFunc(fmt.Sprintf("lease_cost_bytes_total{node=%q,dir=%q}", a.node, dir),
-			func() float64 {
-				t := a.Totals()
-				if dir == "sent" {
-					return float64(t.BytesSent)
-				}
-				return float64(t.BytesRecv)
-			})
+	for series, total := range map[string]func(Totals) int64{
+		`lease_cost_messages_total{node=%q,dir="sent"}`: func(t Totals) int64 { return t.MessagesSent },
+		`lease_cost_messages_total{node=%q,dir="recv"}`: func(t Totals) int64 { return t.MessagesRecv },
+		`lease_cost_bytes_total{node=%q,dir="sent"}`:    func(t Totals) int64 { return t.BytesSent },
+		`lease_cost_bytes_total{node=%q,dir="recv"}`:    func(t Totals) int64 { return t.BytesRecv },
+	} {
+		reg.GaugeFunc(fmt.Sprintf(series, a.node), func() float64 { return float64(total(a.Totals())) })
 	}
 	for _, q := range []struct {
 		label string
 		q     float64
 	}{{"0.5", 0.50}, {"0.99", 0.99}} {
-		q := q
 		reg.GaugeFunc(fmt.Sprintf("lease_cost_encode_ns{node=%q,quantile=%q}", a.node, q.label),
 			func() float64 { return float64(a.codecQuantile(true, q.q)) })
 		reg.GaugeFunc(fmt.Sprintf("lease_cost_decode_ns{node=%q,quantile=%q}", a.node, q.label),
 			func() float64 { return float64(a.codecQuantile(false, q.q)) })
 	}
+	a.registerLoad(reg)
 }
 
 // codecQuantile merges the per-kind codec histograms and reports one
@@ -309,15 +304,19 @@ func (a *Accounting) codecQuantile(encode bool, q float64) int64 {
 }
 
 // Dump is the /debug/cost JSON shape (leased serves the one a load run
-// leaves behind) and what `figures -cost` renders into the Figure 5–7 TSV.
+// leaves behind): `figures -cost` renders its kinds into the Figure 5–7 TSV
+// and `figures -live` its seconds into the Figure 8/9 one.
 type Dump struct {
-	Node       string       `json:"node"`
-	StartedAt  time.Time    `json:"started_at,omitempty"`
-	CapturedAt time.Time    `json:"captured_at,omitempty"`
-	Totals     Totals       `json:"totals"`
-	Kinds      []KindStat   `json:"kinds"`
-	Volumes    []VolumeStat `json:"volumes,omitempty"`
-	Conns      []ConnStat   `json:"conns,omitempty"`
+	Node          string       `json:"node"`
+	StartedAt     time.Time    `json:"started_at,omitempty"`
+	CapturedAt    time.Time    `json:"captured_at,omitempty"`
+	Totals        Totals       `json:"totals"`
+	Kinds         []KindStat   `json:"kinds"`
+	Volumes       []VolumeStat `json:"volumes,omitempty"`
+	Conns         []ConnStat   `json:"conns,omitempty"`
+	WindowSeconds int          `json:"window_seconds,omitempty"`
+	Seconds       []Second     `json:"seconds,omitempty"`
+	Burst         Burst        `json:"burst"`
 }
 
 // KindStat is one wire kind's cost record in dump form.
@@ -386,18 +385,23 @@ type ConnStat struct {
 }
 
 // Snapshot freezes the tallies into a Dump: kinds with traffic in wire
-// order, volumes by name, connections by total frames (busiest first).
-// Safe on a nil receiver (returns the zero Dump).
+// order, volumes by name, connections by total frames (busiest first), the
+// window's busy seconds and its burst summary. Safe on a nil receiver
+// (returns the zero Dump).
 func (a *Accounting) Snapshot() Dump {
 	if a == nil {
 		return Dump{}
 	}
+	now := a.now()
 	d := Dump{
-		Node:       a.node,
-		StartedAt:  a.start,
-		CapturedAt: a.now(),
-		Totals:     a.Totals(),
+		Node:          a.node,
+		StartedAt:     a.start,
+		CapturedAt:    now,
+		Totals:        a.Totals(),
+		WindowSeconds: Window,
+		Seconds:       a.seconds(now.Unix()),
 	}
+	d.Burst = burst(d.Seconds, now.Unix(), Window)
 	for k := 1; k < wire.NumKinds; k++ {
 		kc := &a.kinds[k]
 		ks := KindStat{

@@ -22,6 +22,9 @@ func testNow() func() time.Time {
 func TestNilAccountingSafe(t *testing.T) {
 	var a *Accounting
 	a.Record(true, wire.Hello{Client: "c"}, 10, time.Microsecond)
+	if a.Seconds() != nil {
+		t.Error("nil accounting kept seconds")
+	}
 	if a.Enabled() {
 		t.Error("nil accounting reports enabled")
 	}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -14,9 +13,10 @@ import (
 // Handler serves the accounting dump at /debug/cost as indented JSON.
 // Query filters: ?kind=ObjLease (repeatable, case-insensitive) keeps only
 // those kinds; ?volume=vol-1 (repeatable) keeps only those volumes and
-// drops the connection table (it cannot be attributed per volume). Totals
-// always cover all traffic. Safe with a nil *Accounting (serves the zero
-// dump).
+// drops the connection table (it cannot be attributed per volume);
+// ?window=30 narrows the burst summary (not the listed seconds) to the
+// trailing 30 seconds. Totals and seconds always cover all traffic. Safe
+// with a nil *Accounting (serves the zero dump).
 func Handler(a *Accounting) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		d := a.Snapshot()
@@ -53,6 +53,14 @@ func Handler(a *Accounting) http.HandlerFunc {
 			d.Volumes = kept
 			d.Conns = nil
 		}
+		if s := q.Get("window"); s != "" {
+			win, err := strconv.Atoi(s)
+			if err != nil || win < 1 {
+				http.Error(w, "window: want a positive number of seconds", http.StatusBadRequest)
+				return
+			}
+			d.Burst = burst(d.Seconds, d.CapturedAt.Unix(), min(win, Window))
+		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -69,67 +77,4 @@ func kindByName(s string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// captureInfo is the /debug/profile/ring list entry: capture metadata with
-// the payload replaced by its size (fetch the bytes with ?id=).
-type captureInfo struct {
-	ID              int64     `json:"id"`
-	Kind            string    `json:"kind"`
-	At              time.Time `json:"at"`
-	Bytes           int       `json:"bytes"`
-	HeapAllocBytes  uint64    `json:"heap_alloc_bytes,omitempty"`
-	HeapObjects     uint64    `json:"heap_objects,omitempty"`
-	DeltaAllocBytes int64     `json:"delta_alloc_bytes,omitempty"`
-	DeltaMallocs    int64     `json:"delta_mallocs,omitempty"`
-	Goroutines      int       `json:"goroutines,omitempty"`
-}
-
-// RingHandler serves the profile ring at /debug/profile/ring:
-//
-//	GET  ?            → JSON list of retained captures (metadata only)
-//	GET  ?id=N        → that capture's raw pprof payload
-//	POST ?capture     → run a capture cycle now, then list
-//
-// Safe with a nil *Profiler (serves an empty list).
-func RingHandler(p *Profiler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Has("capture") {
-			if r.Method != http.MethodPost {
-				http.Error(w, "capture requires POST", http.StatusMethodNotAllowed)
-				return
-			}
-			p.CaptureNow()
-		}
-		if idStr := r.URL.Query().Get("id"); idStr != "" {
-			id, err := strconv.ParseInt(idStr, 10, 64)
-			if err != nil {
-				http.Error(w, "bad id", http.StatusBadRequest)
-				return
-			}
-			c, ok := p.Capture(id)
-			if !ok {
-				http.Error(w, "capture not retained", http.StatusNotFound)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Disposition",
-				fmt.Sprintf("attachment; filename=%q", fmt.Sprintf("%s-%d.pprof", c.Kind, c.ID)))
-			w.Write(c.Data)
-			return
-		}
-		list := make([]captureInfo, 0, 8)
-		for _, c := range p.SnapshotProfiles() {
-			list = append(list, captureInfo{
-				ID: c.ID, Kind: c.Kind, At: c.At, Bytes: len(c.Data),
-				HeapAllocBytes: c.HeapAllocBytes, HeapObjects: c.HeapObjects,
-				DeltaAllocBytes: c.DeltaAllocBytes, DeltaMallocs: c.DeltaMallocs,
-				Goroutines: c.Goroutines,
-			})
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(list)
-	}
 }

@@ -1,16 +1,15 @@
 // Package daemon is the one place a live node's observers are chosen and
 // plugged together. leased and leaseproxy each describe what they want in an
 // Options value and get back a Stack: the *obs.Observer and the
-// transport taps their node takes, and — once the node exists — the debug
-// HTTP server, the health engine and the profiler around it.
+// transport tap their node takes, and — once the node exists — the debug
+// HTTP server, the per-second load sampler and the health engine around it.
 //
 // A node produces two streams and every sink is attached here, once:
 //
-//	frames (transport.Tap)  -> cost.Accounting   per-kind totals, bytes, codec time
-//	                        -> loadtl.Timeline   per-second message counts
+//	frames (transport.Tap)  -> cost.Accounting   per-kind totals, bytes, codec time,
+//	                                             sampled into per-second load
 //	events (obs.Tracer)     -> obs.RingSink      /debug/events
 //	                        -> audit.Auditor     invariants
-//	                        -> loadtl.Timeline   writes, grants, ack waits per second
 //	                        -> health flight recorder and detector engine
 //
 // Nothing else counts a frame or an event.
@@ -20,21 +19,17 @@ import (
 	"flag"
 	"net/http"
 	"strings"
-	"time"
+	"sync"
 
 	"repro/internal/audit"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/health"
-	"repro/internal/loadtl"
 	"repro/internal/obs"
 	"repro/internal/state"
 	"repro/internal/transport"
 )
-
-// These were flags until every caller turned out to pass the default.
-const profileRing = 24 // profile captures retained for /debug/profile/ring
 
 // Options says which observers a node has. The zero value is a registry,
 // cost accounting and nothing else.
@@ -43,19 +38,15 @@ type Options struct {
 	Node string
 	// Clock stamps and windows everything; defaults to the wall clock.
 	Clock clock.Clock
-	// Logf, when non-nil, receives the startup line, health triggers and
-	// profiler errors.
+	// Logf, when non-nil, receives the startup line and health triggers.
 	Logf func(format string, args ...any)
 
 	// The shared flags; Flags documents each.
-	DebugAddr        string
-	Trace            int
-	Spans            int
-	LoadWindow       int
-	Flight           int
-	FlightDir        string
-	ProfileInterval  time.Duration
-	ProfileCPUWindow time.Duration
+	DebugAddr string
+	Trace     int
+	Spans     int
+	Flight    int
+	FlightDir string
 
 	// Table is the node's lease configuration: VolumeLease is the lookahead of
 	// the lease_state_expiring gauge and, with Audit, the table is the protocol
@@ -69,14 +60,11 @@ type Options struct {
 
 // Flags registers the shared observability flags on fs, bound to o.
 func (o *Options) Flags(fs *flag.FlagSet) {
-	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and a /debug/ endpoint per enabled observer on this address (empty = off)")
+	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve /metrics, /debug/pprof and a /debug/ endpoint per enabled observer on this address (empty = off)")
 	fs.IntVar(&o.Trace, "trace", 256, "protocol events kept for /debug/events (0 = off)")
 	fs.IntVar(&o.Spans, "spans", 0, "causal write-path spans kept for /debug/spans (0 = span tracing off)")
-	fs.IntVar(&o.LoadWindow, "load-window", 300, "seconds of per-second load history for /debug/load and lease_load_* (0 = off)")
 	fs.IntVar(&o.Flight, "flight", 8192, "protocol events retained by the flight recorder (0 = flight recorder and health detectors off)")
 	fs.StringVar(&o.FlightDir, "flight-dir", "flight-dumps", "directory for flight recorder dump files ($FLIGHT_DUMP_DIR overrides)")
-	fs.DurationVar(&o.ProfileInterval, "profile-interval", 0, "capture heap/goroutine profiles into the profile ring this often (0 = off)")
-	fs.DurationVar(&o.ProfileCPUWindow, "profile-cpu-window", 0, "also capture a CPU profile of this length each cycle (0 = off)")
 }
 
 // Stack is one node's assembled observers. Obs, Taps and Batch go into the
@@ -88,7 +76,6 @@ type Stack struct {
 	Batch *transport.BatchStats // for transport.TCP.Stats; stays zero on Memory
 
 	Cost   *cost.Accounting
-	Load   *loadtl.Timeline
 	Audit  *audit.Auditor
 	Health *health.Engine
 
@@ -96,10 +83,12 @@ type Stack struct {
 	reg    *obs.Registry
 	ring   *obs.RingSink
 	flight *health.FlightRecorder
-	prof   *cost.Profiler
 	stats  func() core.Stats
 	routes []obs.Route
 	debug  *obs.DebugServer
+	stop   chan struct{} // ends the load sampler
+	once   sync.Once     // closes stop
+	wg     sync.WaitGroup
 }
 
 // New builds the stack. Nothing runs and nothing listens until Start.
@@ -107,7 +96,7 @@ func New(o Options) *Stack {
 	if o.Clock == nil {
 		o.Clock = clock.Real{}
 	}
-	s := &Stack{opts: o, reg: obs.NewRegistry(), Batch: &transport.BatchStats{}}
+	s := &Stack{opts: o, reg: obs.NewRegistry(), Batch: &transport.BatchStats{}, stop: make(chan struct{})}
 	observer := &obs.Observer{Metrics: s.reg}
 	s.Obs = observer
 	obs.RegisterBatchStats(s.reg, o.Node, s.Batch)
@@ -126,17 +115,11 @@ func New(o Options) *Stack {
 	s.Cost = cost.New(o.Node, o.Clock.Now)
 	s.Cost.Register(s.reg)
 	s.mount("/debug/cost", cost.Handler(s.Cost))
-	if o.LoadWindow > 0 {
-		s.Load = loadtl.New(o.Node, o.LoadWindow, o.Clock.Now)
-		s.Load.Register(s.reg)
-		sinks = append(sinks, s.Load)
-		s.mount("/debug/load", s.Load.Handler())
-	}
-	// Every frame goes to exactly these two: totals per kind, counts per second.
-	s.Taps = []transport.Tap{s.Cost, s.Load}
+	// Every frame goes to exactly this one; per-second load is sampled from it.
+	s.Taps = []transport.Tap{s.Cost}
 	if o.Flight > 0 {
 		s.flight = health.NewFlightRecorder(o.Node, o.Flight, 0) // 0: the default one-minute window
-		s.flight.AttachTimeline(s.Load)
+		s.flight.AttachCost(s.Cost)
 		s.Health = s.newEngine()
 		s.Health.Register(s.reg)
 		sinks = append(sinks, s.flight, s.Health)
@@ -151,19 +134,6 @@ func New(o Options) *Stack {
 		observer.Spans = spans
 		s.flight.AttachSpans(spans)
 		s.mount("/debug/spans", obs.SpansHandler(spans))
-	}
-	if o.ProfileInterval > 0 {
-		s.prof = cost.NewProfiler(cost.ProfilerOptions{
-			Node:      o.Node,
-			Clock:     o.Clock,
-			Interval:  o.ProfileInterval,
-			Ring:      profileRing,
-			CPUWindow: o.ProfileCPUWindow,
-			Logf:      o.Logf,
-		})
-		// Anomaly dumps freeze the profile ring alongside events and spans.
-		s.flight.AttachProfiles(s.prof)
-		s.mount("/debug/profile/ring", cost.RingHandler(s.prof))
 	}
 	return s
 }
@@ -209,7 +179,7 @@ func (s *Stack) newEngine() *health.Engine {
 
 // Start takes what only exists once the node does — its lease-state source
 // and its table statistics — then binds the debug server when one was asked
-// for and starts the health engine and the profiler. State is attached
+// for and starts the load sampler and the health engine. State is attached
 // before the engine runs, so no freeze can race the attach; the listener is
 // bound before anything is started, so a failed Start leaves nothing running.
 func (s *Stack) Start(src *state.Source, stats func() core.Stats) error {
@@ -227,8 +197,12 @@ func (s *Stack) Start(src *state.Source, stats func() core.Stats) error {
 			s.opts.Logf("debug server on http://%s (%s)", d.Addr(), strings.Join(d.Routes(), " "))
 		}
 	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.Cost.Run(s.opts.Clock, s.stop)
+	}()
 	s.Health.Start()
-	s.prof.Start()
 	return nil
 }
 
@@ -262,12 +236,13 @@ func (s *Stack) AuditErr(reason string) (dumps []string, err error) {
 	return dumps, err
 }
 
-// Close stops the debug server, the profiler and the health engine. Safe
+// Close stops the debug server, the load sampler and the health engine. Safe
 // after a failed Start and more than once.
 func (s *Stack) Close() {
 	if s.debug != nil {
 		s.debug.Close()
 	}
-	s.prof.Close()
+	s.once.Do(func() { close(s.stop) })
+	s.wg.Wait()
 	s.Health.Close()
 }

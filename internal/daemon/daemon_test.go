@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"flag"
 	"fmt"
 	"go/parser"
 	"go/token"
@@ -140,8 +141,8 @@ func TestSeriesSurface(t *testing.T) {
 	for _, role := range []string{"server", "proxy"} {
 		t.Run(role, func(t *testing.T) {
 			n := driven(t, role, Options{
-				Node: role, DebugAddr: "127.0.0.1:0", Trace: 64, Spans: 64, LoadWindow: 60,
-				Flight: 256, FlightDir: t.TempDir(), ProfileInterval: time.Hour,
+				Node: role, DebugAddr: "127.0.0.1:0", Trace: 64, Spans: 64,
+				Flight: 256, FlightDir: t.TempDir(),
 				Audit: role == "server", // leaseproxy has no -audit
 			}, time.Nanosecond)
 			base := "http://" + n.stack.DebugAddr()
@@ -185,9 +186,9 @@ func TestSeriesSurface(t *testing.T) {
 			// With everything on, the index is the full route list for the
 			// role, every entry answers, and the startup line printed it.
 			index := strings.Fields(strings.TrimPrefix(get(t, base+"/"), "lease debug server"))
-			mounted := []string{"/metrics", "/debug/vars", "/debug/pprof/", "/debug/events", "/debug/leases",
-				"/debug/audit", "/debug/cost", "/debug/load", "/debug/health", "/debug/flightrecorder",
-				"/debug/spans", "/debug/profile/ring"}
+			mounted := []string{"/metrics", "/debug/pprof/", "/debug/events", "/debug/leases",
+				"/debug/audit", "/debug/cost", "/debug/health", "/debug/flightrecorder",
+				"/debug/spans"}
 			if role == "proxy" {
 				mounted = slices.DeleteFunc(mounted, func(p string) bool { return p == "/debug/audit" })
 			}
@@ -213,7 +214,7 @@ func TestSeriesSurface(t *testing.T) {
 // push the connects and grants an operator asked /debug/events for out of a
 // small ring.
 func TestEventsRingHoldsProtocolEventsOnly(t *testing.T) {
-	n := driven(t, "server", Options{Node: "srv", Trace: 16, LoadWindow: 60}, 0)
+	n := driven(t, "server", Options{Node: "srv", Trace: 16}, 0)
 	frames := n.stack.Cost.Totals().MessagesRecv
 	for i := 0; i < 100; i++ {
 		if _, err := n.holder.Read("vol", "no-such-object"); err == nil {
@@ -231,6 +232,26 @@ func TestEventsRingHoldsProtocolEventsOnly(t *testing.T) {
 		if kinds[want] == 0 {
 			t.Errorf("%s evicted from the 16-slot ring, which holds %v", want, kinds)
 		}
+	}
+}
+
+// TestStackSamplesLoad: once started, the stack files each closed second's
+// frames under that second, on its own clock — the per-second load behind
+// /debug/cost's seconds and the lease_load_* gauges. Unsampled, every frame
+// would sit in whichever second is in progress.
+func TestStackSamplesLoad(t *testing.T) {
+	n := driven(t, "server", Options{Node: "srv"}, 0)
+	clk := n.stack.opts.Clock.(*clock.Simulated)
+	begun := clk.Now().Unix()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		secs := n.stack.Cost.Seconds()
+		if clk.Now().Unix() > begun && len(secs) > 0 && secs[0].Unix == begun && secs[0].Msgs > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the driven second was never filed: seconds %+v", n.stack.Cost.Seconds())
+		}
+		clk.Advance(100 * time.Millisecond)
 	}
 }
 
@@ -322,9 +343,22 @@ func TestDaemonsBuildNoObserver(t *testing.T) {
 		for _, imp := range f.Imports {
 			switch strings.Trim(imp.Path.Value, `"`) {
 			case "repro/internal/audit", "repro/internal/cost", "repro/internal/health",
-				"repro/internal/loadtl", "repro/internal/state":
+				"repro/internal/state":
 				t.Errorf("%s imports %s; observers are assembled in internal/daemon", file, imp.Path.Value)
 			}
 		}
+	}
+}
+
+// TestSharedFlags pins the flags every daemon shares: a fresh FlagSet holds
+// exactly these, so a new observer knob has to be argued for here first.
+func TestSharedFlags(t *testing.T) {
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	var o Options
+	o.Flags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	if want := []string{"debug-addr", "flight", "flight-dir", "spans", "trace"}; !slices.Equal(got, want) {
+		t.Errorf("shared flags = %v, want %v", got, want)
 	}
 }

@@ -29,7 +29,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/loadtl"
+	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/state"
 )
@@ -67,7 +67,7 @@ type MetricSample struct {
 // FlightRecorder continuously retains the most recent protocol events in an
 // obs.Ring (one allocation plus two atomic ops per recorded event, no mutex
 // on the record path), plus per-second metric samples and references to the
-// span recorder and load timeline whose own rings are snapshotted at freeze
+// span recorder and cost accounting whose own rings are snapshotted at freeze
 // time.
 //
 // A nil *FlightRecorder is a valid, disabled recorder: Observe is a nil
@@ -81,10 +81,9 @@ type FlightRecorder struct {
 	samples *obs.Ring[MetricSample]
 
 	// Attached sources, set before traffic starts; all optional.
-	spans    *obs.SpanRecorder
-	tl       *loadtl.Timeline
-	profiles ProfileSource
-	state    *state.Source
+	spans *obs.SpanRecorder
+	cost  *cost.Accounting
+	state *state.Source
 }
 
 var _ obs.Sink = (*FlightRecorder)(nil)
@@ -114,48 +113,13 @@ func (f *FlightRecorder) AttachSpans(r *obs.SpanRecorder) {
 	f.spans = r
 }
 
-// AttachTimeline arranges for freezes to include the load timeline's
-// per-second buckets. Call before traffic starts.
-func (f *FlightRecorder) AttachTimeline(tl *loadtl.Timeline) {
+// AttachCost arranges for freezes to include the cost accounting's
+// per-second load. Call before traffic starts.
+func (f *FlightRecorder) AttachCost(a *cost.Accounting) {
 	if f == nil {
 		return
 	}
-	f.tl = tl
-}
-
-// ProfileSource supplies retained runtime profiles at freeze time — the
-// cost package's profile ring implements it. SnapshotProfiles must be safe
-// to call from any goroutine.
-type ProfileSource interface {
-	SnapshotProfiles() []ProfileCapture
-}
-
-// ProfileCapture is one retained runtime profile in dump form. Data is the
-// raw pprof payload (gzipped protobuf, as written by runtime/pprof with
-// debug=0), base64-encoded in JSON; the surrounding fields summarize it so
-// leasemon and humans can triage without go tool pprof.
-type ProfileCapture struct {
-	ID   int64     `json:"id"`
-	Kind string    `json:"kind"` // "heap", "goroutine", "cpu"
-	At   time.Time `json:"at"`
-	// Heap state at capture time and deltas since the previous capture of
-	// the same kind (heap profiles only).
-	HeapAllocBytes  uint64 `json:"heap_alloc_bytes,omitempty"`
-	HeapObjects     uint64 `json:"heap_objects,omitempty"`
-	DeltaAllocBytes int64  `json:"delta_alloc_bytes,omitempty"`
-	DeltaMallocs    int64  `json:"delta_mallocs,omitempty"`
-	Goroutines      int    `json:"goroutines,omitempty"`
-	Data            []byte `json:"data,omitempty"`
-}
-
-// AttachProfiles arranges for freezes to include the retained profile ring,
-// so a triggered anomaly ships the CPU/heap/goroutine profiles that explain
-// it. Call before traffic starts.
-func (f *FlightRecorder) AttachProfiles(src ProfileSource) {
-	if f == nil {
-		return
-	}
-	f.profiles = src
+	f.cost = a
 }
 
 // AttachState arranges for freezes to include a point-in-time lease-state
@@ -167,14 +131,6 @@ func (f *FlightRecorder) AttachState(src *state.Source) {
 		return
 	}
 	f.state = src
-}
-
-// Window reports the retention target.
-func (f *FlightRecorder) Window() time.Duration {
-	if f == nil {
-		return 0
-	}
-	return f.window
 }
 
 // Observe implements obs.Sink, retaining the event in the ring. Safe on a
@@ -224,8 +180,8 @@ func (f *FlightRecorder) Events(now time.Time) []obs.Event {
 }
 
 // Snapshot freezes the recorder into a Dump: the trailing event window,
-// the attached span recorder's retained spans, the attached timeline's
-// per-second buckets, and the per-second metric samples. tr (optional)
+// the attached span recorder's retained spans, the attached accounting's
+// per-second load, and the per-second metric samples. tr (optional)
 // names the anomaly that caused the freeze.
 func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 	d := Dump{WrittenAt: now}
@@ -247,14 +203,9 @@ func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 			d.Spans = append(d.Spans, s.JSON())
 		}
 	}
-	if f.tl != nil {
-		d.Seconds = f.tl.Snapshot()
-	}
+	d.Seconds = f.cost.Seconds()
 	d.Samples = f.samples.Snapshot()
 	sort.Slice(d.Samples, func(i, j int) bool { return d.Samples[i].Unix < d.Samples[j].Unix })
-	if f.profiles != nil {
-		d.Profiles = f.profiles.SnapshotProfiles()
-	}
 	if f.state != nil {
 		ls := f.state.Snapshot()
 		d.LeaseState = &ls
@@ -266,15 +217,14 @@ func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 // anomaly and served at /debug/flightrecorder. Everything is plain JSON so
 // leasemon, tests, and humans parse it the same way.
 type Dump struct {
-	Node          string           `json:"node"`
-	WrittenAt     time.Time        `json:"written_at"`
-	WindowSeconds int              `json:"window_seconds"`
-	Trigger       *Trigger         `json:"trigger,omitempty"`
-	Events        []obs.EventJSON  `json:"events"`
-	Spans         []obs.SpanJSON   `json:"spans,omitempty"`
-	Seconds       []loadtl.Second  `json:"seconds,omitempty"`
-	Samples       []MetricSample   `json:"samples,omitempty"`
-	Profiles      []ProfileCapture `json:"profiles,omitempty"`
+	Node          string          `json:"node"`
+	WrittenAt     time.Time       `json:"written_at"`
+	WindowSeconds int             `json:"window_seconds"`
+	Trigger       *Trigger        `json:"trigger,omitempty"`
+	Events        []obs.EventJSON `json:"events"`
+	Spans         []obs.SpanJSON  `json:"spans,omitempty"`
+	Seconds       []cost.Second   `json:"seconds,omitempty"`
+	Samples       []MetricSample  `json:"samples,omitempty"`
 	// LeaseState is the node's frozen lease-table snapshot (who held what
 	// until when at freeze time), attached via AttachState.
 	LeaseState *state.Dump `json:"lease_state,omitempty"`

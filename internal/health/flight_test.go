@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/loadtl"
+	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/state"
 	"repro/internal/transport"
@@ -25,15 +25,12 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	f.Observe(obs.Event{Type: obs.EvConnect})
 	f.Sample(MetricSample{})
 	f.AttachSpans(nil)
-	f.AttachTimeline(nil)
+	f.AttachCost(nil)
 	if f.Total() != 0 {
 		t.Errorf("nil Total = %d", f.Total())
 	}
 	if got := f.Events(clock.Epoch); got != nil {
 		t.Errorf("nil Events = %v", got)
-	}
-	if f.Window() != 0 {
-		t.Errorf("nil Window = %v", f.Window())
 	}
 	d := f.Snapshot(clock.Epoch, nil)
 	if len(d.Events) != 0 {
@@ -137,13 +134,13 @@ func TestSnapshotIncludesSpansAndTimeline(t *testing.T) {
 	f := NewFlightRecorder("n", 64, 30*time.Second)
 	spans := obs.NewSpanRecorder(16)
 	f.AttachSpans(spans)
-	tl := loadtl.New("n", 30, sim.Now)
-	f.AttachTimeline(tl)
+	acct := cost.New("n", sim.Now)
+	f.AttachCost(acct)
 
 	spans.Record(obs.Span{Trace: 1, ID: 1, Kind: obs.SpanWrite, Start: base.Add(9 * time.Second), Dur: time.Second})
 	// An ancient span outside the window must be dropped.
 	spans.Record(obs.Span{Trace: 2, ID: 2, Kind: obs.SpanWrite, Start: base.Add(-time.Hour), Dur: time.Second})
-	tl.TapConn("n:1", "c:0").Observe(transport.Frame{Sent: true, Msg: wire.Hello{}}) // stamped sim.Now: second 10
+	acct.TapConn("n:1", "c:0").Observe(transport.Frame{Sent: true, Msg: wire.Hello{}}) // in progress at second 10
 	f.Observe(evAt(base.Add(9*time.Second), obs.EvWriteApplied))
 
 	d := f.Snapshot(sim.Now(), &Trigger{Detector: DetEpochBump, At: sim.Now(), Threshold: 1, Observed: 2})

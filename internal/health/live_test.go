@@ -6,9 +6,9 @@ package health_test
 // server waits the write out, marks the client unreachable, the
 // unreachable-growth detector fires, and the engine freezes the flight
 // ring into a dump file. The test then parses the dump like an operator
-// would and asserts it holds (1) at least 2s of pre-trigger context and
-// (2) the triggering anomaly with detector name, threshold, and observed
-// value.
+// would and asserts it holds (1) at least 2s of pre-trigger context, (2) the
+// triggering anomaly with detector name, threshold, and observed value, and
+// (3) the run's load, second by second.
 
 import (
 	"path/filepath"
@@ -16,9 +16,10 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/health"
-	"repro/internal/loadtl"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/transport"
@@ -36,8 +37,17 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 
 	flight := health.NewFlightRecorder("srv", 16384, 30*time.Second)
 	flight.AttachSpans(spans)
-	tl := loadtl.New("srv", 30, time.Now)
-	flight.AttachTimeline(tl)
+	acct := cost.New("srv", time.Now)
+	flight.AttachCost(acct)
+	stopSampler, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		acct.Run(clock.Real{}, stopSampler)
+	}()
+	defer func() {
+		close(stopSampler)
+		<-sampled
+	}()
 
 	dumpDir := health.DumpDir(t.TempDir())
 	engine := health.NewEngine(health.Options{
@@ -51,11 +61,11 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 		UnreachableThreshold: 1,
 		UnreachableWindow:    10,
 	})...)
-	observer.Tracer = obs.NewTracer(flight, engine, tl)
+	observer.Tracer = obs.NewTracer(flight, engine)
 	engine.Start()
 	defer engine.Close()
 
-	net.Taps = []transport.Tap{tl}
+	net.Taps = []transport.Tap{acct}
 	srv, err := server.New(server.Config{
 		Name:       "srv",
 		Addr:       "srv:1",
@@ -154,9 +164,10 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 	if !sawUnreachable || !sawWrite {
 		t.Errorf("dump timeline missing anomaly evidence: unreachable=%v write=%v", sawUnreachable, sawWrite)
 	}
-	// Per-second load buckets rode along.
-	if len(d.Seconds) == 0 {
-		t.Error("dump has no per-second load buckets")
+	// Per-second load rode along, one entry per second of the ~3s run: the
+	// sampler filed each closed second as it went.
+	if len(d.Seconds) < 2 {
+		t.Errorf("dump has %d per-second load buckets, want one per second of the run", len(d.Seconds))
 	}
 	t.Logf("dump %s: %d events over %v, %d spans, %d seconds, trigger %s",
 		filepath.Base(files[0]), len(d.Events), d.PreTriggerSpan(), len(d.Spans), len(d.Seconds), d.Trigger)

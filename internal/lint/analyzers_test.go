@@ -76,11 +76,11 @@ func TestScoped(t *testing.T) {
 		{"clockcheck", "repro/internal/transport", true}, // batcher code is checked; raw-socket sites use //lint:allow
 		{"clockcheck", "repro/cmd/leased", false},        // daemons stamp process lifetimes
 		{"clockcheck", "repro/internal/health", true},    // flight timestamps must replay under sim clocks
-		{"clockcheck", "repro/internal/cost", true},      // the profiler samples on the injected clock
+		{"clockcheck", "repro/internal/cost", true},      // the load sampler ticks on the injected clock
 		{"ctxclean", "repro/internal/server", true},
 		{"ctxclean", "repro/internal/sim", false},      // simulation steps synchronously
 		{"ctxclean", "repro/internal/health", true},    // the engine's tick goroutine must stop cleanly
-		{"ctxclean", "repro/internal/cost", true},      // the profiler loop must drain on Close
+		{"ctxclean", "repro/internal/cost", true},      // a loop spawned here must drain on Close
 		{"ctxclean", "repro/internal/transport", true}, // flusher/delivery goroutines must drain on Close
 		{"hotalloc", "repro/internal/wire", true},      // the //lint:hotpath roots live here
 		{"hotalloc", "repro/internal/transport", true}, // ... and in the batcher

@@ -77,45 +77,11 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteJSON renders the registry as a flat expvar-style JSON object keyed
-// by series name. Counters and gauges are numbers; histograms are objects
-// with count and second-valued quantile fields.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	vars := make(map[string]any)
-	for _, s := range r.snapshot() {
-		if s.kind == kindSummary {
-			vars[s.name] = map[string]any{
-				"count":       s.hist.Count(),
-				"sum_seconds": s.hist.Sum().Seconds(),
-				"mean":        s.hist.Mean().Seconds(),
-				"p50":         s.hist.Quantile(0.5).Seconds(),
-				"p90":         s.hist.Quantile(0.9).Seconds(),
-				"p95":         s.hist.Quantile(0.95).Seconds(),
-				"p99":         s.hist.Quantile(0.99).Seconds(),
-				"max":         s.hist.Max().Seconds(),
-			}
-			continue
-		}
-		vars[s.name] = s.val
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(vars)
-}
-
 // metricsHandler serves the Prometheus text format.
 func metricsHandler(r *Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
-	}
-}
-
-// varsHandler serves the expvar-style JSON format.
-func varsHandler(r *Registry) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = r.WriteJSON(w)
 	}
 }
 

@@ -18,43 +18,27 @@ type Route struct {
 	Handler http.Handler
 }
 
-// Handler builds the debug mux:
+// newMux builds the debug mux:
 //
 //	/metrics       — Prometheus text exposition
-//	/debug/vars    — expvar-style JSON
 //	/debug/pprof/  — the standard runtime profiles
 //	/debug/events  — recent protocol events (only when ring != nil)
 //
 // plus any extra routes, and an index at / listing exactly what was mounted.
+// It returns the mux and that list, which DebugServer.Routes reports too.
 // The pprof handlers are wired explicitly so the daemon does not depend on
 // http.DefaultServeMux (which blank-importing net/http/pprof would mutate).
-//
-// Handler resolves relative ?since= windows on /debug/events against the
-// real clock; a stack running on simulated time should use HandlerClock so
-// the window is computed on the timeline its events were stamped on.
-func Handler(reg *Registry, ring *RingSink, extra ...Route) http.Handler {
-	return HandlerClock(clock.Real{}, reg, ring, extra...)
-}
-
-// HandlerClock is Handler with an injected clock for time-relative query
-// handling.
-func HandlerClock(clk clock.Clock, reg *Registry, ring *RingSink, extra ...Route) http.Handler {
-	mux, _ := newMux(clk, reg, ring, extra)
-	return mux
-}
-
-// newMux builds the debug mux and the list of paths mounted on it; the index
-// page and DebugServer.Routes are both that list.
+// Relative ?since= windows on /debug/events are resolved on clk, so a stack
+// on simulated time filters on the timeline its events were stamped on.
 func newMux(clk clock.Clock, reg *Registry, ring *RingSink, extra []Route) (*http.ServeMux, []string) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", metricsHandler(reg))
-	mux.HandleFunc("/debug/vars", varsHandler(reg))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	routes := []string{"/metrics", "/debug/vars", "/debug/pprof/"}
+	routes := []string{"/metrics", "/debug/pprof/"}
 	if ring != nil {
 		mux.HandleFunc("/debug/events", eventsHandler(ring, clk))
 		routes = append(routes, "/debug/events")
@@ -82,8 +66,7 @@ type DebugServer struct {
 }
 
 // Serve binds addr (":0" picks a free port) and serves the debug mux in the
-// background until Close. Like Handler, it uses the real clock; ServeClock
-// injects one.
+// background until Close. It uses the real clock; ServeClock injects one.
 func Serve(addr string, reg *Registry, ring *RingSink, extra ...Route) (*DebugServer, error) {
 	return ServeClock(clock.Real{}, addr, reg, ring, extra...)
 }

@@ -38,9 +38,6 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "lease_test_total 7") {
 		t.Errorf("/metrics = %d %q", code, body)
 	}
-	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, `"lease_test_total": 7`) {
-		t.Errorf("/debug/vars = %d %q", code, body)
-	}
 	if code, body := get("/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ = %d", code)
 	}

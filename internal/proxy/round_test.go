@@ -177,6 +177,43 @@ func TestProxyBurstCoalescesInvalidations(t *testing.T) {
 	}
 }
 
+// TestProxyRelayDoesNotStallUpstream: while the proxy waits out one
+// unreachable leaf for an object, an origin write to another object — held
+// only by a reachable leaf — completes at once. The proxy's upstream reader
+// used to run each relay inline, so the second Invalidate sat unread until
+// the first round ended (~1s, the leaf's volume sub-lease).
+func TestProxyRelayDoesNotStallUpstream(t *testing.T) {
+	h := buildHierarchy(t, nil)
+	slow, fast := h.dial(t, "leaf-slow"), h.dial(t, "leaf-fast")
+	if _, err := slow.Read("vol", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fast.Read("vol", "b"); err != nil {
+		t.Fatal(err)
+	}
+	h.net.Partition("leaf-slow", "proxy")
+	slowWrite := make(chan error, 1)
+	go func() {
+		_, _, err := h.origin.Write("a", []byte("a v2"))
+		slowWrite <- err
+	}()
+	waitingDump(t, h.px) // the round for a is waiting on leaf-slow
+
+	begin := time.Now()
+	if _, _, err := h.origin.Write("b", []byte("b v2")); err != nil {
+		t.Fatalf("Write b: %v", err)
+	}
+	if elapsed := time.Since(begin); elapsed >= 250*time.Millisecond {
+		t.Errorf("write of b took %v behind the round for a; want well under the 1s sub-lease", elapsed)
+	}
+	if err := <-slowWrite; err != nil {
+		t.Fatalf("Write a: %v", err)
+	}
+	if data, err := fast.Read("vol", "b"); err != nil || string(data) != "b v2" {
+		t.Errorf("leaf-fast reads b = %q, %v; want b v2", data, err)
+	}
+}
+
 // TestProxyGrantWaitsForRoundInFlight: while the proxy's invalidation round
 // for an object waits on one leaf's acknowledgment, another leaf's lease
 // request for that object is held back — no fresh sub-lease on the old
