@@ -22,14 +22,15 @@
 // lease_cost_* and lease_load_* metrics), plus one endpoint per enabled
 // observer: /debug/events (the last -trace protocol events, filterable with
 // ?type= and ?since=), /debug/spans (-spans: causal write-path tracing) and
-// /debug/health and /debug/flightrecorder (-flight: anomaly detectors and
-// their dumps). The index at / and the startup log list exactly what is
-// mounted.
+// /debug/flightrecorder (-flight: the flight recorder and its dumps). The
+// index at / and the startup log list exactly what is mounted. Alerts are
+// cmd/leasemon's rules over /metrics; the daemon raises none itself.
 //
 // -audit attaches the online consistency auditor (internal/audit): every
 // protocol event also feeds a shadow model of the lease state, violations
-// land in the lease_audit_* metrics and the daemon exits non-zero at
-// shutdown if any were recorded. The audit report is served at /debug/audit.
+// land in the lease_audit_* metrics, the first one freezes a flight dump, and
+// the daemon exits non-zero at shutdown if any were recorded. The audit
+// report is served at /debug/audit.
 package main
 
 import (
@@ -149,7 +150,7 @@ func start(opts options) (*instance, error) {
 		in.Close()
 		return nil, err
 	}
-	if err := stack.Start(srv.StateSource(), srv.Stats); err != nil {
+	if err := stack.Start(srv.StateSource()); err != nil {
 		in.Close()
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,21 +12,17 @@ import (
 	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/state"
 	"repro/internal/transport"
 )
 
-// stateNode serves a fixed /debug/health report plus lease_state_* gauges,
-// the shape a daemon with lease introspection enabled exposes.
+// stateNode serves fixed lease_state_* gauges, the shape a daemon with lease
+// introspection enabled exposes.
 func stateNode(t *testing.T, name string) string {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(health.Report{Node: name, Status: "ok"})
-	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "lease_state_object_leases{node=%q} 3\n", name)
 		fmt.Fprintf(w, "lease_state_volume_leases{node=%q} 2\n", name)
@@ -51,14 +46,17 @@ func TestFleetStateColumnsFromGauges(t *testing.T) {
 		}
 	}
 	fields := strings.Fields(line)
-	if len(fields) != 12 {
-		t.Fatalf("zeta row has %d columns, want 12: %q", len(fields), line)
+	if len(fields) != 11 {
+		t.Fatalf("zeta row has %d columns, want 11: %q", len(fields), line)
 	}
-	if fields[7] != "5" { // LEASES = object + volume gauges
-		t.Errorf("LEASES = %q, want 5: %q", fields[7], line)
+	if fields[1] != "zeta" { // NODE, from the series' node label
+		t.Errorf("NODE = %q, want zeta: %q", fields[1], line)
 	}
-	if fields[8] != "1" { // EXPIRING
-		t.Errorf("EXPIRING = %q, want 1: %q", fields[8], line)
+	if fields[6] != "5" { // LEASES = object + volume gauges
+		t.Errorf("LEASES = %q, want 5: %q", fields[6], line)
+	}
+	if fields[7] != "1" { // EXPIRING
+		t.Errorf("EXPIRING = %q, want 1: %q", fields[7], line)
 	}
 }
 

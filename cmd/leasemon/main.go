@@ -1,7 +1,8 @@
-// Command leasemon is the fleet health monitor: it scrapes /debug/health
-// and /metrics from a list of lease-stack debug endpoints and renders one
-// fleet-wide status table, and it can fetch and pretty-print a flight
-// recorder dump from any node.
+// Command leasemon is the fleet monitor and the stack's one alerting
+// point: it scrapes /metrics from a list of lease-stack debug endpoints,
+// evaluates a fixed rule table over each, and renders one fleet-wide status
+// table; it can also fetch and pretty-print a flight recorder dump from any
+// node.
 //
 // Usage:
 //
@@ -13,11 +14,25 @@
 //	leasemon -dump flight-....json host:port    fetch + pretty-print one dump
 //	leasemon -freeze host:port                  force the node to write a dump
 //
-// The fleet table's MSGS/S and BYTES/S columns come from two /metrics
-// samples of the lease_cost_* counters taken -rate-window apart; nodes
-// running with cost accounting disabled show "-". The LEASES and EXPIRING
-// columns read the lease_state_* gauges; nodes without lease-state
-// introspection show "-".
+// The fleet table samples each node's /metrics twice, -rate-window apart,
+// and FIRING lists the rules that fire on the pair:
+//
+//	ack-wait            the window's lease_write_ack_wait_seconds _sum/_count
+//	                    delta: a mean wait of at least 500ms over at least 5 writes
+//	renewal-storm       lease_reconnects_total rises at least 5/s
+//	unreachable-growth  lease_{,proxy_}unreachable_transitions_total rises at
+//	                    least 3 per 30s
+//	epoch-bump          lease_epoch_bumps_total rises at all
+//	inval-backlog       lease_server_pending_invalidations is at least 1000
+//	audit-violation     lease_audit_violations_total is above 0
+//
+// The first four are rate rules: with -rate-window 0 leasemon samples once
+// and skips them. A node that does not export a rule's series never fires
+// it. NODE is the node label of the node's series, DUMPS and BURN read
+// lease_health_dumps_written_total and lease_health_staleness_budget_burn,
+// MSGS/S and BYTES/S are the window's lease_cost_* deltas, and LEASES and
+// EXPIRING read the lease_state_* gauges; a column whose series the node
+// does not export shows "-".
 //
 // -diff scrapes /debug/leases from every endpoint — the first must serve a
 // server (or proxy) table, the rest contribute client views — and runs the
@@ -30,8 +45,8 @@
 // Endpoints are the debug addresses the daemons expose via -debug-addr.
 // The exit status is 0 when every endpoint is healthy (-diff: no
 // divergence), 1 on a usage or scrape failure, and 2 when the fleet is
-// reachable but some detector is firing (-diff: divergence found) — so
-// leasemon drops into cron and CI gates unchanged.
+// reachable but some rule fires (-diff: divergence found) — so leasemon
+// drops into cron and CI gates unchanged.
 package main
 
 import (
@@ -106,16 +121,9 @@ func run(out, errw io.Writer, argv []string) int {
 
 // row is one endpoint's scraped state in the fleet table.
 type row struct {
-	endpoint  string
-	report    health.Report
-	series    int     // lease_* series on /metrics
-	hasCost   bool    // node exports lease_cost_* (cost accounting enabled)
-	msgsRate  float64 // wire messages/s over the rate window, both directions
-	bytesRate float64 // wire bytes/s over the rate window, both directions
-	hasState  bool    // node exports lease_state_* (lease introspection enabled)
-	leases    float64 // object + volume leases from the lease_state_* gauges
-	expiring  float64 // leases expiring within the node's own window
-	err       error
+	endpoint string
+	sample
+	err error
 }
 
 // fleet scrapes every endpoint concurrently and renders the table.
@@ -133,108 +141,101 @@ func fleet(out, errw io.Writer, cl *http.Client, eps []string, rateWin time.Dura
 	}
 
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ENDPOINT\tNODE\tSTATUS\tFIRING\tTRIGGERS\tDUMPS\tBURN\tLEASES\tEXPIRING\tSERIES\tMSGS/S\tBYTES/S")
+	fmt.Fprintln(tw, "ENDPOINT\tNODE\tSTATUS\tFIRING\tDUMPS\tBURN\tLEASES\tEXPIRING\tSERIES\tMSGS/S\tBYTES/S")
 	exit := 0
 	for _, r := range rows {
 		if r.err != nil {
-			fmt.Fprintf(tw, "%s\t-\tunreachable\t-\t-\t-\t-\t-\t-\t-\t-\t-\n", r.endpoint)
+			fmt.Fprintf(tw, "%s\t-\tunreachable\t-\t-\t-\t-\t-\t-\t-\t-\n", r.endpoint)
 			fmt.Fprintf(errw, "leasemon: %s: %v\n", r.endpoint, r.err)
 			exit = 1
 			continue
 		}
-		rep := r.report
-		var firing []string
-		var triggers int64
-		for _, d := range rep.Detectors {
-			triggers += d.Triggers
-			if d.State == "firing" {
-				firing = append(firing, d.Name)
-			}
-		}
-		firingCol := "-"
-		if len(firing) > 0 {
-			firingCol = strings.Join(firing, ",")
+		status, firingCol := "ok", "-"
+		if f := firing(r.sample); len(f) > 0 {
+			status, firingCol = "firing", strings.Join(f, ",")
 			if exit == 0 {
 				exit = 2
 			}
 		}
-		msgsCol, bytesCol := "-", "-"
-		if r.hasCost {
-			msgsCol = fmt.Sprintf("%.1f", r.msgsRate)
-			bytesCol = fmt.Sprintf("%.0f", r.bytesRate)
+		// level renders the latest value of a family, "-" when not exported.
+		level := func(format string, families ...string) string {
+			var sum float64
+			found := false
+			for _, fam := range families {
+				v, ok := sumFamily(r.after, fam)
+				sum, found = sum+v, found || ok
+			}
+			if !found {
+				return "-"
+			}
+			return fmt.Sprintf(format, sum)
 		}
-		leaseCol, expCol := "-", "-"
-		if r.hasState {
-			leaseCol = fmt.Sprintf("%.0f", r.leases)
-			expCol = fmt.Sprintf("%.0f", r.expiring)
+		// rate renders a counter family's rise per second over the window.
+		rate := func(format, family string) string {
+			if _, ok := sumFamily(r.after, family); !ok || r.before == nil {
+				return "-"
+			}
+			return fmt.Sprintf(format, r.rise(family)/r.elapsed.Seconds())
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%d\t%.2f\t%s\t%s\t%d\t%s\t%s\n",
-			r.endpoint, rep.Node, rep.Status, firingCol, triggers, rep.DumpsWritten,
-			rep.StalenessBurn, leaseCol, expCol, r.series, msgsCol, bytesCol)
+		series := 0
+		for name := range r.after {
+			if strings.HasPrefix(name, "lease_") {
+				series++
+			}
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%s\t%s\n",
+			r.endpoint, nodeLabel(r.after), status, firingCol,
+			level("%.0f", "lease_health_dumps_written_total"),
+			level("%.2f", "lease_health_staleness_budget_burn"),
+			level("%.0f", "lease_state_object_leases", "lease_state_volume_leases"),
+			level("%.0f", "lease_state_expiring"), series,
+			rate("%.1f", "lease_cost_messages_total"), rate("%.0f", "lease_cost_bytes_total"))
 	}
 	tw.Flush()
 	return exit
 }
 
-// scrape pulls one endpoint's /debug/health report and /metrics exposition.
-// When the node exports lease_cost_* series and rateWin > 0 it samples
-// /metrics a second time after the window and derives message and byte
-// rates from the counter deltas.
+// sleep waits out the rate window between the two /metrics samples; tests
+// replace it to act inside the window.
+var sleep = time.Sleep
+
+// scrape samples one endpoint's /metrics, and again after rateWin when
+// rateWin > 0, for the rate rules and the rate columns.
 func scrape(cl *http.Client, ep string, rateWin time.Duration) row {
 	r := row{endpoint: ep}
-	body, err := get(cl, ep, "/debug/health")
+	body, err := get(cl, ep, "/metrics")
 	if err != nil {
 		r.err = err
 		return r
 	}
-	if err := json.Unmarshal(body, &r.report); err != nil {
-		r.err = fmt.Errorf("/debug/health: %w", err)
-		return r
-	}
-	body, err = get(cl, ep, "/metrics")
-	if err != nil {
-		r.err = err
-		return r
-	}
-	series := parseProm(body)
-	for name := range series {
-		if strings.HasPrefix(name, "lease_") {
-			r.series++
-		}
-	}
-	obj, haveObj := sumPrefix(series, "lease_state_object_leases")
-	vol, haveVol := sumPrefix(series, "lease_state_volume_leases")
-	if haveObj || haveVol {
-		r.hasState = true
-		r.leases = obj + vol
-		r.expiring, _ = sumPrefix(series, "lease_state_expiring")
-	}
-	msgs0, haveMsgs := sumPrefix(series, "lease_cost_messages_total")
-	bytes0, haveBytes := sumPrefix(series, "lease_cost_bytes_total")
-	if !haveMsgs && !haveBytes {
-		return r // cost accounting disabled on this node
-	}
-	r.hasCost = true
+	r.after = parseProm(body)
 	if rateWin <= 0 {
 		return r
 	}
 	start := time.Now()
-	time.Sleep(rateWin)
-	body, err = get(cl, ep, "/metrics")
-	if err != nil {
-		// The node answered once and then went away; keep the health row
-		// but drop the rate columns rather than failing the endpoint.
-		r.hasCost = false
+	sleep(rateWin)
+	if body, err = get(cl, ep, "/metrics"); err != nil {
+		r.err = err
 		return r
 	}
-	elapsed := time.Since(start).Seconds()
-	again := parseProm(body)
-	msgs1, _ := sumPrefix(again, "lease_cost_messages_total")
-	bytes1, _ := sumPrefix(again, "lease_cost_bytes_total")
-	// A counter that shrank means the node restarted between samples.
-	r.msgsRate = max(0, msgs1-msgs0) / elapsed
-	r.bytesRate = max(0, bytes1-bytes0) / elapsed
+	r.before, r.after, r.elapsed = r.after, parseProm(body), time.Since(start)
 	return r
+}
+
+// nodeLabel is the node="…" label the node's series carry ("-" without one).
+func nodeLabel(series map[string]float64) string {
+	node := ""
+	for name := range series {
+		if _, rest, ok := strings.Cut(name, `node="`); ok {
+			if v, _, ok := strings.Cut(rest, `"`); ok && (node == "" || v < node) {
+				node = v
+			}
+		}
+	}
+	if node == "" {
+		return "-"
+	}
+	return node
 }
 
 // scrapeLeases pulls one endpoint's /debug/leases dump.
@@ -349,13 +350,13 @@ func diffLeases(out, errw io.Writer, cl *http.Client, eps []string, epsilon time
 	return 2
 }
 
-// sumPrefix sums every series whose name starts with prefix and reports
-// whether any matched.
-func sumPrefix(series map[string]float64, prefix string) (float64, bool) {
+// sumFamily sums every series of one metric family (any labels) and reports
+// whether there was one.
+func sumFamily(series map[string]float64, family string) (float64, bool) {
 	var sum float64
 	found := false
 	for name, v := range series {
-		if strings.HasPrefix(name, prefix) {
+		if name == family || strings.HasPrefix(name, family+"{") {
 			sum += v
 			found = true
 		}
@@ -498,8 +499,8 @@ func printDump(out io.Writer, name string, d health.Dump, tail int) {
 	} else {
 		fmt.Fprintln(out, "  trigger: none (manual freeze)")
 	}
-	fmt.Fprintf(out, "  held:    %d events, %d spans, %d load seconds, %d metric samples\n",
-		len(d.Events), len(d.Spans), len(d.Seconds), len(d.Samples))
+	fmt.Fprintf(out, "  held:    %d events, %d spans, %d load seconds\n",
+		len(d.Events), len(d.Spans), len(d.Seconds))
 
 	// Events by type, busiest first — the 10,000-ft view of the window.
 	byType := map[string]int{}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -18,85 +17,68 @@ import (
 )
 
 // liveNode stands up one debug endpoint the way a daemon does: a registry,
-// a flight recorder, a health engine, and obs.Serve with the health routes
-// mounted.
-func liveNode(t *testing.T, name string, detectors ...health.Detector) (string, *health.Engine) {
+// a flight recorder and its dumper, and obs.Serve with
+// /debug/flightrecorder mounted; series registers whatever else the node
+// exports.
+func liveNode(t *testing.T, name string, series func(*obs.Registry)) (string, *health.Dumper) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	f := health.NewFlightRecorder(name, 1024, time.Minute)
-	e := health.NewEngine(health.Options{
+	d := health.NewDumper(health.Options{
 		Node:          name,
 		Flight:        f,
 		DumpDir:       t.TempDir(),
-		Tick:          5 * time.Millisecond,
-		Tail:          5 * time.Millisecond,
 		StalenessBurn: func() float64 { return 0.5 },
-	}, detectors...)
-	e.Register(reg)
+	})
+	d.Register(reg)
+	t.Cleanup(d.Close)
+	if series != nil {
+		series(reg)
+	}
 	f.Observe(obs.Event{Type: obs.EvWriteApplied, At: time.Now(), Node: name, Object: "o", Volume: "v"})
-	e.Start()
-	t.Cleanup(e.Close)
 
 	srv, err := obs.Serve("127.0.0.1:0", reg, nil,
-		obs.Route{Path: "/debug/health", Handler: health.Handler(e)},
-		obs.Route{Path: "/debug/flightrecorder", Handler: health.FlightHandler(e)},
+		obs.Route{Path: "/debug/flightrecorder", Handler: health.FlightHandler(d)},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv.Addr(), e
+	return srv.Addr(), d
 }
 
 func TestFleetTableFromTwoLiveEndpoints(t *testing.T) {
-	// Node "alpha" has a detector that always fires; "beta" is healthy.
-	epA, engA := liveNode(t, "alpha",
-		health.NewThresholdDetector(health.DetBacklog, 1, func() float64 { return 5 }))
-	epB, _ := liveNode(t, "beta")
-
-	// Wait for alpha's engine to trigger and persist a dump.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		rep := engA.Snapshot()
-		if rep.Status == "firing" && rep.DumpsWritten >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("alpha never fired: %+v", rep)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Node "alpha" has an invalidation backlog and one dump; "beta" is
+	// healthy.
+	epA, dumpsA := liveNode(t, "alpha", func(reg *obs.Registry) {
+		reg.GaugeFunc(`lease_server_pending_invalidations{server="alpha"}`, func() float64 { return 1500 })
+	})
+	if _, err := dumpsA.ForceDump("test"); err != nil {
+		t.Fatal(err)
 	}
+	epB, _ := liveNode(t, "beta", nil)
 
 	var out, errw bytes.Buffer
-	code := run(&out, &errw, []string{epA, epB})
+	code := run(&out, &errw, []string{"-rate-window", "1ms", epA, epB})
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2 (firing fleet)\nstdout:\n%s\nstderr:\n%s", code, &out, &errw)
 	}
-	table := out.String()
-	for _, want := range []string{"ENDPOINT", "alpha", "beta", "firing", "ok", health.DetBacklog, epA, epB} {
-		if !strings.Contains(table, want) {
-			t.Errorf("fleet table missing %q:\n%s", want, table)
+	rows := map[string][]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if fields := strings.Fields(line); len(fields) > 0 {
+			rows[fields[0]] = fields
 		}
 	}
-	// The SERIES column proves /metrics was scraped: alpha exports
-	// lease_health_* series.
-	alphaLine := ""
-	for _, line := range strings.Split(table, "\n") {
-		if strings.Contains(line, "alpha") {
-			alphaLine = line
+	// ENDPOINT NODE STATUS FIRING DUMPS BURN LEASES EXPIRING SERIES MSGS/S
+	// BYTES/S. Nodes that export neither lease_state_* gauges nor
+	// lease_cost_* counters show "-" in those columns, not zeroes.
+	for ep, want := range map[string]string{
+		epA: "alpha firing inval-backlog 1 0.50 - - 3 - -",
+		epB: "beta ok - 0 0.50 - - 2 - -",
+	} {
+		if got := strings.Join(rows[ep][1:], " "); got != want {
+			t.Errorf("row %s = %q, want %q\n%s", ep, got, want, &out)
 		}
-	}
-	fields := strings.Fields(alphaLine)
-	if len(fields) != 12 || fields[9] == "0" {
-		t.Errorf("alpha row did not report scraped lease_ series: %q", alphaLine)
-	}
-	// Health-only nodes export neither lease_state_* gauges nor
-	// lease_cost_* counters: those columns degrade to "-", not zeroes.
-	if len(fields) == 12 && (fields[7] != "-" || fields[8] != "-" || fields[10] != "-" || fields[11] != "-") {
-		t.Errorf("alpha row invented state or cost values without the series: %q", alphaLine)
-	}
-	if !strings.Contains(alphaLine, "0.50") {
-		t.Errorf("alpha row missing staleness burn 0.50: %q", alphaLine)
 	}
 }
 
@@ -107,9 +89,6 @@ func costNode(t *testing.T, name string) string {
 	t.Helper()
 	var calls atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(health.Report{Node: name, Status: "ok"})
-	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		n := calls.Add(1)
 		fmt.Fprintf(w, "lease_cost_messages_total{node=%q,dir=\"sent\"} %d\n", name, n*50)
@@ -134,28 +113,23 @@ func TestFleetRateColumnsFromCostCounters(t *testing.T) {
 		}
 	}
 	fields := strings.Fields(line)
-	if len(fields) != 12 {
-		t.Fatalf("epsilon row has %d columns, want 12: %q", len(fields), line)
+	if len(fields) != 11 {
+		t.Fatalf("epsilon row has %d columns, want 11: %q", len(fields), line)
 	}
-	msgs, err := strconv.ParseFloat(fields[10], 64)
+	msgs, err := strconv.ParseFloat(fields[9], 64)
 	if err != nil || msgs <= 0 {
-		t.Errorf("MSGS/S = %q, want a positive rate (err %v)", fields[10], err)
+		t.Errorf("MSGS/S = %q, want a positive rate (err %v)", fields[9], err)
 	}
-	bytesRate, err := strconv.ParseFloat(fields[11], 64)
+	bytesRate, err := strconv.ParseFloat(fields[10], 64)
 	if err != nil || bytesRate <= 0 {
-		t.Errorf("BYTES/S = %q, want a positive rate (err %v)", fields[11], err)
+		t.Errorf("BYTES/S = %q, want a positive rate (err %v)", fields[10], err)
 	}
 }
 
 func TestFetchAndPrettyPrintDump(t *testing.T) {
-	ep, eng := liveNode(t, "gamma",
-		health.NewThresholdDetector(health.DetBacklog, 1, func() float64 { return 9 }))
-	deadline := time.Now().Add(2 * time.Second)
-	for eng.Snapshot().DumpsWritten < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("gamma never dumped")
-		}
-		time.Sleep(5 * time.Millisecond)
+	ep, dumps := liveNode(t, "gamma", nil)
+	if _, err := dumps.ForceDump("pulled for the test"); err != nil {
+		t.Fatal(err)
 	}
 
 	// -dumps lists the file.
@@ -163,7 +137,7 @@ func TestFetchAndPrettyPrintDump(t *testing.T) {
 	if code := run(&out, &errw, []string{"-dumps", ep}); code != 0 {
 		t.Fatalf("-dumps exit %d: %s", code, &errw)
 	}
-	if !strings.Contains(out.String(), "flight-gamma-"+health.DetBacklog) {
+	if !strings.Contains(out.String(), "flight-gamma-manual-") {
 		t.Fatalf("-dumps listing:\n%s", &out)
 	}
 
@@ -176,8 +150,7 @@ func TestFetchAndPrettyPrintDump(t *testing.T) {
 	pretty := out.String()
 	for _, want := range []string{
 		"node:    gamma",
-		"trigger: " + health.DetBacklog,
-		"observed 9, threshold 1",
+		"trigger: manual: pulled for the test",
 		"write-applied",
 		"timeline",
 	} {
@@ -241,12 +214,12 @@ func TestPrintDumpPerSecondLoad(t *testing.T) {
 }
 
 func TestFreezeEndpoint(t *testing.T) {
-	ep, eng := liveNode(t, "delta")
+	ep, dumps := liveNode(t, "delta", nil)
 	var out, errw bytes.Buffer
 	if code := run(&out, &errw, []string{"-freeze", ep}); code != 0 {
 		t.Fatalf("-freeze exit %d: %s", code, &errw)
 	}
-	if eng.Snapshot().DumpsWritten != 1 {
+	if len(dumps.Files()) != 1 {
 		t.Fatal("freeze did not write a dump")
 	}
 	if !strings.Contains(out.String(), "froze flight recorder:") {

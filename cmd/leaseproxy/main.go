@@ -10,7 +10,8 @@
 //	leaseproxy -addr :7402 -upstream 127.0.0.1:7401 -volume site   # chainable
 //
 // Observability is leased's stack (internal/daemon), with the same shared
-// flags and, under -debug-addr, the same routes except /debug/audit.
+// flags and, under -debug-addr, the same routes except /debug/audit; with no
+// auditor, its flight recorder is frozen only on demand (leasemon -freeze).
 // -startup-fence holds every upstream acknowledgment for that long after
 // boot; pass -startup-fence 0s to drive a freshly started proxy with writes.
 package main
@@ -85,7 +86,7 @@ func run() error {
 	defer stack.Close() // runs first: observers stop before the node they watch
 	// Lease state here is the downstream sub-lease table plus the upstream
 	// cached view.
-	if err := stack.Start(px.StateSource(), px.Stats); err != nil {
+	if err := stack.Start(px.StateSource()); err != nil {
 		return err
 	}
 	log.Printf("leaseproxy: serving volume %q on %s (upstream %s, sub-leases t=%v tv=%v)",

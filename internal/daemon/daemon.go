@@ -2,17 +2,19 @@
 // plugged together. leased and leaseproxy each describe what they want in an
 // Options value and get back a Stack: the *obs.Observer and the
 // transport tap their node takes, and — once the node exists — the debug
-// HTTP server, the per-second load sampler and the health engine around it.
+// HTTP server and the per-second load sampler around it.
 //
 // A node produces two streams and every sink is attached here, once:
 //
 //	frames (transport.Tap)  -> cost.Accounting   per-kind totals, bytes, codec time,
 //	                                             sampled into per-second load
 //	events (obs.Tracer)     -> obs.RingSink      /debug/events
-//	                        -> audit.Auditor     invariants
-//	                        -> health flight recorder and detector engine
+//	                        -> audit.Auditor     invariants; a violation freezes
+//	                                             one flight dump (health.Dumper)
+//	                        -> health.FlightRecorder
 //
-// Nothing else counts a frame or an event.
+// Nothing else counts a frame or an event. Alerts are not raised here: they
+// are cmd/leasemon's rules over the /metrics this stack serves.
 package daemon
 
 import (
@@ -38,7 +40,7 @@ type Options struct {
 	Node string
 	// Clock stamps and windows everything; defaults to the wall clock.
 	Clock clock.Clock
-	// Logf, when non-nil, receives the startup line and health triggers.
+	// Logf, when non-nil, receives the startup line and flight dumps.
 	Logf func(format string, args ...any)
 
 	// The shared flags; Flags documents each.
@@ -63,7 +65,7 @@ func (o *Options) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve /metrics, /debug/pprof and a /debug/ endpoint per enabled observer on this address (empty = off)")
 	fs.IntVar(&o.Trace, "trace", 256, "protocol events kept for /debug/events (0 = off)")
 	fs.IntVar(&o.Spans, "spans", 0, "causal write-path spans kept for /debug/spans (0 = span tracing off)")
-	fs.IntVar(&o.Flight, "flight", 8192, "protocol events retained by the flight recorder (0 = flight recorder and health detectors off)")
+	fs.IntVar(&o.Flight, "flight", 8192, "protocol events retained by the flight recorder (0 = flight recorder and its dumps off)")
 	fs.StringVar(&o.FlightDir, "flight-dir", "flight-dumps", "directory for flight recorder dump files ($FLIGHT_DUMP_DIR overrides)")
 }
 
@@ -77,13 +79,12 @@ type Stack struct {
 
 	Cost   *cost.Accounting
 	Audit  *audit.Auditor
-	Health *health.Engine
+	Health *health.Dumper
 
 	opts   Options
 	reg    *obs.Registry
 	ring   *obs.RingSink
 	flight *health.FlightRecorder
-	stats  func() core.Stats
 	routes []obs.Route
 	debug  *obs.DebugServer
 	stop   chan struct{} // ends the load sampler
@@ -107,7 +108,11 @@ func New(o Options) *Stack {
 		sinks = append(sinks, s.ring)
 	}
 	if o.Audit {
-		s.Audit = audit.New(audit.LiveConfig(o.Table, o.BestEffort))
+		cfg := audit.LiveConfig(o.Table, o.BestEffort)
+		// The one automatic freeze: Trigger never blocks the auditor, which
+		// calls this under its own lock.
+		cfg.OnViolation = func(v audit.Violation) { s.Health.Trigger(health.CauseAudit, v.String()) }
+		s.Audit = audit.New(cfg)
 		s.Audit.Register(s.reg)
 		sinks = append(sinks, s.Audit)
 		s.mount("/debug/audit", s.Audit)
@@ -120,10 +125,20 @@ func New(o Options) *Stack {
 	if o.Flight > 0 {
 		s.flight = health.NewFlightRecorder(o.Node, o.Flight, 0) // 0: the default one-minute window
 		s.flight.AttachCost(s.Cost)
-		s.Health = s.newEngine()
+		ho := health.Options{
+			Node: o.Node, Clock: o.Clock, Flight: s.flight,
+			DumpDir: health.DumpDir(o.FlightDir), Logf: o.Logf,
+		}
+		if aud := s.Audit; aud != nil {
+			// Staleness-budget burn: the worst staleness the auditor has observed
+			// as a fraction of the paper's min(t, t_v) bound.
+			if bound := aud.Config().Bound(); bound > 0 {
+				ho.StalenessBurn = func() float64 { return float64(aud.MaxStaleness()) / float64(bound) }
+			}
+		}
+		s.Health = health.NewDumper(ho)
 		s.Health.Register(s.reg)
-		sinks = append(sinks, s.flight, s.Health)
-		s.mount("/debug/health", health.Handler(s.Health))
+		sinks = append(sinks, s.flight)
 		s.mount("/debug/flightrecorder", health.FlightHandler(s.Health))
 	}
 	if len(sinks) > 0 {
@@ -142,48 +157,11 @@ func (s *Stack) mount(path string, h http.Handler) {
 	s.routes = append(s.routes, obs.Route{Path: path, Handler: h})
 }
 
-// newEngine builds the detector engine over the node's table statistics
-// (sampled at tick time, so only after Start has supplied them) and, when
-// there is an auditor, over its verdicts.
-func (s *Stack) newEngine() *health.Engine {
-	o := s.opts
-	det := health.DetectorConfig{
-		Backlog: func() float64 { return float64(s.stats().PendingInvalidation) },
-	}
-	ho := health.Options{
-		Node:    o.Node,
-		Clock:   o.Clock,
-		Flight:  s.flight,
-		DumpDir: health.DumpDir(o.FlightDir),
-		Logf:    o.Logf,
-		Sample: func() map[string]float64 {
-			st := s.stats()
-			return map[string]float64{
-				"object_leases":        float64(st.ObjectLeases),
-				"volume_leases":        float64(st.VolumeLeases),
-				"pending_invalidation": float64(st.PendingInvalidation),
-				"unreachable_clients":  float64(st.UnreachableClients),
-			}
-		},
-	}
-	if aud := s.Audit; aud != nil {
-		det.AuditViolations = func() float64 { return float64(len(aud.Violations())) }
-		// Staleness-budget burn: the worst staleness the auditor has observed
-		// as a fraction of the paper's min(t, t_v) bound.
-		if bound := aud.Config().Bound(); bound > 0 {
-			ho.StalenessBurn = func() float64 { return float64(aud.MaxStaleness()) / float64(bound) }
-		}
-	}
-	return health.NewEngine(ho, health.DefaultDetectors(det)...)
-}
-
-// Start takes what only exists once the node does — its lease-state source
-// and its table statistics — then binds the debug server when one was asked
-// for and starts the load sampler and the health engine. State is attached
-// before the engine runs, so no freeze can race the attach; the listener is
-// bound before anything is started, so a failed Start leaves nothing running.
-func (s *Stack) Start(src *state.Source, stats func() core.Stats) error {
-	s.stats = stats
+// Start takes what only exists once the node does — its lease-state source —
+// then binds the debug server when one was asked for and starts the load
+// sampler. The listener is bound before anything is started, so a failed
+// Start leaves nothing running.
+func (s *Stack) Start(src *state.Source) error {
 	state.Register(s.reg, s.opts.Node, src, s.opts.Table.VolumeLease)
 	s.flight.AttachState(src)
 	if s.opts.DebugAddr != "" {
@@ -202,7 +180,6 @@ func (s *Stack) Start(src *state.Source, stats func() core.Stats) error {
 		defer s.wg.Done()
 		s.Cost.Run(s.opts.Clock, s.stop)
 	}()
-	s.Health.Start()
 	return nil
 }
 
@@ -214,11 +191,12 @@ func (s *Stack) DebugAddr() string {
 	return s.debug.Addr()
 }
 
-// AuditErr is the auditor's verdict: nil without an auditor or when every
-// invariant held. On a violation it first makes sure the black box is left
-// behind — the engine's audit rule usually dumped mid-run; if no dump exists
-// yet one is frozen now, labelled reason — and returns the dump files beside
-// the error.
+// AuditErr is the auditor's verdict at shutdown: nil without an auditor or
+// when every invariant held. On a violation it first makes sure the black box
+// is left behind — the first violation froze a dump mid-run, and one still
+// waiting out its tail is written now (the dumper takes no more triggers); if
+// no dump exists one is frozen now, labelled reason — and returns the dump
+// files beside the error.
 func (s *Stack) AuditErr(reason string) (dumps []string, err error) {
 	if s.Audit == nil {
 		return nil, nil
@@ -226,9 +204,9 @@ func (s *Stack) AuditErr(reason string) (dumps []string, err error) {
 	if err = s.Audit.Err(); err == nil {
 		return nil, nil
 	}
-	rep := s.Health.Snapshot()
-	dumps = rep.DumpFiles
-	if rep.DumpsWritten == 0 {
+	s.Health.Close()
+	dumps = s.Health.Files()
+	if len(dumps) == 0 {
 		if path, derr := s.Health.ForceDump(reason); derr == nil {
 			dumps = append(dumps, path)
 		}
@@ -236,8 +214,8 @@ func (s *Stack) AuditErr(reason string) (dumps []string, err error) {
 	return dumps, err
 }
 
-// Close stops the debug server, the load sampler and the health engine. Safe
-// after a failed Start and more than once.
+// Close stops the debug server, the load sampler and the dumper. Safe after a
+// failed Start and more than once.
 func (s *Stack) Close() {
 	if s.debug != nil {
 		s.debug.Close()

@@ -75,7 +75,7 @@ func driven(t *testing.T, role string, opts Options, slowWrite time.Duration) *n
 	if err := srv.AddObject("vol", "a", []byte("a v1")); err != nil {
 		t.Fatal(err)
 	}
-	src, stats := srv.StateSource(), srv.Stats
+	src := srv.StateSource()
 	if role == "proxy" {
 		px, err := proxy.New(proxy.Config{
 			ID: "edge", Addr: "edge:1", Net: net, Clock: clk, Upstream: origin.Addr, Volume: "vol",
@@ -86,9 +86,9 @@ func driven(t *testing.T, role string, opts Options, slowWrite time.Duration) *n
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { px.Close() })
-		target, src, stats = px.Addr(), px.StateSource(), px.Stats
+		target, src = px.Addr(), px.StateSource()
 	}
-	if err := n.stack.Start(src, stats); err != nil {
+	if err := n.stack.Start(src); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,8 +187,7 @@ func TestSeriesSurface(t *testing.T) {
 			// role, every entry answers, and the startup line printed it.
 			index := strings.Fields(strings.TrimPrefix(get(t, base+"/"), "lease debug server"))
 			mounted := []string{"/metrics", "/debug/pprof/", "/debug/events", "/debug/leases",
-				"/debug/audit", "/debug/cost", "/debug/health", "/debug/flightrecorder",
-				"/debug/spans"}
+				"/debug/audit", "/debug/cost", "/debug/flightrecorder", "/debug/spans"}
 			if role == "proxy" {
 				mounted = slices.DeleteFunc(mounted, func(p string) bool { return p == "/debug/audit" })
 			}
@@ -277,27 +276,31 @@ func TestSlowWriteEmitsOneEvent(t *testing.T) {
 	}
 }
 
-// audited is an audited stack with a flight recorder dumping into dir, fed a
-// volume lease grant per epoch.
-func audited(t *testing.T, dir string, epochs ...core.Epoch) *Stack {
+// audited is an audited stack on clk with a flight recorder dumping into
+// dir, fed a volume lease grant per epoch.
+func audited(t *testing.T, clk clock.Clock, dir string, epochs ...core.Epoch) *Stack {
 	t.Helper()
 	t.Setenv("FLIGHT_DUMP_DIR", "") // the dump must land in dir
-	stack := New(Options{Node: "srv", Table: table, Audit: true, Flight: 64, FlightDir: dir})
+	stack := New(Options{Node: "srv", Clock: clk, Table: table, Audit: true, Flight: 64, FlightDir: dir})
 	t.Cleanup(stack.Close)
-	now := time.Now()
-	for _, epoch := range epochs {
-		stack.Obs.Emit(obs.Event{Type: obs.EvVolLeaseGrant, At: now, Node: "srv", Client: "c", Volume: "v", Epoch: epoch})
-	}
+	grant(stack, epochs...)
 	return stack
+}
+
+func grant(stack *Stack, epochs ...core.Epoch) {
+	for _, epoch := range epochs {
+		stack.Obs.Emit(obs.Event{Type: obs.EvVolLeaseGrant, At: stack.opts.Clock.Now(), Node: "srv", Client: "c", Volume: "v", Epoch: epoch})
+	}
 }
 
 // TestAuditViolationLeavesFlightDump crafts an invariant violation (an epoch
 // moving backwards) and asserts AuditErr — leased's exit status at shutdown —
 // returns an error and leaves one parseable flight dump behind, whose path it
-// returns.
+// returns: the violation's own freeze, written at once although its tail has
+// not run out.
 func TestAuditViolationLeavesFlightDump(t *testing.T) {
 	dir := t.TempDir()
-	stack := audited(t, dir, 5, 3) // 5 then 3: epoch monotonicity breach
+	stack := audited(t, clock.Real{}, dir, 5, 3) // 5 then 3: epoch monotonicity breach
 	if len(stack.Audit.Violations()) == 0 {
 		t.Fatal("crafted event stream recorded no violation")
 	}
@@ -313,8 +316,42 @@ func TestAuditViolationLeavesFlightDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Events) != 2 || d.Trigger == nil {
+	if len(d.Events) != 2 || d.Trigger == nil || d.Trigger.Cause != health.CauseAudit {
 		t.Fatalf("dump = %d events, trigger %+v", len(d.Events), d.Trigger)
+	}
+}
+
+// TestAuditViolationFreezesOnceAfterTail: on a simulated clock, the first
+// violation freezes exactly one dump health.Tail later, and a second one
+// inside the cooldown freezes none — not even when Close flushes.
+func TestAuditViolationFreezesOnceAfterTail(t *testing.T) {
+	dir := t.TempDir()
+	sim := clock.NewSimulated(clock.Epoch)
+	stack := audited(t, sim, dir, 5, 3)
+	if d, ok := sim.NextDeadline(); !ok || !d.Equal(clock.Epoch.Add(health.Tail)) {
+		t.Fatalf("violation armed %v, %v; want a freeze at +%v", d, ok, health.Tail)
+	}
+	sim.Advance(health.Tail - time.Nanosecond)
+	if files := stack.Health.Files(); len(files) != 0 {
+		t.Fatalf("froze %v before the tail ran out", files)
+	}
+	sim.Advance(time.Nanosecond)
+	for deadline := time.Now().Add(2 * time.Second); len(stack.Health.Files()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no dump after the tail")
+		}
+	}
+	before := len(stack.Audit.Violations())
+	grant(stack, 2) // 3 then 2: a second breach, inside the cooldown
+	if len(stack.Audit.Violations()) == before {
+		t.Fatal("the second breach recorded no violation")
+	}
+	if d, ok := sim.NextDeadline(); ok {
+		t.Fatalf("the second violation armed a freeze at %v", d)
+	}
+	stack.Close()
+	if files, _ := filepath.Glob(filepath.Join(dir, "flight-*.json")); len(files) != 1 {
+		t.Fatalf("dumps on disk: %v, want exactly one", files)
 	}
 }
 
@@ -322,7 +359,7 @@ func TestAuditViolationLeavesFlightDump(t *testing.T) {
 // freezes nothing.
 func TestAuditCleanLeavesNoDump(t *testing.T) {
 	dir := t.TempDir()
-	stack := audited(t, dir, 3, 5)
+	stack := audited(t, clock.Real{}, dir, 3, 5)
 	dumps, err := stack.AuditErr("audit violations at shutdown")
 	if err != nil || len(dumps) != 0 {
 		t.Fatalf("clean run: AuditErr = %v, %v; want nil, no dumps", dumps, err)

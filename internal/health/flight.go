@@ -1,18 +1,17 @@
-// Package health is the black-box diagnostic layer of the live lease
-// stack: a flight recorder continuously retaining the last seconds of
-// protocol events, causal spans, and per-second metric snapshots; an
-// anomaly detector engine evaluating rules on the live event stream
-// (ack-wait spikes, renewal storms, invalidation backlog, unreachable-set
-// growth, audit violations, epoch bumps); and a health surface summarizing
-// detector state at /debug/health and lease_health_* gauges.
+// Package health is the black box of the live lease stack: a flight
+// recorder continuously retaining the last seconds of protocol events and
+// causal spans, frozen into a dump file — with the node's per-second load
+// and its lease table — when an operator asks (ForceDump, POST
+// /debug/flightrecorder?freeze=1) or the auditor records a violation
+// (Dumper.Trigger).
 //
 // The paper's hardest moments — renewal storms after a server crash,
 // unreachable-client wait-outs, invalidation backlog on a hot volume — are
 // exactly the moments where scraped metrics are too coarse and the full
 // event stream too big to keep. The flight recorder solves this the way an
 // aircraft recorder does: it always retains a bounded trailing window, and
-// an anomaly freezes the window into a timestamped dump file with both the
-// pre-trigger context and a post-trigger tail.
+// a freeze writes the window into a timestamped dump file. Alerting on the
+// scraped metrics is the scraper's job (cmd/leasemon's rule table).
 //
 // Like the rest of the observability layer, everything is pay-for-what-you-
 // use: a nil *FlightRecorder is a valid, disabled recorder whose Observe is
@@ -22,11 +21,14 @@ package health
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/cost"
@@ -34,41 +36,31 @@ import (
 	"repro/internal/state"
 )
 
-// Trigger identifies the anomaly that froze a flight recording: which
-// detector fired, when, and the threshold-versus-observed pair that made
-// the call. It is embedded verbatim in the dump file so a postmortem
-// starts from the verdict, not from raw data.
+// Trigger says why a flight recording was frozen and when. It is embedded
+// verbatim in the dump file so a postmortem starts from the cause, not from
+// raw data.
 type Trigger struct {
-	Detector  string    `json:"detector"`
-	At        time.Time `json:"at"`
-	Threshold float64   `json:"threshold"`
-	Observed  float64   `json:"observed"`
-	// Detail is a human-readable one-liner ("p99 ack wait 1.2s over 30s
-	// window"), for log lines and the leasemon dump view.
+	// Cause is CauseAudit, "manual" (ForceDump) or "test-failure"
+	// (FailureDump); it names the dump file too.
+	Cause string    `json:"cause"`
+	At    time.Time `json:"at"`
+	// Detail is a human-readable one-liner (the violation, the test name),
+	// for log lines and the leasemon dump view.
 	Detail string `json:"detail,omitempty"`
 }
 
 // String renders the trigger for logs.
 func (t Trigger) String() string {
-	s := fmt.Sprintf("%s: observed %g, threshold %g", t.Detector, t.Observed, t.Threshold)
-	if t.Detail != "" {
-		s += " (" + t.Detail + ")"
+	if t.Detail == "" {
+		return t.Cause
 	}
-	return s
-}
-
-// MetricSample is one per-second snapshot of selected metric values, taken
-// by the engine tick and retained in the flight ring alongside events.
-type MetricSample struct {
-	Unix   int64              `json:"unix"`
-	Values map[string]float64 `json:"values"`
+	return t.Cause + ": " + t.Detail
 }
 
 // FlightRecorder continuously retains the most recent protocol events in an
 // obs.Ring (one allocation plus two atomic ops per recorded event, no mutex
-// on the record path), plus per-second metric samples and references to the
-// span recorder and cost accounting whose own rings are snapshotted at freeze
-// time.
+// on the record path), plus references to the span recorder, cost
+// accounting and lease-state source that are snapshotted at freeze time.
 //
 // A nil *FlightRecorder is a valid, disabled recorder: Observe is a nil
 // check and the event never escapes, which is the zero-allocation fast
@@ -77,8 +69,6 @@ type FlightRecorder struct {
 	node   string
 	window time.Duration
 	events *obs.Ring[obs.Event]
-	// Per-second metric samples, written by the engine tick, covering window.
-	samples *obs.Ring[MetricSample]
 
 	// Attached sources, set before traffic starts; all optional.
 	spans *obs.SpanRecorder
@@ -96,12 +86,7 @@ func NewFlightRecorder(node string, size int, window time.Duration) *FlightRecor
 	if window <= 0 {
 		window = 60 * time.Second
 	}
-	return &FlightRecorder{
-		node:    node,
-		window:  window,
-		events:  obs.NewRing[obs.Event](size),
-		samples: obs.NewRing[MetricSample](int(window/time.Second) + 1),
-	}
+	return &FlightRecorder{node: node, window: window, events: obs.NewRing[obs.Event](size)}
 }
 
 // AttachSpans arranges for freezes to include the span recorder's retained
@@ -153,15 +138,6 @@ func (f *FlightRecorder) Total() uint64 {
 	return f.events.Total()
 }
 
-// Sample retains one per-second metric snapshot, overwriting the oldest
-// once the ring covers the window. The engine tick calls it; tests may too.
-func (f *FlightRecorder) Sample(s MetricSample) {
-	if f == nil {
-		return
-	}
-	f.samples.Add(s)
-}
-
 // Events returns the retained events with At in [now-window, now], oldest
 // first.
 func (f *FlightRecorder) Events(now time.Time) []obs.Event {
@@ -181,8 +157,7 @@ func (f *FlightRecorder) Events(now time.Time) []obs.Event {
 
 // Snapshot freezes the recorder into a Dump: the trailing event window,
 // the attached span recorder's retained spans, the attached accounting's
-// per-second load, and the per-second metric samples. tr (optional)
-// names the anomaly that caused the freeze.
+// per-second load and the attached lease state. tr (optional) says why.
 func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 	d := Dump{WrittenAt: now}
 	if f == nil {
@@ -204,8 +179,6 @@ func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 		}
 	}
 	d.Seconds = f.cost.Seconds()
-	d.Samples = f.samples.Snapshot()
-	sort.Slice(d.Samples, func(i, j int) bool { return d.Samples[i].Unix < d.Samples[j].Unix })
 	if f.state != nil {
 		ls := f.state.Snapshot()
 		d.LeaseState = &ls
@@ -213,8 +186,8 @@ func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 	return d
 }
 
-// Dump is a frozen flight recording — the file format written next to an
-// anomaly and served at /debug/flightrecorder. Everything is plain JSON so
+// Dump is a frozen flight recording — the file format written on a freeze and
+// served at /debug/flightrecorder. Everything is plain JSON so
 // leasemon, tests, and humans parse it the same way.
 type Dump struct {
 	Node          string          `json:"node"`
@@ -224,7 +197,6 @@ type Dump struct {
 	Events        []obs.EventJSON `json:"events"`
 	Spans         []obs.SpanJSON  `json:"spans,omitempty"`
 	Seconds       []cost.Second   `json:"seconds,omitempty"`
-	Samples       []MetricSample  `json:"samples,omitempty"`
 	// LeaseState is the node's frozen lease-table snapshot (who held what
 	// until when at freeze time), attached via AttachState.
 	LeaseState *state.Dump `json:"lease_state,omitempty"`
@@ -232,7 +204,7 @@ type Dump struct {
 
 // PreTriggerSpan reports how much event history before the trigger the dump
 // retains (0 when there is no trigger or no earlier event) — the quantity
-// the chaos acceptance test asserts on.
+// the chaos test asserts on.
 func (d Dump) PreTriggerSpan() time.Duration {
 	if d.Trigger == nil || len(d.Events) == 0 {
 		return 0
@@ -244,17 +216,18 @@ func (d Dump) PreTriggerSpan() time.Duration {
 	return d.Trigger.At.Sub(first)
 }
 
-// FileName builds the dump's file name: flight-<node>-<detector>-<unixms>.json.
+// FileName builds the dump's file name: flight-<node>-<cause>-<unixms>.json.
+// WriteDump appends -1, -2, … when a dump of that name already exists.
 func (d Dump) FileName() string {
-	det := "manual"
+	cause := "manual"
 	if d.Trigger != nil {
-		det = d.Trigger.Detector
+		cause = d.Trigger.Cause
 	}
 	node := d.Node
 	if node == "" {
 		node = "node"
 	}
-	return fmt.Sprintf("flight-%s-%s-%d.json", sanitize(node), sanitize(det), d.WrittenAt.UnixMilli())
+	return fmt.Sprintf("flight-%s-%s-%d.json", sanitize(node), sanitize(cause), d.WrittenAt.UnixMilli())
 }
 
 // sanitize keeps file names portable: anything outside [a-zA-Z0-9._-]
@@ -272,28 +245,48 @@ func sanitize(s string) string {
 }
 
 // WriteDump writes d under dir (created if needed) and returns the file
-// path.
+// path. It never replaces a dump already on disk: two freezes in the same
+// millisecond land as flight-….json and flight-…-1.json.
 func WriteDump(dir string, d Dump) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("health: dump dir: %w", err)
 	}
-	path := filepath.Join(dir, d.FileName())
 	data, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		return "", fmt.Errorf("health: encode dump: %w", err)
 	}
-	// Written beside its final name and renamed into place, so a dump file
-	// that exists is complete: whoever watches the directory never reads a
-	// half-written one.
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	// Written beside its final name and linked into place, so a dump file
+	// that exists is complete — whoever watches the directory never reads a
+	// half-written one — and, unlike a rename, the link fails rather than
+	// replace a dump that holds the name already.
+	tmp, err := os.CreateTemp(dir, ".flight-*.tmp")
+	if err != nil {
 		return "", fmt.Errorf("health: write dump: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	defer os.Remove(tmp.Name())
+	if err = tmp.Chmod(0o644); err == nil {
+		_, err = tmp.Write(data)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return "", fmt.Errorf("health: write dump: %w", err)
 	}
-	return path, nil
+	base := strings.TrimSuffix(d.FileName(), ".json")
+	for n := 0; ; n++ {
+		path := filepath.Join(dir, base+".json")
+		if n > 0 {
+			path = filepath.Join(dir, fmt.Sprintf("%s-%d.json", base, n))
+		}
+		err := os.Link(tmp.Name(), path)
+		if err == nil {
+			return path, nil
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			return "", fmt.Errorf("health: write dump: %w", err)
+		}
+	}
 }
 
 // ReadDump parses a dump file.
@@ -332,6 +325,6 @@ func DumpDir(fallback string) string {
 // artifact. now is passed in (rather than read here) so callers on
 // simulated time freeze the right window.
 func FailureDump(f *FlightRecorder, now time.Time, testName, fallbackDir string) (string, error) {
-	tr := &Trigger{Detector: "test-failure", At: now, Detail: testName}
+	tr := &Trigger{Cause: "test-failure", At: now, Detail: testName}
 	return WriteDump(DumpDir(fallbackDir), f.Snapshot(now, tr))
 }

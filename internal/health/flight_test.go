@@ -23,7 +23,6 @@ func evAt(at time.Time, typ obs.EventType) obs.Event {
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Observe(obs.Event{Type: obs.EvConnect})
-	f.Sample(MetricSample{})
 	f.AttachSpans(nil)
 	f.AttachCost(nil)
 	if f.Total() != 0 {
@@ -108,26 +107,6 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestFlightSampleRing(t *testing.T) {
-	f := NewFlightRecorder("n", 8, 3*time.Second) // sample capacity 4
-	for i := 0; i < 10; i++ {
-		f.Sample(MetricSample{Unix: int64(i), Values: map[string]float64{"x": float64(i)}})
-	}
-	d := f.Snapshot(clock.Epoch.Add(time.Minute), nil)
-	if len(d.Samples) != 4 {
-		t.Fatalf("retained %d samples, want 4", len(d.Samples))
-	}
-	// Newest samples retained, sorted ascending.
-	for i := 1; i < len(d.Samples); i++ {
-		if d.Samples[i].Unix <= d.Samples[i-1].Unix {
-			t.Errorf("samples not ascending: %d then %d", d.Samples[i-1].Unix, d.Samples[i].Unix)
-		}
-	}
-	if last := d.Samples[len(d.Samples)-1].Unix; last != 9 {
-		t.Errorf("newest sample unix = %d, want 9", last)
-	}
-}
-
 func TestSnapshotIncludesSpansAndTimeline(t *testing.T) {
 	base := clock.Epoch
 	sim := clock.NewSimulated(base.Add(10 * time.Second))
@@ -143,7 +122,7 @@ func TestSnapshotIncludesSpansAndTimeline(t *testing.T) {
 	acct.TapConn("n:1", "c:0").Observe(transport.Frame{Sent: true, Msg: wire.Hello{}}) // in progress at second 10
 	f.Observe(evAt(base.Add(9*time.Second), obs.EvWriteApplied))
 
-	d := f.Snapshot(sim.Now(), &Trigger{Detector: DetEpochBump, At: sim.Now(), Threshold: 1, Observed: 2})
+	d := f.Snapshot(sim.Now(), &Trigger{Cause: CauseAudit, At: sim.Now(), Detail: "epoch moved backwards"})
 	if len(d.Events) != 1 || d.Events[0].Type != "write-applied" {
 		t.Fatalf("events = %+v", d.Events)
 	}
@@ -153,7 +132,7 @@ func TestSnapshotIncludesSpansAndTimeline(t *testing.T) {
 	if len(d.Seconds) != 1 || d.Seconds[0].Msgs != 1 {
 		t.Fatalf("seconds = %+v", d.Seconds)
 	}
-	if d.Trigger == nil || d.Trigger.Detector != DetEpochBump {
+	if d.Trigger == nil || d.Trigger.Cause != CauseAudit {
 		t.Fatalf("trigger = %+v", d.Trigger)
 	}
 }
@@ -164,7 +143,7 @@ func TestDumpRoundTripAndPreTriggerSpan(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.Observe(evAt(base.Add(time.Duration(i)*time.Second), obs.EvCacheRead))
 	}
-	tr := Trigger{Detector: DetUnreachable, At: base.Add(4 * time.Second), Threshold: 3, Observed: 5, Detail: "test"}
+	tr := Trigger{Cause: CauseAudit, At: base.Add(4 * time.Second), Detail: "test"}
 	d := f.Snapshot(base.Add(6*time.Second), &tr)
 
 	dir := t.TempDir()
@@ -172,7 +151,7 @@ func TestDumpRoundTripAndPreTriggerSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name := filepath.Base(path); strings.ContainsAny(name, " ") || !strings.HasPrefix(name, "flight-srv_one-unreachable-growth-") {
+	if name := filepath.Base(path); strings.ContainsAny(name, " ") || !strings.HasPrefix(name, "flight-srv_one-audit-violation-") {
 		t.Errorf("unexpected dump file name %q", name)
 	}
 	got, err := ReadDump(path)
@@ -182,11 +161,43 @@ func TestDumpRoundTripAndPreTriggerSpan(t *testing.T) {
 	if got.Node != "srv one" || len(got.Events) != 5 || got.Trigger == nil {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
-	if got.Trigger.Detector != DetUnreachable || got.Trigger.Observed != 5 || got.Trigger.Threshold != 3 {
+	if *got.Trigger != tr {
 		t.Fatalf("trigger round trip: %+v", got.Trigger)
 	}
 	if span := got.PreTriggerSpan(); span != 4*time.Second {
 		t.Errorf("PreTriggerSpan = %v, want 4s", span)
+	}
+}
+
+// TestWriteDumpNeverReplaces: two freezes in one millisecond build the same
+// file name; the second lands beside the first instead of over it.
+func TestWriteDumpNeverReplaces(t *testing.T) {
+	dir := t.TempDir()
+	f := NewFlightRecorder("srv", 16, time.Minute)
+	f.Observe(evAt(clock.Epoch, obs.EvConnect))
+	first, err := WriteDump(dir, f.Snapshot(clock.Epoch, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Observe(evAt(clock.Epoch, obs.EvDisconnect))
+	second, err := WriteDump(dir, f.Snapshot(clock.Epoch, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == second {
+		t.Fatalf("both dumps written to %s", first)
+	}
+	for path, events := range map[string]int{first: 1, second: 2} {
+		d, err := ReadDump(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Events) != events {
+			t.Errorf("%s holds %d events, want %d", filepath.Base(path), len(d.Events), events)
+		}
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 2 {
+		t.Errorf("dump dir holds %v, want the two dumps and nothing else", files)
 	}
 }
 

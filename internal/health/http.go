@@ -10,17 +10,6 @@ import (
 	"time"
 )
 
-// Handler serves the engine's health report as JSON — the /debug/health
-// endpoint.
-func Handler(e *Engine) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(e.Snapshot())
-	}
-}
-
 // DumpInfo is one on-disk dump file in the /debug/flightrecorder listing.
 type DumpInfo struct {
 	Name     string    `json:"name"`
@@ -35,7 +24,7 @@ type DumpInfo struct {
 //	GET /debug/flightrecorder?list=1   — JSON list of written dump files
 //	GET /debug/flightrecorder?file=F   — one written dump file, verbatim
 //	POST /debug/flightrecorder?freeze=1 — force a dump to disk, return its path
-func FlightHandler(e *Engine) http.HandlerFunc {
+func FlightHandler(d *Dumper) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		switch {
@@ -44,7 +33,7 @@ func FlightHandler(e *Engine) http.HandlerFunc {
 				http.Error(w, "freeze requires POST", http.StatusMethodNotAllowed)
 				return
 			}
-			path, err := e.ForceDump("frozen via /debug/flightrecorder")
+			path, err := d.ForceDump("frozen via /debug/flightrecorder")
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -52,7 +41,7 @@ func FlightHandler(e *Engine) http.HandlerFunc {
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
 			_ = json.NewEncoder(w).Encode(map[string]string{"path": path})
 		case q.Get("list") != "":
-			infos, err := listDumps(e)
+			infos, err := listDumps(d)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -62,28 +51,27 @@ func FlightHandler(e *Engine) http.HandlerFunc {
 			enc.SetIndent("", "  ")
 			_ = enc.Encode(infos)
 		case q.Get("file") != "":
-			serveDumpFile(e, w, q.Get("file"))
+			serveDumpFile(d, w, q.Get("file"))
 		default:
-			if e == nil || e.Flight() == nil {
+			if d == nil || d.opts.Flight == nil {
 				http.Error(w, "no flight recorder attached", http.StatusNotFound)
 				return
 			}
-			d := e.Flight().Snapshot(e.opts.Clock.Now(), nil)
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
-			_ = enc.Encode(d)
+			_ = enc.Encode(d.opts.Flight.Snapshot(d.opts.Clock.Now(), nil))
 		}
 	}
 }
 
-// listDumps enumerates flight-*.json files in the engine's dump directory.
-func listDumps(e *Engine) ([]DumpInfo, error) {
+// listDumps enumerates flight-*.json files in the dump directory.
+func listDumps(d *Dumper) ([]DumpInfo, error) {
 	infos := []DumpInfo{}
-	if e == nil || e.opts.DumpDir == "" {
+	if d == nil || d.opts.DumpDir == "" {
 		return infos, nil
 	}
-	entries, err := os.ReadDir(e.opts.DumpDir)
+	entries, err := os.ReadDir(d.opts.DumpDir)
 	if os.IsNotExist(err) {
 		return infos, nil
 	}
@@ -107,8 +95,8 @@ func listDumps(e *Engine) ([]DumpInfo, error) {
 
 // serveDumpFile streams one written dump, refusing paths that escape the
 // dump directory.
-func serveDumpFile(e *Engine, w http.ResponseWriter, name string) {
-	if e == nil || e.opts.DumpDir == "" {
+func serveDumpFile(d *Dumper, w http.ResponseWriter, name string) {
+	if d == nil || d.opts.DumpDir == "" {
 		http.Error(w, "no dump directory configured", http.StatusNotFound)
 		return
 	}
@@ -116,7 +104,7 @@ func serveDumpFile(e *Engine, w http.ResponseWriter, name string) {
 		http.Error(w, "file: want a flight-*.json dump name", http.StatusBadRequest)
 		return
 	}
-	data, err := os.ReadFile(filepath.Join(e.opts.DumpDir, name))
+	data, err := os.ReadFile(filepath.Join(d.opts.DumpDir, name))
 	if os.IsNotExist(err) {
 		http.Error(w, "no such dump", http.StatusNotFound)
 		return

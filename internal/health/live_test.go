@@ -1,17 +1,16 @@
 package health_test
 
-// The live acceptance test of the flight recorder: a real server over the
-// in-memory transport, background read/write traffic for several seconds,
-// then a partition cutting a lease-holding client off mid-write. The
-// server waits the write out, marks the client unreachable, the
-// unreachable-growth detector fires, and the engine freezes the flight
-// ring into a dump file. The test then parses the dump like an operator
-// would and asserts it holds (1) at least 2s of pre-trigger context, (2) the
-// triggering anomaly with detector name, threshold, and observed value, and
-// (3) the run's load, second by second.
+// The live test of the flight recorder: a real server over the in-memory
+// transport on a simulated clock, a few seconds of background reads, then a
+// partition cutting a lease-holding client off mid-write. The server waits
+// the write out and marks the client unreachable; the test then freezes the
+// recorder the way `leasemon -freeze` would, parses the dump like an
+// operator, and asserts it holds (1) at least 2s of pre-freeze context,
+// (2) the incident's events, and (3) the run's load, second by second.
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -26,10 +25,7 @@ import (
 )
 
 func TestChaosPartitionLeavesFlightDump(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos test skipped in -short mode")
-	}
-
+	sim := clock.NewSimulated(clock.Epoch)
 	net := transport.NewMemory()
 	observer := &obs.Observer{Metrics: obs.NewRegistry()}
 	spans := obs.NewSpanRecorder(4096)
@@ -37,39 +33,47 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 
 	flight := health.NewFlightRecorder("srv", 16384, 30*time.Second)
 	flight.AttachSpans(spans)
-	acct := cost.New("srv", time.Now)
+	acct := cost.New("srv", sim.Now)
 	flight.AttachCost(acct)
+	net.Taps = []transport.Tap{acct}
+	observer.Tracer = obs.NewTracer(flight)
+
+	// The per-second sampler runs on a clock of its own, kept in step with
+	// the node's: its only timer is the sampler's, so the test can tell when
+	// the sampler has filed a second and is waiting for the next.
+	ticks := clock.NewSimulated(clock.Epoch)
 	stopSampler, sampled := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(sampled)
-		acct.Run(clock.Real{}, stopSampler)
+		acct.Run(ticks, stopSampler)
 	}()
 	defer func() {
 		close(stopSampler)
 		<-sampled
 	}()
+	armed := func() {
+		for {
+			if d, ok := ticks.NextDeadline(); ok && d.After(ticks.Now()) {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	armed()
+	advanceTo := func(at time.Time) {
+		crossed := at.Unix() > sim.Now().Unix()
+		sim.AdvanceTo(at)
+		ticks.AdvanceTo(at)
+		if crossed {
+			armed()
+		}
+	}
 
-	dumpDir := health.DumpDir(t.TempDir())
-	engine := health.NewEngine(health.Options{
-		Node:    "srv",
-		Flight:  flight,
-		DumpDir: dumpDir,
-		Tick:    100 * time.Millisecond,
-		Tail:    500 * time.Millisecond,
-		Logf:    t.Logf,
-	}, health.DefaultDetectors(health.DetectorConfig{
-		UnreachableThreshold: 1,
-		UnreachableWindow:    10,
-	})...)
-	observer.Tracer = obs.NewTracer(flight, engine)
-	engine.Start()
-	defer engine.Close()
-
-	net.Taps = []transport.Tap{acct}
 	srv, err := server.New(server.Config{
 		Name:       "srv",
 		Addr:       "srv:1",
 		Net:        net,
+		Clock:      sim,
 		Table:      core.Config{Mode: core.ModeEager, ObjectLease: 10 * time.Second, VolumeLease: 400 * time.Millisecond},
 		MsgTimeout: 50 * time.Millisecond,
 		Obs:        observer,
@@ -88,21 +92,20 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 	}
 
 	victim, err := client.Dial(net, "srv:1", client.Config{
-		ID: "victim", Skew: 10 * time.Millisecond, Timeout: time.Second, Obs: observer,
+		ID: "victim", Skew: 10 * time.Millisecond, Timeout: time.Second, Clock: sim, Obs: observer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer victim.Close()
 
-	// Pre-trigger context: ~2.6s of reads and writes so the ring holds a
-	// meaningful lead-up.
-	start := time.Now()
-	for time.Since(start) < 2600*time.Millisecond {
+	// Pre-freeze context: 2.6s of reads, one every 100ms, so the ring holds
+	// a meaningful lead-up.
+	for i := 0; i < 26; i++ {
 		if _, err := victim.Read("vol", "a"); err != nil {
 			t.Fatalf("read: %v", err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		advanceTo(sim.Now().Add(100 * time.Millisecond))
 	}
 	if _, _, err := srv.Write("b", []byte("warm")); err != nil {
 		t.Fatalf("warm write: %v", err)
@@ -110,48 +113,58 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 
 	// The incident: cut the victim off while it holds leases on "a", then
 	// write "a". The server must wait the victim's leases out, emitting the
-	// unreachable transition the detector is armed for.
+	// unreachable transition; once the write has blocked on the victim, the
+	// test moves the clock to each timer in turn until the write returns.
 	if _, err := victim.Read("vol", "a"); err != nil {
 		t.Fatalf("pre-partition read: %v", err)
 	}
 	net.Partition("victim", "srv")
-	if _, _, err := srv.Write("a", []byte("mid-partition")); err != nil {
-		t.Fatalf("mid-partition write: %v", err)
-	}
-
-	// Wait for the trigger + tail + dump write.
-	deadline := time.Now().Add(5 * time.Second)
-	var files []string
-	for time.Now().Before(deadline) {
-		files, _ = filepath.Glob(filepath.Join(dumpDir, "flight-srv-*.json"))
-		if len(files) > 0 {
-			break
+	blocked := func() bool {
+		for _, e := range flight.Events(sim.Now()) {
+			if e.Type == obs.EvWriteBlocked && e.Object == "a" {
+				return true
+			}
 		}
-		time.Sleep(50 * time.Millisecond)
+		return false
 	}
-	if len(files) == 0 {
-		t.Fatalf("no flight dump written to %s; report: %+v", dumpDir, engine.Snapshot())
+	wrote := make(chan error, 1)
+	go func() {
+		_, _, err := srv.Write("a", []byte("mid-partition"))
+		wrote <- err
+	}()
+	for done := false; !done; {
+		select {
+		case err := <-wrote:
+			if err != nil {
+				t.Fatalf("mid-partition write: %v", err)
+			}
+			done = true
+		default:
+			if d, ok := sim.NextDeadline(); ok && blocked() {
+				advanceTo(d)
+			}
+			runtime.Gosched()
+		}
 	}
 
-	d, err := health.ReadDump(files[0])
+	dumps := health.NewDumper(health.Options{Node: "srv", Clock: sim, Flight: flight, DumpDir: health.DumpDir(t.TempDir())})
+	defer dumps.Close()
+	path, err := dumps.ForceDump("partitioned write")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The triggering anomaly, with its evidence.
-	if d.Trigger == nil {
-		t.Fatal("dump has no trigger")
+	d, err := health.ReadDump(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d.Trigger.Detector != health.DetUnreachable {
-		t.Errorf("trigger detector = %q, want %q", d.Trigger.Detector, health.DetUnreachable)
+	if d.Trigger == nil || d.Trigger.Cause != "manual" {
+		t.Fatalf("dump trigger = %+v, want the manual freeze", d.Trigger)
 	}
-	if d.Trigger.Threshold != 1 || d.Trigger.Observed < 1 {
-		t.Errorf("trigger evidence threshold=%g observed=%g", d.Trigger.Threshold, d.Trigger.Observed)
-	}
-	// At least 2s of pre-trigger context in the timeline.
+	// At least 2s of pre-freeze context in the timeline.
 	if span := d.PreTriggerSpan(); span < 2*time.Second {
-		t.Errorf("pre-trigger context %v, want >= 2s (%d events)", span, len(d.Events))
+		t.Errorf("pre-freeze context %v, want >= 2s (%d events)", span, len(d.Events))
 	}
-	// The anomaly itself is in the event timeline.
+	// The incident itself is in the event timeline.
 	var sawUnreachable, sawWrite bool
 	for _, e := range d.Events {
 		switch e.Type {
@@ -162,7 +175,7 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 		}
 	}
 	if !sawUnreachable || !sawWrite {
-		t.Errorf("dump timeline missing anomaly evidence: unreachable=%v write=%v", sawUnreachable, sawWrite)
+		t.Errorf("dump timeline missing incident evidence: unreachable=%v write=%v", sawUnreachable, sawWrite)
 	}
 	// Per-second load rode along, one entry per second of the ~3s run: the
 	// sampler filed each closed second as it went.
@@ -170,5 +183,5 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 		t.Errorf("dump has %d per-second load buckets, want one per second of the run", len(d.Seconds))
 	}
 	t.Logf("dump %s: %d events over %v, %d spans, %d seconds, trigger %s",
-		filepath.Base(files[0]), len(d.Events), d.PreTriggerSpan(), len(d.Spans), len(d.Seconds), d.Trigger)
+		filepath.Base(path), len(d.Events), d.PreTriggerSpan(), len(d.Spans), len(d.Seconds), d.Trigger)
 }
