@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint staticcheck test race check cover bench bench-disabled bench-wirepath bench-e2e bench-e2e-compare flightdump statedump figures fuzz examples loadtest clean
+.PHONY: all build vet lint staticcheck test race check cover bench bench-disabled bench-wirepath bench-e2e bench-e2e-compare flightdump statedump figures figures-check fuzz examples loadtest clean
 
 all: check
 
@@ -46,9 +46,26 @@ check: build vet lint staticcheck test race
 cover:
 	$(GO) test -cover ./internal/...
 
-# Regenerates every table and figure of the paper (TSVs land in results/).
+# Regenerates every table and figure of the paper: the TSVs land in results/
+# and the printed summary is teed to results/figures_full.txt.
 figures:
-	$(GO) run ./cmd/figures -all -scale full -out results
+	@st=$$(mktemp); \
+	{ $(GO) run ./cmd/figures -all -scale full -out results; echo $$? > $$st; } | tee results/figures_full.txt; \
+	s=$$(cat $$st); rm -f $$st; exit $$s
+
+# "The figures did not move", as one command: regenerates all six files of
+# results/ in a scratch directory (running there with -out results, so the
+# summary's "-> results/figN.tsv" lines match) and fails unless each is
+# byte-identical to the committed one. About 3 minutes on 2 vCPUs; CI's
+# figures job runs it.
+FIGURE_FILES = fig5.tsv fig6.tsv fig7.tsv fig8.tsv fig9.tsv figures_full.txt
+figures-check:
+	@dir=$$(mktemp -d); trap 'rm -rf $$dir' EXIT; \
+	$(GO) build -o $$dir/figures ./cmd/figures || exit 1; \
+	(cd $$dir && ./figures -all -scale full -out results > summary.txt) || exit 1; \
+	mv $$dir/summary.txt $$dir/results/figures_full.txt; \
+	for f in $(FIGURE_FILES); do cmp results/$$f $$dir/results/$$f || exit 1; done; \
+	echo "figures-check: all of results/ reproduced byte for byte"
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

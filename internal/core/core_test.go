@@ -824,3 +824,34 @@ func TestMarkStaleAndRestoreData(t *testing.T) {
 		t.Errorf("RestoreData(ghost) = %v", err)
 	}
 }
+
+// TestDelayedDiscardsIdleHolder: the discard clock runs from a holder's
+// volume-lease expiry even when no invalidation was ever queued for it. d
+// after that expiry a holder that never renewed has lost its object leases
+// and joined the Unreachable set, whether a Sweep or its own renewal applied
+// the policy, and the renewal demands the reconnection protocol.
+func TestDelayedDiscardsIdleHolder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sweep bool
+	}{{"swept", true}, {"lazy", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTable(t, delayedCfg(20*time.Second))
+			mustGrant(t, tb, at(0), "c1", "v") // volume lease to 10: expire + d = 30
+			mustObj(t, tb, at(0), "c1", "a")   // object lease to 100; a is never written
+			if tc.sweep {
+				tb.Sweep(at(30))
+			}
+			g, err := tb.RequestVolumeLease(at(30), "c1", "v", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Status != VolumeNeedsRenewAll {
+				t.Errorf("renewal at expire + d = %v, want needs-renew-all", g.Status)
+			}
+			if s := tb.Stats(at(30)); s.ObjectLeases != 0 || s.UnreachableClients != 1 {
+				t.Errorf("stats at expire + d = %+v, want 0 object leases and 1 unreachable client", s)
+			}
+		})
+	}
+}

@@ -388,40 +388,47 @@ func (t *Table) VolumeOfObject(oid ObjectID) (VolumeID, error) {
 	return o.vol.id, nil
 }
 
-// lazyDiscard applies the InactiveDiscard policy to one client on demand:
-// if its pending list has outlived d, drop it and mark the client
-// unreachable (it has now provably missed invalidations). It reports
-// whether the client was moved to the Unreachable set by this call.
+// lazyDiscard applies the InactiveDiscard policy to one client on demand.
+// The clock runs from the client's volume-lease expiry, whether or not an
+// invalidation was ever queued for it: once d has passed, the server stops
+// tracking the client. Its pending list and object leases are dropped, and
+// if it still held either at expiry + d it joins the Unreachable set (it
+// has missed, or could yet miss, an invalidation); a client that held
+// nothing is simply forgotten. It reports whether the client was moved to
+// the Unreachable set by this call.
 func (t *Table) lazyDiscard(now time.Time, v *volume, client ClientID) bool {
 	if t.cfg.Mode != ModeDelayed || t.cfg.InactiveDiscard <= 0 {
 		return false
 	}
-	ia, ok := v.inactive[client]
-	if !ok {
+	vl, hasVol := v.at[client]
+	if hasVol && vl.valid(now) {
 		return false
 	}
-	discarded := false
-	if !now.Before(ia.since.Add(t.cfg.InactiveDiscard)) {
-		if len(ia.pending) > 0 {
-			v.unreachable[client] = struct{}{}
-			discarded = true
+	since, known := volumeBound(v, client, vl, hasVol)
+	ia, inactive := v.inactive[client]
+	if inactive {
+		since, known = ia.since, true
+	}
+	deadline := since.Add(t.cfg.InactiveDiscard)
+	if !known || now.Before(deadline) {
+		return false
+	}
+	discarded := inactive && len(ia.pending) > 0
+	delete(v.inactive, client)
+	delete(v.volExpiredAt, client)
+	for _, o := range v.objects {
+		if l, held := o.at[client]; held {
+			delete(o.at, client)
+			discarded = discarded || l.expire.After(deadline)
 		}
-		delete(v.inactive, client)
-		// Remaining object leases are dropped: the server has stopped
-		// tracking this client.
-		for _, o := range v.objects {
-			if _, held := o.at[client]; held {
-				delete(o.at, client)
-				v.unreachable[client] = struct{}{}
-				discarded = true
-			}
-		}
+	}
+	if discarded {
+		v.unreachable[client] = struct{}{}
 	}
 	return discarded
 }
 
-// SweptDiscard names a client a sweep moved from the Inactive to the
-// Unreachable set, so callers can surface the transition (the networked
+// SweptDiscard names a client a sweep moved to the Unreachable set, so callers can surface the transition (the networked
 // server turns each into an observability event).
 type SweptDiscard struct {
 	Client ClientID
@@ -453,15 +460,21 @@ func (t *Table) Sweep(now time.Time) (int, []SweptDiscard) {
 			}
 		}
 		if t.cfg.Mode == ModeDelayed && t.cfg.InactiveDiscard > 0 {
-			for client := range v.inactive {
+			discard := func(client ClientID) {
 				if t.lazyDiscard(now, v, client) {
 					discarded = append(discarded, SweptDiscard{Client: client, Volume: v.id})
 				}
 			}
+			for client := range v.inactive {
+				discard(client)
+			}
+			for client := range v.volExpiredAt {
+				discard(client)
+			}
 		}
 		// Trim the expiry log for clients that are fully forgotten.
 		for client, at := range v.volExpiredAt {
-			if now.Sub(at) > 24*time.Hour {
+			if age := now.Sub(at); age > 24*time.Hour && age > t.cfg.InactiveDiscard {
 				delete(v.volExpiredAt, client)
 			}
 		}
@@ -523,33 +536,13 @@ func (s *Stats) Add(other Stats) {
 	s.StateBytes += other.StateBytes
 }
 
-// Stats computes current counts; only leases valid at now are counted.
+// Stats computes current counts, the sum of every volume's (VolumeStats);
+// only leases valid at now are counted.
 func (t *Table) Stats(now time.Time) Stats {
 	var s Stats
-	s.Volumes = len(t.volumes)
 	for _, v := range t.volumes {
-		s.Objects += len(v.objects)
-		for _, l := range v.at {
-			if l.valid(now) {
-				s.VolumeLeases++
-			}
-		}
-		for _, o := range v.objects {
-			for _, l := range o.at {
-				if l.valid(now) {
-					s.ObjectLeases++
-				}
-			}
-		}
-		for _, ia := range v.inactive {
-			s.InactiveClients++
-			s.PendingInvalidation += len(ia.pending)
-		}
-		s.UnreachableClients += len(v.unreachable)
+		s.Add(v.stats(now))
 	}
-	records := s.ObjectLeases + s.VolumeLeases + s.PendingInvalidation +
-		s.InactiveClients + s.UnreachableClients
-	s.StateBytes = int64(records) * RecordBytes
 	return s
 }
 
@@ -569,9 +562,13 @@ func (t *Table) VolumeStats(now time.Time, vid VolumeID) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	var s Stats
-	s.Volumes = 1
-	s.Objects = len(v.objects)
+	return v.stats(now), nil
+}
+
+// stats counts one volume's records at now.
+func (v *volume) stats(now time.Time) Stats {
+	s := Stats{Volumes: 1, Objects: len(v.objects), InactiveClients: len(v.inactive),
+		UnreachableClients: len(v.unreachable)}
 	for _, l := range v.at {
 		if l.valid(now) {
 			s.VolumeLeases++
@@ -585,14 +582,12 @@ func (t *Table) VolumeStats(now time.Time, vid VolumeID) (Stats, error) {
 		}
 	}
 	for _, ia := range v.inactive {
-		s.InactiveClients++
 		s.PendingInvalidation += len(ia.pending)
 	}
-	s.UnreachableClients = len(v.unreachable)
 	records := s.ObjectLeases + s.VolumeLeases + s.PendingInvalidation +
 		s.InactiveClients + s.UnreachableClients
 	s.StateBytes = int64(records) * RecordBytes
-	return s, nil
+	return s
 }
 
 // InstallVersion is FinishWrite for caches that mirror another server's
