@@ -31,38 +31,31 @@ const (
 	ScaleFull
 )
 
+// The workloads are generated once per process and scale, the default and
+// its bursty variant together; a run at one scale never pays for the other.
 var (
-	wlOnce                                       sync.Once
-	wlSmall, wlFull, wlSmallBursty, wlFullBursty Workload
+	wlOnce [2]sync.Once
+	wls    [2][2]Workload // [small, full][default, bursty]
 )
 
 // DefaultWorkload returns the standard evaluation workload (memoized: the
 // generation cost is paid once per process).
-func DefaultWorkload(sc Scale) Workload {
-	buildWorkloads()
-	if sc == ScaleFull {
-		return wlFull
-	}
-	return wlSmall
-}
+func DefaultWorkload(sc Scale) Workload { return workloads(sc)[0] }
 
 // BurstyWorkload returns the Section 5.3 "bursty write" variant: each write
 // also modifies k ~ Exp(10) other objects of the same volume.
-func BurstyWorkload(sc Scale) Workload {
-	buildWorkloads()
-	if sc == ScaleFull {
-		return wlFullBursty
-	}
-	return wlSmallBursty
-}
+func BurstyWorkload(sc Scale) Workload { return workloads(sc)[1] }
 
-func buildWorkloads() {
-	wlOnce.Do(func() {
-		wlSmall = build("small", smallReadConfig())
-		wlFull = build("full", workload.DefaultReadConfig())
-		wlSmallBursty = burstify(wlSmall)
-		wlFullBursty = burstify(wlFull)
+func workloads(sc Scale) [2]Workload {
+	i, name, rc := 0, "small", smallReadConfig()
+	if sc == ScaleFull {
+		i, name, rc = 1, "full", workload.DefaultReadConfig()
+	}
+	wlOnce[i].Do(func() {
+		w := build(name, rc)
+		wls[i] = [2]Workload{w, burstify(w)}
 	})
+	return wls[i]
 }
 
 func smallReadConfig() workload.ReadConfig {

@@ -37,7 +37,7 @@ func TestSpecNamesAndParse(t *testing.T) {
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	for _, s := range []string{"bogus", "poll", "poll(1,2)", "volume(1)", "lease(x)", "delay(1)", "poll(1"} {
+	for _, s := range []string{"bogus", "poll", "poll(1,2)", "volume(1)", "lease(x)", "delay(1)", "poll(1", "volume(0,10)", "delay(10,100,0)", "delay(-1,100)"} {
 		if _, err := ParseSpec(s); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded", s)
 		}

@@ -6,6 +6,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -158,6 +159,11 @@ func ParseSpec(s string) (Spec, error) {
 			return fmt.Errorf("bench: %s takes %d argument(s), got %d", name, n, len(args))
 		}
 		return nil
+	}
+	// Volume and Delay run core.Table, which takes no zero or negative
+	// timeout (and reads d = 0 as ∞, so that must be written inf).
+	if (name == "volume" || name == "delay") && slices.ContainsFunc(args, func(a float64) bool { return !(a > 0) }) {
+		return Spec{}, fmt.Errorf("bench: %s needs positive arguments, got %v", name, args)
 	}
 	switch name {
 	case "polleachread":

@@ -170,6 +170,18 @@ type volume struct {
 	// volExpiredAt remembers when each client's volume lease expired, to
 	// run the InactiveDiscard clock.
 	volExpiredAt map[ClientID]time.Time
+	// objLeases counts the records in the at maps of the volume's objects,
+	// and held indexes them by client for lazyDiscard, so it is kept only
+	// when the table discards (ModeDelayed with an InactiveDiscard); nil
+	// otherwise (expiry.go).
+	objLeases int
+	held      map[ClientID]map[*object]struct{}
+	// expiries is a min-heap of the expiry of every lease record, so Stats
+	// and Sweep find the expired ones without walking the objects; expired
+	// counts the records drain removed since the last Sweep, which reports
+	// them.
+	expiries []expiry
+	expired  int
 }
 
 type inactiveState struct {
@@ -229,6 +241,9 @@ func (t *Table) CreateVolumeAt(id VolumeID, epoch Epoch) error {
 		unreachable:  make(map[ClientID]struct{}),
 		inactive:     make(map[ClientID]*inactiveState),
 		volExpiredAt: make(map[ClientID]time.Time),
+	}
+	if t.discards() {
+		t.volumes[id].held = make(map[ClientID]map[*object]struct{})
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ func (t *Table) GrantObjectLease(now time.Time, client ClientID, oid ObjectID, c
 		return ObjectGrant{}, err
 	}
 	expire := now.Add(t.cfg.ObjectLease)
-	o.at[client] = lease{granted: now, expire: expire}
+	o.vol.setObjLease(o, client, lease{granted: now, expire: expire})
 	g := ObjectGrant{Object: oid, Version: o.version, Expire: expire}
 	if clientVersion != o.version {
 		g.Data = o.data
@@ -112,7 +112,7 @@ func (t *Table) RequestVolumeLease(now time.Time, client ClientID, vid VolumeID,
 // grantVolume installs the lease and returns the granted reply.
 func (t *Table) grantVolume(now time.Time, v *volume, client ClientID) VolumeGrant {
 	expire := now.Add(t.cfg.VolumeLease)
-	v.at[client] = lease{granted: now, expire: expire}
+	v.setVolLease(client, lease{granted: now, expire: expire})
 	delete(v.volExpiredAt, client)
 	delete(v.inactive, client)
 	return VolumeGrant{Status: VolumeGranted, Volume: v.id, Expire: expire, Epoch: v.epoch}
@@ -158,11 +158,11 @@ func (t *Table) HandleRenewObjLeases(now time.Time, client ClientID, vid VolumeI
 		}
 		if o.version != h.Version {
 			res.Invalidate = append(res.Invalidate, h.Object)
-			delete(o.at, client)
+			v.dropObjLease(o, client)
 			continue
 		}
 		expire := now.Add(t.cfg.ObjectLease)
-		o.at[client] = lease{granted: now, expire: expire}
+		v.setObjLease(o, client, lease{granted: now, expire: expire})
 		res.Renew = append(res.Renew, ObjectGrant{Object: h.Object, Version: o.version, Expire: expire})
 	}
 	sort.Slice(res.Invalidate, func(i, j int) bool { return res.Invalidate[i] < res.Invalidate[j] })
@@ -232,13 +232,13 @@ func (t *Table) BeginWrite(now time.Time, oid ObjectID) (WritePlan, error) {
 	plan := WritePlan{Object: oid, Volume: v.id}
 	for client, ol := range o.at {
 		if !ol.valid(now) {
-			delete(o.at, client)
+			v.dropObjLease(o, client)
 			continue
 		}
 		if _, unreachable := v.unreachable[client]; unreachable {
 			// Figure 3 skips unreachable clients: they will resynchronize
 			// through the reconnection protocol.
-			delete(o.at, client)
+			v.dropObjLease(o, client)
 			continue
 		}
 		vl, hasVol := v.at[client]
@@ -249,7 +249,7 @@ func (t *Table) BeginWrite(now time.Time, oid ObjectID) (WritePlan, error) {
 			} else {
 				plan.Dropped = append(plan.Dropped, client)
 			}
-			delete(o.at, client)
+			v.dropObjLease(o, client)
 			continue
 		}
 		// Figure 3's wait bound is min(o.volume.expire, o.expire): the
@@ -312,7 +312,7 @@ func (t *Table) AckWriteInvalidate(now time.Time, client ClientID, oid ObjectID)
 	if err != nil {
 		return err
 	}
-	delete(o.at, client)
+	o.vol.dropObjLease(o, client)
 	return nil
 }
 
@@ -328,7 +328,7 @@ func (t *Table) FinishWrite(now time.Time, oid ObjectID, data []byte, unacked []
 	for _, client := range unacked {
 		v.unreachable[client] = struct{}{}
 		delete(v.inactive, client)
-		delete(o.at, client)
+		v.dropObjLease(o, client)
 		delete(v.at, client)
 	}
 	o.version++
@@ -397,7 +397,7 @@ func (t *Table) VolumeOfObject(oid ObjectID) (VolumeID, error) {
 // nothing is simply forgotten. It reports whether the client was moved to
 // the Unreachable set by this call.
 func (t *Table) lazyDiscard(now time.Time, v *volume, client ClientID) bool {
-	if t.cfg.Mode != ModeDelayed || t.cfg.InactiveDiscard <= 0 {
+	if !t.discards() {
 		return false
 	}
 	vl, hasVol := v.at[client]
@@ -416,16 +416,19 @@ func (t *Table) lazyDiscard(now time.Time, v *volume, client ClientID) bool {
 	discarded := inactive && len(ia.pending) > 0
 	delete(v.inactive, client)
 	delete(v.volExpiredAt, client)
-	for _, o := range v.objects {
-		if l, held := o.at[client]; held {
-			delete(o.at, client)
-			discarded = discarded || l.expire.After(deadline)
-		}
+	for o := range v.held[client] {
+		discarded = discarded || o.at[client].expire.After(deadline)
+		v.dropObjLease(o, client)
 	}
 	if discarded {
 		v.unreachable[client] = struct{}{}
 	}
 	return discarded
+}
+
+// discards reports whether the table applies the InactiveDiscard policy.
+func (t *Table) discards() bool {
+	return t.cfg.Mode == ModeDelayed && t.cfg.InactiveDiscard > 0
 }
 
 // SweptDiscard names a client a sweep moved to the Unreachable set, so callers can surface the transition (the networked
@@ -438,28 +441,17 @@ type SweptDiscard struct {
 // Sweep removes expired leases, logs volume-lease expiry times for the
 // inactivity clock, and applies the InactiveDiscard policy table-wide. The
 // networked server calls it periodically; tests call it directly. It
-// returns the number of records removed and the clients discarded to the
-// Unreachable set.
+// returns the number of expired records removed since the last Sweep
+// (counting those a Stats call removed first) and the clients discarded to
+// the Unreachable set. It walks clients, never objects.
 func (t *Table) Sweep(now time.Time) (int, []SweptDiscard) {
 	removed := 0
 	var discarded []SweptDiscard
 	for _, v := range t.volumes {
-		for client, l := range v.at {
-			if !l.valid(now) {
-				delete(v.at, client)
-				v.volExpiredAt[client] = l.expire
-				removed++
-			}
-		}
-		for _, o := range v.objects {
-			for client, l := range o.at {
-				if !l.valid(now) {
-					delete(o.at, client)
-					removed++
-				}
-			}
-		}
-		if t.cfg.Mode == ModeDelayed && t.cfg.InactiveDiscard > 0 {
+		v.drain(now)
+		removed += v.expired
+		v.expired = 0
+		if t.discards() {
 			discard := func(client ClientID) {
 				if t.lazyDiscard(now, v, client) {
 					discarded = append(discarded, SweptDiscard{Client: client, Volume: v.id})
@@ -494,6 +486,10 @@ func (t *Table) Recover(now time.Time) {
 		v.unreachable = make(map[ClientID]struct{})
 		v.inactive = make(map[ClientID]*inactiveState)
 		v.volExpiredAt = make(map[ClientID]time.Time)
+		if t.discards() {
+			v.held = make(map[ClientID]map[*object]struct{})
+		}
+		v.objLeases, v.expiries = 0, nil
 		for _, o := range v.objects {
 			o.at = make(map[ClientID]lease)
 		}
@@ -537,7 +533,8 @@ func (s *Stats) Add(other Stats) {
 }
 
 // Stats computes current counts, the sum of every volume's (VolumeStats);
-// only leases valid at now are counted.
+// only leases valid at now are counted. It removes the records expired by
+// now (Sweep still reports them) and walks no objects.
 func (t *Table) Stats(now time.Time) Stats {
 	var s Stats
 	for _, v := range t.volumes {
@@ -565,22 +562,13 @@ func (t *Table) VolumeStats(now time.Time, vid VolumeID) (Stats, error) {
 	return v.stats(now), nil
 }
 
-// stats counts one volume's records at now.
+// stats counts one volume's records at now, once drain has left only the
+// valid leases in the maps.
 func (v *volume) stats(now time.Time) Stats {
-	s := Stats{Volumes: 1, Objects: len(v.objects), InactiveClients: len(v.inactive),
+	v.drain(now)
+	s := Stats{Volumes: 1, Objects: len(v.objects), VolumeLeases: len(v.at),
+		ObjectLeases: v.objLeases, InactiveClients: len(v.inactive),
 		UnreachableClients: len(v.unreachable)}
-	for _, l := range v.at {
-		if l.valid(now) {
-			s.VolumeLeases++
-		}
-	}
-	for _, o := range v.objects {
-		for _, l := range o.at {
-			if l.valid(now) {
-				s.ObjectLeases++
-			}
-		}
-	}
 	for _, ia := range v.inactive {
 		s.PendingInvalidation += len(ia.pending)
 	}
@@ -606,7 +594,7 @@ func (t *Table) InstallVersion(now time.Time, oid ObjectID, data []byte, version
 	for _, client := range unacked {
 		v.unreachable[client] = struct{}{}
 		delete(v.inactive, client)
-		delete(o.at, client)
+		v.dropObjLease(o, client)
 		delete(v.at, client)
 	}
 	o.version = version
@@ -642,7 +630,7 @@ func (t *Table) MarkStale(now time.Time, oid ObjectID, unacked []ClientID) error
 	for _, client := range unacked {
 		v.unreachable[client] = struct{}{}
 		delete(v.inactive, client)
-		delete(o.at, client)
+		v.dropObjLease(o, client)
 		delete(v.at, client)
 	}
 	o.data = nil

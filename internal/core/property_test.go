@@ -108,6 +108,7 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 	}
 
 	for step := 0; step < 300; step++ {
+		checkCounts(t, tb, now) // after the previous action, at its time
 		now = now.Add(time.Duration(rng.Intn(8000)) * time.Millisecond)
 		cid := ClientID(fmt.Sprintf("c%d", rng.Intn(3)))
 		h := holders[cid]
@@ -157,7 +158,117 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 			}
 		}
 	}
+	checkCounts(t, tb, now)
 	return false // invariant violations fail the test directly
+}
+
+// checkCounts compares Stats' lease counts, which come from the table's
+// running counts, with a walk of every lease record valid at now.
+func checkCounts(t *testing.T, tb *Table, now time.Time) {
+	t.Helper()
+	var vols, objs int
+	for _, v := range tb.volumes {
+		for _, l := range v.at {
+			if l.valid(now) {
+				vols++
+			}
+		}
+		for _, o := range v.objects {
+			for _, l := range o.at {
+				if l.valid(now) {
+					objs++
+				}
+			}
+		}
+	}
+	if s := tb.Stats(now); s.VolumeLeases != vols || s.ObjectLeases != objs {
+		t.Fatalf("Stats counts %d volume and %d object leases; the maps hold %d and %d valid at %v",
+			s.VolumeLeases, s.ObjectLeases, vols, objs, now)
+	}
+}
+
+// TestSweepCountsRecordsStatsRemoved interleaves Stats and Sweep: a Stats
+// call removes the records expired by its now, and the next Sweep still
+// reports each of them, exactly once (lease_swept_leases_total).
+func TestSweepCountsRecordsStatsRemoved(t *testing.T) {
+	tb := newTable(t, eagerCfg()) // volume leases 10 s, object leases 100 s
+	for i, c := range []ClientID{"c1", "c2", "c3"} {
+		mustGrant(t, tb, at(float64(i)), c, "v")
+		mustObj(t, tb, at(float64(i)), c, "a")
+		mustObj(t, tb, at(float64(i)), c, "b")
+	}
+	steps := []struct {
+		sweep bool
+		sec   float64
+		want  int // Sweep's removed count
+	}{
+		{false, 11, 0}, // Stats removes c1's and c2's volume leases
+		{true, 11.5, 2},
+		{false, 12, 0},       // c3's
+		{false, 100.5, 0},    // c1's object leases
+		{true, 101.5, 1 + 4}, // with c2's, which Sweep removes itself
+		{false, 102.5, 0},    // c3's object leases
+		{false, 103, 0},
+		{true, 104, 2},
+		{true, 300, 0},
+	}
+	for _, st := range steps {
+		if !st.sweep {
+			tb.Stats(at(st.sec))
+			continue
+		}
+		if removed, _ := tb.Sweep(at(st.sec)); removed != st.want {
+			t.Errorf("Sweep at %vs removed %d records, want %d", st.sec, removed, st.want)
+		}
+	}
+}
+
+// TestExpiryIndexStaysBounded runs write_fanout's shape against one table:
+// 8 holders of one object under 10-minute leases, invalidated and granted
+// again 10 000 times within one lease term, with no Stats or Sweep to drain
+// the index. Each cycle leaves 8 object and 8 volume entries stale; the
+// index must still never exceed twice the records it indexes plus a
+// constant.
+func TestExpiryIndexStaysBounded(t *testing.T) {
+	tb, err := NewTable(Config{ObjectLease: 10 * time.Minute, VolumeLease: 10 * time.Minute, Mode: ModeEager})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateVolume("v"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateObject("v", "o", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	v := tb.volumes["v"]
+	check := func(cycle int) {
+		if records := len(v.at) + v.objLeases; len(v.expiries) > 2*records+expirySlack {
+			t.Fatalf("cycle %d: %d index entries for %d records", cycle, len(v.expiries), records)
+		}
+	}
+	now := at(0)
+	for cycle := 0; cycle < 10000; cycle++ {
+		now = now.Add(time.Millisecond)
+		for i := 0; i < 8; i++ {
+			c := ClientID(fmt.Sprintf("c%d", i))
+			mustGrant(t, tb, now, c, "v")
+			mustObj(t, tb, now, c, "o")
+			check(cycle)
+		}
+		plan, err := tb.BeginWrite(now, "o")
+		if err != nil || len(plan.Notify) != 8 {
+			t.Fatalf("cycle %d: plan %+v, %v", cycle, plan, err)
+		}
+		for _, inv := range plan.Notify {
+			if err := tb.AckWriteInvalidate(now, inv.Client, "o"); err != nil {
+				t.Fatal(err)
+			}
+			check(cycle)
+		}
+		if _, err := tb.FinishWrite(now, "o", []byte("y"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // renewVolume walks the holder through whatever the server demands,

@@ -1,7 +1,9 @@
 // Package algo implements the six cache-consistency algorithms the paper
 // evaluates (Table 1): Poll Each Read, Poll(t), Callback, Lease(t),
 // Volume Leases(tv,t), and Volume Leases with Delayed Invalidations
-// (tv,t,d), all against the sim engine.
+// (tv,t,d), all against the sim engine. The last two are not written here:
+// Volume (protocol.go) drives the shipped protocol, core.Table and
+// core.Holder, so the figures measure the rules leased and leaseproxy run.
 //
 // Shared modeling decisions (applied identically to every algorithm so that
 // relative comparisons are meaningful):
@@ -13,14 +15,15 @@
 //     copy is missing or out of date; otherwise it is a small control
 //     message. Control messages cost sim.CtrlBytes, payloads add the object
 //     size.
-//   - Server consistency state is charged at sim.LeaseRecordBytes per lease,
-//     callback record, queued invalidation, or reachability-set entry, per
-//     Section 5.2.
+//   - Server consistency state is charged at sim.LeaseRecordBytes
+//     (core.RecordBytes) per lease, callback record, queued invalidation, or
+//     reachability-set entry, per Section 5.2.
 //   - The simulation is failure-free (like the paper's), so invalidation
 //     acknowledgments arrive immediately and server writes are never
-//     delayed; the fault-tolerance path (unreachable clients, reconnection)
-//     is exercised by the Delayed Invalidations algorithm's d parameter and
-//     by the live networked implementation in internal/server.
+//     delayed. Unreachable clients and reconnection still occur: Delay with
+//     a finite d discards an idle client at expire + d through core's
+//     Sweep, and the client's next renewal runs core's reconnection
+//     protocol.
 package algo
 
 import (
@@ -31,9 +34,7 @@ import (
 	"repro/internal/sim"
 )
 
-// objKey identifies an object globally (server + object id). A volume is
-// identified by the server name alone, as the paper's evaluation groups
-// files into one volume per server (Section 4.2).
+// objKey identifies an object globally (server + object id).
 type objKey struct {
 	server, object string
 }
@@ -107,15 +108,12 @@ func (b *base) chargeState(now time.Time, server string, deltaRecords int) {
 	b.env.Rec.AdjustState(server, now, int64(deltaRecords)*sim.LeaseRecordBytes)
 }
 
-// leaseSet is a collection of leases (object or volume) with automatic
-// expiry: every grant charges one record of server state and schedules a
-// timer that releases the record the moment the lease expires. An optional
-// onExpire hook observes natural expirations (used by the delayed-
-// invalidation algorithm to start its inactivity clock).
+// leaseSet is Lease's collection of object leases with automatic expiry:
+// every grant charges one record of server state and schedules a timer that
+// releases the record the moment the lease expires.
 type leaseSet struct {
-	env      *sim.Env
-	leases   map[objKey]map[string]time.Time // key -> client -> expiry
-	onExpire func(now time.Time, k objKey, client string)
+	env    *sim.Env
+	leases map[objKey]map[string]time.Time // key -> client -> expiry
 }
 
 func newLeaseSet(env *sim.Env) *leaseSet {
@@ -126,12 +124,6 @@ func newLeaseSet(env *sim.Env) *leaseSet {
 func (ls *leaseSet) valid(now time.Time, k objKey, client string) bool {
 	exp, ok := ls.leases[k][client]
 	return ok && exp.After(now)
-}
-
-// expiry returns the client's lease expiry on k, if any.
-func (ls *leaseSet) expiry(k objKey, client string) (time.Time, bool) {
-	exp, ok := ls.leases[k][client]
-	return exp, ok
 }
 
 // grant gives client a lease on k until now+d, charging state if the client
@@ -151,9 +143,6 @@ func (ls *leaseSet) grant(now time.Time, k objKey, client string, d time.Duratio
 		cur, held := ls.leases[k][client]
 		if held && !cur.After(fireNow) {
 			ls.remove(fireNow, k, client)
-			if ls.onExpire != nil {
-				ls.onExpire(fireNow, k, client)
-			}
 		}
 	})
 }
@@ -193,36 +182,6 @@ func (ls *leaseSet) holders(now time.Time, k objKey) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// clientLeases returns, sorted, the keys on which client holds a valid
-// lease whose server matches server.
-func (ls *leaseSet) clientLeases(now time.Time, server, client string) []objKey {
-	var out []objKey
-	for k, m := range ls.leases {
-		if k.server != server {
-			continue
-		}
-		if exp, ok := m[client]; ok && exp.After(now) {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].object < out[j].object })
-	return out
-}
-
-// volKey is the lease key for a server's (single) volume.
-func volKey(server string) objKey { return objKey{server: server} }
-
-// groupedVolKey fragments a server into n volumes by object-name hash,
-// keeping the state charge on the server. n <= 1 yields the single-volume
-// key.
-func groupedVolKey(server, object string, n int) objKey {
-	if n <= 1 {
-		return volKey(server)
-	}
-	h := fnv32(object) % uint32(n)
-	return objKey{server: server, object: "\x00vol" + string(rune('0'+h%10)) + string(rune('0'+(h/10)%10))}
 }
 
 // fnv32 is a tiny FNV-1a hash for grouping.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/clock"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -59,16 +60,18 @@ func TestAuditedAlgorithmsClean(t *testing.T) {
 }
 
 // brokenVolume is a deliberately unsound variant of Volume: its writes skip
-// the invalidation round entirely, committing while holders retain valid
-// leases and stale copies. The auditor must catch it.
+// the invalidation round (BeginWrite's Notify list), committing while
+// holders retain valid leases and stale copies. The auditor must catch it.
 type brokenVolume struct{ *Volume }
 
 func (b brokenVolume) Name() string { return "BrokenVolume" }
 
 func (b brokenVolume) HandleWrite(now time.Time, e trace.Event) {
-	k := objKey{e.Server, e.Object}
-	b.bump(k)
-	b.auditWrite(now, k, b.vkey(e.Server, e.Object), 0)
+	s := b.server(e.Server)
+	ids := b.object(s, e.Object)
+	must(s.table.BeginWrite(now, ids.oid)) // its Notify list is ignored
+	version := must(s.table.FinishWrite(now, ids.oid, nil, nil))
+	b.env.Emit(obs.Event{Type: obs.EvWriteApplied, Object: ids.oid, Volume: ids.vid, Version: version, At: now})
 	b.env.Rec.Write(0)
 }
 

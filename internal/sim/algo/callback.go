@@ -43,7 +43,7 @@ func (c *Callback) HandleRead(now time.Time, e trace.Event) {
 		// A registered copy is guaranteed current: the server would have
 		// invalidated it before any write.
 		c.env.Rec.Read(false)
-		c.auditCacheRead(now, ck, objKey{})
+		c.auditCacheRead(now, ck)
 		return
 	}
 	c.msg(now, e.Server, metrics.MsgReadValidate, sim.CtrlBytes)
@@ -73,7 +73,7 @@ func (c *Callback) HandleWrite(now time.Time, e trace.Event) {
 	}
 	delete(c.callbacks, k)
 	c.bump(k)
-	c.auditWrite(now, k, objKey{}, len(clients))
+	c.auditWrite(now, k, len(clients))
 	c.env.Rec.Write(0)
 }
 

@@ -1,7 +1,6 @@
 package algo
 
 import (
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -20,25 +19,6 @@ func simObjID(k objKey) core.ObjectID {
 	return core.ObjectID(k.server + "/" + k.object)
 }
 
-// simVolID names a volume lease key: the server itself for the default
-// one-volume-per-server grouping, server/volNN for grouped fragments, and
-// the empty id for algorithms without volume leases (zero objKey).
-func simVolID(vk objKey) core.VolumeID {
-	if vk.object == "" {
-		return core.VolumeID(vk.server)
-	}
-	return core.VolumeID(vk.server + "/" + strings.TrimPrefix(vk.object, "\x00"))
-}
-
-// auditVolGrant reports a volume-lease grant.
-func (b *base) auditVolGrant(now time.Time, client string, vk objKey, expire time.Time) {
-	if !b.env.Auditing() {
-		return
-	}
-	b.env.Emit(obs.Event{Type: obs.EvVolLeaseGrant, Client: core.ClientID(client),
-		Volume: simVolID(vk), Expire: expire, At: now})
-}
-
 // auditObjGrant reports an object-lease grant carrying the version the
 // client caches after the grant.
 func (b *base) auditObjGrant(now time.Time, ck copyKey, expire time.Time) {
@@ -52,13 +32,12 @@ func (b *base) auditObjGrant(now time.Time, ck copyKey, expire time.Time) {
 
 // auditCacheRead reports a read served from cache without contacting the
 // server, with the version actually returned.
-func (b *base) auditCacheRead(now time.Time, ck copyKey, vk objKey) {
+func (b *base) auditCacheRead(now time.Time, ck copyKey) {
 	if !b.env.Auditing() {
 		return
 	}
 	b.env.Emit(obs.Event{Type: obs.EvCacheRead, Client: core.ClientID(ck.client),
-		Object: simObjID(ck.obj), Volume: simVolID(vk),
-		Version: core.Version(b.copies[ck]), At: now})
+		Object: simObjID(ck.obj), Version: core.Version(b.copies[ck]), At: now})
 }
 
 // auditInvalAck reports an eagerly delivered (and, in the failure-free
@@ -73,11 +52,10 @@ func (b *base) auditInvalAck(now time.Time, ck copyKey) {
 
 // auditWrite reports a committed write: the new authoritative version and
 // how many holders were invalidated. Call after bump.
-func (b *base) auditWrite(now time.Time, k, vk objKey, invalidated int) {
+func (b *base) auditWrite(now time.Time, k objKey, invalidated int) {
 	if !b.env.Auditing() {
 		return
 	}
 	b.env.Emit(obs.Event{Type: obs.EvWriteApplied, Object: simObjID(k),
-		Volume: simVolID(vk), Version: core.Version(b.vers[k]),
-		N: invalidated, At: now})
+		Version: core.Version(b.vers[k]), N: invalidated, At: now})
 }

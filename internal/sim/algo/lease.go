@@ -37,7 +37,7 @@ func (l *Lease) HandleRead(now time.Time, e trace.Event) {
 	if l.leases.valid(now, k, e.Client) && l.hasCopy(ck) {
 		// A valid lease guarantees the copy is current.
 		l.env.Rec.Read(!l.hasCurrentCopy(ck))
-		l.auditCacheRead(now, ck, objKey{})
+		l.auditCacheRead(now, ck)
 		return
 	}
 	l.msg(now, e.Server, metrics.MsgObjLeaseReq, sim.CtrlBytes)
@@ -60,7 +60,7 @@ func (l *Lease) HandleWrite(now time.Time, e trace.Event) {
 		invalidated++
 	}
 	l.bump(k)
-	l.auditWrite(now, k, objKey{}, invalidated)
+	l.auditWrite(now, k, invalidated)
 	l.env.Rec.Write(0)
 }
 

@@ -40,7 +40,7 @@ func (p *PollEachRead) HandleRead(now time.Time, e trace.Event) {
 func (p *PollEachRead) HandleWrite(now time.Time, e trace.Event) {
 	k := objKey{e.Server, e.Object}
 	p.bump(k)
-	p.auditWrite(now, k, objKey{}, 0)
+	p.auditWrite(now, k, 0)
 	p.env.Rec.Write(0)
 }
 
@@ -83,7 +83,7 @@ func (p *Poll) HandleRead(now time.Time, e trace.Event) {
 		// Within the timeout the cache is trusted blindly; the read is stale
 		// iff the server has written since the copy was fetched.
 		p.env.Rec.Read(!p.hasCurrentCopy(ck))
-		p.auditCacheRead(now, ck, objKey{})
+		p.auditCacheRead(now, ck)
 		return
 	}
 	p.msg(now, e.Server, metrics.MsgReadValidate, sim.CtrlBytes)
@@ -96,7 +96,7 @@ func (p *Poll) HandleRead(now time.Time, e trace.Event) {
 func (p *Poll) HandleWrite(now time.Time, e trace.Event) {
 	k := objKey{e.Server, e.Object}
 	p.bump(k)
-	p.auditWrite(now, k, objKey{}, 0)
+	p.auditWrite(now, k, 0)
 	p.env.Rec.Write(0)
 }
 

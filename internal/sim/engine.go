@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -31,8 +32,9 @@ const CtrlBytes = 40
 
 // LeaseRecordBytes is the server-state charge for one lease, callback
 // record, or queued invalidation message, per Section 5.2 ("we charge the
-// servers 16 bytes").
-const LeaseRecordBytes = 16
+// servers 16 bytes"): core's record size, which Volume and Delay's state
+// (core.Table.Stats) is counted in.
+const LeaseRecordBytes = core.RecordBytes
 
 // DataBytes is the size charged for a message carrying an object payload.
 func DataBytes(objSize int64) int64 { return CtrlBytes + objSize }
