@@ -441,9 +441,9 @@ func (c *Client) handleInvalidate(inv wire.Invalidate) {
 	}()
 }
 
-// ack acknowledges inv, echoing its trace context.
+// ack acknowledges inv, echoing its write numbers and trace context.
 func (c *Client) ack(inv wire.Invalidate) {
-	if err := c.send(wire.AckInvalidate{Objects: inv.Objects, Trace: inv.Trace}); err != nil {
+	if err := c.send(wire.AckInvalidate{Objects: inv.Objects, Trace: inv.Trace, Writes: inv.Writes}); err != nil {
 		c.logf("ack failed: %v", err)
 	}
 }

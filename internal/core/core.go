@@ -6,6 +6,12 @@
 // table and moves the resulting messages; tests drive it directly with a
 // simulated clock.
 //
+// The table alone is safe, write-time rules included: from BeginWrite to
+// FinishWrite (MarkStale for a cache) the object is granted, renewed and
+// written to nobody (ErrWriteInFlight), a client owing the write an ack gets
+// no volume lease (VolumeAckOwed), and an ack is applied only to the
+// invalidation it answers (AckWrite).
+//
 // # Protocol summary
 //
 // Clients may read a cached object only while they hold unexpired leases on
@@ -51,6 +57,10 @@ type Version int64
 
 // NoVersion is the version a client reports when it holds no cached copy.
 const NoVersion Version = -1
+
+// WriteNum numbers an object's writes from 1. An invalidation carries it,
+// and an ack that echoes it answers that write only.
+type WriteNum uint64
 
 // Epoch is a volume epoch number, incremented on server reboot so that
 // leases granted by a crashed server are recognizably stale.
@@ -128,6 +138,9 @@ var (
 	// ErrStaleEpoch reports a client request carrying an old volume epoch;
 	// the client must run the reconnection protocol.
 	ErrStaleEpoch = errors.New("core: stale volume epoch")
+	// ErrWriteInFlight refuses a grant, renewal or write of an object whose
+	// write is in flight: a fresh lease would be on the old data.
+	ErrWriteInFlight = errors.New("core: write in flight")
 )
 
 // lease is one client's lease on one object or volume (a ⟨client, expire⟩
@@ -152,6 +165,10 @@ type object struct {
 	version Version
 	at      map[ClientID]lease
 	vol     *volume
+	// writes numbers the object's writes. While one is in flight, owed is
+	// non-nil and maps each client owing it an ack to its wait bound.
+	writes WriteNum
+	owed   map[ClientID]time.Time
 }
 
 // volume mirrors Figure 2's Volume, with the delayed-invalidation additions
@@ -182,6 +199,8 @@ type volume struct {
 	// them.
 	expiries []expiry
 	expired  int
+	// writing holds the volume's objects with a write in flight.
+	writing map[*object]struct{}
 }
 
 type inactiveState struct {
@@ -241,6 +260,7 @@ func (t *Table) CreateVolumeAt(id VolumeID, epoch Epoch) error {
 		unreachable:  make(map[ClientID]struct{}),
 		inactive:     make(map[ClientID]*inactiveState),
 		volExpiredAt: make(map[ClientID]time.Time),
+		writing:      make(map[*object]struct{}),
 	}
 	if t.discards() {
 		t.volumes[id].held = make(map[ClientID]map[*object]struct{})

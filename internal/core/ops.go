@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -30,11 +31,15 @@ type ObjectGrant struct {
 }
 
 // GrantObjectLease handles REQ_OBJ_LEASE: grant (or renew) the client's
-// lease on oid and piggyback the data if the client's version is stale.
+// lease on oid and piggyback the data if the client's version is stale. It
+// refuses with ErrWriteInFlight while oid has a write in flight.
 func (t *Table) GrantObjectLease(now time.Time, client ClientID, oid ObjectID, clientVersion Version) (ObjectGrant, error) {
 	o, err := t.lookup(oid)
 	if err != nil {
 		return ObjectGrant{}, err
+	}
+	if o.owed != nil {
+		return ObjectGrant{}, fmt.Errorf("%w: %q", ErrWriteInFlight, oid)
 	}
 	expire := now.Add(t.cfg.ObjectLease)
 	o.vol.setObjLease(o, client, lease{granted: now, expire: expire})
@@ -60,6 +65,9 @@ const (
 	// epoch; the server must run the reconnection protocol (MUST_RENEW_ALL,
 	// then HandleRenewObjLeases, then ConfirmReconnect) before granting.
 	VolumeNeedsRenewAll
+	// VolumeAckOwed: the client owes writes in flight (Owed) an ack; a lease
+	// granted now could outlive their bound, so ask again once they finish.
+	VolumeAckOwed
 )
 
 // String names the status.
@@ -71,6 +79,8 @@ func (s VolumeGrantStatus) String() string {
 		return "pending-invalidations"
 	case VolumeNeedsRenewAll:
 		return "needs-renew-all"
+	case VolumeAckOwed:
+		return "ack-owed"
 	default:
 		return fmt.Sprintf("status(%d)", int(s))
 	}
@@ -83,16 +93,26 @@ type VolumeGrant struct {
 	Expire     time.Time  // valid when Status == VolumeGranted
 	Epoch      Epoch      // current volume epoch
 	Invalidate []ObjectID // pending invalidations, when Status == VolumePendingInvalidations
+	Owed       []ObjectID // objects whose writes await the client's ack, when Status == VolumeAckOwed
 }
 
 // RequestVolumeLease handles REQ_VOL_LEASE (Figure 3, "Server grants lease
 // for volume v"). Depending on the client's standing it either grants
-// immediately, demands delivery of queued invalidations first, or demands
-// the full reconnection protocol.
+// immediately, demands delivery of queued invalidations first, demands the
+// full reconnection protocol, or defers while the client owes an ack.
 func (t *Table) RequestVolumeLease(now time.Time, client ClientID, vid VolumeID, clientEpoch Epoch) (VolumeGrant, error) {
 	v, err := t.volumeOf(vid)
 	if err != nil {
 		return VolumeGrant{}, err
+	}
+	var owed []ObjectID
+	for o := range v.writing {
+		if _, ok := o.owed[client]; ok {
+			owed = append(owed, o.id)
+		}
+	}
+	if len(owed) > 0 {
+		return VolumeGrant{Status: VolumeAckOwed, Volume: vid, Epoch: v.epoch, Owed: owed}, nil
 	}
 	t.lazyDiscard(now, v, client)
 	if _, unreachable := v.unreachable[client]; unreachable || clientEpoch != v.epoch {
@@ -142,11 +162,17 @@ type RenewResult struct {
 // HandleRenewObjLeases processes RENEW_OBJ_LEASES from a reconnecting
 // client (Figure 3, recoverUnreachableClient): objects whose version
 // changed while the client was away are invalidated; the rest get fresh
-// leases.
+// leases. While one of the objects has a write in flight it changes nothing
+// and refuses with ErrWriteInFlight.
 func (t *Table) HandleRenewObjLeases(now time.Time, client ClientID, vid VolumeID, held []HeldObject) (RenewResult, error) {
 	v, err := t.volumeOf(vid)
 	if err != nil {
 		return RenewResult{}, err
+	}
+	for _, h := range held {
+		if o, ok := v.objects[h.Object]; ok && o.owed != nil {
+			return RenewResult{}, fmt.Errorf("%w: %q", ErrWriteInFlight, h.Object)
+		}
 	}
 	var res RenewResult
 	for _, h := range held {
@@ -208,9 +234,11 @@ type QueuedInvalidation struct {
 // report delayed-mode side effects for observability: clients moved to the
 // Inactive set with the invalidation queued, and clients routed straight to
 // the Unreachable set because their discard window had already elapsed.
+// Write is the write's number, for the invalidations to carry.
 type WritePlan struct {
 	Object  ObjectID
 	Volume  VolumeID
+	Write   WriteNum
 	Notify  []Invalidation
 	Queued  []QueuedInvalidation
 	Dropped []ClientID
@@ -219,17 +247,25 @@ type WritePlan struct {
 // BeginWrite starts a write of oid (Figure 3, "Server writes object o").
 // In ModeEager every valid object-lease holder (not already unreachable) is
 // notified. In ModeDelayed holders whose volume lease has expired are
-// instead moved to the Inactive set with the invalidation queued.
+// instead moved to the Inactive set with the invalidation queued. The write
+// is in flight, each notified client owing it an ack, until FinishWrite or
+// MarkStale.
 func (t *Table) BeginWrite(now time.Time, oid ObjectID) (WritePlan, error) {
 	o, err := t.lookup(oid)
 	if err != nil {
 		return WritePlan{}, err
 	}
+	if o.owed != nil {
+		return WritePlan{}, fmt.Errorf("%w: %q", ErrWriteInFlight, oid)
+	}
 	if t.writeFence.After(now) {
 		return WritePlan{}, fmt.Errorf("%w (until %v)", ErrWriteFenced, t.writeFence)
 	}
 	v := o.vol
-	plan := WritePlan{Object: oid, Volume: v.id}
+	o.writes++
+	o.owed = make(map[ClientID]time.Time, len(o.at))
+	v.writing[o] = struct{}{}
+	plan := WritePlan{Object: oid, Volume: v.id, Write: o.writes}
 	for client, ol := range o.at {
 		if !ol.valid(now) {
 			v.dropObjLease(o, client)
@@ -261,6 +297,7 @@ func (t *Table) BeginWrite(now time.Time, oid ObjectID) (WritePlan, error) {
 			bound = volBound
 		}
 		plan.Notify = append(plan.Notify, Invalidation{Client: client, LeaseExpire: bound})
+		o.owed[client] = bound
 	}
 	sort.Slice(plan.Notify, func(i, j int) bool { return plan.Notify[i].Client < plan.Notify[j].Client })
 	return plan, nil
@@ -305,35 +342,79 @@ func (t *Table) queuePending(now time.Time, v *volume, client ClientID, oid Obje
 	return true, since
 }
 
-// AckWriteInvalidate records a client's ACK_INVALIDATE for oid during a
-// write: the client has dropped its copy, so its object lease is released.
-func (t *Table) AckWriteInvalidate(now time.Time, client ClientID, oid ObjectID) error {
+// AckWrite records client's ACK_INVALIDATE for write n of oid (0: the one in
+// flight). Only an outstanding invalidation is acknowledged, releasing the
+// object lease; an ack for a finished or other write is ignored, as the
+// client may hold a lease granted since. It reports whether the ack was
+// applied and whether the write then waits on nobody.
+func (t *Table) AckWrite(now time.Time, client ClientID, oid ObjectID, n WriteNum) (applied, last bool, err error) {
 	o, err := t.lookup(oid)
 	if err != nil {
-		return err
+		return false, false, err
 	}
+	if _, owed := o.owed[client]; !owed || (n != 0 && n != o.writes) {
+		return false, false, nil
+	}
+	delete(o.owed, client)
 	o.vol.dropObjLease(o, client)
-	return nil
+	return true, len(o.owed) == 0, nil
 }
 
-// FinishWrite completes the write: clients that never acknowledged are
-// moved to the volume's Unreachable set (their leases are dropped), the
-// version is incremented, and the data installed.
+// AckWriteInvalidate is AckWrite for the write in flight on oid.
+func (t *Table) AckWriteInvalidate(now time.Time, client ClientID, oid ObjectID) error {
+	_, _, err := t.AckWrite(now, client, oid, 0)
+	return err
+}
+
+// Unacked lists, sorted, the clients that finishing oid's write at now moves
+// to the Unreachable set: those owing it an ack that still hold a lease on
+// oid. One whose lease on oid ran out missed nothing it can read.
+func (t *Table) Unacked(now time.Time, oid ObjectID) []ClientID {
+	o, err := t.lookup(oid)
+	if err != nil {
+		return nil
+	}
+	var out []ClientID
+	for client := range o.owed {
+		if l, ok := o.at[client]; ok && l.valid(now) {
+			out = append(out, client)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// FinishWrite completes the write: the clients in unacked, and those that
+// Unacked names, are moved to the volume's Unreachable set (their leases
+// are dropped), the version is incremented, and the data installed.
 func (t *Table) FinishWrite(now time.Time, oid ObjectID, data []byte, unacked []ClientID) (Version, error) {
 	o, err := t.lookup(oid)
 	if err != nil {
 		return 0, err
 	}
-	v := o.vol
-	for _, client := range unacked {
-		v.unreachable[client] = struct{}{}
-		delete(v.inactive, client)
-		v.dropObjLease(o, client)
-		delete(v.at, client)
-	}
+	t.endWrite(now, o, unacked)
 	o.version++
 	o.data = append([]byte(nil), data...)
 	return o.version, nil
+}
+
+// endWrite closes o's write at now: the clients in unacked, and those that
+// Unacked names, move to the Unreachable set.
+func (t *Table) endWrite(now time.Time, o *object, unacked []ClientID) {
+	for _, client := range append(t.Unacked(now, o.id), unacked...) {
+		o.vol.unreach(o, client)
+	}
+	o.owed = nil
+	delete(o.vol.writing, o)
+}
+
+// unreach moves a client that missed o's invalidation to the Unreachable
+// set, dropping its leases on o and on the volume.
+func (v *volume) unreach(o *object, client ClientID) {
+	v.unreachable[client] = struct{}{}
+	delete(v.inactive, client)
+	v.dropObjLease(o, client)
+	delete(v.at, client)
 }
 
 // Read returns the object's current version and data (a server-local read).
@@ -590,12 +671,8 @@ func (t *Table) InstallVersion(now time.Time, oid ObjectID, data []byte, version
 	if version <= o.version {
 		return fmt.Errorf("core: InstallVersion %d not above current %d for %q", version, o.version, oid)
 	}
-	v := o.vol
 	for _, client := range unacked {
-		v.unreachable[client] = struct{}{}
-		delete(v.inactive, client)
-		v.dropObjLease(o, client)
-		delete(v.at, client)
+		o.vol.unreach(o, client)
 	}
 	o.version = version
 	o.data = append([]byte(nil), data...)
@@ -617,22 +694,15 @@ func (t *Table) CreateObjectAt(vid VolumeID, oid ObjectID, data []byte, version 
 
 // MarkStale records that the local copy of oid no longer reflects the
 // authoritative data without assigning the new version yet (hierarchical
-// caches learn the version only when they refetch): the data is dropped,
-// and clients that failed to acknowledge the invalidation move to the
-// Unreachable set. The version is left unchanged so a later InstallVersion
-// with the upstream's number stays monotone.
+// caches learn the version only when they refetch): it finishes the write
+// as FinishWrite does, dropping the data. The version is left unchanged so
+// a later InstallVersion with the upstream's number stays monotone.
 func (t *Table) MarkStale(now time.Time, oid ObjectID, unacked []ClientID) error {
 	o, err := t.lookup(oid)
 	if err != nil {
 		return err
 	}
-	v := o.vol
-	for _, client := range unacked {
-		v.unreachable[client] = struct{}{}
-		delete(v.inactive, client)
-		v.dropObjLease(o, client)
-		delete(v.at, client)
-	}
+	t.endWrite(now, o, unacked)
 	o.data = nil
 	return nil
 }

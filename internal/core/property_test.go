@@ -15,6 +15,9 @@ import (
 // holder whose Check finds valid object AND volume leases holds the current
 // version. Both halves of the protocol are the shipped code, and server
 // writes follow the full BeginWrite / ack-or-timeout / FinishWrite path.
+// Acknowledgments may come late: after the write has timed the holder out,
+// after it has re-fetched the object, or while a later write of the object
+// waits on it; and a holder may ask for a volume lease while it owes one.
 func TestPropertyReadsNeverStale(t *testing.T) {
 	f := func(seed int64) bool {
 		return !runRandomProtocol(t, seed, false)
@@ -80,19 +83,48 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 	reachable := map[ClientID]bool{"c0": true, "c1": true, "c2": true}
 
 	now := start
+	// late holds acknowledgments sent but not yet delivered.
+	type ack struct {
+		client ClientID
+		oid    ObjectID
+		n      WriteNum
+	}
+	var late []ack
+	deliver := func() {
+		for _, a := range late {
+			if _, _, err := tb.AckWrite(now, a.client, a.oid, a.n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		late = late[:0]
+	}
 	// write runs a server write of oid to completion: a reachable holder
 	// processes the invalidation and acks; for an unreachable one the server
-	// waits out min(vol, obj), so time moves past that bound.
-	write := func(oid ObjectID, step int) {
+	// waits out min(vol, obj), so time moves past that bound. With slow set,
+	// the first reachable holder drops its copy but its ack is held back
+	// (after asking for a volume lease, with renew set), so the write waits
+	// out its bound too. Late acks may arrive while the write is in flight.
+	write := func(oid ObjectID, step int, slow, renew bool) {
 		plan, err := tb.BeginWrite(now, oid)
 		if err != nil {
 			return // write fence, etc.
 		}
-		var unacked []ClientID
+		if rng.Intn(2) == 0 {
+			deliver()
+		}
 		for _, inv := range plan.Notify {
-			if reachable[inv.Client] {
-				holders[inv.Client].Invalidate([]ObjectID{oid})
-				if err := tb.AckWriteInvalidate(now, inv.Client, oid); err != nil {
+			h := holders[inv.Client]
+			switch {
+			case reachable[inv.Client] && slow:
+				slow = false
+				if renew {
+					renewVolume(t, tb, inv.Client, h, now)
+				}
+				h.Invalidate([]ObjectID{oid})
+				late = append(late, ack{inv.Client, oid, plan.Write})
+			case reachable[inv.Client]:
+				h.Invalidate([]ObjectID{oid})
+				if _, _, err := tb.AckWrite(now, inv.Client, oid, plan.Write); err != nil {
 					t.Fatal(err)
 				}
 				continue
@@ -100,9 +132,8 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 			if inv.LeaseExpire.After(now) {
 				now = inv.LeaseExpire.Add(time.Millisecond)
 			}
-			unacked = append(unacked, inv.Client)
 		}
-		if _, err := tb.FinishWrite(now, oid, []byte(fmt.Sprintf("w%d", step)), unacked); err != nil {
+		if _, err := tb.FinishWrite(now, oid, []byte(fmt.Sprintf("w%d", step)), tb.Unacked(now, oid)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +145,7 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		h := holders[cid]
 		oid := objects[rng.Intn(len(objects))]
 
-		switch op := rng.Intn(11); {
+		switch op := rng.Intn(14); {
 		case op < 5: // client read; op 4: its grant is overtaken by a write
 			if !reachable[cid] {
 				// A partitioned client can only read from cache, and only
@@ -135,7 +166,7 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 				if op == 4 {
 					// The write's invalidation reaches the holder before
 					// the grant does, which must then be dropped.
-					write(oid, step)
+					write(oid, step, false, false)
 				}
 				if err := h.GrantObject(token, "v", g, g.Data != nil, anchor(now)); err != nil {
 					t.Fatalf("GrantObject: %v", err)
@@ -144,7 +175,7 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 			checkInvariant(t, tb, cid, h, oid, now)
 
 		case op < 8: // server write
-			write(oid, step)
+			write(oid, step, false, false)
 
 		case op < 9: // partition / heal a client
 			reachable[cid] = !reachable[cid]
@@ -152,10 +183,19 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		case op < 10: // sweep
 			tb.Sweep(now)
 
-		default: // server crash-reboot (rare)
+		case op < 11: // server crash-reboot (rare)
 			if rng.Intn(4) == 0 {
 				tb.Recover(now)
 			}
+
+		case op < 12: // server write with a slow ack
+			write(oid, step, true, false)
+
+		case op < 13: // server write, and a renewal while an ack is owed
+			write(oid, step, true, true)
+
+		default: // late acks arrive, perhaps after a re-grant
+			deliver()
 		}
 	}
 	checkCounts(t, tb, now)

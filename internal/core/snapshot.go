@@ -36,6 +36,14 @@ type InactiveSnapshot struct {
 	Pending []ObjectID `json:"pending,omitempty"`
 }
 
+// PendingAck is an outstanding write invalidation: the write of Object
+// waits for Client's ack until Deadline, the client's lease bound.
+type PendingAck struct {
+	Client   ClientID  `json:"client"`
+	Object   ObjectID  `json:"object"`
+	Deadline time.Time `json:"deadline,omitempty"`
+}
+
 // VolumeSnapshot is the full consistency state of one volume at TakenAt.
 type VolumeSnapshot struct {
 	Volume       VolumeID           `json:"volume"`
@@ -46,6 +54,7 @@ type VolumeSnapshot struct {
 	Objects      []ObjectSnapshot   `json:"objects,omitempty"`
 	Unreachable  []ClientID         `json:"unreachable,omitempty"`
 	Inactive     []InactiveSnapshot `json:"inactive,omitempty"`
+	PendingAcks  []PendingAck       `json:"pending_acks,omitempty"`
 }
 
 // Snapshot deep-copies the table's effective lease state at now, sorted by
@@ -71,7 +80,14 @@ func (t *Table) Snapshot(now time.Time) []VolumeSnapshot {
 				Version: o.version,
 				Holders: snapshotLeases(o.at, v.unreachable, now),
 			})
+			for c, bound := range o.owed { // nil unless a write is in flight
+				vs.PendingAcks = append(vs.PendingAcks, PendingAck{Client: c, Object: o.id, Deadline: bound})
+			}
 		}
+		sort.Slice(vs.PendingAcks, func(i, j int) bool {
+			a, b := vs.PendingAcks[i], vs.PendingAcks[j]
+			return a.Client < b.Client || (a.Client == b.Client && a.Object < b.Object)
+		})
 		sort.Slice(vs.Objects, func(i, j int) bool { return vs.Objects[i].Object < vs.Objects[j].Object })
 		if len(v.unreachable) > 0 {
 			vs.Unreachable = make([]ClientID, 0, len(v.unreachable))

@@ -42,6 +42,9 @@ func TestSnapshotEffectiveView(t *testing.T) {
 	if _, err := tbl.BeginWrite(base.Add(time.Second), "o2"); err != nil {
 		t.Fatal(err)
 	}
+	if err := tbl.AckWriteInvalidate(base.Add(time.Second), "c2", "o2"); err != nil { // c2 answers
+		t.Fatal(err)
+	}
 	if _, err := tbl.FinishWrite(base.Add(time.Second), "o2", []byte("b2"), []ClientID{"c3"}); err != nil {
 		t.Fatal(err)
 	}

@@ -250,14 +250,12 @@ func TestDumpFreezesAttachedLeaseState(t *testing.T) {
 		Server: &state.ServerSnapshot{
 			TakenAt:   base.Add(time.Second),
 			Connected: []core.ClientID{"c1"},
-			Volumes: []state.VolumeState{{
-				VolumeSnapshot: core.VolumeSnapshot{
-					Volume: "vol", Epoch: 2, TakenAt: base.Add(time.Second),
-					VolumeLeases: []core.LeaseSnapshot{
-						{Client: "c1", Granted: base, Expire: base.Add(10 * time.Second)},
-					},
+			Volumes: []core.VolumeSnapshot{{
+				Volume: "vol", Epoch: 2, TakenAt: base.Add(time.Second),
+				VolumeLeases: []core.LeaseSnapshot{
+					{Client: "c1", Granted: base, Expire: base.Add(10 * time.Second)},
 				},
-				PendingAcks: []state.PendingAck{{Client: "c1", Object: "a", Deadline: base.Add(10 * time.Second)}},
+				PendingAcks: []core.PendingAck{{Client: "c1", Object: "a", Deadline: base.Add(10 * time.Second)}},
 			}},
 		},
 	}

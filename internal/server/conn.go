@@ -37,21 +37,21 @@ type clientConn struct {
 	gone chan struct{}
 }
 
-// invalItem is one queued invalidation, carrying the originating write's
-// trace so the flusher can record a fan-out span and propagate the context
+// invalItem is one queued invalidation: the object, its write's number and
+// trace, so the flusher can record a fan-out span and propagate the context
 // on the wire (trace 0 = untraced write).
 type invalItem struct {
 	oid    core.ObjectID
+	write  core.WriteNum
 	trace  uint64
 	parent uint64 // the write's root span id
 }
 
-// queueInvalidate appends oid to the outbound invalidation batch and wakes
-// the flusher. trace/parent tie the invalidation back to the write's span
-// (both 0 when the write is untraced).
-func (cc *clientConn) queueInvalidate(oid core.ObjectID, trace, parent uint64) {
+// queueInvalidate appends oid's invalidation by write n to the outbound
+// batch and wakes the flusher. trace/parent tie it to the write's span.
+func (cc *clientConn) queueInvalidate(oid core.ObjectID, n core.WriteNum, trace, parent uint64) {
 	cc.invalMu.Lock()
-	cc.invalQ = append(cc.invalQ, invalItem{oid: oid, trace: trace, parent: parent})
+	cc.invalQ = append(cc.invalQ, invalItem{oid: oid, write: n, trace: trace, parent: parent})
 	cc.invalMu.Unlock()
 	select {
 	case cc.invalKick <- struct{}{}:
@@ -87,9 +87,10 @@ func (s *Server) invalFlusher(cc *clientConn) {
 				break
 			}
 			objs := make([]core.ObjectID, len(batch))
+			writes := make([]core.WriteNum, len(batch))
 			var trace, parent uint64
 			for i, it := range batch {
-				objs[i] = it.oid
+				objs[i], writes[i] = it.oid, it.write
 				if trace == 0 && it.trace != 0 {
 					trace, parent = it.trace, it.parent
 				}
@@ -112,7 +113,7 @@ func (s *Server) invalFlusher(cc *clientConn) {
 					tc = wire.TraceContext{TraceID: trace, SpanID: parent}
 				}
 			}
-			if err := cc.conn.Send(wire.Invalidate{Objects: objs, Trace: tc}); err != nil {
+			if err := cc.conn.Send(wire.Invalidate{Objects: objs, Writes: writes, Trace: tc}); err != nil {
 				// The write's ack wait times the client out and marks it
 				// unreachable; nothing more to do here.
 				s.logf("invalidate %v to %s failed: %v", objs, cc.id, err)
@@ -267,16 +268,14 @@ func (s *Server) handleReqObjLease(cc *clientConn, req wire.ReqObjLease) error {
 		return s.park(cc, req, func() error { return s.consult(req.Object) })
 	}
 	sh.mu.Lock()
-	if guard, busy := sh.writing[req.Object]; busy {
-		sh.mu.Unlock()
-		return s.park(cc, req, func() error { return s.closedOr(guard) })
-	}
 	bound, ok := s.origin.ObjectBound(req.Object)
 	if !ok {
-		sh.mu.Unlock()
-		return s.park(cc, req, func() error { return s.consult(req.Object) })
+		return s.parkOnWrites(cc, req, sh, func() error { return s.consult(req.Object) }, req.Object)
 	}
 	g, err := sh.table.GrantObjectLease(s.cfg.Clock.Now(), cc.id, req.Object, req.Version)
+	if errors.Is(err, core.ErrWriteInFlight) {
+		return s.parkOnWrites(cc, req, sh, nil, req.Object)
+	}
 	if err == nil {
 		g.Expire = capAt(g.Expire, bound)
 		// Emitted under the shard mutex so the audit model sees the grant
@@ -305,41 +304,24 @@ func (s *Server) handleReqObjLease(cc *clientConn, req wire.ReqObjLease) error {
 }
 
 // handleReqVolLease starts a volume-renewal conversation (Figure 3's
-// "Server grants lease for volume v").
-//
-// A client with an invalidation acknowledgment outstanding in this volume
-// must not be granted a fresh volume lease yet: the pending write's wait
-// bound was computed from the leases that existed when it began, so a
-// renewal issued now could outlive that bound — the write would then
-// complete while the client still believes it may read. The grant waits
-// (off the reader goroutine) until the client acks or the write times it
-// out; in the latter case the client is unreachable and the renewal
-// correctly becomes a reconnection. Only this shard's pending acks matter:
-// a write's bound is min(object expiry, volume expiry) over leases in its
-// own volume, which a renewal of a different volume cannot extend.
+// "Server grants lease for volume v"). While the client owes a write an ack
+// the table defers it (core.VolumeAckOwed) and it waits for those writes to
+// finish: by then the client has acked, or it must reconnect.
 func (s *Server) handleReqVolLease(cc *clientConn, req wire.ReqVolLease) error {
 	sh := s.shardOf(req.Volume)
 	if sh == nil {
 		return s.sendErr(cc, req.Seq, fmt.Errorf("%w: %q", core.ErrNoSuchVolume, req.Volume))
 	}
 	sh.mu.Lock()
-	if chans := sh.pendingAcksLocked(cc.id); len(chans) > 0 {
-		sh.mu.Unlock()
-		return s.park(cc, req, func() error {
-			for _, ch := range chans {
-				if err := s.closedOr(ch); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
 	bound, ok := s.origin.VolumeBound(req.Volume)
 	if !ok {
 		sh.mu.Unlock()
 		return s.park(cc, req, func() error { return s.origin.RenewVolume(req.Volume) })
 	}
 	g, err := sh.table.RequestVolumeLease(s.cfg.Clock.Now(), cc.id, req.Volume, req.Epoch)
+	if err == nil && g.Status == core.VolumeAckOwed {
+		return s.parkOnWrites(cc, req, sh, nil, g.Owed...)
+	}
 	if err == nil {
 		// Grant and reconnect events are emitted under the shard mutex so
 		// the audit model observes them ordered against this volume's write
@@ -398,20 +380,14 @@ func (s *Server) handleRenewObjLeases(cc *clientConn, req wire.RenewObjLeases) e
 	}
 	sh.mu.Lock()
 	// Every reported object is compared against this node's copy, so each
-	// copy must be settled first: renewing a lease on an object with a write
-	// in flight would hand out a lease at the old version, and a copy the
-	// origin no longer backs has no version to compare against.
+	// copy must be settled first: the origin must back it, and the table
+	// refuses while one of them has a write in flight.
 	var bounds map[core.ObjectID]time.Time
 	for _, h := range req.Held {
-		if guard, busy := sh.writing[h.Object]; busy {
-			sh.mu.Unlock()
-			return s.park(cc, req, func() error { return s.closedOr(guard) })
-		}
 		bound, ok := s.origin.ObjectBound(h.Object)
 		if !ok {
-			sh.mu.Unlock()
 			oid := h.Object
-			return s.park(cc, req, func() error {
+			return s.parkOnWrites(cc, req, sh, func() error {
 				err := s.consult(oid)
 				if err != nil {
 					// Without the origin's word on every copy, none of them
@@ -419,7 +395,7 @@ func (s *Server) handleRenewObjLeases(cc *clientConn, req wire.RenewObjLeases) e
 					cc.takeRenewal(req.Seq, true)
 				}
 				return err
-			})
+			}, oid)
 		}
 		if !bound.IsZero() {
 			if bounds == nil {
@@ -429,6 +405,13 @@ func (s *Server) handleRenewObjLeases(cc *clientConn, req wire.RenewObjLeases) e
 		}
 	}
 	res, err := sh.table.HandleRenewObjLeases(s.cfg.Clock.Now(), cc.id, req.Volume, req.Held)
+	if errors.Is(err, core.ErrWriteInFlight) {
+		oids := make([]core.ObjectID, len(req.Held))
+		for i, h := range req.Held {
+			oids[i] = h.Object
+		}
+		return s.parkOnWrites(cc, req, sh, nil, oids...)
+	}
 	if err == nil {
 		// Renewed leases are fresh grants as far as the audit model is
 		// concerned: without these events it would judge post-reconnection
@@ -457,7 +440,7 @@ func (s *Server) handleRenewObjLeases(cc *clientConn, req wire.RenewObjLeases) e
 // in-flight writes; others complete volume-renewal conversations.
 func (s *Server) handleAckInvalidate(cc *clientConn, ack wire.AckInvalidate) error {
 	if ack.Seq == 0 {
-		s.completeWriteAcks(cc.id, ack.Objects)
+		s.completeWriteAcks(cc.id, ack)
 		return nil
 	}
 	r, ok := cc.takeRenewal(ack.Seq, false)
@@ -527,31 +510,34 @@ func (s *Server) handleAckInvalidate(cc *clientConn, ack wire.AckInvalidate) err
 	})
 }
 
-// completeWriteAcks resolves pending write waiters and releases the
-// clients' object leases. A batched invalidation may span volumes, so each
-// object is resolved through its own shard.
-func (s *Server) completeWriteAcks(client core.ClientID, objects []core.ObjectID) {
+// completeWriteAcks hands a write ack to the tables, one object at a time
+// (a batch may span volumes); each applies it only to the invalidation of
+// the echoed write number. A write's last applied ack wakes its writer.
+func (s *Server) completeWriteAcks(client core.ClientID, ack wire.AckInvalidate) {
 	now := s.cfg.Clock.Now()
-	for _, oid := range objects {
+	for i, oid := range ack.Objects {
 		sh, err := s.shardOfObject(oid)
 		if err != nil {
 			continue // object removed or never existed; nothing to release
 		}
+		var n core.WriteNum
+		if len(ack.Writes) == len(ack.Objects) {
+			n = ack.Writes[i]
+		}
 		sh.mu.Lock()
-		_ = sh.table.AckWriteInvalidate(now, client, oid)
-		// Emit before close(ch): the channel close releases the write
-		// goroutine, and the audit model must see the ack before the
-		// write's commit event.
-		s.emit(obs.Event{Type: obs.EvInvalAcked, Client: client, Object: oid, At: now})
-		key := ackKey{client: client, object: oid}
-		if aw, ok := sh.acks[key]; ok {
-			close(aw.ch)
-			delete(sh.acks, key)
+		applied, last, _ := sh.table.AckWrite(now, client, oid, n) // only error: unknown oid, ruled out above
+		if applied {
+			// Emitted before the writer is woken: the audit model must see
+			// the ack before the write's commit event.
+			s.emit(obs.Event{Type: obs.EvInvalAcked, Client: client, Object: oid, At: now})
+		}
+		if last {
+			close(sh.writes[oid].acked)
 		}
 		sh.mu.Unlock()
 	}
 	if s.om != nil {
-		s.om.invalAcked.Add(int64(len(objects)))
+		s.om.invalAcked.Add(int64(len(ack.Objects)))
 	}
 }
 

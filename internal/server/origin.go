@@ -119,7 +119,8 @@ func (s *Server) closedOr(ch <-chan struct{}) error {
 
 // consult asks the origin for its current copy of oid and installs it: what
 // a parked request waits for when ObjectBound cannot vouch for the node's
-// copy, or the node has never seen the object.
+// copy, or the node has never seen the object. A write in flight on oid
+// finishes first (parkOnWrites): the copy to vouch for is what it leaves.
 func (s *Server) consult(oid core.ObjectID) error {
 	vid, err := s.origin.Fetch(oid)
 	if err != nil {

@@ -29,12 +29,11 @@
 // another volume — so shards proceed independently and a write to volume A
 // never blocks a write to volume B.
 //
-// Within a shard, writes are serialized per object by the shard's writing
-// map: a write installs a guard channel for its object, and both later
-// writers and lease grants on that object wait for the guard. Writes to
-// distinct objects — even in the same volume — hold the shard mutex only for
-// the short in-memory table transitions and collect their invalidation
-// acknowledgments concurrently, outside any lock.
+// Within a shard, the table decides what a write in flight allows; a
+// request it refuses waits for that write's finish (shard.writes) and is
+// retried. Writes to distinct objects — even in the same volume — hold the
+// shard mutex only for the short in-memory table transitions and collect
+// their invalidation acknowledgments concurrently, outside any lock.
 //
 // Invalidation fan-out is batched per connection: writes enqueue object ids
 // on the target connection's outbound queue, and a per-connection flusher
@@ -181,11 +180,6 @@ type Server struct {
 	closed  chan struct{}
 	closeMu sync.Once
 	wg      sync.WaitGroup
-}
-
-type ackKey struct {
-	client core.ClientID
-	object core.ObjectID
 }
 
 // errClosed is returned by writes interrupted by server shutdown.

@@ -7,10 +7,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // shard is the unit of consistency-state locking: one volume, its own
-// core.Table, and the per-object write bookkeeping for that volume. The
+// core.Table, and the channels its writes in flight block on. The
 // protocol needs no ordering across volumes — a volume lease covers exactly
 // one volume and a write's ack bound min(t, t_v) only involves leases on the
 // written object and its volume — so each shard can run its lock-step
@@ -25,38 +26,37 @@ type shard struct {
 	// Server.connMu, never the reverse.
 	mu sync.Mutex
 	// table holds this volume's consistency state (exactly one volume per
-	// table).
+	// table), the write-time rules included.
 	table *core.Table
-	// acks maps an in-flight write's (client, object) pair to its wait
-	// record: the channel closed when that client acknowledges the
-	// invalidation, and the lease bound after which the write stops
-	// waiting (surfaced as the pending-ack deadline by StateSnapshot).
-	acks map[ackKey]ackWait
-	// writing guards each object with an in-flight write: lease grants on
-	// it must wait for the write to finish, or a client could receive old
-	// data with a fresh lease after the write's invalidation set was
-	// already computed (a stale-read hole). The channel closes when the
-	// write completes. It also serializes writes to one object: a second
-	// writer waits for the guard before installing its own.
-	writing map[core.ObjectID]chan struct{}
+	// writes holds the channels of each write the table has in flight.
+	writes map[core.ObjectID]inflight
 }
 
-// ackWait is one outstanding write-invalidation acknowledgment.
-type ackWait struct {
-	ch       chan struct{}
-	deadline time.Time
-}
+// inflight is one write in flight: acked closes at its last ack (the writer
+// waits on it), done at its finish (requests the table refused wait on it).
+type inflight struct{ acked, done chan struct{} }
 
-// pendingAcksLocked returns the ack channels of this shard's writes still
-// waiting on the client. sh.mu must be held.
-func (sh *shard) pendingAcksLocked(client core.ClientID) []chan struct{} {
-	var chans []chan struct{}
-	for key, aw := range sh.acks {
-		if key.client == client {
-			chans = append(chans, aw.ch)
+// parkOnWrites releases sh.mu and parks req until the writes in flight on
+// oids have finished or, when none has one, until orElse (if set) returns.
+func (s *Server) parkOnWrites(cc *clientConn, req wire.Message, sh *shard, orElse func() error, oids ...core.ObjectID) error {
+	var done []chan struct{}
+	for _, oid := range oids {
+		if w, ok := sh.writes[oid]; ok {
+			done = append(done, w.done)
 		}
 	}
-	return chans
+	sh.mu.Unlock()
+	return s.park(cc, req, func() error {
+		for _, ch := range done {
+			if err := s.closedOr(ch); err != nil {
+				return err
+			}
+		}
+		if len(done) == 0 && orElse != nil {
+			return orElse()
+		}
+		return nil
+	})
 }
 
 // newShard builds a shard for one volume at the given epoch. The table
@@ -73,12 +73,7 @@ func newShard(cfg core.Config, vid core.VolumeID, epoch core.Epoch, fence time.T
 	if !fence.IsZero() {
 		table.FenceWrites(fence)
 	}
-	return &shard{
-		vol:     vid,
-		table:   table,
-		acks:    make(map[ackKey]ackWait),
-		writing: make(map[core.ObjectID]chan struct{}),
-	}, nil
+	return &shard{vol: vid, table: table, writes: make(map[core.ObjectID]inflight)}, nil
 }
 
 // shardOf resolves a volume's shard with one atomic load, no lock.

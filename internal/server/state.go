@@ -8,36 +8,18 @@ import (
 )
 
 // StateSnapshot captures the server's lease-state view for introspection
-// (/debug/leases, lease_state_* gauges, flight-dump freezing). Each
-// volume's table and pending-ack set are copied together under that
-// volume's shard mutex, so every VolumeState is internally consistent;
-// shards are visited in the canonical sorted order one at a time, never
-// holding two mutexes, so a snapshot never stalls the write path globally
-// (see DESIGN.md §12 for the cross-shard skew this trades away).
+// (/debug/leases, lease_state_* gauges, flight-dump freezing). Each volume's
+// table, pending acks included, is copied under its shard mutex; shards are
+// visited one at a time in sorted order, so a snapshot never stalls the
+// write path globally (DESIGN.md §12: the cross-shard skew this trades).
 func (s *Server) StateSnapshot() state.Dump {
 	now := s.cfg.Clock.Now()
 	shards := s.allShards()
-	vols := make([]state.VolumeState, 0, len(shards))
+	vols := make([]core.VolumeSnapshot, 0, len(shards))
 	for _, sh := range shards {
 		sh.mu.Lock()
-		snaps := sh.table.Snapshot(s.cfg.Clock.Now())
-		var acks []state.PendingAck
-		if len(sh.acks) > 0 {
-			acks = make([]state.PendingAck, 0, len(sh.acks))
-			for key, aw := range sh.acks {
-				acks = append(acks, state.PendingAck{Client: key.client, Object: key.object, Deadline: aw.deadline})
-			}
-		}
+		vols = append(vols, sh.table.Snapshot(s.cfg.Clock.Now())...) // one volume per shard table
 		sh.mu.Unlock()
-		sort.Slice(acks, func(i, j int) bool {
-			if acks[i].Client != acks[j].Client {
-				return acks[i].Client < acks[j].Client
-			}
-			return acks[i].Object < acks[j].Object
-		})
-		for _, vs := range snaps { // one volume per shard table
-			vols = append(vols, state.VolumeState{VolumeSnapshot: vs, PendingAcks: acks})
-		}
 	}
 
 	s.connMu.Lock()
@@ -48,16 +30,8 @@ func (s *Server) StateSnapshot() state.Dump {
 	s.connMu.Unlock()
 	sort.Slice(connected, func(i, j int) bool { return connected[i] < connected[j] })
 
-	return state.Dump{
-		Role:    state.RoleServer,
-		Node:    s.cfg.Name,
-		TakenAt: now,
-		Server: &state.ServerSnapshot{
-			TakenAt:   now,
-			Connected: connected,
-			Volumes:   vols,
-		},
-	}
+	return state.Dump{Role: state.RoleServer, Node: s.cfg.Name, TakenAt: now,
+		Server: &state.ServerSnapshot{TakenAt: now, Connected: connected, Volumes: vols}}
 }
 
 // StateSource returns a nil-safe snapshot source for wiring into

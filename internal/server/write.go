@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/core"
@@ -17,10 +18,10 @@ import (
 // copy (data is ignored and the version reported is 0). It returns the new
 // version and how long the write waited.
 //
-// Writes are serialized per object, not globally: two writes to one object
-// run back to back (the second waits for the first's guard channel), while
-// writes to distinct objects — in the same volume or different ones —
-// collect their acknowledgments concurrently. The shard mutex is held only
+// Writes are serialized per object, not globally: the table refuses a
+// second write of an object until the first has finished, while writes to
+// distinct objects — in the same volume or different ones — collect their
+// acknowledgments concurrently. The shard mutex is held only
 // for the in-memory table transitions, never across the ack wait.
 func (s *Server) Write(oid core.ObjectID, data []byte) (core.Version, time.Duration, error) {
 	return s.WriteTraced(oid, data, wire.TraceContext{})
@@ -54,49 +55,31 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 		spanStart = s.cfg.Clock.Now()
 	}
 
-	type waiter struct {
-		client core.ClientID
-		ch     chan struct{}
-		bound  time.Time
-	}
-
-	// Acquire the per-object write slot: if another write to oid is in
-	// flight, wait for its guard to close, then retry.
+	// Begin the write once the object's previous write, if any, has
+	// finished. From here until the finish the table refuses grants and
+	// renewals on oid, and later writes of it.
 	var (
-		start   time.Time
-		plan    core.WritePlan
-		guard   chan struct{}
-		waiters []waiter
+		start time.Time
+		plan  core.WritePlan
 	)
 	for {
 		sh.mu.Lock()
-		prev, busy := sh.writing[oid]
-		if !busy {
+		start = s.cfg.Clock.Now()
+		if plan, err = sh.table.BeginWrite(start, oid); !errors.Is(err, core.ErrWriteInFlight) {
 			break // sh.mu stays held
 		}
+		prev := sh.writes[oid].done
 		sh.mu.Unlock()
 		if err := s.closedOr(prev); err != nil {
 			return 0, 0, err
 		}
 	}
-	start = s.cfg.Clock.Now()
-	plan, err = sh.table.BeginWrite(start, oid)
 	if err != nil {
 		sh.mu.Unlock()
 		return 0, 0, err
 	}
-	// Block lease grants on this object (and later writes to it) until the
-	// write completes, so no client can acquire a fresh lease on the old
-	// data after the invalidation set was computed.
-	guard = make(chan struct{})
-	sh.writing[oid] = guard
-	waiters = make([]waiter, 0, len(plan.Notify))
-	for _, inv := range plan.Notify {
-		key := ackKey{client: inv.Client, object: oid}
-		ch := make(chan struct{})
-		sh.acks[key] = ackWait{ch: ch, deadline: inv.LeaseExpire}
-		waiters = append(waiters, waiter{client: inv.Client, ch: ch, bound: inv.LeaseExpire})
-	}
+	w := inflight{acked: make(chan struct{}), done: make(chan struct{})}
+	sh.writes[oid] = w
 	// Delayed-mode side effects are emitted under the shard mutex so the
 	// audit model observes them strictly ordered against this volume's
 	// lease grants and ack events.
@@ -120,26 +103,26 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 			Kind: obs.SpanSerialize, Node: s.cfg.Name, Object: oid,
 			Volume: plan.Volume, Start: spanStart, Dur: start.Sub(spanStart)})
 	}
-	if len(waiters) > 0 {
-		s.emit(obs.Event{Type: obs.EvWriteBlocked, Object: oid, N: len(waiters), At: start})
+	if len(plan.Notify) > 0 {
+		s.emit(obs.Event{Type: obs.EvWriteBlocked, Object: oid, N: len(plan.Notify), At: start})
 	}
 
 	// Hand the invalidations to each target connection's outbound queue;
 	// the per-connection flusher coalesces queued objects into one
-	// multi-object Invalidate. The ack channels above are already
-	// registered, so an ack can never race ahead of its registration.
+	// multi-object Invalidate. The table recorded each one as outstanding
+	// in BeginWrite, so an ack can never race ahead of it.
 	s.connMu.Lock()
-	targets := make([]*clientConn, len(waiters))
-	for i, w := range waiters {
-		targets[i] = s.conns[w.client] // nil if not connected
+	targets := make([]*clientConn, len(plan.Notify))
+	for i, inv := range plan.Notify {
+		targets[i] = s.conns[inv.Client] // nil if not connected
 	}
 	s.connMu.Unlock()
 	for i, cc := range targets {
 		if cc == nil {
-			s.logf("write %s: client %s not connected; waiting out its lease", oid, waiters[i].client)
+			s.logf("write %s: client %s not connected; waiting out its lease", oid, plan.Notify[i].Client)
 			continue
 		}
-		cc.queueInvalidate(oid, traceID, rootID)
+		cc.queueInvalidate(oid, plan.Write, traceID, rootID)
 	}
 	var ackStart time.Time
 	if sr != nil {
@@ -151,9 +134,9 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 	// global bound) and in best-effort mode cap the whole wait at the grace
 	// period.
 	deadline := start.Add(s.cfg.MsgTimeout)
-	for _, w := range waiters {
-		if w.bound.After(deadline) {
-			deadline = w.bound
+	for _, inv := range plan.Notify {
+		if inv.LeaseExpire.After(deadline) {
+			deadline = inv.LeaseExpire
 		}
 	}
 	if s.cfg.WriteMode == WriteBestEffort {
@@ -162,58 +145,32 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 		}
 	}
 
-	var timeout <-chan time.Time
-	if len(waiters) > 0 {
+	if len(plan.Notify) > 0 {
 		// Arm the timer with the time remaining from *now*, not from start:
 		// the fan-out above takes real time, and measuring from start would
 		// silently stretch the wait past the min(t, t_v) lease bound by
 		// however long the sends took (the client-visible symptom was
 		// writes blocking well past the bound on a slow network).
-		remaining := deadline.Sub(s.cfg.Clock.Now())
-		if remaining < 0 {
-			remaining = 0
-		}
-		timeout = s.cfg.Clock.After(remaining)
-	}
-	expired := false
-	for _, w := range waiters {
-		if expired {
-			break
-		}
 		select {
-		case <-w.ch:
-		case <-timeout:
-			expired = true
+		case <-w.acked:
+		case <-s.cfg.Clock.After(deadline.Sub(s.cfg.Clock.Now())): // at once if past
 		case <-s.closed:
-			expired = true
 		}
 	}
 
-	// Collect the clients that never acknowledged and release their ack
-	// entries.
-	var unacked []core.ClientID
+	// The clients the table still waits for become unreachable at the
+	// finish. Their transitions precede the origin's commit event so the
+	// audit model never judges a dropped client against the new version.
 	now := s.cfg.Clock.Now()
 	sh.mu.Lock()
-	for _, w := range waiters {
-		key := ackKey{client: w.client, object: oid}
-		if aw, pending := sh.acks[key]; pending {
-			// Close so any volume-grant guard waiting on this client's
-			// acknowledgment unblocks (and then observes the client's new
-			// unreachable standing).
-			close(aw.ch)
-			delete(sh.acks, key)
-			unacked = append(unacked, w.client)
-		}
-	}
-	// Unreachable transitions precede the origin's commit event so the audit
-	// model never judges a dropped client against the new version.
+	unacked := sh.table.Unacked(now, oid)
 	for _, c := range unacked {
 		s.emit(obs.Event{Type: obs.EvUnreachable, Client: c, Object: oid,
 			Volume: plan.Volume, At: now})
 	}
 	version, err := s.origin.Finish(sh.table, now, plan, data, unacked)
-	delete(sh.writing, oid)
-	close(guard)
+	delete(sh.writes, oid)
+	close(w.done)
 	sh.mu.Unlock()
 	if err != nil {
 		return 0, 0, err
@@ -225,22 +182,22 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 			Start: ackStart, Dur: now.Sub(ackStart), N: len(unacked)})
 		sr.Record(obs.Span{Trace: traceID, ID: rootID, Parent: parentID,
 			Kind: obs.SpanWrite, Node: s.cfg.Name, Object: oid, Volume: plan.Volume,
-			Start: spanStart, Dur: s.cfg.Clock.Now().Sub(spanStart), N: len(waiters)})
+			Start: spanStart, Dur: s.cfg.Clock.Now().Sub(spanStart), N: len(plan.Notify)})
 	}
 	if s.om != nil {
 		s.om.ackWait.Observe(waited)
 		s.om.unreached.Add(int64(len(unacked)))
 	}
-	if len(waiters) > 0 {
+	if len(plan.Notify) > 0 {
 		s.emit(obs.Event{Type: obs.EvWriteUnblocked, Object: oid, N: len(unacked), Dur: waited, At: now})
 	}
 	if t := s.cfg.SlowWriteThreshold; t > 0 && waited >= t {
 		if s.om != nil {
 			s.om.slowWrites.Inc()
 		}
-		s.emit(obs.Event{Type: obs.EvSlowOp, Object: oid, N: len(waiters), Dur: waited, At: now})
+		s.emit(obs.Event{Type: obs.EvSlowOp, Object: oid, N: len(plan.Notify), Dur: waited, At: now})
 		s.logf("slow write %s v%d: waited %v for %d invalidation(s) (threshold %v)",
-			oid, version, waited, len(waiters), t)
+			oid, version, waited, len(plan.Notify), t)
 	}
 	if len(unacked) > 0 {
 		s.logf("write %s v%d: %d client(s) unreachable after %v", oid, version, len(unacked), waited)

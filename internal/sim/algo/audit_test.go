@@ -59,9 +59,10 @@ func TestAuditedAlgorithmsClean(t *testing.T) {
 	}
 }
 
-// brokenVolume is a deliberately unsound variant of Volume: its writes skip
-// the invalidation round (BeginWrite's Notify list), committing while
-// holders retain valid leases and stale copies. The auditor must catch it.
+// brokenVolume is a deliberately unsound variant of Volume: its writes
+// acknowledge BeginWrite's Notify list on the holders' behalf instead of
+// invalidating them, committing while holders retain valid leases and stale
+// copies. The auditor must catch it.
 type brokenVolume struct{ *Volume }
 
 func (b brokenVolume) Name() string { return "BrokenVolume" }
@@ -69,7 +70,9 @@ func (b brokenVolume) Name() string { return "BrokenVolume" }
 func (b brokenVolume) HandleWrite(now time.Time, e trace.Event) {
 	s := b.server(e.Server)
 	ids := b.object(s, e.Object)
-	must(s.table.BeginWrite(now, ids.oid)) // its Notify list is ignored
+	for _, n := range must(s.table.BeginWrite(now, ids.oid)).Notify {
+		check(s.table.AckWriteInvalidate(now, n.Client, ids.oid)) // never delivered
+	}
 	version := must(s.table.FinishWrite(now, ids.oid, nil, nil))
 	b.env.Emit(obs.Event{Type: obs.EvWriteApplied, Object: ids.oid, Volume: ids.vid, Version: version, At: now})
 	b.env.Rec.Write(0)

@@ -47,7 +47,7 @@ func (f Filter) Apply(d Dump) Dump {
 			}
 			return edge.IsZero() || l.Expire.Before(edge)
 		}
-		out := make([]VolumeState, 0, len(s.Volumes))
+		out := make([]core.VolumeSnapshot, 0, len(s.Volumes))
 		for _, vs := range s.Volumes {
 			if vols != nil && !vols[string(vs.Volume)] {
 				continue

@@ -33,30 +33,12 @@ const (
 	RoleProxy  = "proxy"
 )
 
-// PendingAck is one outstanding write-invalidation acknowledgment: the
-// server (or proxy) has sent Invalidate to Client for Object and is still
-// waiting. Deadline is the lease bound after which the server stops
-// waiting and declares the client unreachable.
-type PendingAck struct {
-	Client   core.ClientID `json:"client"`
-	Object   core.ObjectID `json:"object"`
-	Deadline time.Time     `json:"deadline,omitempty"`
-}
-
-// VolumeState is one volume's consistency state as the server sees it:
-// the table snapshot plus the write-path ack state attached to the same
-// shard (copied under the same shard mutex, so the pair is atomic).
-type VolumeState struct {
-	core.VolumeSnapshot
-	PendingAcks []PendingAck `json:"pending_acks,omitempty"`
-}
-
 // ServerSnapshot is the authoritative half of a Dump: every volume's lease
-// table plus the connection set.
+// table (pending write acks included) plus the connection set.
 type ServerSnapshot struct {
-	TakenAt   time.Time       `json:"taken_at"`
-	Connected []core.ClientID `json:"connected,omitempty"`
-	Volumes   []VolumeState   `json:"volumes,omitempty"`
+	TakenAt   time.Time             `json:"taken_at"`
+	Connected []core.ClientID       `json:"connected,omitempty"`
+	Volumes   []core.VolumeSnapshot `json:"volumes,omitempty"`
 }
 
 // ClientSnapshot is what one client believes it holds at TakenAt on its

@@ -25,17 +25,15 @@ func fixture() (Dump, []Dump) {
 		Server: &ServerSnapshot{
 			TakenAt:   base,
 			Connected: []core.ClientID{"c1", "c2"},
-			Volumes: []VolumeState{{
-				VolumeSnapshot: core.VolumeSnapshot{
-					Volume: "v", Epoch: 3, TakenAt: base,
-					VolumeLeases: []core.LeaseSnapshot{
-						{Client: "c1", Granted: base, Expire: volExp},
-						{Client: "c2", Granted: base, Expire: volExp},
-					},
-					Objects: []core.ObjectSnapshot{
-						{Object: "o1", Version: 7, Holders: []core.LeaseSnapshot{{Client: "c1", Granted: base, Expire: objExp}}},
-						{Object: "o2", Version: 2, Holders: []core.LeaseSnapshot{{Client: "c2", Granted: base, Expire: objExp}}},
-					},
+			Volumes: []core.VolumeSnapshot{{
+				Volume: "v", Epoch: 3, TakenAt: base,
+				VolumeLeases: []core.LeaseSnapshot{
+					{Client: "c1", Granted: base, Expire: volExp},
+					{Client: "c2", Granted: base, Expire: volExp},
+				},
+				Objects: []core.ObjectSnapshot{
+					{Object: "o1", Version: 7, Holders: []core.LeaseSnapshot{{Client: "c1", Granted: base, Expire: objExp}}},
+					{Object: "o2", Version: 2, Holders: []core.LeaseSnapshot{{Client: "c2", Granted: base, Expire: objExp}}},
 				},
 			}},
 		},
@@ -73,7 +71,7 @@ func TestDiffClassifiesAllFourKinds(t *testing.T) {
 	// expiry-skew: c2's volume-lease expiry drifts 2s from the server's.
 	clients[1].Clients[0].Volumes[0].Expire = srv.Volumes[0].VolumeLeases[1].Expire.Add(2 * time.Second)
 	// ack-overdue: a pending ack 5s past its deadline.
-	srv.Volumes[0].PendingAcks = []PendingAck{{Client: "c9", Object: "o2", Deadline: base.Add(-5 * time.Second)}}
+	srv.Volumes[0].PendingAcks = []core.PendingAck{{Client: "c9", Object: "o2", Deadline: base.Add(-5 * time.Second)}}
 
 	r := Diff(server, clients, Options{})
 	kinds := map[string]int{}
@@ -148,7 +146,7 @@ func TestCount(t *testing.T) {
 
 	// Unreachable with a live ack deadline counts as possibly-caching.
 	server.Server.Volumes[0].Unreachable = []core.ClientID{"c3", "c4"}
-	server.Server.Volumes[0].PendingAcks = []PendingAck{{Client: "c3", Object: "o1", Deadline: base.Add(time.Minute)}}
+	server.Server.Volumes[0].PendingAcks = []core.PendingAck{{Client: "c3", Object: "o1", Deadline: base.Add(time.Minute)}}
 	c = Count(server, 30*time.Second)
 	if c.Unreachable != 2 || c.UnreachableCached != 1 {
 		t.Fatalf("unreachable counts: %+v", c)

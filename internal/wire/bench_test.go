@@ -19,8 +19,8 @@ func benchMessages() []Message {
 		ObjLease{Seq: 42, Object: "vol-3/obj-100", Version: 8, Expire: expire, HasData: true, Data: make([]byte, 256)},
 		ReqVolLease{Seq: 43, Volume: "vol-3", Epoch: 5},
 		VolLease{Seq: 43, Volume: "vol-3", Expire: expire, Epoch: 5},
-		Invalidate{Seq: 0, Objects: []core.ObjectID{"vol-3/obj-100", "vol-3/obj-101"}, Trace: TraceContext{TraceID: 9, SpanID: 4}},
-		AckInvalidate{Seq: 0, Volume: "vol-3", Objects: []core.ObjectID{"vol-3/obj-100", "vol-3/obj-101"}, Trace: TraceContext{TraceID: 9, SpanID: 5}},
+		Invalidate{Seq: 0, Objects: []core.ObjectID{"vol-3/obj-100", "vol-3/obj-101"}, Trace: TraceContext{TraceID: 9, SpanID: 4}, Writes: []core.WriteNum{17, 3}},
+		AckInvalidate{Seq: 0, Volume: "vol-3", Objects: []core.ObjectID{"vol-3/obj-100", "vol-3/obj-101"}, Trace: TraceContext{TraceID: 9, SpanID: 5}, Writes: []core.WriteNum{17, 3}},
 		MustRenewAll{Seq: 44, Volume: "vol-3", Epoch: 5},
 		RenewObjLeases{Seq: 44, Volume: "vol-3", Held: []core.HeldObject{
 			{Object: "vol-3/obj-100", Version: 7}, {Object: "vol-3/obj-101", Version: 2}, {Object: "vol-3/obj-102", Version: 1},

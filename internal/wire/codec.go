@@ -65,12 +65,12 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	case Invalidate:
 		e.u64(v.Seq)
 		e.objects(v.Objects)
-		e.trace(v.Trace)
+		e.traceWrites(v.Trace, v.Writes)
 	case AckInvalidate:
 		e.u64(v.Seq)
 		e.str(string(v.Volume))
 		e.objects(v.Objects)
-		e.trace(v.Trace)
+		e.traceWrites(v.Trace, v.Writes)
 	case MustRenewAll:
 		e.u64(v.Seq)
 		e.str(string(v.Volume))
@@ -144,11 +144,11 @@ func Decode(buf []byte) (Message, error) {
 		return m, d.finish()
 	case KindInvalidate:
 		m := Invalidate{Seq: d.u64(), Objects: d.objects()}
-		m.Trace = d.trace()
+		m.Trace, m.Writes = d.traceWrites(len(m.Objects))
 		return m, d.finish()
 	case KindAckInvalidate:
 		m := AckInvalidate{Seq: d.u64(), Volume: core.VolumeID(d.str()), Objects: d.objects()}
-		m.Trace = d.trace()
+		m.Trace, m.Writes = d.traceWrites(len(m.Objects))
 		return m, d.finish()
 	case KindMustRenewAll:
 		m := MustRenewAll{Seq: d.u64(), Volume: core.VolumeID(d.str()), Epoch: core.Epoch(d.i64())}
@@ -340,6 +340,24 @@ func (e *encoder) trace(t TraceContext) {
 	e.uv(t.SpanID)
 }
 
+// traceWrites encodes the trailing sections of Invalidate and AckInvalidate:
+// the trace section, then the optional write-number section, which is
+// absent when there are no numbers. With numbers, the trace section is
+// written even when zero, so the decoder can tell the two apart, and the
+// numbers follow with their count.
+func (e *encoder) traceWrites(t TraceContext, writes []core.WriteNum) {
+	if len(writes) == 0 {
+		e.trace(t)
+		return
+	}
+	e.uv(t.TraceID)
+	e.uv(t.SpanID)
+	e.uv(uint64(len(writes)))
+	for _, n := range writes {
+		e.uv(uint64(n))
+	}
+}
+
 type decoder struct {
 	buf []byte
 	err error
@@ -452,6 +470,31 @@ func (d *decoder) trace() TraceContext {
 		d.fail()
 	}
 	return t
+}
+
+// traceWrites decodes what encoder.traceWrites wrote for a message naming n
+// objects. A zero trace section is canonical only when numbers follow, and
+// the numbers must be one per object.
+func (d *decoder) traceWrites(n int) (TraceContext, []core.WriteNum) {
+	if d.err != nil || len(d.buf) == 0 {
+		return TraceContext{}, nil
+	}
+	t := TraceContext{TraceID: d.uv(), SpanID: d.uv()}
+	if len(d.buf) == 0 {
+		if d.err == nil && t.IsZero() {
+			d.fail()
+		}
+		return t, nil
+	}
+	if count := d.uv(); d.err != nil || count == 0 || count != uint64(n) {
+		d.fail()
+		return t, nil
+	}
+	writes := make([]core.WriteNum, n)
+	for i := range writes {
+		writes[i] = core.WriteNum(d.uv())
+	}
+	return t, writes
 }
 
 func (d *decoder) objects() []core.ObjectID {

@@ -407,6 +407,44 @@ func TestTraceAbsentCompat(t *testing.T) {
 	}
 }
 
+// TestWriteNumbersSection: the write numbers of Invalidate and AckInvalidate
+// follow the trace section, which is then written even when zero; frames
+// without numbers are the old format and decode to none. A section whose
+// count is zero or differs from the object count is rejected.
+func TestWriteNumbersSection(t *testing.T) {
+	objs := []core.ObjectID{"a", "b"}
+	for _, m := range []Message{
+		Invalidate{Objects: objs, Writes: []core.WriteNum{1, 1 << 40}},
+		Invalidate{Objects: objs, Writes: []core.WriteNum{5, 6}, Trace: TraceContext{TraceID: 7, SpanID: 8}},
+		AckInvalidate{Volume: "v", Objects: objs, Writes: []core.WriteNum{5, 6}},
+	} {
+		if got := roundTrip(t, m); !reflect.DeepEqual(got, m) {
+			t.Errorf("round trip %#v = %#v", m, got)
+		}
+	}
+	old, err := AppendEncode(nil, Invalidate{Objects: objs, Trace: TraceContext{TraceID: 7, SpanID: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := Decode(old); err != nil || m.(Invalidate).Writes != nil {
+		t.Errorf("frame without numbers = %#v, %v; want no numbers", m, err)
+	}
+	for name, tail := range map[string][]byte{
+		"zero count":     {0, 0, 0},
+		"short count":    {0, 0, 1, 5},
+		"zero trace":     {0, 0},
+		"truncated list": {0, 0, 2, 5},
+	} {
+		var e encoder
+		e.u8(uint8(KindInvalidate))
+		e.u64(0)
+		e.objects(objs)
+		if _, err := Decode(append(e.buf, tail...)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 // TestTraceNonCanonicalRejected: an explicitly-present all-zero trace
 // section does not survive a re-encode (it would encode as absent), so the
 // decoder rejects it to keep accepted messages canonical.
@@ -456,8 +494,8 @@ func TestDecodeAllocs(t *testing.T) {
 		KindObjLease:       3,
 		KindReqVolLease:    2,
 		KindVolLease:       2,
-		KindInvalidate:     4,
-		KindAckInvalidate:  5,
+		KindInvalidate:     5,
+		KindAckInvalidate:  6,
 		KindMustRenewAll:   2,
 		KindRenewObjLeases: 6,
 		KindInvalRenew:     7,

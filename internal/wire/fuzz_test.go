@@ -34,6 +34,8 @@ func FuzzDecode(f *testing.F) {
 			Trace: TraceContext{TraceID: 9, SpanID: 10}},
 		AckInvalidate{Volume: "v", Objects: []core.ObjectID{"a"},
 			Trace: TraceContext{SpanID: 11}},
+		// Write numbers after a zero trace section.
+		Invalidate{Objects: []core.ObjectID{"a", "b"}, Writes: []core.WriteNum{3, 4}},
 		// Timestamp edges around the zero-time sentinel: the zero time
 		// (encodes as math.MinInt64), the Unix epoch (UnixNano()==0, a
 		// legitimate value that must NOT collapse to the zero time), and
@@ -52,6 +54,17 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(buf)
 	}
+	// An ack as a peer that predates write numbers sends it: it must decode
+	// with none.
+	var old encoder
+	old.u8(uint8(KindAckInvalidate))
+	old.u64(0)
+	old.str("v")
+	old.objects([]core.ObjectID{"a"})
+	if m, err := Decode(old.buf); err != nil || m.(AckInvalidate).Writes != nil {
+		f.Fatalf("old-format ack = %#v, %v; want no write numbers", m, err)
+	}
+	f.Add(old.buf)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {

@@ -46,12 +46,12 @@ func Size(m Message) int {
 	case Invalidate:
 		n += sizeUv(v.Seq)
 		n += sizeObjects(v.Objects)
-		n += sizeTrace(v.Trace)
+		n += sizeTraceWrites(v.Trace, v.Writes)
 	case AckInvalidate:
 		n += sizeUv(v.Seq)
 		n += sizeStr(string(v.Volume))
 		n += sizeObjects(v.Objects)
-		n += sizeTrace(v.Trace)
+		n += sizeTraceWrites(v.Trace, v.Writes)
 	case MustRenewAll:
 		n += sizeUv(v.Seq)
 		n += sizeStr(string(v.Volume))
@@ -126,6 +126,18 @@ func sizeObjects(ids []core.ObjectID) int {
 	n := sizeUv(uint64(len(ids)))
 	for _, id := range ids {
 		n += sizeStr(string(id))
+	}
+	return n
+}
+
+// sizeTraceWrites mirrors encoder.traceWrites.
+func sizeTraceWrites(t TraceContext, writes []core.WriteNum) int {
+	if len(writes) == 0 {
+		return sizeTrace(t)
+	}
+	n := sizeUv(t.TraceID) + sizeUv(t.SpanID) + sizeUv(uint64(len(writes)))
+	for _, w := range writes {
+		n += sizeUv(uint64(w))
 	}
 	return n
 }

@@ -170,10 +170,14 @@ func (m VolLease) Sequence() uint64 { return m.Seq }
 
 // Invalidate is the server's INVALIDATE push (Seq 0 when initiated by a
 // write). Trace, when set, links the push to the write that caused it.
+// Writes, when set, numbers the write invalidating each object (Writes[i]
+// is Objects[i]'s): one push may batch several writes. It is an optional
+// section after Trace, absent in frames from peers that predate it.
 type Invalidate struct {
 	Seq     uint64
 	Objects []core.ObjectID
 	Trace   TraceContext
+	Writes  []core.WriteNum
 }
 
 // Kind implements Message.
@@ -184,12 +188,14 @@ func (m Invalidate) Sequence() uint64 { return m.Seq }
 
 // AckInvalidate is the client's ACK_INVALIDATE, echoing the invalidated
 // objects (and conversation Seq when part of a volume renewal). Trace
-// echoes the Invalidate's context so the ack joins the write's trace.
+// echoes the Invalidate's context so the ack joins the write's trace, and
+// Writes its write numbers, so the ack answers those writes only.
 type AckInvalidate struct {
 	Seq     uint64
 	Volume  core.VolumeID
 	Objects []core.ObjectID
 	Trace   TraceContext
+	Writes  []core.WriteNum
 }
 
 // Kind implements Message.
