@@ -10,7 +10,9 @@
 // FinishWrite (MarkStale for a cache) the object is granted, renewed and
 // written to nobody (ErrWriteInFlight), a client owing the write an ack gets
 // no volume lease (VolumeAckOwed), and an ack is applied only to the
-// invalidation it answers (AckWrite).
+// invalidation it answers (AckWrite). So is the volume conversation
+// (conversation.go): the table keeps each client's step, and a write that
+// lands between a vector and its ack is sent in another round, not skipped.
 //
 // # Protocol summary
 //
@@ -141,6 +143,10 @@ var (
 	// ErrWriteInFlight refuses a grant, renewal or write of an object whose
 	// write is in flight: a fresh lease would be on the old data.
 	ErrWriteInFlight = errors.New("core: write in flight")
+	// ErrNoConversation refuses a step of the volume conversation that the
+	// client's conversation in progress does not await: none is open, it
+	// runs under another sequence number, or it is at another step.
+	ErrNoConversation = errors.New("core: no such volume conversation")
 )
 
 // lease is one client's lease on one object or volume (a ⟨client, expire⟩
@@ -201,6 +207,9 @@ type volume struct {
 	expired  int
 	// writing holds the volume's objects with a write in flight.
 	writing map[*object]struct{}
+	// convs holds each client's volume conversation in progress
+	// (conversation.go).
+	convs map[ClientID]*conversation
 }
 
 type inactiveState struct {
@@ -261,6 +270,7 @@ func (t *Table) CreateVolumeAt(id VolumeID, epoch Epoch) error {
 		inactive:     make(map[ClientID]*inactiveState),
 		volExpiredAt: make(map[ClientID]time.Time),
 		writing:      make(map[*object]struct{}),
+		convs:        make(map[ClientID]*conversation),
 	}
 	if t.discards() {
 		t.volumes[id].held = make(map[ClientID]map[*object]struct{})

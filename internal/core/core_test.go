@@ -286,7 +286,7 @@ func TestReconnectionProtocol(t *testing.T) {
 		t.Fatalf("status = %v", g.Status)
 	}
 	// c1 reports both cached objects with its versions (it missed a's write).
-	res, err := tb.HandleRenewObjLeases(at(20), "c1", "v", []HeldObject{
+	res, err := tb.HandleRenewObjLeases(at(20), "c1", "v", 0, []HeldObject{
 		{Object: "a", Version: 1},
 		{Object: "b", Version: 1},
 	})
@@ -303,9 +303,9 @@ func TestReconnectionProtocol(t *testing.T) {
 		t.Error("renew vector must not carry data")
 	}
 	// Ack completes the reconnection and grants the volume.
-	g2, err := tb.ConfirmReconnect(at(20), "c1", "v")
+	g2, err := tb.ConfirmVolume(at(20), "c1", "v", 0, res.Invalidate)
 	if err != nil || g2.Status != VolumeGranted {
-		t.Fatalf("ConfirmReconnect = %+v %v", g2, err)
+		t.Fatalf("ConfirmVolume = %+v %v", g2, err)
 	}
 	// Subsequent renewals are normal.
 	g3, _ := tb.RequestVolumeLease(at(21), "c1", "v", 0)
@@ -316,7 +316,10 @@ func TestReconnectionProtocol(t *testing.T) {
 
 func TestReconnectionUnknownObjectInvalidated(t *testing.T) {
 	tb := newTable(t, eagerCfg())
-	res, err := tb.HandleRenewObjLeases(at(0), "c1", "v", []HeldObject{{Object: "ghost", Version: 3}})
+	if g, _ := tb.RequestVolumeLease(at(0), "c1", "v", NoEpoch); g.Status != VolumeNeedsRenewAll {
+		t.Fatalf("status = %v, want needs-renew-all", g.Status)
+	}
+	res, err := tb.HandleRenewObjLeases(at(0), "c1", "v", 0, []HeldObject{{Object: "ghost", Version: 3}})
 	if err != nil {
 		t.Fatalf("HandleRenewObjLeases: %v", err)
 	}
@@ -347,9 +350,9 @@ func TestDelayedWriteQueuesForVolumeExpiredClient(t *testing.T) {
 	if len(g.Invalidate) != 1 || g.Invalidate[0] != "a" {
 		t.Errorf("invalidate = %v, want [a]", g.Invalidate)
 	}
-	g2, err := tb.ConfirmPendingDelivered(at(60), "c1", "v")
+	g2, err := tb.ConfirmVolume(at(60), "c1", "v", 0, g.Invalidate)
 	if err != nil || g2.Status != VolumeGranted {
-		t.Fatalf("ConfirmPendingDelivered = %+v %v", g2, err)
+		t.Fatalf("ConfirmVolume = %+v %v", g2, err)
 	}
 	// Pending cleared: next renewal is plain.
 	g3, _ := tb.RequestVolumeLease(at(61), "c1", "v", 0)
@@ -527,10 +530,10 @@ func TestRecoverBumpsEpochAndFencesWrites(t *testing.T) {
 		t.Errorf("status with stale epoch = %v", g.Status)
 	}
 	// After reconnect the client carries the new epoch.
-	if _, err := tb.HandleRenewObjLeases(at(16), "c1", "v", nil); err != nil {
+	if _, err := tb.HandleRenewObjLeases(at(16), "c1", "v", 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := tb.ConfirmReconnect(at(16), "c1", "v")
+	g2, _ := tb.ConfirmVolume(at(16), "c1", "v", 0, nil)
 	if g2.Epoch != 1 || g2.Status != VolumeGranted {
 		t.Errorf("reconnect grant = %+v", g2)
 	}

@@ -55,7 +55,7 @@ func TestGrantDuringWriteRefused(t *testing.T) {
 	if _, err := tb.GrantObjectLease(at(6), "q", "a", NoVersion); !errors.Is(err, ErrWriteInFlight) {
 		t.Errorf("grant during the write: %v, want ErrWriteInFlight", err)
 	}
-	if _, err := tb.HandleRenewObjLeases(at(6), "q", "v", []HeldObject{{Object: "a", Version: 1}}); !errors.Is(err, ErrWriteInFlight) {
+	if _, err := tb.HandleRenewObjLeases(at(6), "q", "v", 0, []HeldObject{{Object: "a", Version: 1}}); !errors.Is(err, ErrWriteInFlight) {
 		t.Errorf("renewal during the write: %v, want ErrWriteInFlight", err)
 	}
 	if _, err := tb.BeginWrite(at(6), "a"); !errors.Is(err, ErrWriteInFlight) {
@@ -147,10 +147,10 @@ func reconnect(t *testing.T, tb *Table, now time.Time, c ClientID) {
 	if g, _ := tb.RequestVolumeLease(now, c, "v", 0); g.Status != VolumeNeedsRenewAll {
 		t.Fatalf("status = %v, want needs-renew-all", g.Status)
 	}
-	if _, err := tb.HandleRenewObjLeases(now, c, "v", nil); err != nil {
+	if _, err := tb.HandleRenewObjLeases(now, c, "v", 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.ConfirmReconnect(now, c, "v"); err != nil {
+	if _, err := tb.ConfirmVolume(now, c, "v", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }

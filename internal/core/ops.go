@@ -50,167 +50,6 @@ func (t *Table) GrantObjectLease(now time.Time, client ClientID, oid ObjectID, c
 	return g, nil
 }
 
-// VolumeGrantStatus tells the server how to proceed with a volume-lease
-// request.
-type VolumeGrantStatus int
-
-const (
-	// VolumeGranted: the lease was granted; send VOL_LEASE.
-	VolumeGranted VolumeGrantStatus = iota + 1
-	// VolumePendingInvalidations: the client is in the Inactive set; the
-	// server must deliver the Invalidate list and receive an ack
-	// (ConfirmPendingDelivered) before granting.
-	VolumePendingInvalidations
-	// VolumeNeedsRenewAll: the client is Unreachable or presented a stale
-	// epoch; the server must run the reconnection protocol (MUST_RENEW_ALL,
-	// then HandleRenewObjLeases, then ConfirmReconnect) before granting.
-	VolumeNeedsRenewAll
-	// VolumeAckOwed: the client owes writes in flight (Owed) an ack; a lease
-	// granted now could outlive their bound, so ask again once they finish.
-	VolumeAckOwed
-)
-
-// String names the status.
-func (s VolumeGrantStatus) String() string {
-	switch s {
-	case VolumeGranted:
-		return "granted"
-	case VolumePendingInvalidations:
-		return "pending-invalidations"
-	case VolumeNeedsRenewAll:
-		return "needs-renew-all"
-	case VolumeAckOwed:
-		return "ack-owed"
-	default:
-		return fmt.Sprintf("status(%d)", int(s))
-	}
-}
-
-// VolumeGrant is the outcome of RequestVolumeLease.
-type VolumeGrant struct {
-	Status     VolumeGrantStatus
-	Volume     VolumeID
-	Expire     time.Time  // valid when Status == VolumeGranted
-	Epoch      Epoch      // current volume epoch
-	Invalidate []ObjectID // pending invalidations, when Status == VolumePendingInvalidations
-	Owed       []ObjectID // objects whose writes await the client's ack, when Status == VolumeAckOwed
-}
-
-// RequestVolumeLease handles REQ_VOL_LEASE (Figure 3, "Server grants lease
-// for volume v"). Depending on the client's standing it either grants
-// immediately, demands delivery of queued invalidations first, demands the
-// full reconnection protocol, or defers while the client owes an ack.
-func (t *Table) RequestVolumeLease(now time.Time, client ClientID, vid VolumeID, clientEpoch Epoch) (VolumeGrant, error) {
-	v, err := t.volumeOf(vid)
-	if err != nil {
-		return VolumeGrant{}, err
-	}
-	var owed []ObjectID
-	for o := range v.writing {
-		if _, ok := o.owed[client]; ok {
-			owed = append(owed, o.id)
-		}
-	}
-	if len(owed) > 0 {
-		return VolumeGrant{Status: VolumeAckOwed, Volume: vid, Epoch: v.epoch, Owed: owed}, nil
-	}
-	t.lazyDiscard(now, v, client)
-	if _, unreachable := v.unreachable[client]; unreachable || clientEpoch != v.epoch {
-		return VolumeGrant{Status: VolumeNeedsRenewAll, Volume: vid, Epoch: v.epoch}, nil
-	}
-	if ia, ok := v.inactive[client]; ok && len(ia.pending) > 0 {
-		return VolumeGrant{
-			Status:     VolumePendingInvalidations,
-			Volume:     vid,
-			Epoch:      v.epoch,
-			Invalidate: sortedObjects(ia.pending),
-		}, nil
-	}
-	return t.grantVolume(now, v, client), nil
-}
-
-// grantVolume installs the lease and returns the granted reply.
-func (t *Table) grantVolume(now time.Time, v *volume, client ClientID) VolumeGrant {
-	expire := now.Add(t.cfg.VolumeLease)
-	v.setVolLease(client, lease{granted: now, expire: expire})
-	delete(v.volExpiredAt, client)
-	delete(v.inactive, client)
-	return VolumeGrant{Status: VolumeGranted, Volume: v.id, Expire: expire, Epoch: v.epoch}
-}
-
-// ConfirmPendingDelivered records that an Inactive client acknowledged its
-// queued invalidations, then grants the volume lease.
-func (t *Table) ConfirmPendingDelivered(now time.Time, client ClientID, vid VolumeID) (VolumeGrant, error) {
-	v, err := t.volumeOf(vid)
-	if err != nil {
-		return VolumeGrant{}, err
-	}
-	if ia, ok := v.inactive[client]; ok {
-		ia.pending = nil
-	}
-	return t.grantVolume(now, v, client), nil
-}
-
-// RenewResult is the combined INVALIDATE/RENEW vector of the reconnection
-// protocol: the stale objects the client must drop and fresh leases on the
-// current ones.
-type RenewResult struct {
-	Invalidate []ObjectID
-	Renew      []ObjectGrant // metadata only; Data is never included
-}
-
-// HandleRenewObjLeases processes RENEW_OBJ_LEASES from a reconnecting
-// client (Figure 3, recoverUnreachableClient): objects whose version
-// changed while the client was away are invalidated; the rest get fresh
-// leases. While one of the objects has a write in flight it changes nothing
-// and refuses with ErrWriteInFlight.
-func (t *Table) HandleRenewObjLeases(now time.Time, client ClientID, vid VolumeID, held []HeldObject) (RenewResult, error) {
-	v, err := t.volumeOf(vid)
-	if err != nil {
-		return RenewResult{}, err
-	}
-	for _, h := range held {
-		if o, ok := v.objects[h.Object]; ok && o.owed != nil {
-			return RenewResult{}, fmt.Errorf("%w: %q", ErrWriteInFlight, h.Object)
-		}
-	}
-	var res RenewResult
-	for _, h := range held {
-		o, ok := v.objects[h.Object]
-		if !ok {
-			// Object deleted at the server: invalidate the copy.
-			res.Invalidate = append(res.Invalidate, h.Object)
-			continue
-		}
-		if o.version != h.Version {
-			res.Invalidate = append(res.Invalidate, h.Object)
-			v.dropObjLease(o, client)
-			continue
-		}
-		expire := now.Add(t.cfg.ObjectLease)
-		v.setObjLease(o, client, lease{granted: now, expire: expire})
-		res.Renew = append(res.Renew, ObjectGrant{Object: h.Object, Version: o.version, Expire: expire})
-	}
-	sort.Slice(res.Invalidate, func(i, j int) bool { return res.Invalidate[i] < res.Invalidate[j] })
-	sort.Slice(res.Renew, func(i, j int) bool { return res.Renew[i].Object < res.Renew[j].Object })
-	return res, nil
-}
-
-// ConfirmReconnect records the client's acknowledgment of the reconnection
-// vector, removes it from the Unreachable set, and grants the volume lease.
-func (t *Table) ConfirmReconnect(now time.Time, client ClientID, vid VolumeID) (VolumeGrant, error) {
-	v, err := t.volumeOf(vid)
-	if err != nil {
-		return VolumeGrant{}, err
-	}
-	delete(v.unreachable, client)
-	if ia, ok := v.inactive[client]; ok {
-		ia.pending = nil
-		delete(v.inactive, client)
-	}
-	return t.grantVolume(now, v, client), nil
-}
-
 // Invalidation is one client the writing server must notify, with the time
 // at which the server may stop waiting for its acknowledgment: the earlier
 // of the client's volume- and object-lease expiries (Figure 3's
@@ -274,6 +113,7 @@ func (t *Table) BeginWrite(now time.Time, oid ObjectID) (WritePlan, error) {
 		if _, unreachable := v.unreachable[client]; unreachable {
 			// Figure 3 skips unreachable clients: they will resynchronize
 			// through the reconnection protocol.
+			v.missed(client, oid)
 			v.dropObjLease(o, client)
 			continue
 		}
@@ -285,6 +125,7 @@ func (t *Table) BeginWrite(now time.Time, oid ObjectID) (WritePlan, error) {
 			} else {
 				plan.Dropped = append(plan.Dropped, client)
 			}
+			v.missed(client, oid)
 			v.dropObjLease(o, client)
 			continue
 		}
@@ -326,8 +167,7 @@ func (t *Table) queuePending(now time.Time, v *volume, client ClientID, oid Obje
 	// Unreachable set when a discard window is configured.
 	since, _ = volumeBound(v, client, vl, hasVol)
 	if t.cfg.InactiveDiscard > 0 && !now.Before(since.Add(t.cfg.InactiveDiscard)) {
-		v.unreachable[client] = struct{}{}
-		delete(v.inactive, client)
+		v.lose(client)
 		return false, since
 	}
 	ia, ok := v.inactive[client]
@@ -411,8 +251,7 @@ func (t *Table) endWrite(now time.Time, o *object, unacked []ClientID) {
 // unreach moves a client that missed o's invalidation to the Unreachable
 // set, dropping its leases on o and on the volume.
 func (v *volume) unreach(o *object, client ClientID) {
-	v.unreachable[client] = struct{}{}
-	delete(v.inactive, client)
+	v.lose(client)
 	v.dropObjLease(o, client)
 	delete(v.at, client)
 }
@@ -502,7 +341,7 @@ func (t *Table) lazyDiscard(now time.Time, v *volume, client ClientID) bool {
 		v.dropObjLease(o, client)
 	}
 	if discarded {
-		v.unreachable[client] = struct{}{}
+		v.lose(client)
 	}
 	return discarded
 }
@@ -556,10 +395,10 @@ func (t *Table) Sweep(now time.Time) (int, []SweptDiscard) {
 }
 
 // Recover simulates a server reboot (Section 3.1.2): all lease,
-// reachability, and pending state is discarded, every volume's epoch is
-// incremented, and writes are fenced for one full volume-lease duration so
-// that every lease granted before the crash has provably expired. Object
-// data and versions survive (they live on stable storage).
+// reachability, pending and conversation state is discarded, every
+// volume's epoch is incremented, and writes are fenced for one full
+// volume-lease duration so that every lease granted before the crash has
+// provably expired. Object data and versions survive (stable storage).
 func (t *Table) Recover(now time.Time) {
 	for _, v := range t.volumes {
 		v.epoch++
@@ -567,6 +406,7 @@ func (t *Table) Recover(now time.Time) {
 		v.unreachable = make(map[ClientID]struct{})
 		v.inactive = make(map[ClientID]*inactiveState)
 		v.volExpiredAt = make(map[ClientID]time.Time)
+		v.convs = make(map[ClientID]*conversation)
 		if t.discards() {
 			v.held = make(map[ClientID]map[*object]struct{})
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,13 +12,17 @@ import (
 )
 
 // TestPropertyReadsNeverStale drives a Table and one Holder per client with
-// a random operation sequence and checks the protocol's central invariant: a
-// holder whose Check finds valid object AND volume leases holds the current
-// version. Both halves of the protocol are the shipped code, and server
-// writes follow the full BeginWrite / ack-or-timeout / FinishWrite path.
-// Acknowledgments may come late: after the write has timed the holder out,
-// after it has re-fetched the object, or while a later write of the object
-// waits on it; and a holder may ask for a volume lease while it owes one.
+// a random operation sequence and checks the protocol's central invariant
+// after every action: a holder whose Check finds valid object AND volume
+// leases holds the current version. Both halves of the protocol are the
+// shipped code, and server writes follow the full BeginWrite /
+// ack-or-timeout / FinishWrite path. Acknowledgments may come late: after
+// the write has timed the holder out, after it has re-fetched the object, or
+// while a later write of the object waits on it; and a holder may ask for a
+// volume lease while it owes one. The volume conversation is not atomic:
+// its request, each answer's delivery and each step back are separate
+// actions, so a write may land between any two; steps under a foreign
+// sequence number, or sent after a Recover, must be refused.
 func TestPropertyReadsNeverStale(t *testing.T) {
 	f := func(seed int64) bool {
 		return !runRandomProtocol(t, seed, false)
@@ -90,6 +95,78 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		n      WriteNum
 	}
 	var late []ack
+	// convs holds each client's volume conversation in flight: the table's
+	// answer not yet delivered, or the client's step back (RENEW_OBJ_LEASES,
+	// or the vector's ack) not yet taken by the table.
+	type conv struct {
+		seq     uint64
+		answer  *VolumeGrant // undelivered
+		step    int          // 0: none yet; stepHeld, stepAck: due
+		held    []HeldObject
+		acked   []ObjectID
+		crashed bool // the table recovered since the conversation opened
+	}
+	const (
+		stepHeld = iota + 1
+		stepAck
+	)
+	convs := map[ClientID]*conv{}
+	var seq uint64
+	// advance moves cid's conversation on by one message: the request, the
+	// delivery of the table's answer, or the client's step back.
+	advance := func(cid ClientID) {
+		h, c := holders[cid], convs[cid]
+		switch {
+		case c == nil:
+			seq++
+			g, err := tb.RequestVolume(now, cid, "v", h.Epoch("v"), seq)
+			if err != nil {
+				t.Fatalf("RequestVolume: %v", err)
+			}
+			convs[cid] = &conv{seq: seq, answer: &g}
+		case c.crashed && c.answer != nil:
+			delete(convs, cid) // the connection went down with the table
+		case c.answer != nil:
+			g := *c.answer
+			c.answer = nil
+			switch g.Status {
+			case VolumeGranted:
+				h.GrantVolume("v", g.Epoch, g.Expire, anchor(now))
+				delete(convs, cid)
+			case VolumePendingInvalidations:
+				h.Invalidate(g.Invalidate)
+				for _, r := range g.Renew {
+					h.RenewObject(r.Object, r.Version, r.Expire, anchor(now))
+				}
+				c.step, c.acked = stepAck, g.Invalidate
+			case VolumeNeedsRenewAll:
+				c.step, c.held = stepHeld, h.Held("v")
+			case VolumeAckOwed:
+				if c.step == 0 {
+					delete(convs, cid) // asked again on a later read
+				} // else the step is taken again once the writes finish
+			}
+		default:
+			var g VolumeGrant
+			var err error
+			if c.step == stepHeld {
+				g, err = tb.HandleRenewObjLeases(now, cid, "v", c.seq, c.held)
+			} else {
+				g, err = tb.ConfirmVolume(now, cid, "v", c.seq, c.acked)
+			}
+			switch {
+			case c.crashed:
+				if !errors.Is(err, ErrNoConversation) {
+					t.Fatalf("step after Recover = %v, %v; want ErrNoConversation", g.Status, err)
+				}
+				delete(convs, cid)
+			case err != nil:
+				t.Fatalf("conversation step: %v", err)
+			default:
+				c.answer = &g
+			}
+		}
+	}
 	deliver := func() {
 		for _, a := range late {
 			if _, _, err := tb.AckWrite(now, a.client, a.oid, a.n); err != nil {
@@ -118,7 +195,8 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 			case reachable[inv.Client] && slow:
 				slow = false
 				if renew {
-					renewVolume(t, tb, inv.Client, h, now)
+					delete(convs, inv.Client) // abandoned for a new request
+					advance(inv.Client)
 				}
 				h.Invalidate([]ObjectID{oid})
 				late = append(late, ack{inv.Client, oid, plan.Write})
@@ -138,24 +216,34 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		}
 	}
 
+	checkAll := func() {
+		checkCounts(t, tb, now)
+		for cid, h := range holders {
+			for _, oid := range objects {
+				checkInvariant(t, tb, cid, h, oid, now)
+			}
+		}
+	}
 	for step := 0; step < 300; step++ {
-		checkCounts(t, tb, now) // after the previous action, at its time
+		checkAll() // after the previous action, at its time
 		now = now.Add(time.Duration(rng.Intn(8000)) * time.Millisecond)
 		cid := ClientID(fmt.Sprintf("c%d", rng.Intn(3)))
 		h := holders[cid]
 		oid := objects[rng.Intn(len(objects))]
 
-		switch op := rng.Intn(14); {
+		switch op := rng.Intn(17); {
 		case op < 5: // client read; op 4: its grant is overtaken by a write
 			if !reachable[cid] {
 				// A partitioned client can only read from cache, and only
-				// under both valid leases — the invariant check below.
-				checkInvariant(t, tb, cid, h, oid, now)
+				// under both valid leases: the invariant check.
 				continue
 			}
 			_, _, volOK, objOK := h.Check("v", oid, anchor(now).Mono)
-			if !volOK && !renewVolume(t, tb, cid, h, now) {
-				continue
+			if !volOK {
+				advance(cid) // one message of the conversation per read
+				if _, _, volOK, _ = h.Check("v", oid, anchor(now).Mono); !volOK {
+					continue
+				}
 			}
 			if !objOK || op == 4 {
 				ver, token := h.Begin(oid)
@@ -172,7 +260,6 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 					t.Fatalf("GrantObject: %v", err)
 				}
 			}
-			checkInvariant(t, tb, cid, h, oid, now)
 
 		case op < 8: // server write
 			write(oid, step, false, false)
@@ -186,6 +273,9 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		case op < 11: // server crash-reboot (rare)
 			if rng.Intn(4) == 0 {
 				tb.Recover(now)
+				for _, c := range convs {
+					c.crashed = true
+				}
 			}
 
 		case op < 12: // server write with a slow ack
@@ -194,11 +284,28 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		case op < 13: // server write, and a renewal while an ack is owed
 			write(oid, step, true, true)
 
-		default: // late acks arrive, perhaps after a re-grant
+		case op < 14: // late acks arrive, perhaps after a re-grant
 			deliver()
+
+		case op < 16: // a reachable client's conversation moves on
+			for i, k := 0, rng.Intn(3); i < 3; i++ {
+				if c := ClientID(fmt.Sprintf("c%d", (k+i)%3)); convs[c] != nil && reachable[c] {
+					advance(c)
+					break
+				}
+			}
+
+		default: // a step under a number the table never gave cid
+			foreign := seq + 1000
+			if _, err := tb.ConfirmVolume(now, cid, "v", foreign, nil); !errors.Is(err, ErrNoConversation) {
+				t.Fatalf("confirm under a foreign number: %v, want ErrNoConversation", err)
+			}
+			if _, err := tb.HandleRenewObjLeases(now, cid, "v", foreign, h.Held("v")); !errors.Is(err, ErrNoConversation) {
+				t.Fatalf("renewal under a foreign number: %v, want ErrNoConversation", err)
+			}
 		}
 	}
-	checkCounts(t, tb, now)
+	checkAll()
 	return false // invariant violations fail the test directly
 }
 
@@ -309,43 +416,6 @@ func TestExpiryIndexStaysBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// renewVolume walks the holder through whatever the server demands,
-// returning false if the renewal cannot complete.
-func renewVolume(t *testing.T, tb *Table, cid ClientID, h *Holder, now time.Time) bool {
-	t.Helper()
-	g, err := tb.RequestVolumeLease(now, cid, "v", h.Epoch("v"))
-	if err != nil {
-		t.Fatalf("RequestVolumeLease: %v", err)
-	}
-	switch g.Status {
-	case VolumeGranted:
-	case VolumePendingInvalidations:
-		h.Invalidate(g.Invalidate)
-		g, err = tb.ConfirmPendingDelivered(now, cid, "v")
-		if err != nil {
-			t.Fatal(err)
-		}
-	case VolumeNeedsRenewAll:
-		res, err := tb.HandleRenewObjLeases(now, cid, "v", h.Held("v"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Invalidate(res.Invalidate)
-		for _, r := range res.Renew {
-			h.RenewObject(r.Object, r.Version, r.Expire, anchor(now))
-		}
-		g, err = tb.ConfirmReconnect(now, cid, "v")
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.Status != VolumeGranted {
-		return false
-	}
-	h.GrantVolume("v", g.Epoch, g.Expire, anchor(now))
-	return true
 }
 
 // checkInvariant asserts: both leases valid (and so data cached) => the

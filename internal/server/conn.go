@@ -16,12 +16,6 @@ import (
 type clientConn struct {
 	id   core.ClientID
 	conn transport.Conn
-	// mu guards renewals: the reader goroutine and asynchronous
-	// grant-waiters both touch it.
-	mu sync.Mutex
-	// renewals tracks in-flight volume-renewal conversations by sequence
-	// number.
-	renewals map[uint64]*renewal
 
 	// invalMu guards invalQ, the outbound invalidation queue. Writes
 	// enqueue items here; the connection's flusher goroutine drains
@@ -135,43 +129,6 @@ func (s *Server) invalFlusher(cc *clientConn) {
 	}
 }
 
-// setRenewal installs conversation state for seq.
-func (cc *clientConn) setRenewal(seq uint64, r *renewal) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	cc.renewals[seq] = r
-}
-
-// takeRenewal fetches conversation state, optionally removing it.
-func (cc *clientConn) takeRenewal(seq uint64, remove bool) (*renewal, bool) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	r, ok := cc.renewals[seq]
-	if ok && remove {
-		delete(cc.renewals, seq)
-	}
-	return r, ok
-}
-
-// renewal is the state machine for a multi-round volume-lease conversation.
-type renewal struct {
-	volume core.VolumeID
-	stage  renewalStage
-}
-
-type renewalStage int
-
-const (
-	// stageAwaitHeld: MUST_RENEW_ALL sent; expecting RenewObjLeases.
-	stageAwaitHeld renewalStage = iota + 1
-	// stageAwaitReconnectAck: InvalRenew (reconnection vector) sent;
-	// expecting AckInvalidate.
-	stageAwaitReconnectAck
-	// stageAwaitPendingAck: InvalRenew (queued invalidations) sent;
-	// expecting AckInvalidate.
-	stageAwaitPendingAck
-)
-
 // serveConn owns one client connection: handshake, then request dispatch
 // until the connection drops.
 func (s *Server) serveConn(conn transport.Conn) {
@@ -190,7 +147,6 @@ func (s *Server) serveConn(conn transport.Conn) {
 	cc := &clientConn{
 		id:        hello.Client,
 		conn:      conn,
-		renewals:  make(map[uint64]*renewal),
 		invalKick: make(chan struct{}, 1),
 		gone:      make(chan struct{}),
 	}
@@ -303,211 +259,143 @@ func (s *Server) handleReqObjLease(cc *clientConn, req wire.ReqObjLease) error {
 	return cc.conn.Send(reply)
 }
 
-// handleReqVolLease starts a volume-renewal conversation (Figure 3's
-// "Server grants lease for volume v"). While the client owes a write an ack
-// the table defers it (core.VolumeAckOwed) and it waits for those writes to
-// finish: by then the client has acked, or it must reconnect.
+// handleReqVolLease opens Figure 3's "Server grants lease for volume v";
+// the table keeps the conversation it may start (core.Table.RequestVolume).
+// While the client owes a write an ack the request waits for those writes
+// to finish: by then the client has acked, or it must reconnect.
 func (s *Server) handleReqVolLease(cc *clientConn, req wire.ReqVolLease) error {
 	sh := s.shardOf(req.Volume)
 	if sh == nil {
 		return s.sendErr(cc, req.Seq, fmt.Errorf("%w: %q", core.ErrNoSuchVolume, req.Volume))
 	}
 	sh.mu.Lock()
-	bound, ok := s.origin.VolumeBound(req.Volume)
-	if !ok {
+	if _, ok := s.origin.VolumeBound(req.Volume); !ok {
 		sh.mu.Unlock()
 		return s.park(cc, req, func() error { return s.origin.RenewVolume(req.Volume) })
 	}
-	g, err := sh.table.RequestVolumeLease(s.cfg.Clock.Now(), cc.id, req.Volume, req.Epoch)
-	if err == nil && g.Status == core.VolumeAckOwed {
+	// The only error, an unknown volume, is ruled out above.
+	g, _ := sh.table.RequestVolume(s.cfg.Clock.Now(), cc.id, req.Volume, req.Epoch, req.Seq)
+	if g.Status == core.VolumeAckOwed {
 		return s.parkOnWrites(cc, req, sh, nil, g.Owed...)
 	}
-	if err == nil {
-		// Grant and reconnect events are emitted under the shard mutex so
-		// the audit model observes them ordered against this volume's write
-		// commits and acks.
-		switch g.Status {
-		case core.VolumeGranted:
-			g.Expire = capAt(g.Expire, bound)
-			s.emit(obs.Event{Type: obs.EvVolLeaseGrant, Client: cc.id, Volume: g.Volume,
-				Epoch: g.Epoch, Expire: g.Expire})
-		case core.VolumeNeedsRenewAll:
-			s.emit(obs.Event{Type: obs.EvReconnect, Client: cc.id, Volume: req.Volume, Epoch: g.Epoch})
-		}
-	}
+	reply := s.volumeReply(cc, req.Seq, g)
 	sh.mu.Unlock()
-	if err != nil {
-		return s.sendErr(cc, req.Seq, err)
-	}
-	switch g.Status {
-	case core.VolumeGranted:
-		if s.om != nil {
-			s.om.volGrants.Inc()
-		}
-		return cc.conn.Send(wire.VolLease{
-			Seq: req.Seq, Volume: g.Volume, Expire: g.Expire, Epoch: g.Epoch,
-		})
-	case core.VolumePendingInvalidations:
-		cc.setRenewal(req.Seq, &renewal{volume: req.Volume, stage: stageAwaitPendingAck})
-		s.emit(obs.Event{Type: obs.EvInvalSent, Client: cc.id, Volume: req.Volume, N: len(g.Invalidate)})
-		return cc.conn.Send(wire.InvalRenew{
-			Seq: req.Seq, Volume: req.Volume, Invalidate: g.Invalidate,
-		})
-	case core.VolumeNeedsRenewAll:
-		cc.setRenewal(req.Seq, &renewal{volume: req.Volume, stage: stageAwaitHeld})
-		if s.om != nil {
-			s.om.reconnects.Inc()
-		}
-		return cc.conn.Send(wire.MustRenewAll{
-			Seq: req.Seq, Volume: req.Volume, Epoch: g.Epoch,
-		})
-	default:
-		return fmt.Errorf("unknown grant status %v", g.Status)
-	}
+	return cc.conn.Send(reply)
 }
 
 // handleRenewObjLeases continues a reconnection conversation: the client has
 // enumerated its cached objects; reply with the invalidate/renew vector.
 func (s *Server) handleRenewObjLeases(cc *clientConn, req wire.RenewObjLeases) error {
-	r, ok := cc.takeRenewal(req.Seq, false)
-	if !ok || r.stage != stageAwaitHeld {
-		return s.sendErr(cc, req.Seq, errors.New("server: unexpected RenewObjLeases"))
-	}
 	sh := s.shardOf(req.Volume)
 	if sh == nil {
-		cc.takeRenewal(req.Seq, true)
 		return s.sendErr(cc, req.Seq, fmt.Errorf("%w: %q", core.ErrNoSuchVolume, req.Volume))
 	}
 	sh.mu.Lock()
 	// Every reported object is compared against this node's copy, so each
 	// copy must be settled first: the origin must back it, and the table
 	// refuses while one of them has a write in flight.
-	var bounds map[core.ObjectID]time.Time
-	for _, h := range req.Held {
-		bound, ok := s.origin.ObjectBound(h.Object)
-		if !ok {
-			oid := h.Object
-			return s.parkOnWrites(cc, req, sh, func() error {
-				err := s.consult(oid)
-				if err != nil {
-					// Without the origin's word on every copy, none of them
-					// can be vouched for: abandon the conversation.
-					cc.takeRenewal(req.Seq, true)
-				}
-				return err
-			}, oid)
-		}
-		if !bound.IsZero() {
-			if bounds == nil {
-				bounds = make(map[core.ObjectID]time.Time, len(req.Held))
-			}
-			bounds[h.Object] = bound
+	oids := make([]core.ObjectID, len(req.Held))
+	for i, h := range req.Held {
+		oids[i] = h.Object
+		if _, ok := s.origin.ObjectBound(h.Object); !ok {
+			return s.parkOnWrites(cc, req, sh, func() error { return s.consult(h.Object) }, h.Object)
 		}
 	}
-	res, err := sh.table.HandleRenewObjLeases(s.cfg.Clock.Now(), cc.id, req.Volume, req.Held)
+	g, err := sh.table.HandleRenewObjLeases(s.cfg.Clock.Now(), cc.id, req.Volume, req.Seq, req.Held)
 	if errors.Is(err, core.ErrWriteInFlight) {
-		oids := make([]core.ObjectID, len(req.Held))
-		for i, h := range req.Held {
-			oids[i] = h.Object
-		}
 		return s.parkOnWrites(cc, req, sh, nil, oids...)
 	}
-	if err == nil {
-		// Renewed leases are fresh grants as far as the audit model is
-		// concerned: without these events it would judge post-reconnection
-		// cache reads against the pre-disconnect expiries.
-		for i := range res.Renew {
-			g := &res.Renew[i]
-			g.Expire = capAt(g.Expire, bounds[g.Object])
-			s.emit(obs.Event{Type: obs.EvObjLeaseGrant, Client: cc.id, Object: g.Object,
-				Volume: req.Volume, Version: g.Version, Expire: g.Expire})
-		}
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		cc.takeRenewal(req.Seq, true)
+	if err != nil { // no reconnection awaits the list
+		sh.mu.Unlock()
 		return s.sendErr(cc, req.Seq, err)
 	}
-	r.stage = stageAwaitReconnectAck
-	out := wire.InvalRenew{Seq: req.Seq, Volume: req.Volume, Invalidate: res.Invalidate}
-	for _, g := range res.Renew {
-		out.Renew = append(out.Renew, wire.LeaseMeta{Object: g.Object, Version: g.Version, Expire: g.Expire})
-	}
-	return cc.conn.Send(out)
+	reply := s.volumeReply(cc, req.Seq, g)
+	sh.mu.Unlock()
+	return cc.conn.Send(reply)
 }
 
 // handleAckInvalidate routes acknowledgment messages: Seq 0 acks belong to
-// in-flight writes; others complete volume-renewal conversations.
+// in-flight writes; the others confirm a volume conversation's vector. An
+// ack the table does not await (its conversation was abandoned) is ignored;
+// one from a client that owes a write an ack waits, as a request does.
 func (s *Server) handleAckInvalidate(cc *clientConn, ack wire.AckInvalidate) error {
 	if ack.Seq == 0 {
 		s.completeWriteAcks(cc.id, ack)
 		return nil
 	}
-	r, ok := cc.takeRenewal(ack.Seq, false)
-	if !ok {
-		return nil // stale ack after an error; harmless
-	}
-	sh := s.shardOf(r.volume)
+	sh := s.shardOf(ack.Volume)
 	if sh == nil {
-		cc.takeRenewal(ack.Seq, true)
-		return s.sendErr(cc, ack.Seq, fmt.Errorf("%w: %q", core.ErrNoSuchVolume, r.volume))
+		return nil
+	}
+	sh.mu.Lock()
+	if _, ok := s.origin.VolumeBound(ack.Volume); !ok {
+		sh.mu.Unlock()
+		return s.park(cc, ack, func() error { return s.origin.RenewVolume(ack.Volume) })
 	}
 	now := s.cfg.Clock.Now()
-	var (
-		g   core.VolumeGrant
-		err error
-	)
-	sh.mu.Lock()
-	bound, ok := s.origin.VolumeBound(r.volume)
-	if !ok {
+	g, err := sh.table.ConfirmVolume(now, cc.id, ack.Volume, ack.Seq, ack.Objects)
+	switch {
+	case err != nil: // core.ErrNoConversation: the volume is known
 		sh.mu.Unlock()
-		return s.park(cc, ack, func() error {
-			err := s.origin.RenewVolume(r.volume)
-			if err != nil {
-				cc.takeRenewal(ack.Seq, true)
-			}
-			return err
-		})
+		return nil
+	case g.Status == core.VolumeAckOwed:
+		return s.parkOnWrites(cc, ack, sh, nil, g.Owed...)
 	}
-	cc.takeRenewal(ack.Seq, true)
-	switch r.stage {
-	case stageAwaitPendingAck:
-		g, err = sh.table.ConfirmPendingDelivered(now, cc.id, r.volume)
-		if err == nil {
-			for _, oid := range ack.Objects {
-				s.emit(obs.Event{Type: obs.EvInvalAcked, Client: cc.id, Object: oid, At: now})
-			}
-			s.emit(obs.Event{Type: obs.EvPendingDelivered, Client: cc.id, Volume: r.volume,
-				N: len(ack.Objects), At: now})
-		}
-	case stageAwaitReconnectAck:
-		g, err = sh.table.ConfirmReconnect(now, cc.id, r.volume)
-		if err == nil {
-			// The ack names the copies the client just discarded; without
-			// these events the audit model would keep judging writes against
-			// cache entries that no longer exist.
-			for _, oid := range ack.Objects {
-				s.emit(obs.Event{Type: obs.EvInvalAcked, Client: cc.id, Object: oid, At: now})
-			}
-		}
-	default:
-		err = fmt.Errorf("server: ack in unexpected stage %d", r.stage)
+	// The ack names the copies the client just dropped; without these
+	// events the audit model would keep judging writes against cache
+	// entries that no longer exist.
+	for _, oid := range ack.Objects {
+		s.emit(obs.Event{Type: obs.EvInvalAcked, Client: cc.id, Object: oid, At: now})
 	}
-	if err == nil {
+	if g.Status == core.VolumeGranted {
+		s.emit(obs.Event{Type: obs.EvPendingDelivered, Client: cc.id, Volume: ack.Volume,
+			N: len(ack.Objects), At: now})
+	}
+	reply := s.volumeReply(cc, ack.Seq, g)
+	sh.mu.Unlock()
+	return cc.conn.Send(reply)
+}
+
+// volumeReply maps the table's answer g to a step of the volume
+// conversation to the frame that carries it: VolLease, InvalRenew or
+// MustRenewAll. It runs under the shard mutex, so the events it emits reach
+// the audit model ordered against the volume's write commits and acks, and
+// it caps every expiry at the origin's bound.
+func (s *Server) volumeReply(cc *clientConn, seq uint64, g core.VolumeGrant) wire.Message {
+	switch g.Status {
+	case core.VolumeGranted:
+		bound, _ := s.origin.VolumeBound(g.Volume)
 		g.Expire = capAt(g.Expire, bound)
 		s.emit(obs.Event{Type: obs.EvVolLeaseGrant, Client: cc.id, Volume: g.Volume,
-			Epoch: g.Epoch, Expire: g.Expire, At: now})
+			Epoch: g.Epoch, Expire: g.Expire})
+		if s.om != nil {
+			s.om.volGrants.Inc()
+		}
+		return wire.VolLease{Seq: seq, Volume: g.Volume, Expire: g.Expire, Epoch: g.Epoch}
+	case core.VolumePendingInvalidations:
+		if len(g.Invalidate) > 0 {
+			s.emit(obs.Event{Type: obs.EvInvalSent, Client: cc.id, Volume: g.Volume, N: len(g.Invalidate)})
+		}
+		out := wire.InvalRenew{Seq: seq, Volume: g.Volume, Invalidate: g.Invalidate}
+		for _, r := range g.Renew {
+			// Renewed leases are fresh grants as far as the audit model is
+			// concerned: without these events it would judge
+			// post-reconnection cache reads against the pre-disconnect
+			// expiries.
+			bound, _ := s.origin.ObjectBound(r.Object)
+			r.Expire = capAt(r.Expire, bound)
+			s.emit(obs.Event{Type: obs.EvObjLeaseGrant, Client: cc.id, Object: r.Object,
+				Volume: g.Volume, Version: r.Version, Expire: r.Expire})
+			out.Renew = append(out.Renew, wire.LeaseMeta{Object: r.Object, Version: r.Version, Expire: r.Expire})
+		}
+		return out
+	default: // core.VolumeNeedsRenewAll
+		s.emit(obs.Event{Type: obs.EvReconnect, Client: cc.id, Volume: g.Volume, Epoch: g.Epoch})
+		if s.om != nil {
+			s.om.reconnects.Inc()
+		}
+		return wire.MustRenewAll{Seq: seq, Volume: g.Volume, Epoch: g.Epoch}
 	}
-	sh.mu.Unlock()
-	if err != nil {
-		return s.sendErr(cc, ack.Seq, err)
-	}
-	if s.om != nil {
-		s.om.volGrants.Inc()
-	}
-	return cc.conn.Send(wire.VolLease{
-		Seq: ack.Seq, Volume: g.Volume, Expire: g.Expire, Epoch: g.Epoch,
-	})
 }
 
 // completeWriteAcks hands a write ack to the tables, one object at a time

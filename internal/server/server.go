@@ -46,9 +46,10 @@
 // object, for an acknowledgment the client still owes, or for the origin —
 // in which case it is parked on a side goroutine and dispatched again when
 // the wait is over (park, origin.go), so the reader stays free for
-// acknowledgments. The immutable volume→shard and object→shard indexes are
-// read lock-free and rebuilt copy-on-write under topoMu by
-// AddVolume/AddObject. Lock order: shard.mu → connMu (never the reverse);
+// acknowledgments. Both shard indexes are read lock-free: the volume index
+// is an immutable map rebuilt copy-on-write under topoMu by AddVolume, the
+// object index a sync.Map stored to by AddObject and by a cache's first
+// fetch of an object. Lock order: shard.mu → connMu (never the reverse);
 // multi-shard operations (Recover, Stats) take shard mutexes in sorted
 // volume order.
 package server

@@ -56,8 +56,8 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 	}
 
 	// Begin the write once the object's previous write, if any, has
-	// finished. From here until the finish the table refuses grants and
-	// renewals on oid, and later writes of it.
+	// finished. From here until the finish the table refuses to grant or
+	// renew a lease on oid, and later writes of it.
 	var (
 		start time.Time
 		plan  core.WritePlan

@@ -200,7 +200,8 @@ func (v *Volume) HandleRead(now time.Time, e trace.Event) {
 // plain grant, delivery of an Inactive client's pending invalidations, or
 // the reconnection protocol of Section 3.1.1 for an Unreachable one.
 // Simulated servers never restart, so the holder presents the volume's
-// epoch even on first contact.
+// epoch even on first contact. The exchange takes one instant, so no write
+// lands in it and the one confirm grants.
 func (v *Volume) renewVolume(now time.Time, s *server, client core.ClientID, h *core.Holder, vid core.VolumeID) {
 	g := must(s.table.RequestVolumeLease(now, client, vid, must(s.table.VolumeEpoch(vid))))
 	v.msg(now, s, metrics.MsgVolLeaseReq, sim.CtrlBytes)
@@ -214,7 +215,7 @@ func (v *Volume) renewVolume(now time.Time, s *server, client core.ClientID, h *
 		v.invalidated(now, client, g.Invalidate)
 		v.env.Emit(obs.Event{Type: obs.EvPendingDelivered, Client: client, Volume: vid,
 			N: len(g.Invalidate), At: now})
-		g = must(s.table.ConfirmPendingDelivered(now, client, vid))
+		g = must(s.table.ConfirmVolume(now, client, vid, 0, g.Invalidate))
 	case core.VolumeNeedsRenewAll:
 		held := h.Held(vid)
 		v.env.Emit(obs.Event{Type: obs.EvReconnect, Client: client, Volume: vid, N: len(held), At: now})
@@ -224,14 +225,14 @@ func (v *Volume) renewVolume(now time.Time, s *server, client core.ClientID, h *
 		v.msg(now, s, metrics.MsgInvalRenew, vector)
 		v.msg(now, s, metrics.MsgAckInvalidate, sim.CtrlBytes)
 		v.msg(now, s, metrics.MsgVolLease, sim.CtrlBytes)
-		res := must(s.table.HandleRenewObjLeases(now, client, vid, held))
+		res := must(s.table.HandleRenewObjLeases(now, client, vid, 0, held))
 		for _, r := range res.Renew {
 			h.RenewObject(r.Object, r.Version, r.Expire, anchor(now))
 			v.objectGranted(now, s, client, r)
 		}
 		h.Invalidate(res.Invalidate)
 		v.invalidated(now, client, res.Invalidate)
-		g = must(s.table.ConfirmReconnect(now, client, vid))
+		g = must(s.table.ConfirmVolume(now, client, vid, 0, res.Invalidate))
 	}
 	h.GrantVolume(vid, g.Epoch, g.Expire, anchor(now))
 	v.env.Emit(obs.Event{Type: obs.EvVolLeaseGrant, Client: client, Volume: vid, Expire: g.Expire, At: now})
