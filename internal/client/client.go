@@ -428,7 +428,11 @@ func (c *Client) send(m wire.Message) error {
 // hook and echoed in the ack, so the originating write's trace spans the
 // whole round trip.
 func (c *Client) handleInvalidate(inv wire.Invalidate) {
-	c.drop(inv.Objects, "")
+	c.traceDrops(inv.Objects, "")
+	c.mu.Lock()
+	c.h.Invalidate(inv.Objects)
+	c.invalsSeen += int64(len(inv.Objects))
+	c.mu.Unlock()
 	if c.cfg.OnInvalidate == nil {
 		c.ack(inv)
 		return
@@ -448,20 +452,14 @@ func (c *Client) ack(inv wire.Invalidate) {
 	}
 }
 
-// drop drops the copies of and leases on objects, which makes an in-flight
-// lease request for one of them discard its reply (Figure 4, "Client
-// receives object invalidation message"). vid is the volume the events name,
-// when the message carried one.
-func (c *Client) drop(objects []core.ObjectID, vid core.VolumeID) {
+// traceDrops emits an event for each dropped object; vid is the volume the
+// events name, when the message carried one.
+func (c *Client) traceDrops(objects []core.ObjectID, vid core.VolumeID) {
 	if c.cfg.Obs.Tracing() {
 		for _, oid := range objects {
 			c.emit(obs.Event{Type: obs.EvInvalRecv, Object: oid, Volume: vid})
 		}
 	}
-	c.mu.Lock()
-	c.h.Invalidate(objects)
-	c.invalsSeen += int64(len(objects))
-	c.mu.Unlock()
 }
 
 // relay hands dropped objects to the OnInvalidate hook, if there is one.

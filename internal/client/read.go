@@ -188,9 +188,9 @@ func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) error {
 		Expire: reply.Expire, Data: reply.Data}, reply.HasData, at)
 }
 
-// RenewVolume runs the volume-lease conversation of Figure 4, transparently
-// handling all three server responses: plain grant, queued-invalidation
-// delivery, and the full reconnection protocol.
+// RenewVolume runs the volume-lease conversation of Figure 4 as the
+// holder's core.Renewal steps it, handing the objects an answer drops to
+// OnInvalidate before it sends the ack.
 func (c *Client) RenewVolume(vid core.VolumeID) error {
 	// Serialize renewals: interleaved multi-round conversations on one
 	// volume would confuse both ends.
@@ -203,7 +203,7 @@ func (c *Client) RenewVolume(vid core.VolumeID) error {
 	}
 
 	c.mu.Lock()
-	epoch := c.h.Epoch(vid)
+	r, req := c.h.RenewVolume(vid, c.h.Epoch(vid))
 	c.mu.Unlock()
 
 	seq, err := c.open()
@@ -224,59 +224,59 @@ func (c *Client) RenewVolume(vid core.VolumeID) error {
 		}()
 	}
 
-	m, err := c.rpc(seq, wire.ReqVolLease{Seq: seq, Volume: vid, Epoch: epoch})
-	rounds++
-	if err != nil {
-		return err
-	}
-	for round := 0; round < 8; round++ {
-		switch v := m.(type) {
-		case wire.VolLease:
-			at := c.anchorNow()
-			c.mu.Lock()
-			c.h.GrantVolume(vid, v.Epoch, v.Expire, at)
-			c.mu.Unlock()
+	for rounds < 8 {
+		g, err := c.volumeRound(seq, vid, req)
+		rounds++
+		if err != nil {
+			return err
+		}
+		at := c.anchorNow()
+		c.mu.Lock()
+		st := r.Step(g, at)
+		c.invalsSeen += int64(len(st.Dropped))
+		c.mu.Unlock()
+		// A client-initiated conversation: the hook sees a zero trace context.
+		c.traceDrops(st.Dropped, vid)
+		c.relay(st.Dropped, wire.TraceContext{})
+		if req = st.Next; req.Kind == core.RenewalDone {
 			return nil
-
-		case wire.InvalRenew:
-			c.applyInvalRenew(v)
-			m, err = c.rpc(seq, wire.AckInvalidate{Seq: seq, Volume: vid, Objects: v.Invalidate})
-			rounds++
-			if err != nil {
-				return err
-			}
-
-		case wire.MustRenewAll:
-			c.mu.Lock()
-			held := c.h.Held(vid)
-			c.mu.Unlock()
-			c.emit(obs.Event{Type: obs.EvReconnect, Volume: vid, Epoch: v.Epoch, N: len(held)})
-			c.logf("reconnecting to volume %s (epoch %d): renewing %d objects", vid, v.Epoch, len(held))
-			m, err = c.rpc(seq, wire.RenewObjLeases{Seq: seq, Volume: vid, Held: held})
-			rounds++
-			if err != nil {
-				return err
-			}
-
-		default:
-			return fmt.Errorf("client: unexpected %s during volume renewal", m.Kind())
+		}
+		if req.Kind == core.SendRenewObjLeases {
+			c.emit(obs.Event{Type: obs.EvReconnect, Volume: vid, Epoch: g.Epoch, N: len(req.Held)})
+			c.logf("reconnecting to volume %s (epoch %d): renewing %d objects", vid, g.Epoch, len(req.Held))
 		}
 	}
 	return fmt.Errorf("client: volume renewal for %s did not converge", vid)
 }
 
-// applyInvalRenew drops invalidated copies (propagating to the
-// OnInvalidate hook) and installs renewed leases.
-func (c *Client) applyInvalRenew(v wire.InvalRenew) {
-	// InvalRenew carries no trace context (the renewal conversation is
-	// client-initiated), so the hook sees a zero one.
-	c.drop(v.Invalidate, v.Volume)
-	c.relay(v.Invalidate, wire.TraceContext{})
-	at := c.anchorNow()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, r := range v.Renew {
-		c.h.RenewObject(r.Object, r.Version, r.Expire, at)
+// volumeRound sends req in its frame, as message seq of a conversation on
+// vid, and returns the answer the reply carries: the inverse of the server's
+// volumeReply.
+func (c *Client) volumeRound(seq uint64, vid core.VolumeID, req core.VolumeRequest) (core.VolumeGrant, error) {
+	var out wire.Message = wire.ReqVolLease{Seq: seq, Volume: vid, Epoch: req.Epoch}
+	switch req.Kind {
+	case core.SendRenewObjLeases:
+		out = wire.RenewObjLeases{Seq: seq, Volume: vid, Held: req.Held}
+	case core.SendAckInvalidate:
+		out = wire.AckInvalidate{Seq: seq, Volume: vid, Objects: req.Acked}
+	}
+	m, err := c.rpc(seq, out)
+	if err != nil {
+		return core.VolumeGrant{}, err
+	}
+	switch v := m.(type) {
+	case wire.VolLease:
+		return core.VolumeGrant{Status: core.VolumeGranted, Volume: vid, Expire: v.Expire, Epoch: v.Epoch}, nil
+	case wire.InvalRenew:
+		g := core.VolumeGrant{Status: core.VolumePendingInvalidations, Volume: vid, Invalidate: v.Invalidate}
+		for _, r := range v.Renew {
+			g.Renew = append(g.Renew, core.ObjectGrant{Object: r.Object, Version: r.Version, Expire: r.Expire})
+		}
+		return g, nil
+	case wire.MustRenewAll:
+		return core.VolumeGrant{Status: core.VolumeNeedsRenewAll, Volume: vid, Epoch: v.Epoch}, nil
+	default:
+		return core.VolumeGrant{}, fmt.Errorf("client: unexpected %s during volume renewal", m.Kind())
 	}
 }
 

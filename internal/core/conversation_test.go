@@ -16,7 +16,7 @@ func holderWith(t *testing.T, tb *Table, now time.Time, c ClientID, objs ...Obje
 	if err != nil || g.Status != VolumeGranted {
 		t.Fatalf("volume grant = %+v, %v", g, err)
 	}
-	h.GrantVolume("v", g.Epoch, g.Expire, anchor(now))
+	h.grantVolume("v", g.Epoch, g.Expire, anchor(now))
 	for _, oid := range objs {
 		ver, token := h.Begin(oid)
 		og, err := tb.GrantObjectLease(now, c, oid, ver)
@@ -31,25 +31,21 @@ func holderWith(t *testing.T, tb *Table, now time.Time, c ClientID, objs ...Obje
 }
 
 // settle walks h through conversation 0 from the table's answer g until it
-// is granted, applying every vector as the client does.
+// is granted, the holder's Renewal applying every answer.
 func settle(t *testing.T, tb *Table, now time.Time, c ClientID, h *Holder, g VolumeGrant, err error) {
 	t.Helper()
+	r, _ := h.RenewVolume("v", 0)
 	for round := 0; round < 8; round++ {
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch g.Status {
-		case VolumeGranted:
-			h.GrantVolume("v", g.Epoch, g.Expire, anchor(now))
+		switch req := r.Step(g, anchor(now)).Next; req.Kind {
+		case RenewalDone:
 			return
-		case VolumePendingInvalidations:
-			h.Invalidate(g.Invalidate)
-			for _, r := range g.Renew {
-				h.RenewObject(r.Object, r.Version, r.Expire, anchor(now))
-			}
-			g, err = tb.ConfirmVolume(now, c, "v", 0, g.Invalidate)
-		case VolumeNeedsRenewAll:
-			g, err = tb.HandleRenewObjLeases(now, c, "v", 0, h.Held("v"))
+		case SendAckInvalidate:
+			g, err = tb.ConfirmVolume(now, c, "v", 0, req.Acked)
+		case SendRenewObjLeases:
+			g, err = tb.HandleRenewObjLeases(now, c, "v", 0, req.Held)
 		default:
 			t.Fatalf("conversation answered %v", g.Status)
 		}
@@ -126,12 +122,12 @@ func TestReconnectWindow(t *testing.T) {
 			if g, _ := tb.RequestVolumeLease(at(20), "c", "v", 0); g.Status != VolumeNeedsRenewAll {
 				t.Fatalf("renewal = %v, want needs-renew-all", g.Status)
 			}
-			g, err := tb.HandleRenewObjLeases(at(20), "c", "v", 0, h.Held("v"))
+			g, err := tb.HandleRenewObjLeases(at(20), "c", "v", 0, h.held("v"))
 			if err != nil || !slices.Equal(g.Invalidate, []ObjectID{"b"}) || len(g.Renew) != 1 {
 				t.Fatalf("vector = %+v, %v; want invalidate [b], renew [a]", g, err)
 			}
 			h.Invalidate(g.Invalidate)
-			h.RenewObject("a", g.Renew[0].Version, g.Renew[0].Expire, anchor(at(20)))
+			h.renewObject("a", g.Renew[0].Version, g.Renew[0].Expire, anchor(at(20)))
 			mustWrite(t, tb, at(20), "a")
 			g, err = tb.ConfirmVolume(at(20), "c", "v", 0, g.Invalidate)
 			if g.Status != VolumePendingInvalidations || !slices.Equal(g.Invalidate, []ObjectID{"a"}) {
@@ -152,7 +148,7 @@ func TestConfirmSeesRenewedVersionMove(t *testing.T) {
 	if g, _ := tb.RequestVolumeLease(at(1), "c", "v", NoEpoch); g.Status != VolumeNeedsRenewAll {
 		t.Fatalf("renewal = %v, want needs-renew-all", g.Status)
 	}
-	g, err := tb.HandleRenewObjLeases(at(1), "c", "v", 0, h.Held("v"))
+	g, err := tb.HandleRenewObjLeases(at(1), "c", "v", 0, h.held("v"))
 	if err != nil || len(g.Renew) != 1 {
 		t.Fatalf("vector = %+v, %v; want a renewed", g, err)
 	}
@@ -202,7 +198,7 @@ func TestConfirmDefersWhileAckOwed(t *testing.T) {
 	if g, _ := tb.RequestVolumeLease(at(0), "c", "v", NoEpoch); g.Status != VolumeNeedsRenewAll {
 		t.Fatalf("first contact = %v, want needs-renew-all", g.Status)
 	}
-	g, err := tb.HandleRenewObjLeases(at(0), "c", "v", 0, h.Held("v"))
+	g, err := tb.HandleRenewObjLeases(at(0), "c", "v", 0, h.held("v"))
 	if err != nil || len(g.Renew) != 1 {
 		t.Fatalf("vector = %+v, %v; want a renewed", g, err)
 	}

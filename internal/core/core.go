@@ -13,6 +13,8 @@
 // invalidation it answers (AckWrite). So is the volume conversation
 // (conversation.go): the table keeps each client's step, and a write that
 // lands between a vector and its ack is sent in another round, not skipped.
+// The conversation's client half is a Renewal (renewal.go), which applies
+// each answer to a Holder and names the client's next message.
 //
 // # Protocol summary
 //
@@ -152,10 +154,12 @@ var (
 // lease is one client's lease on one object or volume (a ⟨client, expire⟩
 // pair from Figure 2's at sets). granted remembers when the lease was last
 // granted or renewed, for state introspection (internal/state); the
-// protocol itself only ever consults expire.
+// protocol itself only ever consults expire. entry numbers the expiry-heap
+// entry that indexes the record (expiry.go).
 type lease struct {
 	granted time.Time
 	expire  time.Time
+	entry   uint64
 }
 
 // object mirrors Figure 2's Object.
@@ -200,10 +204,11 @@ type volume struct {
 	objLeases int
 	held      map[ClientID]map[*object]struct{}
 	// expiries is a min-heap of the expiry of every lease record, so Stats
-	// and Sweep find the expired ones without walking the objects; expired
-	// counts the records drain removed since the last Sweep, which reports
-	// them.
+	// and Sweep find the expired ones without walking the objects; entries
+	// numbers its entries, and expired counts the records drain removed
+	// since the last Sweep, which reports them.
 	expiries []expiry
+	entries  uint64
 	expired  int
 	// writing holds the volume's objects with a write in flight.
 	writing map[*object]struct{}

@@ -9,33 +9,50 @@ import "time"
 // than built on container/heap, whose interface would allocate per grant.
 
 // expiry is one entry of a volume's expiry heap: the instant one lease
-// record expires, its client, and its object (nil for the client's volume
-// lease). A record renewed or dropped since leaves its entry behind, stale;
-// drain and compact tell by comparing with the record.
+// record expires, its client, its object (nil for the client's volume
+// lease), and its number, which the record it was pushed for carries. A
+// record set to another expiry or dropped since leaves its entry behind,
+// stale: the record is gone or carries another number.
 type expiry struct {
 	at     time.Time
 	client ClientID
 	obj    *object
+	entry  uint64
 }
 
 // expirySlack is the constant in the heap's bound: compact keeps it within
 // twice the records it indexes plus this many stale entries.
 const expirySlack = 64
 
-// record returns the lease an entry indexes, if it is still held.
+// record returns the lease an entry indexes, if the entry is not stale.
 func (v *volume) record(e expiry) (lease, bool) {
 	at := v.at
 	if e.obj != nil {
 		at = e.obj.at
 	}
 	l, ok := at[e.client]
-	return l, ok
+	return l, ok && l.entry == e.entry
+}
+
+// set installs l as client's record in at (v.at, or obj's at map) and
+// indexes it. A record set again to the expiry it already had keeps its
+// entry: a second entry at the same instant would look as live as the
+// first, and compact could remove neither.
+func (v *volume) set(at map[ClientID]lease, client ClientID, obj *object, l lease) {
+	if old, had := at[client]; had && old.expire.Equal(l.expire) {
+		l.entry = old.entry
+		at[client] = l
+		return
+	}
+	v.entries++
+	l.entry = v.entries
+	at[client] = l
+	v.pushExpiry(expiry{at: l.expire, client: client, obj: obj, entry: l.entry})
 }
 
 // setVolLease installs client's volume lease.
 func (v *volume) setVolLease(client ClientID, l lease) {
-	v.at[client] = l
-	v.pushExpiry(expiry{at: l.expire, client: client})
+	v.set(v.at, client, nil, l)
 }
 
 // setObjLease installs client's lease on o.
@@ -49,8 +66,7 @@ func (v *volume) setObjLease(o *object, client ClientID, l lease) {
 			v.held[client][o] = struct{}{}
 		}
 	}
-	o.at[client] = l
-	v.pushExpiry(expiry{at: l.expire, client: client, obj: o})
+	v.set(o.at, client, o, l)
 }
 
 // dropObjLease forgets client's lease on o, if it holds one.
@@ -73,8 +89,8 @@ func (v *volume) drain(now time.Time) {
 	for len(v.expiries) > 0 && !v.expiries[0].at.After(now) {
 		e := v.popExpiry()
 		l, ok := v.record(e)
-		if !ok || l.valid(now) {
-			continue // renewed or dropped since this entry was made
+		if !ok {
+			continue // set again or dropped since this entry was made
 		}
 		if e.obj == nil {
 			delete(v.at, e.client)
@@ -95,7 +111,7 @@ func (v *volume) compact() {
 	}
 	live := v.expiries[:0]
 	for _, e := range v.expiries {
-		if l, ok := v.record(e); ok && l.expire.Equal(e.at) {
+		if _, ok := v.record(e); ok {
 			live = append(live, e)
 		}
 	}

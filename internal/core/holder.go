@@ -164,8 +164,8 @@ func (h *Holder) GrantObject(token uint64, vid VolumeID, g ObjectGrant, hasData 
 	return nil
 }
 
-// GrantVolume installs a lease on vid granted under epoch, received at a.
-func (h *Holder) GrantVolume(vid VolumeID, epoch Epoch, expire time.Time, a Anchor) {
+// grantVolume installs a lease on vid granted under epoch, received at a.
+func (h *Holder) grantVolume(vid VolumeID, epoch Epoch, expire time.Time, a Anchor) {
 	v := h.volume(vid)
 	v.heldLease, v.epoch, v.known = h.lease(a, expire), epoch, true
 }
@@ -179,12 +179,12 @@ func (h *Holder) Epoch(vid VolumeID) Epoch {
 	return NoEpoch
 }
 
-// RenewObject applies one renew entry of an INVALIDATE/RENEW vector, received
+// renewObject applies one renew entry of an INVALIDATE/RENEW vector, received
 // at a: a fresh lease if the holder caches oid at version. Otherwise the
 // server renewed something the holder does not hold at that version, and the
 // copy is dropped so the next read refetches cleanly. An object the holder
 // never requested is ignored.
-func (h *Holder) RenewObject(oid ObjectID, version Version, expire time.Time, a Anchor) {
+func (h *Holder) renewObject(oid ObjectID, version Version, expire time.Time, a Anchor) {
 	if o, ok := h.objs[oid]; ok && o.hasData && o.version == version {
 		o.heldLease = h.lease(a, expire)
 	} else if ok {
@@ -205,12 +205,12 @@ func (h *Holder) Invalidate(objects []ObjectID) {
 	}
 }
 
-// Held lists every copy of vid's objects with its version, sorted by object,
+// held lists every copy of vid's objects with its version, sorted by object,
 // for RENEW_OBJ_LEASES. After a server crash all server-side lease state is
 // gone, so the holder reports everything it caches (a superset of Figure 4's
 // expired-lease list; the extra entries simply come back renewed). Sorting
 // makes the message's bytes a function of the holder's state alone.
-func (h *Holder) Held(vid VolumeID) []HeldObject {
+func (h *Holder) held(vid VolumeID) []HeldObject {
 	var held []HeldObject
 	for oid, o := range h.objs {
 		if o.volume == vid && o.hasData {

@@ -29,7 +29,7 @@ func TestHolderHeldSorted(t *testing.T) {
 		grantCopy(t, h, "v", ObjectID(fmt.Sprintf("o%02d", i)), Version(i+1))
 	}
 	grantCopy(t, h, "w", "other-volume", 1)
-	held := h.Held("v")
+	held := h.held("v")
 	if len(held) != 16 {
 		t.Fatalf("Held = %d entries, want 16", len(held))
 	}
@@ -48,12 +48,12 @@ func TestHolderCases(t *testing.T) {
 		run  func(t *testing.T, h *Holder)
 	}{
 		{"check reads the asked volume's lease", func(t *testing.T, h *Holder) {
-			h.GrantVolume("v1", 0, at(100), holderAnchor)
+			h.grantVolume("v1", 0, at(100), holderAnchor)
 			grantCopy(t, h, "v1", "o", 1)
 			if _, _, volOK, objOK := h.Check("v2", "o", now); volOK || !objOK {
 				t.Errorf("Check under an unleased volume = vol %v obj %v, want false true", volOK, objOK)
 			}
-			h.GrantVolume("v2", 0, at(100), holderAnchor)
+			h.grantVolume("v2", 0, at(100), holderAnchor)
 			if data, _, volOK, objOK := h.Check("v2", "o", now); !volOK || !objOK || string(data) != "x" {
 				t.Errorf("Check under a leased volume = %q vol %v obj %v", data, volOK, objOK)
 			}
@@ -76,12 +76,12 @@ func TestHolderCases(t *testing.T) {
 			}
 		}},
 		{"renewal of an unknown object is a no-op", func(t *testing.T, h *Holder) {
-			h.RenewObject("o", 1, at(100), holderAnchor)
+			h.renewObject("o", 1, at(100), holderAnchor)
 			if vols, objs := h.Snapshot(); len(vols)+len(objs) != 0 {
-				t.Errorf("Snapshot after RenewObject = %v %v, want empty", vols, objs)
+				t.Errorf("Snapshot after renewObject = %v %v, want empty", vols, objs)
 			}
 			if ver, _ := h.Begin("o"); ver != NoVersion {
-				t.Errorf("Begin after RenewObject reports version %d", ver)
+				t.Errorf("Begin after renewObject reports version %d", ver)
 			}
 		}},
 		{"epoch before the first grant", func(t *testing.T, h *Holder) {
@@ -92,7 +92,7 @@ func TestHolderCases(t *testing.T) {
 			if e := h.Epoch("v"); e != NoEpoch {
 				t.Errorf("Epoch after an object grant = %d, want NoEpoch", e)
 			}
-			h.GrantVolume("v", 4, at(100), holderAnchor)
+			h.grantVolume("v", 4, at(100), holderAnchor)
 			if e := h.Epoch("v"); e != 4 {
 				t.Errorf("Epoch after a grant = %d, want 4", e)
 			}

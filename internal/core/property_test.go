@@ -95,76 +95,68 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		n      WriteNum
 	}
 	var late []ack
-	// convs holds each client's volume conversation in flight: the table's
-	// answer not yet delivered, or the client's step back (RENEW_OBJ_LEASES,
-	// or the vector's ack) not yet taken by the table.
+	// convs holds each client's volume conversation in flight: the client
+	// half (the shipped Renewal) and either the table's answer not yet
+	// delivered, or the client's next message not yet taken by the table.
 	type conv struct {
 		seq     uint64
+		r       Renewal
 		answer  *VolumeGrant // undelivered
-		step    int          // 0: none yet; stepHeld, stepAck: due
-		held    []HeldObject
-		acked   []ObjectID
+		next    VolumeRequest
 		crashed bool // the table recovered since the conversation opened
 	}
-	const (
-		stepHeld = iota + 1
-		stepAck
-	)
 	convs := map[ClientID]*conv{}
 	var seq uint64
+	// send hands c's next message to the table. A request opens a fresh
+	// conversation under a new number; any other step after a Recover must
+	// be refused.
+	send := func(cid ClientID, c *conv) {
+		var g VolumeGrant
+		var err error
+		switch c.next.Kind {
+		case SendReqVolLease:
+			seq++
+			c.seq, c.crashed = seq, false
+			g, err = tb.RequestVolume(now, cid, "v", c.next.Epoch, seq)
+		case SendRenewObjLeases:
+			g, err = tb.HandleRenewObjLeases(now, cid, "v", c.seq, c.next.Held)
+		case SendAckInvalidate:
+			g, err = tb.ConfirmVolume(now, cid, "v", c.seq, c.next.Acked)
+		}
+		switch {
+		case c.crashed:
+			if !errors.Is(err, ErrNoConversation) {
+				t.Fatalf("step after Recover = %v, %v; want ErrNoConversation", g.Status, err)
+			}
+			delete(convs, cid)
+		case err != nil:
+			t.Fatalf("conversation step: %v", err)
+		default:
+			c.answer = &g
+		}
+	}
 	// advance moves cid's conversation on by one message: the request, the
-	// delivery of the table's answer, or the client's step back.
+	// delivery of the table's answer to the client's Renewal, or the
+	// client's next message. An answer of VolumeAckOwed leaves the last
+	// message due again.
 	advance := func(cid ClientID) {
 		h, c := holders[cid], convs[cid]
 		switch {
 		case c == nil:
-			seq++
-			g, err := tb.RequestVolume(now, cid, "v", h.Epoch("v"), seq)
-			if err != nil {
-				t.Fatalf("RequestVolume: %v", err)
-			}
-			convs[cid] = &conv{seq: seq, answer: &g}
+			r, req := h.RenewVolume("v", h.Epoch("v"))
+			c = &conv{r: r, next: req}
+			convs[cid] = c
+			send(cid, c)
 		case c.crashed && c.answer != nil:
 			delete(convs, cid) // the connection went down with the table
 		case c.answer != nil:
 			g := *c.answer
 			c.answer = nil
-			switch g.Status {
-			case VolumeGranted:
-				h.GrantVolume("v", g.Epoch, g.Expire, anchor(now))
+			if c.next = c.r.Step(g, anchor(now)).Next; c.next.Kind == RenewalDone {
 				delete(convs, cid)
-			case VolumePendingInvalidations:
-				h.Invalidate(g.Invalidate)
-				for _, r := range g.Renew {
-					h.RenewObject(r.Object, r.Version, r.Expire, anchor(now))
-				}
-				c.step, c.acked = stepAck, g.Invalidate
-			case VolumeNeedsRenewAll:
-				c.step, c.held = stepHeld, h.Held("v")
-			case VolumeAckOwed:
-				if c.step == 0 {
-					delete(convs, cid) // asked again on a later read
-				} // else the step is taken again once the writes finish
 			}
 		default:
-			var g VolumeGrant
-			var err error
-			if c.step == stepHeld {
-				g, err = tb.HandleRenewObjLeases(now, cid, "v", c.seq, c.held)
-			} else {
-				g, err = tb.ConfirmVolume(now, cid, "v", c.seq, c.acked)
-			}
-			switch {
-			case c.crashed:
-				if !errors.Is(err, ErrNoConversation) {
-					t.Fatalf("step after Recover = %v, %v; want ErrNoConversation", g.Status, err)
-				}
-				delete(convs, cid)
-			case err != nil:
-				t.Fatalf("conversation step: %v", err)
-			default:
-				c.answer = &g
-			}
+			send(cid, c)
 		}
 	}
 	deliver := func() {
@@ -300,7 +292,7 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 			if _, err := tb.ConfirmVolume(now, cid, "v", foreign, nil); !errors.Is(err, ErrNoConversation) {
 				t.Fatalf("confirm under a foreign number: %v, want ErrNoConversation", err)
 			}
-			if _, err := tb.HandleRenewObjLeases(now, cid, "v", foreign, h.Held("v")); !errors.Is(err, ErrNoConversation) {
+			if _, err := tb.HandleRenewObjLeases(now, cid, "v", foreign, h.held("v")); !errors.Is(err, ErrNoConversation) {
 				t.Fatalf("renewal under a foreign number: %v, want ErrNoConversation", err)
 			}
 		}
@@ -375,8 +367,19 @@ func TestSweepCountsRecordsStatsRemoved(t *testing.T) {
 // again 10 000 times within one lease term, with no Stats or Sweep to drain
 // the index. Each cycle leaves 8 object and 8 volume entries stale; the
 // index must still never exceed twice the records it indexes plus a
-// constant.
+// constant. The clock either advances a millisecond per cycle or stands
+// still, as a simulated clock does between Advances: then every renewal and
+// re-grant sets its record again to the expiry it already had.
 func TestExpiryIndexStaysBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		step time.Duration
+	}{{"advancing", time.Millisecond}, {"frozen", 0}} {
+		t.Run(tc.name, func(t *testing.T) { expiryIndexStaysBounded(t, tc.step) })
+	}
+}
+
+func expiryIndexStaysBounded(t *testing.T, step time.Duration) {
 	tb, err := NewTable(Config{ObjectLease: 10 * time.Minute, VolumeLease: 10 * time.Minute, Mode: ModeEager})
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +398,7 @@ func TestExpiryIndexStaysBounded(t *testing.T) {
 	}
 	now := at(0)
 	for cycle := 0; cycle < 10000; cycle++ {
-		now = now.Add(time.Millisecond)
+		now = now.Add(step)
 		for i := 0; i < 8; i++ {
 			c := ClientID(fmt.Sprintf("c%d", i))
 			mustGrant(t, tb, now, c, "v")

@@ -53,7 +53,8 @@ func TestSnapshotRootsShareNoMemory(t *testing.T) {
 
 	h := core.NewHolder(5 * time.Millisecond)
 	at := core.Anchor{Mono: clk.Mono(), Wall: now}
-	h.GrantVolume("vol", 1, now.Add(time.Minute), at)
+	r, _ := h.RenewVolume("vol", core.NoEpoch)
+	r.Step(core.VolumeGrant{Status: core.VolumeGranted, Volume: "vol", Epoch: 1, Expire: now.Add(time.Minute)}, at)
 	grant := func(oid core.ObjectID, v core.Version) error {
 		_, token := h.Begin(oid)
 		return h.GrantObject(token, "vol", core.ObjectGrant{Object: oid, Version: v, Expire: now.Add(time.Hour), Data: []byte(oid)}, true, at)

@@ -196,45 +196,42 @@ func (v *Volume) HandleRead(now time.Time, e trace.Event) {
 	v.record(now, s, true)
 }
 
-// renewVolume runs the volume-lease exchange the table's reply calls for: a
-// plain grant, delivery of an Inactive client's pending invalidations, or
-// the reconnection protocol of Section 3.1.1 for an Unreachable one.
-// Simulated servers never restart, so the holder presents the volume's
-// epoch even on first contact. The exchange takes one instant, so no write
-// lands in it and the one confirm grants.
+// renewVolume runs the volume-lease conversation the holder's core.Renewal
+// steps, charging each message as the paper's model does: it folds a pending
+// delivery's grant into the vector (Step's Folded). Simulated servers never
+// restart, so the holder presents the volume's epoch even on first contact.
+// The conversation takes one instant, so no write lands in it.
 func (v *Volume) renewVolume(now time.Time, s *server, client core.ClientID, h *core.Holder, vid core.VolumeID) {
-	g := must(s.table.RequestVolumeLease(now, client, vid, must(s.table.VolumeEpoch(vid))))
+	r, req := h.RenewVolume(vid, must(s.table.VolumeEpoch(vid)))
 	v.msg(now, s, metrics.MsgVolLeaseReq, sim.CtrlBytes)
-	switch g.Status {
-	case core.VolumeGranted:
-		v.msg(now, s, metrics.MsgVolLease, sim.CtrlBytes)
-	case core.VolumePendingInvalidations:
-		v.msg(now, s, metrics.MsgInvalRenew, sim.CtrlBytes+int64(len(g.Invalidate))*sim.LeaseRecordBytes)
-		v.msg(now, s, metrics.MsgAckInvalidate, sim.CtrlBytes)
-		h.Invalidate(g.Invalidate)
-		v.invalidated(now, client, g.Invalidate)
-		v.env.Emit(obs.Event{Type: obs.EvPendingDelivered, Client: client, Volume: vid,
-			N: len(g.Invalidate), At: now})
-		g = must(s.table.ConfirmVolume(now, client, vid, 0, g.Invalidate))
-	case core.VolumeNeedsRenewAll:
-		held := h.Held(vid)
-		v.env.Emit(obs.Event{Type: obs.EvReconnect, Client: client, Volume: vid, N: len(held), At: now})
-		vector := sim.CtrlBytes + int64(len(held))*sim.LeaseRecordBytes
-		v.msg(now, s, metrics.MsgMustRenewAll, sim.CtrlBytes)
-		v.msg(now, s, metrics.MsgRenewObjLeases, vector)
-		v.msg(now, s, metrics.MsgInvalRenew, vector)
-		v.msg(now, s, metrics.MsgAckInvalidate, sim.CtrlBytes)
-		v.msg(now, s, metrics.MsgVolLease, sim.CtrlBytes)
-		res := must(s.table.HandleRenewObjLeases(now, client, vid, 0, held))
-		for _, r := range res.Renew {
-			h.RenewObject(r.Object, r.Version, r.Expire, anchor(now))
-			v.objectGranted(now, s, client, r)
+	g := must(s.table.RequestVolumeLease(now, client, vid, req.Epoch))
+	var acked []core.ObjectID
+	st := r.Step(g, anchor(now))
+	for ; st.Next.Kind != core.RenewalDone; st = r.Step(g, anchor(now)) {
+		switch req := st.Next; req.Kind {
+		case core.SendRenewObjLeases:
+			v.env.Emit(obs.Event{Type: obs.EvReconnect, Client: client, Volume: vid, N: len(req.Held), At: now})
+			v.msg(now, s, metrics.MsgMustRenewAll, sim.CtrlBytes)
+			v.msg(now, s, metrics.MsgRenewObjLeases, sim.CtrlBytes+int64(len(req.Held))*sim.LeaseRecordBytes)
+			g = must(s.table.HandleRenewObjLeases(now, client, vid, 0, req.Held))
+		case core.SendAckInvalidate:
+			v.msg(now, s, metrics.MsgInvalRenew, sim.CtrlBytes+int64(len(g.Invalidate)+len(g.Renew))*sim.LeaseRecordBytes)
+			v.msg(now, s, metrics.MsgAckInvalidate, sim.CtrlBytes)
+			for _, o := range g.Renew {
+				v.objectGranted(now, s, client, o)
+			}
+			v.invalidated(now, client, st.Dropped)
+			acked = req.Acked
+			g = must(s.table.ConfirmVolume(now, client, vid, 0, acked))
+		default:
+			panic(fmt.Sprintf("algo: volume conversation answered %v", g.Status))
 		}
-		h.Invalidate(res.Invalidate)
-		v.invalidated(now, client, res.Invalidate)
-		g = must(s.table.ConfirmVolume(now, client, vid, 0, res.Invalidate))
 	}
-	h.GrantVolume(vid, g.Epoch, g.Expire, anchor(now))
+	if st.Folded {
+		v.env.Emit(obs.Event{Type: obs.EvPendingDelivered, Client: client, Volume: vid, N: len(acked), At: now})
+	} else {
+		v.msg(now, s, metrics.MsgVolLease, sim.CtrlBytes)
+	}
 	v.env.Emit(obs.Event{Type: obs.EvVolLeaseGrant, Client: client, Volume: vid, Expire: g.Expire, At: now})
 	expire := g.Expire
 	v.env.Schedule(expire, func(now time.Time) {
