@@ -113,13 +113,13 @@ bench-wirepath:
 				exit bad || n != 7 }'
 
 # Gate: the instrumented hot paths must stay allocation-free when tracing
-# is disabled (BenchmarkEmitDisabled / BenchmarkSpanDisabled /
-# BenchmarkFlightDisabled / BenchmarkCostDisabled / BenchmarkStateDisabled
-# report 0 B/op), and so must a connection with no tap attached
-# (BenchmarkTapDisabled).
+# is disabled (BenchmarkEmitDisabled, which includes an event carrying a
+# traced write's causal ids / BenchmarkFlightDisabled /
+# BenchmarkCostDisabled / BenchmarkStateDisabled report 0 B/op), and so must
+# a connection with no tap attached (BenchmarkTapDisabled).
 bench-disabled:
-	$(GO) test -run '^$$' -bench '^Benchmark(Emit|Span|Flight|Cost|State|Tap)Disabled$$' -benchmem ./internal/obs ./internal/health ./internal/cost ./internal/state ./internal/transport | tee /dev/stderr | \
-		awk '/^Benchmark.*Disabled/ { n++; if ($$(NF-1) != 0 || $$(NF-3) != 0) bad = 1 } END { exit bad || n < 6 }'
+	$(GO) test -run '^$$' -bench '^Benchmark(Emit|Flight|Cost|State|Tap)Disabled$$' -benchmem ./internal/obs ./internal/health ./internal/cost ./internal/state ./internal/transport | tee /dev/stderr | \
+		awk '/^Benchmark.*Disabled/ { n++; if ($$(NF-1) != 0 || $$(NF-3) != 0) bad = 1 } END { exit bad || n < 5 }'
 
 # Smoke test for the flight recorder: run the chaos scenario (partition a
 # client mid-write) and leave its dump in $(FLIGHTDUMP_DIR) for inspection,

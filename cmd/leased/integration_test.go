@@ -31,7 +31,6 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 		volLease:   10 * time.Second,
 		mode:       "eager",
 		msgTimeout: 200 * time.Millisecond,
-		slowWrite:  time.Nanosecond, // every blocking write counts as slow
 		obs:        daemon.Options{DebugAddr: "127.0.0.1:0", Trace: 128},
 	})
 	if err != nil {
@@ -110,7 +109,6 @@ func TestDebugEndpointsUnderWorkload(t *testing.T) {
 	atLeast(`lease_invalidations_sent_total{server="itest"}`, 2)
 	atLeast(`lease_invalidation_acks_total{server="itest"}`, 2)
 	atLeast(`lease_server_writes_total{server="itest"}`, 1)
-	atLeast(`lease_slow_writes_total{server="itest"}`, 1)
 	atLeast(`lease_server_connections{server="itest"}`, 3)
 	atLeast(`lease_write_ack_wait_seconds_count{server="itest"}`, 1)
 
@@ -168,11 +166,11 @@ func httpGet(t *testing.T, url string) string {
 	return string(body)
 }
 
-// TestTraceEndpointsUnderWorkload enables span tracing, drives a traced
-// write over TCP, and checks two debug endpoints: /debug/spans must return
-// the write's causal chain (client span -> server root ->
-// serialize/fanout/ack-wait children), /debug/cost the post-write message
-// burst, second by second.
+// TestTraceEndpointsUnderWorkload drives a write over TCP with the event
+// ring on, and checks two debug endpoints: /debug/events?trace= must return
+// the write's causal records (the server's write record and the blocked,
+// sent and unblocked records it parents), /debug/cost the post-write
+// message burst, second by second.
 func TestTraceEndpointsUnderWorkload(t *testing.T) {
 	in, err := start(options{
 		addr:       "127.0.0.1:0",
@@ -182,7 +180,7 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 		volLease:   10 * time.Second,
 		mode:       "eager",
 		msgTimeout: 200 * time.Millisecond,
-		obs:        daemon.Options{DebugAddr: "127.0.0.1:0", Trace: 128, Spans: 256},
+		obs:        daemon.Options{DebugAddr: "127.0.0.1:0", Trace: 128},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,28 +203,44 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 
 	base := "http://" + in.obs.DebugAddr()
 
-	// /debug/spans returns JSON lines; the write must appear as a root
-	// "write" span with serialize/fanout/ack-wait children. The fanout span
-	// is recorded by the connection's flusher after Write has returned, so
-	// poll for the four kinds instead of reading once.
-	want := []string{"write", "serialize-wait", "fanout", "ack-wait"}
+	// The write's own record names its trace; ?trace= returns the records it
+	// parents. The inval-sent record is emitted by the connection's flusher
+	// once its send returns, which may be after Write has, so poll for the
+	// four types instead of reading once.
+	type record struct {
+		Type   string `json:"type"`
+		Trace  uint64 `json:"trace"`
+		Span   uint64 `json:"span"`
+		Parent uint64 `json:"parent"`
+	}
+	records := func(query string) []record {
+		var out []record
+		for _, line := range strings.Split(strings.TrimSpace(httpGet(t, base+"/debug/events"+query)), "\n") {
+			var r record
+			if err := json.Unmarshal([]byte(line), &r); err != nil {
+				t.Fatalf("bad event line %q: %v", line, err)
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	roots := records("?type=write")
+	if len(roots) != 1 || roots[0].Type != "write" || roots[0].Trace == 0 {
+		t.Fatalf("?type=write = %+v, want the one write record", roots)
+	}
+	root := roots[0]
+	want := []string{"write", "write-blocked", "inval-sent", "write-unblocked"}
 	kinds := map[string]int{}
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		clear(kinds)
-		body := httpGet(t, base+"/debug/spans")
-		for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
-			if line == "" {
-				continue
+		for _, r := range records(fmt.Sprintf("?trace=%d", root.Trace)) {
+			if r.Trace != root.Trace {
+				t.Fatalf("?trace=%d returned %+v", root.Trace, r)
 			}
-			var span struct {
-				Kind   string `json:"kind"`
-				Trace  uint64 `json:"trace"`
-				Parent uint64 `json:"parent,omitempty"`
+			if r.Type != "write" && r.Parent != root.Span {
+				t.Errorf("%s record parent = %d, want the write's %d", r.Type, r.Parent, root.Span)
 			}
-			if err := json.Unmarshal([]byte(line), &span); err != nil {
-				t.Fatalf("bad span line %q: %v", line, err)
-			}
-			kinds[span.Kind]++
+			kinds[r.Type]++
 		}
 		missing := ""
 		for _, k := range want {
@@ -238,14 +252,7 @@ func TestTraceEndpointsUnderWorkload(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("/debug/spans still missing %q span after 5s (got %v)", missing, kinds)
-		}
-	}
-	// The ?type= filter narrows to one kind.
-	filtered := httpGet(t, base+"/debug/spans?type=write")
-	for _, line := range strings.Split(strings.TrimSpace(filtered), "\n") {
-		if line != "" && !strings.Contains(line, `"kind":"write"`) {
-			t.Errorf("?type=write returned %q", line)
+			t.Fatalf("/debug/events?trace=%d still missing %q after 5s (got %v)", root.Trace, missing, kinds)
 		}
 	}
 

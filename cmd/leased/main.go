@@ -21,8 +21,9 @@
 // count of wire traffic — and the per-second load sampled from it, also the
 // lease_cost_* and lease_load_* metrics), plus one endpoint per enabled
 // observer: /debug/events (the last -trace protocol events, filterable with
-// ?type= and ?since=), /debug/spans (-spans: causal write-path tracing) and
-// /debug/flightrecorder (-flight: the flight recorder and its dumps). The
+// ?type= and ?since=; with -trace on they include each write's causal
+// records, which ?trace= and ?min_dur= select) and /debug/flightrecorder
+// (-flight: the flight recorder and its dumps). The
 // index at / and the startup log list exactly what is mounted. Alerts are
 // cmd/leasemon's rules over /metrics; the daemon raises none itself.
 //
@@ -72,7 +73,6 @@ type options struct {
 	bestEffort  bool
 	stateDir    string
 	verbose     bool
-	slowWrite   time.Duration
 	audit       bool
 	dialTimeout time.Duration
 	// obs carries the shared observability flags; start fills in the rest.
@@ -120,14 +120,13 @@ func start(opts options) (*instance, error) {
 	stack := daemon.New(o)
 
 	cfg := server.Config{
-		Name:               opts.volume,
-		Addr:               opts.addr,
-		Net:                transport.TCP{DialTimeout: opts.dialTimeout, Stats: stack.Batch, Taps: stack.Taps},
-		Table:              tableCfg,
-		MsgTimeout:         opts.msgTimeout,
-		StateDir:           opts.stateDir,
-		Obs:                stack.Obs,
-		SlowWriteThreshold: opts.slowWrite,
+		Name:       opts.volume,
+		Addr:       opts.addr,
+		Net:        transport.TCP{DialTimeout: opts.dialTimeout, Stats: stack.Batch, Taps: stack.Taps},
+		Table:      tableCfg,
+		MsgTimeout: opts.msgTimeout,
+		StateDir:   opts.stateDir,
+		Obs:        stack.Obs,
 	}
 	if opts.bestEffort {
 		cfg.WriteMode = server.WriteBestEffort
@@ -172,7 +171,6 @@ func run() error {
 	flag.StringVar(&opts.stateDir, "state-dir", "", "persist volume epochs + lease bound here (crash recovery per Section 3.1.2)")
 	flag.BoolVar(&opts.verbose, "v", false, "verbose logging")
 	statsEvery := flag.Duration("stats", 30*time.Second, "stats reporting interval (0 = off)")
-	flag.DurationVar(&opts.slowWrite, "slow-write", 0, "log writes whose invalidation wait reaches this (0 = off)")
 	flag.BoolVar(&opts.audit, "audit", false, "run the online consistency auditor (exports lease_audit_* metrics and /debug/audit)")
 	flag.DurationVar(&opts.dialTimeout, "dial-timeout", 10*time.Second, "TCP dial timeout")
 	opts.obs.Flags(flag.CommandLine)

@@ -499,8 +499,7 @@ func printDump(out io.Writer, name string, d health.Dump, tail int) {
 	} else {
 		fmt.Fprintln(out, "  trigger: none (manual freeze)")
 	}
-	fmt.Fprintf(out, "  held:    %d events, %d spans, %d load seconds\n",
-		len(d.Events), len(d.Spans), len(d.Seconds))
+	fmt.Fprintf(out, "  held:    %d events, %d load seconds\n", len(d.Events), len(d.Seconds))
 
 	// Events by type, busiest first — the 10,000-ft view of the window.
 	byType := map[string]int{}

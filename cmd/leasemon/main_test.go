@@ -174,6 +174,28 @@ func TestFetchAndPrettyPrintDump(t *testing.T) {
 	}
 }
 
+// TestPrintDumpWithSpans: a dump written before spans became events, with
+// its separate "spans" array, still prints: its events by type and its
+// timeline.
+func TestPrintDumpWithSpans(t *testing.T) {
+	d, err := health.ReadDump("../../internal/health/testdata/flight-with-spans.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	printDump(&out, "flight-with-spans.json", d, 0)
+	for _, want := range []string{
+		"node:    srv",
+		"held:    8 events, 1 load seconds",
+		"write-unblocked",
+		"timeline",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("dump view missing %q:\n%s", want, &out)
+		}
+	}
+}
+
 // TestPrintDumpPerSecondLoad: the dump view prints each second's messages
 // and busiest kinds from the node's frame counts, and its writes and grants
 // from the dump's own events.

@@ -355,20 +355,11 @@ func (c *Client) isClosed() bool {
 
 // redial re-establishes the connection with capped exponential backoff. It
 // returns false when the client was closed while retrying. A successful
-// redial records a SpanRedial (N = dial attempts) so reconnection storms
-// show up in /debug/spans.
+// redial is one EvRedial record (Dur = the outage, N = dial attempts), so
+// reconnection storms show up in /debug/events.
 func (c *Client) redial() bool {
 	bo := newRedialBackoff(c.cfg.RedialBackoff, c.cfg.RedialBackoffCap, c.cfg.ID, c.cfg.Clock.Now().UnixNano())
-	sr := c.cfg.Obs.SpanRec()
-	var (
-		traceID, spanID uint64
-		spanStart       time.Time
-	)
-	if sr != nil {
-		traceID = sr.NewID()
-		spanID = sr.NewID()
-		spanStart = c.cfg.Clock.Now()
-	}
+	rec, start := c.startPhase(obs.EvRedial, wire.TraceContext{})
 	attempts := 0
 	for {
 		select {
@@ -381,14 +372,20 @@ func (c *Client) redial() bool {
 		if err == nil {
 			if err = conn.Send(wire.Hello{Client: c.cfg.ID}); err == nil {
 				c.mu.Lock()
-				c.conn = conn
-				c.mu.Unlock()
-				if sr != nil {
-					sr.Record(obs.Span{Trace: traceID, ID: spanID, Kind: obs.SpanRedial,
-						Node: string(c.cfg.ID), Client: c.cfg.ID, Start: spanStart,
-						Dur: c.cfg.Clock.Now().Sub(spanStart), N: attempts})
+				closed := c.closed
+				if !closed {
+					c.conn = conn
 				}
-				c.emit(obs.Event{Type: obs.EvRedial})
+				c.mu.Unlock()
+				if closed {
+					// Close ran during the dial and closed the old
+					// connection; installing this one would leave the read
+					// loop, and so Close, waiting on it forever.
+					conn.Close()
+					return false
+				}
+				rec.N = attempts
+				c.endPhase(rec, start)
 				c.logf("reconnected")
 				return true
 			}

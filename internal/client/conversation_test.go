@@ -43,10 +43,11 @@ func (f *frameTap) take() []wire.Kind {
 // TestVolumeConversationFrames pins the frames each shape of the volume
 // conversation sends, in order, on the live stack: a real server and client
 // on a tapped in-memory network, in delayed mode with a 30 s discard window
-// and one simulated clock. The server's sweeper never runs, so the discard
-// is the request's own (a sweep at the same instant could discard the
-// reconnecting client once more and add a round). A fresh client's first read costs 8 frames (3 round
-// trips for the volume lease, since first contact presents no epoch, and 1
+// and one simulated clock. The server's sweeper runs at its default
+// interval; a sweep at the reconnection's instant finds the client already
+// discarded by its request and adds no round. A fresh client's first read
+// costs 8 frames (3 round trips for the volume lease, since first contact
+// presents no epoch, and 1
 // for the object); a plain renewal 2; pending delivery of a queued
 // invalidation 4; a reconnection after the discard 6.
 func TestVolumeConversationFrames(t *testing.T) {
@@ -55,7 +56,7 @@ func TestVolumeConversationFrames(t *testing.T) {
 	net := transport.NewMemory()
 	net.Taps = []transport.Tap{tap}
 	srv, err := server.New(server.Config{
-		Name: "srv", Addr: "srv:1", Net: net, Clock: clk, SweepInterval: time.Hour,
+		Name: "srv", Addr: "srv:1", Net: net, Clock: clk,
 		Table: core.Config{ObjectLease: 10 * time.Minute, VolumeLease: 10 * time.Second,
 			Mode: core.ModeDelayed, InactiveDiscard: 30 * time.Second},
 	})

@@ -76,17 +76,17 @@ func (c *Client) Peek(oid core.ObjectID) ([]byte, bool) {
 
 // Write asks the server to modify an object. It blocks for the server's
 // invalidate/ack round (the paper's write delay) and reports the new
-// version and the server-side wait. When the client's observer has a span
-// recorder, the write starts a fresh trace whose context rides the WriteReq
-// so the server's root write span becomes a child of this client span.
+// version and the server-side wait. When tracing is live, the write starts a
+// fresh trace whose context rides the WriteReq, so the server's write record
+// becomes a child of this client's.
 func (c *Client) Write(oid core.ObjectID, data []byte) (core.Version, time.Duration, error) {
 	return c.WriteTraced(oid, data, wire.TraceContext{})
 }
 
-// WriteTraced is Write joining an existing trace: tc identifies the span
+// WriteTraced is Write joining an existing trace: tc identifies the record
 // that caused this write (a proxy relaying a downstream WriteReq passes the
 // downstream's context). A zero tc starts a fresh trace when tracing is
-// enabled, and stays untraced otherwise.
+// live; without tracing the request carries no context.
 func (c *Client) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContext) (core.Version, time.Duration, error) {
 	seq, err := c.open()
 	if err != nil {
@@ -94,28 +94,11 @@ func (c *Client) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 	}
 	defer c.release(seq)
 
-	sr := c.cfg.Obs.SpanRec()
-	var (
-		spanID, parentID uint64
-		spanStart        time.Time
-	)
-	if sr != nil {
-		trace := tc.TraceID
-		if trace == 0 {
-			trace = sr.NewID()
-		}
-		parentID = tc.SpanID
-		spanID = sr.NewID()
-		spanStart = c.cfg.Clock.Now()
-		tc = wire.TraceContext{TraceID: trace, SpanID: spanID}
-	}
-
-	m, err := c.rpc(seq, wire.WriteReq{Seq: seq, Object: oid, Data: data, Trace: tc})
-	if sr != nil {
-		sr.Record(obs.Span{Trace: tc.TraceID, ID: spanID, Parent: parentID,
-			Kind: obs.SpanClientWrite, Node: string(c.cfg.ID), Client: c.cfg.ID,
-			Object: oid, Start: spanStart, Dur: c.cfg.Clock.Now().Sub(spanStart)})
-	}
+	rec, start := c.startPhase(obs.EvClientWrite, tc)
+	rec.Object = oid
+	m, err := c.rpc(seq, wire.WriteReq{Seq: seq, Object: oid, Data: data,
+		Trace: wire.TraceContext{TraceID: rec.Trace, SpanID: rec.Span}})
+	c.endPhase(rec, start)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -126,15 +109,28 @@ func (c *Client) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 	return rep.Version, rep.Waited, nil
 }
 
-// startSpan begins a fresh trace for a client-initiated operation. It
-// returns a nil recorder — the callers' signal to skip recording — when
-// tracing is disabled.
-func (c *Client) startSpan() (sr *obs.SpanRecorder, traceID, spanID uint64, start time.Time) {
-	sr = c.cfg.Obs.SpanRec()
-	if sr == nil {
-		return nil, 0, 0, time.Time{}
+// startPhase opens the record of one timed phase of typ, in tc's trace or,
+// when tc names none, a fresh one. Without tracing the record stays zero and
+// no clock is read.
+func (c *Client) startPhase(typ obs.EventType, tc wire.TraceContext) (rec obs.Event, start time.Time) {
+	if !c.cfg.Obs.Tracing() {
+		return obs.Event{}, time.Time{}
 	}
-	return sr, sr.NewID(), sr.NewID(), c.cfg.Clock.Now()
+	rec = obs.Event{Type: typ, Trace: tc.TraceID, Span: c.cfg.Obs.NewID(), Parent: tc.SpanID}
+	if rec.Trace == 0 {
+		rec.Trace = rec.Span
+	}
+	return rec, c.cfg.Clock.Now()
+}
+
+// endPhase emits rec, opened by startPhase at start, as ending now.
+func (c *Client) endPhase(rec obs.Event, start time.Time) {
+	if rec.Span == 0 {
+		return
+	}
+	rec.At = c.cfg.Clock.Now()
+	rec.Dur = rec.At.Sub(start)
+	c.emit(rec)
 }
 
 // anchorNow samples the clocks for a core.Holder install, as core.Anchor asks.
@@ -151,8 +147,8 @@ func (c *Client) HasVolumeLease(vid core.VolumeID) bool {
 }
 
 // renewObject runs the REQ_OBJ_LEASE round (Figure 4, "Client requests
-// lease for object o"). Each renewal is its own short trace: the span
-// measures the full request/reply round trip as seen from the client.
+// lease for object o"). Each renewal is its own short trace: its record
+// times the full request/reply round trip as seen from the client.
 func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) error {
 	c.mu.Lock()
 	ver, token := c.h.Begin(oid)
@@ -164,13 +160,10 @@ func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) error {
 	}
 	defer c.release(seq)
 
-	sr, traceID, spanID, spanStart := c.startSpan()
+	rec, start := c.startPhase(obs.EvRenewObject, wire.TraceContext{})
 	m, err := c.rpc(seq, wire.ReqObjLease{Seq: seq, Object: oid, Version: ver})
-	if sr != nil {
-		sr.Record(obs.Span{Trace: traceID, ID: spanID, Kind: obs.SpanRenewObject,
-			Node: string(c.cfg.ID), Client: c.cfg.ID, Object: oid, Volume: vid,
-			Start: spanStart, Dur: c.cfg.Clock.Now().Sub(spanStart)})
-	}
+	rec.Object, rec.Volume = oid, vid
+	c.endPhase(rec, start)
 	if err != nil {
 		return err
 	}
@@ -212,15 +205,14 @@ func (c *Client) RenewVolume(vid core.VolumeID) error {
 	}
 	defer c.release(seq)
 
-	// One span covers the whole (possibly multi-round) conversation; N
-	// records how many request/reply rounds it took.
+	// One record covers the whole (possibly multi-round) conversation; N
+	// counts its request/reply rounds.
 	rounds := 0
-	sr, traceID, spanID, spanStart := c.startSpan()
-	if sr != nil {
+	rec, start := c.startPhase(obs.EvRenewVolume, wire.TraceContext{})
+	if rec.Span != 0 {
 		defer func() {
-			sr.Record(obs.Span{Trace: traceID, ID: spanID, Kind: obs.SpanRenewVolume,
-				Node: string(c.cfg.ID), Client: c.cfg.ID, Volume: vid,
-				Start: spanStart, Dur: c.cfg.Clock.Now().Sub(spanStart), N: rounds})
+			rec.Volume, rec.N = vid, rounds
+			c.endPhase(rec, start)
 		}()
 	}
 

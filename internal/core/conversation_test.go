@@ -185,6 +185,33 @@ func TestConfirmAfterDiscardNeedsRenewAll(t *testing.T) {
 	}
 }
 
+// TestSweepDuringReconnectionDiscardsOnce: the request that discards a client
+// at expire + d retires the expired volume-lease record it judged, so a sweep
+// at the same instant, between the vector and its ack, finds nothing to
+// discard again: the reconnection takes one vector and is granted.
+func TestSweepDuringReconnectionDiscardsOnce(t *testing.T) {
+	tb := newTable(t, delayedCfg(30*time.Second)) // discard at 10 + 30 s
+	h := holderWith(t, tb, at(0), "c", "a")
+	g, _ := tb.RequestVolumeLease(at(45), "c", "v", 0)
+	if g.Status != VolumeNeedsRenewAll {
+		t.Fatalf("request after expire + d = %v, want needs-renew-all", g.Status)
+	}
+	g, err := tb.HandleRenewObjLeases(at(45), "c", "v", 0, h.held("v"))
+	if err != nil || len(g.Renew) != 1 {
+		t.Fatalf("vector = %+v, %v; want a renewed", g, err)
+	}
+	if _, discarded := tb.Sweep(at(45)); len(discarded) != 0 {
+		t.Errorf("sweep discarded %v again", discarded)
+	}
+	g, err = tb.ConfirmVolume(at(45), "c", "v", 0, g.Invalidate)
+	if err != nil || g.Status != VolumeGranted {
+		t.Fatalf("confirm = %v, %v; want granted", g.Status, err)
+	}
+	if s := tb.Stats(at(45)); s.UnreachableClients != 0 || s.ObjectLeases != 1 || s.VolumeLeases != 1 {
+		t.Errorf("after the reconnection: %+v, want a and the volume leased, nobody unreachable", s)
+	}
+}
+
 // TestConfirmDefersWhileAckOwed: a confirm is deferred, as a request is,
 // while the client owes a write in flight its ack.
 func TestConfirmDefersWhileAckOwed(t *testing.T) {

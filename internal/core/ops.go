@@ -334,6 +334,13 @@ func (t *Table) lazyDiscard(now time.Time, v *volume, client ClientID) bool {
 		return false
 	}
 	discarded := inactive && len(ia.pending) > 0
+	if hasVol {
+		// Retire the expired record judged here, as drain would: left in
+		// place, the next sweep would log its expiry again and discard the
+		// client a second time, in the middle of its reconnection.
+		delete(v.at, client)
+		v.expired++
+	}
 	delete(v.inactive, client)
 	delete(v.volExpiredAt, client)
 	for o := range v.held[client] {

@@ -8,7 +8,8 @@
 //
 //	frames (transport.Tap)  -> cost.Accounting   per-kind totals, bytes, codec time,
 //	                                             sampled into per-second load
-//	events (obs.Tracer)     -> obs.RingSink      /debug/events
+//	events (obs.Tracer)     -> obs.RingSink      /debug/events, the causal write
+//	                                             records included (?trace=)
 //	                        -> audit.Auditor     invariants; a violation freezes
 //	                                             one flight dump (health.Dumper)
 //	                        -> health.FlightRecorder
@@ -46,7 +47,6 @@ type Options struct {
 	// The shared flags; Flags documents each.
 	DebugAddr string
 	Trace     int
-	Spans     int
 	Flight    int
 	FlightDir string
 
@@ -63,8 +63,7 @@ type Options struct {
 // Flags registers the shared observability flags on fs, bound to o.
 func (o *Options) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve /metrics, /debug/pprof and a /debug/ endpoint per enabled observer on this address (empty = off)")
-	fs.IntVar(&o.Trace, "trace", 256, "protocol events kept for /debug/events (0 = off)")
-	fs.IntVar(&o.Spans, "spans", 0, "causal write-path spans kept for /debug/spans (0 = span tracing off)")
+	fs.IntVar(&o.Trace, "trace", 256, "protocol events, causal write records included, kept for /debug/events (0 = off)")
 	fs.IntVar(&o.Flight, "flight", 8192, "protocol events retained by the flight recorder (0 = flight recorder and its dumps off)")
 	fs.StringVar(&o.FlightDir, "flight-dir", "flight-dumps", "directory for flight recorder dump files ($FLIGHT_DUMP_DIR overrides)")
 }
@@ -143,12 +142,6 @@ func New(o Options) *Stack {
 	}
 	if len(sinks) > 0 {
 		observer.Tracer = obs.NewTracer(sinks...)
-	}
-	if o.Spans > 0 {
-		spans := obs.NewSpanRecorder(o.Spans)
-		observer.Spans = spans
-		s.flight.AttachSpans(spans)
-		s.mount("/debug/spans", obs.SpansHandler(spans))
 	}
 	return s
 }

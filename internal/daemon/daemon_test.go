@@ -37,7 +37,7 @@ type node struct {
 	log    []string
 }
 
-func driven(t *testing.T, role string, opts Options, slowWrite time.Duration) *node {
+func driven(t *testing.T, role string, opts Options) *node {
 	t.Helper()
 	n := &node{}
 	clk := opts.Clock
@@ -58,7 +58,7 @@ func driven(t *testing.T, role string, opts Options, slowWrite time.Duration) *n
 
 	origin := server.Config{
 		Name: "origin", Addr: "origin:1", Net: net, Clock: clk, Table: table,
-		MsgTimeout: 50 * time.Millisecond, SlowWriteThreshold: slowWrite,
+		MsgTimeout: 50 * time.Millisecond,
 	}
 	target := origin.Addr
 	if role == "server" {
@@ -141,10 +141,10 @@ func TestSeriesSurface(t *testing.T) {
 	for _, role := range []string{"server", "proxy"} {
 		t.Run(role, func(t *testing.T) {
 			n := driven(t, role, Options{
-				Node: role, DebugAddr: "127.0.0.1:0", Trace: 64, Spans: 64,
+				Node: role, DebugAddr: "127.0.0.1:0", Trace: 64,
 				Flight: 256, FlightDir: t.TempDir(),
 				Audit: role == "server", // leaseproxy has no -audit
-			}, time.Nanosecond)
+			})
 			base := "http://" + n.stack.DebugAddr()
 
 			seen := map[string]bool{}
@@ -187,7 +187,7 @@ func TestSeriesSurface(t *testing.T) {
 			// role, every entry answers, and the startup line printed it.
 			index := strings.Fields(strings.TrimPrefix(get(t, base+"/"), "lease debug server"))
 			mounted := []string{"/metrics", "/debug/pprof/", "/debug/events", "/debug/leases",
-				"/debug/audit", "/debug/cost", "/debug/flightrecorder", "/debug/spans"}
+				"/debug/audit", "/debug/cost", "/debug/flightrecorder"}
 			if role == "proxy" {
 				mounted = slices.DeleteFunc(mounted, func(p string) bool { return p == "/debug/audit" })
 			}
@@ -213,7 +213,7 @@ func TestSeriesSurface(t *testing.T) {
 // push the connects and grants an operator asked /debug/events for out of a
 // small ring.
 func TestEventsRingHoldsProtocolEventsOnly(t *testing.T) {
-	n := driven(t, "server", Options{Node: "srv", Trace: 16}, 0)
+	n := driven(t, "server", Options{Node: "srv", Trace: 16})
 	frames := n.stack.Cost.Totals().MessagesRecv
 	for i := 0; i < 100; i++ {
 		if _, err := n.holder.Read("vol", "no-such-object"); err == nil {
@@ -239,7 +239,7 @@ func TestEventsRingHoldsProtocolEventsOnly(t *testing.T) {
 // /debug/cost's seconds and the lease_load_* gauges. Unsampled, every frame
 // would sit in whichever second is in progress.
 func TestStackSamplesLoad(t *testing.T) {
-	n := driven(t, "server", Options{Node: "srv"}, 0)
+	n := driven(t, "server", Options{Node: "srv"})
 	clk := n.stack.opts.Clock.(*clock.Simulated)
 	begun := clk.Now().Unix()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -254,25 +254,32 @@ func TestStackSamplesLoad(t *testing.T) {
 	}
 }
 
-// TestSlowWriteEmitsOneEvent: `leased -slow-write D -spans N` is one
-// threshold, so a write past it is one slow-op in the event stream — the
-// server's, which also counts it and needs no span recorder. The recorder used
-// to mirror its root write span into the stream under the same threshold, and
-// every slow write showed up twice.
-func TestSlowWriteEmitsOneEvent(t *testing.T) {
-	// On the wall clock: the simulated one stands still across the ack wait.
-	n := driven(t, "server", Options{Node: "srv", Clock: clock.Real{}, Trace: 64, Spans: 64}, time.Nanosecond)
-	slow := 0
-	for _, e := range n.stack.ring.Snapshot() {
-		if e.Type == obs.EvSlowOp {
-			slow++
+// TestTraceRecordsWrites: with -trace on, the node's event stream holds each
+// write's causal records with nothing else switched on, one record per fact:
+// here a write to one held lease leaves its write record and the blocked,
+// sent and unblocked records it parents, under one trace id.
+func TestTraceRecordsWrites(t *testing.T) {
+	n := driven(t, "server", Options{Node: "srv", Trace: 64})
+	// The flusher emits inval-sent once its send returns, which may be after
+	// the write has.
+	byType := map[obs.EventType][]obs.Event{}
+	for deadline := time.Now().Add(5 * time.Second); len(byType[obs.EvInvalSent]) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		clear(byType)
+		for _, e := range n.stack.ring.Snapshot() {
+			if e.Trace != 0 {
+				byType[e.Type] = append(byType[e.Type], e)
+			}
 		}
 	}
-	if slow != 1 {
-		t.Errorf("one write to a held lease past the threshold emitted %d slow-op events, want 1", slow)
+	writes := byType[obs.EvWrite]
+	if len(writes) != 1 {
+		t.Fatalf("write records = %+v, want 1", writes)
 	}
-	if n.stack.Obs.SpanRec().Total() == 0 {
-		t.Error("no spans recorded; the write was not traced")
+	root := writes[0]
+	for _, typ := range []obs.EventType{obs.EvWriteBlocked, obs.EvInvalSent, obs.EvWriteUnblocked} {
+		if got := byType[typ]; len(got) != 1 || got[0].Trace != root.Trace || got[0].Parent != root.Span {
+			t.Errorf("%s records = %+v, want one under the write %d/%d", typ, got, root.Trace, root.Span)
+		}
 	}
 }
 
@@ -395,7 +402,7 @@ func TestSharedFlags(t *testing.T) {
 	o.Flags(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	if want := []string{"debug-addr", "flight", "flight-dir", "spans", "trace"}; !slices.Equal(got, want) {
+	if want := []string{"debug-addr", "flight", "flight-dir", "trace"}; !slices.Equal(got, want) {
 		t.Errorf("shared flags = %v, want %v", got, want)
 	}
 }

@@ -1,9 +1,9 @@
 // Package health is the black box of the live lease stack: a flight
-// recorder continuously retaining the last seconds of protocol events and
-// causal spans, frozen into a dump file — with the node's per-second load
-// and its lease table — when an operator asks (ForceDump, POST
-// /debug/flightrecorder?freeze=1) or the auditor records a violation
-// (Dumper.Trigger).
+// recorder continuously retaining the last seconds of protocol events
+// (causal write records included), frozen into a dump file — with the
+// node's per-second load and its lease table — when an operator asks
+// (ForceDump, POST /debug/flightrecorder?freeze=1) or the auditor records a
+// violation (Dumper.Trigger).
 //
 // The paper's hardest moments — renewal storms after a server crash,
 // unreachable-client wait-outs, invalidation backlog on a hot volume — are
@@ -59,8 +59,8 @@ func (t Trigger) String() string {
 
 // FlightRecorder continuously retains the most recent protocol events in an
 // obs.Ring (one allocation plus two atomic ops per recorded event, no mutex
-// on the record path), plus references to the span recorder, cost
-// accounting and lease-state source that are snapshotted at freeze time.
+// on the record path), plus references to the cost accounting and
+// lease-state source that are snapshotted at freeze time.
 //
 // A nil *FlightRecorder is a valid, disabled recorder: Observe is a nil
 // check and the event never escapes, which is the zero-allocation fast
@@ -71,7 +71,6 @@ type FlightRecorder struct {
 	events *obs.Ring[obs.Event]
 
 	// Attached sources, set before traffic starts; all optional.
-	spans *obs.SpanRecorder
 	cost  *cost.Accounting
 	state *state.Source
 }
@@ -87,15 +86,6 @@ func NewFlightRecorder(node string, size int, window time.Duration) *FlightRecor
 		window = 60 * time.Second
 	}
 	return &FlightRecorder{node: node, window: window, events: obs.NewRing[obs.Event](size)}
-}
-
-// AttachSpans arranges for freezes to include the span recorder's retained
-// spans. Call before traffic starts.
-func (f *FlightRecorder) AttachSpans(r *obs.SpanRecorder) {
-	if f == nil {
-		return
-	}
-	f.spans = r
 }
 
 // AttachCost arranges for freezes to include the cost accounting's
@@ -155,9 +145,9 @@ func (f *FlightRecorder) Events(now time.Time) []obs.Event {
 	return out
 }
 
-// Snapshot freezes the recorder into a Dump: the trailing event window,
-// the attached span recorder's retained spans, the attached accounting's
-// per-second load and the attached lease state. tr (optional) says why.
+// Snapshot freezes the recorder into a Dump: the trailing event window, the
+// attached accounting's per-second load and the attached lease state. tr
+// (optional) says why.
 func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 	d := Dump{WrittenAt: now}
 	if f == nil {
@@ -169,15 +159,6 @@ func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 	for _, e := range f.Events(now) {
 		d.Events = append(d.Events, e.JSON())
 	}
-	if f.spans != nil {
-		cutoff := now.Add(-f.window)
-		for _, s := range f.spans.Snapshot() {
-			if s.End().Before(cutoff) {
-				continue
-			}
-			d.Spans = append(d.Spans, s.JSON())
-		}
-	}
 	d.Seconds = f.cost.Seconds()
 	if f.state != nil {
 		ls := f.state.Snapshot()
@@ -188,14 +169,14 @@ func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
 
 // Dump is a frozen flight recording — the file format written on a freeze and
 // served at /debug/flightrecorder. Everything is plain JSON so
-// leasemon, tests, and humans parse it the same way.
+// leasemon, tests, and humans parse it the same way. Dumps written before
+// spans became events carry a "spans" array as well; it is ignored.
 type Dump struct {
 	Node          string          `json:"node"`
 	WrittenAt     time.Time       `json:"written_at"`
 	WindowSeconds int             `json:"window_seconds"`
 	Trigger       *Trigger        `json:"trigger,omitempty"`
 	Events        []obs.EventJSON `json:"events"`
-	Spans         []obs.SpanJSON  `json:"spans,omitempty"`
 	Seconds       []cost.Second   `json:"seconds,omitempty"`
 	// LeaseState is the node's frozen lease-table snapshot (who held what
 	// until when at freeze time), attached via AttachState.

@@ -2,6 +2,7 @@ package health
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +24,6 @@ func evAt(at time.Time, typ obs.EventType) obs.Event {
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Observe(obs.Event{Type: obs.EvConnect})
-	f.AttachSpans(nil)
 	f.AttachCost(nil)
 	if f.Total() != 0 {
 		t.Errorf("nil Total = %d", f.Total())
@@ -107,33 +107,54 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSnapshotIncludesSpansAndTimeline: a write's causal records are events
+// like any other, so the dump's window keeps the recent ones and drops an
+// ancient one, beside the per-second load.
 func TestSnapshotIncludesSpansAndTimeline(t *testing.T) {
 	base := clock.Epoch
 	sim := clock.NewSimulated(base.Add(10 * time.Second))
 	f := NewFlightRecorder("n", 64, 30*time.Second)
-	spans := obs.NewSpanRecorder(16)
-	f.AttachSpans(spans)
 	acct := cost.New("n", sim.Now)
 	f.AttachCost(acct)
 
-	spans.Record(obs.Span{Trace: 1, ID: 1, Kind: obs.SpanWrite, Start: base.Add(9 * time.Second), Dur: time.Second})
-	// An ancient span outside the window must be dropped.
-	spans.Record(obs.Span{Trace: 2, ID: 2, Kind: obs.SpanWrite, Start: base.Add(-time.Hour), Dur: time.Second})
+	f.Observe(obs.Event{Type: obs.EvWrite, At: base.Add(9 * time.Second), Dur: time.Second, Trace: 1, Span: 1})
+	// An ancient record outside the window must be dropped.
+	f.Observe(obs.Event{Type: obs.EvWrite, At: base.Add(-time.Hour), Dur: time.Second, Trace: 2, Span: 2})
 	acct.TapConn("n:1", "c:0").Observe(transport.Frame{Sent: true, Msg: wire.Hello{}}) // in progress at second 10
 	f.Observe(evAt(base.Add(9*time.Second), obs.EvWriteApplied))
 
 	d := f.Snapshot(sim.Now(), &Trigger{Cause: CauseAudit, At: sim.Now(), Detail: "epoch moved backwards"})
-	if len(d.Events) != 1 || d.Events[0].Type != "write-applied" {
-		t.Fatalf("events = %+v", d.Events)
-	}
-	if len(d.Spans) != 1 || d.Spans[0].Trace != 1 {
-		t.Fatalf("spans = %+v, want only the in-window span", d.Spans)
+	if len(d.Events) != 2 || d.Events[0].Type != "write" || d.Events[0].Trace != 1 || d.Events[0].DurNS != int64(time.Second) ||
+		d.Events[1].Type != "write-applied" {
+		t.Fatalf("events = %+v, want the in-window write record and the commit", d.Events)
 	}
 	if len(d.Seconds) != 1 || d.Seconds[0].Msgs != 1 {
 		t.Fatalf("seconds = %+v", d.Seconds)
 	}
 	if d.Trigger == nil || d.Trigger.Cause != CauseAudit {
 		t.Fatalf("trigger = %+v", d.Trigger)
+	}
+}
+
+// TestParseDumpWithSpans: a dump written before spans became events — a
+// separate "spans" array beside the events — still parses, its events
+// intact. testdata/flight-with-spans.json is such a dump.
+func TestParseDumpWithSpans(t *testing.T) {
+	d, err := ReadDump("testdata/flight-with-spans.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, e := range d.Events {
+		types = append(types, e.Type)
+	}
+	want := []string{"connect", "vol-lease-grant", "obj-lease-grant", "write-blocked",
+		"inval-sent", "inval-acked", "write-applied", "write-unblocked"}
+	if d.Node != "srv" || !slices.Equal(types, want) || len(d.Seconds) != 1 {
+		t.Fatalf("old dump parsed as node %q, events %v, %d seconds", d.Node, types, len(d.Seconds))
+	}
+	if e := d.Events[7]; e.Object != "a" || e.DurNS != int64(4*time.Millisecond) {
+		t.Errorf("write-unblocked = %+v", e)
 	}
 }
 

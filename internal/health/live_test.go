@@ -28,11 +28,7 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 	sim := clock.NewSimulated(clock.Epoch)
 	net := transport.NewMemory()
 	observer := &obs.Observer{Metrics: obs.NewRegistry()}
-	spans := obs.NewSpanRecorder(4096)
-	observer.Spans = spans
-
 	flight := health.NewFlightRecorder("srv", 16384, 30*time.Second)
-	flight.AttachSpans(spans)
 	acct := cost.New("srv", sim.Now)
 	flight.AttachCost(acct)
 	net.Taps = []transport.Tap{acct}
@@ -165,23 +161,26 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 		t.Errorf("pre-freeze context %v, want >= 2s (%d events)", span, len(d.Events))
 	}
 	// The incident itself is in the event timeline.
-	var sawUnreachable, sawWrite bool
+	var sawUnreachable, sawWrite, sawWait bool
 	for _, e := range d.Events {
 		switch e.Type {
 		case "unreachable":
 			sawUnreachable = true
 		case "write-applied":
 			sawWrite = true
+		case "write-unblocked":
+			// The partitioned write's ack wait, in its trace, the victim unacked.
+			sawWait = sawWait || (e.Object == "a" && e.N == 1 && e.Trace != 0)
 		}
 	}
-	if !sawUnreachable || !sawWrite {
-		t.Errorf("dump timeline missing incident evidence: unreachable=%v write=%v", sawUnreachable, sawWrite)
+	if !sawUnreachable || !sawWrite || !sawWait {
+		t.Errorf("dump timeline missing incident evidence: unreachable=%v write=%v wait=%v", sawUnreachable, sawWrite, sawWait)
 	}
 	// Per-second load rode along, one entry per second of the ~3s run: the
 	// sampler filed each closed second as it went.
 	if len(d.Seconds) < 2 {
 		t.Errorf("dump has %d per-second load buckets, want one per second of the run", len(d.Seconds))
 	}
-	t.Logf("dump %s: %d events over %v, %d spans, %d seconds, trigger %s",
-		filepath.Base(path), len(d.Events), d.PreTriggerSpan(), len(d.Spans), len(d.Seconds), d.Trigger)
+	t.Logf("dump %s: %d events over %v, %d seconds, trigger %s",
+		filepath.Base(path), len(d.Events), d.PreTriggerSpan(), len(d.Seconds), d.Trigger)
 }

@@ -13,7 +13,10 @@ import (
 // the reconnection protocol, and reachability transitions.
 type EventType uint8
 
-// Protocol event types.
+// Protocol event types. A span is an event: the last four, and the
+// blocked, unblocked, sent and redial events, each end one timed phase of
+// an operation (Dur), and carry the causal ids that tie one write's records
+// together across processes when tracing is live.
 const (
 	// EvObjLeaseGrant: an object lease was granted or renewed.
 	EvObjLeaseGrant EventType = iota + 1
@@ -21,19 +24,19 @@ const (
 	EvVolLeaseGrant
 	// EvLeaseExpire: a sweep dropped expired lease records (N = how many).
 	EvLeaseExpire
-	// EvInvalSent: an INVALIDATE was pushed to a client (server/proxy side).
+	// EvInvalSent: one Invalidate frame went to a client (server/proxy
+	// side): N = objects it named, Object = the first, Dur = the send.
 	EvInvalSent
 	// EvInvalRecv: an INVALIDATE arrived (client side), before the ack.
 	EvInvalRecv
 	// EvInvalAcked: an ACK_INVALIDATE resolved a pending invalidation.
 	EvInvalAcked
-	// EvWriteBlocked: a write began waiting for acknowledgments (N = waiters).
+	// EvWriteBlocked: a write began waiting for acknowledgments (N =
+	// waiters, Dur = its wait for the per-object write slot).
 	EvWriteBlocked
-	// EvWriteUnblocked: a write finished its ack round (Dur = wait,
-	// N = clients that never acked).
+	// EvWriteUnblocked: a write finished its ack round (Dur = the wait,
+	// bounded by min(t, t_v); N = clients that never acked).
 	EvWriteUnblocked
-	// EvSlowOp: an operation exceeded the configured slow threshold (Dur).
-	EvSlowOp
 	// EvEpochBump: a volume epoch advanced (crash recovery).
 	EvEpochBump
 	// EvReconnect: the MUST_RENEW_ALL reconnection protocol ran.
@@ -44,7 +47,8 @@ const (
 	EvConnect
 	// EvDisconnect: a client connection ended.
 	EvDisconnect
-	// EvRedial: a client transparently re-established its connection.
+	// EvRedial: a client transparently re-established its connection (Dur
+	// = the outage, N = dial attempts).
 	EvRedial
 	// EvCacheRead: a client served a read from its cache (Version = the
 	// version it returned). The read-validity invariant applies.
@@ -58,6 +62,18 @@ const (
 	// EvPendingDelivered: queued invalidations were delivered and acked
 	// ahead of a volume renewal (N = objects invalidated).
 	EvPendingDelivered
+	// EvWrite: a server or proxy finished one write, from its arrival to
+	// the commit (Dur; N = clients notified). The root of the write's
+	// blocked, sent and unblocked records.
+	EvWrite
+	// EvClientWrite: a client's write RPC (Dur), parent of the server's
+	// EvWrite.
+	EvClientWrite
+	// EvRenewObject: a client's object lease request round trip (Dur).
+	EvRenewObject
+	// EvRenewVolume: a client's volume lease conversation, including any
+	// InvalRenew or MUST_RENEW_ALL rounds (Dur; N = rounds).
+	EvRenewVolume
 	numEventTypes
 )
 
@@ -70,7 +86,6 @@ var eventNames = [...]string{
 	EvInvalAcked:       "inval-acked",
 	EvWriteBlocked:     "write-blocked",
 	EvWriteUnblocked:   "write-unblocked",
-	EvSlowOp:           "slow-op",
 	EvEpochBump:        "epoch-bump",
 	EvReconnect:        "reconnect",
 	EvUnreachable:      "unreachable",
@@ -81,6 +96,10 @@ var eventNames = [...]string{
 	EvWriteApplied:     "write-applied",
 	EvInvalQueued:      "inval-queued",
 	EvPendingDelivered: "pending-delivered",
+	EvWrite:            "write",
+	EvClientWrite:      "client-write",
+	EvRenewObject:      "renew-object",
+	EvRenewVolume:      "renew-volume",
 }
 
 // String names the event type.
@@ -106,13 +125,19 @@ type Event struct {
 	Epoch  core.Epoch
 	// N carries a count payload (waiters, expired leases, unacked clients).
 	N int
-	// Dur carries a duration payload (ack wait, slow-op latency).
+	// Dur carries a duration payload: how long the phase the event ends
+	// took (At is its end).
 	Dur time.Duration
 	// Expire carries the lease expiry for grant events.
 	Expire time.Time
 	// Version carries the object version for grants, cache reads, and
 	// applied writes.
 	Version core.Version
+	// Trace groups the records of one causal chain (one client write and
+	// everything it triggered, across processes); Span is this record's own
+	// id when another record can name it as its Parent. A record that starts
+	// a trace has Trace == Span. All three are zero unless tracing is live.
+	Trace, Span, Parent uint64
 }
 
 // String renders a compact single-line form for logs and test failures.
@@ -135,6 +160,9 @@ func (e Event) String() string {
 	}
 	if e.Version != 0 {
 		s += fmt.Sprintf(" ver=%d", e.Version)
+	}
+	if e.Trace != 0 {
+		s += fmt.Sprintf(" trace=%d", e.Trace)
 	}
 	if !e.Expire.IsZero() {
 		s += " expire=" + e.Expire.Format("15:04:05.000")

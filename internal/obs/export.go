@@ -99,6 +99,9 @@ type EventJSON struct {
 	DurNS   int64      `json:"dur_ns,omitempty"`
 	Version int64      `json:"version,omitempty"`
 	Expire  *time.Time `json:"expire,omitempty"`
+	Trace   uint64     `json:"trace,omitempty"`
+	Span    uint64     `json:"span,omitempty"`
+	Parent  uint64     `json:"parent,omitempty"`
 }
 
 // JSON renders the event in its JSON form.
@@ -108,6 +111,7 @@ func (e Event) JSON() EventJSON {
 		Client: string(e.Client), Object: string(e.Object),
 		Volume: string(e.Volume), Epoch: int64(e.Epoch),
 		N: e.N, DurNS: int64(e.Dur), Version: int64(e.Version),
+		Trace: e.Trace, Span: e.Span, Parent: e.Parent,
 	}
 	if !e.Expire.IsZero() {
 		expire := e.Expire
@@ -116,12 +120,14 @@ func (e Event) JSON() EventJSON {
 	return je
 }
 
-// eventsHandler dumps a ring sink's retained events as JSON lines. Two
+// eventsHandler dumps a ring sink's retained events as JSON lines. Four
 // query parameters narrow long traces:
 //
 //	?type=vol-lease-grant   — only events of that type (repeatable)
 //	?since=5s | ?since=RFC3339 — only events at or after the cutoff
 //	  (a duration is taken relative to now on the injected clock)
+//	?trace=123              — only the records of that trace id
+//	?min_dur=5ms            — only records of phases at least that long
 //
 // clk supplies "now" for relative ?since= windows, so a stack running on a
 // simulated clock filters against the timeline its events were stamped on.
@@ -143,6 +149,22 @@ func eventsHandler(ring *RingSink, clk clock.Clock) http.HandlerFunc {
 				return
 			}
 		}
+		var trace uint64
+		if s := q.Get("trace"); s != "" {
+			var err error
+			if trace, err = strconv.ParseUint(s, 10, 64); err != nil || trace == 0 {
+				http.Error(w, "trace: want a nonzero decimal id", http.StatusBadRequest)
+				return
+			}
+		}
+		var minDur time.Duration
+		if s := q.Get("min_dur"); s != "" {
+			var err error
+			if minDur, err = time.ParseDuration(s); err != nil {
+				http.Error(w, "min_dur: want a duration (5ms)", http.StatusBadRequest)
+				return
+			}
+		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		for _, e := range ring.Snapshot() {
@@ -150,6 +172,9 @@ func eventsHandler(ring *RingSink, clk clock.Clock) http.HandlerFunc {
 				continue
 			}
 			if !since.IsZero() && e.At.Before(since) {
+				continue
+			}
+			if (trace != 0 && e.Trace != trace) || e.Dur < minDur {
 				continue
 			}
 			if err := enc.Encode(e.JSON()); err != nil {

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,6 +102,98 @@ func TestDebugEventsFilters(t *testing.T) {
 	if code, _ := get("/debug/events?since=not-a-time"); code != 400 {
 		t.Errorf("bad since = %d, want 400", code)
 	}
+}
+
+// TestDebugEventsFiltersTraces: ?trace= keeps one causal chain's records and
+// ?min_dur= the phases at least that long; both compose with ?type=, and a
+// bad value is a 400, not a silent full dump.
+func TestDebugEventsFiltersTraces(t *testing.T) {
+	ring := NewRingSink(16)
+	at := time.Now()
+	ring.Observe(Event{Type: EvWriteUnblocked, Object: "o1", At: at, Dur: 30 * time.Millisecond, Trace: 1, Parent: 1})
+	ring.Observe(Event{Type: EvWrite, Object: "o1", At: at, Dur: 40 * time.Millisecond, Trace: 1, Span: 1})
+	ring.Observe(Event{Type: EvInvalSent, Client: "c1", Object: "o2", At: at, Dur: time.Millisecond, Trace: 2, Span: 3, Parent: 2})
+	ring.Observe(Event{Type: EvConnect, Client: "c1", At: at})
+
+	d, err := Serve("127.0.0.1:0", nil, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	types := func(query string) (int, []string) {
+		t.Helper()
+		resp, err := http.Get("http://" + d.Addr() + "/debug/events" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var got []string
+		for dec := json.NewDecoder(resp.Body); dec.More(); {
+			var e EventJSON
+			if err := dec.Decode(&e); err != nil {
+				return resp.StatusCode, nil
+			}
+			got = append(got, e.Type)
+		}
+		return resp.StatusCode, got
+	}
+	for query, want := range map[string][]string{
+		"?trace=1":              {"write-unblocked", "write"},
+		"?trace=2":              {"inval-sent"},
+		"?min_dur=25ms":         {"write-unblocked", "write"},
+		"?trace=1&type=write":   {"write"},
+		"?trace=2&min_dur=25ms": nil,
+	} {
+		if code, got := types(query); code != 200 || !slices.Equal(got, want) {
+			t.Errorf("%s = %d %v, want %v", query, code, got, want)
+		}
+	}
+	for _, query := range []string{"?trace=x", "?trace=0", "?min_dur=fast"} {
+		if code, _ := types(query); code != 400 {
+			t.Errorf("%s = %d, want 400", query, code)
+		}
+	}
+}
+
+// TestDebugEventsConcurrent reads the endpoint while emitters are active —
+// under -race this pins the snapshot/record interleaving.
+func TestDebugEventsConcurrent(t *testing.T) {
+	ring := NewRingSink(32)
+	o := &Observer{Tracer: NewTracer(ring)}
+	d, err := Serve("127.0.0.1:0", nil, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := o.NewID()
+				o.Emit(Event{Type: EvWrite, At: time.Now(), Trace: id, Span: id})
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		for _, query := range []string{"", "?type=write&min_dur=0s"} {
+			resp, err := http.Get("http://" + d.Addr() + "/debug/events" + query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestDebugEventsSinceSimulatedClock pins the clock-injection contract:

@@ -24,6 +24,37 @@ func TestNilTracerAndObserverAreSafe(t *testing.T) {
 	if o.Reg() != nil {
 		t.Error("nil observer returned a registry")
 	}
+	if id := o.NewID(); id != 0 {
+		t.Errorf("nil observer minted id %d", id)
+	}
+}
+
+// TestSpanIDsDistinct: ids minted from many goroutines at once are nonzero
+// and never repeat.
+func TestSpanIDsDistinct(t *testing.T) {
+	const goroutines, each = 8, 500
+	o := &Observer{}
+	ids := make([][]uint64, goroutines)
+	var wg sync.WaitGroup
+	for g := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ids[g] = append(ids[g], o.NewID())
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool)
+	for _, mine := range ids {
+		for _, id := range mine {
+			if id == 0 || seen[id] {
+				t.Fatalf("id %d zero or repeated", id)
+			}
+			seen[id] = true
+		}
+	}
 }
 
 func TestCountSink(t *testing.T) {
@@ -117,11 +148,86 @@ func TestEventStringNames(t *testing.T) {
 			t.Errorf("event type %d has no name", ty)
 		}
 	}
-	e := Event{Type: EvInvalSent, Node: "s", Client: "c", Object: "o", N: 1}
-	for _, want := range []string{"inval-sent", "client=c", "obj=o"} {
+	if got := EventType(99).String(); got != "event(99)" {
+		t.Errorf("unknown type = %q", got)
+	}
+	e := Event{Type: EvInvalSent, Node: "s", Client: "c", Object: "o", N: 1, Trace: 7}
+	for _, want := range []string{"inval-sent", "client=c", "obj=o", "trace=7"} {
 		if !strings.Contains(e.String(), want) {
 			t.Errorf("Event.String() = %q missing %q", e.String(), want)
 		}
+	}
+}
+
+// TestSpanKindString: the phases of a traced operation are event types and
+// keep the names they had as span kinds, so /debug/events?type= filters and
+// dashboards written against the span names still match.
+func TestSpanKindString(t *testing.T) {
+	for ty, want := range map[EventType]string{EvWrite: "write", EvClientWrite: "client-write",
+		EvRenewObject: "renew-object", EvRenewVolume: "renew-volume", EvRedial: "redial",
+		EvWriteBlocked: "write-blocked", EvInvalSent: "inval-sent", EvWriteUnblocked: "write-unblocked"} {
+		if ty.String() != want {
+			t.Errorf("%d named %q, want %q", ty, ty, want)
+		}
+	}
+}
+
+// TestSpanRecorderNilSafe: the span path of a component without an observer,
+// or with one whose tracer is absent, records nothing and never panics.
+func TestSpanRecorderNilSafe(t *testing.T) {
+	var o *Observer
+	if id := o.NewID(); id != 0 {
+		t.Errorf("nil observer minted id %d", id)
+	}
+	o.Emit(Event{Type: EvWrite, Trace: 1, Span: 1, Dur: time.Millisecond}) // must not panic
+
+	untraced := &Observer{}
+	if untraced.Tracing() {
+		t.Error("observer without a tracer reports tracing")
+	}
+	untraced.Emit(Event{Type: EvWrite, Trace: untraced.NewID(), Span: untraced.NewID()}) // must not panic
+}
+
+// TestSpanRecorderConcurrent records spans through one observer into its ring
+// from many goroutines while readers snapshot; run under -race this pins the
+// span path end to end: id minting, Emit and the lock-free ring. No reader may
+// see a torn span.
+func TestSpanRecorderConcurrent(t *testing.T) {
+	const writers, perWriter, size = 8, 500, 64
+	ring := NewRingSink(size)
+	o := &Observer{Tracer: NewTracer(ring)}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				trace := o.NewID()
+				o.Emit(Event{Type: EvWrite, At: start, Node: "srv", Trace: trace, Span: trace,
+					Dur: time.Duration(i) * time.Microsecond})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			for _, e := range ring.Snapshot() {
+				if e.Type != EvWrite || e.Span == 0 || e.Trace != e.Span {
+					t.Errorf("torn span in snapshot: %v", e)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	if got := len(ring.Snapshot()); got != size {
+		t.Errorf("full ring snapshot len = %d, want %d", got, size)
+	}
+	if ring.Total() != writers*perWriter {
+		t.Errorf("total = %d, want %d", ring.Total(), writers*perWriter)
 	}
 }
 

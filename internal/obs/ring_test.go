@@ -6,8 +6,8 @@ import (
 )
 
 // TestRing covers the one ring once, for every type that wraps it (RingSink,
-// SpanRecorder, health.FlightRecorder): partial fill, wrap-around,
-// oldest-first order and Total.
+// health.FlightRecorder): partial fill, wrap-around, oldest-first order and
+// Total.
 func TestRing(t *testing.T) {
 	r := NewRing[int](4)
 	if got := r.Snapshot(); len(got) != 0 || r.Total() != 0 {

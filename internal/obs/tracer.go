@@ -64,13 +64,13 @@ func (t *Tracer) Emit(e Event) {
 type Observer struct {
 	Tracer  *Tracer
 	Metrics *Registry
-	// Spans, when set, enables causal write-path tracing: the instrumented
-	// packages record completed spans here and propagate trace contexts on
-	// the wire.
-	Spans *SpanRecorder
+
+	ids atomic.Uint64
 }
 
-// Tracing reports whether event emission is live.
+// Tracing reports whether event emission is live. It is also the switch for
+// causal tracing: the instrumented packages time their phases, mint ids and
+// propagate trace contexts on the wire only when it holds.
 func (o *Observer) Tracing() bool { return o != nil && o.Tracer.Enabled() }
 
 // Emit forwards to the tracer; safe on a nil observer.
@@ -81,22 +81,23 @@ func (o *Observer) Emit(e Event) {
 	o.Tracer.Emit(e)
 }
 
+// NewID returns a fresh nonzero trace/span id (0 on a nil observer). Ids are
+// process-local; records of one write in different processes share a trace
+// because the trace id travels in the wire.TraceContext, not because
+// observers coordinate.
+func (o *Observer) NewID() uint64 {
+	if o == nil {
+		return 0
+	}
+	return o.ids.Add(1)
+}
+
 // Registry returns the metrics registry, nil when absent.
 func (o *Observer) Reg() *Registry {
 	if o == nil {
 		return nil
 	}
 	return o.Metrics
-}
-
-// SpanRec returns the span recorder, nil when absent or on a nil observer.
-// The nil result doubles as the disabled fast path: call sites keep the
-// returned pointer and skip all span work when it is nil.
-func (o *Observer) SpanRec() *SpanRecorder {
-	if o == nil {
-		return nil
-	}
-	return o.Spans
 }
 
 // --- Sinks ---

@@ -229,6 +229,59 @@ func TestProxyWriteInvalidatesWholeSubtree(t *testing.T) {
 	}
 }
 
+// TestProxyRoundJoinsOriginTrace: the proxy's downstream round for an
+// origin write is a record in the origin write's trace, parented on the
+// origin's send to the proxy, and its own sends to the leaves are parented
+// on that round.
+func TestProxyRoundJoinsOriginTrace(t *testing.T) {
+	h := buildHierarchy(t, nil)
+	leaf := h.dial(t, "leaf")
+	if _, err := leaf.Read("vol", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.origin.Write("a", []byte("a v2")); err != nil {
+		t.Fatal(err)
+	}
+	var origin, toProxy, round, toLeaf []obs.Event
+	for deadline := time.Now().Add(5 * time.Second); len(toProxy) == 0 || len(toLeaf) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 5s: origin write %v, sent to the proxy %v, proxy round %v, sent to the leaf %v",
+				origin, toProxy, round, toLeaf)
+		}
+		origin, toProxy, round, toLeaf = nil, nil, nil, nil
+		for _, e := range h.flight.Events(time.Now()) {
+			switch {
+			case e.Type == obs.EvWrite && e.Node == "origin":
+				origin = append(origin, e)
+			case e.Type == obs.EvInvalSent && e.Node == "origin":
+				toProxy = append(toProxy, e)
+			case e.Type == obs.EvWrite && e.Node == "edge-proxy":
+				round = append(round, e)
+			case e.Type == obs.EvInvalSent && e.Node == "edge-proxy":
+				toLeaf = append(toLeaf, e)
+			}
+		}
+	}
+	if len(origin) != 1 || len(toProxy) != 1 || len(round) != 1 || len(toLeaf) != 1 {
+		t.Fatalf("origin write %v, sent to the proxy %v, proxy round %v, sent to the leaf %v; want one each",
+			origin, toProxy, round, toLeaf)
+	}
+	trace := origin[0].Trace
+	for _, link := range []struct {
+		name          string
+		child, parent obs.Event
+	}{
+		{"send to the proxy", toProxy[0], origin[0]},
+		{"proxy round", round[0], toProxy[0]},
+		{"send to the leaf", toLeaf[0], round[0]},
+	} {
+		if link.child.Trace != trace || link.child.Parent != link.parent.Span {
+			t.Errorf("%s = trace %d parent %d, want trace %d parent %d",
+				link.name, link.child.Trace, link.child.Parent, trace, link.parent.Span)
+		}
+	}
+}
+
 func TestProxySubLeaseNeverOutlivesUpstream(t *testing.T) {
 	h := buildHierarchy(t, nil)
 	c := h.dial(t, "leaf")

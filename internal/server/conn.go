@@ -32,17 +32,17 @@ type clientConn struct {
 }
 
 // invalItem is one queued invalidation: the object, its write's number and
-// trace, so the flusher can record a fan-out span and propagate the context
-// on the wire (trace 0 = untraced write).
+// trace, so the flusher can parent its record on the write's and propagate
+// the context on the wire (trace 0 = untraced write).
 type invalItem struct {
 	oid    core.ObjectID
 	write  core.WriteNum
 	trace  uint64
-	parent uint64 // the write's root span id
+	parent uint64 // the write's own record id
 }
 
 // queueInvalidate appends oid's invalidation by write n to the outbound
-// batch and wakes the flusher. trace/parent tie it to the write's span.
+// batch and wakes the flusher. trace/parent tie it to the write's record.
 func (cc *clientConn) queueInvalidate(oid core.ObjectID, n core.WriteNum, trace, parent uint64) {
 	cc.invalMu.Lock()
 	cc.invalQ = append(cc.invalQ, invalItem{oid: oid, write: n, trace: trace, parent: parent})
@@ -56,12 +56,12 @@ func (cc *clientConn) queueInvalidate(oid core.ObjectID, n core.WriteNum, trace,
 // invalFlusher drains the connection's invalidation queue, sending each
 // batch as one multi-object Invalidate. Runs as a per-connection goroutine.
 //
-// When the batch contains traced writes, the send is recorded as one
-// fan-out span per connection, and the first traced item's context rides
-// the Invalidate so the client's ack (and a proxy's own downstream round)
-// joins that write's trace. A batch coalescing several traced writes
-// attributes the message to the first — the others still account the
-// fan-out through their ack-wait spans.
+// When tracing is live, each send is one EvInvalSent record timing it, and
+// the first item's trace context rides the Invalidate, re-parented on that
+// record, so the client's ack (and a proxy's own downstream round) joins
+// that write's trace. A batch coalescing several writes attributes the
+// message to the first — the others still account the fan-out through
+// their write-unblocked records.
 func (s *Server) invalFlusher(cc *clientConn) {
 	defer s.wg.Done()
 	for {
@@ -82,30 +82,19 @@ func (s *Server) invalFlusher(cc *clientConn) {
 			}
 			objs := make([]core.ObjectID, len(batch))
 			writes := make([]core.WriteNum, len(batch))
-			var trace, parent uint64
 			for i, it := range batch {
 				objs[i], writes[i] = it.oid, it.write
-				if trace == 0 && it.trace != 0 {
-					trace, parent = it.trace, it.parent
-				}
 			}
-			sr := s.cfg.Obs.SpanRec()
 			var (
-				tc        wire.TraceContext
-				spanID    uint64
-				spanStart time.Time
+				tc    wire.TraceContext
+				sent  obs.Event
+				start time.Time
 			)
-			if sr != nil && trace != 0 {
-				spanID = sr.NewID()
-				spanStart = s.cfg.Clock.Now()
-				tc = wire.TraceContext{TraceID: trace, SpanID: spanID}
-			} else {
-				sr = nil
-				if trace != 0 {
-					// Still propagate the context (parented on the write's
-					// root) even when this node records nothing.
-					tc = wire.TraceContext{TraceID: trace, SpanID: parent}
-				}
+			if s.cfg.Obs.Tracing() {
+				sent = obs.Event{Type: obs.EvInvalSent, Client: cc.id, Object: objs[0], N: len(batch),
+					Trace: batch[0].trace, Span: s.cfg.Obs.NewID(), Parent: batch[0].parent}
+				tc = wire.TraceContext{TraceID: sent.Trace, SpanID: sent.Span}
+				start = s.cfg.Clock.Now()
 			}
 			if err := cc.conn.Send(wire.Invalidate{Objects: objs, Writes: writes, Trace: tc}); err != nil {
 				// The write's ack wait times the client out and marks it
@@ -113,17 +102,13 @@ func (s *Server) invalFlusher(cc *clientConn) {
 				s.logf("invalidate %v to %s failed: %v", objs, cc.id, err)
 				continue
 			}
-			if sr != nil {
-				sr.Record(obs.Span{Trace: trace, ID: spanID, Parent: parent,
-					Kind: obs.SpanFanout, Node: s.cfg.Name, Client: cc.id,
-					Object: batch[0].oid, Start: spanStart,
-					Dur: s.cfg.Clock.Now().Sub(spanStart), N: len(batch)})
-			}
 			if s.om != nil {
 				s.om.invalSent.Add(int64(len(batch)))
 			}
-			for _, oid := range objs {
-				s.emit(obs.Event{Type: obs.EvInvalSent, Client: cc.id, Object: oid})
+			if sent.Span != 0 {
+				sent.At = s.cfg.Clock.Now()
+				sent.Dur = sent.At.Sub(start)
+				s.emit(sent)
 			}
 		}
 	}

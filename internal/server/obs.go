@@ -17,7 +17,6 @@ type srvMetrics struct {
 	invalSent  *obs.Counter
 	invalAcked *obs.Counter
 	writes     *obs.Counter
-	slowWrites *obs.Counter
 	reconnects *obs.Counter
 	unreached  *obs.Counter
 	expired    *obs.Counter
@@ -67,7 +66,6 @@ func (s *Server) initObs(r role) {
 		invalSent:  counter("lease_invalidations_sent_total", "lease_proxy_invalidations_sent_total"),
 		invalAcked: counter("lease_invalidation_acks_total", ""),
 		writes:     counter("lease_server_writes_total", "lease_proxy_invalidation_rounds_total"),
-		slowWrites: counter("lease_slow_writes_total", ""),
 		reconnects: counter("lease_reconnects_total", ""),
 		unreached:  counter("lease_unreachable_transitions_total", "lease_proxy_unreachable_transitions_total"),
 		expired:    counter("lease_swept_leases_total", ""),

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TestRedialSurvivesServerRecover exercises the full crash-restart-redial
@@ -13,7 +14,7 @@ import (
 // the client automatically reconnects and, once the write fence drains,
 // resynchronizes through the epoch-triggered reconnection protocol.
 func TestRedialSurvivesServerRecover(t *testing.T) {
-	env := startServer(t, tableCfg(), nil)
+	env, ring := tracedEnv(t)
 	c, err := client.Dial(env.net, "srv:1", client.Config{
 		ID:      "phoenix",
 		Skew:    10 * time.Millisecond,
@@ -45,6 +46,19 @@ func TestRedialSurvivesServerRecover(t *testing.T) {
 	}
 	if e, _ := env.srv.Epoch("vol"); e != 1 {
 		t.Errorf("epoch = %d, want 1", e)
+	}
+	// Each redial is one record, timing the outage and counting the dials.
+	redials := 0
+	for _, e := range ring.Snapshot() {
+		if e.Type == obs.EvRedial {
+			redials++
+			if e.Client != "phoenix" || e.N < 1 || e.Span == 0 || e.Trace != e.Span {
+				t.Errorf("redial record %v, want phoenix's own trace with its dial attempts", e)
+			}
+		}
+	}
+	if redials == 0 {
+		t.Error("the redial left no record")
 	}
 }
 

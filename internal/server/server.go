@@ -116,10 +116,6 @@ type Config struct {
 	// Obs, when non-nil, receives protocol events and live metrics (see
 	// internal/obs). A nil Obs costs the hot paths a single nil check.
 	Obs *obs.Observer
-	// SlowWriteThreshold, when positive, logs and emits an EvSlowOp event
-	// for every write whose ack-collection wait reaches it — the paper's
-	// min(t, t_v) bound is the natural setting to watch for.
-	SlowWriteThreshold time.Duration
 	// Logf, when non-nil, receives debug logging.
 	Logf func(format string, args ...any)
 }

@@ -27,32 +27,31 @@ func (s *Server) Write(oid core.ObjectID, data []byte) (core.Version, time.Durat
 	return s.WriteTraced(oid, data, wire.TraceContext{})
 }
 
-// WriteTraced is Write carrying a causal trace context. When the server's
-// observer has a span recorder, the write records a root span (a child of
-// tc's span when the write came over the wire) plus child spans for the three places its latency can go: the
-// per-object serialization wait, each connection's invalidation fan-out
-// (recorded by the flusher), and the ack-collection wait. A zero tc starts
-// a fresh trace at this server.
+// WriteTraced is Write carrying a causal trace context. When tracing is
+// live the write is a record of its own, EvWrite (a child of tc's span when
+// the write came over the wire; a zero tc starts a fresh trace here), and
+// the three places its latency can go are the records it parents: the
+// per-object serialization wait (EvWriteBlocked), each connection's
+// invalidation fan-out (EvInvalSent, by the flusher), and the
+// ack-collection wait (EvWriteUnblocked).
 func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContext) (core.Version, time.Duration, error) {
 	sh, err := s.shardOfObject(oid)
 	if err != nil {
 		return 0, 0, err
 	}
 
-	// Resolve the span recorder once: sr stays nil — the zero-cost path —
-	// unless tracing is wired up.
-	sr := s.cfg.Obs.SpanRec()
+	// root stays zero — the untraced path — unless tracing is live.
 	var (
-		traceID, rootID, parentID uint64
-		spanStart                 time.Time
+		root    obs.Event
+		entered time.Time
 	)
-	if sr != nil {
-		traceID, parentID = tc.TraceID, tc.SpanID
-		if traceID == 0 {
-			traceID = sr.NewID()
+	if s.cfg.Obs.Tracing() {
+		root = obs.Event{Type: obs.EvWrite, Object: oid,
+			Trace: tc.TraceID, Span: s.cfg.Obs.NewID(), Parent: tc.SpanID}
+		if root.Trace == 0 {
+			root.Trace = root.Span
 		}
-		rootID = sr.NewID()
-		spanStart = s.cfg.Clock.Now()
+		entered = s.cfg.Clock.Now()
 	}
 
 	// Begin the write once the object's previous write, if any, has
@@ -96,15 +95,11 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 	if s.om != nil {
 		s.om.writes.Inc()
 	}
-	if sr != nil {
+	if len(plan.Notify) > 0 {
 		// The gap between entering WriteTraced and holding the write slot is
 		// the per-object serialization wait (near zero without contention).
-		sr.Record(obs.Span{Trace: traceID, ID: sr.NewID(), Parent: rootID,
-			Kind: obs.SpanSerialize, Node: s.cfg.Name, Object: oid,
-			Volume: plan.Volume, Start: spanStart, Dur: start.Sub(spanStart)})
-	}
-	if len(plan.Notify) > 0 {
-		s.emit(obs.Event{Type: obs.EvWriteBlocked, Object: oid, N: len(plan.Notify), At: start})
+		s.emit(obs.Event{Type: obs.EvWriteBlocked, Object: oid, N: len(plan.Notify), At: start,
+			Dur: start.Sub(entered), Trace: root.Trace, Parent: root.Span})
 	}
 
 	// Hand the invalidations to each target connection's outbound queue;
@@ -122,11 +117,7 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 			s.logf("write %s: client %s not connected; waiting out its lease", oid, plan.Notify[i].Client)
 			continue
 		}
-		cc.queueInvalidate(oid, plan.Write, traceID, rootID)
-	}
-	var ackStart time.Time
-	if sr != nil {
-		ackStart = s.cfg.Clock.Now()
+		cc.queueInvalidate(oid, plan.Write, root.Trace, root.Span)
 	}
 
 	// Figure 3: T_f = min(volume.expire, object.expire), floored at
@@ -176,28 +167,19 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 		return 0, 0, err
 	}
 	waited := now.Sub(start)
-	if sr != nil {
-		sr.Record(obs.Span{Trace: traceID, ID: sr.NewID(), Parent: rootID,
-			Kind: obs.SpanAckWait, Node: s.cfg.Name, Object: oid, Volume: plan.Volume,
-			Start: ackStart, Dur: now.Sub(ackStart), N: len(unacked)})
-		sr.Record(obs.Span{Trace: traceID, ID: rootID, Parent: parentID,
-			Kind: obs.SpanWrite, Node: s.cfg.Name, Object: oid, Volume: plan.Volume,
-			Start: spanStart, Dur: s.cfg.Clock.Now().Sub(spanStart), N: len(plan.Notify)})
-	}
 	if s.om != nil {
 		s.om.ackWait.Observe(waited)
 		s.om.unreached.Add(int64(len(unacked)))
 	}
 	if len(plan.Notify) > 0 {
-		s.emit(obs.Event{Type: obs.EvWriteUnblocked, Object: oid, N: len(unacked), Dur: waited, At: now})
+		s.emit(obs.Event{Type: obs.EvWriteUnblocked, Object: oid, N: len(unacked), Dur: waited, At: now,
+			Trace: root.Trace, Parent: root.Span})
 	}
-	if t := s.cfg.SlowWriteThreshold; t > 0 && waited >= t {
-		if s.om != nil {
-			s.om.slowWrites.Inc()
-		}
-		s.emit(obs.Event{Type: obs.EvSlowOp, Object: oid, N: len(plan.Notify), Dur: waited, At: now})
-		s.logf("slow write %s v%d: waited %v for %d invalidation(s) (threshold %v)",
-			oid, version, waited, len(plan.Notify), t)
+	if root.Span != 0 {
+		root.Volume, root.N = plan.Volume, len(plan.Notify)
+		root.At = s.cfg.Clock.Now()
+		root.Dur = root.At.Sub(entered)
+		s.emit(root)
 	}
 	if len(unacked) > 0 {
 		s.logf("write %s v%d: %d client(s) unreachable after %v", oid, version, len(unacked), waited)

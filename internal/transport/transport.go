@@ -766,11 +766,12 @@ func (c *memConn) Recv() (wire.Message, error) {
 	return m, nil
 }
 
+// Close closes both ends. The two Onces are taken one after the other, never
+// nested: both ends closing at once would otherwise each hold its own while
+// waiting for the other's.
 func (c *memConn) Close() error {
-	c.closeOnce.Do(func() {
-		close(c.done)
-		c.peer.closeOnce.Do(func() { close(c.peer.done) })
-	})
+	c.closeOnce.Do(func() { close(c.done) })
+	c.peer.closeOnce.Do(func() { close(c.peer.done) })
 	return nil
 }
 
