@@ -61,7 +61,10 @@ type Config struct {
 	// trusting them, absorbing clock drift and message latency. Defaults
 	// to 50ms.
 	Skew time.Duration
-	// Timeout bounds each RPC round trip. Defaults to 10s.
+	// Timeout bounds each wait for a reply: an RPC's round trip, and each
+	// round of a volume conversation. Its timer is stopped when the reply
+	// arrives, so an answered RPC leaves no timer pending on the Clock.
+	// Defaults to 10s.
 	Timeout time.Duration
 	// Redial enables automatic reconnection: when the connection drops,
 	// the client redials the server with capped exponential backoff,
@@ -136,8 +139,9 @@ type Client struct {
 
 	mu     sync.Mutex
 	conn   transport.Conn
-	h      *core.Holder // every lease and copy, and the rules of Figure 4 over them
-	rpcs   map[uint64]chan wire.Message
+	h      *core.Holder     // every lease and copy, and the rules of Figure 4 over them
+	rpcs   map[uint64]*call // the conversations open, by sequence number
+	free   []*call          // ended conversations' calls, for the next to reuse
 	seq    uint64
 	err    error // sticky transport error
 	closed bool
@@ -191,7 +195,7 @@ func NewOnConn(conn transport.Conn, cfg Config) (*Client, error) {
 		cfg:  cfg,
 		conn: conn,
 		h:    core.NewHolder(cfg.Skew),
-		rpcs: make(map[uint64]chan wire.Message),
+		rpcs: make(map[uint64]*call),
 		done: make(chan struct{}),
 	}
 	if err := conn.Send(wire.Hello{Client: cfg.ID}); err != nil {
@@ -280,40 +284,29 @@ func (c *Client) Stats() (localReads, serverReads, invalidations int64) {
 
 // readLoop routes inbound messages: nonzero sequence numbers resolve
 // in-flight RPCs; zero-sequence messages are server pushes. With Redial
-// enabled it re-establishes dropped connections instead of failing.
+// enabled it re-establishes dropped connections instead of failing. Only
+// this goroutine replaces c.conn, so it reads it again only after a redial.
 func (c *Client) readLoop() {
 	defer c.wg.Done()
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
 	for {
-		c.mu.Lock()
-		conn := c.conn
-		c.mu.Unlock()
 		m, err := conn.Recv()
 		if err != nil {
 			lost := fmt.Errorf("client: connection lost: %w", err)
 			if c.cfg.Redial && c.dialer != nil && !c.isClosed() {
 				c.failPending(lost)
-				if c.redial() {
+				if conn = c.redial(); conn != nil {
 					continue
 				}
 			}
 			c.fail(lost)
 			return
 		}
-		if m.Sequence() != 0 {
-			c.mu.Lock()
-			ch, ok := c.rpcs[m.Sequence()]
-			c.mu.Unlock()
-			if ok {
-				// The conversation channel is buffered for a full exchange,
-				// but a stalled waiter must not wedge the read pump past
-				// Close: bail out if shutdown wins the race.
-				select {
-				case ch <- m:
-				case <-c.done:
-					return
-				}
-			} else {
-				c.logf("dropping reply for unknown seq %d: %s", m.Sequence(), m.Kind())
+		if seq := m.Sequence(); seq != 0 {
+			if !c.deliver(seq, m) {
+				c.logf("dropping reply for seq %d, which no open conversation awaits: %s", seq, m.Kind())
 			}
 			continue
 		}
@@ -323,6 +316,27 @@ func (c *Client) readLoop() {
 		default:
 			c.logf("unexpected push %s", m.Kind())
 		}
+	}
+}
+
+// deliver hands m to the open conversation seq, reporting false when there
+// is none or its channel is full. The lookup and the send share one hold of
+// c.mu, so a call is never recycled with a reply on its way to it. The
+// channel has room for the one reply the conversation awaits, so a full one
+// means the server answered a request twice: the reply is dropped, as a
+// reply to a conversation that has ended is.
+func (c *Client) deliver(seq uint64, m wire.Message) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cl, ok := c.rpcs[seq]
+	if !ok {
+		return false
+	}
+	select {
+	case cl.ch <- m:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -341,8 +355,10 @@ func (c *Client) fail(err error) {
 func (c *Client) failPending(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for seq, ch := range c.rpcs {
-		close(ch)
+	for seq, cl := range c.rpcs {
+		// Its channel is closed for good, so the call is not recycled: end
+		// finds it gone from rpcs.
+		close(cl.ch)
 		delete(c.rpcs, seq)
 	}
 }
@@ -353,18 +369,18 @@ func (c *Client) isClosed() bool {
 	return c.closed
 }
 
-// redial re-establishes the connection with capped exponential backoff. It
-// returns false when the client was closed while retrying. A successful
+// redial re-establishes the connection with capped exponential backoff and
+// returns it; nil when the client was closed while retrying. A successful
 // redial is one EvRedial record (Dur = the outage, N = dial attempts), so
 // reconnection storms show up in /debug/events.
-func (c *Client) redial() bool {
+func (c *Client) redial() transport.Conn {
 	bo := newRedialBackoff(c.cfg.RedialBackoff, c.cfg.RedialBackoffCap, c.cfg.ID, c.cfg.Clock.Now().UnixNano())
 	rec, start := c.startPhase(obs.EvRedial, wire.TraceContext{})
 	attempts := 0
 	for {
 		select {
 		case <-c.done:
-			return false
+			return nil
 		default:
 		}
 		attempts++
@@ -382,12 +398,12 @@ func (c *Client) redial() bool {
 					// connection; installing this one would leave the read
 					// loop, and so Close, waiting on it forever.
 					conn.Close()
-					return false
+					return nil
 				}
 				rec.N = attempts
 				c.endPhase(rec, start)
 				c.logf("reconnected")
-				return true
+				return conn
 			}
 			conn.Close()
 		}
@@ -395,7 +411,7 @@ func (c *Client) redial() bool {
 		c.logf("redial failed: %v (retrying in %v)", err, delay)
 		select {
 		case <-c.done:
-			return false
+			return nil
 		case <-c.cfg.Clock.After(delay):
 		}
 	}
@@ -466,31 +482,90 @@ func (c *Client) relay(objects []core.ObjectID, tc wire.TraceContext) {
 	}
 }
 
-// rpc sends req and waits for the first reply with the same sequence
-// number. The returned channel stays registered so multi-round
-// conversations can keep receiving; callers must call c.release(seq) when
-// the conversation ends.
-func (c *Client) rpc(seq uint64, req wire.Message) (wire.Message, error) {
-	if err := c.send(req); err != nil {
-		return nil, fmt.Errorf("client: send %s: %w", req.Kind(), err)
-	}
-	return c.await(seq)
+// call is one conversation: the channel the reader delivers its replies on,
+// and the timer bounding each wait for one, made by the call's first wait.
+// A conversation that ends returns its call to c.free for the next to reuse,
+// so an RPC allocates neither; one failPending aborted is dropped instead,
+// its channel closed.
+type call struct {
+	seq   uint64
+	conn  transport.Conn // the connection the conversation was opened on
+	ch    chan wire.Message
+	timer clock.Timer
 }
 
-// await waits for the next message of an open conversation.
-func (c *Client) await(seq uint64) (wire.Message, error) {
-	c.mu.Lock()
-	ch, ok := c.rpcs[seq]
-	err := c.err
-	c.mu.Unlock()
-	if !ok {
-		if err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("client: conversation %d not open", seq)
+// begin opens a conversation; c.mu must be held. It takes a call off the
+// free list, or makes one, and registers it under a new sequence number.
+func (c *Client) begin() (*call, error) {
+	if c.closed {
+		return nil, ErrClosed
 	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	var cl *call
+	if n := len(c.free); n > 0 {
+		cl, c.free[n-1] = c.free[n-1], nil
+		c.free = c.free[:n-1]
+	} else {
+		// One slot, for a reply that beats its wait: a conversation has
+		// one request outstanding, and a server answers each request once.
+		cl = &call{ch: make(chan wire.Message, 1)}
+	}
+	c.seq++
+	cl.seq, cl.conn = c.seq, c.conn
+	c.rpcs[cl.seq] = cl
+	return cl, nil
+}
+
+// open is begin under its own hold of c.mu.
+func (c *Client) open() (*call, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.begin()
+}
+
+// end closes a conversation; c.mu must be held. Under that hold no reply
+// can reach cl any more, so one that arrived unread is discarded and cl
+// goes back on the free list, unless failPending already aborted it.
+func (c *Client) end(cl *call) {
+	if c.rpcs[cl.seq] != cl {
+		return
+	}
+	delete(c.rpcs, cl.seq)
+	for len(cl.ch) > 0 {
+		<-cl.ch
+	}
+	c.free = append(c.free, cl)
+}
+
+// release is end under its own hold of c.mu.
+func (c *Client) release(cl *call) {
+	c.mu.Lock()
+	c.end(cl)
+	c.mu.Unlock()
+}
+
+// rpc sends req on the conversation's connection and waits for the next
+// reply to it.
+func (c *Client) rpc(cl *call, req wire.Message) (wire.Message, error) {
+	if err := cl.conn.Send(req); err != nil {
+		return nil, fmt.Errorf("client: send %s: %w", req.Kind(), err)
+	}
+	return c.await(cl)
+}
+
+// await waits for the next message of an open conversation, at most
+// Timeout, and stops the timer whichever way the wait ends.
+func (c *Client) await(cl *call) (wire.Message, error) {
+	if cl.timer == nil {
+		cl.timer = c.cfg.Clock.NewTimer(c.cfg.Timeout)
+	} else {
+		cl.timer.Reset(c.cfg.Timeout)
+	}
+	defer cl.timer.Stop()
 	select {
-	case m, ok := <-ch:
+	case m, ok := <-cl.ch:
 		if !ok {
 			c.mu.Lock()
 			err := c.err
@@ -506,32 +581,9 @@ func (c *Client) await(seq uint64) (wire.Message, error) {
 			return nil, &ServerError{Code: e.Code, Msg: e.Msg}
 		}
 		return m, nil
-	case <-c.cfg.Clock.After(c.cfg.Timeout):
-		return nil, fmt.Errorf("%w after %v (seq %d)", ErrTimeout, c.cfg.Timeout, seq)
+	case <-cl.timer.C():
+		return nil, fmt.Errorf("%w after %v (seq %d)", ErrTimeout, c.cfg.Timeout, cl.seq)
 	case <-c.done:
 		return nil, ErrClosed
 	}
-}
-
-// open registers a new conversation and returns its sequence number.
-func (c *Client) open() (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0, ErrClosed
-	}
-	if c.err != nil {
-		return 0, c.err
-	}
-	c.seq++
-	seq := c.seq
-	c.rpcs[seq] = make(chan wire.Message, 4)
-	return seq, nil
-}
-
-// release closes a conversation.
-func (c *Client) release(seq uint64) {
-	c.mu.Lock()
-	delete(c.rpcs, seq)
-	c.mu.Unlock()
 }

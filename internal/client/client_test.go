@@ -2,8 +2,11 @@ package client
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -666,5 +669,132 @@ func TestRedialReconnectsToFakeServer(t *testing.T) {
 	// The client keeps working on the new connection (cache intact).
 	if data, ok := c.Peek("obj"); !ok || string(data) != "v1" {
 		t.Errorf("cache lost across redial: %q %v", data, ok)
+	}
+}
+
+// TestLateReplyNotDeliveredToRecycledCall: the server answers the first
+// object-lease request only after the client's Timeout, right before its
+// answer to the second. The second read reuses the first's call under a new
+// sequence number, so the late reply must be dropped, not taken for the
+// second grant.
+func TestLateReplyNotDeliveredToRecycledCall(t *testing.T) {
+	fs := newFakeServer(t)
+	fs.scriptedGrants("") // for the volume lease; object grants are scripted here
+	var first uint64      // touched by the fake server's one goroutine only
+	fs.on(wire.KindReqObjLease, func(m wire.Message) []wire.Message {
+		req := m.(wire.ReqObjLease)
+		if first == 0 {
+			first = req.Seq
+			return nil // answered late, with the next request's answer
+		}
+		grant := func(seq uint64, v core.Version, data string) wire.Message {
+			return wire.ObjLease{Seq: seq, Object: req.Object, Version: v,
+				Expire: time.Now().Add(time.Minute), HasData: true, Data: []byte(data)}
+		}
+		return []wire.Message{grant(first, 1, "late"), grant(req.Seq, 2, "fresh")}
+	})
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	c := dialClient(t, fs, func(cfg *Config) {
+		cfg.Timeout = 250 * time.Millisecond
+		cfg.Logf = func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		}
+	})
+	if _, err := c.Read("vol", "obj"); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("first read: %v, want ErrTimeout", err)
+	}
+	c.mu.Lock()
+	recycled := slices.Clone(c.free)
+	c.mu.Unlock()
+	if len(recycled) != 1 {
+		t.Fatalf("%d calls on the free list after the timed-out read, want 1", len(recycled))
+	}
+
+	data, err := c.Read("vol", "obj")
+	if err != nil || string(data) != "fresh" {
+		t.Fatalf("second read = %q, %v; want \"fresh\"", data, err)
+	}
+	c.mu.Lock()
+	reused := slices.Equal(c.free, recycled)
+	c.mu.Unlock()
+	if !reused {
+		t.Error("the second read did not reuse the timed-out read's call")
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if !slices.ContainsFunc(logs, func(l string) bool {
+		return strings.Contains(l, "dropping reply for seq") && strings.Contains(l, "ObjLease")
+	}) {
+		t.Errorf("the late reply was not dropped; log: %q", logs)
+	}
+}
+
+// TestAbortedCallNotRecycled: a redial aborts the call in flight, closing its
+// channel, so that call must stay off the free list; the next RPC, on the new
+// connection, succeeds on a call of its own.
+func TestAbortedCallNotRecycled(t *testing.T) {
+	fs := newFakeServer(t)
+	fs.scriptedGrants("v1")
+	var answer atomic.Bool
+	fs.on(wire.KindReqObjLease, func(m wire.Message) []wire.Message {
+		req := m.(wire.ReqObjLease)
+		if !answer.Load() {
+			return nil // left in flight for the redial to abort
+		}
+		return []wire.Message{wire.ObjLease{Seq: req.Seq, Object: req.Object, Version: 1,
+			Expire: time.Now().Add(time.Minute), HasData: true, Data: []byte("v1")}}
+	})
+	c := dialClient(t, fs, func(cfg *Config) { cfg.Redial = true })
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := c.Read("vol", "obj")
+		errCh <- err
+	}()
+	fs.waitFor(wire.KindReqObjLease, 1)
+	c.mu.Lock()
+	old := c.conn
+	var aborted *call
+	for _, cl := range c.rpcs {
+		aborted = cl
+	}
+	c.mu.Unlock()
+	if aborted == nil {
+		t.Fatal("no call in flight")
+	}
+
+	answer.Store(true)
+	fs.mu.Lock()
+	conn := fs.conn
+	fs.mu.Unlock()
+	go fs.serve() // accept the redial
+	conn.Close()
+	if err := <-errCh; !errors.Is(err, ErrRetry) {
+		t.Fatalf("read in flight across the redial: %v, want ErrRetry", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		redialed := c.conn != old
+		c.mu.Unlock()
+		if redialed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the client never redialed")
+		}
+	}
+
+	data, err := c.Read("vol", "obj")
+	if err != nil || string(data) != "v1" {
+		t.Fatalf("read on the new connection = %q, %v", data, err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if slices.Contains(c.free, aborted) {
+		t.Error("the aborted call is back on the free list")
 	}
 }

@@ -46,19 +46,21 @@ func (c *Client) Read(vid core.VolumeID, oid core.ObjectID) ([]byte, error) {
 			c.mu.Unlock()
 			return data, nil
 		}
-		c.mu.Unlock()
-
 		if !volOK {
+			c.mu.Unlock()
 			contacted = true
 			if err := c.RenewVolume(vid); err != nil {
 				return nil, err
 			}
-		}
-		if !objOK {
-			contacted = true
-			if err := c.renewObject(vid, oid); err != nil {
-				return nil, err
+			if objOK {
+				continue
 			}
+			c.mu.Lock()
+		}
+		contacted = true
+		data, ok, err := c.renewObject(vid, oid)
+		if err != nil || ok {
+			return data, err
 		}
 	}
 	return nil, fmt.Errorf("client: could not hold both leases long enough to read %s/%s (leases shorter than renewal latency?)", vid, oid)
@@ -88,15 +90,15 @@ func (c *Client) Write(oid core.ObjectID, data []byte) (core.Version, time.Durat
 // downstream's context). A zero tc starts a fresh trace when tracing is
 // live; without tracing the request carries no context.
 func (c *Client) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContext) (core.Version, time.Duration, error) {
-	seq, err := c.open()
+	cl, err := c.open()
 	if err != nil {
 		return 0, 0, err
 	}
-	defer c.release(seq)
+	defer c.release(cl)
 
 	rec, start := c.startPhase(obs.EvClientWrite, tc)
 	rec.Object = oid
-	m, err := c.rpc(seq, wire.WriteReq{Seq: seq, Object: oid, Data: data,
+	m, err := c.rpc(cl, wire.WriteReq{Seq: cl.seq, Object: oid, Data: data,
 		Trace: wire.TraceContext{TraceID: rec.Trace, SpanID: rec.Span}})
 	c.endPhase(rec, start)
 	if err != nil {
@@ -147,38 +149,54 @@ func (c *Client) HasVolumeLease(vid core.VolumeID) bool {
 }
 
 // renewObject runs the REQ_OBJ_LEASE round (Figure 4, "Client requests
-// lease for object o"). Each renewal is its own short trace: its record
-// times the full request/reply round trip as seen from the client.
-func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) error {
-	c.mu.Lock()
+// lease for object o") for Read. It is called with c.mu held and returns
+// with it released, having held it twice: to begin the request, and to
+// install the grant and check both leases again against a clock reading
+// taken after the reply. ok reports that the check passed, and data is then
+// the read's answer. Each renewal is its own short trace: its record times
+// the full request/reply round trip as seen from the client.
+func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) (data []byte, ok bool, err error) {
 	ver, token := c.h.Begin(oid)
+	cl, err := c.begin()
 	c.mu.Unlock()
-
-	seq, err := c.open()
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	defer c.release(seq)
 
 	rec, start := c.startPhase(obs.EvRenewObject, wire.TraceContext{})
-	m, err := c.rpc(seq, wire.ReqObjLease{Seq: seq, Object: oid, Version: ver})
+	m, err := c.rpc(cl, wire.ReqObjLease{Seq: cl.seq, Object: oid, Version: ver})
 	rec.Object, rec.Volume = oid, vid
 	c.endPhase(rec, start)
-	if err != nil {
-		return err
+	reply, isGrant := m.(wire.ObjLease)
+	if err == nil && !isGrant {
+		err = fmt.Errorf("client: unexpected %s reply to object lease request", m.Kind())
 	}
-	reply, ok := m.(wire.ObjLease)
-	if !ok {
-		return fmt.Errorf("client: unexpected %s reply to object lease request", m.Kind())
+	if err != nil {
+		c.release(cl)
+		return nil, false, err
 	}
 
 	at := c.anchorNow()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.end(cl)
 	// A grant an invalidation overtook is dropped here; the read path then
 	// retries with a fresh request.
-	return c.h.GrantObject(token, vid, core.ObjectGrant{Object: oid, Version: reply.Version,
-		Expire: reply.Expire, Data: reply.Data}, reply.HasData, at)
+	if err := c.h.GrantObject(token, vid, core.ObjectGrant{Object: oid, Version: reply.Version,
+		Expire: reply.Expire, Data: reply.Data}, reply.HasData, at); err != nil {
+		return nil, false, err
+	}
+	data, version, volOK, objOK := c.h.Check(vid, oid, at.Mono)
+	if !volOK || !objOK {
+		return nil, false, nil
+	}
+	c.serverReads++
+	if c.cfg.Obs.Tracing() {
+		// Under c.mu, as a hit's is: the audit model must see this read
+		// before any invalidation the client acknowledges next.
+		c.emit(obs.Event{Type: obs.EvCacheRead, Object: oid, Volume: vid, Version: version})
+	}
+	return data, true, nil
 }
 
 // RenewVolume runs the volume-lease conversation of Figure 4 as the
@@ -199,11 +217,11 @@ func (c *Client) RenewVolume(vid core.VolumeID) error {
 	r, req := c.h.RenewVolume(vid, c.h.Epoch(vid))
 	c.mu.Unlock()
 
-	seq, err := c.open()
+	cl, err := c.open()
 	if err != nil {
 		return err
 	}
-	defer c.release(seq)
+	defer c.release(cl)
 
 	// One record covers the whole (possibly multi-round) conversation; N
 	// counts its request/reply rounds.
@@ -217,7 +235,7 @@ func (c *Client) RenewVolume(vid core.VolumeID) error {
 	}
 
 	for rounds < 8 {
-		g, err := c.volumeRound(seq, vid, req)
+		g, err := c.volumeRound(cl, vid, req)
 		rounds++
 		if err != nil {
 			return err
@@ -241,10 +259,11 @@ func (c *Client) RenewVolume(vid core.VolumeID) error {
 	return fmt.Errorf("client: volume renewal for %s did not converge", vid)
 }
 
-// volumeRound sends req in its frame, as message seq of a conversation on
+// volumeRound sends req in its frame, as a message of conversation cl on
 // vid, and returns the answer the reply carries: the inverse of the server's
 // volumeReply.
-func (c *Client) volumeRound(seq uint64, vid core.VolumeID, req core.VolumeRequest) (core.VolumeGrant, error) {
+func (c *Client) volumeRound(cl *call, vid core.VolumeID, req core.VolumeRequest) (core.VolumeGrant, error) {
+	seq := cl.seq
 	var out wire.Message = wire.ReqVolLease{Seq: seq, Volume: vid, Epoch: req.Epoch}
 	switch req.Kind {
 	case core.SendRenewObjLeases:
@@ -252,7 +271,7 @@ func (c *Client) volumeRound(seq uint64, vid core.VolumeID, req core.VolumeReque
 	case core.SendAckInvalidate:
 		out = wire.AckInvalidate{Seq: seq, Volume: vid, Objects: req.Acked}
 	}
-	m, err := c.rpc(seq, out)
+	m, err := c.rpc(cl, out)
 	if err != nil {
 		return core.VolumeGrant{}, err
 	}

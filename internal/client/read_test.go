@@ -178,6 +178,65 @@ func TestReadHitReadsClockOnce(t *testing.T) {
 	}
 }
 
+// missEnv is one real server and one client of it on one simulated clock:
+// one object under a one-second object lease and a volume lease that
+// outlasts any run, read once. Advancing the clock by a second then lapses
+// the object lease and nothing else, so the next read is a miss for a grant
+// without data, as every read of the benchmark's lease_miss workload is.
+func missEnv(tb testing.TB) (*clock.Simulated, *client.Client) {
+	tb.Helper()
+	sim := clock.NewSimulated(clock.Epoch)
+	leases := core.Config{ObjectLease: time.Second, VolumeLease: 100000 * time.Hour, Mode: core.ModeEager}
+	_, c := readEnvOn(tb, nil, 1, leases, sim, sim)
+	if _, err := c.Read("vol", "o0"); err != nil {
+		tb.Fatal(err)
+	}
+	return sim, c
+}
+
+// miss lapses the object lease and reads the object again.
+func miss(tb testing.TB, sim *clock.Simulated, c *client.Client) {
+	sim.Advance(time.Second)
+	data, err := c.Read("vol", "o0")
+	if err != nil || check(0, data) != 1 {
+		tb.Fatalf("miss: version %d, %v", check(0, data), err)
+	}
+	readSink = data
+}
+
+// TestMissesLeaveNoTimer: an RPC stops its timeout timer once the reply is
+// in, so after a hundred misses the simulated clock has no deadline inside
+// the client's Timeout left. The server's sweep, at the volume-lease term,
+// is its only one.
+func TestMissesLeaveNoTimer(t *testing.T) {
+	sim, c := missEnv(t)
+	for i := 0; i < 100; i++ {
+		miss(t, sim, c)
+	}
+	if _, viaServer, _ := c.Stats(); viaServer != 101 {
+		t.Fatalf("%d reads went to the server, want 101", viaServer)
+	}
+	const timeout = 10 * time.Second // client.Config's default
+	if dl, ok := sim.NextDeadline(); ok && !dl.After(sim.Now().Add(timeout)) {
+		t.Errorf("a timer is pending %v from now, inside the RPC timeout: an answered RPC left it behind", dl.Sub(sim.Now()))
+	}
+}
+
+// missAllocs is what one lease miss allocates, client and server together,
+// on the in-memory network: the boxed request and reply, and the server's
+// per-request work. TestReadMissAllocs holds it exactly, and `make
+// bench-wirepath` fails a BenchmarkReadMiss row above it.
+const missAllocs = 2
+
+// TestReadMissAllocs pins missAllocs. A change that allocates less on the
+// miss path lowers it in the same change, and the Makefile's gate with it.
+func TestReadMissAllocs(t *testing.T) {
+	sim, c := missEnv(t)
+	if allocs := testing.AllocsPerRun(1000, func() { miss(t, sim, c) }); allocs != missAllocs {
+		t.Errorf("a lease miss: %v allocs, want %v", allocs, missAllocs)
+	}
+}
+
 // steppedEnv is a server granting one-second object leases (the volume lease
 // is long) and a client on the same simulated timeline whose wall clock the
 // test can step.
@@ -360,5 +419,19 @@ func BenchmarkReadHit(b *testing.B) {
 			b.Fatal(err)
 		}
 		readSink = data
+	}
+}
+
+// BenchmarkReadMiss is the price of the paper's basic exchange, the miss
+// twin of BenchmarkReadHit: every read finds its object lease lapsed and
+// makes one ReqObjLease/ObjLease round trip for a grant without data, to a
+// real server on the in-memory network. `make bench-wirepath` gates its
+// allocs/op at missAllocs.
+func BenchmarkReadMiss(b *testing.B) {
+	sim, c := missEnv(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		miss(b, sim, c)
 	}
 }

@@ -9,6 +9,7 @@
 package clock
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +30,24 @@ type Clock interface {
 	// elapsed. For simulated clocks the channel fires when the simulated time
 	// passes Now()+d.
 	After(d time.Duration) <-chan time.Time
+	// NewTimer returns a timer that delivers the then-current time on its
+	// channel once d has elapsed. Unlike After's, it can be stopped: a wait
+	// that a reply or an ack can end early stops its timer, so the wait
+	// leaves nothing pending once it is over.
+	NewTimer(d time.Duration) Timer
 	// Sleep blocks until d has elapsed.
 	Sleep(d time.Duration)
+}
+
+// Timer is a one-shot timer made by Clock.NewTimer. After Stop or Reset
+// returns, its channel delivers no tick from before the call.
+type Timer interface {
+	// C returns the channel the tick is delivered on.
+	C() <-chan time.Time
+	// Stop cancels the timer; stopping a stopped or fired timer does nothing.
+	Stop()
+	// Reset re-arms the timer to fire d from now, stopping it first.
+	Reset(d time.Duration)
 }
 
 // Real is a Clock backed by the system wall clock.
@@ -51,14 +68,26 @@ func (Real) Mono() time.Duration { return time.Since(realOrigin) }
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
+// NewTimer implements Clock. go.mod's go line (1.23 or later) gives the
+// time.Timer the synchronous channel that makes Stop and Reset discard a
+// stale tick.
+func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
+
+// realTimer is Real's Timer.
+type realTimer struct{ t *time.Timer }
+
+func (r realTimer) C() <-chan time.Time   { return r.t.C }
+func (r realTimer) Stop()                 { r.t.Stop() }
+func (r realTimer) Reset(d time.Duration) { r.t.Reset(d) }
 
 // Offset is a Clock whose wall reading is displaced from its parent's: one
 // node's wall clock, set wrong or stepped by an operator, over a timeline the
 // node otherwise shares. Only Now is shifted; After, Sleep and Mono are the
 // parent's, as a wall-clock step leaves a host's timers and monotonic clock
-// alone.
+// alone; so is NewTimer.
 type Offset struct {
 	Clock
 	by atomic.Int64 // time.Duration added to the parent's Now
@@ -96,7 +125,10 @@ type Simulated struct {
 	waiters []*waiter
 }
 
+// waiter is Simulated's Timer. It is in the clock's waiters list while
+// armed.
 type waiter struct {
+	s        *Simulated
 	deadline time.Time
 	ch       chan time.Time
 }
@@ -137,20 +169,55 @@ func (s *Simulated) Mono() time.Duration {
 	return s.now.Sub(s.origin)
 }
 
-// After implements Clock. The returned channel has capacity one, so the
-// advancing goroutine never blocks delivering the tick.
+// After implements Clock.
 func (s *Simulated) After(d time.Duration) <-chan time.Time {
+	return s.NewTimer(d).C()
+}
+
+// NewTimer implements Clock. The timer's channel has capacity one, so the
+// advancing goroutine never blocks delivering the tick.
+func (s *Simulated) NewTimer(d time.Duration) Timer {
+	w := &waiter{s: s, ch: make(chan time.Time, 1)}
+	w.Reset(d)
+	return w
+}
+
+// C implements Timer.
+func (w *waiter) C() <-chan time.Time { return w.ch }
+
+// Stop implements Timer: the waiter leaves the clock's list, so
+// NextDeadline no longer reports it.
+func (w *waiter) Stop() {
+	w.s.mu.Lock()
+	w.stop()
+	w.s.mu.Unlock()
+}
+
+// Reset implements Timer.
+func (w *waiter) Reset(d time.Duration) {
+	s := w.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.begin()
-	ch := make(chan time.Time, 1)
-	deadline := s.now.Add(d)
+	w.stop()
+	w.deadline = s.now.Add(d)
 	if d <= 0 {
-		ch <- s.now
-		return ch
+		w.ch <- s.now
+		return
 	}
-	s.waiters = append(s.waiters, &waiter{deadline: deadline, ch: ch})
-	return ch
+	s.waiters = append(s.waiters, w)
+}
+
+// stop disarms w and discards a tick it delivered that nobody received. It
+// must be called with s.mu held.
+func (w *waiter) stop() {
+	if i := slices.Index(w.s.waiters, w); i >= 0 {
+		w.s.waiters = slices.Delete(w.s.waiters, i, i+1)
+	}
+	select {
+	case <-w.ch:
+	default:
+	}
 }
 
 // Sleep implements Clock. It blocks until another goroutine advances the

@@ -149,6 +149,72 @@ func TestSimulatedNextDeadline(t *testing.T) {
 	}
 }
 
+// TestSimulatedTimerStopRemovesWaiter: a stopped timer is no longer a
+// deadline of the clock and never ticks; a fired one stopped before its
+// tick was received discards the tick; a reset one fires from the new now.
+func TestSimulatedTimerStopRemovesWaiter(t *testing.T) {
+	s := NewSimulated(Epoch)
+	early, late := s.NewTimer(time.Second), s.NewTimer(2*time.Second)
+	if dl, ok := s.NextDeadline(); !ok || Seconds(dl) != 1 {
+		t.Fatalf("NextDeadline = %v, %v; want 1s", dl, ok)
+	}
+	early.Stop()
+	if dl, ok := s.NextDeadline(); !ok || Seconds(dl) != 2 {
+		t.Fatalf("after Stop, NextDeadline = %v, %v; want the other timer's 2s", dl, ok)
+	}
+	s.Advance(3 * time.Second)
+	if _, ok := s.NextDeadline(); ok {
+		t.Fatal("a deadline remains after the live timer fired")
+	}
+	select {
+	case <-early.C():
+		t.Fatal("a stopped timer ticked")
+	default:
+	}
+	late.Stop() // fired, tick not yet received
+	select {
+	case at := <-late.C():
+		t.Fatalf("a timer stopped after firing still delivered its tick (%v)", at)
+	default:
+	}
+
+	early.Reset(time.Second)
+	if dl, ok := s.NextDeadline(); !ok || Seconds(dl) != 4 {
+		t.Fatalf("after Reset, NextDeadline = %v, %v; want 4s", dl, ok)
+	}
+	s.Advance(time.Second)
+	select {
+	case at := <-early.C():
+		if Seconds(at) != 4 {
+			t.Fatalf("reset timer ticked at %vs, want 4s", Seconds(at))
+		}
+	default:
+		t.Fatal("reset timer did not fire")
+	}
+	early.Stop() // stopping a fired, received timer is a no-op
+	if _, ok := s.NextDeadline(); ok {
+		t.Fatal("a deadline remains after every timer fired or stopped")
+	}
+}
+
+// TestRealTimerStop: a stopped Real timer never ticks, and a reset one does.
+func TestRealTimerStop(t *testing.T) {
+	tm := Real{}.NewTimer(time.Millisecond)
+	tm.Stop()
+	time.Sleep(5 * time.Millisecond)
+	select {
+	case <-tm.C():
+		t.Fatal("a stopped timer ticked")
+	default:
+	}
+	tm.Reset(time.Millisecond)
+	select {
+	case <-tm.C():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a reset timer never ticked")
+	}
+}
+
 func TestSimulatedManyWaitersFireInOneAdvance(t *testing.T) {
 	s := NewSimulated(Epoch)
 	var chans []<-chan time.Time

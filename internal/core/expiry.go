@@ -8,11 +8,13 @@ import "time"
 // and the expiry heap Stats and Sweep drain. The heap is written out rather
 // than built on container/heap, whose interface would allocate per grant.
 
-// expiry is one entry of a volume's expiry heap: the instant one lease
-// record expires, its client, its object (nil for the client's volume
-// lease), and its number, which the record it was pushed for carries. A
-// record set to another expiry or dropped since leaves its entry behind,
-// stale: the record is gone or carries another number.
+// expiry is one entry of a volume's expiry heap: an instant at or before
+// which one lease record expires, its client, its object (nil for the
+// client's volume lease), and its number, which the record it was pushed
+// for carries. A record renewed to a later expiry keeps its entry, which
+// drain moves on to the record's expiry when it comes up early; a record set
+// to an earlier expiry or dropped since leaves its entry behind, stale: the
+// record is gone or carries another number.
 type expiry struct {
 	at     time.Time
 	client ClientID
@@ -35,11 +37,12 @@ func (v *volume) record(e expiry) (lease, bool) {
 }
 
 // set installs l as client's record in at (v.at, or obj's at map) and
-// indexes it. A record set again to the expiry it already had keeps its
-// entry: a second entry at the same instant would look as live as the
-// first, and compact could remove neither.
-func (v *volume) set(at map[ClientID]lease, client ClientID, obj *object, l lease) {
-	if old, had := at[client]; had && old.expire.Equal(l.expire) {
+// indexes it; old is the record it replaces, if had. A renewal to the same
+// or a later expiry keeps the old record's entry, so it pushes nothing and
+// leaves no stale entry for compact to clear: an entry may come up before
+// its record expires, never after.
+func (v *volume) set(at map[ClientID]lease, client ClientID, obj *object, old lease, had bool, l lease) {
+	if had && !l.expire.Before(old.expire) {
 		l.entry = old.entry
 		at[client] = l
 		return
@@ -52,12 +55,14 @@ func (v *volume) set(at map[ClientID]lease, client ClientID, obj *object, l leas
 
 // setVolLease installs client's volume lease.
 func (v *volume) setVolLease(client ClientID, l lease) {
-	v.set(v.at, client, nil, l)
+	old, had := v.at[client]
+	v.set(v.at, client, nil, old, had, l)
 }
 
 // setObjLease installs client's lease on o.
 func (v *volume) setObjLease(o *object, client ClientID, l lease) {
-	if _, had := o.at[client]; !had {
+	old, had := o.at[client]
+	if !had {
 		v.objLeases++
 		if v.held != nil {
 			if v.held[client] == nil {
@@ -66,7 +71,7 @@ func (v *volume) setObjLease(o *object, client ClientID, l lease) {
 			v.held[client][o] = struct{}{}
 		}
 	}
-	v.set(o.at, client, o, l)
+	v.set(o.at, client, o, old, had, l)
 }
 
 // dropObjLease forgets client's lease on o, if it holds one.
@@ -87,10 +92,18 @@ func (v *volume) dropObjLease(o *object, client ClientID) {
 // Afterwards every record left in the maps is valid at now.
 func (v *volume) drain(now time.Time) {
 	for len(v.expiries) > 0 && !v.expiries[0].at.After(now) {
-		e := v.popExpiry()
+		e := v.expiries[0]
 		l, ok := v.record(e)
+		if ok && l.expire.After(now) {
+			// Renewed since this entry was made: it moves on to the
+			// record's expiry.
+			v.expiries[0].at = l.expire
+			v.siftDown(0)
+			continue
+		}
+		v.popExpiry()
 		if !ok {
-			continue // set again or dropped since this entry was made
+			continue // set earlier or dropped since this entry was made
 		}
 		if e.obj == nil {
 			delete(v.at, e.client)
@@ -103,8 +116,8 @@ func (v *volume) drain(now time.Time) {
 }
 
 // compact drops the stale entries once they outnumber the records: a record
-// renewed or dropped long before its old expiry (a write's invalidation, a
-// repeated grant) would otherwise leave its entry behind until that expiry.
+// dropped long before its expiry (a write's invalidation) or set to an
+// earlier one would otherwise leave its entry behind until that expiry.
 func (v *volume) compact() {
 	if len(v.expiries) <= 2*(len(v.at)+v.objLeases)+expirySlack {
 		return
@@ -132,14 +145,12 @@ func (v *volume) pushExpiry(e expiry) {
 	v.compact()
 }
 
-// popExpiry removes and returns the earliest entry.
-func (v *volume) popExpiry() expiry {
+// popExpiry removes the earliest entry.
+func (v *volume) popExpiry() {
 	h, n := v.expiries, len(v.expiries)-1
-	top := h[0]
 	h[0], h[n] = h[n], expiry{}
 	v.expiries = h[:n]
 	v.siftDown(0)
-	return top
 }
 
 // siftDown moves entry i down to its place in the heap.

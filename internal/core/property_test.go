@@ -365,8 +365,8 @@ func TestSweepCountsRecordsStatsRemoved(t *testing.T) {
 // TestExpiryIndexStaysBounded runs write_fanout's shape against one table:
 // 8 holders of one object under 10-minute leases, invalidated and granted
 // again 10 000 times within one lease term, with no Stats or Sweep to drain
-// the index. Each cycle leaves 8 object and 8 volume entries stale; the
-// index must still never exceed twice the records it indexes plus a
+// the index. Each cycle's write drops 8 object leases, leaving their entries
+// stale; the index must still never exceed twice the records it indexes plus a
 // constant. The clock either advances a millisecond per cycle or stands
 // still, as a simulated clock does between Advances: then every renewal and
 // re-grant sets its record again to the expiry it already had.
@@ -418,6 +418,46 @@ func expiryIndexStaysBounded(t *testing.T, step time.Duration) {
 		if _, err := tb.FinishWrite(now, "o", []byte("y"), nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRenewalKeepsExpiryEntry: renewing a held object lease to a later
+// expiry, the grant path of every lease miss, allocates nothing and adds no
+// index entry; the entry left at the old expiry keeps the record until the
+// new one, and the record goes then.
+func TestRenewalKeepsExpiryEntry(t *testing.T) {
+	tb, err := NewTable(Config{ObjectLease: 10 * time.Second, VolumeLease: 10 * time.Second, Mode: ModeEager})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateVolume("v"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateObject("v", "o", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	v := tb.volumes["v"]
+	now := at(0)
+	mustGrant(t, tb, now, "c", "v")
+	mustObj(t, tb, now, "c", "o")
+	entries := len(v.expiries)
+	if allocs := testing.AllocsPerRun(100, func() {
+		now = now.Add(time.Millisecond)
+		if _, err := tb.GrantObjectLease(now, "c", "o", 1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("renewing a held object lease: %v allocs, want 0", allocs)
+	}
+	if len(v.expiries) != entries {
+		t.Errorf("renewals took the index from %d to %d entries", entries, len(v.expiries))
+	}
+	renewedTo := now.Add(10 * time.Second)
+	if s := tb.Stats(renewedTo.Add(-time.Millisecond)); s.ObjectLeases != 1 || s.VolumeLeases != 0 {
+		t.Errorf("past the first grant's expiry, before the renewal's: %d object, %d volume leases; want 1, 0", s.ObjectLeases, s.VolumeLeases)
+	}
+	if s := tb.Stats(renewedTo); s.ObjectLeases != 0 || len(v.expiries) != 0 {
+		t.Errorf("at the renewal's expiry: %d object leases, %d index entries; want 0, 0", s.ObjectLeases, len(v.expiries))
 	}
 }
 

@@ -141,12 +141,15 @@ func (s *Server) WriteTraced(oid core.ObjectID, data []byte, tc wire.TraceContex
 		// the fan-out above takes real time, and measuring from start would
 		// silently stretch the wait past the min(t, t_v) lease bound by
 		// however long the sends took (the client-visible symptom was
-		// writes blocking well past the bound on a slow network).
+		// writes blocking well past the bound on a slow network). The timer
+		// is stopped once the acks are in, so it outlives no write.
+		timer := s.cfg.Clock.NewTimer(deadline.Sub(s.cfg.Clock.Now())) // at once if past
 		select {
 		case <-w.acked:
-		case <-s.cfg.Clock.After(deadline.Sub(s.cfg.Clock.Now())): // at once if past
+		case <-timer.C():
 		case <-s.closed:
 		}
+		timer.Stop()
 	}
 
 	// The clients the table still waits for become unreachable at the
