@@ -101,7 +101,9 @@ bench-e2e-compare:
 # Each package gets its own invocation with an anchored name per `/` level
 # (`-bench` splits its pattern on `/`). The gate fails unless all eight named
 # groups printed at least one row, so a renamed benchmark or a pattern that
-# matches nothing cannot pass it.
+# matches nothing cannot pass it. Each row over its bound is named on stderr,
+# with the offending column and its bound:
+# `bench-wirepath: FAIL BenchmarkReadHit-2: 1 allocs/op, want 0`.
 READ_MISS_ALLOCS := 2
 bench-wirepath:
 	@echo "bench-wirepath: dynamic half of the zero-alloc gate (static half: hotalloc in 'make lint')"
@@ -109,10 +111,13 @@ bench-wirepath:
 	  $(GO) test -run '^$$' -bench '^BenchmarkBatchedSend(Parallel)?$$' -benchmem -benchtime=0.2s ./internal/transport && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCost(Record|RecordVolume|ConnFrame)$$' -benchmem -benchtime=0.2s ./internal/cost && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkRead(Hit|Miss)$$' -benchmem -benchtime=0.2s ./internal/client; } | tee /dev/stderr | \
-		awk -v miss=$(READ_MISS_ALLOCS) 'match($$1, /^Benchmark(WirePath\/append|BatchedSend(Parallel)?|Cost(Record(Volume)?|ConnFrame)|Read(Hit|Miss))/) { \
+		awk -v miss=$(READ_MISS_ALLOCS) 'function fail(what, want) { bad = 1; \
+				print "bench-wirepath: FAIL " $$1 ": " what ", want " want > "/dev/stderr" } \
+			match($$1, /^Benchmark(WirePath\/append|BatchedSend(Parallel)?|Cost(Record(Volume)?|ConnFrame)|Read(Hit|Miss))/) { \
 				seen[substr($$1, RSTART, RLENGTH)] = 1; \
-				if ($$1 ~ /ReadMiss/) { if ($$(NF-1) > miss) bad = 1 } \
-				else if ($$(NF-1) != 0 || ($$(NF-3) != 0 && $$1 !~ /Parallel/)) bad = 1 } \
+				if ($$1 ~ /ReadMiss/) { if ($$(NF-1) > miss) fail($$(NF-1) " allocs/op", "at most " miss) } \
+				else { if ($$(NF-1) != 0) fail($$(NF-1) " allocs/op", 0); \
+					if ($$(NF-3) != 0 && $$1 !~ /Parallel/) fail($$(NF-3) " B/op", 0) } } \
 			END { for (k in seen) n++; \
 				if (n != 8) print "bench-wirepath: " n + 0 " of 8 benchmark groups printed a row" > "/dev/stderr"; \
 				exit bad || n != 8 }'

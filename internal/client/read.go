@@ -10,60 +10,43 @@ import (
 )
 
 // Read returns the object's data with strong consistency, following Figure
-// 4's client read path: serve from cache iff both the volume lease and the
-// object lease are valid, renewing whichever is missing first. The returned
-// slice is shared; callers must not modify it. It is the cache's own copy of
-// that version, so a hit copies and allocates nothing; a later version
-// replaces the cache's slice and leaves this one as it was.
+// 4's client read path as the holder's core.Read steps it: serve from cache
+// iff both the volume lease and the object lease are valid, renewing
+// whichever is missing first. The returned slice is shared; callers must not
+// modify it. It is the cache's own copy of that version, so a hit copies and
+// allocates nothing; a later version replaces the cache's slice and leaves
+// this one as it was.
 func (c *Client) Read(vid core.VolumeID, oid core.ObjectID) ([]byte, error) {
-	// A renewal can race with an invalidation or an expiry, so retry the
-	// validity check a few times before giving up.
-	contacted := false
-	for attempt := 0; attempt < 4; attempt++ {
-		// The one clock reading of a hit, and a fresh one on every attempt: a
-		// deadline is safe only against the time it is now.
-		now := c.cfg.Clock.Mono()
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, ErrClosed
-		}
-		data, version, volOK, objOK := c.h.Check(vid, oid, now)
-		if volOK && objOK {
-			if contacted {
-				c.serverReads++
-			} else {
-				c.localReads++
-			}
-			if c.cfg.Obs.Tracing() {
-				// Emitted under c.mu so the audit model observes this read
-				// strictly before any invalidation the client acknowledges
-				// next (the ack is what releases a pending write). emit
-				// stamps it: only a traced hit reads the wall clock.
-				c.emit(obs.Event{Type: obs.EvCacheRead, Object: oid, Volume: vid,
-					Version: version})
-			}
-			c.mu.Unlock()
-			return data, nil
-		}
-		if !volOK {
-			c.mu.Unlock()
-			contacted = true
-			if err := c.RenewVolume(vid); err != nil {
-				return nil, err
-			}
-			if objOK {
-				continue
-			}
-			c.mu.Lock()
-		}
-		contacted = true
-		data, ok, err := c.renewObject(vid, oid)
-		if err != nil || ok {
-			return data, err
-		}
+	// The one clock reading of a hit.
+	now := c.cfg.Clock.Mono()
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, ErrClosed
 	}
-	return nil, fmt.Errorf("client: could not hold both leases long enough to read %s/%s (leases shorter than renewal latency?)", vid, oid)
+	// A hit is the holder's read test alone, as the first check of its
+	// core.Read would be; the Read is opened on a miss only, so a hit
+	// neither builds nor returns one.
+	data, version, volOK, objOK := c.h.Check(vid, oid, now)
+	if volOK && objOK {
+		c.localReads++
+	} else {
+		var err error
+		if data, version, err = c.readMiss(vid, oid, now); err != nil {
+			c.mu.Unlock()
+			return nil, err
+		}
+		c.serverReads++
+	}
+	if c.cfg.Obs.Tracing() {
+		// Emitted under c.mu so the audit model observes this read strictly
+		// before any invalidation the client acknowledges next (the ack is
+		// what releases a pending write). emit stamps it: only a traced hit
+		// reads the wall clock.
+		c.emit(obs.Event{Type: obs.EvCacheRead, Object: oid, Volume: vid, Version: version})
+	}
+	c.mu.Unlock()
+	return data, nil
 }
 
 // Peek returns the cached copy WITHOUT any consistency check — the
@@ -148,55 +131,59 @@ func (c *Client) HasVolumeLease(vid core.VolumeID) bool {
 	return ok && trusted > 0
 }
 
-// renewObject runs the REQ_OBJ_LEASE round (Figure 4, "Client requests
-// lease for object o") for Read. It is called with c.mu held and returns
-// with it released, having held it twice: to begin the request, and to
-// install the grant and check both leases again against a clock reading
-// taken after the reply. ok reports that the check passed, and data is then
-// the read's answer. Each renewal is its own short trace: its record times
-// the full request/reply round trip as seen from the client.
-func (c *Client) renewObject(vid core.VolumeID, oid core.ObjectID) (data []byte, ok bool, err error) {
-	ver, token := c.h.Begin(oid)
-	cl, err := c.begin()
-	c.mu.Unlock()
-	if err != nil {
-		return nil, false, err
+// readMiss carries a read the cache could not serve at now through the
+// requests the holder's core.Read names, and returns its answer. It is
+// called with c.mu held and returns with it held, having released it for
+// each request. An object request's call is opened under the hold that named
+// the request (Figure 4, "Client requests lease for object o"), and one more
+// hold ends it, installs the grant and checks both leases again against a
+// clock reading taken after the reply. Each object request is its own short
+// trace: its record times the full request/reply round trip as seen from the
+// client.
+func (c *Client) readMiss(vid core.VolumeID, oid core.ObjectID, now time.Duration) ([]byte, core.Version, error) {
+	r, st := c.h.Read(vid, oid, now)
+	for st.Next != core.ReadDone {
+		if st.Next == core.ReadRenewVolume {
+			c.mu.Unlock()
+			err := c.RenewVolume(vid)
+			now := c.cfg.Clock.Mono()
+			c.mu.Lock()
+			if err == nil {
+				st, err = r.Renewed(now)
+			}
+			if err != nil {
+				return nil, 0, err
+			}
+			continue
+		}
+		cl, err := c.begin()
+		if err != nil {
+			return nil, 0, err
+		}
+		c.mu.Unlock()
+		rec, start := c.startPhase(obs.EvRenewObject, wire.TraceContext{})
+		m, err := c.rpc(cl, wire.ReqObjLease{Seq: cl.seq, Object: oid, Version: st.Version})
+		rec.Object, rec.Volume = oid, vid
+		c.endPhase(rec, start)
+		reply, isGrant := m.(wire.ObjLease)
+		if err == nil && !isGrant {
+			err = fmt.Errorf("client: unexpected %s reply to object lease request", m.Kind())
+		}
+		var at core.Anchor
+		if err == nil {
+			at = c.anchorNow()
+		}
+		c.mu.Lock()
+		c.end(cl)
+		if err == nil {
+			st, err = r.Step(core.ObjectGrant{Object: oid, Version: reply.Version, Expire: reply.Expire,
+				Data: reply.Data}, reply.HasData, at)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
 	}
-
-	rec, start := c.startPhase(obs.EvRenewObject, wire.TraceContext{})
-	m, err := c.rpc(cl, wire.ReqObjLease{Seq: cl.seq, Object: oid, Version: ver})
-	rec.Object, rec.Volume = oid, vid
-	c.endPhase(rec, start)
-	reply, isGrant := m.(wire.ObjLease)
-	if err == nil && !isGrant {
-		err = fmt.Errorf("client: unexpected %s reply to object lease request", m.Kind())
-	}
-	if err != nil {
-		c.release(cl)
-		return nil, false, err
-	}
-
-	at := c.anchorNow()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.end(cl)
-	// A grant an invalidation overtook is dropped here; the read path then
-	// retries with a fresh request.
-	if err := c.h.GrantObject(token, vid, core.ObjectGrant{Object: oid, Version: reply.Version,
-		Expire: reply.Expire, Data: reply.Data}, reply.HasData, at); err != nil {
-		return nil, false, err
-	}
-	data, version, volOK, objOK := c.h.Check(vid, oid, at.Mono)
-	if !volOK || !objOK {
-		return nil, false, nil
-	}
-	c.serverReads++
-	if c.cfg.Obs.Tracing() {
-		// Under c.mu, as a hit's is: the audit model must see this read
-		// before any invalidation the client acknowledges next.
-		c.emit(obs.Event{Type: obs.EvCacheRead, Object: oid, Volume: vid, Version: version})
-	}
-	return data, true, nil
+	return st.Data, st.Version, nil
 }
 
 // RenewVolume runs the volume-lease conversation of Figure 4 as the

@@ -18,12 +18,12 @@ func holderWith(t *testing.T, tb *Table, now time.Time, c ClientID, objs ...Obje
 	}
 	h.grantVolume("v", g.Epoch, g.Expire, anchor(now))
 	for _, oid := range objs {
-		ver, token := h.Begin(oid)
+		ver, token := h.begin(oid)
 		og, err := tb.GrantObjectLease(now, c, oid, ver)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.GrantObject(token, "v", og, og.Data != nil, anchor(now)); err != nil {
+		if err := h.grantObject(token, "v", og, og.Data != nil, anchor(now)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,9 +217,9 @@ func TestSweepDuringReconnectionDiscardsOnce(t *testing.T) {
 func TestConfirmDefersWhileAckOwed(t *testing.T) {
 	tb := newTable(t, eagerCfg())
 	h := NewHolder(0)
-	ver, token := h.Begin("a")
+	ver, token := h.begin("a")
 	og, _ := tb.GrantObjectLease(at(0), "c", "a", ver)
-	if err := h.GrantObject(token, "v", og, true, anchor(at(0))); err != nil {
+	if err := h.grantObject(token, "v", og, true, anchor(at(0))); err != nil {
 		t.Fatal(err)
 	}
 	if g, _ := tb.RequestVolumeLease(at(0), "c", "v", NoEpoch); g.Status != VolumeNeedsRenewAll {

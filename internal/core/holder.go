@@ -50,7 +50,7 @@ type heldVolume struct {
 	known bool // epoch learned at least once
 }
 
-// heldObject is the holder's entry for one object. Begin creates it, and it
+// heldObject is the holder's entry for one object. begin creates it, and it
 // never leaves the map, so its generation outlives every drop of the copy.
 type heldObject struct {
 	volume VolumeID
@@ -61,15 +61,15 @@ type heldObject struct {
 	version Version
 	heldLease
 	hasData bool
-	gen     uint64 // invalidations of this object: Begin's token (GrantObject)
+	gen     uint64 // invalidations of this object: begin's token (grantObject)
 }
 
 // Holder is the client half of Figure 4 as a pure table, the counterpart of
 // Table: one client's volume leases with their epochs and its cached copies
-// with their object leases, and the read, request, install and invalidate
-// rules over them. It reads no clock and does no I/O: a validity check takes
-// a reading of the holder's monotonic clock (clock.Clock.Mono), an install an
-// Anchor. It is not safe for concurrent use; internal/client calls it under
+// with their object leases, and the read (Read), request, install and
+// invalidate rules over them. It reads no clock and does no I/O: a validity
+// check takes a reading of the holder's monotonic clock (clock.Clock.Mono),
+// an install an Anchor. It is not safe for concurrent use; internal/client calls it under
 // its mutex, and the property test drives it against a Table.
 type Holder struct {
 	skew time.Duration
@@ -123,10 +123,10 @@ func (h *Holder) Check(vid VolumeID, oid ObjectID, now time.Duration) (data []by
 	return o.data, o.version, ok && v.until > now, o.until > now
 }
 
-// Begin opens a request for a lease on oid (Figure 4, "Client requests lease
+// begin opens a request for a lease on oid (Figure 4, "Client requests lease
 // for object o"): version is the one to report, NoVersion without a copy,
-// and token is what GrantObject must be handed with the reply.
-func (h *Holder) Begin(oid ObjectID) (version Version, token uint64) {
+// and token is what grantObject must be handed with the reply.
+func (h *Holder) begin(oid ObjectID) (version Version, token uint64) {
 	o := h.objs[oid]
 	if o == nil {
 		o = &heldObject{}
@@ -138,14 +138,11 @@ func (h *Holder) Begin(oid ObjectID) (version Version, token uint64) {
 	return o.version, o.gen
 }
 
-// GrantObject installs the reply g to the request Begin returned token for,
+// grantObject installs the reply g to the request begin returned token for,
 // received at a: the lease, and the data if the reply carries it (hasData),
 // else the copy already held stays. vid is the object's volume. A reply
-// overtaken by an invalidation of its object is dropped, without error: the
-// server has already overwritten (or is overwriting) the version it covers,
-// and the holder acknowledged the drop, so installing it would serve stale
-// data under a valid-looking lease; the next read requests afresh.
-func (h *Holder) GrantObject(token uint64, vid VolumeID, g ObjectGrant, hasData bool, a Anchor) error {
+// overtaken by an invalidation of its object is dropped (Read.Step).
+func (h *Holder) grantObject(token uint64, vid VolumeID, g ObjectGrant, hasData bool, a Anchor) error {
 	o := h.objs[g.Object]
 	if o == nil || o.gen != token {
 		return nil

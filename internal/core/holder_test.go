@@ -14,9 +14,9 @@ var holderAnchor = Anchor{Mono: time.Second, Wall: at(1)}
 // with data.
 func grantCopy(t *testing.T, h *Holder, vid VolumeID, oid ObjectID, version Version) {
 	t.Helper()
-	_, token := h.Begin(oid)
+	_, token := h.begin(oid)
 	g := ObjectGrant{Object: oid, Version: version, Expire: at(100), Data: []byte("x")}
-	if err := h.GrantObject(token, vid, g, true, holderAnchor); err != nil {
+	if err := h.grantObject(token, vid, g, true, holderAnchor); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,19 +59,19 @@ func TestHolderCases(t *testing.T) {
 			}
 		}},
 		{"invalidation overtakes a first request", func(t *testing.T, h *Holder) {
-			ver, token := h.Begin("o")
+			ver, token := h.begin("o")
 			if ver != NoVersion {
-				t.Errorf("Begin without a copy reports version %d", ver)
+				t.Errorf("begin without a copy reports version %d", ver)
 			}
 			h.Invalidate([]ObjectID{"o"})
 			g := ObjectGrant{Object: "o", Version: 1, Expire: at(100), Data: []byte("stale")}
-			if err := h.GrantObject(token, "v", g, true, holderAnchor); err != nil {
+			if err := h.grantObject(token, "v", g, true, holderAnchor); err != nil {
 				t.Fatalf("overtaken grant: %v", err)
 			}
 			if _, _, _, objOK := h.Check("v", "o", now); objOK {
 				t.Error("overtaken grant installed")
 			}
-			if _, retry := h.Begin("o"); retry == token {
+			if _, retry := h.begin("o"); retry == token {
 				t.Error("a request begun after the invalidation carries the overtaken token")
 			}
 		}},
@@ -80,8 +80,8 @@ func TestHolderCases(t *testing.T) {
 			if vols, objs := h.Snapshot(); len(vols)+len(objs) != 0 {
 				t.Errorf("Snapshot after renewObject = %v %v, want empty", vols, objs)
 			}
-			if ver, _ := h.Begin("o"); ver != NoVersion {
-				t.Errorf("Begin after renewObject reports version %d", ver)
+			if ver, _ := h.begin("o"); ver != NoVersion {
+				t.Errorf("begin after renewObject reports version %d", ver)
 			}
 		}},
 		{"epoch before the first grant", func(t *testing.T, h *Holder) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,15 +15,17 @@ import (
 // TestPropertyReadsNeverStale drives a Table and one Holder per client with
 // a random operation sequence and checks the protocol's central invariant
 // after every action: a holder whose Check finds valid object AND volume
-// leases holds the current version. Both halves of the protocol are the
-// shipped code, and server writes follow the full BeginWrite /
-// ack-or-timeout / FinishWrite path. Acknowledgments may come late: after
-// the write has timed the holder out, after it has re-fetched the object, or
-// while a later write of the object waits on it; and a holder may ask for a
-// volume lease while it owes one. The volume conversation is not atomic:
-// its request, each answer's delivery and each step back are separate
-// actions, so a write may land between any two; steps under a foreign
-// sequence number, or sent after a Recover, must be refused.
+// leases holds the current version. Every read the sequence completes, as
+// the holder's Read steps it, must also return the committed version. Both
+// halves of the protocol are the shipped code, and server writes follow the
+// full BeginWrite / ack-or-timeout / FinishWrite path. Acknowledgments may
+// come late: after the write has timed the holder out, after it has
+// re-fetched the object, or while a later write of the object waits on it;
+// and a holder may ask for a volume lease while it owes one. The volume
+// conversation is not atomic: its request, each answer's delivery and each
+// step back are separate actions, so a write may land between any two;
+// steps under a foreign sequence number, or sent after a Recover, must be
+// refused.
 func TestPropertyReadsNeverStale(t *testing.T) {
 	f := func(seed int64) bool {
 		return !runRandomProtocol(t, seed, false)
@@ -208,6 +211,46 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		}
 	}
 
+	// read runs one read of oid by cid as the holder's Read steps it. A
+	// lapsed volume lease moves cid's conversation on by one message, and a
+	// read that finds it still lapsed is abandoned, as is one that runs out
+	// of passes. With overtake, a write's invalidation reaches the holder
+	// between the first grant and its install, so the grant must be dropped.
+	// A read that completes must return the table's committed version: a
+	// read, not just a cache, may never be stale.
+	read := func(cid ClientID, oid ObjectID, step int, overtake bool) {
+		r, st := holders[cid].Read("v", oid, anchor(now).Mono)
+		var err error
+		for renewals := 0; err == nil && st.Next != ReadDone; {
+			if st.Next == ReadRenewVolume {
+				if renewals++; renewals > 1 {
+					return // one message of the conversation per read
+				}
+				advance(cid)
+				st, err = r.Renewed(anchor(now).Mono)
+				continue
+			}
+			g, gerr := tb.GrantObjectLease(now, cid, oid, st.Version)
+			if gerr != nil {
+				t.Fatalf("GrantObjectLease: %v", gerr)
+			}
+			if overtake {
+				overtake = false
+				write(oid, step, false, false)
+			}
+			st, err = r.Step(g, g.Data != nil, anchor(now))
+		}
+		if errors.Is(err, ErrLeasesNotHeld) {
+			return
+		} else if err != nil {
+			t.Fatalf("read step: %v", err)
+		}
+		if version, data, _ := tb.Read(oid); st.Version != version || !bytes.Equal(st.Data, data) {
+			t.Fatalf("STALE READ: client %s read %s version %d (%q); the table has committed version %d (%q) at %v",
+				cid, oid, st.Version, st.Data, version, data, now)
+		}
+	}
+
 	checkAll := func() {
 		checkCounts(t, tb, now)
 		for cid, h := range holders {
@@ -224,34 +267,13 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		oid := objects[rng.Intn(len(objects))]
 
 		switch op := rng.Intn(17); {
-		case op < 5: // client read; op 4: its grant is overtaken by a write
+		case op < 5: // client read; op 4: a write overtakes its grant
 			if !reachable[cid] {
 				// A partitioned client can only read from cache, and only
 				// under both valid leases: the invariant check.
 				continue
 			}
-			_, _, volOK, objOK := h.Check("v", oid, anchor(now).Mono)
-			if !volOK {
-				advance(cid) // one message of the conversation per read
-				if _, _, volOK, _ = h.Check("v", oid, anchor(now).Mono); !volOK {
-					continue
-				}
-			}
-			if !objOK || op == 4 {
-				ver, token := h.Begin(oid)
-				g, err := tb.GrantObjectLease(now, cid, oid, ver)
-				if err != nil {
-					t.Fatalf("GrantObjectLease: %v", err)
-				}
-				if op == 4 {
-					// The write's invalidation reaches the holder before
-					// the grant does, which must then be dropped.
-					write(oid, step, false, false)
-				}
-				if err := h.GrantObject(token, "v", g, g.Data != nil, anchor(now)); err != nil {
-					t.Fatalf("GrantObject: %v", err)
-				}
-			}
+			read(cid, oid, step, op == 4)
 
 		case op < 8: // server write
 			write(oid, step, false, false)

@@ -165,12 +165,12 @@ func TestRenewalAgainstTable(t *testing.T) {
 // now, installing the grant in h.
 func grantCopyFrom(t *testing.T, tb *Table, h *Holder, now time.Time, oid ObjectID) {
 	t.Helper()
-	ver, token := h.Begin(oid)
+	ver, token := h.begin(oid)
 	g, err := tb.GrantObjectLease(now, "c", oid, ver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.GrantObject(token, "v", g, g.Data != nil, anchor(now)); err != nil {
+	if err := h.grantObject(token, "v", g, g.Data != nil, anchor(now)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -312,11 +312,13 @@ func (u *upstream) Fetch(oid core.ObjectID) (core.VolumeID, error) {
 // Install mirrors the upstream client's copy of oid, version number
 // included (so version comparisons stay meaningful across proxy restarts),
 // into the downstream table. Cached and Table.Read both hand back shared
-// slices, so the table's copy-in is the only copy made here.
+// slices, so the table's copy-in is the only copy made here. An upstream
+// invalidation that landed since Fetch has dropped the copy: then nothing is
+// installed, ObjectBound still cannot vouch, and the request goes round again.
 func (u *upstream) Install(t *core.Table, oid core.ObjectID) error {
 	data, version, _, _, ok := u.up.Cached(oid)
 	if !ok {
-		return errors.New("proxy: upstream lease missing after read")
+		return nil
 	}
 	cur, _, err := t.Read(oid)
 	switch {

@@ -56,8 +56,12 @@ func TestSnapshotRootsShareNoMemory(t *testing.T) {
 	r, _ := h.RenewVolume("vol", core.NoEpoch)
 	r.Step(core.VolumeGrant{Status: core.VolumeGranted, Volume: "vol", Epoch: 1, Expire: now.Add(time.Minute)}, at)
 	grant := func(oid core.ObjectID, v core.Version) error {
-		_, token := h.Begin(oid)
-		return h.GrantObject(token, "vol", core.ObjectGrant{Object: oid, Version: v, Expire: now.Add(time.Hour), Data: []byte(oid)}, true, at)
+		r, st := h.Read("vol", oid, at.Mono)
+		if st.Next != core.ReadSendReqObjLease {
+			return fmt.Errorf("read of %s under a valid volume lease: step %v, want an object request", oid, st.Next)
+		}
+		_, err := r.Step(core.ObjectGrant{Object: oid, Version: v, Expire: now.Add(time.Hour), Data: []byte(oid)}, true, at)
+		return err
 	}
 	must(grant("a", 1))
 	must(grant("b", 1))

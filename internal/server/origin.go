@@ -36,7 +36,10 @@ type Origin interface {
 	// Fetch brings the origin's current copy of oid to this node and
 	// reports the volume that owns it.
 	Fetch(oid core.ObjectID) (core.VolumeID, error)
-	// Install writes the fetched copy into the owning volume's table.
+	// Install writes the fetched copy into the owning volume's table. A
+	// copy the origin took back since Fetch is not installed, and is no
+	// error: ObjectBound still cannot vouch, so the request goes round
+	// again and is fetched anew.
 	Install(t *core.Table, oid core.ObjectID) error
 	// RenewVolume makes VolumeBound answerable again.
 	RenewVolume(vid core.VolumeID) error
@@ -135,9 +138,13 @@ func (s *Server) consult(oid core.ObjectID) error {
 	if err := s.origin.Install(sh.table, oid); err != nil {
 		return err
 	}
-	// Most consults refresh an object already indexed; Store allocates.
+	// Most consults refresh an object already indexed; Store allocates. An
+	// object is indexed only once the table holds a copy of it, which an
+	// Install of a copy taken back since Fetch has not made.
 	if _, indexed := s.objs.Load(oid); !indexed {
-		s.objs.Store(oid, sh)
+		if _, _, err := sh.table.Read(oid); err == nil {
+			s.objs.Store(oid, sh)
+		}
 	}
 	return nil
 }

@@ -157,43 +157,43 @@ func anchor(now time.Time) core.Anchor {
 	return core.Anchor{Mono: time.Duration(now.UnixNano()), Wall: now}
 }
 
-// HandleRead implements sim.Algorithm: Figure 4's read, renewing the volume
-// lease and then the object lease as the holder finds them expired.
+// HandleRead implements sim.Algorithm: Figure 4's read as the holder's
+// core.Read steps it, charging each request it names. The read takes one
+// instant, so every check reads the same clock.
 func (v *Volume) HandleRead(now time.Time, e trace.Event) {
 	s := v.server(e.Server)
 	ids := v.object(s, e.Object)
 	client, h, a := core.ClientID(e.Client), v.holder(e.Client), anchor(now)
-	_, version, volOK, objOK := h.Check(ids.vid, ids.oid, a.Mono)
-	if !volOK {
-		v.renewVolume(now, s, client, h, ids.vid)
-		_, version, _, objOK = h.Check(ids.vid, ids.oid, a.Mono)
-	}
-	if objOK {
-		current, _, err := s.table.Read(ids.oid)
-		check(err)
-		v.env.Rec.Read(version != current)
-		v.env.Emit(obs.Event{Type: obs.EvCacheRead, Client: client, Object: ids.oid,
-			Volume: ids.vid, Version: version, At: now})
-		if !volOK {
-			v.record(now, s, true)
+	r, st := h.Read(ids.vid, ids.oid, a.Mono)
+	contacted := st.Next != core.ReadDone
+	for st.Next != core.ReadDone {
+		if st.Next == core.ReadRenewVolume {
+			v.renewVolume(now, s, client, h, ids.vid)
+			st = must(r.Renewed(a.Mono))
+			continue
 		}
-		return
+		v.msg(now, s, metrics.MsgObjLeaseReq, sim.CtrlBytes)
+		g := must(s.table.GrantObjectLease(now, client, ids.oid, st.Version))
+		// The reply carries the data iff the holder's copy is missing or
+		// old. The simulated objects hold no bytes, so decide from the
+		// versions.
+		withData := g.Version != st.Version
+		if withData {
+			v.msg(now, s, metrics.MsgData, sim.DataBytes(e.Size))
+		} else {
+			v.msg(now, s, metrics.MsgObjLease, sim.CtrlBytes)
+		}
+		st = must(r.Step(g, withData, a))
+		v.objectGranted(now, s, client, g)
 	}
-	v.msg(now, s, metrics.MsgObjLeaseReq, sim.CtrlBytes)
-	version, token := h.Begin(ids.oid)
-	g := must(s.table.GrantObjectLease(now, client, ids.oid, version))
-	// The reply carries the data iff the holder's copy is missing or old.
-	// The simulated objects hold no bytes, so decide from the versions.
-	withData := g.Version != version
-	if withData {
-		v.msg(now, s, metrics.MsgData, sim.DataBytes(e.Size))
-	} else {
-		v.msg(now, s, metrics.MsgObjLease, sim.CtrlBytes)
+	current, _, err := s.table.Read(ids.oid)
+	check(err)
+	v.env.Rec.Read(st.Version != current)
+	v.env.Emit(obs.Event{Type: obs.EvCacheRead, Client: client, Object: ids.oid,
+		Volume: ids.vid, Version: st.Version, At: now})
+	if contacted {
+		v.record(now, s, true)
 	}
-	check(h.GrantObject(token, ids.vid, g, withData, a))
-	v.objectGranted(now, s, client, g)
-	v.env.Rec.Read(false)
-	v.record(now, s, true)
 }
 
 // renewVolume runs the volume-lease conversation the holder's core.Renewal
