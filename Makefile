@@ -94,33 +94,40 @@ bench-e2e-compare:
 # reports 1 B/op about one run in six. A lease miss on the same client
 # (BenchmarkReadMiss) boxes its request and reply, so its row is held at
 # READ_MISS_ALLOCS allocs/op, the count TestReadMissAllocs pins; the two
-# change together. The wire-path half is also pinned
+# change together. A client's write over the same network to an object with
+# one lease holder (BenchmarkWireWrite: WriteReq, the server's write state,
+# Invalidate, ack, WriteReply) is held at WIRE_WRITE_ALLOCS allocs/op, its
+# measured count; a change that allocates less on the write path lowers it.
+# The wire-path half is also pinned
 # statically: `make lint`'s hotalloc analyzer checks every function reachable
 # from the //lint:hotpath roots, including paths the benchmark inputs don't
 # drive (DESIGN.md §13.3).
 # Each package gets its own invocation with an anchored name per `/` level
-# (`-bench` splits its pattern on `/`). The gate fails unless all eight named
+# (`-bench` splits its pattern on `/`). The gate fails unless all nine named
 # groups printed at least one row, so a renamed benchmark or a pattern that
 # matches nothing cannot pass it. Each row over its bound is named on stderr,
 # with the offending column and its bound:
 # `bench-wirepath: FAIL BenchmarkReadHit-2: 1 allocs/op, want 0`.
 READ_MISS_ALLOCS := 2
+WIRE_WRITE_ALLOCS := 16
 bench-wirepath:
 	@echo "bench-wirepath: dynamic half of the zero-alloc gate (static half: hotalloc in 'make lint')"
 	{ $(GO) test -run '^$$' -bench '^BenchmarkWirePath$$/^append$$' -benchmem -benchtime=0.2s ./internal/wire && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkBatchedSend(Parallel)?$$' -benchmem -benchtime=0.2s ./internal/transport && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkCost(Record|RecordVolume|ConnFrame)$$' -benchmem -benchtime=0.2s ./internal/cost && \
-	  $(GO) test -run '^$$' -bench '^BenchmarkRead(Hit|Miss)$$' -benchmem -benchtime=0.2s ./internal/client; } | tee /dev/stderr | \
-		awk -v miss=$(READ_MISS_ALLOCS) 'function fail(what, want) { bad = 1; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkRead(Hit|Miss)$$' -benchmem -benchtime=0.2s ./internal/client && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkWireWrite$$' -benchmem -benchtime=0.2s ./internal/server; } | tee /dev/stderr | \
+		awk -v miss=$(READ_MISS_ALLOCS) -v write=$(WIRE_WRITE_ALLOCS) 'function fail(what, want) { bad = 1; \
 				print "bench-wirepath: FAIL " $$1 ": " what ", want " want > "/dev/stderr" } \
-			match($$1, /^Benchmark(WirePath\/append|BatchedSend(Parallel)?|Cost(Record(Volume)?|ConnFrame)|Read(Hit|Miss))/) { \
+			match($$1, /^Benchmark(WirePath\/append|BatchedSend(Parallel)?|Cost(Record(Volume)?|ConnFrame)|Read(Hit|Miss)|WireWrite)/) { \
 				seen[substr($$1, RSTART, RLENGTH)] = 1; \
 				if ($$1 ~ /ReadMiss/) { if ($$(NF-1) > miss) fail($$(NF-1) " allocs/op", "at most " miss) } \
+				else if ($$1 ~ /WireWrite/) { if ($$(NF-1) > write) fail($$(NF-1) " allocs/op", "at most " write) } \
 				else { if ($$(NF-1) != 0) fail($$(NF-1) " allocs/op", 0); \
 					if ($$(NF-3) != 0 && $$1 !~ /Parallel/) fail($$(NF-3) " B/op", 0) } } \
 			END { for (k in seen) n++; \
-				if (n != 8) print "bench-wirepath: " n + 0 " of 8 benchmark groups printed a row" > "/dev/stderr"; \
-				exit bad || n != 8 }'
+				if (n != 9) print "bench-wirepath: " n + 0 " of 9 benchmark groups printed a row" > "/dev/stderr"; \
+				exit bad || n != 9 }'
 
 # Gate: the instrumented hot paths must stay allocation-free when tracing
 # is disabled (BenchmarkEmitDisabled, which includes an event carrying a

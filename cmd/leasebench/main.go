@@ -1,8 +1,8 @@
 // Command leasebench is a load driver for a running leased or leaseproxy: it
 // dials -addr with concurrent clients mixing cached reads, lease renewals and
 // writes, and reports throughput, per-operation latency quantiles, errors
-// (the first few with their operation, object and cause) and the clients'
-// cache counters. The target serves what it saw (cost, load, spans, audit)
+// (every one counted by cause, the first few with their operation, object
+// and error) and the clients' cache counters. The target serves what it saw (cost, load, spans, audit)
 // on its own -debug-addr. Measurements come from `go run ./benchmark`: a
 // closed-loop random mix is not comparable across commits.
 //
@@ -18,6 +18,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,7 +82,8 @@ func run(out io.Writer, args []string) error {
 	return res.report(out, o)
 }
 
-// keptFailures bounds how many failed operations a result keeps to report.
+// keptFailures bounds how many failed operations a result keeps to report
+// as examples, and how many causes the report lists by name.
 const keptFailures = 8
 
 // failure is one failed operation.
@@ -92,6 +95,16 @@ type failure struct {
 
 func (f failure) String() string { return fmt.Sprintf("%s %s: %v", f.op, f.oid, f.err) }
 
+// cause is what f shares with the failures of the same kind: its operation
+// and error, the object it names replaced by a placeholder.
+func (f failure) cause() string {
+	msg := f.err.Error()
+	if f.oid != "" {
+		msg = strings.ReplaceAll(msg, string(f.oid), "<object>")
+	}
+	return f.op + ": " + msg
+}
+
 // result aggregates the measurement.
 type result struct {
 	reads, writes, errors                  atomic.Int64
@@ -100,17 +113,23 @@ type result struct {
 	localReads, serverReads, invalidations int64
 
 	failMu   sync.Mutex
-	failures []failure // the first keptFailures errors, in the order they happened
+	failures []failure        // the first keptFailures errors, in the order they happened
+	causes   map[string]int64 // every error, counted by failure.cause
 }
 
-// fail counts a failed operation and keeps the first few.
+// fail counts a failed operation by its cause and keeps the first few.
 func (r *result) fail(op string, oid core.ObjectID, err error) {
-	if r.errors.Add(1) > keptFailures {
-		return
-	}
+	r.errors.Add(1)
+	f := failure{op, oid, err}
 	r.failMu.Lock()
-	r.failures = append(r.failures, failure{op, oid, err})
-	r.failMu.Unlock()
+	defer r.failMu.Unlock()
+	if r.causes == nil {
+		r.causes = make(map[string]int64)
+	}
+	r.causes[f.cause()]++
+	if len(r.failures) < keptFailures {
+		r.failures = append(r.failures, f)
+	}
 }
 
 // execute runs the load against o.addr.
@@ -181,6 +200,7 @@ func (r *result) report(out io.Writer, o options) error {
 		o.clients, o.objects, o.writeRatio*100, o.duration, o.addr)
 	fmt.Fprintf(out, "throughput: %.0f ops/s (%d reads, %d writes, %d errors)\n",
 		float64(total)/r.elapsed.Seconds(), r.reads.Load(), r.writes.Load(), r.errors.Load())
+	r.reportCauses(out)
 	for _, f := range r.failures {
 		fmt.Fprintf(out, "error: %s\n", f)
 	}
@@ -193,4 +213,30 @@ func (r *result) report(out io.Writer, o options) error {
 			100*float64(r.localReads)/float64(r.localReads+r.serverReads), r.invalidations)
 	}
 	return err
+}
+
+// reportCauses prints the error count of each cause, most frequent first;
+// past keptFailures causes the rest are summed on one line.
+func (r *result) reportCauses(out io.Writer) {
+	causes := make([]string, 0, len(r.causes))
+	for c := range r.causes {
+		causes = append(causes, c)
+	}
+	slices.SortFunc(causes, func(a, b string) int {
+		if d := r.causes[b] - r.causes[a]; d != 0 {
+			return int(d)
+		}
+		return strings.Compare(a, b)
+	})
+	var rest int64
+	for i, c := range causes {
+		if i < keptFailures {
+			fmt.Fprintf(out, "errors: %d %s\n", r.causes[c], c)
+		} else {
+			rest += r.causes[c]
+		}
+	}
+	if rest > 0 {
+		fmt.Fprintf(out, "errors: %d in %d more causes\n", rest, len(causes)-keptFailures)
+	}
 }

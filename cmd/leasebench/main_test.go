@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -160,5 +161,49 @@ func TestReportNamesFailures(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "error: read obj-0: could not hold both leases\n") {
 		t.Errorf("report does not name the first failure:\n%s", &out)
+	}
+}
+
+// TestReportTalliesCauses: every error is counted under its cause — the
+// operation and the message with the object named replaced — most frequent
+// first, and the causes past the first few are summed on one line.
+func TestReportTalliesCauses(t *testing.T) {
+	var res result
+	res.elapsed = time.Second
+	for i := 0; i < 5; i++ {
+		oid := core.ObjectID(fmt.Sprintf("obj-%d", i))
+		res.fail("read", oid, fmt.Errorf("core: could not hold both leases long enough to read bench/%s", oid))
+	}
+	for i := 0; i < 3; i++ {
+		res.fail("write", "obj-1", errors.New("client: timeout"))
+	}
+	res.fail("read", "obj-2", errors.New("client: timeout"))
+	for i := 0; i < keptFailures; i++ {
+		res.fail("read", "obj-1", fmt.Errorf("rare cause %d", i))
+	}
+	var out strings.Builder
+	if err := res.report(&out, options{}); err != nil {
+		t.Fatal(err)
+	}
+	var tally []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "errors: ") {
+			tally = append(tally, line)
+		}
+	}
+	want := []string{
+		"errors: 5 read: core: could not hold both leases long enough to read bench/<object>",
+		"errors: 3 write: client: timeout",
+		"errors: 1 read: client: timeout",
+		"errors: 1 read: rare cause 0",
+	}
+	if len(tally) != keptFailures+1 || !slices.Equal(tally[:len(want)], want) {
+		t.Fatalf("tally lines:\n%s\nwant %d lines starting\n%s", strings.Join(tally, "\n"), keptFailures+1, strings.Join(want, "\n"))
+	}
+	if last, want := tally[keptFailures], "errors: 3 in 3 more causes"; last != want {
+		t.Errorf("last tally line %q, want %q", last, want)
+	}
+	if n := strings.Count(out.String(), "error: "); n != keptFailures {
+		t.Errorf("%d example errors, want %d", n, keptFailures)
 	}
 }

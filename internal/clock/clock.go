@@ -35,6 +35,13 @@ type Clock interface {
 	// that a reply or an ack can end early stops its timer, so the wait
 	// leaves nothing pending once it is over.
 	NewTimer(d time.Duration) Timer
+	// AfterFunc calls f once d has elapsed, on a goroutine of its own for
+	// Real and on the goroutine that advances a simulated clock past the
+	// deadline, and returns a timer (its C is nil) whose Stop cancels the
+	// call. f must not assume any lock of its caller: a state that ends
+	// either on an event or at a deadline arms one under its lock, and f
+	// takes the lock again to see whether the event came first.
+	AfterFunc(d time.Duration, f func()) Timer
 	// Sleep blocks until d has elapsed.
 	Sleep(d time.Duration)
 }
@@ -73,6 +80,9 @@ func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 // stale tick.
 func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
 
+// AfterFunc implements Clock.
+func (Real) AfterFunc(d time.Duration, f func()) Timer { return realTimer{time.AfterFunc(d, f)} }
+
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
@@ -87,7 +97,7 @@ func (r realTimer) Reset(d time.Duration) { r.t.Reset(d) }
 // node's wall clock, set wrong or stepped by an operator, over a timeline the
 // node otherwise shares. Only Now is shifted; After, Sleep and Mono are the
 // parent's, as a wall-clock step leaves a host's timers and monotonic clock
-// alone; so is NewTimer.
+// alone; so are NewTimer and AfterFunc.
 type Offset struct {
 	Clock
 	by atomic.Int64 // time.Duration added to the parent's Now
@@ -126,11 +136,14 @@ type Simulated struct {
 }
 
 // waiter is Simulated's Timer. It is in the clock's waiters list while
-// armed.
+// armed. It either delivers on ch (NewTimer) or calls f (AfterFunc); due
+// marks an AfterFunc timer that has fired and not been called yet.
 type waiter struct {
 	s        *Simulated
 	deadline time.Time
 	ch       chan time.Time
+	f        func()
+	due      bool
 }
 
 var _ Clock = (*Simulated)(nil)
@@ -182,6 +195,17 @@ func (s *Simulated) NewTimer(d time.Duration) Timer {
 	return w
 }
 
+// AfterFunc implements Clock. Advance and AdvanceTo call f after they have
+// released the clock, in deadline order, so f may read the clock and stop or
+// arm timers; one stopped by an earlier function of the same step is not
+// called. A non-positive d calls f on a goroutine of its own, as
+// time.AfterFunc does: Reset may run under its caller's lock, which f takes.
+func (s *Simulated) AfterFunc(d time.Duration, f func()) Timer {
+	w := &waiter{s: s, f: f}
+	w.Reset(d)
+	return w
+}
+
 // C implements Timer.
 func (w *waiter) C() <-chan time.Time { return w.ch }
 
@@ -201,16 +225,22 @@ func (w *waiter) Reset(d time.Duration) {
 	s.begin()
 	w.stop()
 	w.deadline = s.now.Add(d)
-	if d <= 0 {
+	switch {
+	case d > 0:
+	case w.f != nil:
+		go w.f()
+		return
+	default:
 		w.ch <- s.now
 		return
 	}
 	s.waiters = append(s.waiters, w)
 }
 
-// stop disarms w and discards a tick it delivered that nobody received. It
-// must be called with s.mu held.
+// stop disarms w and discards a tick it delivered that nobody received, or
+// a call still due. It must be called with s.mu held.
 func (w *waiter) stop() {
+	w.due = false
 	if i := slices.Index(w.s.waiters, w); i >= 0 {
 		w.s.waiters = slices.Delete(w.s.waiters, i, i+1)
 	}
@@ -233,8 +263,9 @@ func (s *Simulated) Sleep(d time.Duration) {
 func (s *Simulated) Advance(d time.Duration) {
 	s.mu.Lock()
 	s.begin()
-	s.set(s.now.Add(d))
+	fired := s.set(s.now.Add(d))
 	s.mu.Unlock()
+	s.fire(fired)
 }
 
 // AdvanceTo moves the clock forward to t (no-op if t is in the past) and
@@ -242,24 +273,49 @@ func (s *Simulated) Advance(d time.Duration) {
 func (s *Simulated) AdvanceTo(t time.Time) {
 	s.mu.Lock()
 	s.begin()
-	s.set(t)
+	fired := s.set(t)
 	s.mu.Unlock()
+	s.fire(fired)
 }
 
-// set must be called with mu held.
-func (s *Simulated) set(t time.Time) {
+// set must be called with mu held. It delivers the ticks of the channel
+// timers that are due and returns the AfterFunc timers that are, for the
+// caller to call once mu is released.
+func (s *Simulated) set(t time.Time) (fired []*waiter) {
 	if t.After(s.now) {
 		s.now = t
 	}
 	remaining := s.waiters[:0]
 	for _, w := range s.waiters {
-		if !w.deadline.After(s.now) {
-			w.ch <- s.now
-		} else {
+		switch {
+		case w.deadline.After(s.now):
 			remaining = append(remaining, w)
+		case w.f != nil:
+			w.due = true
+			fired = append(fired, w)
+		default:
+			w.ch <- s.now
 		}
 	}
+	clear(s.waiters[len(remaining):])
 	s.waiters = remaining
+	return fired
+}
+
+// fire calls the functions of the AfterFunc timers set returned, earliest
+// deadline first, each unless it was stopped or re-armed since. It must be
+// called without mu held.
+func (s *Simulated) fire(fired []*waiter) {
+	slices.SortStableFunc(fired, func(a, b *waiter) int { return a.deadline.Compare(b.deadline) })
+	for _, w := range fired {
+		s.mu.Lock()
+		due := w.due
+		w.due = false
+		s.mu.Unlock()
+		if due {
+			w.f()
+		}
+	}
 }
 
 // NextDeadline reports the earliest pending timer deadline and whether one

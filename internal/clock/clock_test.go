@@ -215,6 +215,68 @@ func TestRealTimerStop(t *testing.T) {
 	}
 }
 
+// TestSimulatedAfterFunc: an AfterFunc timer is a waiter on the clock until
+// it fires or is stopped; Advance calls the due ones after releasing the
+// clock, earliest deadline first, so a function may read the clock and stop
+// another timer; a stopped one is never called.
+func TestSimulatedAfterFunc(t *testing.T) {
+	s := NewSimulated(Epoch)
+	var calls []float64
+	var stopped Timer
+	late := s.AfterFunc(2*time.Second, func() { calls = append(calls, Seconds(s.Now())) })
+	s.AfterFunc(time.Second, func() {
+		calls = append(calls, Seconds(s.Now()))
+		stopped.Stop()
+	})
+	stopped = s.AfterFunc(time.Second+time.Millisecond, func() { t.Error("a stopped AfterFunc was called") })
+	if late.C() != nil {
+		t.Error("an AfterFunc timer has a channel")
+	}
+	if dl, ok := s.NextDeadline(); !ok || Seconds(dl) != 1 {
+		t.Fatalf("NextDeadline = %v, %v; want 1s", dl, ok)
+	}
+	s.Advance(999 * time.Millisecond)
+	if len(calls) != 0 {
+		t.Fatalf("called before the deadline: %v", calls)
+	}
+	s.Advance(5 * time.Second) // both deadlines pass in one step
+	if len(calls) != 2 || calls[0] != 5.999 || calls[1] != 5.999 {
+		t.Fatalf("calls at %v, want two at 5.999s", calls)
+	}
+	if _, ok := s.NextDeadline(); ok {
+		t.Fatal("a waiter remains after every AfterFunc fired or stopped")
+	}
+	late.Reset(time.Second)
+	late.Stop()
+	s.Advance(time.Hour)
+	if len(calls) != 2 {
+		t.Fatalf("a re-armed and stopped AfterFunc was called: %v", calls)
+	}
+
+	done := make(chan struct{})
+	s.AfterFunc(0, func() { close(done) })
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a non-positive AfterFunc was never called")
+	}
+}
+
+// TestRealAfterFunc: a Real AfterFunc calls its function, and a stopped one
+// does not.
+func TestRealAfterFunc(t *testing.T) {
+	called := make(chan struct{})
+	Real{}.AfterFunc(time.Millisecond, func() { close(called) })
+	stopped := Real{}.AfterFunc(time.Millisecond, func() { t.Error("a stopped AfterFunc was called") })
+	stopped.Stop()
+	select {
+	case <-called:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an AfterFunc was never called")
+	}
+	time.Sleep(5 * time.Millisecond)
+}
+
 func TestSimulatedManyWaitersFireInOneAdvance(t *testing.T) {
 	s := NewSimulated(Epoch)
 	var chans []<-chan time.Time

@@ -347,16 +347,20 @@ func (u *upstream) RenewVolume(vid core.VolumeID) error {
 	return nil
 }
 
-// Write forwards a downstream write to the origin. The origin's
-// invalidation round trips back through onUpstreamInvalidate before the
-// write completes, so by the time the reply arrives the whole subtree is
-// consistent.
-func (u *upstream) Write(oid core.ObjectID, data []byte, tc wire.TraceContext) (core.Version, time.Duration, error) {
-	version, waited, err := u.up.WriteTraced(oid, data, tc)
-	if err != nil {
-		return 0, 0, fmt.Errorf("proxy: upstream write: %w", err)
-	}
-	return version, waited, nil
+// Write forwards a downstream write to the origin, on a goroutine of its
+// own: the upstream RPC blocks, and the reader that calls Write must not.
+// The origin's invalidation round trips back through onUpstreamInvalidate
+// before the write completes, so by the time the reply arrives the whole
+// subtree is consistent.
+func (u *upstream) Write(oid core.ObjectID, data []byte, tc wire.TraceContext, done func(core.Version, time.Duration, error)) error {
+	go func() {
+		version, waited, err := u.up.WriteTraced(oid, data, tc)
+		if err != nil {
+			err = fmt.Errorf("proxy: upstream write: %w", err)
+		}
+		done(version, waited, err)
+	}()
+	return nil
 }
 
 // Finish drops the proxy's copy (the version is learned from upstream on

@@ -188,10 +188,7 @@ func (s *Server) dispatch(cc *clientConn, m wire.Message) error {
 	case wire.AckInvalidate:
 		return s.handleAckInvalidate(cc, v)
 	case wire.WriteReq:
-		// Writes block on acknowledgments (possibly from this very
-		// connection), so they must not occupy the reader goroutine.
-		go s.handleWriteReq(cc, v)
-		return nil
+		return s.handleWriteReq(cc, v)
 	case wire.Hello:
 		return errors.New("duplicate Hello")
 	default:
@@ -385,7 +382,8 @@ func (s *Server) volumeReply(cc *clientConn, seq uint64, g core.VolumeGrant) wir
 
 // completeWriteAcks hands a write ack to the tables, one object at a time
 // (a batch may span volumes); each applies it only to the invalidation of
-// the echoed write number. A write's last applied ack wakes its writer.
+// the echoed write number. A write's last applied ack finishes the write
+// here, on this connection's reader.
 func (s *Server) completeWriteAcks(client core.ClientID, ack wire.AckInvalidate) {
 	now := s.cfg.Clock.Now()
 	for i, oid := range ack.Objects {
@@ -400,33 +398,53 @@ func (s *Server) completeWriteAcks(client core.ClientID, ack wire.AckInvalidate)
 		sh.mu.Lock()
 		applied, last, _ := sh.table.AckWrite(now, client, oid, n) // only error: unknown oid, ruled out above
 		if applied {
-			// Emitted before the writer is woken: the audit model must see
-			// the ack before the write's commit event.
+			// Emitted before the finish: the audit model must see the ack
+			// before the write's commit event.
 			s.emit(obs.Event{Type: obs.EvInvalAcked, Client: client, Object: oid, At: now})
 		}
+		var w *write
 		if last {
-			close(sh.writes[oid].acked)
+			w = sh.writes[oid]
+			s.finishLocked(sh, w, now)
 		}
 		sh.mu.Unlock()
+		if w != nil {
+			s.finished(w)
+		}
 	}
 	if s.om != nil {
 		s.om.invalAcked.Add(int64(len(ack.Objects)))
 	}
 }
 
-// handleWriteReq hands a client-requested write to the origin and replies,
-// threading the request's trace context through the write and echoing it in
-// the reply.
-func (s *Server) handleWriteReq(cc *clientConn, req wire.WriteReq) {
-	version, waited, err := s.origin.Write(req.Object, req.Data, req.Trace)
-	if err != nil {
-		_ = s.sendErr(cc, req.Seq, err)
-		return
-	}
-	_ = cc.conn.Send(wire.WriteReply{
-		Seq: req.Seq, Object: req.Object, Version: version, Waited: waited,
-		Trace: req.Trace,
+// handleWriteReq hands a client-requested write to the origin on the
+// connection's reader and returns; whoever finishes the write sends the
+// reply, echoing the request's trace context, which the write carries. A
+// write of an object that has one in flight waits for it, parked, and is
+// dispatched again.
+func (s *Server) handleWriteReq(cc *clientConn, req wire.WriteReq) error {
+	err := s.origin.Write(req.Object, req.Data, req.Trace, func(version core.Version, waited time.Duration, err error) {
+		if err != nil {
+			_ = s.sendErr(cc, req.Seq, err)
+			return
+		}
+		_ = cc.conn.Send(wire.WriteReply{
+			Seq: req.Seq, Object: req.Object, Version: version, Waited: waited,
+			Trace: req.Trace,
+		})
 	})
+	if !errors.Is(err, core.ErrWriteInFlight) {
+		if err != nil {
+			return s.sendErr(cc, req.Seq, err)
+		}
+		return nil
+	}
+	sh, err := s.shardOfObject(req.Object)
+	if err != nil {
+		return s.sendErr(cc, req.Seq, err)
+	}
+	sh.mu.Lock()
+	return s.parkOnWrites(cc, req, sh, nil, req.Object)
 }
 
 // sendErr reports a request failure to the client.

@@ -21,9 +21,10 @@ import (
 //
 // ObjectBound, VolumeBound, Install and Finish are called with the shard
 // mutex of the volume concerned held, so an implementation may guard its
-// per-object state with it; they must not block. Fetch, RenewVolume and
-// Write block on the origin and are called on a side goroutine with no lock
-// held.
+// per-object state with it; they must not block. Fetch and RenewVolume
+// block on the origin and are called on a side goroutine with no lock held.
+// Write is called on a connection's reader with no lock held and must not
+// block either: it starts the write and reports the outcome later.
 type Origin interface {
 	// ObjectBound reports the latest instant a lease on oid granted now may
 	// expire (zero: no limit beyond the table's term). ok is false when the
@@ -43,8 +44,13 @@ type Origin interface {
 	Install(t *core.Table, oid core.ObjectID) error
 	// RenewVolume makes VolumeBound answerable again.
 	RenewVolume(vid core.VolumeID) error
-	// Write performs a write a client asked this node for.
-	Write(oid core.ObjectID, data []byte, tc wire.TraceContext) (core.Version, time.Duration, error)
+	// Write starts a write a client asked this node for and returns
+	// without waiting for it. done receives the outcome once, on whichever
+	// goroutine finishes the write, and answers the client. An error
+	// means the write did not start and done is not called;
+	// core.ErrWriteInFlight means the object has a write in flight, which
+	// the request waits for before it is dispatched again.
+	Write(oid core.ObjectID, data []byte, tc wire.TraceContext, done func(core.Version, time.Duration, error)) error
 	// Finish ends an invalidation round: every holder in plan.Notify has
 	// acknowledged or is listed in unacked, and what happens to the node's
 	// copy is the origin's business.
@@ -68,8 +74,10 @@ func (o local) Fetch(oid core.ObjectID) (core.VolumeID, error) {
 	return sh.vol, nil
 }
 
-func (o local) Write(oid core.ObjectID, data []byte, tc wire.TraceContext) (core.Version, time.Duration, error) {
-	return o.s.WriteTraced(oid, data, tc)
+// Write begins the write in this node's table (beginWrite).
+func (o local) Write(oid core.ObjectID, data []byte, tc wire.TraceContext, done func(core.Version, time.Duration, error)) error {
+	_, err := o.s.beginWrite(oid, data, tc, time.Time{}, done)
+	return err
 }
 
 // Finish installs the data and commits the new version.

@@ -1,6 +1,6 @@
 // Package server implements the networked volume-lease server: it drives
 // core.Table state (the paper's Figures 2 and 3) over a transport.Network,
-// serving lease requests from many concurrent clients, running the blocking
+// serving lease requests from many concurrent clients, running the
 // write/invalidate/acknowledge path, the delayed-invalidation machinery, the
 // reconnection protocol for unreachable clients, and epoch-based crash
 // recovery.
@@ -33,7 +33,11 @@
 // request it refuses waits for that write's finish (shard.writes) and is
 // retried. Writes to distinct objects — even in the same volume — hold the
 // shard mutex only for the short in-memory table transitions and collect
-// their invalidation acknowledgments concurrently, outside any lock.
+// their invalidation acknowledgments concurrently, outside any lock. A write
+// in flight is state in its shard (write.go), not a waiting goroutine: a
+// client's WriteReq is begun on the connection's reader, and the reader
+// that applies its last ack, its deadline timer or Close finishes it and
+// sends the reply.
 //
 // Invalidation fan-out is batched per connection: writes enqueue object ids
 // on the target connection's outbound queue, and a per-connection flusher
@@ -269,6 +273,7 @@ func (s *Server) Close() error {
 			cc.conn.Close()
 		}
 		s.connMu.Unlock()
+		s.finishWrites()
 	})
 	s.wg.Wait()
 	return nil

@@ -11,7 +11,7 @@ import (
 )
 
 // shard is the unit of consistency-state locking: one volume, its own
-// core.Table, and the channels its writes in flight block on. The
+// core.Table, and the state of its writes in flight. The
 // protocol needs no ordering across volumes — a volume lease covers exactly
 // one volume and a write's ack bound min(t, t_v) only involves leases on the
 // written object and its volume — so each shard can run its lock-step
@@ -21,28 +21,24 @@ type shard struct {
 
 	// mu guards everything below. Operations under it are short and
 	// in-memory (the paper's single-threaded event processing, now per
-	// volume); writes block outside the lock while collecting
-	// acknowledgments. Lock order: shard.mu may be held while taking
-	// Server.connMu, never the reverse.
+	// volume); a write collecting acknowledgments holds it only while it
+	// begins and while it finishes. Lock order: shard.mu may be held while
+	// taking Server.connMu, never the reverse.
 	mu sync.Mutex
 	// table holds this volume's consistency state (exactly one volume per
 	// table), the write-time rules included.
 	table *core.Table
-	// writes holds the channels of each write the table has in flight.
-	writes map[core.ObjectID]inflight
+	// writes holds each write the table has in flight (write.go).
+	writes map[core.ObjectID]*write
 }
-
-// inflight is one write in flight: acked closes at its last ack (the writer
-// waits on it), done at its finish (requests the table refused wait on it).
-type inflight struct{ acked, done chan struct{} }
 
 // parkOnWrites releases sh.mu and parks req until the writes in flight on
 // oids have finished or, when none has one, until orElse (if set) returns.
 func (s *Server) parkOnWrites(cc *clientConn, req wire.Message, sh *shard, orElse func() error, oids ...core.ObjectID) error {
-	var done []chan struct{}
+	var done []<-chan struct{}
 	for _, oid := range oids {
 		if w, ok := sh.writes[oid]; ok {
-			done = append(done, w.done)
+			done = append(done, w.wait())
 		}
 	}
 	sh.mu.Unlock()
@@ -73,7 +69,7 @@ func newShard(cfg core.Config, vid core.VolumeID, epoch core.Epoch, fence time.T
 	if !fence.IsZero() {
 		table.FenceWrites(fence)
 	}
-	return &shard{vol: vid, table: table, writes: make(map[core.ObjectID]inflight)}, nil
+	return &shard{vol: vid, table: table, writes: make(map[core.ObjectID]*write)}, nil
 }
 
 // shardOf resolves a volume's shard with one atomic load, no lock.

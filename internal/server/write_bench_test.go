@@ -104,3 +104,55 @@ func benchConcurrentWrites(b *testing.B, vols int) {
 		b.ReportMetric(float64(b.N)/s, "writes/s")
 	}
 }
+
+// BenchmarkWireWrite prices one client write over the wire to an object
+// with one lease holder: the WriteReq, the server's write state, the
+// Invalidate and its ack, and the WriteReply, on the in-memory network with
+// no latency. Each iteration first re-leases the holder's copy with the
+// timer stopped, so the row is the write alone. `make bench-wirepath` holds
+// its allocs/op at WIRE_WRITE_ALLOCS.
+func BenchmarkWireWrite(b *testing.B) {
+	net := transport.NewMemory()
+	srv, err := server.New(server.Config{
+		Name: "bench", Addr: "bench:1", Net: net,
+		Table: core.Config{ObjectLease: time.Hour, VolumeLease: time.Hour, Mode: core.ModeEager},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.AddVolume("vol"); err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.AddObject("vol", "a", []byte("init")); err != nil {
+		b.Fatal(err)
+	}
+	var holder, writer *client.Client
+	for _, c := range []**client.Client{&holder, &writer} {
+		id := core.ClientID("holder")
+		if c == &writer {
+			id = "writer"
+		}
+		if *c, err = client.Dial(net, "bench:1", client.Config{ID: id}); err != nil {
+			b.Fatal(err)
+		}
+		defer (*c).Close()
+	}
+	payload := []byte("payload")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := holder.Read("vol", "a"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, _, err := writer.Write("a", payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if _, _, invals := holder.Stats(); invals != int64(b.N) {
+		b.Fatalf("%d invalidations in %d writes: a write found no holder", invals, b.N)
+	}
+}
