@@ -163,25 +163,26 @@ examples:
 	$(GO) run ./examples/hierarchy
 	$(GO) run ./examples/webcache
 
-# Live smoke test in two legs against one audited leased over loopback TCP:
+# Live smoke test in two legs against one leased over loopback TCP:
 # leasebench drives leased directly for five seconds, then drives a
 # leaseproxy in front of it for five more (-startup-fence 0s: the default
-# fence would hold every upstream ack for the whole leg). After the direct
-# leg leasemon evaluates its rule table over leased's /metrics (the debug
-# address is read from the `debug server on` log line) and must exit 0.
-# Between the legs the first leg's volume leases (-volume-lease 2s) lapse, so
-# the proxy's first writes do not wait out clients that are gone. Both
-# daemons are stopped with SIGINT. leased exits non-zero at shutdown if the
-# auditor recorded a violation (leaving its flight dump in
-# $(LOADTEST_DIR)/flight-dumps), so the target fails on a violation as well as
-# on a leasebench, leasemon or daemon error. Each daemon picks free ports and
-# logs them.
+# fence would hold every upstream ack for the whole leg). Each leg's verdict
+# is leasebench's history check (internal/history): it records every read and
+# write its clients make and exits non-zero on a stale or invented read, and
+# on a failed leg leasemon -freeze leaves leased's flight recording in
+# $(LOADTEST_DIR)/flight-dumps. After the direct leg leasemon evaluates its
+# rule table over leased's /metrics (the debug address is read from the
+# `debug server on` log line) and must exit 0. Between the legs the first
+# leg's volume leases (-volume-lease 2s) lapse, so the proxy's first writes do
+# not wait out clients that are gone. Both daemons are stopped with SIGINT.
+# The target fails on a leasebench, leasemon or daemon error. Each daemon
+# picks free ports and logs them.
 LOADTEST_DIR ?= loadtest-out
 loadtest:
 	@mkdir -p $(LOADTEST_DIR)
 	$(GO) build -o $(LOADTEST_DIR)/ ./cmd/leased ./cmd/leaseproxy ./cmd/leasebench ./cmd/leasemon
 	@dir=$(LOADTEST_DIR); log=$$dir/leased.log; plog=$$dir/leaseproxy.log; ppid=; \
-	$$dir/leased -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -audit -volume bench -objects 64 -volume-lease 2s -stats 0 \
+	$$dir/leased -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -volume bench -objects 64 -volume-lease 2s -stats 0 \
 		-flight-dir $$dir/flight-dumps 2>$$log & pid=$$!; \
 	trap 'kill $$pid $$ppid 2>/dev/null' EXIT; \
 	addr=; n=0; while [ -z "$$addr" ] && [ $$n -lt 100 ] && kill -0 $$pid 2>/dev/null; do \
@@ -189,6 +190,7 @@ loadtest:
 	if [ -z "$$addr" ]; then cat $$log >&2; echo "loadtest: leased did not start" >&2; exit 1; fi; \
 	daddr=$$(sed -n 's|.*leased: debug server on http://\([^ ]*\) .*|\1|p' $$log); \
 	$$dir/leasebench -addr $$addr -clients 32 -duration 5s -write-ratio 0.05; bench=$$?; \
+	[ $$bench -eq 0 ] || $$dir/leasemon -freeze $$daddr; \
 	$$dir/leasemon $$daddr; mon=$$?; sleep 1; \
 	$$dir/leaseproxy -addr 127.0.0.1:0 -upstream $$addr -volume bench -startup-fence 0s -stats 0 \
 		-flight-dir $$dir/flight-dumps 2>$$plog & ppid=$$!; \
@@ -196,6 +198,7 @@ loadtest:
 		sleep 0.1; n=$$((n+1)); paddr=$$(sed -n 's/.*leaseproxy: serving volume .* on \([^ ]*\) (upstream.*/\1/p' $$plog); done; \
 	if [ -z "$$paddr" ]; then cat $$plog >&2; echo "loadtest: leaseproxy did not start" >&2; exit 1; fi; \
 	$$dir/leasebench -addr $$paddr -clients 16 -duration 5s -write-ratio 0.05; pbench=$$?; \
+	[ $$pbench -eq 0 ] || $$dir/leasemon -freeze $$daddr; \
 	kill -INT $$ppid; wait $$ppid; proxy=$$?; cat $$plog; \
 	kill -INT $$pid; wait $$pid; leased=$$?; cat $$log; \
 	echo "loadtest: leasebench exit $$bench, leasemon exit $$mon, proxied leasebench exit $$pbench, leaseproxy exit $$proxy, leased exit $$leased"; \

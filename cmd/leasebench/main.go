@@ -2,17 +2,23 @@
 // dials -addr with concurrent clients mixing cached reads, lease renewals and
 // writes, and reports throughput, per-operation latency quantiles, errors
 // (every one counted by cause, the first few with their operation, object
-// and error) and the clients' cache counters. The target serves what it saw (cost, load, spans, audit)
-// on its own -debug-addr. Measurements come from `go run ./benchmark`: a
-// closed-loop random mix is not comparable across commits.
+// and error) and the clients' cache counters. The target serves what it saw
+// (cost, load, events) on its own -debug-addr. Measurements come from `go
+// run ./benchmark`: a closed-loop random mix is not comparable across commits.
+//
+// It is also the run's consistency oracle: every write's payload starts with
+// a 16-byte tag (the run's random nonce and a sequence number), every
+// operation is recorded, and internal/history checks the reads against the
+// writes at the end. leasebench exits non-zero on a stale or invented read.
 //
 // Usage:
 //
-//	leased -addr 127.0.0.1:7400 -volume bench -objects 64 -audit
+//	leased -addr 127.0.0.1:7400 -volume bench -objects 64
 //	leasebench -addr 127.0.0.1:7400 -clients 50 -duration 10s -write-ratio 0.05
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -26,6 +32,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 )
@@ -83,7 +90,8 @@ func run(out io.Writer, args []string) error {
 }
 
 // keptFailures bounds how many failed operations a result keeps to report
-// as examples, and how many causes the report lists by name.
+// as examples, how many causes the report lists by name, and how many of the
+// history check's anomalies it prints.
 const keptFailures = 8
 
 // failure is one failed operation.
@@ -115,6 +123,8 @@ type result struct {
 	failMu   sync.Mutex
 	failures []failure        // the first keptFailures errors, in the order they happened
 	causes   map[string]int64 // every error, counted by failure.cause
+
+	logs [][]history.Op // every operation, one log per client
 }
 
 // fail counts a failed operation by its cause and keeps the first few.
@@ -149,35 +159,50 @@ func execute(o options) (*result, error) {
 		clients[i] = cl
 	}
 
-	res := &result{}
+	res := &result{logs: make([][]history.Op, len(clients))}
+	nonce := rand.Uint64() // tells this run's writes from earlier runs' data
+	var seq atomic.Uint64  // the tag of this run's last write
 	var wg sync.WaitGroup
 	var stop atomic.Bool
 	start := time.Now()
 	for i, cl := range clients {
 		wg.Add(1)
-		go func(cl *client.Client, seed int64) {
+		go func(cl *client.Client, seed int64, log *[]history.Op) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			payload := make([]byte, 2048)
 			for !stop.Load() {
 				oid := core.ObjectID(fmt.Sprintf("obj-%d", rng.Intn(o.objects)))
 				t0 := time.Now()
+				h := history.Op{Object: string(oid), Call: t0.Sub(start)}
 				var err error
 				op, lat, n := "read", &res.readLat, &res.reads
 				if rng.Float64() < o.writeRatio {
-					_, _, err = cl.Write(oid, payload)
+					h.Write, h.Tag = true, seq.Add(1)
+					// A fresh payload: a timed-out write's frame may still be
+					// queued with the last one.
+					payload := make([]byte, 2048)
+					binary.BigEndian.PutUint64(payload, nonce)
+					binary.BigEndian.PutUint64(payload[8:], h.Tag)
+					var v core.Version
+					v, _, err = cl.Write(oid, payload)
+					h.Version = uint64(v)
 					op, lat, n = "write", &res.writeLat, &res.writes
 				} else {
-					_, err = cl.Read(core.VolumeID(o.volume), oid)
+					var data []byte
+					data, err = cl.Read(core.VolumeID(o.volume), oid)
+					h.Tag = tagOf(data, nonce)
 				}
+				t1 := time.Now()
+				h.Return, h.OK = t1.Sub(start), err == nil
+				*log = append(*log, h)
 				if err != nil {
 					res.fail(op, oid, err)
 					continue
 				}
-				lat.Observe(time.Since(t0))
+				lat.Observe(t1.Sub(t0))
 				n.Add(1)
 			}
-		}(cl, int64(i)+1)
+		}(cl, int64(i)+1, &res.logs[i])
 	}
 	time.Sleep(o.duration)
 	stop.Store(true)
@@ -193,7 +218,17 @@ func execute(o options) (*result, error) {
 	return res, nil
 }
 
-// report prints the measurement.
+// tagOf is the tag a write of this run (nonce) put at the head of data; any
+// other content is a value from before the run, tag 0.
+func tagOf(data []byte, nonce uint64) uint64 {
+	if len(data) < 16 || binary.BigEndian.Uint64(data) != nonce {
+		return 0
+	}
+	return binary.BigEndian.Uint64(data[8:])
+}
+
+// report prints the measurement and the history check's verdict, and
+// returns the verdict: an error on any stale or invented read.
 func (r *result) report(out io.Writer, o options) error {
 	total := r.reads.Load() + r.writes.Load()
 	fmt.Fprintf(out, "leasebench: %d clients, %d objects, %.0f%% writes, %v against %s\n",
@@ -212,7 +247,15 @@ func (r *result) report(out io.Writer, o options) error {
 		_, err = fmt.Fprintf(out, "cache: %.1f%% of reads served locally, %d invalidations received\n",
 			100*float64(r.localReads)/float64(r.localReads+r.serverReads), r.invalidations)
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	rep := history.Check(r.logs...)
+	fmt.Fprintln(out, rep)
+	for _, a := range rep.Anomalies[:min(len(rep.Anomalies), keptFailures)] {
+		fmt.Fprintf(out, "anomaly: %v\n", a)
+	}
+	return rep.Err()
 }
 
 // reportCauses prints the error count of each cause, most frequent first;

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/server"
 	"repro/internal/transport"
 )
@@ -111,10 +113,25 @@ func TestExecuteSelfContained(t *testing.T) {
 	if err := res.report(&out, o); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"throughput:", "read ", "write ", "cache:"} {
+	for _, want := range []string{"throughput:", "read ", "write ", "cache:",
+		fmt.Sprintf("history: %d reads, %d writes, 0 stale, 0 invented, 0 unchecked\n", res.reads.Load(), res.writes.Load()),
+	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, out.String())
 		}
+	}
+	// Reads return this run's tags: the check saw the writes' values, not
+	// only the seeded ones.
+	tagged := 0
+	for _, log := range res.logs {
+		for _, op := range log {
+			if !op.Write && op.Tag != 0 {
+				tagged++
+			}
+		}
+	}
+	if tagged == 0 {
+		t.Error("no read returned a tag this run wrote")
 	}
 }
 
@@ -141,6 +158,62 @@ func TestExecuteSelfContainedTCP(t *testing.T) {
 	}
 	if res.writes.Load() != 0 || res.invalidations != 0 {
 		t.Errorf("writes=%d invalidations=%d in a read-only run", res.writes.Load(), res.invalidations)
+	}
+}
+
+// TestAuditViolationLeavesFlightDump: a history with a stale read — a read of
+// the seeded value called after a write of a newer version had returned —
+// makes the run fail, and the report names the read and the write it missed.
+// (The verdict is the clients' own history; the target's flight recorder is
+// frozen on demand, with leasemon -freeze.)
+func TestAuditViolationLeavesFlightDump(t *testing.T) {
+	res := &result{elapsed: time.Second, logs: [][]history.Op{
+		{{Object: "obj-3", Write: true, Tag: 1, Version: 2, Call: 10 * time.Millisecond, Return: 20 * time.Millisecond, OK: true}},
+		{{Object: "obj-3", Tag: 0, Call: 30 * time.Millisecond, Return: 31 * time.Millisecond, OK: true}},
+	}}
+	res.reads.Store(1)
+	res.writes.Store(1)
+	var out strings.Builder
+	err := res.report(&out, options{duration: time.Second})
+	if err == nil {
+		t.Fatalf("a stale read passed:\n%s", &out)
+	}
+	for _, want := range []string{
+		"history: 1 reads, 1 writes, 1 stale, 0 invented, 0 unchecked\n",
+		"anomaly: stale: read obj-3 tag 0 [30ms, 31ms], called 10ms after write obj-3 tag 1 version 2 [10ms, 20ms] returned\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report missing %q:\n%s", want, &out)
+		}
+	}
+	if !strings.Contains(err.Error(), "1 stale") {
+		t.Errorf("run's error %q does not count the stale read", err)
+	}
+}
+
+// TestTagOf: a read decodes the tag this run's write put at the head of the
+// payload; anything else is a value from before the run.
+func TestTagOf(t *testing.T) {
+	const nonce = 0x1234
+	data := make([]byte, 2048)
+	binary.BigEndian.PutUint64(data, nonce)
+	binary.BigEndian.PutUint64(data[8:], 77)
+	for _, tc := range []struct {
+		data []byte
+		want uint64
+	}{
+		{data, 77},
+		{data[:16], 77},
+		{data[:15], 0},
+		{[]byte("object 3, version 1"), 0},
+		{make([]byte, 2048), 0},
+	} {
+		if got := tagOf(tc.data, nonce); got != tc.want {
+			t.Errorf("tagOf(%q) = %d, want %d", tc.data[:min(len(tc.data), 16)], got, tc.want)
+		}
+	}
+	if got := tagOf(data, nonce+1); got != 0 {
+		t.Errorf("another run's tag decoded as %d", got)
 	}
 }
 

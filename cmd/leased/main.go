@@ -25,13 +25,9 @@
 // records, which ?trace= and ?min_dur= select) and /debug/flightrecorder
 // (-flight: the flight recorder and its dumps). The
 // index at / and the startup log list exactly what is mounted. Alerts are
-// cmd/leasemon's rules over /metrics; the daemon raises none itself.
-//
-// -audit attaches the online consistency auditor (internal/audit): every
-// protocol event also feeds a shadow model of the lease state, violations
-// land in the lease_audit_* metrics, the first one freezes a flight dump, and
-// the daemon exits non-zero at shutdown if any were recorded. The audit
-// report is served at /debug/audit.
+// cmd/leasemon's rules over /metrics; the daemon raises none itself. Its
+// consistency is checked from the clients' side: leasebench records what its
+// reads return and checks the history (internal/history).
 package main
 
 import (
@@ -73,7 +69,6 @@ type options struct {
 	bestEffort  bool
 	stateDir    string
 	verbose     bool
-	audit       bool
 	dialTimeout time.Duration
 	// obs carries the shared observability flags; start fills in the rest.
 	obs daemon.Options
@@ -115,8 +110,6 @@ func start(opts options) (*instance, error) {
 	o.Node = opts.volume
 	o.Logf = func(format string, args ...any) { log.Printf("leased: "+format, args...) }
 	o.Table = tableCfg
-	o.Audit = opts.audit
-	o.BestEffort = opts.bestEffort
 	stack := daemon.New(o)
 
 	cfg := server.Config{
@@ -171,7 +164,6 @@ func run() error {
 	flag.StringVar(&opts.stateDir, "state-dir", "", "persist volume epochs + lease bound here (crash recovery per Section 3.1.2)")
 	flag.BoolVar(&opts.verbose, "v", false, "verbose logging")
 	statsEvery := flag.Duration("stats", 30*time.Second, "stats reporting interval (0 = off)")
-	flag.BoolVar(&opts.audit, "audit", false, "run the online consistency auditor (exports lease_audit_* metrics and /debug/audit)")
 	flag.DurationVar(&opts.dialTimeout, "dial-timeout", 10*time.Second, "TCP dial timeout")
 	opts.obs.Flags(flag.CommandLine)
 	flag.Parse()
@@ -198,13 +190,7 @@ func run() error {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Println("leased: shutting down")
-	// Leave the black box behind next to a non-zero exit, so the violation
-	// window can be examined.
-	dumps, err := in.obs.AuditErr("audit violations at shutdown")
-	for _, path := range dumps {
-		log.Printf("leased: flight dump %s", path)
-	}
-	return err
+	return nil
 }
 
 // seedObjects populates the volume from a directory (one object per regular

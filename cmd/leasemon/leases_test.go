@@ -46,17 +46,17 @@ func TestFleetStateColumnsFromGauges(t *testing.T) {
 		}
 	}
 	fields := strings.Fields(line)
-	if len(fields) != 11 {
-		t.Fatalf("zeta row has %d columns, want 11: %q", len(fields), line)
+	if len(fields) != 10 {
+		t.Fatalf("zeta row has %d columns, want 10: %q", len(fields), line)
 	}
 	if fields[1] != "zeta" { // NODE, from the series' node label
 		t.Errorf("NODE = %q, want zeta: %q", fields[1], line)
 	}
-	if fields[6] != "5" { // LEASES = object + volume gauges
-		t.Errorf("LEASES = %q, want 5: %q", fields[6], line)
+	if fields[5] != "5" { // LEASES = object + volume gauges
+		t.Errorf("LEASES = %q, want 5: %q", fields[5], line)
 	}
-	if fields[7] != "1" { // EXPIRING
-		t.Errorf("EXPIRING = %q, want 1: %q", fields[7], line)
+	if fields[6] != "1" { // EXPIRING
+		t.Errorf("EXPIRING = %q, want 1: %q", fields[6], line)
 	}
 }
 

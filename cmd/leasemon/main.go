@@ -24,13 +24,11 @@
 //	                    least 3 per 30s
 //	epoch-bump          lease_epoch_bumps_total rises at all
 //	inval-backlog       lease_server_pending_invalidations is at least 1000
-//	audit-violation     lease_audit_violations_total is above 0
 //
 // The first four are rate rules: with -rate-window 0 leasemon samples once
 // and skips them. A node that does not export a rule's series never fires
-// it. NODE is the node label of the node's series, DUMPS and BURN read
-// lease_health_dumps_written_total and lease_health_staleness_budget_burn,
-// MSGS/S and BYTES/S are the window's lease_cost_* deltas, and LEASES and
+// it. NODE is the node label of the node's series, DUMPS reads
+// lease_health_dumps_written_total, MSGS/S and BYTES/S are the window's lease_cost_* deltas, and LEASES and
 // EXPIRING read the lease_state_* gauges; a column whose series the node
 // does not export shows "-".
 //
@@ -141,7 +139,7 @@ func fleet(out, errw io.Writer, cl *http.Client, eps []string, rateWin time.Dura
 	}
 
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ENDPOINT\tNODE\tSTATUS\tFIRING\tDUMPS\tBURN\tLEASES\tEXPIRING\tSERIES\tMSGS/S\tBYTES/S")
+	fmt.Fprintln(tw, "ENDPOINT\tNODE\tSTATUS\tFIRING\tDUMPS\tLEASES\tEXPIRING\tSERIES\tMSGS/S\tBYTES/S")
 	exit := 0
 	for _, r := range rows {
 		if r.err != nil {
@@ -183,10 +181,9 @@ func fleet(out, errw io.Writer, cl *http.Client, eps []string, rateWin time.Dura
 				series++
 			}
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%s\t%s\n",
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%s\t%s\n",
 			r.endpoint, nodeLabel(r.after), status, firingCol,
 			level("%.0f", "lease_health_dumps_written_total"),
-			level("%.2f", "lease_health_staleness_budget_burn"),
 			level("%.0f", "lease_state_object_leases", "lease_state_volume_leases"),
 			level("%.0f", "lease_state_expiring"), series,
 			rate("%.1f", "lease_cost_messages_total"), rate("%.0f", "lease_cost_bytes_total"))
@@ -305,7 +302,7 @@ func leaseTable(out, errw io.Writer, cl *http.Client, eps []string, window time.
 
 // diffLeases scrapes /debug/leases from every endpoint — the first must
 // carry a server table; every dump's client views (including the first's,
-// so a proxy or an audited bench node self-checks) feed the diff — and
+// so a proxy or a bench node with clients self-checks) feed the diff — and
 // reports divergences. Exit 0 clean, 1 on scrape/usage failure, 2 on
 // divergence.
 func diffLeases(out, errw io.Writer, cl *http.Client, eps []string, epsilon time.Duration) int {

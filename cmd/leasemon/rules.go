@@ -53,10 +53,6 @@ var rules = []rule{
 		v, _ := sumFamily(s.after, "lease_server_pending_invalidations")
 		return v >= 1000
 	}},
-	{"audit-violation", false, func(s sample) bool {
-		v, _ := sumFamily(s.after, "lease_audit_violations_total")
-		return v > 0
-	}},
 }
 
 // firing lists the rules that fire on s, in table order.

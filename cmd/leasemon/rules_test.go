@@ -48,10 +48,6 @@ var ruleFixtures = []struct {
 		"", "lease_server_pending_invalidations{server=\"s\"} 1000\n", time.Second},
 	{"inval-backlog, 999 and a volume's", "",
 		"", "lease_server_pending_invalidations{server=\"s\"} 999\nlease_volume_pending_invalidations{server=\"s\",volume=\"v\"} 5000\n", time.Second},
-	{"audit-violation", "audit-violation",
-		"", "lease_audit_violations_total 1\n", time.Second},
-	{"audit-violation, none", "",
-		"", "lease_audit_violations_total 0\nlease_audit_rule_violations_total{rule=\"epoch\"} 0\n", time.Second},
 }
 
 // TestRules runs each rule against the fixtures: a rule fires on its own and
@@ -94,7 +90,7 @@ func TestRules(t *testing.T) {
 // without the partition.
 func TestUnreachableRuleLive(t *testing.T) {
 	for _, partition := range []bool{true, false} {
-		stack := daemon.New(daemon.Options{Node: "srv", DebugAddr: "127.0.0.1:0", Audit: true})
+		stack := daemon.New(daemon.Options{Node: "srv", DebugAddr: "127.0.0.1:0"})
 		t.Cleanup(stack.Close)
 		net := transport.NewMemory()
 		net.Taps = stack.Taps

@@ -10,8 +10,9 @@
 //	leaseproxy -addr :7402 -upstream 127.0.0.1:7401 -volume site   # chainable
 //
 // Observability is leased's stack (internal/daemon), with the same shared
-// flags and, under -debug-addr, the same routes except /debug/audit; with no
-// auditor, its flight recorder is frozen only on demand (leasemon -freeze).
+// flags and, under -debug-addr, the same routes; its flight recorder is
+// frozen on demand (leasemon -freeze). leasebench pointed at a proxy checks
+// the history its clients see through it (internal/history).
 // -startup-fence holds every upstream acknowledgment for that long after
 // boot; pass -startup-fence 0s to drive a freshly started proxy with writes.
 package main

@@ -103,8 +103,6 @@ type Config struct {
 	// MaxViolations caps the retained violation log (the total count keeps
 	// growing). 0 means the default of 128.
 	MaxViolations int
-	// OnViolation, when set, is called synchronously for every violation.
-	OnViolation func(Violation)
 }
 
 // Bound reports the effective staleness bound: StalenessBound when set,
@@ -292,9 +290,6 @@ func (a *Auditor) violate(v Violation) {
 	a.byRule[v.Rule]++
 	if len(a.violations) < a.cfg.MaxViolations {
 		a.violations = append(a.violations, v)
-	}
-	if a.cfg.OnViolation != nil {
-		a.cfg.OnViolation(v)
 	}
 }
 

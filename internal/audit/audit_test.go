@@ -38,7 +38,7 @@ func TestCleanSequenceNoViolations(t *testing.T) {
 	if err := a.Err(); err != nil {
 		t.Fatalf("clean sequence flagged: %v", err)
 	}
-	if got := a.Snapshot().Events; got != 5 {
+	if got := a.Events(); got != 5 {
 		t.Errorf("events = %d, want 5", got)
 	}
 }
@@ -47,18 +47,18 @@ func TestReadValidityViolations(t *testing.T) {
 	a := New(volumeCfg())
 	// No leases at all: both rules fire.
 	a.Observe(obs.Event{Type: obs.EvCacheRead, Client: "c1", Object: "o", Volume: "v", At: at(0)})
-	if n := a.Snapshot().ByRule[RuleReadValidity]; n != 2 {
+	if n := a.ByRule()[RuleReadValidity]; n != 2 {
 		t.Fatalf("leaseless read: %d read-validity violations, want 2", n)
 	}
 	// Valid leases: clean.
 	grantBoth(a, "c1", "o", "v", at(1))
 	a.Observe(obs.Event{Type: obs.EvCacheRead, Client: "c1", Object: "o", Volume: "v", Version: 1, At: at(2)})
-	if n := a.Snapshot().ByRule[RuleReadValidity]; n != 2 {
+	if n := a.ByRule()[RuleReadValidity]; n != 2 {
 		t.Fatalf("valid read flagged: %d violations", n)
 	}
 	// Volume lease expired (10s term): one more violation.
 	a.Observe(obs.Event{Type: obs.EvCacheRead, Client: "c1", Object: "o", Volume: "v", Version: 1, At: at(12)})
-	if n := a.Snapshot().ByRule[RuleReadValidity]; n != 3 {
+	if n := a.ByRule()[RuleReadValidity]; n != 3 {
 		t.Fatalf("read after volume expiry: %d violations, want 3", n)
 	}
 }
@@ -68,12 +68,12 @@ func TestWriteSafetyViolation(t *testing.T) {
 	grantBoth(a, "c1", "o", "v", at(0))
 	// Commit without invalidating c1 while both its leases are valid.
 	a.Observe(obs.Event{Type: obs.EvWriteApplied, Object: "o", Volume: "v", Version: 2, At: at(1)})
-	if n := a.Snapshot().ByRule[RuleWriteSafety]; n != 1 {
+	if n := a.ByRule()[RuleWriteSafety]; n != 1 {
 		t.Fatalf("write-safety violations = %d, want 1", n)
 	}
 	// After the volume lease expires the same commit pattern is legal.
 	a.Observe(obs.Event{Type: obs.EvWriteApplied, Object: "o", Volume: "v", Version: 3, At: at(11)})
-	if n := a.Snapshot().ByRule[RuleWriteSafety]; n != 1 {
+	if n := a.ByRule()[RuleWriteSafety]; n != 1 {
 		t.Fatalf("post-expiry write flagged: %d violations", n)
 	}
 }
@@ -97,12 +97,12 @@ func TestEpochMonotonicity(t *testing.T) {
 	}
 	a.Observe(ev(5, 0))
 	a.Observe(ev(6, 1))
-	if n := a.Snapshot().ByRule[RuleEpochMonotonicity]; n != 0 {
+	if n := a.ByRule()[RuleEpochMonotonicity]; n != 0 {
 		t.Fatalf("monotonic epochs flagged: %d", n)
 	}
 	a.Observe(ev(4, 2))
 	// Both the per-node and the per-client check fire.
-	if n := a.Snapshot().ByRule[RuleEpochMonotonicity]; n != 2 {
+	if n := a.ByRule()[RuleEpochMonotonicity]; n != 2 {
 		t.Fatalf("epoch regression: %d violations, want 2", n)
 	}
 }
@@ -120,7 +120,7 @@ func TestDelayedOrderingAndDiscardWindow(t *testing.T) {
 	// Renewing without delivering the queued invalidation violates ordering.
 	a.Observe(obs.Event{Type: obs.EvVolLeaseGrant, Client: "c1", Volume: "v",
 		Expire: at(26), At: at(16)})
-	if n := a.Snapshot().ByRule[RuleDelayedOrdering]; n != 1 {
+	if n := a.ByRule()[RuleDelayedOrdering]; n != 1 {
 		t.Fatalf("delayed-ordering violations = %d, want 1", n)
 	}
 
@@ -130,7 +130,7 @@ func TestDelayedOrderingAndDiscardWindow(t *testing.T) {
 	b.Observe(obs.Event{Type: obs.EvInvalQueued, Client: "c1", Object: "o", Volume: "v",
 		Expire: at(10), At: at(15)})
 	b.Observe(obs.Event{Type: obs.EvUnreachable, Client: "c1", Volume: "v", At: at(20)})
-	if n := b.Snapshot().ByRule[RuleDiscardWindow]; n != 1 {
+	if n := b.ByRule()[RuleDiscardWindow]; n != 1 {
 		t.Fatalf("early discard: %d violations, want 1", n)
 	}
 	// And the correct sequence: discard at/after expiry+d is clean, but the
@@ -142,10 +142,10 @@ func TestDelayedOrderingAndDiscardWindow(t *testing.T) {
 	c.Observe(obs.Event{Type: obs.EvUnreachable, Client: "c1", Volume: "v", At: at(40)})
 	c.Observe(obs.Event{Type: obs.EvVolLeaseGrant, Client: "c1", Volume: "v",
 		Expire: at(60), At: at(50)})
-	if n := c.Snapshot().ByRule[RuleReconnectSkipped]; n != 1 {
+	if n := c.ByRule()[RuleReconnectSkipped]; n != 1 {
 		t.Fatalf("skipped reconnect: %d violations, want 1", n)
 	}
-	if n := c.Snapshot().ByRule[RuleDiscardWindow]; n != 0 {
+	if n := c.ByRule()[RuleDiscardWindow]; n != 0 {
 		t.Fatalf("on-time discard flagged: %d", n)
 	}
 	// With the reconnection protocol the grant is clean.
@@ -173,17 +173,17 @@ func TestStalenessMeasurementAndBound(t *testing.T) {
 	if got, want := a.MaxStaleness(), 4*time.Second; got != want {
 		t.Fatalf("max staleness = %v, want %v", got, want)
 	}
-	if n := a.Snapshot().ByRule[RuleStalenessBound]; n != 0 {
+	if n := a.ByRule()[RuleStalenessBound]; n != 0 {
 		t.Fatalf("in-bound staleness flagged: %d", n)
 	}
 	// Read version 1 at 22s: 11s stale, over the 10s bound.
 	a.Observe(obs.Event{Type: obs.EvVolLeaseGrant, Client: "c1", Volume: "v", Expire: at(32), At: at(22)})
 	a.Observe(obs.Event{Type: obs.EvCacheRead, Client: "c1", Object: "o", Volume: "v", Version: 1, At: at(22)})
-	if n := a.Snapshot().ByRule[RuleStalenessBound]; n != 1 {
+	if n := a.ByRule()[RuleStalenessBound]; n != 1 {
 		t.Fatalf("staleness-bound violations = %d, want 1", n)
 	}
-	if got := a.Snapshot().StalenessBound; got != 10*time.Second {
-		t.Fatalf("snapshot bound = %v, want 10s", got)
+	if got := a.cfg.Bound(); got != 10*time.Second {
+		t.Fatalf("bound = %v, want 10s", got)
 	}
 }
 
@@ -201,7 +201,7 @@ func TestSlackAbsorbsEdgeRaces(t *testing.T) {
 	// 80ms after: beyond the slack, flagged.
 	a.Observe(obs.Event{Type: obs.EvCacheRead, Client: "c1", Object: "o", Volume: "v",
 		Version: 1, At: at(10.080)})
-	if n := a.Snapshot().ByRule[RuleReadValidity]; n != 1 {
+	if n := a.ByRule()[RuleReadValidity]; n != 1 {
 		t.Fatalf("out-of-slack read: %d violations, want 1", n)
 	}
 }
@@ -221,11 +221,11 @@ func TestEpochBumpClearsRecoveryState(t *testing.T) {
 	}
 }
 
+// TestViolationLogCapAndCallback: the log keeps the first MaxViolations
+// breaches, while the total and Err's summary count every one.
 func TestViolationLogCapAndCallback(t *testing.T) {
-	var seen int
 	cfg := volumeCfg()
 	cfg.MaxViolations = 2
-	cfg.OnViolation = func(Violation) { seen++ }
 	a := New(cfg)
 	for i := 0; i < 5; i++ {
 		a.Observe(obs.Event{Type: obs.EvCacheRead, Client: "c1", Object: "o", Volume: "v", At: at(float64(i))})
@@ -233,11 +233,8 @@ func TestViolationLogCapAndCallback(t *testing.T) {
 	if got := len(a.Violations()); got != 2 {
 		t.Errorf("retained %d violations, want cap 2", got)
 	}
-	if a.Snapshot().ViolationCount != 10 {
-		t.Errorf("total = %d, want 10", a.Snapshot().ViolationCount)
-	}
-	if seen != 10 {
-		t.Errorf("callback saw %d, want 10", seen)
+	if a.totalViol.Load() != 10 {
+		t.Errorf("total = %d, want 10", a.totalViol.Load())
 	}
 	if err := a.Err(); err == nil || !strings.Contains(err.Error(), "and 8 more") {
 		t.Errorf("Err() = %v, want summary quoting first violations and the remainder", err)

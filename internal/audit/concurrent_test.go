@@ -53,7 +53,7 @@ func TestConcurrentPerVolumeStreams(t *testing.T) {
 		t.Fatalf("interleaved per-volume streams flagged: %v", err)
 	}
 	want := int64(shards * (2 + rounds*5))
-	if got := a.Snapshot().Events; got != want {
+	if got := a.Events(); got != want {
 		t.Errorf("events = %d, want %d", got, want)
 	}
 }

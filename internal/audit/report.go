@@ -1,84 +1,19 @@
 package audit
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
+	"maps"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// Register exports the auditor through a metrics registry:
-//
-//	lease_audit_events_total                      — events fed to the model
-//	lease_audit_violations_total                  — invariant breaches
-//	lease_audit_violations_total{rule="..."}      — per-invariant breakdown
-//	lease_audit_stale_reads_total                 — reads of a superseded version
-//	lease_audit_staleness_seconds                 — observed staleness summary
-//	lease_audit_max_observed_staleness_seconds    — worst staleness seen
-//
-// The staleness series are what the paper's Table 1 bounds: the max gauge
-// must stay below min(t, t_v).
-func (a *Auditor) Register(reg *obs.Registry) {
-	reg.RegisterHistogram("lease_audit_staleness_seconds", a.stale)
-	reg.GaugeFunc("lease_audit_max_observed_staleness_seconds", func() float64 {
-		return a.stale.Max().Seconds()
-	})
-	reg.GaugeFunc("lease_audit_events_total", func() float64 {
-		return float64(a.events.Load())
-	})
-	reg.GaugeFunc("lease_audit_stale_reads_total", func() float64 {
-		return float64(a.staleReads.Load())
-	})
-	reg.GaugeFunc("lease_audit_violations_total", func() float64 {
-		return float64(a.totalViol.Load())
-	})
-	for _, rule := range Rules {
-		rule := rule
-		name := fmt.Sprintf("lease_audit_rule_violations_total{rule=%q}", rule)
-		reg.GaugeFunc(name, func() float64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return float64(a.byRule[rule])
-		})
-	}
-}
+// Events reports how many events the model has consumed.
+func (a *Auditor) Events() int64 { return a.events.Load() }
 
-// Snapshot is a point-in-time audit report.
-type Snapshot struct {
-	Events         int64            `json:"events"`
-	ViolationCount int64            `json:"violation_count"`
-	ByRule         map[string]int64 `json:"by_rule,omitempty"`
-	Violations     []Violation      `json:"violations,omitempty"`
-	StaleReads     int64            `json:"stale_reads"`
-	MaxStaleness   time.Duration    `json:"max_staleness_ns"`
-	StalenessBound time.Duration    `json:"staleness_bound_ns"`
-	TrackedObjects int              `json:"tracked_objects"`
-	TrackedClients int              `json:"tracked_client_volumes"`
-}
-
-// Snapshot captures the current model and violation log.
-func (a *Auditor) Snapshot() Snapshot {
+// ByRule reports how many violations of each rule were recorded.
+func (a *Auditor) ByRule() map[string]int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s := Snapshot{
-		Events:         a.events.Load(),
-		ViolationCount: a.totalViol.Load(),
-		StaleReads:     a.staleReads.Load(),
-		MaxStaleness:   a.stale.Max(),
-		StalenessBound: a.cfg.Bound(),
-		TrackedObjects: len(a.objects),
-		TrackedClients: len(a.vols),
-	}
-	if len(a.byRule) > 0 {
-		s.ByRule = make(map[string]int64, len(a.byRule))
-		for k, v := range a.byRule {
-			s.ByRule[k] = v
-		}
-	}
-	s.Violations = append(s.Violations, a.violations...)
-	return s
+	return maps.Clone(a.byRule)
 }
 
 // Violations returns the retained violation log.
@@ -116,12 +51,4 @@ func (a *Auditor) Err() error {
 		msg += fmt.Sprintf("; and %d more", rest)
 	}
 	return fmt.Errorf("%s", msg)
-}
-
-// ServeHTTP reports the audit snapshot as JSON (the /debug/audit endpoint).
-func (a *Auditor) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(a.Snapshot())
 }

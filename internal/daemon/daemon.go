@@ -10,12 +10,13 @@
 //	                                             sampled into per-second load
 //	events (obs.Tracer)     -> obs.RingSink      /debug/events, the causal write
 //	                                             records included (?trace=)
-//	                        -> audit.Auditor     invariants; a violation freezes
-//	                                             one flight dump (health.Dumper)
 //	                        -> health.FlightRecorder
+//	                                             frozen on demand (leasemon -freeze)
 //
 // Nothing else counts a frame or an event. Alerts are not raised here: they
-// are cmd/leasemon's rules over the /metrics this stack serves.
+// are cmd/leasemon's rules over the /metrics this stack serves. Whether the
+// node keeps the paper's guarantee is checked from its clients' side, by
+// internal/history (leasebench's verdict).
 package daemon
 
 import (
@@ -24,7 +25,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/audit"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -51,13 +51,8 @@ type Options struct {
 	FlightDir string
 
 	// Table is the node's lease configuration: VolumeLease is the lookahead of
-	// the lease_state_expiring gauge and, with Audit, the table is the protocol
-	// variant under audit.
+	// the lease_state_expiring gauge.
 	Table core.Config
-	// Audit attaches the online consistency auditor; BestEffort tells it the
-	// node's writes do not wait out unacknowledged leases.
-	Audit      bool
-	BestEffort bool
 }
 
 // Flags registers the shared observability flags on fs, bound to o.
@@ -77,7 +72,6 @@ type Stack struct {
 	Batch *transport.BatchStats // for transport.TCP.Stats; stays zero on Memory
 
 	Cost   *cost.Accounting
-	Audit  *audit.Auditor
 	Health *health.Dumper
 
 	opts   Options
@@ -106,16 +100,6 @@ func New(o Options) *Stack {
 		s.ring = obs.NewRingSink(o.Trace)
 		sinks = append(sinks, s.ring)
 	}
-	if o.Audit {
-		cfg := audit.LiveConfig(o.Table, o.BestEffort)
-		// The one automatic freeze: Trigger never blocks the auditor, which
-		// calls this under its own lock.
-		cfg.OnViolation = func(v audit.Violation) { s.Health.Trigger(health.CauseAudit, v.String()) }
-		s.Audit = audit.New(cfg)
-		s.Audit.Register(s.reg)
-		sinks = append(sinks, s.Audit)
-		s.mount("/debug/audit", s.Audit)
-	}
 	s.Cost = cost.New(o.Node, o.Clock.Now)
 	s.Cost.Register(s.reg)
 	s.mount("/debug/cost", cost.Handler(s.Cost))
@@ -124,18 +108,10 @@ func New(o Options) *Stack {
 	if o.Flight > 0 {
 		s.flight = health.NewFlightRecorder(o.Node, o.Flight, 0) // 0: the default one-minute window
 		s.flight.AttachCost(s.Cost)
-		ho := health.Options{
+		s.Health = health.NewDumper(health.Options{
 			Node: o.Node, Clock: o.Clock, Flight: s.flight,
 			DumpDir: health.DumpDir(o.FlightDir), Logf: o.Logf,
-		}
-		if aud := s.Audit; aud != nil {
-			// Staleness-budget burn: the worst staleness the auditor has observed
-			// as a fraction of the paper's min(t, t_v) bound.
-			if bound := aud.Config().Bound(); bound > 0 {
-				ho.StalenessBurn = func() float64 { return float64(aud.MaxStaleness()) / float64(bound) }
-			}
-		}
-		s.Health = health.NewDumper(ho)
+		})
 		s.Health.Register(s.reg)
 		sinks = append(sinks, s.flight)
 		s.mount("/debug/flightrecorder", health.FlightHandler(s.Health))
@@ -184,36 +160,12 @@ func (s *Stack) DebugAddr() string {
 	return s.debug.Addr()
 }
 
-// AuditErr is the auditor's verdict at shutdown: nil without an auditor or
-// when every invariant held. On a violation it first makes sure the black box
-// is left behind — the first violation froze a dump mid-run, and one still
-// waiting out its tail is written now (the dumper takes no more triggers); if
-// no dump exists one is frozen now, labelled reason — and returns the dump
-// files beside the error.
-func (s *Stack) AuditErr(reason string) (dumps []string, err error) {
-	if s.Audit == nil {
-		return nil, nil
-	}
-	if err = s.Audit.Err(); err == nil {
-		return nil, nil
-	}
-	s.Health.Close()
-	dumps = s.Health.Files()
-	if len(dumps) == 0 {
-		if path, derr := s.Health.ForceDump(reason); derr == nil {
-			dumps = append(dumps, path)
-		}
-	}
-	return dumps, err
-}
-
-// Close stops the debug server, the load sampler and the dumper. Safe after a
-// failed Start and more than once.
+// Close stops the debug server and the load sampler. Safe after a failed
+// Start and more than once.
 func (s *Stack) Close() {
 	if s.debug != nil {
 		s.debug.Close()
 	}
 	s.once.Do(func() { close(s.stop) })
 	s.wg.Wait()
-	s.Health.Close()
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/server"
@@ -143,7 +141,6 @@ func TestSeriesSurface(t *testing.T) {
 			n := driven(t, role, Options{
 				Node: role, DebugAddr: "127.0.0.1:0", Trace: 64,
 				Flight: 256, FlightDir: t.TempDir(),
-				Audit: role == "server", // leaseproxy has no -audit
 			})
 			base := "http://" + n.stack.DebugAddr()
 
@@ -187,10 +184,7 @@ func TestSeriesSurface(t *testing.T) {
 			// role, every entry answers, and the startup line printed it.
 			index := strings.Fields(strings.TrimPrefix(get(t, base+"/"), "lease debug server"))
 			mounted := []string{"/metrics", "/debug/pprof/", "/debug/events", "/debug/leases",
-				"/debug/audit", "/debug/cost", "/debug/flightrecorder"}
-			if role == "proxy" {
-				mounted = slices.DeleteFunc(mounted, func(p string) bool { return p == "/debug/audit" })
-			}
+				"/debug/cost", "/debug/flightrecorder"}
 			if !slices.Equal(index, mounted) {
 				t.Errorf("index lists %v, want %v", index, mounted)
 			}
@@ -280,99 +274,6 @@ func TestTraceRecordsWrites(t *testing.T) {
 		if got := byType[typ]; len(got) != 1 || got[0].Trace != root.Trace || got[0].Parent != root.Span {
 			t.Errorf("%s records = %+v, want one under the write %d/%d", typ, got, root.Trace, root.Span)
 		}
-	}
-}
-
-// audited is an audited stack on clk with a flight recorder dumping into
-// dir, fed a volume lease grant per epoch.
-func audited(t *testing.T, clk clock.Clock, dir string, epochs ...core.Epoch) *Stack {
-	t.Helper()
-	t.Setenv("FLIGHT_DUMP_DIR", "") // the dump must land in dir
-	stack := New(Options{Node: "srv", Clock: clk, Table: table, Audit: true, Flight: 64, FlightDir: dir})
-	t.Cleanup(stack.Close)
-	grant(stack, epochs...)
-	return stack
-}
-
-func grant(stack *Stack, epochs ...core.Epoch) {
-	for _, epoch := range epochs {
-		stack.Obs.Emit(obs.Event{Type: obs.EvVolLeaseGrant, At: stack.opts.Clock.Now(), Node: "srv", Client: "c", Volume: "v", Epoch: epoch})
-	}
-}
-
-// TestAuditViolationLeavesFlightDump crafts an invariant violation (an epoch
-// moving backwards) and asserts AuditErr — leased's exit status at shutdown —
-// returns an error and leaves one parseable flight dump behind, whose path it
-// returns: the violation's own freeze, written at once although its tail has
-// not run out.
-func TestAuditViolationLeavesFlightDump(t *testing.T) {
-	dir := t.TempDir()
-	stack := audited(t, clock.Real{}, dir, 5, 3) // 5 then 3: epoch monotonicity breach
-	if len(stack.Audit.Violations()) == 0 {
-		t.Fatal("crafted event stream recorded no violation")
-	}
-	dumps, err := stack.AuditErr("audit violations at shutdown")
-	if err == nil {
-		t.Fatal("violating run reported success")
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "flight-srv-*.json"))
-	if len(files) != 1 || !slices.Equal(dumps, files) {
-		t.Fatalf("AuditErr returned dumps %v; %v on disk, want exactly one, the same", dumps, files)
-	}
-	d, err := health.ReadDump(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Events) != 2 || d.Trigger == nil || d.Trigger.Cause != health.CauseAudit {
-		t.Fatalf("dump = %d events, trigger %+v", len(d.Events), d.Trigger)
-	}
-}
-
-// TestAuditViolationFreezesOnceAfterTail: on a simulated clock, the first
-// violation freezes exactly one dump health.Tail later, and a second one
-// inside the cooldown freezes none — not even when Close flushes.
-func TestAuditViolationFreezesOnceAfterTail(t *testing.T) {
-	dir := t.TempDir()
-	sim := clock.NewSimulated(clock.Epoch)
-	stack := audited(t, sim, dir, 5, 3)
-	if d, ok := sim.NextDeadline(); !ok || !d.Equal(clock.Epoch.Add(health.Tail)) {
-		t.Fatalf("violation armed %v, %v; want a freeze at +%v", d, ok, health.Tail)
-	}
-	sim.Advance(health.Tail - time.Nanosecond)
-	if files := stack.Health.Files(); len(files) != 0 {
-		t.Fatalf("froze %v before the tail ran out", files)
-	}
-	sim.Advance(time.Nanosecond)
-	for deadline := time.Now().Add(2 * time.Second); len(stack.Health.Files()) == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no dump after the tail")
-		}
-	}
-	before := len(stack.Audit.Violations())
-	grant(stack, 2) // 3 then 2: a second breach, inside the cooldown
-	if len(stack.Audit.Violations()) == before {
-		t.Fatal("the second breach recorded no violation")
-	}
-	if d, ok := sim.NextDeadline(); ok {
-		t.Fatalf("the second violation armed a freeze at %v", d)
-	}
-	stack.Close()
-	if files, _ := filepath.Glob(filepath.Join(dir, "flight-*.json")); len(files) != 1 {
-		t.Fatalf("dumps on disk: %v, want exactly one", files)
-	}
-}
-
-// TestAuditCleanLeavesNoDump: when every invariant held, AuditErr is nil and
-// freezes nothing.
-func TestAuditCleanLeavesNoDump(t *testing.T) {
-	dir := t.TempDir()
-	stack := audited(t, clock.Real{}, dir, 3, 5)
-	dumps, err := stack.AuditErr("audit violations at shutdown")
-	if err != nil || len(dumps) != 0 {
-		t.Fatalf("clean run: AuditErr = %v, %v; want nil, no dumps", dumps, err)
-	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 0 {
-		t.Errorf("clean run left %v", files)
 	}
 }
 

@@ -2,8 +2,8 @@
 // recorder continuously retaining the last seconds of protocol events
 // (causal write records included), frozen into a dump file — with the
 // node's per-second load and its lease table — when an operator asks
-// (ForceDump, POST /debug/flightrecorder?freeze=1) or the auditor records a
-// violation (Dumper.Trigger).
+// (ForceDump, POST /debug/flightrecorder?freeze=1, leasemon -freeze) or a
+// failing test leaves its evidence behind (FailureDump).
 //
 // The paper's hardest moments — renewal storms after a server crash,
 // unreachable-client wait-outs, invalidation backlog on a hot volume — are
@@ -40,11 +40,11 @@ import (
 // verbatim in the dump file so a postmortem starts from the cause, not from
 // raw data.
 type Trigger struct {
-	// Cause is CauseAudit, "manual" (ForceDump) or "test-failure"
-	// (FailureDump); it names the dump file too.
+	// Cause is "manual" (ForceDump) or "test-failure" (FailureDump); it
+	// names the dump file too.
 	Cause string    `json:"cause"`
 	At    time.Time `json:"at"`
-	// Detail is a human-readable one-liner (the violation, the test name),
+	// Detail is a human-readable one-liner (the reason, the test name),
 	// for log lines and the leasemon dump view.
 	Detail string `json:"detail,omitempty"`
 }

@@ -123,7 +123,7 @@ func TestSnapshotIncludesSpansAndTimeline(t *testing.T) {
 	acct.TapConn("n:1", "c:0").Observe(transport.Frame{Sent: true, Msg: wire.Hello{}}) // in progress at second 10
 	f.Observe(evAt(base.Add(9*time.Second), obs.EvWriteApplied))
 
-	d := f.Snapshot(sim.Now(), &Trigger{Cause: CauseAudit, At: sim.Now(), Detail: "epoch moved backwards"})
+	d := f.Snapshot(sim.Now(), &Trigger{Cause: "manual", At: sim.Now(), Detail: "pulled for the test"})
 	if len(d.Events) != 2 || d.Events[0].Type != "write" || d.Events[0].Trace != 1 || d.Events[0].DurNS != int64(time.Second) ||
 		d.Events[1].Type != "write-applied" {
 		t.Fatalf("events = %+v, want the in-window write record and the commit", d.Events)
@@ -131,7 +131,7 @@ func TestSnapshotIncludesSpansAndTimeline(t *testing.T) {
 	if len(d.Seconds) != 1 || d.Seconds[0].Msgs != 1 {
 		t.Fatalf("seconds = %+v", d.Seconds)
 	}
-	if d.Trigger == nil || d.Trigger.Cause != CauseAudit {
+	if d.Trigger == nil || d.Trigger.Cause != "manual" {
 		t.Fatalf("trigger = %+v", d.Trigger)
 	}
 }
@@ -164,7 +164,7 @@ func TestDumpRoundTripAndPreTriggerSpan(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.Observe(evAt(base.Add(time.Duration(i)*time.Second), obs.EvCacheRead))
 	}
-	tr := Trigger{Cause: CauseAudit, At: base.Add(4 * time.Second), Detail: "test"}
+	tr := Trigger{Cause: "manual", At: base.Add(4 * time.Second), Detail: "test"}
 	d := f.Snapshot(base.Add(6*time.Second), &tr)
 
 	dir := t.TempDir()
@@ -172,7 +172,7 @@ func TestDumpRoundTripAndPreTriggerSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name := filepath.Base(path); strings.ContainsAny(name, " ") || !strings.HasPrefix(name, "flight-srv_one-audit-violation-") {
+	if name := filepath.Base(path); strings.ContainsAny(name, " ") || !strings.HasPrefix(name, "flight-srv_one-manual-") {
 		t.Errorf("unexpected dump file name %q", name)
 	}
 	got, err := ReadDump(path)

@@ -144,7 +144,6 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 	}
 
 	dumps := health.NewDumper(health.Options{Node: "srv", Clock: sim, Flight: flight, DumpDir: health.DumpDir(t.TempDir())})
-	defer dumps.Close()
 	path, err := dumps.ForceDump("partitioned write")
 	if err != nil {
 		t.Fatal(err)

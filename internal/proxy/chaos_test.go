@@ -11,13 +11,16 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/proxy"
 )
 
 // TestProxyChaosMonotonicReads hammers the hierarchy: a writer updates the
 // origin while leaves read through the proxy and a nemesis churns the
-// leaf<->proxy links. No leaf may ever observe versions going backwards,
-// and after the dust settles everyone converges on the final value.
+// leaf<->proxy links. The history the writer and the leaves recorded must
+// be linearizable (internal/history), so no leaf observes versions going
+// backwards, and after the dust settles everyone converges on the final
+// value.
 func TestProxyChaosMonotonicReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test skipped in -short mode")
@@ -34,6 +37,8 @@ func TestProxyChaosMonotonicReads(t *testing.T) {
 		wg        sync.WaitGroup
 		lastWrite atomic.Int64
 		stop      = make(chan struct{})
+		start     = time.Now()
+		logs      = make([][]history.Op, 1+leaves) // the writer's, then each leaf's
 	)
 
 	wg.Add(1)
@@ -47,7 +52,11 @@ func TestProxyChaosMonotonicReads(t *testing.T) {
 			case <-time.After(60 * time.Millisecond):
 			}
 			i++
-			if _, _, err := h.origin.Write("a", []byte(fmt.Sprintf("val-%d", i))); err != nil {
+			op := history.Op{Object: "a", Write: true, Tag: uint64(i), Call: time.Since(start)}
+			v, _, err := h.origin.Write("a", []byte(fmt.Sprintf("val-%d", i)))
+			op.Version, op.Return, op.OK = uint64(v), time.Since(start), err == nil
+			logs[0] = append(logs[0], op)
+			if err != nil {
 				t.Errorf("origin write %d: %v", i, err)
 				return
 			}
@@ -71,27 +80,31 @@ func TestProxyChaosMonotonicReads(t *testing.T) {
 		}
 		t.Cleanup(func() { cl.Close() })
 		wg.Add(1)
-		go func(cl *client.Client, id string) {
+		go func(cl *client.Client, log *[]history.Op) {
 			defer wg.Done()
-			last := 0
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
+				op := history.Op{Object: "a", Call: time.Since(start)}
 				data, err := cl.Read("vol", "a")
 				if err != nil {
 					continue
 				}
-				v := parseVal(string(data))
-				if v < last {
-					t.Errorf("%s saw val-%d after val-%d", id, v, last)
-					return
+				op.Tag, op.Return, op.OK = uint64(parseVal(string(data))), time.Since(start), true
+				// Of a run of reads of one value keep the first, which returned
+				// earliest, and the last, called latest: a read between them is
+				// stale or invented only if one of the two is.
+				same := func(o history.Op) bool { return !o.Write && o.Tag == op.Tag }
+				if n := len(*log); n >= 2 && same((*log)[n-1]) && same((*log)[n-2]) {
+					(*log)[n-1] = op
+				} else {
+					*log = append(*log, op)
 				}
-				last = v
 			}
-		}(cl, id)
+		}(cl, &logs[1+l])
 	}
 
 	wg.Add(1)
@@ -125,6 +138,12 @@ func TestProxyChaosMonotonicReads(t *testing.T) {
 	time.Sleep(duration)
 	close(stop)
 	wg.Wait()
+
+	rep := history.Check(logs...)
+	t.Log(rep)
+	for _, a := range rep.Anomalies {
+		t.Errorf("history: %v", a)
+	}
 
 	// Convergence through the proxy.
 	final := h.dial(t, "chaos-final")

@@ -63,9 +63,6 @@ func startServer(t *testing.T, table core.Config, mutate func(*server.Config)) *
 		observer = &obs.Observer{}
 		cfg.Obs = observer
 	}
-	if observer.Metrics != nil {
-		aud.Register(observer.Metrics)
-	}
 	ring := obs.NewRingSink(8192)
 	flight := health.NewFlightRecorder("srv", 16384, time.Minute)
 	observer.Tracer = obs.NewTracer(append(observer.Tracer.Sinks(), aud, ring, flight)...)

@@ -14,19 +14,24 @@ import (
 // These tests land a write inside a volume conversation: between the vector
 // the server sends and the client's ack. The client's OnInvalidate hook runs
 // while the vector is applied, before the ack goes out, so a write it starts
-// lands in that window every time.
+// lands in that window every time. Each test's reads and writes are recorded
+// and must make a linearizable history.
 
 // dialWriting connects client c1 whose hook writes b, once, when a vector
-// or invalidation drops its copy of a.
-func dialWriting(t *testing.T, env *testEnv) *client.Client {
+// or invalidation drops its copy of a. The test's own ops go in the first
+// log returned, the hook's write in the second, which check reads only after
+// the hook has run or can no longer run.
+func dialWriting(t *testing.T, env *testEnv) (*client.Client, *oplog, func() *oplog) {
 	t.Helper()
+	start := time.Now()
 	var once sync.Once
+	hook := &oplog{start: start}
 	c, err := client.Dial(env.net, "srv:1", client.Config{
 		ID: "c1", Skew: 10 * time.Millisecond, Timeout: 5 * time.Second, Obs: env.obs,
 		OnInvalidate: func(objs []core.ObjectID, _ wire.TraceContext) {
 			if slices.Contains(objs, "a") {
 				once.Do(func() {
-					if _, _, err := env.srv.Write("b", []byte("b2")); err != nil {
+					if _, _, err := hook.write(env.srv, "b", "b2"); err != nil {
 						t.Errorf("Write(b): %v", err)
 					}
 				})
@@ -37,7 +42,10 @@ func dialWriting(t *testing.T, env *testEnv) *client.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c
+	return c, &oplog{start: start}, func() *oplog {
+		once.Do(func() {})
+		return hook
+	}
 }
 
 // TestLivePendingDeliveryWindow: in delayed mode, b's write is queued for
@@ -47,16 +55,20 @@ func TestLivePendingDeliveryWindow(t *testing.T) {
 	table := tableCfg()
 	table.Mode = core.ModeDelayed
 	env := startServer(t, table, nil)
-	c := dialWriting(t, env)
-	mustRead(t, c, "a")
-	mustRead(t, c, "b")
+	c, log, hook := dialWriting(t, env)
+	log.mustRead(t, c, "a")
+	log.mustRead(t, c, "b")
 	time.Sleep(600 * time.Millisecond) // the volume lease lapses
-	if _, _, err := env.srv.Write("a", []byte("a2")); err != nil {
+	if _, _, err := log.write(env.srv, "a", "a2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := mustRead(t, c, "b"); got != "b2" {
+	if got := log.mustRead(t, c, "b"); got != "b2" {
 		t.Errorf("Read(b) after the renewal = %q, want b2", got)
 	}
+	// The hook's write ran inside that read, so the history admits either
+	// value for it; a read called after the write returned must see b2.
+	log.mustRead(t, c, "b")
+	requireLinearizable(t, log, hook())
 }
 
 // TestLiveReconnectWindow: b's write lands between the reconnection vector
@@ -64,19 +76,20 @@ func TestLivePendingDeliveryWindow(t *testing.T) {
 // which must not be granted the volume with b renewed at the old version.
 func TestLiveReconnectWindow(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
-	c := dialWriting(t, env)
-	mustRead(t, c, "a")
-	mustRead(t, c, "b")
+	c, log, hook := dialWriting(t, env)
+	log.mustRead(t, c, "a")
+	log.mustRead(t, c, "b")
 	env.net.Partition("c1", "srv")
 	// The write waits out the volume lease and makes the client Unreachable.
-	if _, _, err := env.srv.Write("a", []byte("a2")); err != nil {
+	if _, _, err := log.write(env.srv, "a", "a2"); err != nil {
 		t.Fatal(err)
 	}
 	env.net.Heal("c1", "srv")
-	if got := mustRead(t, c, "a"); got != "a2" {
+	if got := log.mustRead(t, c, "a"); got != "a2" {
 		t.Errorf("Read(a) after the heal = %q, want a2", got)
 	}
-	if got := mustRead(t, c, "b"); got != "b2" {
+	if got := log.mustRead(t, c, "b"); got != "b2" {
 		t.Errorf("Read(b) after the heal = %q, want b2", got)
 	}
+	requireLinearizable(t, log, hook())
 }

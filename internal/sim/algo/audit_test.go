@@ -41,7 +41,7 @@ func TestAuditedAlgorithmsClean(t *testing.T) {
 				if err := aud.Err(); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if aud.Snapshot().Events == 0 {
+				if aud.Events() == 0 {
 					t.Fatalf("seed %d: auditor saw no events — emission not wired", seed)
 				}
 				if strong[name] {
@@ -92,7 +92,7 @@ func TestAuditorCatchesBrokenAlgorithm(t *testing.T) {
 	if err := aud.Err(); err == nil {
 		t.Fatal("auditor passed a deliberately broken algorithm")
 	}
-	byRule := aud.Snapshot().ByRule
+	byRule := aud.ByRule()
 	if byRule[audit.RuleWriteSafety] == 0 {
 		t.Errorf("write-safety violation not flagged; got %v", byRule)
 	}
