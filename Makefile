@@ -109,7 +109,7 @@ bench-e2e-compare:
 # with the offending column and its bound:
 # `bench-wirepath: FAIL BenchmarkReadHit-2: 1 allocs/op, want 0`.
 READ_MISS_ALLOCS := 2
-WIRE_WRITE_ALLOCS := 16
+WIRE_WRITE_ALLOCS := 15
 bench-wirepath:
 	@echo "bench-wirepath: dynamic half of the zero-alloc gate (static half: hotalloc in 'make lint')"
 	{ $(GO) test -run '^$$' -bench '^BenchmarkWirePath$$/^append$$' -benchmem -benchtime=0.2s ./internal/wire && \
@@ -131,16 +131,17 @@ bench-wirepath:
 
 # Gate: the instrumented hot paths must stay allocation-free when tracing
 # is disabled (BenchmarkEmitDisabled, which includes an event carrying a
-# traced write's causal ids / BenchmarkFlightDisabled /
-# BenchmarkCostDisabled / BenchmarkStateDisabled report 0 B/op), and so must
-# a connection with no tap attached (BenchmarkTapDisabled).
+# traced write's causal ids / BenchmarkCostDisabled / BenchmarkStateDisabled
+# report 0 B/op), and so must a connection with no tap attached
+# (BenchmarkTapDisabled).
 bench-disabled:
-	$(GO) test -run '^$$' -bench '^Benchmark(Emit|Flight|Cost|State|Tap)Disabled$$' -benchmem ./internal/obs ./internal/health ./internal/cost ./internal/state ./internal/transport | tee /dev/stderr | \
-		awk '/^Benchmark.*Disabled/ { n++; if ($$(NF-1) != 0 || $$(NF-3) != 0) bad = 1 } END { exit bad || n < 5 }'
+	$(GO) test -run '^$$' -bench '^Benchmark(Emit|Cost|State|Tap)Disabled$$' -benchmem ./internal/obs ./internal/cost ./internal/state ./internal/transport | tee /dev/stderr | \
+		awk '/^Benchmark.*Disabled/ { n++; if ($$(NF-1) != 0 || $$(NF-3) != 0) bad = 1 } END { exit bad || n < 4 }'
 
-# Smoke test for the flight recorder: run the chaos scenario (partition a
-# client mid-write) and leave its dump in $(FLIGHTDUMP_DIR) for inspection,
-# exactly as a failed CI run would. See DESIGN.md §9 for the dump format.
+# Smoke test for the flight dump: run the chaos scenario (partition a client
+# mid-write), freeze the node's event ring, load and lease table, and leave
+# the dump in $(FLIGHTDUMP_DIR) for inspection, exactly as a failed CI run
+# would. See DESIGN.md §9 for the dump format.
 FLIGHTDUMP_DIR ?= flight-dumps
 flightdump:
 	FLIGHT_DUMP_DIR=$(abspath $(FLIGHTDUMP_DIR)) $(GO) test -count=1 -run TestChaosPartitionLeavesFlightDump -v ./internal/health
@@ -169,12 +170,14 @@ examples:
 # fence would hold every upstream ack for the whole leg). Each leg's verdict
 # is leasebench's history check (internal/history): it records every read and
 # write its clients make and exits non-zero on a stale or invented read, and
-# on a failed leg leasemon -freeze leaves leased's flight recording in
-# $(LOADTEST_DIR)/flight-dumps. After the direct leg leasemon evaluates its
-# rule table over leased's /metrics (the debug address is read from the
-# `debug server on` log line) and must exit 0. Between the legs the first
-# leg's volume leases (-volume-lease 2s) lapse, so the proxy's first writes do
-# not wait out clients that are gone. Both daemons are stopped with SIGINT.
+# on a failed leg leasemon -freeze leaves the flight dump of each daemon the
+# leg ran through (leased; leaseproxy too on the proxied leg) in
+# $(LOADTEST_DIR)/flight-dumps. Both daemons serve their debug endpoints on a
+# free port, read from their `debug server on` log lines. After the direct
+# leg leasemon evaluates its rule table over leased's /metrics and must exit
+# 0. Between the legs the first leg's volume leases (-volume-lease 2s)
+# lapse, so the proxy's first writes do not wait out clients that are gone.
+# Both daemons are stopped with SIGINT.
 # The target fails on a leasebench, leasemon or daemon error. Each daemon
 # picks free ports and logs them.
 LOADTEST_DIR ?= loadtest-out
@@ -183,22 +186,23 @@ loadtest:
 	$(GO) build -o $(LOADTEST_DIR)/ ./cmd/leased ./cmd/leaseproxy ./cmd/leasebench ./cmd/leasemon
 	@dir=$(LOADTEST_DIR); log=$$dir/leased.log; plog=$$dir/leaseproxy.log; ppid=; \
 	$$dir/leased -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -volume bench -objects 64 -volume-lease 2s -stats 0 \
-		-flight-dir $$dir/flight-dumps 2>$$log & pid=$$!; \
+		2>$$log & pid=$$!; \
 	trap 'kill $$pid $$ppid 2>/dev/null' EXIT; \
 	addr=; n=0; while [ -z "$$addr" ] && [ $$n -lt 100 ] && kill -0 $$pid 2>/dev/null; do \
 		sleep 0.1; n=$$((n+1)); addr=$$(sed -n 's/.*leased: serving volume .* on //p' $$log); done; \
 	if [ -z "$$addr" ]; then cat $$log >&2; echo "loadtest: leased did not start" >&2; exit 1; fi; \
 	daddr=$$(sed -n 's|.*leased: debug server on http://\([^ ]*\) .*|\1|p' $$log); \
 	$$dir/leasebench -addr $$addr -clients 32 -duration 5s -write-ratio 0.05; bench=$$?; \
-	[ $$bench -eq 0 ] || $$dir/leasemon -freeze $$daddr; \
+	[ $$bench -eq 0 ] || FLIGHT_DUMP_DIR=$$dir/flight-dumps $$dir/leasemon -freeze $$daddr; \
 	$$dir/leasemon $$daddr; mon=$$?; sleep 1; \
-	$$dir/leaseproxy -addr 127.0.0.1:0 -upstream $$addr -volume bench -startup-fence 0s -stats 0 \
-		-flight-dir $$dir/flight-dumps 2>$$plog & ppid=$$!; \
+	$$dir/leaseproxy -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 -upstream $$addr -volume bench -startup-fence 0s -stats 0 \
+		2>$$plog & ppid=$$!; \
 	paddr=; n=0; while [ -z "$$paddr" ] && [ $$n -lt 100 ] && kill -0 $$ppid 2>/dev/null; do \
 		sleep 0.1; n=$$((n+1)); paddr=$$(sed -n 's/.*leaseproxy: serving volume .* on \([^ ]*\) (upstream.*/\1/p' $$plog); done; \
 	if [ -z "$$paddr" ]; then cat $$plog >&2; echo "loadtest: leaseproxy did not start" >&2; exit 1; fi; \
+	pdaddr=$$(sed -n 's|.*leaseproxy: debug server on http://\([^ ]*\) .*|\1|p' $$plog); \
 	$$dir/leasebench -addr $$paddr -clients 16 -duration 5s -write-ratio 0.05; pbench=$$?; \
-	[ $$pbench -eq 0 ] || $$dir/leasemon -freeze $$daddr; \
+	[ $$pbench -eq 0 ] || FLIGHT_DUMP_DIR=$$dir/flight-dumps $$dir/leasemon -freeze $$daddr $$pdaddr; \
 	kill -INT $$ppid; wait $$ppid; proxy=$$?; cat $$plog; \
 	kill -INT $$pid; wait $$pid; leased=$$?; cat $$log; \
 	echo "loadtest: leasebench exit $$bench, leasemon exit $$mon, proxied leasebench exit $$pbench, leaseproxy exit $$proxy, leased exit $$leased"; \

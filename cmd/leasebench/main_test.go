@@ -164,8 +164,8 @@ func TestExecuteSelfContainedTCP(t *testing.T) {
 // TestAuditViolationLeavesFlightDump: a history with a stale read — a read of
 // the seeded value called after a write of a newer version had returned —
 // makes the run fail, and the report names the read and the write it missed.
-// (The verdict is the clients' own history; the target's flight recorder is
-// frozen on demand, with leasemon -freeze.)
+// (The verdict is the clients' own history; the target's flight dump is
+// taken on demand, with leasemon -freeze.)
 func TestAuditViolationLeavesFlightDump(t *testing.T) {
 	res := &result{elapsed: time.Second, logs: [][]history.Op{
 		{{Object: "obj-3", Write: true, Tag: 1, Version: 2, Call: 10 * time.Millisecond, Return: 20 * time.Millisecond, OK: true}},

@@ -305,7 +305,7 @@ func TestStartBindFailureLeavesNothingRunning(t *testing.T) {
 		volLease: 10 * time.Second,
 		mode:     "eager",
 		obs: daemon.Options{
-			DebugAddr: occupied.Addr().String(), Flight: 64, FlightDir: t.TempDir(),
+			DebugAddr: occupied.Addr().String(),
 		},
 	})
 	if err == nil {

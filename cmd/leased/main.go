@@ -19,15 +19,15 @@
 // summarize it and flight dumps freeze it) and /debug/cost (per-message-kind
 // frames, bytes and encode/decode time at the transport boundary — the one
 // count of wire traffic — and the per-second load sampled from it, also the
-// lease_cost_* and lease_load_* metrics), plus one endpoint per enabled
-// observer: /debug/events (the last -trace protocol events, filterable with
-// ?type= and ?since=; with -trace on they include each write's causal
-// records, which ?trace= and ?min_dur= select) and /debug/flightrecorder
-// (-flight: the flight recorder and its dumps). The
-// index at / and the startup log list exactly what is mounted. Alerts are
-// cmd/leasemon's rules over /metrics; the daemon raises none itself. Its
-// consistency is checked from the clients' side: leasebench records what its
-// reads return and checks the history (internal/history).
+// lease_cost_* and lease_load_* metrics), plus /debug/events unless -trace
+// is 0 (the last -trace protocol events, filterable with ?type= and ?since=,
+// each write's causal records included, which ?trace= and ?min_dur= select).
+// The index at / and the startup log list exactly what is mounted. The node
+// writes no flight dump itself: leasemon -freeze builds one from
+// /debug/events, /debug/cost and /debug/leases. Alerts are cmd/leasemon's
+// rules over /metrics; the daemon raises none itself. Its consistency is
+// checked from the clients' side: leasebench records what its reads return
+// and checks the history (internal/history).
 package main
 
 import (

@@ -1,18 +1,21 @@
 // Command leasemon is the fleet monitor and the stack's one alerting
 // point: it scrapes /metrics from a list of lease-stack debug endpoints,
 // evaluates a fixed rule table over each, and renders one fleet-wide status
-// table; it can also fetch and pretty-print a flight recorder dump from any
-// node.
+// table; it can also freeze any node's flight dump and pretty-print one.
 //
 // Usage:
 //
 //	leasemon host:port [host:port ...]          fleet status table
 //	leasemon -leases host:port [host:port ...]  fleet lease-state table (/debug/leases)
 //	leasemon -diff server:port [client:port...] server↔client lease divergence check
-//	leasemon -dumps host:port                   list flight dumps on one node
-//	leasemon -dump latest host:port             fetch + pretty-print the newest dump
-//	leasemon -dump flight-....json host:port    fetch + pretty-print one dump
-//	leasemon -freeze host:port                  force the node to write a dump
+//	leasemon -freeze host:port [host:port ...]  write each node's flight dump
+//	leasemon -dump flight-....json              pretty-print a dump file
+//
+// -freeze builds each node's dump from three GETs — every event the node's
+// ring holds (/debug/events), its per-second load (/debug/cost's seconds)
+// and its lease table (/debug/leases) — under a "manual" trigger stamped
+// with the node's own clock, writes it into $FLIGHT_DUMP_DIR (default
+// flight-dumps) and prints its path.
 //
 // The fleet table samples each node's /metrics twice, -rate-window apart,
 // and FIRING lists the rules that fire on the pair:
@@ -27,10 +30,10 @@
 //
 // The first four are rate rules: with -rate-window 0 leasemon samples once
 // and skips them. A node that does not export a rule's series never fires
-// it. NODE is the node label of the node's series, DUMPS reads
-// lease_health_dumps_written_total, MSGS/S and BYTES/S are the window's lease_cost_* deltas, and LEASES and
-// EXPIRING read the lease_state_* gauges; a column whose series the node
-// does not export shows "-".
+// it. NODE is the node label of the node's series, MSGS/S and BYTES/S are
+// the window's lease_cost_* deltas, and LEASES and EXPIRING read the
+// lease_state_* gauges; a column whose series the node does not export
+// shows "-".
 //
 // -diff scrapes /debug/leases from every endpoint — the first must serve a
 // server (or proxy) table, the rest contribute client views — and runs the
@@ -48,18 +51,21 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/state"
@@ -75,10 +81,8 @@ func run(out, errw io.Writer, argv []string) int {
 	timeout := fs.Duration("timeout", 3*time.Second, "per-endpoint scrape timeout")
 	rateWin := fs.Duration("rate-window", time.Second,
 		"gap between the two /metrics samples behind the MSGS/S and BYTES/S columns (0 = skip rate sampling)")
-	dump := fs.String("dump", "", "fetch one dump from the endpoint: a flight-*.json name, or 'latest'")
-	dumps := fs.Bool("dumps", false, "list the endpoint's flight dump files")
-	freeze := fs.Bool("freeze", false, "force the endpoint to freeze its flight recorder to disk")
-	raw := fs.Bool("raw", false, "with -dump: emit the raw JSON instead of the pretty view")
+	dump := fs.String("dump", "", "pretty-print this flight dump file (no endpoint needed)")
+	freeze := fs.Bool("freeze", false, "write each endpoint's flight dump into $FLIGHT_DUMP_DIR (default flight-dumps)")
 	events := fs.Int("events", 20, "with -dump: how many trailing events to print (0 = all)")
 	leases := fs.Bool("leases", false, "render the fleet lease-state table from each endpoint's /debug/leases")
 	diff := fs.Bool("diff", false, "diff lease state: first endpoint is the server view, the rest contribute client views")
@@ -86,6 +90,15 @@ func run(out, errw io.Writer, argv []string) int {
 	window := fs.Duration("window", state.DefaultExpiringWindow, "with -leases: lookahead for the EXPIRING column")
 	if err := fs.Parse(argv); err != nil {
 		return 1
+	}
+	if *dump != "" {
+		d, err := health.ReadDump(*dump)
+		if err != nil {
+			fmt.Fprintln(errw, "leasemon:", err)
+			return 1
+		}
+		printDump(out, filepath.Base(*dump), d, *events)
+		return 0
 	}
 	eps := fs.Args()
 	if len(eps) == 0 {
@@ -95,14 +108,19 @@ func run(out, errw io.Writer, argv []string) int {
 	}
 	cl := &http.Client{Timeout: *timeout}
 
-	var err error
 	switch {
-	case *dump != "":
-		err = fetchDump(out, cl, eps[0], *dump, *raw, *events)
-	case *dumps:
-		err = listDumps(out, cl, eps[0])
 	case *freeze:
-		err = freezeDump(out, cl, eps[0])
+		exit := 0
+		for _, ep := range eps {
+			path, err := freezeDump(cl, ep)
+			if err != nil {
+				fmt.Fprintf(errw, "leasemon: %s: %v\n", ep, err)
+				exit = 1
+				continue
+			}
+			fmt.Fprintf(out, "froze %s: %s\n", ep, path)
+		}
+		return exit
 	case *leases:
 		return leaseTable(out, errw, cl, eps, *window)
 	case *diff:
@@ -110,11 +128,6 @@ func run(out, errw io.Writer, argv []string) int {
 	default:
 		return fleet(out, errw, cl, eps, *rateWin)
 	}
-	if err != nil {
-		fmt.Fprintln(errw, "leasemon:", err)
-		return 1
-	}
-	return 0
 }
 
 // row is one endpoint's scraped state in the fleet table.
@@ -139,11 +152,11 @@ func fleet(out, errw io.Writer, cl *http.Client, eps []string, rateWin time.Dura
 	}
 
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ENDPOINT\tNODE\tSTATUS\tFIRING\tDUMPS\tLEASES\tEXPIRING\tSERIES\tMSGS/S\tBYTES/S")
+	fmt.Fprintln(tw, "ENDPOINT\tNODE\tSTATUS\tFIRING\tLEASES\tEXPIRING\tSERIES\tMSGS/S\tBYTES/S")
 	exit := 0
 	for _, r := range rows {
 		if r.err != nil {
-			fmt.Fprintf(tw, "%s\t-\tunreachable\t-\t-\t-\t-\t-\t-\t-\t-\n", r.endpoint)
+			fmt.Fprintf(tw, "%s\t-\tunreachable\t-\t-\t-\t-\t-\t-\n", r.endpoint)
 			fmt.Fprintf(errw, "leasemon: %s: %v\n", r.endpoint, r.err)
 			exit = 1
 			continue
@@ -181,9 +194,8 @@ func fleet(out, errw io.Writer, cl *http.Client, eps []string, rateWin time.Dura
 				series++
 			}
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%s\t%s\n",
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%d\t%s\t%s\n",
 			r.endpoint, nodeLabel(r.after), status, firingCol,
-			level("%.0f", "lease_health_dumps_written_total"),
 			level("%.0f", "lease_state_object_leases", "lease_state_volume_leases"),
 			level("%.0f", "lease_state_expiring"), series,
 			rate("%.1f", "lease_cost_messages_total"), rate("%.0f", "lease_cost_bytes_total"))
@@ -398,90 +410,38 @@ func get(cl *http.Client, ep, path string) ([]byte, error) {
 	return body, nil
 }
 
-// listDumps prints one node's dump files.
-func listDumps(out io.Writer, cl *http.Client, ep string) error {
-	infos, err := dumpList(cl, ep)
+// freezeDump builds ep's flight dump from the three endpoints that serve its
+// parts and writes it into DumpDir("flight-dumps"), returning the path. The
+// trigger is stamped with the node's own clock: the lease table's taken_at.
+func freezeDump(cl *http.Client, ep string) (string, error) {
+	body, err := get(cl, ep, "/debug/events")
 	if err != nil {
-		return err
+		return "", err
 	}
-	if len(infos) == 0 {
-		fmt.Fprintln(out, "no flight dumps")
-		return nil
-	}
-	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "NAME\tBYTES\tMODIFIED")
-	for _, in := range infos {
-		fmt.Fprintf(tw, "%s\t%d\t%s\n", in.Name, in.Bytes, in.Modified.Format(time.RFC3339))
-	}
-	return tw.Flush()
-}
-
-func dumpList(cl *http.Client, ep string) ([]health.DumpInfo, error) {
-	body, err := get(cl, ep, "/debug/flightrecorder?list=1")
-	if err != nil {
-		return nil, err
-	}
-	var infos []health.DumpInfo
-	if err := json.Unmarshal(body, &infos); err != nil {
-		return nil, fmt.Errorf("dump list: %w", err)
-	}
-	return infos, nil
-}
-
-// freezeDump forces the node to write a dump and reports the path.
-func freezeDump(out io.Writer, cl *http.Client, ep string) error {
-	resp, err := cl.Post("http://"+ep+"/debug/flightrecorder?freeze=1", "", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("freeze: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	var got struct {
-		Path string `json:"path"`
-	}
-	if err := json.Unmarshal(body, &got); err != nil {
-		return fmt.Errorf("freeze: %w", err)
-	}
-	fmt.Fprintln(out, "froze flight recorder:", got.Path)
-	return nil
-}
-
-// fetchDump retrieves one dump ("latest" resolves against the listing) and
-// pretty-prints it.
-func fetchDump(out io.Writer, cl *http.Client, ep, name string, raw bool, tail int) error {
-	if name == "latest" {
-		infos, err := dumpList(cl, ep)
-		if err != nil {
-			return err
+	var d health.Dump
+	for dec := json.NewDecoder(bytes.NewReader(body)); ; {
+		var e obs.EventJSON
+		if err := dec.Decode(&e); err == io.EOF {
+			break
+		} else if err != nil {
+			return "", fmt.Errorf("/debug/events: %w", err)
 		}
-		if len(infos) == 0 {
-			return fmt.Errorf("%s has no flight dumps", ep)
-		}
-		latest := infos[0]
-		for _, in := range infos[1:] {
-			if in.Modified.After(latest.Modified) || (in.Modified.Equal(latest.Modified) && in.Name > latest.Name) {
-				latest = in
-			}
-		}
-		name = latest.Name
+		d.Events = append(d.Events, e)
 	}
-	body, err := get(cl, ep, "/debug/flightrecorder?file="+name)
+	if body, err = get(cl, ep, "/debug/cost"); err != nil {
+		return "", err
+	}
+	var load cost.Dump
+	if err := json.Unmarshal(body, &load); err != nil {
+		return "", fmt.Errorf("/debug/cost: %w", err)
+	}
+	leases, err := scrapeLeases(cl, ep)
 	if err != nil {
-		return err
+		return "", err
 	}
-	if raw {
-		_, err := out.Write(body)
-		return err
-	}
-	d, err := health.ParseDump(strings.NewReader(string(body)))
-	if err != nil {
-		return err
-	}
-	printDump(out, name, d, tail)
-	return nil
+	d.Node, d.WrittenAt, d.Seconds, d.LeaseState = load.Node, leases.TakenAt, load.Seconds, &leases
+	d.Trigger = &health.Trigger{Cause: "manual", At: d.WrittenAt, Detail: "leasemon -freeze " + ep}
+	return health.WriteDump(health.DumpDir("flight-dumps"), d)
 }
 
 // printDump renders the operator view of one dump: the verdict first, then
@@ -489,7 +449,7 @@ func fetchDump(out io.Writer, cl *http.Client, ep, name string, raw bool, tail i
 func printDump(out io.Writer, name string, d health.Dump, tail int) {
 	fmt.Fprintf(out, "flight dump %s\n", name)
 	fmt.Fprintf(out, "  node:    %s\n", d.Node)
-	fmt.Fprintf(out, "  written: %s (window %ds)\n", d.WrittenAt.Format(time.RFC3339Nano), d.WindowSeconds)
+	fmt.Fprintf(out, "  written: %s\n", d.WrittenAt.Format(time.RFC3339Nano))
 	if d.Trigger != nil {
 		fmt.Fprintf(out, "  trigger: %s at %s\n", d.Trigger, d.Trigger.At.Format(time.RFC3339Nano))
 		fmt.Fprintf(out, "  context: %v before the trigger\n", d.PreTriggerSpan())
@@ -497,6 +457,17 @@ func printDump(out io.Writer, name string, d health.Dump, tail int) {
 		fmt.Fprintln(out, "  trigger: none (manual freeze)")
 	}
 	fmt.Fprintf(out, "  held:    %d events, %d load seconds\n", len(d.Events), len(d.Seconds))
+	if ls := d.LeaseState; ls != nil {
+		c := state.Count(*ls, state.DefaultExpiringWindow)
+		fmt.Fprintf(out, "  leases:  %s %s at %s: %d object, %d volume, %d expiring, %d unreachable\n",
+			ls.Role, ls.Node, ls.TakenAt.Format(time.RFC3339Nano), c.ObjectLeases, c.VolumeLeases, c.Expiring, c.Unreachable)
+		if ls.Server != nil {
+			for _, v := range ls.Server.Volumes {
+				fmt.Fprintf(out, "    volume %s epoch %d: %d volume leases, %d objects, %d pending acks, %d unreachable\n",
+					v.Volume, v.Epoch, len(v.VolumeLeases), len(v.Objects), len(v.PendingAcks), len(v.Unreachable))
+			}
+		}
+	}
 
 	// Events by type, busiest first — the 10,000-ft view of the window.
 	byType := map[string]int{}

@@ -5,53 +5,47 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/daemon"
 	"repro/internal/health"
 	"repro/internal/obs"
+	"repro/internal/server"
+	"repro/internal/transport"
 )
 
-// liveNode stands up one debug endpoint the way a daemon does: a registry,
-// a flight recorder and its dumper, and obs.Serve with
-// /debug/flightrecorder mounted; series registers whatever else the node
-// exports.
-func liveNode(t *testing.T, name string, series func(*obs.Registry)) (string, *health.Dumper) {
+// liveNode stands up one debug endpoint the way a daemon does: a registry
+// holding a series labelled with the node's name, plus whatever series
+// registers, served by obs.Serve.
+func liveNode(t *testing.T, name string, series func(*obs.Registry)) string {
 	t.Helper()
 	reg := obs.NewRegistry()
-	f := health.NewFlightRecorder(name, 1024, time.Minute)
-	d := health.NewDumper(health.Options{Node: name, Flight: f, DumpDir: t.TempDir()})
-	d.Register(reg)
+	reg.Counter(fmt.Sprintf("lease_reconnects_total{node=%q}", name))
 	if series != nil {
 		series(reg)
 	}
-	f.Observe(obs.Event{Type: obs.EvWriteApplied, At: time.Now(), Node: name, Object: "o", Volume: "v"})
-
-	srv, err := obs.Serve("127.0.0.1:0", reg, nil,
-		obs.Route{Path: "/debug/flightrecorder", Handler: health.FlightHandler(d)},
-	)
+	srv, err := obs.Serve("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv.Addr(), d
+	return srv.Addr()
 }
 
 func TestFleetTableFromTwoLiveEndpoints(t *testing.T) {
-	// Node "alpha" has an invalidation backlog and one dump; "beta" is
-	// healthy.
-	epA, dumpsA := liveNode(t, "alpha", func(reg *obs.Registry) {
+	// Node "alpha" has an invalidation backlog; "beta" is healthy.
+	epA := liveNode(t, "alpha", func(reg *obs.Registry) {
 		reg.GaugeFunc(`lease_server_pending_invalidations{server="alpha"}`, func() float64 { return 1500 })
 	})
-	if _, err := dumpsA.ForceDump("test"); err != nil {
-		t.Fatal(err)
-	}
-	epB, _ := liveNode(t, "beta", nil)
+	epB := liveNode(t, "beta", nil)
 
 	var out, errw bytes.Buffer
 	code := run(&out, &errw, []string{"-rate-window", "1ms", epA, epB})
@@ -64,12 +58,12 @@ func TestFleetTableFromTwoLiveEndpoints(t *testing.T) {
 			rows[fields[0]] = fields
 		}
 	}
-	// ENDPOINT NODE STATUS FIRING DUMPS LEASES EXPIRING SERIES MSGS/S
-	// BYTES/S. Nodes that export neither lease_state_* gauges nor
-	// lease_cost_* counters show "-" in those columns, not zeroes.
+	// ENDPOINT NODE STATUS FIRING LEASES EXPIRING SERIES MSGS/S BYTES/S.
+	// Nodes that export neither lease_state_* gauges nor lease_cost_*
+	// counters show "-" in those columns, not zeroes.
 	for ep, want := range map[string]string{
-		epA: "alpha firing inval-backlog 1 - - 2 - -",
-		epB: "beta ok - 0 - - 1 - -",
+		epA: "alpha firing inval-backlog - - 2 - -",
+		epB: "beta ok - - - 1 - -",
 	} {
 		if got := strings.Join(rows[ep][1:], " "); got != want {
 			t.Errorf("row %s = %q, want %q\n%s", ep, got, want, &out)
@@ -108,44 +102,41 @@ func TestFleetRateColumnsFromCostCounters(t *testing.T) {
 		}
 	}
 	fields := strings.Fields(line)
-	if len(fields) != 10 {
-		t.Fatalf("epsilon row has %d columns, want 10: %q", len(fields), line)
+	if len(fields) != 9 {
+		t.Fatalf("epsilon row has %d columns, want 9: %q", len(fields), line)
 	}
-	msgs, err := strconv.ParseFloat(fields[8], 64)
+	msgs, err := strconv.ParseFloat(fields[7], 64)
 	if err != nil || msgs <= 0 {
-		t.Errorf("MSGS/S = %q, want a positive rate (err %v)", fields[8], err)
+		t.Errorf("MSGS/S = %q, want a positive rate (err %v)", fields[7], err)
 	}
-	bytesRate, err := strconv.ParseFloat(fields[9], 64)
+	bytesRate, err := strconv.ParseFloat(fields[8], 64)
 	if err != nil || bytesRate <= 0 {
-		t.Errorf("BYTES/S = %q, want a positive rate (err %v)", fields[9], err)
+		t.Errorf("BYTES/S = %q, want a positive rate (err %v)", fields[8], err)
 	}
 }
 
+// TestFetchAndPrettyPrintDump: -dump reads a dump file from disk and
+// pretty-prints its trigger and timeline.
 func TestFetchAndPrettyPrintDump(t *testing.T) {
-	ep, dumps := liveNode(t, "gamma", nil)
-	if _, err := dumps.ForceDump("pulled for the test"); err != nil {
+	at := time.Unix(1000, 0)
+	path, err := health.WriteDump(t.TempDir(), health.Dump{
+		Node: "gamma", WrittenAt: at,
+		Trigger: &health.Trigger{Cause: "manual", At: at, Detail: "pulled for the test"},
+		Events:  []obs.EventJSON{{Type: "write-applied", At: at.Add(-time.Second), Object: "o"}},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// -dumps lists the file.
 	var out, errw bytes.Buffer
-	if code := run(&out, &errw, []string{"-dumps", ep}); code != 0 {
-		t.Fatalf("-dumps exit %d: %s", code, &errw)
-	}
-	if !strings.Contains(out.String(), "flight-gamma-manual-") {
-		t.Fatalf("-dumps listing:\n%s", &out)
-	}
-
-	// -dump latest pretty-prints trigger evidence and the timeline.
-	out.Reset()
-	errw.Reset()
-	if code := run(&out, &errw, []string{"-dump", "latest", ep}); code != 0 {
+	if code := run(&out, &errw, []string{"-dump", path}); code != 0 {
 		t.Fatalf("-dump exit %d: %s", code, &errw)
 	}
 	pretty := out.String()
 	for _, want := range []string{
+		"flight dump " + filepath.Base(path),
 		"node:    gamma",
 		"trigger: manual: pulled for the test",
+		"context: 1s before the trigger",
 		"write-applied",
 		"timeline",
 	} {
@@ -154,18 +145,10 @@ func TestFetchAndPrettyPrintDump(t *testing.T) {
 		}
 	}
 
-	// -dump with -raw yields parseable JSON.
 	out.Reset()
 	errw.Reset()
-	if code := run(&out, &errw, []string{"-raw", "-dump", "latest", ep}); code != 0 {
-		t.Fatalf("-raw -dump exit %d: %s", code, &errw)
-	}
-	d, err := health.ParseDump(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Node != "gamma" || d.Trigger == nil {
-		t.Fatalf("raw dump = %+v", d)
+	if code := run(&out, &errw, []string{"-dump", filepath.Join(t.TempDir(), "missing.json")}); code != 1 {
+		t.Errorf("-dump of a missing file exit %d, want 1", code)
 	}
 }
 
@@ -230,18 +213,80 @@ func TestPrintDumpPerSecondLoad(t *testing.T) {
 	}
 }
 
+// TestFreezeEndpoint: -freeze against a live server's debug address — its
+// stack built by internal/daemon, as leased builds it — writes a dump into
+// $FLIGHT_DUMP_DIR holding that node's events, its load and its lease table.
 func TestFreezeEndpoint(t *testing.T) {
-	ep, _ := liveNode(t, "delta", nil)
+	table := core.Config{ObjectLease: time.Minute, VolumeLease: 10 * time.Second, Mode: core.ModeEager}
+	stack := daemon.New(daemon.Options{Node: "delta", DebugAddr: "127.0.0.1:0", Trace: 64, Table: table})
+	t.Cleanup(stack.Close)
+	net := transport.NewMemory()
+	net.Taps = stack.Taps
+	srv, err := server.New(server.Config{Name: "delta", Addr: "delta:1", Net: net, Table: table,
+		MsgTimeout: 100 * time.Millisecond, Obs: stack.Obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if err := srv.AddVolume("vol"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddObject("vol", "a", []byte("a v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := stack.Start(srv.StateSource()); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(net, "delta:1", client.Config{ID: "reader"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if _, err := c.Read("vol", "a"); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	t.Setenv("FLIGHT_DUMP_DIR", dir)
+	ep := stack.DebugAddr()
 	var out, errw bytes.Buffer
 	if code := run(&out, &errw, []string{"-freeze", ep}); code != 0 {
 		t.Fatalf("-freeze exit %d: %s", code, &errw)
 	}
-	path, ok := strings.CutPrefix(strings.TrimSpace(out.String()), "froze flight recorder: ")
-	if !ok {
-		t.Fatalf("freeze output: %q", out.String())
+	path, ok := strings.CutPrefix(strings.TrimSpace(out.String()), "froze "+ep+": ")
+	if !ok || filepath.Dir(path) != dir {
+		t.Fatalf("freeze output %q, want the path of a dump in %s", out.String(), dir)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("freeze did not write a dump: %v", err)
+	d, err := health.ReadDump(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Node != "delta" || d.Trigger == nil || d.Trigger.Cause != "manual" || !d.Trigger.At.Equal(d.WrittenAt) {
+		t.Errorf("dump node %q, trigger %+v written %v; want delta's manual freeze", d.Node, d.Trigger, d.WrittenAt)
+	}
+	kinds := map[string]bool{}
+	for _, e := range d.Events {
+		kinds[e.Type] = kinds[e.Type] || e.Node == "delta"
+	}
+	if !kinds["connect"] || !kinds["obj-lease-grant"] {
+		t.Errorf("dump events %v, want delta's connect and object grant", kinds)
+	}
+	if len(d.Seconds) == 0 || d.Seconds[len(d.Seconds)-1].Msgs == 0 {
+		t.Errorf("dump seconds %+v, want the read's load", d.Seconds)
+	}
+	if ls := d.LeaseState; ls == nil || ls.Server == nil || len(ls.Server.Volumes) != 1 || len(ls.Server.Volumes[0].VolumeLeases) == 0 {
+		t.Errorf("dump lease state %+v, want delta's table with the reader's lease", d.LeaseState)
+	}
+
+	// -dump prints it back: the events, the load and the lease table.
+	out.Reset()
+	if code := run(&out, &errw, []string{"-dump", path}); code != 0 {
+		t.Fatalf("-dump exit %d: %s", code, &errw)
+	}
+	for _, want := range []string{"obj-lease-grant", "per-second load", "leases:  server delta", "volume vol epoch"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-dump output missing %q:\n%s", want, &out)
+		}
 	}
 }
 

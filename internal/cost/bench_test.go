@@ -11,7 +11,7 @@ import (
 // BenchmarkCostDisabled measures the disabled-accounting fast path: the nil
 // check every charging call site pays when cost accounting is off. The
 // acceptance bar is zero allocations and low-single-digit nanoseconds —
-// `make bench-disabled` gates it alongside the Emit/Span/Flight disabled
+// `make bench-disabled` gates it alongside the Emit/State/Tap disabled
 // paths.
 func BenchmarkCostDisabled(b *testing.B) {
 	var a *Accounting

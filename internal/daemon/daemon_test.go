@@ -140,7 +140,6 @@ func TestSeriesSurface(t *testing.T) {
 		t.Run(role, func(t *testing.T) {
 			n := driven(t, role, Options{
 				Node: role, DebugAddr: "127.0.0.1:0", Trace: 64,
-				Flight: 256, FlightDir: t.TempDir(),
 			})
 			base := "http://" + n.stack.DebugAddr()
 
@@ -183,8 +182,7 @@ func TestSeriesSurface(t *testing.T) {
 			// With everything on, the index is the full route list for the
 			// role, every entry answers, and the startup line printed it.
 			index := strings.Fields(strings.TrimPrefix(get(t, base+"/"), "lease debug server"))
-			mounted := []string{"/metrics", "/debug/pprof/", "/debug/events", "/debug/leases",
-				"/debug/cost", "/debug/flightrecorder"}
+			mounted := []string{"/metrics", "/debug/pprof/", "/debug/events", "/debug/leases", "/debug/cost"}
 			if !slices.Equal(index, mounted) {
 				t.Errorf("index lists %v, want %v", index, mounted)
 			}
@@ -303,7 +301,30 @@ func TestSharedFlags(t *testing.T) {
 	o.Flags(fs)
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
-	if want := []string{"debug-addr", "flight", "flight-dir", "trace"}; !slices.Equal(got, want) {
+	if want := []string{"debug-addr", "trace"}; !slices.Equal(got, want) {
 		t.Errorf("shared flags = %v, want %v", got, want)
+	}
+}
+
+// TestOneEventRing: a stack built from the default flags records each event
+// once — its tracer has exactly one sink, the ring /debug/events serves and
+// leasemon -freeze reads, 8192 events deep.
+func TestOneEventRing(t *testing.T) {
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	var o Options
+	o.Flags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	s := New(o)
+	sinks := s.Obs.Tracer.Sinks()
+	if len(sinks) != 1 || sinks[0] != obs.Sink(s.ring) {
+		t.Fatalf("default stack's tracer sinks = %v, want its one ring", sinks)
+	}
+	for i := 0; i < 9000; i++ {
+		s.Obs.Emit(obs.Event{Type: obs.EvConnect})
+	}
+	if n := len(s.ring.Snapshot()); n != 8192 {
+		t.Errorf("the default ring keeps %d events, want 8192", n)
 	}
 }

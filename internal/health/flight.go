@@ -1,22 +1,18 @@
-// Package health is the black box of the live lease stack: a flight
-// recorder continuously retaining the last seconds of protocol events
-// (causal write records included), frozen into a dump file — with the
-// node's per-second load and its lease table — when an operator asks
-// (ForceDump, POST /debug/flightrecorder?freeze=1, leasemon -freeze) or a
-// failing test leaves its evidence behind (FailureDump).
+// Package health is the flight-dump format of the live lease stack: the
+// last protocol events a node retained (causal write records included),
+// frozen into one file with the node's per-second load and its lease table,
+// when an operator asks (leasemon -freeze, which builds the dump from the
+// node's /debug/events, /debug/cost and /debug/leases) or a failing test
+// leaves its evidence behind (FailureDump).
 //
 // The paper's hardest moments — renewal storms after a server crash,
 // unreachable-client wait-outs, invalidation backlog on a hot volume — are
 // exactly the moments where scraped metrics are too coarse and the full
-// event stream too big to keep. The flight recorder solves this the way an
-// aircraft recorder does: it always retains a bounded trailing window, and
-// a freeze writes the window into a timestamped dump file. Alerting on the
-// scraped metrics is the scraper's job (cmd/leasemon's rule table).
-//
-// Like the rest of the observability layer, everything is pay-for-what-you-
-// use: a nil *FlightRecorder is a valid, disabled recorder whose Observe is
-// a single nil check and zero allocations (see BenchmarkFlightDisabled),
-// so harnesses can hold one unconditionally.
+// event stream too big to keep. The node's one event ring (obs.RingSink,
+// -trace N) always retains a bounded trailing window, the way an aircraft
+// recorder does, and a freeze writes that window into a timestamped dump
+// file. Alerting on the scraped metrics is the scraper's job (cmd/leasemon's
+// rule table).
 package health
 
 import (
@@ -27,7 +23,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -40,8 +35,8 @@ import (
 // verbatim in the dump file so a postmortem starts from the cause, not from
 // raw data.
 type Trigger struct {
-	// Cause is "manual" (ForceDump) or "test-failure" (FailureDump); it
-	// names the dump file too.
+	// Cause is "manual" (leasemon -freeze) or "test-failure" (FailureDump);
+	// it names the dump file too.
 	Cause string    `json:"cause"`
 	At    time.Time `json:"at"`
 	// Detail is a human-readable one-liner (the reason, the test name),
@@ -57,129 +52,36 @@ func (t Trigger) String() string {
 	return t.Cause + ": " + t.Detail
 }
 
-// FlightRecorder continuously retains the most recent protocol events in an
-// obs.Ring (one allocation plus two atomic ops per recorded event, no mutex
-// on the record path), plus references to the cost accounting and
-// lease-state source that are snapshotted at freeze time.
-//
-// A nil *FlightRecorder is a valid, disabled recorder: Observe is a nil
-// check and the event never escapes, which is the zero-allocation fast
-// path BenchmarkFlightDisabled gates.
-type FlightRecorder struct {
-	node   string
-	window time.Duration
-	events *obs.Ring[obs.Event]
-
-	// Attached sources, set before traffic starts; all optional.
-	cost  *cost.Accounting
-	state *state.Source
-}
-
-var _ obs.Sink = (*FlightRecorder)(nil)
-
-// NewFlightRecorder returns a recorder for node retaining up to size events
-// (min 1) and aiming to cover the trailing window (used to bound what a
-// freeze includes; size must be provisioned for the expected event rate ×
-// window). A zero window defaults to 60s.
-func NewFlightRecorder(node string, size int, window time.Duration) *FlightRecorder {
-	if window <= 0 {
-		window = 60 * time.Second
-	}
-	return &FlightRecorder{node: node, window: window, events: obs.NewRing[obs.Event](size)}
-}
-
-// AttachCost arranges for freezes to include the cost accounting's
-// per-second load. Call before traffic starts.
-func (f *FlightRecorder) AttachCost(a *cost.Accounting) {
-	if f == nil {
-		return
-	}
-	f.cost = a
-}
-
-// AttachState arranges for freezes to include a point-in-time lease-state
-// snapshot (internal/state), so a post-mortem carries the table itself —
-// who held what until when — not just the event tail. Call before traffic
-// starts.
-func (f *FlightRecorder) AttachState(src *state.Source) {
-	if f == nil {
-		return
-	}
-	f.state = src
-}
-
-// Observe implements obs.Sink, retaining the event in the ring. Safe on a
-// nil recorder and from any number of goroutines. The nil check lives in
-// this inlinable wrapper so the disabled path never reaches Add, whose
-// parameter escapes into the ring — keeping disabled call sites
-// allocation-free.
-func (f *FlightRecorder) Observe(e obs.Event) {
-	if f == nil {
-		return
-	}
-	f.events.Add(e)
-}
-
-// Total reports how many events were ever recorded (including overwritten).
-func (f *FlightRecorder) Total() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.events.Total()
-}
-
-// Events returns the retained events with At in [now-window, now], oldest
-// first.
-func (f *FlightRecorder) Events(now time.Time) []obs.Event {
-	if f == nil {
-		return nil
-	}
-	cutoff := now.Add(-f.window)
-	var out []obs.Event
-	for _, e := range f.events.Snapshot() {
-		if !e.At.Before(cutoff) {
-			out = append(out, e)
+// Freeze builds node's dump at now from what its stack retains: every event
+// ring holds, in the order /debug/events serves them (oldest first), and —
+// where given — acct's per-second load and src's lease table. tr (optional)
+// says why. A nil ring freezes no events.
+func Freeze(node string, now time.Time, tr *Trigger, ring *obs.RingSink, acct *cost.Accounting, src *state.Source) Dump {
+	d := Dump{Node: node, WrittenAt: now, Trigger: tr, Seconds: acct.Seconds()}
+	if ring != nil {
+		for _, e := range ring.Snapshot() {
+			d.Events = append(d.Events, e.JSON())
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
-	return out
-}
-
-// Snapshot freezes the recorder into a Dump: the trailing event window, the
-// attached accounting's per-second load and the attached lease state. tr
-// (optional) says why.
-func (f *FlightRecorder) Snapshot(now time.Time, tr *Trigger) Dump {
-	d := Dump{WrittenAt: now}
-	if f == nil {
-		return d
-	}
-	d.Node = f.node
-	d.WindowSeconds = int(f.window / time.Second)
-	d.Trigger = tr
-	for _, e := range f.Events(now) {
-		d.Events = append(d.Events, e.JSON())
-	}
-	d.Seconds = f.cost.Seconds()
-	if f.state != nil {
-		ls := f.state.Snapshot()
+	if src != nil {
+		ls := src.Snapshot()
 		d.LeaseState = &ls
 	}
 	return d
 }
 
-// Dump is a frozen flight recording — the file format written on a freeze and
-// served at /debug/flightrecorder. Everything is plain JSON so
-// leasemon, tests, and humans parse it the same way. Dumps written before
-// spans became events carry a "spans" array as well; it is ignored.
+// Dump is a frozen flight recording — the file format written on a freeze.
+// Everything is plain JSON so leasemon, tests, and humans parse it the same
+// way. Older dumps may also carry "window_seconds" and "spans"; both are
+// ignored.
 type Dump struct {
-	Node          string          `json:"node"`
-	WrittenAt     time.Time       `json:"written_at"`
-	WindowSeconds int             `json:"window_seconds"`
-	Trigger       *Trigger        `json:"trigger,omitempty"`
-	Events        []obs.EventJSON `json:"events"`
-	Seconds       []cost.Second   `json:"seconds,omitempty"`
+	Node      string          `json:"node"`
+	WrittenAt time.Time       `json:"written_at"`
+	Trigger   *Trigger        `json:"trigger,omitempty"`
+	Events    []obs.EventJSON `json:"events"`
+	Seconds   []cost.Second   `json:"seconds,omitempty"`
 	// LeaseState is the node's frozen lease-table snapshot (who held what
-	// until when at freeze time), attached via AttachState.
+	// until when at freeze time).
 	LeaseState *state.Dump `json:"lease_state,omitempty"`
 }
 
@@ -289,9 +191,10 @@ func ParseDump(r io.Reader) (Dump, error) {
 	return d, nil
 }
 
-// DumpDir resolves where a test harness should write flight dumps:
-// $FLIGHT_DUMP_DIR when set (CI exports it so failed chaos runs upload
-// their dumps as artifacts), otherwise fallback.
+// DumpDir resolves where a freeze writes its dump: $FLIGHT_DUMP_DIR when set
+// (CI exports it so failed chaos runs upload their dumps as artifacts, and
+// make loadtest points leasemon -freeze at its output directory), otherwise
+// fallback.
 func DumpDir(fallback string) string {
 	if d := os.Getenv("FLIGHT_DUMP_DIR"); d != "" {
 		return d
@@ -299,13 +202,13 @@ func DumpDir(fallback string) string {
 	return fallback
 }
 
-// FailureDump freezes f into DumpDir(fallbackDir) under a synthetic
-// "test-failure" trigger naming the failed test. Chaos and integration
-// harnesses call it from a t.Cleanup guarded by t.Failed(), so a failing
-// run leaves its black box behind and CI uploads $FLIGHT_DUMP_DIR as an
-// artifact. now is passed in (rather than read here) so callers on
-// simulated time freeze the right window.
-func FailureDump(f *FlightRecorder, now time.Time, testName, fallbackDir string) (string, error) {
+// FailureDump freezes node's ring into DumpDir(fallbackDir) under a
+// synthetic "test-failure" trigger naming the failed test. Chaos and
+// integration harnesses call it from a t.Cleanup guarded by t.Failed(), so a
+// failing run leaves its black box behind and CI uploads $FLIGHT_DUMP_DIR as
+// an artifact. now is passed in (rather than read here) so callers on
+// simulated time stamp the dump on their own timeline.
+func FailureDump(node string, ring *obs.RingSink, now time.Time, testName, fallbackDir string) (string, error) {
 	tr := &Trigger{Cause: "test-failure", At: now, Detail: testName}
-	return WriteDump(DumpDir(fallbackDir), f.Snapshot(now, tr))
+	return WriteDump(DumpDir(fallbackDir), Freeze(node, now, tr, ring, nil, nil))
 }

@@ -21,36 +21,30 @@ func evAt(at time.Time, typ obs.EventType) obs.Event {
 	return obs.Event{Type: typ, At: at, Node: "n"}
 }
 
+// TestFlightRecorderNilSafe: a node with its ring off (-trace 0) and no
+// accounting or lease source still freezes, into a dump with nothing in it.
 func TestFlightRecorderNilSafe(t *testing.T) {
-	var f *FlightRecorder
-	f.Observe(obs.Event{Type: obs.EvConnect})
-	f.AttachCost(nil)
-	if f.Total() != 0 {
-		t.Errorf("nil Total = %d", f.Total())
-	}
-	if got := f.Events(clock.Epoch); got != nil {
-		t.Errorf("nil Events = %v", got)
-	}
-	d := f.Snapshot(clock.Epoch, nil)
-	if len(d.Events) != 0 {
-		t.Errorf("nil Snapshot has %d events", len(d.Events))
+	d := Freeze("n", clock.Epoch, nil, nil, nil, nil)
+	if d.Node != "n" || !d.WrittenAt.Equal(clock.Epoch) || len(d.Events) != 0 || len(d.Seconds) != 0 || d.LeaseState != nil {
+		t.Errorf("nil-source freeze = %+v, want an empty dump of n", d)
 	}
 }
 
+// TestFlightRecorderWraparound: a freeze holds what the ring retains — the
+// newest events, oldest first.
 func TestFlightRecorderWraparound(t *testing.T) {
-	f := NewFlightRecorder("n", 4, time.Minute)
+	ring := obs.NewRingSink(4)
 	base := clock.Epoch
 	for i := 0; i < 10; i++ {
-		f.Observe(evAt(base.Add(time.Duration(i)*time.Second), obs.EvConnect))
+		ring.Observe(evAt(base.Add(time.Duration(i)*time.Second), obs.EvConnect))
 	}
-	if f.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", f.Total())
+	if ring.Total() != 10 {
+		t.Fatalf("Total = %d, want 10", ring.Total())
 	}
-	events := f.Events(base.Add(10 * time.Second))
+	events := Freeze("n", base.Add(10*time.Second), nil, ring, nil, nil).Events
 	if len(events) != 4 {
-		t.Fatalf("retained %d events, want 4 (ring size)", len(events))
+		t.Fatalf("froze %d events, want 4 (ring size)", len(events))
 	}
-	// The ring must retain the newest 4, oldest first.
 	for i, e := range events {
 		want := base.Add(time.Duration(6+i) * time.Second)
 		if !e.At.Equal(want) {
@@ -59,25 +53,26 @@ func TestFlightRecorderWraparound(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderWindowFilter: the ring's size is the only bound on what
+// a freeze keeps; an event is not dropped for its age.
 func TestFlightRecorderWindowFilter(t *testing.T) {
-	f := NewFlightRecorder("n", 64, 5*time.Second)
+	ring := obs.NewRingSink(64)
 	base := clock.Epoch
-	for i := 0; i < 10; i++ {
-		f.Observe(evAt(base.Add(time.Duration(i)*time.Second), obs.EvConnect))
+	ring.Observe(evAt(base.Add(-time.Hour), obs.EvConnect))
+	for i := 0; i < 9; i++ {
+		ring.Observe(evAt(base.Add(time.Duration(i)*time.Second), obs.EvConnect))
 	}
-	now := base.Add(9 * time.Second)
-	events := f.Events(now)
-	// Window [now-5s, now] = seconds 4..9.
-	if len(events) != 6 {
-		t.Fatalf("retained %d events in window, want 6", len(events))
-	}
-	if events[0].At.Before(now.Add(-5 * time.Second)) {
-		t.Errorf("event %v escapes the window", events[0].At)
+	events := Freeze("n", base.Add(9*time.Second), nil, ring, nil, nil).Events
+	if len(events) != 10 || !events[0].At.Equal(base.Add(-time.Hour)) {
+		t.Fatalf("froze %d events starting %v, want all 10 from an hour before", len(events), events[0].At)
 	}
 }
 
+// TestFlightRecorderConcurrent: freezes taken while four goroutines record
+// hold only whole events, never more than the ring's slots, and the last
+// freeze fills the ring.
 func TestFlightRecorderConcurrent(t *testing.T) {
-	f := NewFlightRecorder("n", 128, time.Minute)
+	ring := obs.NewRingSink(128)
 	base := clock.Epoch
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -91,42 +86,44 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				f.Observe(evAt(base.Add(time.Duration(i)*time.Millisecond), obs.EvCacheRead))
+				ring.Observe(obs.Event{Type: obs.EvCacheRead, At: base.Add(time.Duration(i) * time.Millisecond), N: g + 1})
 			}
 		}(g)
 	}
 	for i := 0; i < 50; i++ {
-		events := f.Events(base.Add(time.Hour))
-		for j := 1; j < len(events); j++ {
-			if events[j].At.Before(events[j-1].At) {
-				t.Fatalf("snapshot not sorted at %d", j)
+		events := Freeze("n", base, nil, ring, nil, nil).Events
+		if len(events) > 128 {
+			t.Fatalf("freeze holds %d events from a 128-slot ring", len(events))
+		}
+		for _, e := range events {
+			if e.Type != "cache-read" || e.N < 1 || e.N > 4 {
+				t.Fatalf("torn event %+v", e)
 			}
 		}
 	}
 	close(stop)
 	wg.Wait()
+	if n := len(Freeze("n", base, nil, ring, nil, nil).Events); ring.Total() >= 128 && n != 128 {
+		t.Errorf("after %d events the freeze holds %d, want the ring's 128", ring.Total(), n)
+	}
 }
 
 // TestSnapshotIncludesSpansAndTimeline: a write's causal records are events
-// like any other, so the dump's window keeps the recent ones and drops an
-// ancient one, beside the per-second load.
+// like any other, so the freeze keeps them beside the per-second load.
 func TestSnapshotIncludesSpansAndTimeline(t *testing.T) {
 	base := clock.Epoch
 	sim := clock.NewSimulated(base.Add(10 * time.Second))
-	f := NewFlightRecorder("n", 64, 30*time.Second)
+	ring := obs.NewRingSink(64)
 	acct := cost.New("n", sim.Now)
-	f.AttachCost(acct)
 
-	f.Observe(obs.Event{Type: obs.EvWrite, At: base.Add(9 * time.Second), Dur: time.Second, Trace: 1, Span: 1})
-	// An ancient record outside the window must be dropped.
-	f.Observe(obs.Event{Type: obs.EvWrite, At: base.Add(-time.Hour), Dur: time.Second, Trace: 2, Span: 2})
+	ring.Observe(obs.Event{Type: obs.EvWrite, At: base.Add(9 * time.Second), Dur: time.Second, Trace: 1, Span: 1})
 	acct.TapConn("n:1", "c:0").Observe(transport.Frame{Sent: true, Msg: wire.Hello{}}) // in progress at second 10
-	f.Observe(evAt(base.Add(9*time.Second), obs.EvWriteApplied))
+	ring.Observe(evAt(base.Add(9*time.Second), obs.EvWriteApplied))
 
-	d := f.Snapshot(sim.Now(), &Trigger{Cause: "manual", At: sim.Now(), Detail: "pulled for the test"})
+	d := Freeze("n", sim.Now(), &Trigger{Cause: "manual", At: sim.Now(), Detail: "pulled for the test"}, ring, acct, nil)
 	if len(d.Events) != 2 || d.Events[0].Type != "write" || d.Events[0].Trace != 1 || d.Events[0].DurNS != int64(time.Second) ||
 		d.Events[1].Type != "write-applied" {
-		t.Fatalf("events = %+v, want the in-window write record and the commit", d.Events)
+		t.Fatalf("events = %+v, want the write record and the commit", d.Events)
 	}
 	if len(d.Seconds) != 1 || d.Seconds[0].Msgs != 1 {
 		t.Fatalf("seconds = %+v", d.Seconds)
@@ -160,12 +157,12 @@ func TestParseDumpWithSpans(t *testing.T) {
 
 func TestDumpRoundTripAndPreTriggerSpan(t *testing.T) {
 	base := clock.Epoch
-	f := NewFlightRecorder("srv one", 64, 30*time.Second)
+	ring := obs.NewRingSink(64)
 	for i := 0; i < 5; i++ {
-		f.Observe(evAt(base.Add(time.Duration(i)*time.Second), obs.EvCacheRead))
+		ring.Observe(evAt(base.Add(time.Duration(i)*time.Second), obs.EvCacheRead))
 	}
 	tr := Trigger{Cause: "manual", At: base.Add(4 * time.Second), Detail: "test"}
-	d := f.Snapshot(base.Add(6*time.Second), &tr)
+	d := Freeze("srv one", base.Add(6*time.Second), &tr, ring, nil, nil)
 
 	dir := t.TempDir()
 	path, err := WriteDump(dir, d)
@@ -194,14 +191,14 @@ func TestDumpRoundTripAndPreTriggerSpan(t *testing.T) {
 // file name; the second lands beside the first instead of over it.
 func TestWriteDumpNeverReplaces(t *testing.T) {
 	dir := t.TempDir()
-	f := NewFlightRecorder("srv", 16, time.Minute)
-	f.Observe(evAt(clock.Epoch, obs.EvConnect))
-	first, err := WriteDump(dir, f.Snapshot(clock.Epoch, nil))
+	ring := obs.NewRingSink(16)
+	ring.Observe(evAt(clock.Epoch, obs.EvConnect))
+	first, err := WriteDump(dir, Freeze("srv", clock.Epoch, nil, ring, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Observe(evAt(clock.Epoch, obs.EvDisconnect))
-	second, err := WriteDump(dir, f.Snapshot(clock.Epoch, nil))
+	ring.Observe(evAt(clock.Epoch, obs.EvDisconnect))
+	second, err := WriteDump(dir, Freeze("srv", clock.Epoch, nil, ring, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,37 +230,16 @@ func TestDumpDirEnvOverride(t *testing.T) {
 	}
 }
 
-// BenchmarkFlightDisabled gates the zero-allocation disabled path: a nil
-// *FlightRecorder must cost one nil check and never let the event escape.
-// `make bench-disabled` fails the build if allocs/op or B/op is nonzero.
-func BenchmarkFlightDisabled(b *testing.B) {
-	var f *FlightRecorder
-	e := obs.Event{Type: obs.EvWriteApplied, At: clock.Epoch, Node: "bench", Object: "o", Volume: "v"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Observe(e)
-	}
-}
-
-func BenchmarkFlightRecord(b *testing.B) {
-	f := NewFlightRecorder("bench", 8192, time.Minute)
-	e := obs.Event{Type: obs.EvWriteApplied, At: clock.Epoch, Node: "bench", Object: "o", Volume: "v"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Observe(e)
-	}
-}
-
+// TestDumpFreezesAttachedLeaseState: given the node's lease source, a freeze
+// carries the table itself, and it round-trips through the file.
 func TestDumpFreezesAttachedLeaseState(t *testing.T) {
 	base := clock.Epoch
-	f := NewFlightRecorder("srv", 16, 30*time.Second)
-	f.Observe(evAt(base, obs.EvCacheRead))
+	ring := obs.NewRingSink(16)
+	ring.Observe(evAt(base, obs.EvCacheRead))
 
-	// Without an attached source, dumps carry no lease state.
-	if d := f.Snapshot(base.Add(time.Second), nil); d.LeaseState != nil {
-		t.Fatalf("unattached recorder froze lease state: %+v", d.LeaseState)
+	// Without a source, dumps carry no lease state.
+	if d := Freeze("srv", base.Add(time.Second), nil, ring, nil, nil); d.LeaseState != nil {
+		t.Fatalf("a freeze without a source froze lease state: %+v", d.LeaseState)
 	}
 
 	want := state.Dump{
@@ -280,11 +256,11 @@ func TestDumpFreezesAttachedLeaseState(t *testing.T) {
 			}},
 		},
 	}
-	f.AttachState(state.NewSource(func() state.Dump { return want }))
+	src := state.NewSource(func() state.Dump { return want })
 
-	d := f.Snapshot(base.Add(2*time.Second), nil)
+	d := Freeze("srv", base.Add(2*time.Second), nil, ring, nil, src)
 	if d.LeaseState == nil {
-		t.Fatal("snapshot did not freeze the attached lease state")
+		t.Fatal("the freeze did not hold the source's lease state")
 	}
 
 	path, err := WriteDump(t.TempDir(), d)

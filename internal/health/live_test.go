@@ -1,12 +1,13 @@
 package health_test
 
-// The live test of the flight recorder: a real server over the in-memory
+// The live test of the flight dump: a real server over the in-memory
 // transport on a simulated clock, a few seconds of background reads, then a
 // partition cutting a lease-holding client off mid-write. The server waits
 // the write out and marks the client unreachable; the test then freezes the
-// recorder the way `leasemon -freeze` would, parses the dump like an
-// operator, and asserts it holds (1) at least 2s of pre-freeze context,
-// (2) the incident's events, and (3) the run's load, second by second.
+// node's event ring, load and lease table the way `leasemon -freeze` does,
+// parses the dump like an operator, and asserts it holds (1) at least 2s of
+// pre-freeze context, (2) the incident's events, and (3) the run's load,
+// second by second.
 
 import (
 	"path/filepath"
@@ -28,11 +29,10 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 	sim := clock.NewSimulated(clock.Epoch)
 	net := transport.NewMemory()
 	observer := &obs.Observer{Metrics: obs.NewRegistry()}
-	flight := health.NewFlightRecorder("srv", 16384, 30*time.Second)
+	ring := obs.NewRingSink(8192)
 	acct := cost.New("srv", sim.Now)
-	flight.AttachCost(acct)
 	net.Taps = []transport.Tap{acct}
-	observer.Tracer = obs.NewTracer(flight)
+	observer.Tracer = obs.NewTracer(ring)
 
 	// The per-second sampler runs on a clock of its own, kept in step with
 	// the node's: its only timer is the sampler's, so the test can tell when
@@ -116,7 +116,7 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 	}
 	net.Partition("victim", "srv")
 	blocked := func() bool {
-		for _, e := range flight.Events(sim.Now()) {
+		for _, e := range ring.Snapshot() {
 			if e.Type == obs.EvWriteBlocked && e.Object == "a" {
 				return true
 			}
@@ -143,8 +143,9 @@ func TestChaosPartitionLeavesFlightDump(t *testing.T) {
 		}
 	}
 
-	dumps := health.NewDumper(health.Options{Node: "srv", Clock: sim, Flight: flight, DumpDir: health.DumpDir(t.TempDir())})
-	path, err := dumps.ForceDump("partitioned write")
+	tr := &health.Trigger{Cause: "manual", At: sim.Now(), Detail: "partitioned write"}
+	path, err := health.WriteDump(health.DumpDir(t.TempDir()),
+		health.Freeze("srv", sim.Now(), tr, ring, acct, srv.StateSource()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 	"repro/internal/clock"
 )
 
-// Route is an extra endpoint mounted on the debug mux — e.g. an audit
-// report at /debug/audit.
+// Route is an extra endpoint mounted on the debug mux — e.g. the lease
+// table at /debug/leases.
 type Route struct {
 	Path    string
 	Handler http.Handler

@@ -3,7 +3,7 @@ package obs
 import "sync/atomic"
 
 // Ring retains the most recent values in a fixed number of slots — the one
-// ring behind the event trace and the flight recorder.
+// ring behind the event trace that /debug/events and flight dumps read.
 // Each slot is an atomic pointer and the cursor an atomic counter, so any
 // number of goroutines add without a mutex; an Add costs one allocation plus
 // two atomic operations.

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestRing covers the one ring once, for every type that wraps it (RingSink,
-// health.FlightRecorder): partial fill, wrap-around, oldest-first order and
-// Total.
+// TestRing covers the one ring once, for RingSink that wraps it: partial
+// fill, wrap-around, oldest-first order and Total.
 func TestRing(t *testing.T) {
 	r := NewRing[int](4)
 	if got := r.Snapshot(); len(got) != 0 || r.Total() != 0 {

@@ -31,7 +31,7 @@ type hierarchy struct {
 	sent   *dataTap
 	obs    *obs.Observer
 	aud    *audit.Auditor
-	flight *health.FlightRecorder
+	ring   *obs.RingSink
 }
 
 // dataTap counts the grants carrying object data that the listener at addr
@@ -72,17 +72,17 @@ func buildHierarchyOn(t *testing.T, originNet func(*transport.Memory) transport.
 		ObjectLease: 30 * time.Minute,
 		VolumeLease: time.Second,
 	}, false))
-	flight := health.NewFlightRecorder("edge-proxy", 16384, time.Minute)
-	observer := &obs.Observer{Tracer: obs.NewTracer(aud, flight)}
+	ring := obs.NewRingSink(16384)
+	observer := &obs.Observer{Tracer: obs.NewTracer(aud, ring)}
 	// Registered first so it runs last, after the audit check below may have
-	// marked the test failed: a failing hierarchy run leaves its flight
-	// recording behind ($FLIGHT_DUMP_DIR in CI).
+	// marked the test failed: a failing hierarchy run leaves its event ring
+	// behind as a flight dump ($FLIGHT_DUMP_DIR in CI).
 	t.Cleanup(func() {
 		if !t.Failed() {
 			return
 		}
 		fallback := filepath.Join(os.TempDir(), "lease-flightdumps")
-		if path, err := health.FailureDump(flight, time.Now(), t.Name(), fallback); err == nil {
+		if path, err := health.FailureDump("edge-proxy", ring, time.Now(), t.Name(), fallback); err == nil {
 			t.Logf("flight dump: %s", path)
 		}
 	})
@@ -136,7 +136,7 @@ func buildHierarchyOn(t *testing.T, originNet func(*transport.Memory) transport.
 		t.Fatalf("proxy: %v", err)
 	}
 	t.Cleanup(func() { px.Close() })
-	return &hierarchy{net: net, origin: origin, px: px, sent: sent, obs: observer, aud: aud, flight: flight}
+	return &hierarchy{net: net, origin: origin, px: px, sent: sent, obs: observer, aud: aud, ring: ring}
 }
 
 func (h *hierarchy) dial(t *testing.T, id string) *client.Client {
@@ -249,7 +249,7 @@ func TestProxyRoundJoinsOriginTrace(t *testing.T) {
 				origin, toProxy, round, toLeaf)
 		}
 		origin, toProxy, round, toLeaf = nil, nil, nil, nil
-		for _, e := range h.flight.Events(time.Now()) {
+		for _, e := range h.ring.Snapshot() {
 			switch {
 			case e.Type == obs.EvWrite && e.Node == "origin":
 				origin = append(origin, e)

@@ -62,8 +62,13 @@ func (cc *clientConn) queueInvalidate(oid core.ObjectID, n core.WriteNum, trace,
 // that write's trace. A batch coalescing several writes attributes the
 // message to the first — the others still account the fan-out through
 // their write-unblocked records.
+//
+// The queue's backing array ping-pongs with spare, the flusher's own: each
+// swap hands the queue the array the last batch drained, so steady-state
+// enqueues allocate nothing.
 func (s *Server) invalFlusher(cc *clientConn) {
 	defer s.wg.Done()
+	var spare []invalItem
 	for {
 		select {
 		case <-cc.invalKick:
@@ -75,24 +80,31 @@ func (s *Server) invalFlusher(cc *clientConn) {
 		for {
 			cc.invalMu.Lock()
 			batch := cc.invalQ
-			cc.invalQ = nil
+			cc.invalQ = spare
 			cc.invalMu.Unlock()
 			if len(batch) == 0 {
+				spare = batch
 				break
 			}
+			// The message keeps objs and writes after Send returns
+			// (transport.Memory hands it over by reference), so they are
+			// fresh; the batch is emptied for reuse, holding no object ids.
 			objs := make([]core.ObjectID, len(batch))
 			writes := make([]core.WriteNum, len(batch))
 			for i, it := range batch {
 				objs[i], writes[i] = it.oid, it.write
 			}
+			n, trace, parent := len(batch), batch[0].trace, batch[0].parent
+			clear(batch)
+			spare = batch[:0]
 			var (
 				tc    wire.TraceContext
 				sent  obs.Event
 				start time.Time
 			)
 			if s.cfg.Obs.Tracing() {
-				sent = obs.Event{Type: obs.EvInvalSent, Client: cc.id, Object: objs[0], N: len(batch),
-					Trace: batch[0].trace, Span: s.cfg.Obs.NewID(), Parent: batch[0].parent}
+				sent = obs.Event{Type: obs.EvInvalSent, Client: cc.id, Object: objs[0], N: n,
+					Trace: trace, Span: s.cfg.Obs.NewID(), Parent: parent}
 				tc = wire.TraceContext{TraceID: sent.Trace, SpanID: sent.Span}
 				start = s.cfg.Clock.Now()
 			}
@@ -103,7 +115,7 @@ func (s *Server) invalFlusher(cc *clientConn) {
 				continue
 			}
 			if s.om != nil {
-				s.om.invalSent.Add(int64(len(batch)))
+				s.om.invalSent.Add(int64(n))
 			}
 			if sent.Span != 0 {
 				sent.At = s.cfg.Clock.Now()

@@ -26,11 +26,10 @@ import (
 // emit into the same Observer); any invariant violation fails the test at
 // cleanup.
 type testEnv struct {
-	net    *transport.Memory
-	srv    *server.Server
-	obs    *obs.Observer
-	aud    *audit.Auditor
-	flight *health.FlightRecorder
+	net *transport.Memory
+	srv *server.Server
+	obs *obs.Observer
+	aud *audit.Auditor
 }
 
 // tableCfg are the default lease parameters for live tests: short volume
@@ -63,19 +62,18 @@ func startServer(t *testing.T, table core.Config, mutate func(*server.Config)) *
 		observer = &obs.Observer{}
 		cfg.Obs = observer
 	}
-	ring := obs.NewRingSink(8192)
-	flight := health.NewFlightRecorder("srv", 16384, time.Minute)
-	observer.Tracer = obs.NewTracer(append(observer.Tracer.Sinks(), aud, ring, flight)...)
+	ring := obs.NewRingSink(16384)
+	observer.Tracer = obs.NewTracer(append(observer.Tracer.Sinks(), aud, ring)...)
 	// Registered first so it runs last (after the audit check below has had
-	// its chance to mark the test failed): a failing run freezes the flight
-	// recorder so the black box survives the failure. CI sets
-	// $FLIGHT_DUMP_DIR and uploads it as an artifact.
+	// its chance to mark the test failed): a failing run freezes the event
+	// ring so the black box survives the failure. CI sets $FLIGHT_DUMP_DIR
+	// and uploads it as an artifact.
 	t.Cleanup(func() {
 		if !t.Failed() {
 			return
 		}
 		fallback := filepath.Join(os.TempDir(), "lease-flightdumps")
-		if path, err := health.FailureDump(flight, time.Now(), t.Name(), fallback); err == nil {
+		if path, err := health.FailureDump("srv", ring, time.Now(), t.Name(), fallback); err == nil {
 			t.Logf("flight dump: %s", path)
 		}
 	})
@@ -111,7 +109,7 @@ func startServer(t *testing.T, table core.Config, mutate func(*server.Config)) *
 			t.Fatal(err)
 		}
 	}
-	return &testEnv{net: net, srv: srv, obs: observer, aud: aud, flight: flight}
+	return &testEnv{net: net, srv: srv, obs: observer, aud: aud}
 }
 
 // dial connects a client.

@@ -249,7 +249,7 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 
 // BenchmarkStateDisabled gates the disabled path: with introspection off
 // (nil *Source) a snapshot costs zero allocations. Wired into the
-// bench-disabled Make target alongside Emit/Span/Flight/Cost.
+// bench-disabled Make target alongside Emit/Cost/Tap.
 func BenchmarkStateDisabled(b *testing.B) {
 	var src *Source
 	b.ReportAllocs()
