@@ -9,7 +9,9 @@
 // It is also the run's consistency oracle: every write's payload starts with
 // a 16-byte tag (the run's random nonce and a sequence number), every
 // operation is recorded, and internal/history checks the reads against the
-// writes at the end. leasebench exits non-zero on a stale or invented read.
+// writes at the end. leasebench exits non-zero on a stale or invented read,
+// and prints the longest write wait without judging it: it does not know its
+// target's lease terms.
 //
 // Usage:
 //
@@ -124,7 +126,7 @@ type result struct {
 	failures []failure        // the first keptFailures errors, in the order they happened
 	causes   map[string]int64 // every error, counted by failure.cause
 
-	logs [][]history.Op // every operation, one log per client
+	logs []*history.Log // every operation, one log per client
 }
 
 // fail counts a failed operation by its cause and keeps the first few.
@@ -159,50 +161,50 @@ func execute(o options) (*result, error) {
 		clients[i] = cl
 	}
 
-	res := &result{logs: make([][]history.Op, len(clients))}
+	res := &result{logs: make([]*history.Log, len(clients))}
 	nonce := rand.Uint64() // tells this run's writes from earlier runs' data
 	var seq atomic.Uint64  // the tag of this run's last write
 	var wg sync.WaitGroup
 	var stop atomic.Bool
 	start := time.Now()
+	since := func() time.Duration { return time.Since(start) }
 	for i, cl := range clients {
+		res.logs[i] = history.NewLog(since)
 		wg.Add(1)
-		go func(cl *client.Client, seed int64, log *[]history.Op) {
+		go func(cl *client.Client, seed int64, log *history.Log) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				oid := core.ObjectID(fmt.Sprintf("obj-%d", rng.Intn(o.objects)))
 				t0 := time.Now()
-				h := history.Op{Object: string(oid), Call: t0.Sub(start)}
+				call := t0.Sub(start)
 				var err error
 				op, lat, n := "read", &res.readLat, &res.reads
 				if rng.Float64() < o.writeRatio {
-					h.Write, h.Tag = true, seq.Add(1)
+					tag := seq.Add(1)
 					// A fresh payload: a timed-out write's frame may still be
 					// queued with the last one.
 					payload := make([]byte, 2048)
 					binary.BigEndian.PutUint64(payload, nonce)
-					binary.BigEndian.PutUint64(payload[8:], h.Tag)
+					binary.BigEndian.PutUint64(payload[8:], tag)
 					var v core.Version
 					v, _, err = cl.Write(oid, payload)
-					h.Version = uint64(v)
+					log.Write(string(oid), tag, call, uint64(v), err == nil)
 					op, lat, n = "write", &res.writeLat, &res.writes
 				} else {
 					var data []byte
-					data, err = cl.Read(core.VolumeID(o.volume), oid)
-					h.Tag = tagOf(data, nonce)
+					if data, err = cl.Read(core.VolumeID(o.volume), oid); err == nil {
+						log.Read(string(oid), tagOf(data, nonce), call)
+					}
 				}
-				t1 := time.Now()
-				h.Return, h.OK = t1.Sub(start), err == nil
-				*log = append(*log, h)
 				if err != nil {
 					res.fail(op, oid, err)
 					continue
 				}
-				lat.Observe(t1.Sub(t0))
+				lat.Observe(time.Since(t0))
 				n.Add(1)
 			}
-		}(cl, int64(i)+1, &res.logs[i])
+		}(cl, int64(i)+1, res.logs[i])
 	}
 	time.Sleep(o.duration)
 	stop.Store(true)
@@ -252,6 +254,9 @@ func (r *result) report(out io.Writer, o options) error {
 	}
 	rep := history.Check(r.logs...)
 	fmt.Fprintln(out, rep)
+	if rep.Slowest.Write {
+		fmt.Fprintf(out, "longest write wait: %v, %v\n", rep.Wait, rep.Slowest)
+	}
 	for _, a := range rep.Anomalies[:min(len(rep.Anomalies), keptFailures)] {
 		fmt.Fprintf(out, "anomaly: %v\n", a)
 	}

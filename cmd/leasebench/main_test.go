@@ -124,7 +124,7 @@ func TestExecuteSelfContained(t *testing.T) {
 	// only the seeded ones.
 	tagged := 0
 	for _, log := range res.logs {
-		for _, op := range log {
+		for _, op := range log.Ops() {
 			if !op.Write && op.Tag != 0 {
 				tagged++
 			}
@@ -167,10 +167,14 @@ func TestExecuteSelfContainedTCP(t *testing.T) {
 // (The verdict is the clients' own history; the target's flight dump is
 // taken on demand, with leasemon -freeze.)
 func TestAuditViolationLeavesFlightDump(t *testing.T) {
-	res := &result{elapsed: time.Second, logs: [][]history.Op{
-		{{Object: "obj-3", Write: true, Tag: 1, Version: 2, Call: 10 * time.Millisecond, Return: 20 * time.Millisecond, OK: true}},
-		{{Object: "obj-3", Tag: 0, Call: 30 * time.Millisecond, Return: 31 * time.Millisecond, OK: true}},
-	}}
+	var now time.Duration
+	clock := func() time.Duration { return now }
+	writer, reader := history.NewLog(clock), history.NewLog(clock)
+	now = 20 * time.Millisecond
+	writer.Write("obj-3", 1, 10*time.Millisecond, 2, true)
+	now = 31 * time.Millisecond
+	reader.Read("obj-3", 0, 30*time.Millisecond)
+	res := &result{elapsed: time.Second, logs: []*history.Log{writer, reader}}
 	res.reads.Store(1)
 	res.writes.Store(1)
 	var out strings.Builder
@@ -180,6 +184,7 @@ func TestAuditViolationLeavesFlightDump(t *testing.T) {
 	}
 	for _, want := range []string{
 		"history: 1 reads, 1 writes, 1 stale, 0 invented, 0 unchecked\n",
+		"longest write wait: 10ms, write obj-3 tag 1 version 2 [10ms, 20ms]\n",
 		"anomaly: stale: read obj-3 tag 0 [30ms, 31ms], called 10ms after write obj-3 tag 1 version 2 [10ms, 20ms] returned\n",
 	} {
 		if !strings.Contains(out.String(), want) {

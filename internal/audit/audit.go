@@ -8,8 +8,6 @@
 //     valid leases on both the object and its volume (Section 3).
 //   - write-safety: a write completes only when every reachable holder has
 //     acknowledged the invalidation or let a required lease expire.
-//   - epoch-monotonicity: volume epochs never move backwards, per granting
-//     node and per client.
 //   - delayed-ordering: an Inactive client's queued invalidations are
 //     delivered and acknowledged before its volume lease is renewed
 //     (Section 3.1.1).
@@ -20,25 +18,15 @@
 //   - staleness-bound: the staleness observed on any stale read never
 //     exceeds the analytic bound min(t, t_v) (Table 1).
 //
-// The same auditor audits the discrete-event simulator: algorithms emit
-// the equivalent events through sim.Env.Emit and declare their invariant
-// profile via AuditConfig.
+// It is the discrete-event simulator's oracle: algorithms emit these events
+// through sim.Env.Emit and declare their invariant profile via AuditConfig.
+// The simulation runs on one clock, so the model judges lease validity from
+// the expiry times carried in grant events against event timestamps, with
+// no slack. (The live stack is judged from its clients' side, by
+// internal/history.)
 //
-// The model is deliberately time-based: lease validity is judged from the
-// expiry times carried in grant events against event timestamps, so the
-// auditor tolerates benign cross-goroutine delivery skew (a configurable
-// Slack absorbs clock-edge races in the live stack).
-//
-// # Ordering contract
-//
-// The live server shards its consistency state per volume and emits each
-// volume's protocol events under that shard's mutex, through synchronous
-// sinks — so the auditor receives every volume's events in their true
-// order, while streams from different volumes interleave arbitrarily.
-// That is exactly what the model needs: every invariant is scoped to one
-// (client, volume, object) lineage, never across volumes. Observe
-// serializes concurrent callers internally, so per-shard goroutines may
-// feed one Auditor directly.
+// Every invariant is scoped to one (client, volume, object) lineage, never
+// across volumes, and Observe serializes concurrent callers.
 package audit
 
 import (
@@ -52,27 +40,19 @@ import (
 	"repro/internal/obs"
 )
 
-// Invariant rule names, used in Violation.Rule and as metric labels.
+// Invariant rule names, used in Violation.Rule.
 const (
-	RuleReadValidity      = "read-validity"
-	RuleWriteSafety       = "write-safety"
-	RuleEpochMonotonicity = "epoch-monotonicity"
-	RuleDelayedOrdering   = "delayed-ordering"
-	RuleDiscardWindow     = "discard-window"
-	RuleReconnectSkipped  = "reconnect-skipped"
-	RuleStalenessBound    = "staleness-bound"
+	RuleReadValidity     = "read-validity"
+	RuleWriteSafety      = "write-safety"
+	RuleDelayedOrdering  = "delayed-ordering"
+	RuleDiscardWindow    = "discard-window"
+	RuleReconnectSkipped = "reconnect-skipped"
+	RuleStalenessBound   = "staleness-bound"
 )
 
-// Rules lists every invariant the auditor checks.
-var Rules = []string{
-	RuleReadValidity, RuleWriteSafety, RuleEpochMonotonicity,
-	RuleDelayedOrdering, RuleDiscardWindow, RuleReconnectSkipped,
-	RuleStalenessBound,
-}
-
 // Config describes the protocol variant under audit: which leases a read
-// requires, the lease terms (for the analytic staleness bound and the
-// discard window), and tolerance for real-clock jitter.
+// requires and the lease terms (for the analytic staleness bound and the
+// discard window).
 type Config struct {
 	// ObjectLease and VolumeLease are the configured terms t and t_v.
 	// They back the analytic staleness bound and serve as fallback expiry
@@ -93,16 +73,6 @@ type Config struct {
 	// StalenessBound overrides the analytic bound min(t, t_v); 0 derives
 	// it from the lease terms.
 	StalenessBound time.Duration
-	// BestEffort disables the write-safety check: best-effort writes
-	// deliberately complete while leases are outstanding, trading the
-	// write-safety invariant for bounded staleness.
-	BestEffort bool
-	// Slack absorbs clock-edge races in the live stack: a lease is only
-	// judged invalid (or a bound exceeded) by more than Slack.
-	Slack time.Duration
-	// MaxViolations caps the retained violation log (the total count keeps
-	// growing). 0 means the default of 128.
-	MaxViolations int
 }
 
 // Bound reports the effective staleness bound: StalenessBound when set,
@@ -119,21 +89,6 @@ func (c Config) Bound() time.Duration {
 		b = c.VolumeLease
 	}
 	return b
-}
-
-// LiveConfig derives the auditor configuration for a live server from its
-// table configuration. bestEffort mirrors server.WriteBestEffort.
-func LiveConfig(table core.Config, bestEffort bool) Config {
-	return Config{
-		ObjectLease:        table.ObjectLease,
-		VolumeLease:        table.VolumeLease,
-		InactiveDiscard:    table.InactiveDiscard,
-		RequireObjectLease: true,
-		RequireVolumeLease: true,
-		CheckStaleness:     true,
-		BestEffort:         bestEffort,
-		Slack:              25 * time.Millisecond,
-	}
 }
 
 // Profiled is implemented by simulator algorithms that declare how they
@@ -183,7 +138,6 @@ type cvKey struct {
 // cvState is the model's view of one (client, volume) pair.
 type cvState struct {
 	expire time.Time
-	epoch  core.Epoch
 	// pending holds queued delayed invalidations (the Inactive set);
 	// pendingSince is when the client's volume lease expired.
 	pending      map[core.ObjectID]struct{}
@@ -209,13 +163,6 @@ type objState struct {
 
 const historyCap = 64
 
-// epochKey scopes epoch monotonicity per granting node: a caching proxy
-// runs its own lease table over the same volume id as its origin.
-type epochKey struct {
-	node   string
-	volume core.VolumeID
-}
-
 // Auditor is an obs.Sink that checks protocol invariants online. All
 // methods are safe for concurrent use.
 type Auditor struct {
@@ -225,9 +172,8 @@ type Auditor struct {
 	holders map[core.ObjectID]map[core.ClientID]*coState
 	vols    map[cvKey]*cvState
 	objects map[core.ObjectID]*objState
-	epochs  map[epochKey]core.Epoch
 
-	violations []Violation
+	violations []Violation // the first quotedViolations
 	byRule     map[string]int64
 
 	events     atomic.Int64
@@ -236,24 +182,21 @@ type Auditor struct {
 	stale      *metrics.Histogram
 }
 
+// quotedViolations is how many violations the auditor keeps to quote; the
+// counts cover every one.
+const quotedViolations = 3
+
 // New builds an auditor for the given protocol profile.
 func New(cfg Config) *Auditor {
-	if cfg.MaxViolations == 0 {
-		cfg.MaxViolations = 128
-	}
 	return &Auditor{
 		cfg:     cfg,
 		holders: make(map[core.ObjectID]map[core.ClientID]*coState),
 		vols:    make(map[cvKey]*cvState),
 		objects: make(map[core.ObjectID]*objState),
-		epochs:  make(map[epochKey]core.Epoch),
 		byRule:  make(map[string]int64),
 		stale:   new(metrics.Histogram),
 	}
 }
-
-// Config reports the profile the auditor was built with.
-func (a *Auditor) Config() Config { return a.cfg }
 
 // Observe feeds one protocol event into the model. Implements obs.Sink.
 func (a *Auditor) Observe(e obs.Event) {
@@ -265,10 +208,8 @@ func (a *Auditor) Observe(e obs.Event) {
 		a.objLeaseGrant(e)
 	case obs.EvVolLeaseGrant:
 		a.volLeaseGrant(e)
-	case obs.EvInvalRecv, obs.EvInvalAcked:
+	case obs.EvInvalAcked:
 		a.dropCopy(e.Client, e.Object)
-	case obs.EvEpochBump:
-		a.epochBump(e)
 	case obs.EvReconnect:
 		a.reconnect(e)
 	case obs.EvUnreachable:
@@ -288,7 +229,7 @@ func (a *Auditor) Observe(e obs.Event) {
 func (a *Auditor) violate(v Violation) {
 	a.totalViol.Add(1)
 	a.byRule[v.Rule]++
-	if len(a.violations) < a.cfg.MaxViolations {
+	if len(a.violations) < quotedViolations {
 		a.violations = append(a.violations, v)
 	}
 }
@@ -358,24 +299,6 @@ func (a *Auditor) volLeaseGrant(e obs.Event) {
 			Detail: "volume lease granted to an Unreachable client without the reconnection protocol",
 		})
 	}
-	if e.Epoch != 0 {
-		ek := epochKey{node: e.Node, volume: e.Volume}
-		if prev := a.epochs[ek]; e.Epoch < prev {
-			a.violate(Violation{
-				Rule: RuleEpochMonotonicity, At: e.At, Client: e.Client, Volume: e.Volume,
-				Detail: fmt.Sprintf("epoch moved backwards on %s: %d -> %d", e.Node, prev, e.Epoch),
-			})
-		} else {
-			a.epochs[ek] = e.Epoch
-		}
-		if e.Epoch < cv.epoch {
-			a.violate(Violation{
-				Rule: RuleEpochMonotonicity, At: e.At, Client: e.Client, Volume: e.Volume,
-				Detail: fmt.Sprintf("client saw epoch move backwards: %d -> %d", cv.epoch, e.Epoch),
-			})
-		}
-		cv.epoch = e.Epoch
-	}
 	cv.expire = e.Expire
 	if cv.expire.IsZero() && a.cfg.VolumeLease > 0 {
 		cv.expire = e.At.Add(a.cfg.VolumeLease)
@@ -389,26 +312,6 @@ func (a *Auditor) volLeaseGrant(e obs.Event) {
 func (a *Auditor) dropCopy(c core.ClientID, oid core.ObjectID) {
 	if co := a.holders[oid][c]; co != nil {
 		co.hasCopy = false
-	}
-}
-
-func (a *Auditor) epochBump(e obs.Event) {
-	ek := epochKey{node: e.Node, volume: e.Volume}
-	if e.Epoch > a.epochs[ek] {
-		a.epochs[ek] = e.Epoch
-	}
-	// Recovery wipes the server's Inactive/Unreachable bookkeeping; clear
-	// the model's mirror so post-recovery grants are not misjudged. Client
-	// lease state stays: outstanding leases remain valid until expiry (the
-	// write fence covers them).
-	for k, cv := range a.vols {
-		if k.volume != e.Volume {
-			continue
-		}
-		cv.pending = nil
-		cv.pendingSince = time.Time{}
-		cv.unreachable = false
-		cv.reconnecting = false
 	}
 }
 
@@ -431,30 +334,20 @@ func (a *Auditor) reconnect(e obs.Event) {
 }
 
 func (a *Auditor) unreachable(e obs.Event) {
-	mark := func(cv *cvState, vol core.VolumeID) {
-		if a.cfg.InactiveDiscard > 0 && len(cv.pending) > 0 && !cv.pendingSince.IsZero() {
-			deadline := cv.pendingSince.Add(a.cfg.InactiveDiscard)
-			if e.At.Add(a.cfg.Slack).Before(deadline) {
-				a.violate(Violation{
-					Rule: RuleDiscardWindow, At: e.At, Client: e.Client, Volume: vol,
-					Detail: fmt.Sprintf("Inactive client discarded %v before the window d=%v elapsed",
-						deadline.Sub(e.At), a.cfg.InactiveDiscard),
-				})
-			}
-		}
-		cv.unreachable = true
-		cv.pending = nil
-		cv.pendingSince = time.Time{}
-	}
-	if e.Volume != "" {
-		mark(a.clientVol(e.Client, e.Volume), e.Volume)
-		return
-	}
-	for k, cv := range a.vols {
-		if k.client == e.Client {
-			mark(cv, k.volume)
+	cv := a.clientVol(e.Client, e.Volume)
+	if a.cfg.InactiveDiscard > 0 && len(cv.pending) > 0 && !cv.pendingSince.IsZero() {
+		deadline := cv.pendingSince.Add(a.cfg.InactiveDiscard)
+		if e.At.Before(deadline) {
+			a.violate(Violation{
+				Rule: RuleDiscardWindow, At: e.At, Client: e.Client, Volume: e.Volume,
+				Detail: fmt.Sprintf("Inactive client discarded %v before the window d=%v elapsed",
+					deadline.Sub(e.At), a.cfg.InactiveDiscard),
+			})
 		}
 	}
+	cv.unreachable = true
+	cv.pending = nil
+	cv.pendingSince = time.Time{}
 }
 
 func (a *Auditor) invalQueued(e obs.Event) {
@@ -485,18 +378,15 @@ func (a *Auditor) pendingDelivered(e obs.Event) {
 }
 
 // leaseValid reports whether a lease expiring at expire is still valid at
-// the event time, giving the lease the benefit of Slack.
-func (a *Auditor) leaseValid(expire, at time.Time) bool {
-	if expire.IsZero() {
-		return false
-	}
-	return expire.Add(a.cfg.Slack).After(at)
+// the event time.
+func leaseValid(expire, at time.Time) bool {
+	return !expire.IsZero() && expire.After(at)
 }
 
 func (a *Auditor) cacheRead(e obs.Event) {
 	if a.cfg.RequireObjectLease {
 		co := a.holders[e.Object][e.Client]
-		if co == nil || !a.leaseValid(co.expire, e.At) {
+		if co == nil || !leaseValid(co.expire, e.At) {
 			detail := "cached read without an object lease"
 			if co != nil {
 				detail = fmt.Sprintf("cached read %v after the object lease expired", e.At.Sub(co.expire))
@@ -509,7 +399,7 @@ func (a *Auditor) cacheRead(e obs.Event) {
 	}
 	if a.cfg.RequireVolumeLease {
 		cv := a.vols[cvKey{client: e.Client, volume: e.Volume}]
-		if cv == nil || !a.leaseValid(cv.expire, e.At) {
+		if cv == nil || !leaseValid(cv.expire, e.At) {
 			detail := "cached read without a volume lease"
 			if cv != nil {
 				detail = fmt.Sprintf("cached read %v after the volume lease expired", e.At.Sub(cv.expire))
@@ -546,7 +436,7 @@ func (a *Auditor) measureStaleness(e obs.Event) {
 		staleness = 0
 	}
 	a.stale.Observe(staleness)
-	if bound := a.cfg.Bound(); a.cfg.CheckStaleness && bound > 0 && staleness > bound+a.cfg.Slack {
+	if bound := a.cfg.Bound(); a.cfg.CheckStaleness && bound > 0 && staleness > bound {
 		a.violate(Violation{
 			Rule: RuleStalenessBound, At: e.At, Client: e.Client,
 			Object: e.Object, Volume: e.Volume,
@@ -565,7 +455,7 @@ func (a *Auditor) writeApplied(e obs.Event) {
 	if len(obj.history) > historyCap {
 		obj.history = obj.history[len(obj.history)-historyCap:]
 	}
-	if a.cfg.BestEffort || (!a.cfg.RequireObjectLease && !a.cfg.RequireVolumeLease) {
+	if !a.cfg.RequireObjectLease && !a.cfg.RequireVolumeLease {
 		return
 	}
 	for c, co := range a.holders[e.Object] {
@@ -573,13 +463,13 @@ func (a *Auditor) writeApplied(e obs.Event) {
 			continue
 		}
 		// A holder endangers the write only if every lease a read requires
-		// is still valid *beyond* the slack at commit time.
-		if a.cfg.RequireObjectLease && !co.expire.After(e.At.Add(a.cfg.Slack)) {
+		// is still valid at commit time.
+		if a.cfg.RequireObjectLease && !co.expire.After(e.At) {
 			continue
 		}
 		if a.cfg.RequireVolumeLease {
 			cv := a.vols[cvKey{client: c, volume: e.Volume}]
-			if cv == nil || !cv.expire.After(e.At.Add(a.cfg.Slack)) {
+			if cv == nil || !cv.expire.After(e.At) {
 				continue
 			}
 			if cv.unreachable || cv.reconnecting || len(cv.pending) > 0 {

@@ -16,13 +16,6 @@ func (a *Auditor) ByRule() map[string]int64 {
 	return maps.Clone(a.byRule)
 }
 
-// Violations returns the retained violation log.
-func (a *Auditor) Violations() []Violation {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Violation(nil), a.violations...)
-}
-
 // MaxStaleness reports the worst observed staleness.
 func (a *Auditor) MaxStaleness() time.Duration { return a.stale.Max() }
 
@@ -40,14 +33,10 @@ func (a *Auditor) Err() error {
 		return nil
 	}
 	msg := fmt.Sprintf("audit: %d invariant violation(s)", total)
-	quoted := len(a.violations)
-	if quoted > 3 {
-		quoted = 3
-	}
-	for _, v := range a.violations[:quoted] {
+	for _, v := range a.violations {
 		msg += "; " + v.String()
 	}
-	if rest := total - int64(quoted); rest > 0 {
+	if rest := total - int64(len(a.violations)); rest > 0 {
 		msg += fmt.Sprintf("; and %d more", rest)
 	}
 	return fmt.Errorf("%s", msg)

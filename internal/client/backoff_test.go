@@ -56,20 +56,3 @@ func TestRedialBackoffSchedulesDiverge(t *testing.T) {
 		t.Fatal("two clients produced identical redial schedules; jitter is not spreading them")
 	}
 }
-
-func TestRedialBackoffConfigDefaults(t *testing.T) {
-	var c Config
-	c.fillDefaults()
-	if c.RedialBackoff != 10*time.Millisecond {
-		t.Errorf("RedialBackoff default = %v, want 10ms", c.RedialBackoff)
-	}
-	if c.RedialBackoffCap != time.Second {
-		t.Errorf("RedialBackoffCap default = %v, want 1s", c.RedialBackoffCap)
-	}
-	// A cap below the initial delay is floored at the initial delay.
-	c2 := Config{RedialBackoff: 40 * time.Millisecond, RedialBackoffCap: 20 * time.Millisecond}
-	c2.fillDefaults()
-	if c2.RedialBackoffCap != 40*time.Millisecond {
-		t.Errorf("RedialBackoffCap = %v, want floored to 40ms", c2.RedialBackoffCap)
-	}
-}

@@ -75,14 +75,6 @@ type Config struct {
 	// so the surviving cache is resynchronized safely. Only effective for
 	// clients built with Dial (NewOnConn has no dialer).
 	Redial bool
-	// RedialBackoff is the first redial delay; successive delays double up
-	// to RedialBackoffCap, each jittered by ±50% so clients disconnected by
-	// the same server restart spread their retries instead of reconnecting
-	// in lockstep. Defaults to 10ms.
-	RedialBackoff time.Duration
-	// RedialBackoffCap bounds the nominal redial delay (the jitter may
-	// exceed it by up to 50%). Defaults to 1s.
-	RedialBackoffCap time.Duration
 	// OnInvalidate, when non-nil, is called with every batch of objects the
 	// server invalidates, after the client has dropped them and BEFORE the
 	// acknowledgment is sent back. Hierarchical caches (internal/proxy) use it
@@ -119,16 +111,17 @@ func (c *Config) fillDefaults() {
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
 	}
-	if c.RedialBackoff <= 0 {
-		c.RedialBackoff = 10 * time.Millisecond
-	}
-	if c.RedialBackoffCap <= 0 {
-		c.RedialBackoffCap = time.Second
-	}
-	if c.RedialBackoffCap < c.RedialBackoff {
-		c.RedialBackoffCap = c.RedialBackoff
-	}
 }
+
+// firstRedialDelay is the first delay before a redial; successive delays
+// double up to maxRedialDelay, each jittered by ±50% so clients
+// disconnected by the same server restart spread their retries instead of
+// reconnecting in lockstep. The jitter may exceed maxRedialDelay by up to
+// 50%.
+const (
+	firstRedialDelay = 10 * time.Millisecond
+	maxRedialDelay   = time.Second
+)
 
 // Client is a connected volume-lease cache.
 type Client struct {
@@ -374,7 +367,7 @@ func (c *Client) isClosed() bool {
 // redial is one EvRedial record (Dur = the outage, N = dial attempts), so
 // reconnection storms show up in /debug/events.
 func (c *Client) redial() transport.Conn {
-	bo := newRedialBackoff(c.cfg.RedialBackoff, c.cfg.RedialBackoffCap, c.cfg.ID, c.cfg.Clock.Now().UnixNano())
+	bo := newRedialBackoff(firstRedialDelay, maxRedialDelay, c.cfg.ID, c.cfg.Clock.Now().UnixNano())
 	rec, start := c.startPhase(obs.EvRedial, wire.TraceContext{})
 	attempts := 0
 	for {

@@ -9,10 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/transport"
@@ -87,18 +87,58 @@ func check(i int, b []byte) core.Version {
 	return 0
 }
 
-// auditedObserver returns an observer whose tracer feeds the online
-// consistency auditor (failing the test on any violation) and a ring.
-func auditedObserver(t *testing.T) (*obs.Observer, *obs.RingSink) {
+// recorded is readEnv on one object, o0, whose reads and writes the test
+// makes through read and write, recorded in one history. At cleanup the
+// history must hold no stale or invented read and no write past the
+// server's bound, max(min(t, t_v), MsgTimeout), by more than writeSlack.
+type recorded struct {
+	srv *server.Server
+	c   *client.Client
+	log *history.Log
+}
+
+// writeSlack is ε: how far past the bound a write's wait may run.
+const writeSlack = 250 * time.Millisecond
+
+func recordedEnv(t *testing.T, o *obs.Observer) *recorded {
 	t.Helper()
-	aud := audit.New(audit.LiveConfig(readLeases, false))
-	ring := obs.NewRingSink(1 << 16)
+	srv, c := readEnv(t, o, 1)
+	start := time.Now()
+	r := &recorded{srv: srv, c: c, log: history.NewLog(func() time.Duration { return time.Since(start) })}
+	bound := max(min(readLeases.ObjectLease, readLeases.VolumeLease), time.Second) // the server's default MsgTimeout
 	t.Cleanup(func() {
-		if err := aud.Err(); err != nil {
-			t.Errorf("consistency audit: %v", err)
+		rep := history.Check(r.log)
+		for _, a := range rep.Anomalies {
+			t.Errorf("history: %v", a)
+		}
+		if rep.Wait > bound+writeSlack {
+			t.Errorf("history: %v waited %v, past the bound %v by more than %v", rep.Slowest, rep.Wait, bound, writeSlack)
 		}
 	})
-	return &obs.Observer{Tracer: obs.NewTracer(aud, ring)}, ring
+	return r
+}
+
+// write writes o0's payload at version v. A version is its own tag; the
+// seeded version 1 is from before the run, tag 0.
+func (r *recorded) write(v core.Version) error {
+	call := r.log.Now()
+	got, _, err := r.srv.Write("o0", payload(0, v))
+	r.log.Write("o0", uint64(v), call, uint64(got), err == nil)
+	return err
+}
+
+// read reads o0 and returns the version of the payload it returned.
+func (r *recorded) read() ([]byte, error) {
+	call := r.log.Now()
+	data, err := r.c.Read("vol", "o0")
+	if err == nil {
+		tag := uint64(check(0, data))
+		if tag == 1 {
+			tag = 0
+		}
+		r.log.Read("o0", tag, call)
+	}
+	return data, err
 }
 
 // TestReadHitZeroAlloc pins the hit path's cost model: with no observer a
@@ -303,26 +343,27 @@ func TestLeaseNotCutShortByWallStepForward(t *testing.T) {
 // in-memory network that slice is the server table's own, so this covers
 // core.FinishWrite as much as the client. With an observer attached, the
 // cache-read event still precedes the acknowledgment that lets the write
-// finish, which is what the auditor's read-validity rule relies on.
+// finish.
 func TestReadSliceStableAcrossVersions(t *testing.T) {
-	o, ring := auditedObserver(t)
-	srv, c := readEnv(t, o, 1)
-	held, err := c.Read("vol", "o0")
+	ring := obs.NewRingSink(1 << 16)
+	r := recordedEnv(t, &obs.Observer{Tracer: obs.NewTracer(ring)})
+	c := r.c
+	held, err := r.read()
 	if err != nil || check(0, held) != 1 {
 		t.Fatalf("first read: version %d, %v", check(0, held), err)
 	}
-	if _, err := c.Read("vol", "o0"); err != nil { // a hit, so a cache-read event at v1
+	if _, err := r.read(); err != nil { // a hit, so a cache-read event at v1
 		t.Fatal(err)
 	}
 	for v := core.Version(2); v <= 4; v++ {
 		// Write returns once the client has dropped its copy and acked.
-		if _, _, err := srv.Write("o0", payload(0, v)); err != nil {
+		if err := r.write(v); err != nil {
 			t.Fatal(err)
 		}
 		if data, ok := c.Peek("o0"); ok {
 			t.Fatalf("copy survived the invalidation: version %d", check(0, data))
 		}
-		got, err := c.Read("vol", "o0")
+		got, err := r.read()
 		if err != nil || check(0, got) != v {
 			t.Fatalf("read after write %d: version %d, %v", v, check(0, got), err)
 		}
@@ -354,11 +395,10 @@ func TestReadSliceStableAcrossVersions(t *testing.T) {
 // reader has seen this one (a refetch that keeps being overtaken gives up
 // after four attempts, by design). Under -race an in-place overwrite anywhere
 // on the path — table, grant, cache — is a reported race with a reader still
-// checking the old slice; the auditor rules out a read of a version the
-// server had already replaced.
+// checking the old slice; the history rules out a read of a version a write
+// had already replaced.
 func TestReadConcurrentWithVersionChurn(t *testing.T) {
-	o, _ := auditedObserver(t)
-	srv, c := readEnv(t, o, 1)
+	env := recordedEnv(t, nil)
 	const versions = 30
 	var (
 		seen [2]atomic.Int64 // newest version each reader has verified
@@ -370,7 +410,7 @@ func TestReadConcurrentWithVersionChurn(t *testing.T) {
 			defer wg.Done()
 			defer seen.Store(versions) // on failure, release the writer
 			for last := core.Version(1); last < versions; {
-				data, err := c.Read("vol", "o0")
+				data, err := env.read()
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return
@@ -386,7 +426,7 @@ func TestReadConcurrentWithVersionChurn(t *testing.T) {
 		}(&seen[r])
 	}
 	for v := core.Version(2); v <= versions; v++ {
-		if _, _, err := srv.Write("o0", payload(0, v)); err != nil {
+		if err := env.write(v); err != nil {
 			t.Fatalf("write %d: %v", v, err)
 		}
 		for seen[0].Load() < int64(v) || seen[1].Load() < int64(v) {

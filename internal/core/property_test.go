@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,7 +26,11 @@ import (
 // conversation is not atomic: its request, each answer's delivery and each
 // step back are separate actions, so a write may land between any two;
 // steps under a foreign sequence number, or sent after a Recover, must be
-// refused.
+// refused. Two rules of Section 3.1.1 are checked at every step that could
+// break them: a volume lease is granted only once every invalidation the
+// table held pending for the client is acknowledged, and a client is
+// discarded to the Unreachable set only once d has passed since its volume
+// lease expired.
 func TestPropertyReadsNeverStale(t *testing.T) {
 	f := func(seed int64) bool {
 		return !runRandomProtocol(t, seed, false)
@@ -35,8 +40,8 @@ func TestPropertyReadsNeverStale(t *testing.T) {
 	}
 }
 
-// TestPropertyReadsNeverStaleDelayed runs the same invariant in delayed
-// mode with a finite discard window.
+// TestPropertyReadsNeverStaleDelayed runs the same invariants in delayed
+// mode, with a finite discard window in half the runs.
 func TestPropertyReadsNeverStaleDelayed(t *testing.T) {
 	f := func(seed int64) bool {
 		return !runRandomProtocol(t, seed, true)
@@ -107,24 +112,85 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 		answer  *VolumeGrant // undelivered
 		next    VolumeRequest
 		crashed bool // the table recovered since the conversation opened
+		// superseded is what the table held pending for the client when it
+		// took its RENEW_OBJ_LEASES: the reconnection's vector, built from
+		// the copies the client lists, replaces those invalidations.
+		superseded []ObjectID
+		// acked is every object the client has acknowledged in this
+		// conversation.
+		acked []ObjectID
 	}
 	convs := map[ClientID]*conv{}
 	var seq uint64
+	vol := tb.volumes["v"]
+	// windows reads, per client, when the discard window opened — when its
+	// volume lease expired or will — and whether it is Unreachable.
+	type window struct {
+		opens       time.Time
+		unreachable bool
+	}
+	windows := func() map[ClientID]window {
+		w := map[ClientID]window{}
+		for cid := range holders {
+			vl, hasVol := vol.at[cid]
+			opens, _ := volumeBound(vol, cid, vl, hasVol)
+			if ia := vol.inactive[cid]; ia != nil {
+				opens = ia.since
+			}
+			_, unreachable := vol.unreachable[cid]
+			w[cid] = window{opens, unreachable}
+		}
+		return w
+	}
+	// discardedAfterWindow fails the test if a step that can only discard
+	// (a sweep, a write queueing invalidations, a volume request) moved a
+	// client to the Unreachable set before d passed since its volume lease
+	// expired: before is windows() taken just before the step.
+	discardedAfterWindow := func(before map[ClientID]window, step string) {
+		for cid := range vol.unreachable {
+			b := before[cid]
+			if b.unreachable {
+				continue
+			}
+			if !tb.discards() || now.Before(b.opens.Add(cfg.InactiveDiscard)) {
+				t.Fatalf("DISCARD WINDOW: %s moved %s to Unreachable at %v; its volume lease expired at %v, d = %v",
+					step, cid, now, b.opens, cfg.InactiveDiscard)
+			}
+		}
+	}
 	// send hands c's next message to the table. A request opens a fresh
 	// conversation under a new number; any other step after a Recover must
 	// be refused.
+	// A grant must find every invalidation the table held pending for cid
+	// acknowledged in its conversation, or superseded by a reconnection.
 	send := func(cid ClientID, c *conv) {
 		var g VolumeGrant
 		var err error
+		var pending []ObjectID
+		if ia := vol.inactive[cid]; ia != nil {
+			pending = sortedObjects(ia.pending)
+		}
 		switch c.next.Kind {
 		case SendReqVolLease:
 			seq++
-			c.seq, c.crashed = seq, false
+			c.seq, c.crashed, c.superseded, c.acked = seq, false, nil, nil
+			before := windows()
 			g, err = tb.RequestVolume(now, cid, "v", c.next.Epoch, seq)
+			discardedAfterWindow(before, "a volume request")
 		case SendRenewObjLeases:
+			c.superseded = pending
 			g, err = tb.HandleRenewObjLeases(now, cid, "v", c.seq, c.next.Held)
 		case SendAckInvalidate:
+			c.acked = append(c.acked, c.next.Acked...)
 			g, err = tb.ConfirmVolume(now, cid, "v", c.seq, c.next.Acked)
+		}
+		if err == nil && g.Status == VolumeGranted {
+			for _, o := range pending {
+				if !slices.Contains(c.acked, o) && !slices.Contains(c.superseded, o) {
+					t.Fatalf("DELAYED ORDERING: %s granted volume v at %v with %s pending, unacknowledged (acked %v)",
+						cid, now, o, c.acked)
+				}
+			}
 		}
 		switch {
 		case c.crashed:
@@ -177,10 +243,12 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 	// (after asking for a volume lease, with renew set), so the write waits
 	// out its bound too. Late acks may arrive while the write is in flight.
 	write := func(oid ObjectID, step int, slow, renew bool) {
+		before := windows()
 		plan, err := tb.BeginWrite(now, oid)
 		if err != nil {
 			return // write fence, etc.
 		}
+		discardedAfterWindow(before, "a write")
 		if rng.Intn(2) == 0 {
 			deliver()
 		}
@@ -282,7 +350,9 @@ func runRandomProtocol(t *testing.T, seed int64, delayed bool) bool {
 			reachable[cid] = !reachable[cid]
 
 		case op < 10: // sweep
+			before := windows()
 			tb.Sweep(now)
+			discardedAfterWindow(before, "a sweep")
 
 		case op < 11: // server crash-reboot (rare)
 			if rng.Intn(4) == 0 {

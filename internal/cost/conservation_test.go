@@ -2,8 +2,8 @@ package cost_test
 
 // The accounting conservation test (run under -race by `make race` and CI):
 // a real server and concurrent clients over the in-memory transport and
-// over batched TCP, with the consistency auditor attached and cost
-// accounting tapping every connection. After the run, the books must
+// over batched TCP, with every read and write recorded in a history and
+// cost accounting tapping every connection. After the run, the books must
 // balance: the per-kind frame/byte tallies sum exactly to the transport
 // totals, the per-connection tallies sum to the same totals, the per-volume
 // tallies never exceed them, and on TCP the batcher's own frame count agrees.
@@ -18,10 +18,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/transport"
@@ -57,12 +57,43 @@ func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Netwo
 
 	reg := obs.NewRegistry()
 	observer := &obs.Observer{Metrics: reg}
-	aud := audit.New(audit.LiveConfig(core.Config{
-		Mode:        core.ModeEager,
-		ObjectLease: 10 * time.Second,
-		VolumeLease: 10 * time.Second,
-	}, false))
-	observer.Tracer = obs.NewTracer(aud)
+	table := core.Config{Mode: core.ModeEager, ObjectLease: 10 * time.Second, VolumeLease: 10 * time.Second}
+	const msgTimeout = 100 * time.Millisecond
+	// At the end the history must hold no stale or invented read and no
+	// write past the server's bound by more than writeSlack.
+	const writeSlack = 250 * time.Millisecond
+	start := time.Now()
+	log := history.NewLog(func() time.Duration { return time.Since(start) })
+	defer func() {
+		rep := history.Check(log)
+		for _, a := range rep.Anomalies {
+			t.Errorf("history: %v", a)
+		}
+		if bound := max(min(table.ObjectLease, table.VolumeLease), msgTimeout); rep.Wait > bound+writeSlack {
+			t.Errorf("history: %v waited %v, past the bound %v by more than %v", rep.Slowest, rep.Wait, bound, writeSlack)
+		}
+	}()
+	// write and read record in log; the objects are seeded "init", tag 0.
+	write := func(w interface {
+		Write(core.ObjectID, []byte) (core.Version, time.Duration, error)
+	}, oid core.ObjectID, data string) error {
+		call := log.Now()
+		v, _, err := w.Write(oid, []byte(data))
+		log.Write(string(oid), history.Tag([]byte(data)), call, uint64(v), err == nil)
+		return err
+	}
+	read := func(c *client.Client, oid core.ObjectID) error {
+		call := log.Now()
+		data, err := c.Read("vol", oid)
+		if err == nil {
+			tag := history.Tag(data)
+			if string(data) == "init" {
+				tag = 0
+			}
+			log.Read(string(oid), tag, call)
+		}
+		return err
+	}
 
 	acct := cost.New("srv", time.Now)
 	acct.Register(reg)
@@ -74,8 +105,8 @@ func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Netwo
 		Name:       "srv",
 		Addr:       listenAddr,
 		Net:        netw,
-		Table:      core.Config{Mode: core.ModeEager, ObjectLease: 10 * time.Second, VolumeLease: 10 * time.Second},
-		MsgTimeout: 100 * time.Millisecond,
+		Table:      table,
+		MsgTimeout: msgTimeout,
 		Obs:        observer,
 	})
 	if err != nil {
@@ -117,7 +148,7 @@ func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Netwo
 			case <-time.After(2 * time.Millisecond):
 			}
 			obj := shared[i%len(shared)]
-			if _, _, err := srv.Write(obj, []byte(fmt.Sprintf("srv-%d", i))); err != nil {
+			if err := write(srv, obj, fmt.Sprintf("srv-%d", i)); err != nil {
 				t.Errorf("server write %d: %v", i, err)
 				return
 			}
@@ -154,14 +185,14 @@ func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Netwo
 			own := core.ObjectID(fmt.Sprintf("own-%d", i))
 			for op := 0; op < nOps; op++ {
 				if op%10 == 9 {
-					if _, _, err := cl.Write(own, []byte(fmt.Sprintf("w%d-%d", i, op))); err != nil {
+					if err := write(cl, own, fmt.Sprintf("w%d-%d", i, op)); err != nil {
 						t.Errorf("client %d: write: %v", i, err)
 						return
 					}
 					continue
 				}
 				obj := shared[(i+op)%len(shared)]
-				if _, err := cl.Read("vol", obj); err != nil {
+				if err := read(cl, obj); err != nil {
 					t.Errorf("client %d: read: %v", i, err)
 					return
 				}
@@ -287,11 +318,6 @@ func runConservation(t *testing.T, newNet func([]transport.Tap) (transport.Netwo
 	}
 	if d.Totals.BytesRecv == 0 {
 		t.Error("received frames were charged no bytes")
-	}
-
-	// The auditor saw the run and found nothing.
-	if n := aud.Violations(); len(n) != 0 {
-		t.Errorf("audit violations: %v", n)
 	}
 }
 

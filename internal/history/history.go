@@ -4,9 +4,10 @@
 // one process saw, each with its call and return on one monotonic clock,
 // and checks each object on its own (linearizability is local).
 //
-// Every write carries a tag unique in the run, and a successful write's
-// reply names the version it committed, so the order of the writes is known
-// and the check is a sort and a scan per object. A read returns the tag of
+// Every write carries a tag unique among its object's writes in the run,
+// and a successful write's reply names the version it committed, so the
+// order of the writes is known and the check is a sort and a scan per
+// object. A read returns the tag of
 // version v (a value from before the run counts as v = 0) and is
 //
 //   - stale when an operation that saw a newer version — a write of it, or
@@ -18,6 +19,12 @@
 // but it completes nothing, and a read of it is counted as unchecked
 // because its version is unknown.
 //
+// The same history measures the paper's other promise, the write bound: a
+// write waits from its call, or from the return of the write of its object
+// before it if that came later (the server applies one object's writes one
+// at a time), to its return. The report names the longest wait, for the
+// caller to compare with its own bound.
+//
 // The package imports only the standard library, so any driver of a live
 // stack can record a history and check it.
 package history
@@ -25,7 +32,9 @@ package history
 import (
 	"cmp"
 	"fmt"
+	"hash/fnv"
 	"slices"
+	"sync"
 	"time"
 )
 
@@ -33,7 +42,7 @@ import (
 type Op struct {
 	Object string
 	// Tag names the value written, or the value a read returned: unique per
-	// write in the run, 0 for a value from before the run.
+	// write of the object in the run, 0 for a value from before the run.
 	Tag uint64
 	// Version is the version a successful write committed.
 	Version uint64
@@ -88,6 +97,9 @@ type Report struct {
 	Stale, Invented, Unchecked int
 	// Anomalies lists every stale and invented read, ordered by call.
 	Anomalies []Anomaly
+	// Wait is the longest wait of a successful write, Slowest that write.
+	Wait    time.Duration
+	Slowest Op
 }
 
 func (r Report) String() string {
@@ -110,17 +122,100 @@ type seen struct {
 	op      *Op
 }
 
-// Check checks the operations of every log together. Each goroutine of a
-// driver can append to a log of its own, so recording takes no lock.
-func Check(logs ...[]Op) Report {
+// Tag is a tag for a value by its bytes (FNV-1a), for drivers whose writes
+// each carry a distinct value.
+func Tag(value []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(value)
+	return h.Sum64()
+}
+
+// Log records operations as their caller sees them, stamping each call and
+// return from the clock reading now, which every log of one history shares.
+// It is safe for concurrent use; a goroutine that records much can keep a
+// log of its own.
+//
+// Of a run of reads of one object returning one value, a log keeps the read
+// that returned first and the one called last: a read between them is stale
+// or invented only if one of the two is, and witnesses nothing the first
+// does not. A reader polling in a tight loop records a few reads, not
+// millions.
+type Log struct {
+	now   func() time.Duration
+	mu    sync.Mutex
+	ops   []Op
+	reads int // every read recorded, with those a run absorbed
+}
+
+// NewLog returns an empty log stamping times from now.
+func NewLog(now func() time.Duration) *Log { return &Log{now: now} }
+
+// Now is a reading of the log's clock: the call of an operation about to
+// start.
+func (l *Log) Now() time.Duration { return l.now() }
+
+// Write records a write of the value tagged tag to object, called at call
+// and returning now; version is the one it committed when ok.
+func (l *Log) Write(object string, tag uint64, call time.Duration, version uint64, ok bool) {
+	op := Op{Object: object, Tag: tag, Call: call, Write: true, OK: ok}
+	if ok {
+		op.Version = version
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	op.Return = l.now()
+	l.ops = append(l.ops, op)
+}
+
+// Read records a read of object, called at call and returning now the value
+// tagged tag.
+func (l *Log) Read(object string, tag uint64, call time.Duration) {
+	op := Op{Object: object, Tag: tag, Call: call, OK: true}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	op.Return = l.now()
+	l.reads++
+	same := func(o Op) bool { return !o.Write && o.Object == op.Object && o.Tag == op.Tag }
+	n := len(l.ops)
+	if n < 2 || !same(l.ops[n-1]) || !same(l.ops[n-2]) {
+		l.ops = append(l.ops, op)
+		return
+	}
+	if op.Return < l.ops[n-2].Return {
+		l.ops[n-2] = op
+	}
+	if op.Call > l.ops[n-1].Call {
+		l.ops[n-1] = op
+	}
+}
+
+// Ops returns a copy of the operations the log keeps.
+func (l *Log) Ops() []Op {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.ops)
+}
+
+// Check checks the operations of every log together.
+func Check(logs ...*Log) Report {
 	var r Report
-	writes := map[uint64]*Op{} // by tag
+	type key struct {
+		object string
+		tag    uint64
+	}
+	writes := map[key]*Op{}
 	saw := map[string][]seen{} // per object, the ops whose version is known
-	for _, log := range logs {
+	ops := make([][]Op, len(logs))
+	for i, l := range logs {
+		l.mu.Lock()
+		ops[i], r.Reads = slices.Clone(l.ops), r.Reads+l.reads
+		l.mu.Unlock()
+	}
+	for _, log := range ops {
 		for i := range log {
 			if op := &log[i]; op.Write {
 				r.Writes++
-				writes[op.Tag] = op
+				writes[key{op.Object, op.Tag}] = op
 				if op.OK {
 					saw[op.Object] = append(saw[op.Object], seen{op.Version, op})
 				}
@@ -128,19 +223,15 @@ func Check(logs ...[]Op) Report {
 		}
 	}
 	var reads []seen
-	for _, log := range logs {
+	for _, log := range ops {
 		for i := range log {
 			op := &log[i]
 			if op.Write || !op.OK {
 				continue
 			}
-			r.Reads++
 			var v uint64
 			if op.Tag != 0 {
-				w := writes[op.Tag]
-				if w != nil && w.Object != op.Object {
-					w = nil
-				}
+				w := writes[key{op.Object, op.Tag}]
 				if w == nil || w.Call >= op.Return {
 					r.Anomalies = append(r.Anomalies, Anomaly{Kind: "invented", Read: *op, Missed: w})
 					continue
@@ -159,9 +250,24 @@ func Check(logs ...[]Op) Report {
 
 	// first[o][i] is the op that returned first among saw[o][i:], sorted by
 	// version: the earliest moment a version at least saw[o][i]'s was seen.
+	// In that order too, each successful write follows the one it queued
+	// behind.
 	first := map[string][]*Op{}
 	for o, s := range saw {
 		slices.SortFunc(s, func(a, b seen) int { return cmp.Compare(a.version, b.version) })
+		var prev *Op
+		for _, e := range s {
+			if w := e.op; w.Write {
+				from := w.Call
+				if prev != nil {
+					from = max(from, prev.Return)
+				}
+				if wait := w.Return - from; wait > r.Wait {
+					r.Wait, r.Slowest = wait, *w
+				}
+				prev = w
+			}
+		}
 		f := make([]*Op, len(s))
 		for i := len(s) - 1; i >= 0; i-- {
 			f[i] = s[i].op

@@ -27,6 +27,20 @@ func failed(op Op) Op { op.OK, op.Version = false, 0; return op }
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
+// check checks hand-made logs, their times as written.
+func check(logs ...[]Op) Report {
+	ls := make([]*Log, len(logs))
+	for i, ops := range logs {
+		ls[i] = &Log{ops: ops}
+		for _, op := range ops {
+			if !op.Write && op.OK {
+				ls[i].reads++
+			}
+		}
+	}
+	return Check(ls...)
+}
+
 func TestCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -73,7 +87,7 @@ func TestCheck(t *testing.T) {
 			want: []string{"stale 30 20", "invented 40 0", "stale 50 40"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Check(tc.logs...)
+			rep := check(tc.logs...)
 			var got []string
 			stale := 0
 			for _, a := range rep.Anomalies {
@@ -100,7 +114,7 @@ func itoa(d time.Duration) string { return strconv.Itoa(int(d / time.Millisecond
 // TestReportNamesReadAndMissedWrite: the text of a stale read names the read
 // and the write it missed, with their tags and versions.
 func TestReportNamesReadAndMissedWrite(t *testing.T) {
-	rep := Check([]Op{w("obj-3", 41, 7, 0, 10), r("obj-3", 0, 20, 25)})
+	rep := check([]Op{w("obj-3", 41, 7, 0, 10), r("obj-3", 0, 20, 25)})
 	if rep.Stale != 1 || rep.Anomalies[0].Age != ms(10) {
 		t.Fatalf("%v, anomalies %v; want 1 stale read of age 10ms", rep, rep.Anomalies)
 	}
@@ -108,6 +122,73 @@ func TestReportNamesReadAndMissedWrite(t *testing.T) {
 		if !strings.Contains(rep.Err().Error(), want) {
 			t.Errorf("%q does not hold %q", rep.Err(), want)
 		}
+	}
+}
+
+// TestWriteWait: a write waits from its call, or from the return of its
+// object's previous write when it was queued behind it; the report names the
+// longest wait and its write, and a failed write is not measured.
+func TestWriteWait(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ops  []Op
+		wait int // ms
+		tag  uint64
+	}{
+		{name: "no writes", ops: []Op{r("a", 0, 0, 5)}},
+		{name: "from its call", ops: []Op{w("a", 1, 1, 10, 40)}, wait: 30, tag: 1},
+		{name: "queued behind the previous write of its object",
+			ops: []Op{w("a", 1, 1, 0, 50), w("a", 2, 2, 5, 60)}, wait: 50, tag: 1},
+		{name: "in version order, not record order",
+			ops: []Op{w("a", 2, 3, 5, 60), w("a", 1, 2, 0, 50)}, wait: 50, tag: 1},
+		{name: "another object's write does not queue it",
+			ops: []Op{w("b", 1, 1, 0, 50), w("a", 2, 1, 5, 60)}, wait: 55, tag: 2},
+		{name: "the longest of several",
+			ops: []Op{w("a", 1, 1, 0, 10), w("a", 2, 2, 20, 90), w("a", 3, 3, 95, 100)}, wait: 70, tag: 2},
+		{name: "a failed write is not counted",
+			ops: []Op{failed(w("a", 1, 0, 0, 500)), w("a", 2, 2, 10, 20)}, wait: 10, tag: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := check(tc.ops)
+			if rep.Wait != ms(tc.wait) || rep.Slowest.Tag != tc.tag {
+				t.Errorf("longest wait %v by %v, want %dms by tag %d", rep.Wait, rep.Slowest, tc.wait, tc.tag)
+			}
+		})
+	}
+}
+
+// TestLogKeepsEndsOfARun: of a run of reads of one value the log keeps the
+// one that returned first and the one called last, whatever order concurrent
+// callers record them in, and counts every read.
+func TestLogKeepsEndsOfARun(t *testing.T) {
+	var now time.Duration
+	l := NewLog(func() time.Duration { return now })
+	read := func(tag uint64, call, ret int) {
+		now = ms(ret)
+		l.Read("a", tag, ms(call))
+	}
+	read(1, 0, 10)
+	read(1, 1, 12)
+	read(1, 2, 9)   // returned first
+	read(1, 30, 31) // called last
+	read(1, 20, 40)
+	read(2, 41, 42)
+	now = ms(44)
+	l.Write("a", 3, ms(43), 3, true)
+	read(2, 45, 46)
+	var got []string
+	for _, op := range l.ops {
+		got = append(got, op.String())
+	}
+	want := []string{
+		"read a tag 1 [2ms, 9ms]", "read a tag 1 [30ms, 31ms]", "read a tag 2 [41ms, 42ms]",
+		"write a tag 3 version 3 [43ms, 44ms]", "read a tag 2 [45ms, 46ms]",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("log holds\n%q, want\n%q", got, want)
+	}
+	if rep := Check(l); rep.Reads != 7 || rep.Writes != 1 {
+		t.Errorf("%v; want 7 reads, 1 write", rep)
 	}
 }
 
@@ -206,7 +287,7 @@ func linearizable(ops []Op) bool {
 func TestCheckAgainstBruteForce(t *testing.T) {
 	var clean, flagged int
 	prop := func(h small) bool {
-		rep, lin := Check(h.ops), linearizable(h.ops)
+		rep, lin := check(h.ops), linearizable(h.ops)
 		if lin {
 			clean++
 		} else if len(rep.Anomalies) > 0 {

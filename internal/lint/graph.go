@@ -354,7 +354,7 @@ func (w *graphWalker) resolve(fun ast.Expr, e Edge) []Edge {
 		} else {
 			obj = info.Uses[f.Sel] // qualified identifier: pkg.Func
 		}
-	case *ast.IndexExpr: // explicit instantiation: NewRing[Span]
+	case *ast.IndexExpr: // explicit instantiation: f[T]
 		return w.resolve(f.X, e)
 	case *ast.IndexListExpr:
 		return w.resolve(f.X, e)

@@ -3,17 +3,18 @@ package obs
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
-// TestRing covers the one ring once, for RingSink that wraps it: partial
-// fill, wrap-around, oldest-first order and Total.
+// TestRing covers the one ring once: partial fill, wrap-around,
+// oldest-first order and Total.
 func TestRing(t *testing.T) {
-	r := NewRing[int](4)
+	r := NewRingSink(4)
 	if got := r.Snapshot(); len(got) != 0 || r.Total() != 0 {
 		t.Fatalf("empty ring: Snapshot %v, Total %d", got, r.Total())
 	}
 	for added := 1; added <= 11; added++ {
-		r.Add(added)
+		r.Observe(Event{N: added})
 		got := r.Snapshot()
 		wantLen, oldest := added, 1
 		if added > 4 {
@@ -22,8 +23,8 @@ func TestRing(t *testing.T) {
 		if len(got) != wantLen {
 			t.Fatalf("after %d adds: %d retained, want %d", added, len(got), wantLen)
 		}
-		for i, v := range got {
-			if v != oldest+i {
+		for i, e := range got {
+			if e.N != oldest+i {
 				t.Fatalf("after %d adds: Snapshot = %v, want oldest first from %d", added, got, oldest)
 			}
 		}
@@ -31,27 +32,26 @@ func TestRing(t *testing.T) {
 			t.Fatalf("after %d adds: Total = %d", added, r.Total())
 		}
 	}
-	if got := NewRing[int](0); len(got.slots) != 1 {
-		t.Errorf("NewRing(0) has %d slots, want the minimum of 1", len(got.slots))
+	if got := NewRingSink(0); len(got.slots) != 1 {
+		t.Errorf("NewRingSink(0) has %d slots, want the minimum of 1", len(got.slots))
 	}
 }
 
-// TestRingConcurrent adds from eight goroutines while snapshotting; under
-// -race it pins the lock-free Add, and every snapshot holds only whole
-// values that were really added.
+// TestRingConcurrent observes from eight goroutines while snapshotting;
+// under -race it pins the lock-free Observe, and every snapshot holds only
+// whole events that were really observed.
 func TestRingConcurrent(t *testing.T) {
-	type pair struct{ a, b int }
-	r := NewRing[pair](16)
+	r := NewRingSink(16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Add(pair{g, -g})
-				for _, p := range r.Snapshot() {
-					if p.a != -p.b || p.a < 0 || p.a >= 8 {
-						t.Errorf("torn or foreign value %+v", p)
+				r.Observe(Event{N: g, Dur: time.Duration(-g)})
+				for _, e := range r.Snapshot() {
+					if e.N != -int(e.Dur) || e.N < 0 || e.N >= 8 {
+						t.Errorf("torn or foreign event %+v", e)
 						return
 					}
 				}

@@ -102,20 +102,6 @@ func (o *Observer) Reg() *Registry {
 
 // --- Sinks ---
 
-// RingSink retains the most recent N events in a Ring. Tests and the
-// /debug/events endpoint use it to inspect recent protocol history without
-// unbounded growth; Snapshot is oldest first, Total counts every event ever
-// observed.
-type RingSink struct {
-	*Ring[Event]
-}
-
-// NewRingSink returns a ring retaining up to n events (n >= 1).
-func NewRingSink(n int) *RingSink { return &RingSink{NewRing[Event](n)} }
-
-// Observe implements Sink.
-func (r *RingSink) Observe(e Event) { r.Add(e) }
-
 // CountSink counts events per type with atomics; tests assert on it
 // without retaining event payloads.
 type CountSink struct {

@@ -1,6 +1,7 @@
 package proxy_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,10 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/health"
+	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/proxy"
 	"repro/internal/server"
@@ -21,18 +22,28 @@ import (
 )
 
 // hierarchy builds origin <- proxy and returns both plus the network and a
-// count of the data-bearing grants the origin sent. Origin, proxy, and every leaf dialed through
-// dial() share one observer feeding the consistency auditor, so the whole
-// hierarchy is invariant-checked; any violation fails the test at cleanup.
+// count of the data-bearing grants the origin sent. Origin, proxy, and every
+// leaf dialed through dial() share one observer. The reads and writes the
+// tests make through read and write go in one history, checked at cleanup:
+// no stale or invented read, and no write past the proxy's bound by more
+// than writeSlack.
 type hierarchy struct {
 	net    *transport.Memory
 	origin *server.Server
 	px     *proxy.Proxy
 	sent   *dataTap
 	obs    *obs.Observer
-	aud    *audit.Auditor
 	ring   *obs.RingSink
+	log    *history.Log
+	// bound is the longest an origin write may wait on the proxy's
+	// subtree: max(min(t, t_v), MsgTimeout) over the proxy's sub-lease
+	// terms, which are capped by the origin's.
+	bound time.Duration
 }
+
+// writeSlack is ε: how far past the bound a write's wait may run, for the
+// extra hop, the deadline timers' lateness and a loaded test machine.
+const writeSlack = 250 * time.Millisecond
 
 // dataTap counts the grants carrying object data that the listener at addr
 // sent: a sink on its accepted connections only.
@@ -66,17 +77,11 @@ func buildHierarchyOn(t *testing.T, originNet func(*transport.Memory) transport.
 	net := transport.NewMemory()
 	sent := &dataTap{addr: "origin:1"}
 	net.Taps = []transport.Tap{sent}
-	// The leaf-level staleness bound is min over the whole chain, which the
-	// proxy's sub-lease terms already are (they are capped upstream).
-	aud := audit.New(audit.LiveConfig(core.Config{
-		ObjectLease: 30 * time.Minute,
-		VolumeLease: time.Second,
-	}, false))
 	ring := obs.NewRingSink(16384)
-	observer := &obs.Observer{Tracer: obs.NewTracer(aud, ring)}
-	// Registered first so it runs last, after the audit check below may have
-	// marked the test failed: a failing hierarchy run leaves its event ring
-	// behind as a flight dump ($FLIGHT_DUMP_DIR in CI).
+	observer := &obs.Observer{Tracer: obs.NewTracer(ring)}
+	// Registered first so it runs last, after the history check below may
+	// have marked the test failed: a failing hierarchy run leaves its event
+	// ring behind as a flight dump ($FLIGHT_DUMP_DIR in CI).
 	t.Cleanup(func() {
 		if !t.Failed() {
 			return
@@ -86,9 +91,16 @@ func buildHierarchyOn(t *testing.T, originNet func(*transport.Memory) transport.
 			t.Logf("flight dump: %s", path)
 		}
 	})
+	start := time.Now()
+	h := &hierarchy{net: net, sent: sent, obs: observer, ring: ring,
+		log: history.NewLog(func() time.Duration { return time.Since(start) })}
 	t.Cleanup(func() {
-		if err := aud.Err(); err != nil {
-			t.Errorf("consistency audit: %v", err)
+		rep := history.Check(h.log)
+		for _, a := range rep.Anomalies {
+			t.Errorf("history: %v", a)
+		}
+		if rep.Wait > h.bound+writeSlack {
+			t.Errorf("history: %v waited %v, past the bound %v by more than %v", rep.Slowest, rep.Wait, h.bound, writeSlack)
 		}
 	})
 	origin, err := server.New(server.Config{
@@ -131,12 +143,14 @@ func buildHierarchyOn(t *testing.T, originNet func(*transport.Memory) transport.
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	h.bound = max(min(cfg.SubObjectLease, cfg.SubVolumeLease), cfg.MsgTimeout)
 	px, err := proxy.New(cfg)
 	if err != nil {
 		t.Fatalf("proxy: %v", err)
 	}
 	t.Cleanup(func() { px.Close() })
-	return &hierarchy{net: net, origin: origin, px: px, sent: sent, obs: observer, aud: aud, ring: ring}
+	h.origin, h.px = origin, px
+	return h
 }
 
 func (h *hierarchy) dial(t *testing.T, id string) *client.Client {
@@ -154,10 +168,43 @@ func (h *hierarchy) dial(t *testing.T, id string) *client.Client {
 	return c
 }
 
+// tagOf is a value's tag in the history: the values the tests seed, each
+// object's version 1, end in "v1" and are from before the run, tag 0; a
+// test's writes of one object carry distinct values.
+func tagOf(data []byte) uint64 {
+	if bytes.HasSuffix(data, []byte("v1")) {
+		return 0
+	}
+	return history.Tag(data)
+}
+
+// writer is what a test writes through: the origin or a leaf.
+type writer interface {
+	Write(core.ObjectID, []byte) (core.Version, time.Duration, error)
+}
+
+// write records w.Write(oid, data) and returns what it returned.
+func (h *hierarchy) write(w writer, oid core.ObjectID, data string) (core.Version, time.Duration, error) {
+	call := h.log.Now()
+	v, waited, err := w.Write(oid, []byte(data))
+	h.log.Write(string(oid), tagOf([]byte(data)), call, uint64(v), err == nil)
+	return v, waited, err
+}
+
+// read records c's read of oid in volume vol, if it returned a value.
+func (h *hierarchy) read(c *client.Client, oid core.ObjectID) ([]byte, error) {
+	call := h.log.Now()
+	data, err := c.Read("vol", oid)
+	if err == nil {
+		h.log.Read(string(oid), tagOf(data), call)
+	}
+	return data, err
+}
+
 func TestProxyReadThrough(t *testing.T) {
 	h := buildHierarchy(t, nil)
 	c := h.dial(t, "leaf")
-	data, err := c.Read("vol", "a")
+	data, err := h.read(c, "a")
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -166,7 +213,7 @@ func TestProxyReadThrough(t *testing.T) {
 	}
 	// Repeat read: cache hit at the leaf, no proxy traffic at all.
 	local0, _, _ := c.Stats()
-	if _, err := c.Read("vol", "a"); err != nil {
+	if _, err := h.read(c, "a"); err != nil {
 		t.Fatal(err)
 	}
 	local1, _, _ := c.Stats()
@@ -179,13 +226,13 @@ func TestProxyAbsorbsDownstreamFetches(t *testing.T) {
 	h := buildHierarchy(t, nil)
 	c1 := h.dial(t, "leaf-1")
 	c2 := h.dial(t, "leaf-2")
-	if _, err := c1.Read("vol", "a"); err != nil {
+	if _, err := h.read(c1, "a"); err != nil {
 		t.Fatal(err)
 	}
 	upstreamData := h.sent.n.Load()
 	// The second leaf's fetch is served from the proxy's copy: the origin
 	// sees no additional data transfer.
-	if _, err := c2.Read("vol", "a"); err != nil {
+	if _, err := h.read(c2, "a"); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.sent.n.Load(); upstreamData != 1 || got != upstreamData {
@@ -198,13 +245,13 @@ func TestProxyWriteInvalidatesWholeSubtree(t *testing.T) {
 	c1 := h.dial(t, "leaf-1")
 	c2 := h.dial(t, "leaf-2")
 	for _, c := range []*client.Client{c1, c2} {
-		if _, err := c.Read("vol", "a"); err != nil {
+		if _, err := h.read(c, "a"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The origin's write completes only after the proxy has invalidated
 	// both leaves and they acked.
-	version, waited, err := h.origin.Write("a", []byte("a v2"))
+	version, waited, err := h.write(h.origin, "a", "a v2")
 	if err != nil {
 		t.Fatalf("Write: %v", err)
 	}
@@ -215,7 +262,7 @@ func TestProxyWriteInvalidatesWholeSubtree(t *testing.T) {
 		t.Errorf("write waited %v with responsive subtree", waited)
 	}
 	for i, c := range []*client.Client{c1, c2} {
-		data, err := c.Read("vol", "a")
+		data, err := h.read(c, "a")
 		if err != nil {
 			t.Fatalf("leaf %d read: %v", i, err)
 		}
@@ -236,10 +283,10 @@ func TestProxyWriteInvalidatesWholeSubtree(t *testing.T) {
 func TestProxyRoundJoinsOriginTrace(t *testing.T) {
 	h := buildHierarchy(t, nil)
 	leaf := h.dial(t, "leaf")
-	if _, err := leaf.Read("vol", "a"); err != nil {
+	if _, err := h.read(leaf, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h.origin.Write("a", []byte("a v2")); err != nil {
+	if _, _, err := h.write(h.origin, "a", "a v2"); err != nil {
 		t.Fatal(err)
 	}
 	var origin, toProxy, round, toLeaf []obs.Event
@@ -285,7 +332,7 @@ func TestProxyRoundJoinsOriginTrace(t *testing.T) {
 func TestProxySubLeaseNeverOutlivesUpstream(t *testing.T) {
 	h := buildHierarchy(t, nil)
 	c := h.dial(t, "leaf")
-	if _, err := c.Read("vol", "a"); err != nil {
+	if _, err := h.read(c, "a"); err != nil {
 		t.Fatal(err)
 	}
 	// The leaf's volume sub-lease must expire within the proxy's upstream
@@ -313,17 +360,16 @@ func TestProxySubLeaseNeverOutlivesUpstream(t *testing.T) {
 func TestProxyPartitionedLeafBoundsOriginWrite(t *testing.T) {
 	h := buildHierarchy(t, nil)
 	c := h.dial(t, "leaf")
-	if _, err := c.Read("vol", "a"); err != nil {
+	if _, err := h.read(c, "a"); err != nil {
 		t.Fatal(err)
 	}
 	// Cut the leaf off from the proxy. The origin's write is delayed while
 	// the proxy waits for the leaf, but no longer than the leaf's volume
 	// sub-lease (≤1s) — and certainly not the 30-minute object sub-lease.
 	h.net.Partition("leaf", "proxy")
-	start := time.Now()
 	writeErr := make(chan error, 1)
 	go func() {
-		_, _, err := h.origin.Write("a", []byte("a v2"))
+		_, _, err := h.write(h.origin, "a", "a v2")
 		writeErr <- err
 	}()
 	// While the proxy's round waits, its state dump names the outstanding
@@ -347,19 +393,18 @@ func TestProxyPartitionedLeafBoundsOriginWrite(t *testing.T) {
 	if err := <-writeErr; err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	elapsed := time.Since(start)
-	if elapsed > 3*time.Second {
-		t.Errorf("origin write took %v; subtree bound is ~1s", elapsed)
+	if rep := history.Check(h.log); rep.Wait > h.bound+writeSlack {
+		t.Errorf("%v waited %v; the subtree bound is %v + %v", rep.Slowest, rep.Wait, h.bound, writeSlack)
 	}
 	// The partitioned leaf cannot read once its (short) volume sub-lease
 	// expires.
 	time.Sleep(1100 * time.Millisecond)
-	if _, err := c.Read("vol", "a"); err == nil {
+	if _, err := h.read(c, "a"); err == nil {
 		t.Error("partitioned leaf read stale data")
 	}
 	// After healing, the leaf resynchronizes through the proxy.
 	h.net.Heal("leaf", "proxy")
-	data, err := c.Read("vol", "a")
+	data, err := h.read(c, "a")
 	if err != nil {
 		t.Fatalf("read after heal: %v", err)
 	}
@@ -372,15 +417,15 @@ func TestProxyDownstreamWritePropagates(t *testing.T) {
 	h := buildHierarchy(t, nil)
 	c1 := h.dial(t, "leaf-1")
 	c2 := h.dial(t, "leaf-2")
-	if _, err := c1.Read("vol", "b"); err != nil {
+	if _, err := h.read(c1, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Read("vol", "b"); err != nil {
+	if _, err := h.read(c2, "b"); err != nil {
 		t.Fatal(err)
 	}
 	// Leaf 1 writes through the proxy; the origin invalidates the proxy,
 	// which invalidates both leaves; then everyone reads v2.
-	version, _, err := c1.Write("b", []byte("b v2"))
+	version, _, err := h.write(c1, "b", "b v2")
 	if err != nil {
 		t.Fatalf("leaf write: %v", err)
 	}
@@ -391,7 +436,7 @@ func TestProxyDownstreamWritePropagates(t *testing.T) {
 		t.Errorf("origin = v%d %q", v, data)
 	}
 	for i, c := range []*client.Client{c1, c2} {
-		data, err := c.Read("vol", "b")
+		data, err := h.read(c, "b")
 		if err != nil || string(data) != "b v2" {
 			t.Errorf("leaf %d read = %q %v", i, data, err)
 		}
@@ -401,7 +446,7 @@ func TestProxyDownstreamWritePropagates(t *testing.T) {
 func TestProxyRestartForcesLeafResync(t *testing.T) {
 	h := buildHierarchy(t, nil)
 	c := h.dial(t, "leaf")
-	if _, err := c.Read("vol", "a"); err != nil {
+	if _, err := h.read(c, "a"); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the proxy and start a fresh incarnation on the same address
@@ -436,7 +481,7 @@ func TestProxyRestartForcesLeafResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	data, err := c2.Read("vol", "a")
+	data, err := h.read(c2, "a")
 	if err != nil {
 		t.Fatalf("read via new proxy: %v", err)
 	}
@@ -480,7 +525,7 @@ func TestProxyChainTwoLevels(t *testing.T) {
 	}
 	defer leaf.Close()
 
-	data, err := leaf.Read("vol", "a")
+	data, err := h.read(leaf, "a")
 	if err != nil {
 		t.Fatalf("deep read: %v", err)
 	}
@@ -489,10 +534,10 @@ func TestProxyChainTwoLevels(t *testing.T) {
 	}
 
 	// A write at the origin flows down all three levels before completing.
-	if _, _, err := h.origin.Write("a", []byte("a v2")); err != nil {
+	if _, _, err := h.write(h.origin, "a", "a v2"); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	data, err = leaf.Read("vol", "a")
+	data, err = h.read(leaf, "a")
 	if err != nil {
 		t.Fatalf("deep read after write: %v", err)
 	}

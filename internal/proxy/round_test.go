@@ -90,12 +90,12 @@ func TestProxyWriteDeadlineNotExtendedBySlowFanout(t *testing.T) {
 		cfg.SubVolumeLease = 400 * time.Millisecond
 	})
 	c := h.dial(t, "leaf")
-	if _, err := c.Read("vol", "a"); err != nil {
+	if _, err := h.read(c, "a"); err != nil {
 		t.Fatal(err)
 	}
 
 	begin := time.Now()
-	version, waited, err := h.origin.Write("a", []byte("a v2"))
+	version, waited, err := h.write(h.origin, "a", "a v2")
 	elapsed := time.Since(begin)
 	if err != nil {
 		t.Fatalf("Write: %v", err)
@@ -140,7 +140,7 @@ func TestProxyBurstCoalescesInvalidations(t *testing.T) {
 		if err := h.origin.AddObject("vol", oids[i], []byte("v1")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Read("vol", oids[i]); err != nil {
+		if _, err := h.read(c, oids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestProxyBurstCoalescesInvalidations(t *testing.T) {
 		wg.Add(1)
 		go func(oid core.ObjectID) {
 			defer wg.Done()
-			if _, _, err := h.origin.Write(oid, []byte("v2")); err != nil {
+			if _, _, err := h.write(h.origin, oid, "v2"); err != nil {
 				t.Errorf("write %s: %v", oid, err)
 			}
 		}(oid)
@@ -171,7 +171,7 @@ func TestProxyBurstCoalescesInvalidations(t *testing.T) {
 		t.Errorf("leaf saw %d invalidations, want %d", invals, n)
 	}
 	for _, oid := range oids {
-		if data, err := c.Read("vol", oid); err != nil || string(data) != "v2" {
+		if data, err := h.read(c, oid); err != nil || string(data) != "v2" {
 			t.Errorf("read %s after burst = %q, %v", oid, data, err)
 		}
 	}
@@ -185,22 +185,22 @@ func TestProxyBurstCoalescesInvalidations(t *testing.T) {
 func TestProxyRelayDoesNotStallUpstream(t *testing.T) {
 	h := buildHierarchy(t, nil)
 	slow, fast := h.dial(t, "leaf-slow"), h.dial(t, "leaf-fast")
-	if _, err := slow.Read("vol", "a"); err != nil {
+	if _, err := h.read(slow, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fast.Read("vol", "b"); err != nil {
+	if _, err := h.read(fast, "b"); err != nil {
 		t.Fatal(err)
 	}
 	h.net.Partition("leaf-slow", "proxy")
 	slowWrite := make(chan error, 1)
 	go func() {
-		_, _, err := h.origin.Write("a", []byte("a v2"))
+		_, _, err := h.write(h.origin, "a", "a v2")
 		slowWrite <- err
 	}()
 	waitingDump(t, h.px) // the round for a is waiting on leaf-slow
 
 	begin := time.Now()
-	if _, _, err := h.origin.Write("b", []byte("b v2")); err != nil {
+	if _, _, err := h.write(h.origin, "b", "b v2"); err != nil {
 		t.Fatalf("Write b: %v", err)
 	}
 	if elapsed := time.Since(begin); elapsed >= 250*time.Millisecond {
@@ -209,7 +209,7 @@ func TestProxyRelayDoesNotStallUpstream(t *testing.T) {
 	if err := <-slowWrite; err != nil {
 		t.Fatalf("Write a: %v", err)
 	}
-	if data, err := fast.Read("vol", "b"); err != nil || string(data) != "b v2" {
+	if data, err := h.read(fast, "b"); err != nil || string(data) != "b v2" {
 		t.Errorf("leaf-fast reads b = %q, %v; want b v2", data, err)
 	}
 }
@@ -223,14 +223,14 @@ func TestProxyGrantWaitsForRoundInFlight(t *testing.T) {
 	slow := h.dial(t, "leaf-slow")
 	fast := h.dial(t, "leaf-fast")
 	for _, c := range []*client.Client{slow, fast} {
-		if _, err := c.Read("vol", "a"); err != nil {
+		if _, err := h.read(c, "a"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	h.net.Partition("leaf-slow", "proxy")
 	writeErr := make(chan error, 1)
 	go func() {
-		_, _, err := h.origin.Write("a", []byte("a v2"))
+		_, _, err := h.write(h.origin, "a", "a v2")
 		writeErr <- err
 	}()
 	acks := waitingDump(t, h.px).Server.Volumes[0].PendingAcks
@@ -254,7 +254,7 @@ func TestProxyGrantWaitsForRoundInFlight(t *testing.T) {
 			t.Fatal("leaf-fast never saw the invalidation")
 		}
 	}
-	data, err := fast.Read("vol", "a")
+	data, err := h.read(fast, "a")
 	if err != nil {
 		t.Fatalf("read during round: %v", err)
 	}

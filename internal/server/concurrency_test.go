@@ -105,7 +105,7 @@ func TestConcurrentWritesDistinctObjects(t *testing.T) {
 func TestSameObjectWritesSerialize(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c := env.dial(t, "reader")
-	if _, err := c.Read("vol", "a"); err != nil {
+	if _, err := env.read(c, "a"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,7 +123,7 @@ func TestSameObjectWritesSerialize(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			data := fmt.Sprintf("writer-%d", w)
-			version, _, err := env.srv.Write("a", []byte(data))
+			version, _, err := env.write(env.srv, "a", data)
 			if err != nil {
 				errs <- err
 				return
@@ -211,12 +211,12 @@ func TestWriteDeadlineNotExtendedBySlowFanout(t *testing.T) {
 		cfg.Net = slowInvalNet{Memory: cfg.Net.(*transport.Memory), delay: sendDelay}
 	})
 	c := env.dial(t, "holder")
-	if _, err := c.Read("vol", "a"); err != nil {
+	if _, err := env.read(c, "a"); err != nil {
 		t.Fatal(err)
 	}
 
 	begin := time.Now()
-	version, waited, err := env.srv.Write("a", []byte("v2"))
+	version, waited, err := env.write(env.srv, "a", "v2")
 	elapsed := time.Since(begin)
 	if err != nil {
 		t.Fatalf("Write: %v", err)

@@ -10,27 +10,34 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/health"
+	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// testEnv bundles a server and its network. Every test runs with the
-// consistency auditor tapping the shared event stream (server and clients
-// emit into the same Observer); any invariant violation fails the test at
-// cleanup.
+// testEnv bundles a server and its network. Every test records the reads
+// and writes its helpers make in one history, on the test's monotonic
+// clock, and at cleanup the history must hold no stale or invented read and
+// no write that waited past the server's bound by more than writeSlack.
 type testEnv struct {
 	net *transport.Memory
 	srv *server.Server
 	obs *obs.Observer
-	aud *audit.Auditor
+	log *history.Log
+	// bound is the longest a write may wait: max(min(t, t_v), MsgTimeout),
+	// or the grace in best-effort mode.
+	bound time.Duration
 }
+
+// writeSlack is ε: how far past the bound a write's wait may run, for the
+// deadline timer's lateness and the scheduling of a loaded test machine.
+const writeSlack = 250 * time.Millisecond
 
 // tableCfg are the default lease parameters for live tests: short volume
 // leases so fault scenarios resolve quickly, long object leases.
@@ -56,18 +63,17 @@ func startServer(t *testing.T, table core.Config, mutate func(*server.Config)) *
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	aud := audit.New(audit.LiveConfig(cfg.Table, cfg.WriteMode == server.WriteBestEffort))
 	observer := cfg.Obs
 	if observer == nil {
 		observer = &obs.Observer{}
 		cfg.Obs = observer
 	}
 	ring := obs.NewRingSink(16384)
-	observer.Tracer = obs.NewTracer(append(observer.Tracer.Sinks(), aud, ring)...)
-	// Registered first so it runs last (after the audit check below has had
-	// its chance to mark the test failed): a failing run freezes the event
-	// ring so the black box survives the failure. CI sets $FLIGHT_DUMP_DIR
-	// and uploads it as an artifact.
+	observer.Tracer = obs.NewTracer(append(observer.Tracer.Sinks(), ring)...)
+	// Registered first so it runs last (after the history check below has
+	// had its chance to mark the test failed): a failing run freezes the
+	// event ring so the black box survives the failure. CI sets
+	// $FLIGHT_DUMP_DIR and uploads it as an artifact.
 	t.Cleanup(func() {
 		if !t.Failed() {
 			return
@@ -77,29 +83,31 @@ func startServer(t *testing.T, table core.Config, mutate func(*server.Config)) *
 			t.Logf("flight dump: %s", path)
 		}
 	})
+	start := time.Now()
+	env := &testEnv{net: net, obs: observer, log: history.NewLog(func() time.Duration { return time.Since(start) })}
+	env.bound = max(min(table.ObjectLease, table.VolumeLease), cfg.MsgTimeout)
+	if cfg.WriteMode == server.WriteBestEffort {
+		env.bound = cfg.BestEffortGrace
+	}
 	t.Cleanup(func() {
-		err := aud.Err()
-		if err == nil {
-			return
-		}
-		t.Errorf("consistency audit: %v", err)
-		// Dump the violating client's event history so the failure is
-		// diagnosable from the test log alone.
-		if vs := aud.Violations(); len(vs) > 0 {
-			v := vs[0]
-			for _, e := range ring.Snapshot() {
-				if e.Client == v.Client || (e.Client == "" && e.Object == v.Object) {
-					t.Logf("evt %s client=%s obj=%s vol=%s ver=%d epoch=%d n=%d at=%s exp=%s",
-						e.Type, e.Client, e.Object, e.Volume, e.Version, e.Epoch, e.N,
-						e.At.Format("15:04:05.000000"), e.Expire.Format("15:04:05.000000"))
-				}
+		rep := history.Check(env.log)
+		for _, a := range rep.Anomalies {
+			// Best-effort writes may leave a cache stale, for at most
+			// min(t, t_v) (Table 1).
+			if cfg.WriteMode == server.WriteBestEffort && a.Kind == "stale" && a.Age <= min(table.ObjectLease, table.VolumeLease) {
+				continue
 			}
+			t.Errorf("history: %v", a)
+		}
+		if rep.Wait > env.bound+writeSlack {
+			t.Errorf("history: %v waited %v, past the bound %v by more than %v", rep.Slowest, rep.Wait, env.bound, writeSlack)
 		}
 	})
 	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
+	env.srv = srv
 	t.Cleanup(func() { srv.Close() })
 	if err := srv.AddVolume("vol"); err != nil {
 		t.Fatal(err)
@@ -109,7 +117,7 @@ func startServer(t *testing.T, table core.Config, mutate func(*server.Config)) *
 			t.Fatal(err)
 		}
 	}
-	return &testEnv{net: net, srv: srv, obs: observer, aud: aud}
+	return env
 }
 
 // dial connects a client.
@@ -128,24 +136,57 @@ func (e *testEnv) dial(t *testing.T, id string) *client.Client {
 	return c
 }
 
-func mustRead(t *testing.T, c *client.Client, oid string) string {
+// tagOf is a value's tag in the history: the values startServer seeds
+// ("init-…") are from before the run, tag 0, and a test's writes of one
+// object carry distinct values.
+func tagOf(data string) uint64 {
+	if strings.HasPrefix(data, "init-") {
+		return 0
+	}
+	return history.Tag([]byte(data))
+}
+
+// writer is what a test writes through: the server or a client.
+type writer interface {
+	Write(core.ObjectID, []byte) (core.Version, time.Duration, error)
+}
+
+// write records w.Write(oid, data) and returns what it returned.
+func (e *testEnv) write(w writer, oid core.ObjectID, data string) (core.Version, time.Duration, error) {
+	call := e.log.Now()
+	v, waited, err := w.Write(oid, []byte(data))
+	e.log.Write(string(oid), tagOf(data), call, uint64(v), err == nil)
+	return v, waited, err
+}
+
+// read records c's read of oid in volume vol, if it returned a value.
+func (e *testEnv) read(c *client.Client, oid core.ObjectID) (string, error) {
+	call := e.log.Now()
+	data, err := c.Read("vol", oid)
+	if err == nil {
+		e.log.Read(string(oid), tagOf(string(data)), call)
+	}
+	return string(data), err
+}
+
+func (e *testEnv) mustRead(t *testing.T, c *client.Client, oid core.ObjectID) string {
 	t.Helper()
-	data, err := c.Read("vol", core.ObjectID(oid))
+	data, err := e.read(c, oid)
 	if err != nil {
 		t.Fatalf("Read(%s): %v", oid, err)
 	}
-	return string(data)
+	return data
 }
 
 func TestReadThroughAndCacheHit(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c := env.dial(t, "c1")
 
-	if got := mustRead(t, c, "a"); got != "init-a" {
+	if got := env.mustRead(t, c, "a"); got != "init-a" {
 		t.Fatalf("read = %q, want init-a", got)
 	}
 	local0, server0, _ := c.Stats()
-	if got := mustRead(t, c, "a"); got != "init-a" {
+	if got := env.mustRead(t, c, "a"); got != "init-a" {
 		t.Fatalf("second read = %q", got)
 	}
 	local1, server1, _ := c.Stats()
@@ -160,9 +201,9 @@ func TestReadThroughAndCacheHit(t *testing.T) {
 func TestWriteInvalidatesConnectedClient(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 
-	version, waited, err := env.srv.Write("a", []byte("v2"))
+	version, waited, err := env.write(env.srv, "a", "v2")
 	if err != nil {
 		t.Fatalf("Write: %v", err)
 	}
@@ -174,7 +215,7 @@ func TestWriteInvalidatesConnectedClient(t *testing.T) {
 	if waited > 300*time.Millisecond {
 		t.Errorf("write waited %v: ack should be nearly immediate", waited)
 	}
-	if got := mustRead(t, c, "a"); got != "v2" {
+	if got := env.mustRead(t, c, "a"); got != "v2" {
 		t.Errorf("read after invalidation = %q, want v2", got)
 	}
 	_, _, invals := c.Stats()
@@ -187,21 +228,21 @@ func TestTwoClientsSeeEachOthersWrites(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c1 := env.dial(t, "c1")
 	c2 := env.dial(t, "c2")
-	mustRead(t, c1, "a")
-	mustRead(t, c2, "a")
+	env.mustRead(t, c1, "a")
+	env.mustRead(t, c2, "a")
 
 	// c2 writes through the server; c1 must observe it.
-	version, _, err := c2.Write("a", []byte("from-c2"))
+	version, _, err := env.write(c2, "a", "from-c2")
 	if err != nil {
 		t.Fatalf("client write: %v", err)
 	}
 	if version != 2 {
 		t.Errorf("version = %d, want 2", version)
 	}
-	if got := mustRead(t, c1, "a"); got != "from-c2" {
+	if got := env.mustRead(t, c1, "a"); got != "from-c2" {
 		t.Errorf("c1 read = %q, want from-c2", got)
 	}
-	if got := mustRead(t, c2, "a"); got != "from-c2" {
+	if got := env.mustRead(t, c2, "a"); got != "from-c2" {
 		t.Errorf("c2 read = %q, want from-c2", got)
 	}
 }
@@ -209,7 +250,7 @@ func TestTwoClientsSeeEachOthersWrites(t *testing.T) {
 func TestVolumeLeaseRenewalAfterExpiry(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 	if !c.HasVolumeLease("vol") {
 		t.Fatal("no volume lease after read")
 	}
@@ -217,7 +258,7 @@ func TestVolumeLeaseRenewalAfterExpiry(t *testing.T) {
 	if c.HasVolumeLease("vol") {
 		t.Fatal("volume lease still valid after expiry")
 	}
-	if got := mustRead(t, c, "a"); got != "init-a" {
+	if got := env.mustRead(t, c, "a"); got != "init-a" {
 		t.Fatalf("read after expiry = %q", got)
 	}
 	if !c.HasVolumeLease("vol") {
@@ -228,22 +269,21 @@ func TestVolumeLeaseRenewalAfterExpiry(t *testing.T) {
 func TestPartitionedClientBoundsWriteDelay(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 
 	env.net.Partition("c1", "srv")
-	start := time.Now()
-	_, waited, err := env.srv.Write("a", []byte("v2"))
+	_, waited, err := env.write(env.srv, "a", "v2")
 	if err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	elapsed := time.Since(start)
 	// The write must block, but no longer than the volume lease (400ms)
-	// plus scheduling slack — the paper's headline guarantee.
+	// plus writeSlack, as the clients' history measures it — the paper's
+	// headline guarantee.
 	if waited < 100*time.Millisecond {
 		t.Errorf("write waited only %v; partitioned client should delay it", waited)
 	}
-	if elapsed > 2*time.Second {
-		t.Errorf("write took %v; bound should be ~volume lease", elapsed)
+	if rep := history.Check(env.log); rep.Wait > env.bound+writeSlack {
+		t.Errorf("%v waited %v; the bound is %v + %v", rep.Slowest, rep.Wait, env.bound, writeSlack)
 	}
 
 	// The partitioned client must not be able to read stale data once its
@@ -260,21 +300,21 @@ func TestPartitionedClientBoundsWriteDelay(t *testing.T) {
 func TestPartitionHealReconnection(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
-	mustRead(t, c, "b")
+	env.mustRead(t, c, "a")
+	env.mustRead(t, c, "b")
 
 	env.net.Partition("c1", "srv")
-	if _, _, err := env.srv.Write("a", []byte("v2")); err != nil {
+	if _, _, err := env.write(env.srv, "a", "v2"); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	env.net.Heal("c1", "srv")
 
 	// The client was marked unreachable; its next renewal runs the
 	// reconnection protocol, invalidating a and renewing b.
-	if got := mustRead(t, c, "a"); got != "v2" {
+	if got := env.mustRead(t, c, "a"); got != "v2" {
 		t.Errorf("read(a) after heal = %q, want v2", got)
 	}
-	if got := mustRead(t, c, "b"); got != "init-b" {
+	if got := env.mustRead(t, c, "b"); got != "init-b" {
 		t.Errorf("read(b) after heal = %q, want init-b", got)
 	}
 	stats := env.srv.Stats()
@@ -288,13 +328,13 @@ func TestDelayedModeQueuesInvalidations(t *testing.T) {
 	table.Mode = core.ModeDelayed
 	env := startServer(t, table, nil)
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 
 	// Let the volume lease lapse, then write: no invalidation push should
 	// reach the client, and the write must not block.
 	time.Sleep(600 * time.Millisecond)
 	start := time.Now()
-	if _, _, err := env.srv.Write("a", []byte("v2")); err != nil {
+	if _, _, err := env.write(env.srv, "a", "v2"); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
@@ -311,7 +351,7 @@ func TestDelayedModeQueuesInvalidations(t *testing.T) {
 
 	// The read triggers a volume renewal, which delivers the queued
 	// invalidation; the client must refetch v2.
-	if got := mustRead(t, c, "a"); got != "v2" {
+	if got := env.mustRead(t, c, "a"); got != "v2" {
 		t.Errorf("read = %q, want v2", got)
 	}
 	_, _, invalsAfter := c.Stats()
@@ -332,10 +372,10 @@ func TestDelayedModeDiscardForcesReconnect(t *testing.T) {
 		cfg.SweepInterval = 50 * time.Millisecond
 	})
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 
 	time.Sleep(600 * time.Millisecond) // volume lease lapses
-	if _, _, err := env.srv.Write("a", []byte("v2")); err != nil {
+	if _, _, err := env.write(env.srv, "a", "v2"); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(500 * time.Millisecond) // discard window (300ms) passes
@@ -345,7 +385,7 @@ func TestDelayedModeDiscardForcesReconnect(t *testing.T) {
 		t.Fatalf("server stats = %+v, want client unreachable after discard", st)
 	}
 	// Reconnection delivers the correct data anyway.
-	if got := mustRead(t, c, "a"); got != "v2" {
+	if got := env.mustRead(t, c, "a"); got != "v2" {
 		t.Errorf("read after discard = %q, want v2", got)
 	}
 }
@@ -353,16 +393,16 @@ func TestDelayedModeDiscardForcesReconnect(t *testing.T) {
 func TestServerCrashRecovery(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 
 	env.srv.Recover()
 
 	// Writes are fenced for one volume-lease duration.
-	if _, _, err := env.srv.Write("a", []byte("v2")); !errors.Is(err, core.ErrWriteFenced) {
+	if _, _, err := env.write(env.srv, "a", "v2"); !errors.Is(err, core.ErrWriteFenced) {
 		t.Fatalf("write during fence = %v, want ErrWriteFenced", err)
 	}
 	time.Sleep(500 * time.Millisecond)
-	if _, _, err := env.srv.Write("a", []byte("v2")); err != nil {
+	if _, _, err := env.write(env.srv, "a", "v2"); err != nil {
 		t.Fatalf("write after fence: %v", err)
 	}
 	if e, _ := env.srv.Epoch("vol"); e != 1 {
@@ -372,7 +412,7 @@ func TestServerCrashRecovery(t *testing.T) {
 	// The old connection died with the crash; a new connection carrying the
 	// client's surviving cache must resynchronize via the epoch check.
 	c2 := env.dial(t, "c2-after-crash")
-	if got := mustRead(t, c2, "a"); got != "v2" {
+	if got := env.mustRead(t, c2, "a"); got != "v2" {
 		t.Errorf("read after recovery = %q, want v2", got)
 	}
 }
@@ -380,7 +420,7 @@ func TestServerCrashRecovery(t *testing.T) {
 func TestClientStaleEpochReconnects(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 
 	// Soft-recover the table while keeping the connection up: bump epochs
 	// through a second server restart cycle. We emulate by a direct
@@ -388,7 +428,7 @@ func TestClientStaleEpochReconnects(t *testing.T) {
 	// brand-new client whose first ReqVolLease carries NoEpoch: the server
 	// must answer MustRenewAll and still converge.
 	c2 := env.dial(t, "brand-new")
-	if got := mustRead(t, c2, "b"); got != "init-b" {
+	if got := env.mustRead(t, c2, "b"); got != "init-b" {
 		t.Errorf("first-contact read = %q", got)
 	}
 	_ = c
@@ -400,11 +440,11 @@ func TestBestEffortWriteReturnsQuickly(t *testing.T) {
 		cfg.BestEffortGrace = 50 * time.Millisecond
 	})
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 
 	env.net.Partition("c1", "srv")
 	start := time.Now()
-	_, _, err := env.srv.Write("a", []byte("v2"))
+	_, _, err := env.write(env.srv, "a", "v2")
 	if err != nil {
 		t.Fatalf("Write: %v", err)
 	}
@@ -415,14 +455,14 @@ func TestBestEffortWriteReturnsQuickly(t *testing.T) {
 	// resynchronize and see v2.
 	env.net.Heal("c1", "srv")
 	time.Sleep(500 * time.Millisecond) // let its volume lease lapse
-	if got := mustRead(t, c, "a"); got != "v2" {
+	if got := env.mustRead(t, c, "a"); got != "v2" {
 		t.Errorf("read after best-effort write = %q, want v2", got)
 	}
 }
 
 func TestWriteToUnknownObjectFails(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
-	if _, _, err := env.srv.Write("ghost", []byte("x")); !errors.Is(err, core.ErrNoSuchObject) {
+	if _, _, err := env.write(env.srv, "ghost", "x"); !errors.Is(err, core.ErrNoSuchObject) {
 		t.Errorf("err = %v, want ErrNoSuchObject", err)
 	}
 	c := env.dial(t, "c1")
@@ -465,7 +505,7 @@ func TestConcurrentReadersNeverSeeStaleData(t *testing.T) {
 					return
 				default:
 				}
-				data, err := cl.Read("vol", "a")
+				data, err := env.read(cl, "a")
 				if err != nil {
 					continue // transient renewal race under churn
 				}
@@ -483,13 +523,13 @@ func TestConcurrentReadersNeverSeeStaleData(t *testing.T) {
 	}
 
 	for i := 1; i <= writes; i++ {
-		if _, _, err := env.srv.Write("a", []byte(fmt.Sprintf("val-%d", i))); err != nil {
+		if _, _, err := env.write(env.srv, "a", fmt.Sprintf("val-%d", i)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
 	// After the final write completes, every subsequent read must return it.
 	final := env.dial(t, "final-check")
-	if got := mustRead(t, final, "a"); got != fmt.Sprintf("val-%d", writes) {
+	if got := env.mustRead(t, final, "a"); got != fmt.Sprintf("val-%d", writes) {
 		t.Errorf("final read = %q, want val-%d", got, writes)
 	}
 	close(stop)
@@ -518,9 +558,9 @@ func TestServerStatsTrackLeases(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c1 := env.dial(t, "c1")
 	c2 := env.dial(t, "c2")
-	mustRead(t, c1, "a")
-	mustRead(t, c2, "a")
-	mustRead(t, c2, "b")
+	env.mustRead(t, c1, "a")
+	env.mustRead(t, c2, "a")
+	env.mustRead(t, c2, "b")
 	st := env.srv.Stats()
 	if st.VolumeLeases != 2 {
 		t.Errorf("volume leases = %d, want 2", st.VolumeLeases)
@@ -541,7 +581,7 @@ func TestTapCountsMessages(t *testing.T) {
 		cfg.Net.(*transport.Memory).Taps = []transport.Tap{acct}
 	})
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 	d := acct.Snapshot()
 	if d.Totals.MessagesSent == 0 || d.Totals.BytesRecv == 0 {
 		t.Errorf("tap saw no traffic: %+v", d.Totals)
@@ -560,7 +600,7 @@ func TestTapCountsMessages(t *testing.T) {
 func TestClientCloseIsIdempotent(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +660,7 @@ func TestServerLocalReadAndVolumeStats(t *testing.T) {
 		t.Error("Read(ghost) succeeded")
 	}
 	c := env.dial(t, "c1")
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 	vs, err := env.srv.VolumeStats("vol")
 	if err != nil || vs.VolumeLeases != 1 || vs.ObjectLeases != 1 {
 		t.Errorf("VolumeStats = %+v %v", vs, err)

@@ -81,10 +81,10 @@ func await(t *testing.T, ch <-chan struct{}, what string) {
 }
 
 // goWrite runs a server write on its own goroutine.
-func goWrite(srv *server.Server, oid core.ObjectID, data string) <-chan error {
+func goWrite(env *testEnv, oid core.ObjectID, data string) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := srv.Write(oid, []byte(data))
+		_, _, err := env.write(env.srv, oid, data)
 		done <- err
 	}()
 	return done
@@ -136,15 +136,15 @@ func (c ackSignalConn) Send(m wire.Message) error {
 // version. It returns the release of the held hook.
 func timeOutAndRefetch(t *testing.T, env *testEnv, sim *clock.Simulated, h *gatedHolder) func() {
 	t.Helper()
-	if got := mustRead(t, h.c, "a"); got != "init-a" {
+	if got := env.mustRead(t, h.c, "a"); got != "init-a" {
 		t.Fatalf("first read = %q", got)
 	}
 	release := h.gate(t)
-	first := goWrite(env.srv, "a", "a v2")
+	first := goWrite(env, "a", "a v2")
 	await(t, h.entered, "the first write's invalidation")
 	sim.Advance(lateAckTable.VolumeLease) // the holder's bound: the write times it out
 	awaitWrite(t, first)
-	if got := mustRead(t, h.c, "a"); got != "a v2" { // reconnect, re-fetch
+	if got := env.mustRead(t, h.c, "a"); got != "a v2" { // reconnect, re-fetch
 		t.Fatalf("read after reconnect = %q, want a v2", got)
 	}
 	return release
@@ -162,15 +162,15 @@ func TestLateAckKeepsFreshLease(t *testing.T) {
 
 	release() // the late AckInvalidate{Seq: 0, Objects: [a]}
 	await(t, h.acked, "the late ack")
-	mustRead(t, h.c, "b") // a round trip behind the ack: the server has handled it
+	env.mustRead(t, h.c, "b") // a round trip behind the ack: the server has handled it
 
-	awaitWrite(t, goWrite(env.srv, "a", "a v3"))
+	awaitWrite(t, goWrite(env, "a", "a v3"))
 	select {
 	case <-h.entered:
 	default:
 		t.Error("the second write did not invalidate the holder")
 	}
-	if got := mustRead(t, h.c, "a"); got != "a v3" {
+	if got := env.mustRead(t, h.c, "a"); got != "a v3" {
 		t.Fatalf("holder reads %q after the second write, want a v3", got)
 	}
 }
@@ -185,11 +185,11 @@ func TestLateAckDoesNotCompleteLaterWrite(t *testing.T) {
 	releaseFirst := timeOutAndRefetch(t, env, sim, h)
 
 	releaseSecond := h.gate(t)
-	second := goWrite(env.srv, "a", "a v3")
+	second := goWrite(env, "a", "a v3")
 	await(t, h.entered, "the second write's invalidation")
 	releaseFirst() // the late ack, while the second write waits on the holder
 	await(t, h.acked, "the late ack")
-	mustRead(t, h.c, "b")
+	env.mustRead(t, h.c, "b")
 
 	owed := false
 	for _, pa := range env.srv.StateSnapshot().Server.Volumes[0].PendingAcks {
@@ -206,7 +206,7 @@ func TestLateAckDoesNotCompleteLaterWrite(t *testing.T) {
 	releaseSecond()
 	await(t, h.acked, "the second write's ack")
 	awaitWrite(t, second)
-	if got := mustRead(t, h.c, "a"); got != "a v3" {
+	if got := env.mustRead(t, h.c, "a"); got != "a v3" {
 		t.Fatalf("holder reads %q after the second write, want a v3", got)
 	}
 }

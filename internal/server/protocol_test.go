@@ -156,7 +156,7 @@ func TestProtocolVolumeConversationByHand(t *testing.T) {
 
 	// Volume lapses (400ms); the write queues a pending invalidation.
 	time.Sleep(500 * time.Millisecond)
-	if _, _, err := env.srv.Write("a", []byte("v2")); err != nil {
+	if _, _, err := env.write(env.srv, "a", "v2"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -262,7 +262,7 @@ func TestProtocolNoVolumeGrantDuringPendingInvalidation(t *testing.T) {
 	writeDone := make(chan struct{})
 	go func() {
 		defer close(writeDone)
-		if _, _, err := env.srv.Write("a", []byte("v2")); err != nil {
+		if _, _, err := env.write(env.srv, "a", "v2"); err != nil {
 			t.Errorf("Write: %v", err)
 		}
 	}()
@@ -310,7 +310,7 @@ func TestProtocolVolumeGrantAfterPromptAck(t *testing.T) {
 	if _, ok := recvOrTimeout(t, conn).(wire.ObjLease); !ok {
 		t.Fatal("no object lease")
 	}
-	go env.srv.Write("a", []byte("v2"))
+	go env.write(env.srv, "a", "v2")
 	if _, ok := recvOrTimeout(t, conn).(wire.Invalidate); !ok {
 		t.Fatal("no invalidation")
 	}

@@ -27,7 +27,7 @@ func TestRedialSurvivesServerRecover(t *testing.T) {
 	}
 	defer c.Close()
 
-	if got := mustReadRetry(t, c, "a"); got != "init-a" {
+	if got := env.mustReadRetry(t, c, "a"); got != "init-a" {
 		t.Fatalf("read = %q", got)
 	}
 
@@ -35,13 +35,13 @@ func TestRedialSurvivesServerRecover(t *testing.T) {
 
 	// The fence (one volume lease = 400ms) must drain before new writes.
 	time.Sleep(600 * time.Millisecond)
-	if _, _, err := env.srv.Write("a", []byte("after-crash")); err != nil {
+	if _, _, err := env.write(env.srv, "a", "after-crash"); err != nil {
 		t.Fatalf("write after fence: %v", err)
 	}
 
 	// The client redialed in the background; its first renewal carries the
 	// stale epoch and runs the reconnection protocol, invalidating a.
-	if got := mustReadRetry(t, c, "a"); got != "after-crash" {
+	if got := env.mustReadRetry(t, c, "a"); got != "after-crash" {
 		t.Fatalf("read after recover = %q, want after-crash", got)
 	}
 	if e, _ := env.srv.Epoch("vol"); e != 1 {
@@ -77,7 +77,7 @@ func TestRedialAfterConnDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := mustReadRetry(t, c, "a"); got != "init-a" {
+	if got := env.mustReadRetry(t, c, "a"); got != "init-a" {
 		t.Fatalf("read = %q", got)
 	}
 
@@ -91,7 +91,7 @@ func TestRedialAfterConnDrop(t *testing.T) {
 
 	// The first client redials (stealing the identity back) and keeps
 	// working; its leases are still on the server, so reads stay cheap.
-	if got := mustReadRetry(t, c, "b"); got != "init-b" {
+	if got := env.mustReadRetry(t, c, "b"); got != "init-b" {
 		t.Fatalf("read after reconnect = %q", got)
 	}
 }
@@ -99,7 +99,7 @@ func TestRedialAfterConnDrop(t *testing.T) {
 func TestRedialDisabledFailsPermanently(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
 	c := env.dial(t, "mortal") // Redial off
-	mustRead(t, c, "a")
+	env.mustRead(t, c, "a")
 	env.srv.Recover()
 	time.Sleep(50 * time.Millisecond)
 	// Cached reads under still-valid leases are allowed (the fence protects
@@ -112,13 +112,13 @@ func TestRedialDisabledFailsPermanently(t *testing.T) {
 
 // mustReadRetry reads, retrying transient ErrRetry results that redial
 // produces when it replaces the connection mid-conversation.
-func mustReadRetry(t *testing.T, c *client.Client, oid string) string {
+func (e *testEnv) mustReadRetry(t *testing.T, c *client.Client, oid core.ObjectID) string {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		data, err := c.Read("vol", core.ObjectID(oid))
+		data, err := e.read(c, oid)
 		if err == nil {
-			return string(data)
+			return data
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("Read(%s) never succeeded: %v", oid, err)

@@ -98,7 +98,7 @@ func TestStateSnapshotUnderChurn(t *testing.T) {
 						return
 					default:
 					}
-					if _, _, err := env.srv.Write(oid, []byte(fmt.Sprintf("w%d", k))); err != nil {
+					if _, _, err := env.write(env.srv, oid, fmt.Sprintf("w%d", k)); err != nil {
 						t.Errorf("write %s: %v", oid, err)
 						return
 					}

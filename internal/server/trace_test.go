@@ -72,11 +72,11 @@ func TestWriteTraceSpans(t *testing.T) {
 	holder1 := env.dial(t, "h1")
 	holder2 := env.dial(t, "h2")
 	writer := env.dial(t, "w")
-	mustRead(t, holder1, "a")
-	mustRead(t, holder2, "a")
+	env.mustRead(t, holder1, "a")
+	env.mustRead(t, holder2, "a")
 
 	from := ring.Total()
-	if _, _, err := writer.Write("a", []byte("traced")); err != nil {
+	if _, _, err := env.write(writer, "a", "traced"); err != nil {
 		t.Fatal(err)
 	}
 	_, records := written(t, ring, from, 2)
@@ -146,9 +146,9 @@ func TestWriteTraceSpans(t *testing.T) {
 // carry the same duration.
 func TestTracedWriteOneRecordPerFact(t *testing.T) {
 	env, ring := tracedEnv(t)
-	mustRead(t, env.dial(t, "h"), "a")
+	env.mustRead(t, env.dial(t, "h"), "a")
 	from := ring.Total()
-	if _, _, err := env.srv.Write("a", []byte("traced")); err != nil {
+	if _, _, err := env.write(env.srv, "a", "traced"); err != nil {
 		t.Fatal(err)
 	}
 	records, _ := written(t, ring, from, 1)
@@ -216,7 +216,9 @@ func TestWriteUntracedRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := &testEnv{net: net, srv: srv}
-	mustRead(t, env.dial(t, "h"), "a")
+	if _, err := env.dial(t, "h").Read("vol", "a"); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := env.dial(t, "w").Write("a", []byte("plain")); err != nil {
 		t.Fatal(err)
 	}

@@ -18,20 +18,17 @@ import (
 // and must make a linearizable history.
 
 // dialWriting connects client c1 whose hook writes b, once, when a vector
-// or invalidation drops its copy of a. The test's own ops go in the first
-// log returned, the hook's write in the second, which check reads only after
-// the hook has run or can no longer run.
-func dialWriting(t *testing.T, env *testEnv) (*client.Client, *oplog, func() *oplog) {
+// or invalidation drops its copy of a. The hook's write goes in the test's
+// history like every other.
+func dialWriting(t *testing.T, env *testEnv) *client.Client {
 	t.Helper()
-	start := time.Now()
 	var once sync.Once
-	hook := &oplog{start: start}
 	c, err := client.Dial(env.net, "srv:1", client.Config{
 		ID: "c1", Skew: 10 * time.Millisecond, Timeout: 5 * time.Second, Obs: env.obs,
 		OnInvalidate: func(objs []core.ObjectID, _ wire.TraceContext) {
 			if slices.Contains(objs, "a") {
 				once.Do(func() {
-					if _, _, err := hook.write(env.srv, "b", "b2"); err != nil {
+					if _, _, err := env.write(env.srv, "b", "b2"); err != nil {
 						t.Errorf("Write(b): %v", err)
 					}
 				})
@@ -42,10 +39,7 @@ func dialWriting(t *testing.T, env *testEnv) (*client.Client, *oplog, func() *op
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c, &oplog{start: start}, func() *oplog {
-		once.Do(func() {})
-		return hook
-	}
+	return c
 }
 
 // TestLivePendingDeliveryWindow: in delayed mode, b's write is queued for
@@ -55,20 +49,19 @@ func TestLivePendingDeliveryWindow(t *testing.T) {
 	table := tableCfg()
 	table.Mode = core.ModeDelayed
 	env := startServer(t, table, nil)
-	c, log, hook := dialWriting(t, env)
-	log.mustRead(t, c, "a")
-	log.mustRead(t, c, "b")
+	c := dialWriting(t, env)
+	env.mustRead(t, c, "a")
+	env.mustRead(t, c, "b")
 	time.Sleep(600 * time.Millisecond) // the volume lease lapses
-	if _, _, err := log.write(env.srv, "a", "a2"); err != nil {
+	if _, _, err := env.write(env.srv, "a", "a2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := log.mustRead(t, c, "b"); got != "b2" {
+	if got := env.mustRead(t, c, "b"); got != "b2" {
 		t.Errorf("Read(b) after the renewal = %q, want b2", got)
 	}
 	// The hook's write ran inside that read, so the history admits either
 	// value for it; a read called after the write returned must see b2.
-	log.mustRead(t, c, "b")
-	requireLinearizable(t, log, hook())
+	env.mustRead(t, c, "b")
 }
 
 // TestLiveReconnectWindow: b's write lands between the reconnection vector
@@ -76,20 +69,19 @@ func TestLivePendingDeliveryWindow(t *testing.T) {
 // which must not be granted the volume with b renewed at the old version.
 func TestLiveReconnectWindow(t *testing.T) {
 	env := startServer(t, tableCfg(), nil)
-	c, log, hook := dialWriting(t, env)
-	log.mustRead(t, c, "a")
-	log.mustRead(t, c, "b")
+	c := dialWriting(t, env)
+	env.mustRead(t, c, "a")
+	env.mustRead(t, c, "b")
 	env.net.Partition("c1", "srv")
 	// The write waits out the volume lease and makes the client Unreachable.
-	if _, _, err := log.write(env.srv, "a", "a2"); err != nil {
+	if _, _, err := env.write(env.srv, "a", "a2"); err != nil {
 		t.Fatal(err)
 	}
 	env.net.Heal("c1", "srv")
-	if got := log.mustRead(t, c, "a"); got != "a2" {
+	if got := env.mustRead(t, c, "a"); got != "a2" {
 		t.Errorf("Read(a) after the heal = %q, want a2", got)
 	}
-	if got := log.mustRead(t, c, "b"); got != "b2" {
+	if got := env.mustRead(t, c, "b"); got != "b2" {
 		t.Errorf("Read(b) after the heal = %q, want b2", got)
 	}
-	requireLinearizable(t, log, hook())
 }

@@ -46,10 +46,10 @@ type wireWrite struct {
 }
 
 // goWireWrite sends a WriteReq from c on its own goroutine.
-func goWireWrite(c *client.Client, oid core.ObjectID, data string) <-chan wireWrite {
+func goWireWrite(env *testEnv, c *client.Client, oid core.ObjectID, data string) <-chan wireWrite {
 	out := make(chan wireWrite, 1)
 	go func() {
-		v, waited, err := c.Write(oid, []byte(data))
+		v, waited, err := env.write(c, oid, data)
 		out <- wireWrite{v, waited, err}
 	}()
 	return out
@@ -122,14 +122,14 @@ func TestWireWriteParksNoGoroutine(t *testing.T) {
 	sim := clock.NewSimulated(clock.Epoch)
 	env := simEnv(t, sim)
 	holder := dialSim(t, env, sim, "holder")
-	if _, err := holder.Read("vol", "a"); err != nil {
+	if _, err := env.read(holder, "a"); err != nil {
 		t.Fatal(err)
 	}
 	writer := dialSim(t, env, sim, "writer")
 	env.net.Partition("holder", "srv")
 
 	bound := clock.Epoch.Add(lateAckTable.VolumeLease) // the holder's volume lease
-	reply := goWireWrite(writer, "a", "a v2")
+	reply := goWireWrite(env, writer, "a", "a v2")
 	awaitDeadline(t, sim, bound)
 	if parked := stacksIn("server.(*Server).handleWriteReq", "server.(*Server).WriteTraced"); len(parked) > 0 {
 		t.Fatalf("%d goroutine(s) hold the write while it waits:\n\n%s", len(parked), strings.Join(parked, "\n\n"))
@@ -160,13 +160,13 @@ func TestWireWritesOfOneObjectInOrder(t *testing.T) {
 	sim := clock.NewSimulated(clock.Epoch)
 	env := simEnv(t, sim)
 	h := dialGated(t, env, sim)
-	if _, err := h.c.Read("vol", "a"); err != nil {
+	if _, err := env.read(h.c, "a"); err != nil {
 		t.Fatal(err)
 	}
 	release := h.gate(t)
-	first := goWireWrite(dialSim(t, env, sim, "w1"), "a", "a v2")
+	first := goWireWrite(env, dialSim(t, env, sim, "w1"), "a", "a v2")
 	await(t, h.entered, "the first write's invalidation")
-	second := goWireWrite(dialSim(t, env, sim, "w2"), "a", "a v3")
+	second := goWireWrite(env, dialSim(t, env, sim, "w2"), "a", "a v3")
 	for deadline := time.Now().Add(5 * time.Second); len(stacksIn("server.(*Server).park.func1")) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the second write was not parked within 5s")
@@ -202,12 +202,12 @@ func TestCloseFinishesPendingWireWrite(t *testing.T) {
 	sim := clock.NewSimulated(clock.Epoch)
 	env := simEnv(t, sim)
 	holder := dialSim(t, env, sim, "holder")
-	if _, err := holder.Read("vol", "a"); err != nil {
+	if _, err := env.read(holder, "a"); err != nil {
 		t.Fatal(err)
 	}
 	writer := dialSim(t, env, sim, "writer")
 	env.net.Partition("holder", "srv")
-	reply := goWireWrite(writer, "a", "a v2")
+	reply := goWireWrite(env, writer, "a", "a v2")
 	awaitDeadline(t, sim, clock.Epoch.Add(lateAckTable.VolumeLease))
 
 	closed := make(chan struct{})
@@ -240,7 +240,7 @@ func TestCloseFinishesPendingWireWrite(t *testing.T) {
 			t.Fatalf("%d goroutine(s) of the server outlived Close:\n\n%s", len(left), strings.Join(left, "\n\n"))
 		}
 	}
-	if _, _, err := env.srv.Write("b", []byte("b v2")); err == nil {
+	if _, _, err := env.write(env.srv, "b", "b v2"); err == nil {
 		t.Error("a write began after Close")
 	}
 }

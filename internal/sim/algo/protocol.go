@@ -100,7 +100,8 @@ func (v *Volume) Name() string {
 // AuditConfig implements audit.Profiled: reads require both leases, writes
 // must not race valid holders, staleness is bounded by min(t, tv), and the
 // discard window is armed with d (0 for the ∞ configuration, which never
-// discards). Slack is zero — the simulation is deterministic.
+// discards). The simulation runs on one clock, so the auditor judges it
+// with no slack.
 func (v *Volume) AuditConfig() audit.Config {
 	return audit.Config{
 		ObjectLease:        v.cfg.ObjectLease,
