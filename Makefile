@@ -56,7 +56,7 @@ figures:
 # "The figures did not move", as one command: regenerates all six files of
 # results/ in a scratch directory (running there with -out results, so the
 # summary's "-> results/figN.tsv" lines match) and fails unless each is
-# byte-identical to the committed one. About 3 minutes on 2 vCPUs; CI's
+# byte-identical to the committed one. About 2 minutes on 2 vCPUs; CI's
 # figures job runs it.
 FIGURE_FILES = fig5.tsv fig6.tsv fig7.tsv fig8.tsv fig9.tsv figures_full.txt
 figures-check:

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sim/algo"
@@ -98,35 +97,25 @@ func burstify(w Workload) Workload {
 // Run simulates one algorithm over the workload and returns the recorder
 // and the simulation end time for state averaging.
 func Run(w Workload, spec Spec) (*metrics.Recorder, sim.Result) {
-	rec, res, err := simAudited(w.Trace, func(env *sim.Env) sim.Algorithm { return spec.New(env) })
+	rec, res, err := simulate(w.Trace, spec.Kind != KindPoll, spec.New)
 	if err != nil {
 		panic(fmt.Sprintf("bench: simulate %s: %v", spec.Name(), err))
 	}
 	return rec, res
 }
 
-// simAudited runs a trace through an algorithm with the consistency auditor
-// attached whenever the algorithm declares an audit profile. Every figure
-// and ablation therefore doubles as an invariant check; a violation means
-// the algorithm (or the auditor's model of it) is broken, so it panics
-// rather than silently producing numbers from an inconsistent run.
-func simAudited(tr trace.Trace, mk func(env *sim.Env) sim.Algorithm) (*metrics.Recorder, sim.Result, error) {
-	rec := metrics.NewRecorder()
-	eng := sim.NewEngine(rec)
-	al := mk(eng.Env())
-	var aud *audit.Auditor
-	if p, ok := al.(audit.Profiled); ok {
-		aud = audit.New(p.AuditConfig())
-		eng.Observe(aud)
-	}
-	res, err := eng.Run(tr, al)
+// simulate runs a trace through an algorithm. Every figure and ablation
+// doubles as an invariant check: a strong algorithm (all but Poll(t), whose
+// stale reads are Figure 5's data) that serves a read older than its
+// server's committed version is broken, so simulate panics rather than
+// produce numbers from an inconsistent run.
+func simulate(tr trace.Trace, strong bool, mk func(env *sim.Env) sim.Algorithm) (*metrics.Recorder, sim.Result, error) {
+	rec, res, err := sim.Simulate(tr, mk)
 	if err != nil {
 		return nil, sim.Result{}, err
 	}
-	if aud != nil {
-		if err := aud.Err(); err != nil {
-			panic(fmt.Sprintf("bench: %s failed audit: %v", al.Name(), err))
-		}
+	if _, stale := rec.ReadStats(); strong && stale > 0 {
+		panic(fmt.Sprintf("bench: %s served %d stale reads", res.Algorithm, stale))
 	}
 	return rec, res, nil
 }
@@ -279,7 +268,7 @@ func PeakLoad(w Workload, spec Spec) int {
 
 // simRunGrouped runs the grouped Volume algorithm over the workload.
 func simRunGrouped(w Workload, tv, t float64, groups int) (*metrics.Recorder, sim.Result, error) {
-	return simAudited(w.Trace, func(env *sim.Env) sim.Algorithm {
+	return simulate(w.Trace, true, func(env *sim.Env) sim.Algorithm {
 		return algo.NewVolumeGrouped(env, Secs(tv), Secs(t), groups)
 	})
 }

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
+	"repro/internal/sim"
 	"repro/internal/sim/algo"
 	"repro/internal/trace"
 )
@@ -64,6 +68,31 @@ func TestSpecNewConstructsAllKinds(t *testing.T) {
 			t.Errorf("Run(%s) returned nil recorder", s.Name())
 		}
 	}
+}
+
+// staleReader serves every read stale: what a broken strong algorithm
+// looks like to the recorder.
+type staleReader struct{ env *sim.Env }
+
+func (staleReader) Name() string                        { return "StaleReader" }
+func (r staleReader) HandleRead(time.Time, trace.Event) { r.env.Rec.Read(true) }
+func (staleReader) HandleWrite(time.Time, trace.Event)  {}
+
+// TestSimulatePanicsOnStrongStaleRead: a figure run stops on a stale read
+// from a strong algorithm, and lets Poll(t)'s through.
+func TestSimulatePanicsOnStrongStaleRead(t *testing.T) {
+	tr := trace.Trace{{Time: clock.At(0), Op: trace.OpRead, Client: "c", Server: "s", Object: "o", Size: 1}}
+	mk := func(env *sim.Env) sim.Algorithm { return staleReader{env} }
+	if _, _, err := simulate(tr, false, mk); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "StaleReader served 1 stale reads") {
+			t.Errorf("recovered %v, want the stale-read panic", r)
+		}
+	}()
+	simulate(tr, true, mk)
+	t.Error("simulate returned from a strong run with a stale read")
 }
 
 func TestDefaultWorkloadMemoized(t *testing.T) {

@@ -6,10 +6,8 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
-	"io/fs"
 	"net/http"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -287,58 +285,10 @@ func TestDaemonsBuildNoObserver(t *testing.T) {
 		}
 		for _, imp := range f.Imports {
 			switch strings.Trim(imp.Path.Value, `"`) {
-			case "repro/internal/audit", "repro/internal/cost", "repro/internal/health",
-				"repro/internal/state":
+			case "repro/internal/cost", "repro/internal/health", "repro/internal/state":
 				t.Errorf("%s imports %s; observers are assembled in internal/daemon", file, imp.Path.Value)
 			}
 		}
-	}
-}
-
-// TestAuditorOnlyInSimulator keeps internal/audit the simulator's oracle:
-// no package but audit itself, the simulator and the figure runs imports
-// it, tests included. The live stack is judged by its clients' history.
-func TestAuditorOnlyInSimulator(t *testing.T) {
-	const root = "../.."
-	allowed := func(dir string) bool {
-		return dir == "internal/audit" || dir == "internal/bench" || dir == "internal/sim" ||
-			strings.HasPrefix(dir, "internal/sim/")
-	}
-	files := 0
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		files++
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		dir, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		for _, imp := range f.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == "repro/internal/audit" && !allowed(filepath.ToSlash(dir)) {
-				t.Errorf("%s imports repro/internal/audit; only the simulator's packages may", path)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files < 100 {
-		t.Fatalf("parsed %d Go files; the walk missed the module", files)
 	}
 }
 

@@ -77,6 +77,7 @@ func TestScoped(t *testing.T) {
 		{"clockcheck", "repro/cmd/leased", false},        // daemons stamp process lifetimes
 		{"clockcheck", "repro/internal/health", true},    // flight timestamps must replay under sim clocks
 		{"clockcheck", "repro/internal/cost", true},      // the load sampler ticks on the injected clock
+		{"clockcheck", "repro/internal/history", true},   // the oracle reads only its caller's clock
 		{"ctxclean", "repro/internal/server", true},
 		{"ctxclean", "repro/internal/sim", false},      // simulation steps synchronously
 		{"ctxclean", "repro/internal/health", true},    // the engine's tick goroutine must stop cleanly

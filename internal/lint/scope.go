@@ -34,9 +34,9 @@ func Scoped(analyzer, pkgPath string) bool {
 	var layers []string
 	switch analyzer {
 	case "clockcheck":
-		layers = []string{"core", "server", "client", "proxy", "sim", "audit", "obs", "metrics", "health", "cost", "transport", "state", "daemon"}
+		layers = []string{"core", "server", "client", "proxy", "sim", "history", "obs", "metrics", "health", "cost", "transport", "state", "daemon"}
 	case "ctxclean":
-		layers = []string{"server", "client", "proxy", "obs", "audit", "health", "cost", "transport", "state"}
+		layers = []string{"server", "client", "proxy", "obs", "health", "cost", "transport", "state"}
 	case "hotalloc":
 		layers = []string{"wire", "transport"}
 	case "lockflow":

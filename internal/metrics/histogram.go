@@ -10,7 +10,7 @@ import (
 )
 
 // Histogram is the latency distribution of the live stack — request
-// latencies, ack waits, audit staleness, codec nanoseconds all use it. It is
+// latencies, ack waits and codec nanoseconds all use it. It is
 // a fixed array of log-linear buckets over nanoseconds: 64 sub-buckets per
 // power of two (a bucket is at most 1.6 % wide), exact below 64 ns,
 // saturating at 2^41 ns (~37 minutes; Max stays exact beyond). Observe is a

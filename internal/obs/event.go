@@ -51,10 +51,10 @@ const (
 	// = the outage, N = dial attempts).
 	EvRedial
 	// EvCacheRead: a client served a read from its cache (Version = the
-	// version it returned). The read-validity invariant applies.
+	// version it returned).
 	EvCacheRead
 	// EvWriteApplied: a server committed a write (Version = new version,
-	// N = clients that never acked). The write-safety invariant applies.
+	// N = clients that never acked).
 	EvWriteApplied
 	// EvInvalQueued: delayed mode queued an invalidation for an Inactive
 	// client instead of sending it.

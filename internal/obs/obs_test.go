@@ -78,44 +78,6 @@ func TestCountSink(t *testing.T) {
 	}
 }
 
-func TestRingSinkWrapsAndOrders(t *testing.T) {
-	ring := NewRingSink(4)
-	for i := 1; i <= 6; i++ {
-		ring.Observe(Event{Type: EvCacheRead, N: i})
-	}
-	got := ring.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("len(Snapshot) = %d, want 4", len(got))
-	}
-	for i, e := range got {
-		if want := i + 3; e.N != want {
-			t.Errorf("Snapshot[%d].N = %d, want %d", i, e.N, want)
-		}
-	}
-	if ring.Total() != 6 {
-		t.Errorf("Total = %d, want 6", ring.Total())
-	}
-}
-
-func TestRingSinkConcurrent(t *testing.T) {
-	ring := NewRingSink(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				ring.Observe(Event{Type: EvCacheRead, N: i})
-				_ = ring.Snapshot()
-			}
-		}()
-	}
-	wg.Wait()
-	if ring.Total() != 1600 {
-		t.Errorf("Total = %d, want 1600", ring.Total())
-	}
-}
-
 func TestSlogSinkRendersFields(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))

@@ -115,9 +115,9 @@ func (r *Registry) Histogram(name string) *metrics.Histogram {
 }
 
 // RegisterHistogram exports an externally owned latency histogram under
-// name. Components that maintain their own histogram (e.g. the audit
-// staleness distribution) use this instead of Histogram so a single instance
-// backs both the check and the export. It panics if name is already
+// name. Components that maintain their own histogram (e.g. the server's
+// ack-wait distribution) use this instead of Histogram so a single instance
+// backs both their own use and the export. It panics if name is already
 // registered, as GaugeFunc does.
 func (r *Registry) RegisterHistogram(name string, h *metrics.Histogram) {
 	r.mu.Lock()

@@ -92,6 +92,35 @@ func TestPollStaleReadWithinTimeout(t *testing.T) {
 	wantStale(t, rec, 1)
 }
 
+// TestPollStalenessBoundedByTimeout: Poll(t) serves a stale copy only
+// within t of validating it. Poll(60): the read at 0 validates and the
+// write lands at 10; the read at 59 trusts the cache and is stale, the read
+// at 61 revalidates (req + data) and is current.
+func TestPollStalenessBoundedByTimeout(t *testing.T) {
+	rec := metrics.NewRecorder()
+	p := NewPoll(sim.NewEngine(rec).Env(), secs(60))
+	for _, step := range []struct {
+		e           trace.Event
+		msgs, stale int64
+	}{
+		{rd(0, "c", "o"), 2, 0},
+		{wr(10, "o"), 2, 0},
+		{rd(59, "c", "o"), 2, 1},
+		{rd(61, "c", "o"), 4, 1},
+	} {
+		if step.e.Op == trace.OpRead {
+			p.HandleRead(step.e.Time, step.e)
+		} else {
+			p.HandleWrite(step.e.Time, step.e)
+		}
+		_, stale := rec.ReadStats()
+		if msgs := rec.Totals().Messages; msgs != step.msgs || stale != step.stale {
+			t.Errorf("after %s at %v: %d messages, %d stale reads; want %d, %d",
+				step.e.Op, step.e.Time.Sub(clock.At(0)), msgs, stale, step.msgs, step.stale)
+		}
+	}
+}
+
 func TestPollZeroTimeoutEqualsPollEachRead(t *testing.T) {
 	tr := trace.Trace{rd(0, "c", "o"), rd(10, "c", "o"), wr(15, "o"), rd(20, "c", "o")}
 	recPoll := run(t, tr, func(env *sim.Env) sim.Algorithm { return NewPoll(env, 0) })

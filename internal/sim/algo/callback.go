@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -43,7 +42,6 @@ func (c *Callback) HandleRead(now time.Time, e trace.Event) {
 		// A registered copy is guaranteed current: the server would have
 		// invalidated it before any write.
 		c.env.Rec.Read(false)
-		c.auditCacheRead(now, ck)
 		return
 	}
 	c.msg(now, e.Server, metrics.MsgReadValidate, sim.CtrlBytes)
@@ -68,18 +66,9 @@ func (c *Callback) HandleWrite(now time.Time, e trace.Event) {
 		c.msg(now, e.Server, metrics.MsgInvalidate, sim.CtrlBytes)
 		c.msg(now, e.Server, metrics.MsgAckInvalidate, sim.CtrlBytes)
 		c.dropCopy(copyKey{client, k})
-		c.auditInvalAck(now, copyKey{client, k})
 		c.chargeState(now, e.Server, -1)
 	}
 	delete(c.callbacks, k)
 	c.bump(k)
-	c.auditWrite(now, k, len(clients))
 	c.env.Rec.Write(0)
-}
-
-// AuditConfig implements audit.Profiled: callbacks are strongly consistent,
-// so ANY measurable staleness is a violation (1ns arms the bound check at
-// effectively zero).
-func (*Callback) AuditConfig() audit.Config {
-	return audit.Config{CheckStaleness: true, StalenessBound: time.Nanosecond}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -37,39 +36,23 @@ func (l *Lease) HandleRead(now time.Time, e trace.Event) {
 	if l.leases.valid(now, k, e.Client) && l.hasCopy(ck) {
 		// A valid lease guarantees the copy is current.
 		l.env.Rec.Read(!l.hasCurrentCopy(ck))
-		l.auditCacheRead(now, ck)
 		return
 	}
 	l.msg(now, e.Server, metrics.MsgObjLeaseReq, sim.CtrlBytes)
 	l.fetchResponse(now, ck, e.Size, metrics.MsgObjLease)
 	l.leases.grant(now, k, e.Client, l.t)
-	l.auditObjGrant(now, ck, now.Add(l.t))
 	l.env.Rec.Read(false)
 }
 
 // HandleWrite implements sim.Algorithm.
 func (l *Lease) HandleWrite(now time.Time, e trace.Event) {
 	k := objKey{e.Server, e.Object}
-	invalidated := 0
 	for _, client := range l.leases.holders(now, k) {
 		l.msg(now, e.Server, metrics.MsgInvalidate, sim.CtrlBytes)
 		l.msg(now, e.Server, metrics.MsgAckInvalidate, sim.CtrlBytes)
 		l.leases.revoke(now, k, client)
 		l.dropCopy(copyKey{client, k})
-		l.auditInvalAck(now, copyKey{client, k})
-		invalidated++
 	}
 	l.bump(k)
-	l.auditWrite(now, k, invalidated)
 	l.env.Rec.Write(0)
-}
-
-// AuditConfig implements audit.Profiled: object leases only (there are no
-// volumes), staleness bounded by t.
-func (l *Lease) AuditConfig() audit.Config {
-	return audit.Config{
-		ObjectLease:        l.t,
-		RequireObjectLease: true,
-		CheckStaleness:     true,
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -40,15 +39,7 @@ func (p *PollEachRead) HandleRead(now time.Time, e trace.Event) {
 func (p *PollEachRead) HandleWrite(now time.Time, e trace.Event) {
 	k := objKey{e.Server, e.Object}
 	p.bump(k)
-	p.auditWrite(now, k, 0)
 	p.env.Rec.Write(0)
-}
-
-// AuditConfig implements audit.Profiled: every read validates with the
-// server, so no lease invariants apply and no cache reads are emitted at
-// all — the auditor simply confirms zero stale reads.
-func (*PollEachRead) AuditConfig() audit.Config {
-	return audit.Config{CheckStaleness: true}
 }
 
 // Poll implements Section 2.2: a validated object is trusted for Timeout
@@ -83,7 +74,6 @@ func (p *Poll) HandleRead(now time.Time, e trace.Event) {
 		// Within the timeout the cache is trusted blindly; the read is stale
 		// iff the server has written since the copy was fetched.
 		p.env.Rec.Read(!p.hasCurrentCopy(ck))
-		p.auditCacheRead(now, ck)
 		return
 	}
 	p.msg(now, e.Server, metrics.MsgReadValidate, sim.CtrlBytes)
@@ -96,15 +86,7 @@ func (p *Poll) HandleRead(now time.Time, e trace.Event) {
 func (p *Poll) HandleWrite(now time.Time, e trace.Event) {
 	k := objKey{e.Server, e.Object}
 	p.bump(k)
-	p.auditWrite(now, k, 0)
 	p.env.Rec.Write(0)
-}
-
-// AuditConfig implements audit.Profiled: no lease invariants (the client
-// trusts its cache blindly inside the timeout), but observed staleness must
-// stay under the poll interval t.
-func (p *Poll) AuditConfig() audit.Config {
-	return audit.Config{CheckStaleness: true, StalenessBound: p.t}
 }
 
 // seconds formats a duration as a bare seconds count for algorithm names,

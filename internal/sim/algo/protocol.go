@@ -7,10 +7,8 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -25,9 +23,10 @@ const Forever = time.Duration(math.MaxInt64)
 // trace server and one core.Holder per client, the code leased and
 // leaseproxy run. Every lease decision (grant, Inactive set, pending
 // delivery, discard, reconnection) is core's; Volume only charges the
-// paper's message classes for each reply, mirrors the protocol into the
-// audit stream, and records each server's Table.Stats state after every
-// operation that sends a message, at every lease expiry, and at expire + d.
+// paper's message classes for each reply, records whether each read
+// returned the table's committed version, and records each server's
+// Table.Stats state after every operation that sends a message, at every
+// lease expiry, and at expire + d.
 type Volume struct {
 	env     *sim.Env
 	cfg     core.Config
@@ -97,22 +96,6 @@ func (v *Volume) Name() string {
 	return fmt.Sprintf("Delay(%s,%s,%s)", tv, t, d)
 }
 
-// AuditConfig implements audit.Profiled: reads require both leases, writes
-// must not race valid holders, staleness is bounded by min(t, tv), and the
-// discard window is armed with d (0 for the ∞ configuration, which never
-// discards). The simulation runs on one clock, so the auditor judges it
-// with no slack.
-func (v *Volume) AuditConfig() audit.Config {
-	return audit.Config{
-		ObjectLease:        v.cfg.ObjectLease,
-		VolumeLease:        v.cfg.VolumeLease,
-		InactiveDiscard:    v.cfg.InactiveDiscard,
-		RequireObjectLease: true,
-		RequireVolumeLease: true,
-		CheckStaleness:     true,
-	}
-}
-
 // server returns the table for name, creating it on first mention.
 func (v *Volume) server(name string) *server {
 	s := v.servers[name]
@@ -130,7 +113,7 @@ func (v *Volume) object(s *server, object string) objectIDs {
 	if ok {
 		return ids
 	}
-	ids = objectIDs{oid: simObjID(objKey{s.name, object}), vid: core.VolumeID(s.name)}
+	ids = objectIDs{oid: core.ObjectID(s.name + "/" + object), vid: core.VolumeID(s.name)}
 	if v.groups > 1 {
 		ids.vid += core.VolumeID("/vol" + strconv.Itoa(int(fnv32(object)%uint32(v.groups))))
 	}
@@ -185,13 +168,11 @@ func (v *Volume) HandleRead(now time.Time, e trace.Event) {
 			v.msg(now, s, metrics.MsgObjLease, sim.CtrlBytes)
 		}
 		st = must(r.Step(g, withData, a))
-		v.objectGranted(now, s, client, g)
+		v.objectGranted(s, g)
 	}
 	current, _, err := s.table.Read(ids.oid)
 	check(err)
 	v.env.Rec.Read(st.Version != current)
-	v.env.Emit(obs.Event{Type: obs.EvCacheRead, Client: client, Object: ids.oid,
-		Volume: ids.vid, Version: st.Version, At: now})
 	if contacted {
 		v.record(now, s, true)
 	}
@@ -206,12 +187,10 @@ func (v *Volume) renewVolume(now time.Time, s *server, client core.ClientID, h *
 	r, req := h.RenewVolume(vid, must(s.table.VolumeEpoch(vid)))
 	v.msg(now, s, metrics.MsgVolLeaseReq, sim.CtrlBytes)
 	g := must(s.table.RequestVolumeLease(now, client, vid, req.Epoch))
-	var acked []core.ObjectID
 	st := r.Step(g, anchor(now))
 	for ; st.Next.Kind != core.RenewalDone; st = r.Step(g, anchor(now)) {
 		switch req := st.Next; req.Kind {
 		case core.SendRenewObjLeases:
-			v.env.Emit(obs.Event{Type: obs.EvReconnect, Client: client, Volume: vid, N: len(req.Held), At: now})
 			v.msg(now, s, metrics.MsgMustRenewAll, sim.CtrlBytes)
 			v.msg(now, s, metrics.MsgRenewObjLeases, sim.CtrlBytes+int64(len(req.Held))*sim.LeaseRecordBytes)
 			g = must(s.table.HandleRenewObjLeases(now, client, vid, 0, req.Held))
@@ -219,21 +198,16 @@ func (v *Volume) renewVolume(now time.Time, s *server, client core.ClientID, h *
 			v.msg(now, s, metrics.MsgInvalRenew, sim.CtrlBytes+int64(len(g.Invalidate)+len(g.Renew))*sim.LeaseRecordBytes)
 			v.msg(now, s, metrics.MsgAckInvalidate, sim.CtrlBytes)
 			for _, o := range g.Renew {
-				v.objectGranted(now, s, client, o)
+				v.objectGranted(s, o)
 			}
-			v.invalidated(now, client, st.Dropped)
-			acked = req.Acked
-			g = must(s.table.ConfirmVolume(now, client, vid, 0, acked))
+			g = must(s.table.ConfirmVolume(now, client, vid, 0, req.Acked))
 		default:
 			panic(fmt.Sprintf("algo: volume conversation answered %v", g.Status))
 		}
 	}
-	if st.Folded {
-		v.env.Emit(obs.Event{Type: obs.EvPendingDelivered, Client: client, Volume: vid, N: len(acked), At: now})
-	} else {
+	if !st.Folded {
 		v.msg(now, s, metrics.MsgVolLease, sim.CtrlBytes)
 	}
-	v.env.Emit(obs.Event{Type: obs.EvVolLeaseGrant, Client: client, Volume: vid, Expire: g.Expire, At: now})
 	expire := g.Expire
 	v.env.Schedule(expire, func(now time.Time) {
 		v.record(now, s, false)
@@ -247,24 +221,12 @@ func (v *Volume) renewVolume(now time.Time, s *server, client core.ClientID, h *
 // sweep applies the discard policy at an expire + d instant.
 func (v *Volume) sweep(now time.Time, s *server) {
 	_, discarded := s.table.Sweep(now)
-	for _, d := range discarded {
-		v.env.Emit(obs.Event{Type: obs.EvUnreachable, Client: d.Client, Volume: d.Volume, At: now})
-	}
 	v.record(now, s, len(discarded) > 0)
 }
 
-// objectGranted audits an object-lease grant and schedules its expiry.
-func (v *Volume) objectGranted(now time.Time, s *server, client core.ClientID, g core.ObjectGrant) {
-	v.env.Emit(obs.Event{Type: obs.EvObjLeaseGrant, Client: client, Object: g.Object,
-		Version: g.Version, Expire: g.Expire, At: now})
+// objectGranted schedules a state record at an object lease's expiry.
+func (v *Volume) objectGranted(s *server, g core.ObjectGrant) {
 	v.env.Schedule(g.Expire, func(now time.Time) { v.record(now, s, false) })
-}
-
-// invalidated audits the acknowledged invalidation of each object.
-func (v *Volume) invalidated(now time.Time, client core.ClientID, objects []core.ObjectID) {
-	for _, oid := range objects {
-		v.env.Emit(obs.Event{Type: obs.EvInvalAcked, Client: client, Object: oid, At: now})
-	}
 }
 
 // HandleWrite implements sim.Algorithm: Figure 3's write. The table names
@@ -280,17 +242,8 @@ func (v *Volume) HandleWrite(now time.Time, e trace.Event) {
 		v.msg(now, s, metrics.MsgAckInvalidate, sim.CtrlBytes)
 		v.holders[string(n.Client)].Invalidate(written)
 		check(s.table.AckWriteInvalidate(now, n.Client, ids.oid))
-		v.invalidated(now, n.Client, written)
 	}
-	for _, q := range plan.Queued {
-		// Expire carries when the holder's volume lease lapsed: the
-		// auditor's discard window runs from that instant.
-		v.env.Emit(obs.Event{Type: obs.EvInvalQueued, Client: q.Client, Object: ids.oid,
-			Volume: ids.vid, Expire: q.Since, At: now})
-	}
-	version := must(s.table.FinishWrite(now, ids.oid, nil, nil))
-	v.env.Emit(obs.Event{Type: obs.EvWriteApplied, Object: ids.oid, Volume: ids.vid,
-		Version: version, N: len(plan.Notify), At: now})
+	must(s.table.FinishWrite(now, ids.oid, nil, nil))
 	v.env.Rec.Write(0)
 	if len(plan.Notify)+len(plan.Queued)+len(plan.Dropped) > 0 {
 		v.record(now, s, true)

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -66,29 +65,12 @@ func (env *Env) Schedule(at time.Time, fn func(now time.Time)) {
 	env.eng.seq++
 }
 
-// Auditing reports whether an observer is attached, so algorithms can skip
-// building events nobody consumes.
-func (env *Env) Auditing() bool { return env.eng.sink != nil }
-
-// Emit forwards a protocol event to the engine's observer, if any. The
-// disabled cost is one nil check.
-func (env *Env) Emit(e obs.Event) {
-	if env.eng.sink != nil {
-		env.eng.sink.Observe(e)
-	}
-}
-
 // Engine drives a trace through an algorithm.
 type Engine struct {
 	timers timerHeap
 	seq    uint64
 	env    Env
-	sink   obs.Sink
 }
-
-// Observe attaches an event sink (e.g. an audit.Auditor): algorithms that
-// emit protocol events through Env.Emit are then checked online.
-func (eng *Engine) Observe(s obs.Sink) { eng.sink = s }
 
 // NewEngine returns an engine whose Env records into rec.
 func NewEngine(rec *metrics.Recorder) *Engine {
